@@ -3,7 +3,9 @@
 //! Table 8 compares IS-LABEL against bidirectional Dijkstra run entirely in
 //! memory over the original graph. This implementation alternates
 //! extractions between the cheaper frontier and stops when
-//! `min(FQ) + min(RQ) ≥ µ`, the same cutoff Algorithm 1 uses.
+//! `min(FQ) + min(RQ) ≥ µ`, the same cutoff Algorithm 1 uses, and — like
+//! the IS-LABEL kernel, so the comparison stays fair — skips a relaxation
+//! whose key plus the opposite queue's minimum already reaches `µ`.
 //!
 //! The searcher runs on the same dense primitives as the IS-LABEL kernel
 //! (the graph's own ids are already compact): [`StampedSlab`] tentative
@@ -78,11 +80,10 @@ impl BiDijkstra {
             if min_f.saturating_add(min_r) >= mu {
                 break;
             }
-            let forward = min_f <= min_r;
-            let (q, dist_x, dist_y) = if forward {
-                (&mut self.fq, &mut self.dist_f, &self.dist_r)
+            let (q, dist_x, dist_y, min_y) = if min_f <= min_r {
+                (&mut self.fq, &mut self.dist_f, &self.dist_r, min_r)
             } else {
-                (&mut self.rq, &mut self.dist_r, &self.dist_f)
+                (&mut self.rq, &mut self.dist_r, &self.dist_f, min_f)
             };
             let (d, v) = q.pop().expect("finite peek_key means a live entry");
             settled += 1;
@@ -91,6 +92,11 @@ impl BiDijkstra {
             }
             for (u, w) in g.edges(v) {
                 let nd = d + w as Dist;
+                // The IS-LABEL kernel's relaxation bound: this key could
+                // never be popped before the cutoff fires.
+                if nd.saturating_add(min_y) >= mu {
+                    continue;
+                }
                 if dist_x.get(u).is_none_or(|cur| nd < cur) {
                     dist_x.set(u, nd);
                     q.push_or_decrease(u, nd);
@@ -336,5 +342,26 @@ mod tests {
                 assert_eq!(bi.distance(&g, i, 59 - i), *e, "round {round} query {i}");
             }
         }
+    }
+
+    #[test]
+    fn relaxation_bound_keeps_answers_and_settle_counts() {
+        // Pinned at the commit before the relaxation bound was added: the
+        // bound may only skip keys that could never be popped, so neither
+        // the answers nor the settle counts move.
+        let g = barabasi_albert(2000, 3, WeightModel::UniformRange(1, 9), 9);
+        let mut bi = BiDijkstra::new(2000);
+        let mut total_settled = 0usize;
+        for i in 0..200u32 {
+            let (s, t) = ((i * 97) % 2000, (i * 131 + 50) % 2000);
+            let (d, settled) = bi.distance_with_cost(&g, s, t);
+            assert_eq!(
+                d,
+                islabel_core::reference::dijkstra_p2p(&g, s, t),
+                "({s}, {t})"
+            );
+            total_settled += settled;
+        }
+        assert_eq!(total_settled, 13_087);
     }
 }

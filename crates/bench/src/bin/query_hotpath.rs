@@ -677,7 +677,14 @@ fn obs_overhead_bench(name: &'static str, g: &CsrGraph, queries: usize) -> ObsOv
                 let out = session.search_outcome(s, t).expect("in range");
                 if on {
                     let l = session.trace().expect("islabel sessions trace").last;
-                    phases.record(l.intersect_ns, l.seed_ns, l.search_ns, l.settled);
+                    phases.record(
+                        l.intersect_ns,
+                        l.seed_ns,
+                        l.search_ns,
+                        l.settled,
+                        l.relaxed,
+                        l.pushed,
+                    );
                 }
                 latencies.push(t0.elapsed().as_nanos() as u64);
                 sum = sum.wrapping_add(out.dist);

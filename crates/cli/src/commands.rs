@@ -6,7 +6,8 @@ use islabel_core::persist::{
     compact_index_with_wal, load_index_from_path, load_index_with_wal, try_save_index_to_path,
 };
 use islabel_core::{
-    BatchOptions, BuildConfig, DistanceOracle, IsLabelIndex, KSelection, QueryError, WalRecovery,
+    BatchOptions, BuildConfig, DistanceOracle, IsLabelIndex, KSelection, QueryError, QuerySession,
+    WalRecovery,
 };
 use islabel_extmem::storage::Storage as _;
 use islabel_graph::algo::stats::{human_bytes, human_count};
@@ -1057,6 +1058,7 @@ fn stats(argv: &[String]) -> Result<(), String> {
             human_count(dense.fwd().num_entries()),
             human_bytes(dense.memory_bytes())
         );
+        print_search_work(&index);
     } else {
         let g = load_graph(path)?;
         println!("graph: {path}");
@@ -1067,6 +1069,34 @@ fn stats(argv: &[String]) -> Result<(), String> {
         println!("  CSR size: {}", human_bytes(g.memory_bytes()));
     }
     Ok(())
+}
+
+/// The `stats` line on what a query costs in `G_k`: the per-query means of
+/// the session trace's exact work counts over a fixed random sample.
+fn print_search_work(index: &IsLabelIndex) {
+    const SAMPLE: usize = 1000;
+    let n = index.num_vertices() as VertexId;
+    if n < 2 {
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut session = index.session();
+    for _ in 0..SAMPLE {
+        let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        // Deleted endpoints answer `None`; nothing here can fail.
+        let _ = session.distance(s, t);
+    }
+    let Some(trace) = QuerySession::trace(&session) else {
+        return;
+    };
+    let per_query = |total: u64| total as f64 / SAMPLE as f64;
+    println!(
+        "  search work:   {:.1} settled, {:.1} relaxed, {:.1} pushed per query \
+         ({SAMPLE} random pairs)",
+        per_query(trace.settled),
+        per_query(trace.relaxed),
+        per_query(trace.pushed)
+    );
 }
 
 /// `stats --file`: the on-disk view of an `.islx` artifact — format

@@ -34,6 +34,24 @@
 //! `dense_kernel` conformance suite holds the two kernels equal across
 //! graphs, engines, and dynamic updates.
 //!
+//! In both kernels µ bounds the *work* of Algorithm 1, not only its
+//! stopping point, by two rules (`docs/adr/0001-mu-bounded-search.md`):
+//!
+//! 1. a key that plus the opposite frontier's minimum is `≥ µ` is never
+//!    materialised — the relaxation is skipped before a slab or heap line
+//!    is touched. Frontier minima only grow and µ only shrinks, so the
+//!    `min(FQ) + min(RQ) ≥ µ` cutoff fires before such a key could be
+//!    popped, and whatever it could close from the other side is no
+//!    shorter than µ already is;
+//! 2. a relaxation that lands is checked against the opposite side's
+//!    *tentative* distance. Any tentative distance is a real path, so µ
+//!    only ever takes real path lengths, and it is finite from the moment
+//!    the frontiers touch.
+//!
+//! Settle order is unchanged: rule 1 removes only entries that would
+//! never have been popped, rule 2 only makes the cutoff fire earlier, and
+//! the pops that remain compare `(key, vertex)` as before.
+//!
 //! The kernel functions here are an **alloc-free zone**: `islabel-lint`
 //! (see `lint.toml` at the repo root) rejects any allocating construct
 //! inside them, so all scratch must come from the reusable state below.
@@ -478,16 +496,6 @@ impl<T: Copy + Default> StampedSlab<T> {
         self.vals[i as usize] = v;
         self.stamps[i as usize] = self.epoch;
     }
-
-    /// Best-effort prefetch of slot `i`'s stamp and value lines, so a
-    /// `get`/`set` a few dozen cycles later finds them resident. The
-    /// arrays stay split (stamp-only probes of dead slots pack 16 stamps
-    /// per line), so both lines are hinted.
-    #[inline]
-    pub fn prefetch(&self, i: u32) {
-        crate::kernel::prefetch_index(&self.stamps, i as usize);
-        crate::kernel::prefetch_index(&self.vals, i as usize);
-    }
 }
 
 /// An indexed 4-ary min-heap with decrease-key over compact vertex ids.
@@ -557,13 +565,6 @@ impl IndexedHeap {
     #[inline]
     pub fn peek(&self) -> Option<(Dist, u32)> {
         self.slots.first().copied()
-    }
-
-    /// Best-effort prefetch of `v`'s position-slab lines ahead of a
-    /// `push_or_decrease`.
-    #[inline]
-    pub fn prefetch_pos(&self, v: u32) {
-        self.pos.prefetch(v);
     }
 
     /// Pops the minimum `(key, vertex)`.
@@ -651,7 +652,7 @@ impl IndexedHeap {
 }
 
 /// Reusable workspace of one dense bidirectional search: stamped tentative
-/// distances, settled markers, and the two indexed frontiers.
+/// distances and the two indexed frontiers.
 ///
 /// A session sizes this once against `|G_k|` and every later search resets
 /// it in O(1); [`dense_bi_dijkstra`] performs no heap allocation. Not
@@ -661,8 +662,6 @@ impl IndexedHeap {
 pub struct DenseScratch {
     dist_f: StampedSlab<Dist>,
     dist_r: StampedSlab<Dist>,
-    settled_f: StampedSlab<Dist>,
-    settled_r: StampedSlab<Dist>,
     fq: IndexedHeap,
     rq: IndexedHeap,
 }
@@ -674,8 +673,6 @@ impl DenseScratch {
         Self {
             dist_f: StampedSlab::new(m),
             dist_r: StampedSlab::new(m),
-            settled_f: StampedSlab::new(m),
-            settled_r: StampedSlab::new(m),
             fq: IndexedHeap::new(m),
             rq: IndexedHeap::new(m),
         }
@@ -689,8 +686,6 @@ impl DenseScratch {
     fn reset(&mut self) {
         self.dist_f.reset();
         self.dist_r.reset();
-        self.settled_f.reset();
-        self.settled_r.reset();
         self.fq.clear();
         self.rq.clear();
     }
@@ -701,9 +696,13 @@ impl DenseScratch {
 ///
 /// `fseeds` / `rseeds` carry **compact** ids (map label ancestors through
 /// [`GkIdMap::dense`]); the returned [`Meeting::Search`] vertex is likewise
-/// compact — callers map it back with [`GkIdMap::global`]. Semantics match
-/// [`crate::query::label_bi_dijkstra_directed_in`] exactly, including the
-/// settle-time µ tightening and the `min(FQ) + min(RQ) ≥ µ` cutoff; the
+/// compact — callers map it back with [`GkIdMap::global`].
+///
+/// µ bounds the work by the two rules of the [module docs](self): a
+/// relaxation to key `nd` is skipped when `nd + min(opposite queue) ≥ µ`,
+/// and one that lands is checked against the opposite side's tentative
+/// distance. Semantics match
+/// [`crate::query::label_bi_dijkstra_directed_in`] exactly; the
 /// conformance suite asserts bit-identical `(dist, meeting, settled)`
 /// against the hashmap kernel. Generic over [`DenseView`], so the same
 /// code path serves the pristine [`DenseCsr`] and the dynamic-update
@@ -730,26 +729,26 @@ pub fn dense_bi_dijkstra<G: DenseView>(
     let DenseScratch {
         dist_f,
         dist_r,
-        settled_f,
-        settled_r,
         fq,
         rq,
     } = scratch;
 
+    let (mut settled, mut relaxed, mut pushed) = (0usize, 0usize, 0usize);
     for &(v, d) in fseeds {
         if dist_f.get(v).is_none_or(|cur| d < cur) {
             dist_f.set(v, d);
             fq.push_or_decrease(v, d);
+            pushed += 1;
         }
     }
     for &(v, d) in rseeds {
         if dist_r.get(v).is_none_or(|cur| d < cur) {
             dist_r.set(v, d);
             rq.push_or_decrease(v, d);
+            pushed += 1;
         }
     }
 
-    let mut settled = 0usize;
     loop {
         let min_f = fq.peek_key();
         let min_r = rq.peek_key();
@@ -761,26 +760,12 @@ pub fn dense_bi_dijkstra<G: DenseView>(
         }
 
         // Settle the cheaper frontier (ties to forward, like the sparse
-        // kernel's `min_f <= min_r`).
-        let forward = min_f <= min_r;
-        let (g, q, dist_x, settled_x, settled_y, dist_y) = if forward {
-            (
-                fwd,
-                &mut *fq,
-                &mut *dist_f,
-                &mut *settled_f,
-                &*settled_r,
-                &*dist_r,
-            )
+        // kernel's `min_f <= min_r`). `min_y` is the opposite queue's
+        // minimum, constant for this settle.
+        let (g, q, dist_x, dist_y, min_y) = if min_f <= min_r {
+            (fwd, &mut *fq, &mut *dist_f, &*dist_r, min_r)
         } else {
-            (
-                rev,
-                &mut *rq,
-                &mut *dist_r,
-                &mut *settled_r,
-                &*settled_f,
-                &*dist_f,
-            )
+            (rev, &mut *rq, &mut *dist_r, &*dist_f, min_f)
         };
         let (d, v) = q.pop().expect("peek_key returned a finite minimum");
         // While v's row is decoded and relaxed, pull the likely-next
@@ -789,7 +774,6 @@ pub fn dense_bi_dijkstra<G: DenseView>(
         if let Some((_, next)) = q.peek() {
             g.prefetch_row(next);
         }
-        settled_x.set(v, d);
         settled += 1;
         // Settle-time meeting check: any distance on the other side
         // (tentative or settled) closes a real path.
@@ -800,20 +784,18 @@ pub fn dense_bi_dijkstra<G: DenseView>(
                 meeting = Meeting::Search(v);
             }
         }
-        // First pass over the row: hint the per-neighbor slab lines
-        // (tentative distance + heap position) so the relax pass's
-        // random accesses are already in flight when it reads them.
-        for (u, _) in g.edges_of(v) {
-            dist_x.prefetch(u);
-            q.prefetch_pos(u);
-        }
         for (u, w) in g.edges_of(v) {
+            relaxed += 1;
             let nd = d + w as Dist;
+            if nd.saturating_add(min_y) >= mu {
+                continue;
+            }
             if dist_x.get(u).is_none_or(|cur| nd < cur) {
                 dist_x.set(u, nd);
                 q.push_or_decrease(u, nd);
-                // Lines 17–18: u already settled from the other direction.
-                if let Some(dy) = settled_y.get(u) {
+                pushed += 1;
+                // Lines 17–18, on the tentative distance.
+                if let Some(dy) = dist_y.get(u) {
                     let cand = nd.saturating_add(dy);
                     if cand < mu {
                         mu = cand;
@@ -828,6 +810,8 @@ pub fn dense_bi_dijkstra<G: DenseView>(
         dist: mu,
         meeting: if mu == INF { Meeting::None } else { meeting },
         settled,
+        relaxed,
+        pushed,
     }
 }
 
@@ -882,12 +866,14 @@ pub fn seeded_search<G: DenseView>(
     let out = dense_bi_dijkstra(fwd, rev, fseeds, rseeds, mu0, witness, scratch);
     if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
         let t3 = std::time::Instant::now();
-        trace.record_query(
-            t1.duration_since(t0).as_nanos() as u64,
-            t2.duration_since(t1).as_nanos() as u64,
-            t3.duration_since(t2).as_nanos() as u64,
-            out.settled as u64,
-        );
+        trace.record_query(crate::trace::PhaseSample {
+            intersect_ns: t1.duration_since(t0).as_nanos() as u64,
+            seed_ns: t2.duration_since(t1).as_nanos() as u64,
+            search_ns: t3.duration_since(t2).as_nanos() as u64,
+            settled: out.settled as u64,
+            relaxed: out.relaxed as u64,
+            pushed: out.pushed as u64,
+        });
     }
     out
 }

@@ -879,6 +879,8 @@ impl IsLabelSession<'_> {
                 dist: INF,
                 meeting: Meeting::None,
                 settled: 0,
+                relaxed: 0,
+                pushed: 0,
             });
         }
         if s == t {
@@ -886,6 +888,8 @@ impl IsLabelSession<'_> {
                 dist: 0,
                 meeting: Meeting::Labels(s),
                 settled: 0,
+                relaxed: 0,
+                pushed: 0,
             });
         }
         if self.overlay.is_some() {

@@ -16,8 +16,8 @@
 //!   to hold every tier bit-identical to the scalar reference.
 //! * [`prefetch_index`] — a safe, bounds-checked wrapper over the
 //!   architecture's prefetch hint, used by [`crate::dense`] to pull the
-//!   next CSR adjacency row and the neighbor slab lines toward L1 while
-//!   the current row is being relaxed.
+//!   next CSR adjacency row toward L1 while the current row is being
+//!   relaxed.
 //!
 //! ## Dispatch tiers
 //!

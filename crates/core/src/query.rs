@@ -11,7 +11,10 @@
 //!    starts from the `G_k` vertices in `label(s)` at their label distances
 //!    (which are exact by the Theorem 3/4 argument), the reverse queue
 //!    likewise from `label(t)`; the search stops when
-//!    `min(FQ) + min(RQ) ≥ µ`.
+//!    `min(FQ) + min(RQ) ≥ µ`. The same bound prunes the work on the way:
+//!    a relaxation whose key plus the opposite queue's minimum is `≥ µ` is
+//!    skipped, and one that lands tightens `µ` against the opposite side's
+//!    tentative distance (see [`label_bi_dijkstra_directed_in`]).
 //!
 //! If a query's labels contribute no `G_k` seeds at all, the search loop
 //! never runs and the Equation 1 value is returned — exactly the paper's
@@ -26,8 +29,9 @@
 //!   conformance suite checks the fast path against;
 //! * the **dense kernel** in [`crate::dense`] — compact `0..|G_k|` ids,
 //!   generation-stamped flat arrays and an indexed 4-ary heap with
-//!   decrease-key. Pristine indexes route distance queries through it; it
-//!   returns bit-identical `(dist, meeting, settled)` outcomes.
+//!   decrease-key. Sessions route distance queries through it; it applies
+//!   the same two µ rules at the same two sites and returns bit-identical
+//!   `(dist, meeting, settled)` outcomes.
 //!
 //! The merge-join intersections here are an **alloc-free zone** enforced
 //! by `islabel-lint` (see `lint.toml` at the repo root).
@@ -219,7 +223,7 @@ pub struct SearchResult {
 pub const SEED_PARENT: VertexId = VertexId::MAX;
 
 /// Reusable workspace of one bidirectional search: heaps, tentative
-/// distances, settled sets and parent pointers.
+/// distances and parent pointers.
 ///
 /// Allocating these per query dominated the hot path; a [`SearchScratch`]
 /// owned by a long-lived session (see
@@ -232,8 +236,6 @@ pub struct SearchScratch {
     dist_r: FxHashMap<VertexId, Dist>,
     parents_f: FxHashMap<VertexId, VertexId>,
     parents_r: FxHashMap<VertexId, VertexId>,
-    settled_f: FxHashMap<VertexId, Dist>,
-    settled_r: FxHashMap<VertexId, Dist>,
     fq: BinaryHeap<Reverse<(Dist, VertexId)>>,
     rq: BinaryHeap<Reverse<(Dist, VertexId)>>,
 }
@@ -249,8 +251,6 @@ impl SearchScratch {
         self.dist_r.clear();
         self.parents_f.clear();
         self.parents_r.clear();
-        self.settled_f.clear();
-        self.settled_r.clear();
         self.fq.clear();
         self.rq.clear();
     }
@@ -266,6 +266,11 @@ pub struct SearchOutcome {
     pub meeting: Meeting,
     /// Vertices settled across both directions.
     pub settled: usize,
+    /// Edges scanned by the settles, pruned ones included.
+    pub relaxed: usize,
+    /// Heap pushes (or decrease-keys), seeds included: the relaxations
+    /// that survived the µ bound.
+    pub pushed: usize,
 }
 
 /// Algorithm 1 over a single (undirected) residual graph.
@@ -321,13 +326,18 @@ pub fn label_bi_dijkstra_directed<GF: GkGraph, GR: GkGraph>(
 
 /// The directed search core, operating entirely inside `scratch`.
 ///
-/// Differences from the paper's pseudocode, both conservative:
+/// Differences from the paper's pseudocode, all conservative:
 /// * vertices enter the queues on demand instead of all starting at `∞`
 ///   (identical behavior, far cheaper);
-/// * `µ` is additionally tightened when a vertex settles on one side and
-///   already carries a (tentative or settled) distance on the other — every
-///   such value is the length of a real path, so `µ` remains an upper bound
-///   and the `min(FQ) + min(RQ) ≥ µ` cutoff stays sound.
+/// * `µ` is tightened against the other side's *tentative* distance, both
+///   when a vertex settles and when a relaxation lands — every tentative
+///   distance is the length of a real path, so `µ` only ever takes real
+///   path lengths and the `min(FQ) + min(RQ) ≥ µ` cutoff stays sound;
+/// * a relaxation to key `nd` is skipped when
+///   `nd + min(opposite queue) ≥ µ`: queue minima only grow and `µ` only
+///   shrinks, so the cutoff fires before that key could be popped, and any
+///   candidate it could close from the other side is no smaller. The pops
+///   that do happen keep their order.
 pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
     fwd: &GF,
     rev: &GR,
@@ -335,10 +345,15 @@ pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
     scratch: &mut SearchScratch,
 ) -> SearchOutcome {
     scratch.reset();
-    let mut mu = params.mu0;
-    let mut meeting = match params.mu0_witness {
-        Some(w) if mu < INF => Meeting::Labels(w),
-        _ => Meeting::None,
+    let mut out = SearchOutcome {
+        dist: params.mu0,
+        meeting: match params.mu0_witness {
+            Some(w) if params.mu0 < INF => Meeting::Labels(w),
+            _ => Meeting::None,
+        },
+        settled: 0,
+        relaxed: 0,
+        pushed: 0,
     };
 
     let SearchScratch {
@@ -346,8 +361,6 @@ pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
         dist_r,
         parents_f,
         parents_r,
-        settled_f,
-        settled_r,
         fq,
         rq,
     } = scratch;
@@ -357,6 +370,7 @@ pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
         if d < *e {
             *e = d;
             fq.push(Reverse((d, v)));
+            out.pushed += 1;
             if params.track_paths {
                 parents_f.insert(v, SEED_PARENT);
             }
@@ -367,20 +381,22 @@ pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
         if d < *e {
             *e = d;
             rq.push(Reverse((d, v)));
+            out.pushed += 1;
             if params.track_paths {
                 parents_r.insert(v, SEED_PARENT);
             }
         }
     }
 
-    // Drops stale heap entries; returns the current true minimum key.
+    // Drops stale heap entries (a key above the vertex's tentative
+    // distance: superseded, or already settled at the smaller one);
+    // returns the current true minimum key.
     fn clean_top(
         q: &mut BinaryHeap<Reverse<(Dist, VertexId)>>,
         dist: &FxHashMap<VertexId, Dist>,
-        settled: &FxHashMap<VertexId, Dist>,
     ) -> Dist {
         while let Some(&Reverse((d, v))) = q.peek() {
-            if settled.contains_key(&v) || dist.get(&v).is_none_or(|&cur| d > cur) {
+            if dist.get(&v).is_none_or(|&cur| d > cur) {
                 q.pop();
             } else {
                 return d;
@@ -389,46 +405,50 @@ pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
         INF
     }
 
-    /// Settles the minimum of one side and relaxes its residual edges.
+    /// Settles the minimum of one side and relaxes its residual edges;
+    /// `out.dist` is the running `µ`, `min_y` the opposite queue's minimum.
     #[allow(clippy::too_many_arguments)]
     fn step_side<G: GkGraph>(
         g: &G,
         q: &mut BinaryHeap<Reverse<(Dist, VertexId)>>,
         dist_x: &mut FxHashMap<VertexId, Dist>,
-        settled_x: &mut FxHashMap<VertexId, Dist>,
-        settled_y: &FxHashMap<VertexId, Dist>,
         dist_y: &FxHashMap<VertexId, Dist>,
         parents_x: &mut FxHashMap<VertexId, VertexId>,
-        mu: &mut Dist,
-        meeting: &mut Meeting,
+        min_y: Dist,
+        out: &mut SearchOutcome,
         track_paths: bool,
     ) {
         let Reverse((d, v)) = q.pop().expect("clean_top guaranteed a live entry");
-        settled_x.insert(v, d);
+        out.settled += 1;
         // Settle-time meeting check (see function docs).
         if let Some(&dy) = dist_y.get(&v) {
             let cand = d.saturating_add(dy);
-            if cand < *mu {
-                *mu = cand;
-                *meeting = Meeting::Search(v);
+            if cand < out.dist {
+                out.dist = cand;
+                out.meeting = Meeting::Search(v);
             }
         }
 
         for (u, w) in g.edges_of(v) {
+            out.relaxed += 1;
             let nd = d + w as Dist;
+            if nd.saturating_add(min_y) >= out.dist {
+                continue;
+            }
             let cur = dist_x.entry(u).or_insert(INF);
             if nd < *cur {
                 *cur = nd;
                 q.push(Reverse((nd, u)));
+                out.pushed += 1;
                 if track_paths {
                     parents_x.insert(u, v);
                 }
-                // Lines 17–18: u already reached from the other direction.
-                if let Some(&dy) = settled_y.get(&u) {
+                // Lines 17–18, on the tentative distance.
+                if let Some(&dy) = dist_y.get(&u) {
                     let cand = nd.saturating_add(dy);
-                    if cand < *mu {
-                        *mu = cand;
-                        *meeting = Meeting::Search(u);
+                    if cand < out.dist {
+                        out.dist = cand;
+                        out.meeting = Meeting::Search(u);
                     }
                 }
             }
@@ -436,14 +456,14 @@ pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
     }
 
     loop {
-        let min_f = clean_top(fq, dist_f, settled_f);
-        let min_r = clean_top(rq, dist_r, settled_r);
+        let min_f = clean_top(fq, dist_f);
+        let min_r = clean_top(rq, dist_r);
         // Line 8: stop when either frontier is exhausted or no via-G_k path
         // can beat µ.
         if min_f == INF || min_r == INF {
             break;
         }
-        if min_f.saturating_add(min_r) >= mu {
+        if min_f.saturating_add(min_r) >= out.dist {
             break;
         }
 
@@ -452,12 +472,10 @@ pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
                 fwd,
                 fq,
                 dist_f,
-                settled_f,
-                settled_r,
                 dist_r,
                 parents_f,
-                &mut mu,
-                &mut meeting,
+                min_r,
+                &mut out,
                 params.track_paths,
             );
         } else {
@@ -465,22 +483,19 @@ pub fn label_bi_dijkstra_directed_in<GF: GkGraph, GR: GkGraph>(
                 rev,
                 rq,
                 dist_r,
-                settled_r,
-                settled_f,
                 dist_f,
                 parents_r,
-                &mut mu,
-                &mut meeting,
+                min_f,
+                &mut out,
                 params.track_paths,
             );
         }
     }
 
-    SearchOutcome {
-        dist: mu,
-        meeting: if mu == INF { Meeting::None } else { meeting },
-        settled: settled_f.len() + settled_r.len(),
+    if out.dist == INF {
+        out.meeting = Meeting::None;
     }
+    out
 }
 
 #[cfg(test)]

@@ -33,6 +33,11 @@ pub struct PhaseSample {
     pub search_ns: u64,
     /// Vertices settled by the dense search.
     pub settled: u64,
+    /// Edges scanned by the dense search (pruned ones included).
+    pub relaxed: u64,
+    /// Heap pushes or decrease-keys made by the dense search, seeds
+    /// included — the relaxations that survived the µ bound.
+    pub pushed: u64,
 }
 
 impl PhaseSample {
@@ -62,6 +67,10 @@ pub struct QueryTrace {
     pub search_ns: u64,
     /// Cumulative settled vertices.
     pub settled: u64,
+    /// Cumulative scanned edges.
+    pub relaxed: u64,
+    /// Cumulative heap pushes or decrease-keys.
+    pub pushed: u64,
     /// The most recent query's sample.
     pub last: PhaseSample,
 }
@@ -75,6 +84,8 @@ impl Default for QueryTrace {
             seed_ns: 0,
             search_ns: 0,
             settled: 0,
+            relaxed: 0,
+            pushed: 0,
             last: PhaseSample::default(),
         }
     }
@@ -97,18 +108,15 @@ impl QueryTrace {
     /// Accumulates one query's phase sample. Called by the seeded search
     /// at the final phase boundary; plain field adds, no allocation.
     #[inline]
-    pub fn record_query(&mut self, intersect_ns: u64, seed_ns: u64, search_ns: u64, settled: u64) {
+    pub fn record_query(&mut self, sample: PhaseSample) {
         self.queries += 1;
-        self.intersect_ns += intersect_ns;
-        self.seed_ns += seed_ns;
-        self.search_ns += search_ns;
-        self.settled += settled;
-        self.last = PhaseSample {
-            intersect_ns,
-            seed_ns,
-            search_ns,
-            settled,
-        };
+        self.intersect_ns += sample.intersect_ns;
+        self.seed_ns += sample.seed_ns;
+        self.search_ns += sample.search_ns;
+        self.settled += sample.settled;
+        self.relaxed += sample.relaxed;
+        self.pushed += sample.pushed;
+        self.last = sample;
     }
 }
 
@@ -120,13 +128,21 @@ mod tests {
     fn record_accumulates_and_keeps_last() {
         let mut tr = QueryTrace::new();
         assert!(tr.enabled);
-        tr.record_query(10, 20, 30, 4);
-        tr.record_query(1, 2, 3, 5);
+        let sample = |a, b, c, settled, relaxed, pushed| PhaseSample {
+            intersect_ns: a,
+            seed_ns: b,
+            search_ns: c,
+            settled,
+            relaxed,
+            pushed,
+        };
+        tr.record_query(sample(10, 20, 30, 4, 40, 7));
+        tr.record_query(sample(1, 2, 3, 5, 50, 8));
         assert_eq!(tr.queries, 2);
         assert_eq!(tr.intersect_ns, 11);
         assert_eq!(tr.seed_ns, 22);
         assert_eq!(tr.search_ns, 33);
-        assert_eq!(tr.settled, 9);
+        assert_eq!((tr.settled, tr.relaxed, tr.pushed), (9, 90, 15));
         assert_eq!(tr.last.total_ns(), 6);
         assert!(!QueryTrace::disabled().enabled);
     }

@@ -731,6 +731,8 @@ fn serve_frames(
                             sample.seed_ns,
                             sample.search_ns,
                             sample.settled,
+                            sample.relaxed,
+                            sample.pushed,
                         );
                         islabel_obs::SlowQueryLog::global().observe(islabel_obs::SlowQuery {
                             seq: 0,

@@ -22,6 +22,11 @@ pub const METRIC_SERVE_QUERY_LATENCY_SECONDS: &str = "islabel_serve_query_latenc
 pub const METRIC_QUERY_PHASE_NANOSECONDS_TOTAL: &str = "islabel_query_phase_nanoseconds_total";
 /// Dense-search settled vertices, summed over traced queries.
 pub const METRIC_QUERY_SETTLED_TOTAL: &str = "islabel_query_settled_total";
+/// Dense-search scanned edges (pruned ones included), summed over traced
+/// queries.
+pub const METRIC_QUERY_RELAXED_TOTAL: &str = "islabel_query_relaxed_total";
+/// Dense-search heap pushes or decrease-keys, summed over traced queries.
+pub const METRIC_QUERY_PUSHED_TOTAL: &str = "islabel_query_pushed_total";
 /// Queries whose phase trace was recorded.
 pub const METRIC_QUERY_TRACED_TOTAL: &str = "islabel_query_traced_total";
 /// Queries that crossed the slow-query threshold.

@@ -4,7 +4,8 @@
 
 use crate::metric::Counter;
 use crate::names::{
-    METRIC_QUERY_PHASE_NANOSECONDS_TOTAL, METRIC_QUERY_SETTLED_TOTAL, METRIC_QUERY_TRACED_TOTAL,
+    METRIC_QUERY_PHASE_NANOSECONDS_TOTAL, METRIC_QUERY_PUSHED_TOTAL, METRIC_QUERY_RELAXED_TOTAL,
+    METRIC_QUERY_SETTLED_TOTAL, METRIC_QUERY_TRACED_TOTAL,
 };
 use crate::registry::Registry;
 use std::sync::{Arc, OnceLock};
@@ -17,6 +18,8 @@ pub struct QueryPhases {
     seed_ns: Arc<Counter>,
     search_ns: Arc<Counter>,
     settled: Arc<Counter>,
+    relaxed: Arc<Counter>,
+    pushed: Arc<Counter>,
     traced: Arc<Counter>,
 }
 
@@ -46,6 +49,16 @@ impl QueryPhases {
                 "Vertices settled by the dense G_k search, summed over queries.",
                 &[],
             ),
+            relaxed: registry.counter(
+                METRIC_QUERY_RELAXED_TOTAL,
+                "Edges scanned by the dense G_k search (pruned ones included), summed over queries.",
+                &[],
+            ),
+            pushed: registry.counter(
+                METRIC_QUERY_PUSHED_TOTAL,
+                "Heap pushes or decrease-keys made by the dense G_k search, summed over queries.",
+                &[],
+            ),
             traced: registry.counter(
                 METRIC_QUERY_TRACED_TOTAL,
                 "Queries whose phase trace was recorded.",
@@ -60,13 +73,24 @@ impl QueryPhases {
         GLOBAL.get_or_init(|| QueryPhases::with_registry(Registry::global()))
     }
 
-    /// Adds one traced query's phase sample.
+    /// Adds one traced query's phase sample: the three phase times, then
+    /// the search's work counts.
     #[inline]
-    pub fn record(&self, intersect_ns: u64, seed_ns: u64, search_ns: u64, settled: u64) {
+    pub fn record(
+        &self,
+        intersect_ns: u64,
+        seed_ns: u64,
+        search_ns: u64,
+        settled: u64,
+        relaxed: u64,
+        pushed: u64,
+    ) {
         self.intersect_ns.add(intersect_ns);
         self.seed_ns.add(seed_ns);
         self.search_ns.add(search_ns);
         self.settled.add(settled);
+        self.relaxed.add(relaxed);
+        self.pushed.add(pushed);
         self.traced.inc();
     }
 }
@@ -79,8 +103,8 @@ mod tests {
     fn phases_land_in_labeled_series() {
         let r = Registry::new();
         let p = QueryPhases::with_registry(&r);
-        p.record(10, 20, 30, 4);
-        p.record(1, 2, 3, 5);
+        p.record(10, 20, 30, 4, 40, 7);
+        p.record(1, 2, 3, 5, 50, 8);
         let text = r.render();
         assert!(
             text.contains("islabel_query_phase_nanoseconds_total{phase=\"intersect\"} 11"),
@@ -95,6 +119,8 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("islabel_query_settled_total 9"), "{text}");
+        assert!(text.contains("islabel_query_relaxed_total 90"), "{text}");
+        assert!(text.contains("islabel_query_pushed_total 15"), "{text}");
         assert!(text.contains("islabel_query_traced_total 2"), "{text}");
     }
 }

@@ -653,6 +653,8 @@ fn process(job: Job, session: &mut dyn QuerySession, counters: &ShardCounters, v
                 sample.seed_ns,
                 sample.search_ns,
                 sample.settled,
+                sample.relaxed,
+                sample.pushed,
             );
             slowlog.observe(islabel_obs::SlowQuery {
                 seq: 0,

@@ -1,0 +1,382 @@
+//! The µ-bounded `G_k` search, driven through public parts.
+//!
+//! `dense_bi_dijkstra` is started from adversarial states — µ0 = ∞, µ0 at,
+//! above and below the true distance, duplicate seeds, one vertex seeded on
+//! both sides, seeds at or beyond µ0 — over every view the sessions hand it
+//! (pristine `DenseCsr`, directed fwd/transposed pair, `PatchedDense`, the
+//! split sections of a mapped artifact) and held to two things: the answer
+//! is `min(µ0, seeded reference distance)`, and a `Meeting::Search(v)`
+//! reconstructs, parent by parent, a real path of exactly that length.
+//!
+//! The last test pins the exact work counts of fixed query sets, so a kernel
+//! edit that stops pruning fails as a count, not as a noisy timing.
+
+use islabel::core::dense::{
+    dense_bi_dijkstra, DenseCsr, DenseGk, DensePatch, DenseScratch, DenseView, GkIdMap,
+    PatchedDense,
+};
+use islabel::core::directed::di_dijkstra_p2p;
+use islabel::core::persist::save_index_to_path;
+use islabel::core::query::{
+    label_bi_dijkstra_directed, label_bi_dijkstra_directed_in, GkGraph, Meeting, SearchParams,
+    SearchScratch, SEED_PARENT,
+};
+use islabel::core::reference::dijkstra_p2p;
+use islabel::core::MmapIndex;
+use islabel::graph::datasets::{Dataset, Scale};
+use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
+use islabel::graph::{FxHashMap, GraphBuilder};
+use islabel::prelude::*;
+use islabel::store::format::{SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_WEIGHTS};
+
+/// Any dense view as the hashmap kernel's graph, in the same id space, so
+/// the reference kernel's parent pointers describe paths of the view.
+struct AsGk<'a, G>(&'a G);
+
+impl<G: DenseView> GkGraph for AsGk<'_, G> {
+    fn edges_of(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
+        self.0.edges_of(v)
+    }
+}
+
+type Seeds = Vec<(u32, Dist)>;
+
+/// `min_{i,j} d_i + dist(v_i, u_j) + e_j` by reference point-to-point
+/// searches.
+fn seeded_reference(p2p: &dyn Fn(u32, u32) -> Option<Dist>, f: &Seeds, r: &Seeds) -> Dist {
+    let mut best = INF;
+    for &(v, d) in f {
+        for &(u, e) in r {
+            if let Some(mid) = p2p(v, u) {
+                best = best.min(d + mid + e);
+            }
+        }
+    }
+    best
+}
+
+/// Length of the parent chain from `m` back to its seed over `view`: the
+/// seed's (smallest) label distance plus the weight of every step, each of
+/// which must be an edge of the view.
+fn chain_length<G: DenseView>(
+    view: &G,
+    parents: &FxHashMap<VertexId, VertexId>,
+    seeds: &Seeds,
+    m: u32,
+) -> Dist {
+    let mut len = 0;
+    let mut cur = m;
+    for _ in 0..=parents.len() {
+        let p = parents[&cur];
+        if p == SEED_PARENT {
+            let seed = seeds.iter().filter(|&&(v, _)| v == cur).map(|&(_, d)| d);
+            return len + seed.min().expect("chain ends at a seed");
+        }
+        let step = view.edges_of(p).filter(|&(u, _)| u == cur).map(|(_, w)| w);
+        len += step.min().expect("parent step is an edge of the view") as Dist;
+        cur = p;
+    }
+    panic!("parent cycle at {m}");
+}
+
+/// One start state: both kernels agree, the answer is the seeded
+/// reference capped by µ0, and the meeting explains it.
+#[allow(clippy::too_many_arguments)]
+fn check_start<G: DenseView>(
+    what: &str,
+    fwd: &G,
+    rev: &G,
+    scratch: &mut DenseScratch,
+    sparse: &mut SearchScratch,
+    fseeds: &Seeds,
+    rseeds: &Seeds,
+    reference: Dist,
+    mu0: Dist,
+) {
+    const WITNESS: VertexId = 4_000_000;
+    let witness = (mu0 < INF).then_some(WITNESS);
+    let out = dense_bi_dijkstra(fwd, rev, fseeds, rseeds, mu0, witness, scratch);
+    let what = format!("{what} f={fseeds:?} r={rseeds:?} mu0={mu0} ref={reference}");
+    assert_eq!(out.dist, mu0.min(reference), "{what}");
+
+    let params = SearchParams {
+        fseeds,
+        rseeds,
+        mu0,
+        mu0_witness: witness,
+        track_paths: true,
+    };
+    let sparse_out = label_bi_dijkstra_directed_in(&AsGk(fwd), &AsGk(rev), params, sparse);
+    assert_eq!(
+        (out.dist, out.meeting, out.settled, out.relaxed, out.pushed),
+        (
+            sparse_out.dist,
+            sparse_out.meeting,
+            sparse_out.settled,
+            sparse_out.relaxed,
+            sparse_out.pushed
+        ),
+        "{what}"
+    );
+    assert!(out.pushed <= out.relaxed + fseeds.len() + rseeds.len());
+
+    match out.meeting {
+        Meeting::None => assert_eq!(out.dist, INF, "{what}"),
+        Meeting::Labels(w) => {
+            assert_eq!(w, WITNESS, "{what}");
+            assert!(mu0 <= reference && out.dist == mu0, "{what}");
+        }
+        Meeting::Search(m) => {
+            assert!(reference < mu0, "{what}");
+            let res = label_bi_dijkstra_directed(&AsGk(fwd), &AsGk(rev), params);
+            assert_eq!(res.meeting, out.meeting, "{what}");
+            let path = chain_length(fwd, &res.parents_f, fseeds, m)
+                + chain_length(rev, &res.parents_r, rseeds, m);
+            assert_eq!(path, out.dist, "{what}: path through {m}");
+        }
+    }
+}
+
+/// Every adversarial start over one view of `m` dense vertices; `p2p` is
+/// the reference distance between two dense ids.
+fn check_view<G: DenseView>(what: &str, fwd: &G, rev: &G, p2p: &dyn Fn(u32, u32) -> Option<Dist>) {
+    let m = fwd.num_vertices() as u32;
+    let mut scratch = DenseScratch::new(m as usize);
+    let mut sparse = SearchScratch::new();
+    for i in 0..24u32 {
+        let (s, t) = ((i * 37 + 1) % m, (i * 101 + 17) % m);
+        let (s2, t2, x) = ((s + 5) % m, (t + 9) % m, (i * 53 + 29) % m);
+        let seed_sets: [(Seeds, Seeds); 5] = [
+            // Plain point-to-point.
+            (vec![(s, 0)], vec![(t, 0)]),
+            // Several seeds a side, like a label's G_k entries.
+            (vec![(s, 2), (s2, 0)], vec![(t, 1), (t2, 3)]),
+            // Duplicates, cheapest neither first nor last.
+            (vec![(s, 4), (s, 0), (s, 2)], vec![(t, 1), (t, 1)]),
+            // One vertex seeded on both sides.
+            (vec![(s, 0), (x, 2)], vec![(x, 3), (t, 0)]),
+            // A seed far beyond any µ0 tried below.
+            (vec![(s2, 1_000_000), (s, 1)], vec![(t, 0), (t2, 1_000_000)]),
+        ];
+        for (fseeds, rseeds) in &seed_sets {
+            let reference = seeded_reference(p2p, fseeds, rseeds);
+            let mut starts = vec![INF, 0, 3];
+            if reference < INF {
+                // Exactly the answer, loosely above it, just below it.
+                starts.extend([reference, reference + 5, reference.saturating_sub(1)]);
+            }
+            for mu0 in starts {
+                check_start(
+                    what,
+                    fwd,
+                    rev,
+                    &mut scratch,
+                    &mut sparse,
+                    fseeds,
+                    rseeds,
+                    reference,
+                    mu0,
+                );
+            }
+        }
+    }
+}
+
+fn undirected_graphs() -> Vec<(&'static str, CsrGraph)> {
+    vec![
+        (
+            "er",
+            erdos_renyi_gnm(260, 620, WeightModel::UniformRange(1, 9), 5),
+        ),
+        (
+            "ba",
+            barabasi_albert(260, 3, WeightModel::UniformRange(1, 5), 8),
+        ),
+        ("grid", grid2d(16, 16, WeightModel::UniformRange(1, 4), 2)),
+    ]
+}
+
+/// The whole graph as `G_k`: dense ids are the graph's own.
+fn whole_graph(g: &CsrGraph) -> DenseGk {
+    let members: Vec<VertexId> = g.vertices().collect();
+    DenseGk::undirected(g.num_vertices(), &members, g)
+}
+
+#[test]
+fn pristine_view_from_adversarial_starts() {
+    for (name, g) in undirected_graphs() {
+        let dense = whole_graph(&g);
+        check_view(name, dense.fwd(), dense.rev(), &|a, b| {
+            dijkstra_p2p(&g, a, b)
+        });
+    }
+}
+
+#[test]
+fn directed_view_from_adversarial_starts() {
+    let n = 240u32;
+    let mut b = DigraphBuilder::new(n as usize);
+    let mut state = 0xA11CEu64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for _ in 0..900 {
+        let (u, v) = (
+            (next() % n as u64) as VertexId,
+            (next() % n as u64) as VertexId,
+        );
+        if u != v {
+            b.add_arc(u, v, (next() % 6 + 1) as Weight);
+        }
+    }
+    let g = b.build();
+    let members: Vec<VertexId> = g.vertices().collect();
+    let dense = DenseGk::directed(
+        GkIdMap::build(n as usize, &members),
+        DenseCsr::build(n as usize, |d| g.out_edges(d)),
+        DenseCsr::build(n as usize, |d| g.in_edges(d)),
+    );
+    check_view("directed", dense.fwd(), dense.rev(), &|a, b| {
+        di_dijkstra_p2p(&g, a, b)
+    });
+}
+
+#[test]
+fn patched_view_from_adversarial_starts() {
+    for (name, g) in undirected_graphs() {
+        let n = g.num_vertices() as u32;
+        let dense = whole_graph(&g);
+        // Three inserted vertices on the tail, wired to the base and to
+        // each other, some shortcut edges between base vertices, and
+        // tombstones on a base vertex and on one of the insertions.
+        let extra: [(u32, u32, Weight); 8] = [
+            (n, 3, 1),
+            (n, n / 2, 1),
+            (n + 1, n, 2),
+            (n + 1, n - 1, 1),
+            (n + 2, 7, 1),
+            (n + 2, n / 3, 1),
+            (1, n - 2, 1),
+            (n / 4, n / 2 + 1, 2),
+        ];
+        let dead = [11u32, n + 2];
+        let mut patch = DensePatch::new(n as usize, 3);
+        let mut current = GraphBuilder::new(n as usize + 3);
+        for (u, v, w) in g.edge_list() {
+            if !dead.contains(&u) && !dead.contains(&v) {
+                current.add_edge(u, v, w);
+            }
+        }
+        for &(u, v, w) in &extra {
+            patch.push_edge(u, v, w);
+            patch.push_edge(v, u, w);
+            if !dead.contains(&u) && !dead.contains(&v) {
+                current.add_edge(u, v, w);
+            }
+        }
+        for d in dead {
+            patch.mark_dead(d);
+        }
+        let current = current.build();
+        let view = PatchedDense {
+            base: dense.fwd(),
+            patch: &patch,
+        };
+        check_view(&format!("patched {name}"), &view, &view, &|a, b| {
+            dijkstra_p2p(&current, a, b)
+        });
+    }
+}
+
+/// The split `G_k` sections of a mapped v3 artifact, as the kernel's view.
+struct Mapped<'a> {
+    offsets: &'a [u32],
+    targets: &'a [u32],
+    weights: &'a [u32],
+}
+
+impl DenseView for Mapped<'_> {
+    fn num_vertices(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn edges_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        let (lo, hi) = (
+            self.offsets[d as usize] as usize,
+            self.offsets[d as usize + 1] as usize,
+        );
+        self.targets[lo..hi]
+            .iter()
+            .copied()
+            .zip(self.weights[lo..hi].iter().copied())
+    }
+}
+
+#[test]
+fn mapped_view_from_adversarial_starts() {
+    let dir = std::env::temp_dir().join(format!("islabel-mu-bounded-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, g) in undirected_graphs() {
+        // A two-level hierarchy leaves a G_k worth searching.
+        let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(2));
+        let path = dir.join(format!("{name}.islx"));
+        save_index_to_path(&index, &path).unwrap();
+        let mapped = MmapIndex::open(&path).unwrap();
+        let section = |kind| mapped.reader().section_u32s(kind).unwrap().unwrap();
+        let view = Mapped {
+            offsets: section(SECTION_GK_OFFSETS),
+            targets: section(SECTION_GK_TARGETS),
+            weights: section(SECTION_GK_WEIGHTS),
+        };
+        let ids = index.dense_gk().ids();
+        assert_eq!(view.num_vertices(), ids.len());
+        assert!(ids.len() > 50, "{name}: G_k of {}", ids.len());
+        let gk = index.hierarchy().gk();
+        check_view(&format!("mapped {name}"), &view, &view, &|a, b| {
+            dijkstra_p2p(gk, ids.global(a), ids.global(b))
+        });
+        // And the engine over the same bytes answers like the graph.
+        let mut session = mapped.session();
+        for i in 0..60u32 {
+            let (s, t) = ((i * 7) % 256, (i * 13 + 5) % 256);
+            assert_eq!(session.distance(s, t).unwrap(), dijkstra_p2p(&g, s, t));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `pairs` through a fresh session and returns the trace's
+/// `(settled, relaxed, pushed)` totals.
+fn work_totals(index: &IsLabelIndex, n: u32, pairs: u32) -> (u64, u64, u64) {
+    let mut session = index.session();
+    for i in 0..pairs {
+        let (s, t) = ((i * 97 + 3) % n, (i * 131 + 50) % n);
+        session.distance(s, t).unwrap();
+    }
+    let trace = QuerySession::trace(&session).unwrap();
+    (trace.settled, trace.relaxed, trace.pushed)
+}
+
+#[test]
+fn search_work_counts_are_pinned() {
+    // Exact (settled, relaxed, pushed) totals of two fixed query sets. With
+    // the relaxation bound taken out of the kernel the first two counts of
+    // each stay as they are — the bound changes no settle — and `pushed`
+    // reads 85 604 on Web-like and 406 893 on BA.
+    let web = Dataset::WebLike.generate(Scale::Small);
+    let index = IsLabelIndex::build(&web, BuildConfig::default());
+    assert_eq!(
+        work_totals(&index, web.num_vertices() as u32, 500),
+        WEB_TOTALS
+    );
+
+    let ba = barabasi_albert(3_000, 4, WeightModel::UniformRange(1, 5), 17);
+    let index = IsLabelIndex::build(&ba, BuildConfig::default());
+    assert_eq!(work_totals(&index, 3_000, 500), BA_TOTALS);
+}
+
+const WEB_TOTALS: (u64, u64, u64) = (4_732, 163_182, 27_706);
+const BA_TOTALS: (u64, u64, u64) = (16_231, 576_188, 99_306);

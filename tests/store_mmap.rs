@@ -13,10 +13,34 @@ use islabel::store::format::{DATA_START, SECTION_LABEL_DISTS};
 use islabel::store::StoreReader;
 use islabel::DistanceOracle;
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("islabel-smm-{tag}-{}", std::process::id()));
+/// A scratch directory of one call, removed on drop. Tests run on parallel
+/// threads of one process, so the pid alone does not make a name unique:
+/// two tests sharing a directory raced each other's save-then-rename.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn tempdir(tag: &str) -> TempDir {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "islabel-smm-{tag}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 /// Deterministic query pairs spread over the vertex universe.
