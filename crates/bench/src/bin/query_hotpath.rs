@@ -1,8 +1,6 @@
 //! The query hot-path benchmark behind `BENCH_PR10.json`: per-engine build
 //! time, p50/p99 query latency, throughput and settled counts on ER / BA /
-//! grid graphs — the IS-LABEL engine measured once per supported kernel
-//! tier — plus four before/after comparisons: the dispatched SIMD
-//! intersection vs the scalar adaptive kernel, interleaved vs split
+//! grid graphs, plus three before/after comparisons: interleaved vs split
 //! `DenseCsr` adjacency layout, the dense compact-id kernel vs the hashmap
 //! kernel (PR 4), and parallel vs single-thread `LabelSet::build` (PR 4).
 //! PR 10 adds the `obs_overhead` section: the documented overhead budget
@@ -25,19 +23,16 @@
 //!
 //! Schema (`islabel-bench-pr10/v1`) — see README § Performance:
 //! `graphs[].engines[]` carries `build_ms`, `queries`, `p50_us`, `p99_us`,
-//! `qps`, `settled_total` (null for engines without a settle counter);
-//! IS-LABEL appears once auto-dispatched (`islabel`) and once per
-//! supported tier (`islabel:scalar`, `islabel:sse2`, ...). The
-//! `intersect` section carries per-tier label-intersection throughput and
-//! the SIMD-vs-scalar speedup claim; `layout` the interleaved-vs-split
-//! adjacency claim; `kernel_comparison` and `label_build` the PR-4
-//! claims; `obs_overhead` the PR-10 claim (metrics-on p50 within a few
-//! percent of metrics-off). Every comparison interleaves its contestants
-//! over three rounds and keeps each one's best run.
+//! `qps`, `settled_total` (null for engines without a settle counter).
+//! `layout` carries the interleaved-vs-split adjacency claim;
+//! `kernel_comparison` and `label_build` the PR-4 claims; `obs_overhead`
+//! the PR-10 claim (metrics-on p50 within a few percent of metrics-off).
+//! Every comparison interleaves its contestants over three rounds and
+//! keeps each one's best run.
 
 use islabel_baselines::{BiDijkstra, PllIndex, VcConfig, VcIndex};
 use islabel_core::dense::{dense_bi_dijkstra, DenseGk, DenseScratch, DenseView};
-use islabel_core::kernel::{self, KernelTier};
+use islabel_core::kernel;
 use islabel_core::label::LabelSet;
 use islabel_core::oracle::DistanceOracle;
 use islabel_core::query::{intersect_min, label_bi_dijkstra_in, SearchParams, SearchScratch};
@@ -46,17 +41,6 @@ use islabel_core::{BuildConfig, DiIsLabelIndex, IsLabelIndex};
 use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
 use islabel_graph::{CsrGraph, DigraphBuilder, Dist, VertexId, Weight, INF};
 use std::time::Instant;
-
-/// Engine label for a forced-tier IS-LABEL run (`EngineReport.engine` is
-/// `&'static str`, so the names are spelled out).
-fn tier_engine_name(tier: KernelTier) -> &'static str {
-    match tier {
-        KernelTier::Scalar => "islabel:scalar",
-        KernelTier::Sse2 => "islabel:sse2",
-        KernelTier::Avx2 => "islabel:avx2",
-        KernelTier::Neon => "islabel:neon",
-    }
-}
 
 /// Per-query latencies in nanoseconds, plus whatever the engine settled.
 struct RunStats {
@@ -187,30 +171,6 @@ fn bench_graph(
     drop(session);
     engines.push(finish("islabel", build_ms, stats));
 
-    // islabel per kernel tier — same index, dispatch forced, so the p50 /
-    // p99 / qps deltas between rows isolate the intersection kernel and
-    // nothing else. The auto-dispatched row above should match the
-    // highest supported tier's row to within noise.
-    for tier in KernelTier::ALL {
-        if !tier.is_supported() {
-            continue;
-        }
-        let name = tier_engine_name(tier);
-        eprintln!("[query_hotpath]   {name} ...");
-        kernel::force_tier(Some(tier));
-        let mut session = index.session();
-        let stats = run_workload(&pairs, truth, name, |s, t| {
-            let out = session.search_outcome(s, t).expect("in range");
-            (
-                (out.dist < INF).then_some(out.dist),
-                Some(out.settled as u64),
-            )
-        });
-        drop(session);
-        engines.push(finish(name, build_ms, stats));
-    }
-    kernel::force_tier(None);
-
     // di-islabel over the symmetrized digraph.
     eprintln!("[query_hotpath]   di-islabel ...");
     let t0 = Instant::now();
@@ -277,88 +237,6 @@ fn bench_graph(
         n,
         m: g.num_edges(),
         engines,
-    }
-}
-
-struct IntersectBench {
-    graph: &'static str,
-    n: usize,
-    queries: usize,
-    /// `(tier name, intersections per second)`, scalar first.
-    tiers: Vec<(&'static str, f64)>,
-    /// Best SIMD tier vs the scalar adaptive kernel (1.0 when the host
-    /// supports no SIMD tier).
-    simd_speedup: f64,
-}
-
-/// Raw Equation-1 throughput per kernel tier: the same label pairs pushed
-/// through `intersect_min_at` at every supported tier, interleaved over
-/// three rounds (best run each). Each tier's `(Σ dist, Σ witness)`
-/// checksum must agree with the scalar tier's — a wrong-but-fast kernel
-/// fails here before it can win anything.
-///
-/// The index is built over a **deep** fixed-k hierarchy, like
-/// [`label_build_comparison`] and for the same reason: the σ rule stops
-/// ER-like graphs at k = 2, where labels are a handful of entries and
-/// Equation 1 is a few dozen nanoseconds of mostly call overhead. Deep
-/// hierarchies are where labels grow to hundreds of entries and the
-/// intersection becomes the query bottleneck — the regime the SIMD
-/// tiers exist for (short skewed pairs delegate to the scalar gallop at
-/// every tier regardless; see `kernel::intersect_min_at`).
-fn intersect_bench(name: &'static str, g: &CsrGraph, queries: usize) -> IntersectBench {
-    let index = IsLabelIndex::build(g, BuildConfig::fixed_k(10));
-    let pairs = query_pairs(g.num_vertices(), queries, 0x51D3);
-    let supported: Vec<KernelTier> = KernelTier::ALL
-        .into_iter()
-        .filter(|t| t.is_supported())
-        .collect();
-
-    let pass = |tier: KernelTier| -> (std::time::Duration, u64) {
-        let mut sum = 0u64;
-        let t0 = Instant::now();
-        for &(s, t) in &pairs {
-            let (d, w) =
-                kernel::intersect_min_at(tier, index.labels().label(s), index.labels().label(t));
-            sum = sum.wrapping_add(d).wrapping_add(w.unwrap_or(0) as u64);
-        }
-        (t0.elapsed(), sum)
-    };
-
-    let mut best: Vec<std::time::Duration> = vec![std::time::Duration::MAX; supported.len()];
-    let mut checksums: Vec<u64> = vec![0; supported.len()];
-    for _ in 0..3 {
-        for (i, &tier) in supported.iter().enumerate() {
-            let (dt, sum) = pass(tier);
-            best[i] = best[i].min(dt);
-            checksums[i] = sum;
-        }
-    }
-    for (i, &tier) in supported.iter().enumerate() {
-        assert_eq!(
-            checksums[i],
-            checksums[0],
-            "{} tier disagrees with scalar on {name}",
-            tier.name()
-        );
-    }
-
-    let qps: Vec<(&'static str, f64)> = supported
-        .iter()
-        .zip(&best)
-        .map(|(t, dt)| (t.name(), pairs.len() as f64 / dt.as_secs_f64()))
-        .collect();
-    let scalar_qps = qps[0].1;
-    let best_simd = qps[1..].iter().map(|&(_, q)| q).fold(f64::NAN, f64::max);
-    IntersectBench {
-        graph: name,
-        n: g.num_vertices(),
-        queries: pairs.len(),
-        simd_speedup: if best_simd.is_nan() {
-            1.0
-        } else {
-            best_simd / scalar_qps
-        },
-        tiers: qps,
     }
 }
 
@@ -713,7 +591,6 @@ fn json_escape_free(v: Option<u64>) -> String {
 fn to_json(
     mode: &str,
     graphs: &[GraphReport],
-    intersect: &IntersectBench,
     layout: &LayoutComparison,
     kernel: &KernelComparison,
     labels: &LabelBuild,
@@ -753,20 +630,6 @@ fn to_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"intersect\": {{\"graph\": \"{}\", \"n\": {}, \"queries\": {}, \"tiers\": [",
-        intersect.graph, intersect.n, intersect.queries
-    ));
-    for (i, (tier, qps)) in intersect.tiers.iter().enumerate() {
-        out.push_str(&format!(
-            "{}{{\"tier\": \"{tier}\", \"qps\": {qps:.1}}}",
-            if i > 0 { ", " } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "], \"simd_speedup\": {:.3}}},\n",
-        intersect.simd_speedup
-    ));
     out.push_str(&format!(
         "  \"layout\": {{\"graph\": \"{}\", \"n\": {}, \"m\": {}, \"queries\": {}, \
          \"split_qps\": {:.1}, \"interleaved_qps\": {:.1}, \"speedup\": {:.3}}},\n",
@@ -863,8 +726,6 @@ fn main() {
         reports.push(bench_graph(name, g, label_queries, search_queries, smoke));
     }
 
-    eprintln!("[query_hotpath] intersection kernel tiers (SIMD vs scalar) ...");
-    let intersect = intersect_bench("er", &graphs[0].1, label_queries);
     eprintln!("[query_hotpath] adjacency layout (interleaved vs split) ...");
     let layout = layout_comparison("grid", &graphs[2].1, if smoke { 50 } else { 300 });
     eprintln!("[query_hotpath] kernel comparison (dense vs hashmap) ...");
@@ -894,16 +755,6 @@ fn main() {
             );
         }
     }
-    let tier_summary = intersect
-        .tiers
-        .iter()
-        .map(|(t, q)| format!("{t} {q:.0}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    println!(
-        "intersect: {} ips on {} n={} ({:.2}x best SIMD vs scalar)",
-        tier_summary, intersect.graph, intersect.n, intersect.simd_speedup
-    );
     println!(
         "layout: interleaved {:.0} qps vs split {:.0} qps ({:.2}x) on {} n={}",
         layout.interleaved_qps,
@@ -937,7 +788,6 @@ fn main() {
     let json = to_json(
         if smoke { "smoke" } else { "full" },
         &reports,
-        &intersect,
         &layout,
         &kernel,
         &labels,

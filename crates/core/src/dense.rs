@@ -815,17 +815,16 @@ pub fn dense_bi_dijkstra<G: DenseView>(
     }
 }
 
-/// The full session fast path for one query: Equation 1 via the
-/// dispatched kernel ([`crate::kernel::intersect_min_auto`] — the single
-/// entry point every engine shares, so no caller can silently stay on
-/// the scalar path), label seeds translated to compact ids through
+/// The full session fast path for one query: Equation 1 via
+/// [`crate::kernel::intersect_min_auto`] (the single entry point every
+/// engine shares), label seeds translated to compact ids through
 /// `to_dense` (the lookup doubling as the `G_k` membership filter), then
 /// [`dense_bi_dijkstra`]. The returned meeting vertex is still compact —
 /// callers wanting global ids apply [`globalize_outcome`].
 ///
 /// Shared by the undirected, directed, patched-overlay, and mmap
 /// sessions (pass the out-label of `s` and the in-label of `t` for a
-/// directed query) so neither the seed handling nor the kernel dispatch
+/// directed query) so neither the seed handling nor the intersect kernel
 /// can drift between them: pristine heap sessions pass
 /// [`GkIdMap::dense`], the mmap session a closure over its mapped
 /// `dense_of` section, and the patched session its tail-aware extension

@@ -25,9 +25,10 @@
 
 use crate::config::{BuildConfig, IsStrategy, KSelection};
 use crate::dense::{seeded_search, DenseCsr, DenseGk, DenseScratch, GkIdMap};
+use crate::kernel::intersect_min_auto;
 use crate::label::LabelSet;
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
-use crate::query::{intersect_min, label_bi_dijkstra_directed, GkGraph, SearchParams};
+use crate::query::{label_bi_dijkstra_directed, GkGraph, SearchParams};
 use crate::stats::IndexStats;
 use islabel_graph::{CsrDigraph, Dist, FxHashMap, VertexId, Weight, INF};
 use std::time::Instant;
@@ -373,7 +374,7 @@ impl DiIsLabelIndex {
         // Stage 1: Equation 1 over X = LABEL_out(s) ∩ LABEL_in(t).
         let ls = self.out_labels.label(s);
         let lt = self.in_labels.label(t);
-        let (mu0, witness) = intersect_min(ls, lt);
+        let (mu0, witness) = intersect_min_auto(ls, lt);
 
         // Stage 2: forward search on arcs, reverse search on transposed arcs.
         let fseeds: Vec<(VertexId, Dist)> = ls.iter().filter(|&(a, _)| self.is_in_gk(a)).collect();
@@ -404,10 +405,6 @@ impl DiIsLabelIndex {
     /// seed buffers are fully pre-sized, so steady-state queries are
     /// allocation-free.
     pub fn session(&self) -> DiIsLabelSession<'_> {
-        // Resolve the kernel dispatch tier before queries run (tier
-        // resolution reads the environment and so may allocate; steady-
-        // state queries must not — see tests/alloc_free.rs).
-        let _ = crate::kernel::active_tier();
         let seed_cap = self
             .out_labels
             .max_label_len()

@@ -5,12 +5,11 @@ use crate::dense::{
     globalize_outcome, seeded_search, DenseGk, DensePatch, DenseScratch, PatchedDense,
 };
 use crate::hierarchy::VertexHierarchy;
+use crate::kernel::intersect_min_auto;
 use crate::label::LabelSet;
 use crate::oracle::{check_vertex, BatchOptions, DistanceOracle, Error, QueryError, QuerySession};
 use crate::persist::wal::{scan_wal, WalRecovery, WalWriter, WAL_HEADER_LEN};
-use crate::query::{
-    intersect_min, label_bi_dijkstra, Meeting, QueryType, SearchParams, SearchResult,
-};
+use crate::query::{label_bi_dijkstra, Meeting, QueryType, SearchParams, SearchResult};
 use crate::stats::IndexStats;
 use crate::updates::{Overlay, UpdateOp};
 use islabel_graph::{CsrGraph, Dist, VertexId, Weight, INF};
@@ -283,7 +282,7 @@ impl IsLabelIndex {
         if !self.overlay.is_pristine() {
             return Err(QueryError::StaleIndex);
         }
-        let (mu0, witness) = intersect_min(ls, lt);
+        let (mu0, witness) = intersect_min_auto(ls, lt);
         let fseeds: Vec<(VertexId, Dist)> = ls
             .iter()
             .filter(|&(a, _)| self.hierarchy.is_in_gk(a))
@@ -401,7 +400,7 @@ impl IsLabelIndex {
         // Stage 1: Equation 1 over the (effective) labels.
         let ls = self.overlay.effective_label(&self.labels, s);
         let lt = self.overlay.effective_label(&self.labels, t);
-        let (mu0, witness) = intersect_min(ls.view(), lt.view());
+        let (mu0, witness) = intersect_min_auto(ls.view(), lt.view());
 
         // Stage 2: label-seeded bidirectional search over G_k.
         let fseeds = self.overlay.gk_seeds(&self.hierarchy, ls.view());
@@ -443,10 +442,6 @@ impl IsLabelIndex {
     /// allocation-free in steady state. The session is a point-in-time
     /// view; reopen it after further mutations.
     pub fn session(&self) -> IsLabelSession<'_> {
-        // Resolve the kernel dispatch tier now: resolution reads the
-        // environment (allocates), and queries must stay allocation-free
-        // after construction (tests/alloc_free.rs arms its counter here).
-        let _ = crate::kernel::active_tier();
         let overlay = (!self.overlay.is_pristine()).then(|| {
             let patch = self.overlay.dense_patch(self.dense.ids());
             let label_cap = self.labels.max_label_len() + self.overlay.max_patch_len();

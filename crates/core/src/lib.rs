@@ -1,5 +1,5 @@
-// `deny`, not `forbid`: the one SAFETY-documented SIMD module
-// (`kernel::simd`) opts back in with a module-level allow; everything
+// `deny`, not `forbid`: the one SAFETY-documented prefetch hint
+// (`kernel::prefetch`) opts back in with a module-level allow; everything
 // else in the crate stays unsafe-free, and `islabel-lint`'s confinement
 // rule (`lint.toml [unsafe] allowed_files`) pins that boundary.
 #![deny(unsafe_code)]
@@ -44,11 +44,10 @@
 //!   ([`IndexedHeap`]); updated indexes stay on it through a
 //!   [`DensePatch`]ed view, and the hashmap kernel in [`query`] remains
 //!   the reference path.
-//! * [`kernel`] — runtime-dispatched SIMD label intersection
-//!   (AVX2/SSE2/NEON with the scalar adaptive kernel as the mandatory,
-//!   bit-identical fallback) plus the software-prefetch hints the dense
-//!   search uses; every session hot path routes Equation 1 through
-//!   [`kernel::intersect_min_auto`].
+//! * [`kernel`] — Equation 1's one production entry point
+//!   ([`kernel::intersect_min_auto`], the adaptive merge-join every query
+//!   path routes through, with the linear [`query::intersect_min`] as its
+//!   oracle) plus the software-prefetch hint the dense search uses.
 //! * [`persist`] — versioned artifact serialization plus the write-ahead
 //!   log ([`persist::wal`]) that makes dynamic updates crash-durable:
 //!   [`persist::load_index_with_wal`] reconstructs the exact overlay after
@@ -109,7 +108,6 @@ pub use dense::{
 };
 pub use directed::{DiIsLabelIndex, DiIsLabelSession};
 pub use index::{IsLabelIndex, IsLabelSession, DEFAULT_WAL_SYNC_EVERY};
-pub use kernel::KernelTier;
 pub use mmapindex::MmapIndex;
 pub use oracle::{BatchOptions, DistanceOracle, Error, QueryError, QuerySession};
 pub use path::Path;

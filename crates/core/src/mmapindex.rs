@@ -24,7 +24,7 @@
 //!
 //! The query algorithm is exactly the session fast path of
 //! [`crate::index::IsLabelSession`]: [`seeded_search`] — Equation 1 via
-//! the dispatched kernel [`crate::kernel::intersect_min_auto`], seeds
+//! [`crate::kernel::intersect_min_auto`], seeds
 //! filtered through the mapped `dense_of` array, then the dense search
 //! on a [`DenseView`] over the mapped CSR sections. The `store_mmap`
 //! integration suite pins bit-identical results against the heap engine.
@@ -190,10 +190,6 @@ pub struct MmapSession<'a> {
 
 impl<'a> MmapSession<'a> {
     fn new(index: &'a MmapIndex) -> Self {
-        // Resolve the kernel dispatch tier before queries run (tier
-        // resolution reads the environment and so may allocate; steady-
-        // state queries must not — see tests/alloc_free.rs).
-        let _ = crate::kernel::active_tier();
         let sections = index.sections();
         let scratch = DenseScratch::new(sections.m);
         Self {

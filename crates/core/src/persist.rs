@@ -45,6 +45,7 @@ use islabel_graph::io::{read_csr_binary, write_csr_binary};
 use islabel_graph::{FxHashMap, VertexId};
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 pub mod v3;
@@ -531,7 +532,12 @@ fn atomic_save_with(
         .file_name()
         .map(|n| n.to_os_string())
         .unwrap_or_else(|| "index".into());
-    tmp_name.push(format!(".tmp-{}", std::process::id()));
+    // Unique per call, not just per process: concurrent saves to one
+    // path must each rename a complete temp file of their own.
+    static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
+    // ordering: Relaxed — only the counter's uniqueness matters.
+    let seq = SAVE_SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".tmp-{}-{seq}", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
     let written = (|| {
         let w = io::BufWriter::new(std::fs::File::create(&tmp)?);

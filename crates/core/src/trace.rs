@@ -25,7 +25,7 @@
 /// The phase split of a single traced query, in nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseSample {
-    /// Equation-1 label intersection (the dispatched kernel).
+    /// Equation-1 label intersection.
     pub intersect_ns: u64,
     /// Seed fetch: label entries translated to dense ids.
     pub seed_ns: u64,

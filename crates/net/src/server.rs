@@ -744,7 +744,6 @@ fn serve_frames(
                             seed_ns: sample.seed_ns,
                             search_ns: sample.search_ns,
                             settled: sample.settled,
-                            kernel_tier: islabel_core::kernel::active_tier().name(),
                             snapshot_generation: pinned.version(),
                         });
                     }

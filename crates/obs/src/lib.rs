@@ -19,8 +19,8 @@
 //! Instrumentation must never sit inside the query hot loops it
 //! measures. Concretely:
 //!
-//! * **No atomics inside the SIMD kernel inner loop.** The Equation-1
-//!   intersection kernels (`islabel-core::kernel`) and the dense
+//! * **No atomics inside the kernel inner loops.** The Equation-1
+//!   intersection kernel (`islabel-core::kernel`) and the dense
 //!   bidirectional Dijkstra touch no shared cache line per element —
 //!   a single atomic `fetch_add` in those loops would serialize every
 //!   worker on one cache line and swamp the nanosecond-scale work being

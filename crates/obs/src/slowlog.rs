@@ -2,9 +2,9 @@
 //! queries whose total service time crossed a runtime-settable
 //! threshold. Entries carry the full phase breakdown the paper's
 //! experiments report per query — Equation-1 intersect time, seed
-//! translation, dense `G_k` search, settled vertices — plus the kernel
-//! tier and snapshot generation that answered, so one log line is enough
-//! to attribute an outlier.
+//! translation, dense `G_k` search, settled vertices — plus the snapshot
+//! generation that answered, so one log line is enough to attribute an
+//! outlier.
 //!
 //! The threshold defaults to 0 = disabled: the hot path then pays one
 //! relaxed atomic load per query and nothing else.
@@ -38,8 +38,6 @@ pub struct SlowQuery {
     pub search_ns: u64,
     /// Vertices settled by the dense search.
     pub settled: u64,
-    /// Kernel dispatch tier that ran Equation 1 (e.g. `avx2`).
-    pub kernel_tier: &'static str,
     /// Snapshot generation (hot-swap version) that answered.
     pub snapshot_generation: u64,
 }
@@ -161,7 +159,7 @@ impl SlowQueryLog {
     pub fn render_into(&self, out: &mut String) {
         for e in self.entries() {
             out.push_str(&format!(
-                "# slow_query seq={} src={} dst={} dist={} total_ns={} intersect_ns={} seed_ns={} search_ns={} settled={} kernel={} snapshot={}\n",
+                "# slow_query seq={} src={} dst={} dist={} total_ns={} intersect_ns={} seed_ns={} search_ns={} settled={} snapshot={}\n",
                 e.seq,
                 e.src,
                 e.dst,
@@ -171,7 +169,6 @@ impl SlowQueryLog {
                 e.seed_ns,
                 e.search_ns,
                 e.settled,
-                e.kernel_tier,
                 e.snapshot_generation,
             ));
         }
@@ -193,7 +190,6 @@ mod tests {
             seed_ns: 2,
             search_ns: total_ns.saturating_sub(3),
             settled: 10,
-            kernel_tier: "scalar",
             snapshot_generation: 7,
         }
     }
@@ -234,6 +230,6 @@ mod tests {
             text.contains("# slow_query seq=5 src=5 dst=6 dist=10"),
             "{text}"
         );
-        assert!(text.contains("kernel=scalar snapshot=7"), "{text}");
+        assert!(text.contains("settled=10 snapshot=7"), "{text}");
     }
 }

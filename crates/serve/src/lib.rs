@@ -634,7 +634,6 @@ fn process(job: Job, session: &mut dyn QuerySession, counters: &ShardCounters, v
     // counter-placement invariant in the islabel-obs crate docs).
     let phases = islabel_obs::QueryPhases::global();
     let slowlog = islabel_obs::SlowQueryLog::global();
-    let kernel_tier = islabel_core::kernel::active_tier().name();
     for &(s, t) in &job.pairs {
         let q0 = Instant::now();
         let traced_before = session.trace().map_or(0, |tr| tr.queries);
@@ -666,7 +665,6 @@ fn process(job: Job, session: &mut dyn QuerySession, counters: &ShardCounters, v
                 seed_ns: sample.seed_ns,
                 search_ns: sample.search_ns,
                 settled: sample.settled,
-                kernel_tier,
                 snapshot_generation: version,
             });
         }

@@ -1,7 +1,7 @@
 //! Read-only memory mapping with a heap fallback.
 //!
 //! This is one of the workspace's two product unsafe zones (`lint.toml
-//! [unsafe] allowed_files`; the other is the SIMD intersection kernel in
+//! [unsafe] allowed_files`; the other is the prefetch hint in
 //! `islabel-core`): a minimal shim over `mmap(2)`/`munmap(2)` declared
 //! directly against libc, since the offline build cannot pull the `libc`
 //! or `memmap2` crates. Everything else in the workspace forbids or

@@ -109,34 +109,6 @@ fn sessions_answer_queries_without_allocating() {
     );
     drop(session);
 
-    // --- Every supported kernel tier holds the same contract. ---
-    // Tier resolution (env read) happens at session construction, outside
-    // the armed region; the armed queries then run the forced SIMD (or
-    // scalar) intersection kernel, which must not allocate either.
-    for tier in islabel::core::KernelTier::ALL {
-        if !tier.is_supported() {
-            continue;
-        }
-        islabel::core::kernel::force_tier(Some(tier));
-        let mut session = index.session();
-        let mut tier_checksum = 0u64;
-        let count = audited(|| {
-            for &(s, t) in &pairs {
-                if let Ok(Some(d)) = session.distance(s, t) {
-                    tier_checksum = tier_checksum.wrapping_add(d);
-                }
-            }
-        });
-        assert_eq!(
-            count,
-            0,
-            "IsLabelSession on the {} kernel tier allocated {count} times",
-            tier.name()
-        );
-        assert_eq!(tier_checksum, checksum, "{} tier checksum", tier.name());
-    }
-    islabel::core::kernel::force_tier(None);
-
     // --- IS-LABEL with pending updates: the PatchedDense session path. ---
     // A non-pristine index must stay on the dense kernel: the session
     // snapshots the overlay into a DensePatch at open time and pre-sizes

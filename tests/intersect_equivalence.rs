@@ -1,23 +1,17 @@
-//! Scalar-vs-SIMD equivalence for the dispatched intersection kernels.
+//! Equivalence suite of the one Equation-1 kernel.
 //!
-//! The contract under test: for every [`KernelTier`] supported on this
-//! host, `intersect_min_at(tier, a, b)` is **bit-identical** to the
-//! scalar reference `intersect_min` — same minimum *and* same witness
-//! (first ancestor achieving it, in ascending order) — on adversarial
-//! label shapes: empty and length-1 labels, all-match and no-match
-//! pairs, lengths straddling the 4- and 8-lane chunk boundaries, skew
-//! ratios on both sides of the gallop crossover, and distances at and
-//! near `INF` where the saturating vector adds must behave exactly like
-//! `Dist::saturating_add`.
-//!
-//! A final end-to-end test forces each tier through full IS-LABEL and
-//! mmap sessions and pins the complete search outcome (distance, meeting
-//! mechanism, settled count) against the scalar-forced run.
+//! The contract under test: `kernel::intersect_min_auto(a, b)` — the
+//! adaptive merge-join every query path runs — is **bit-identical** to
+//! its oracle, the linear `intersect_min`, in both argument orders: same
+//! minimum *and* same witness (first ancestor achieving it, in ascending
+//! order). The shapes are adversarial: empty and length-1 labels,
+//! all-match and no-match pairs, lengths straddling 4 and 8, skew ratios
+//! on both sides of `GALLOP_CROSSOVER`, and distances at and near `INF`
+//! where the sums must saturate exactly like `Dist::saturating_add`.
 
-use islabel::core::kernel::{self, KernelTier};
+use islabel::core::kernel::intersect_min_auto;
 use islabel::core::label::LabelView;
-use islabel::core::query::{intersect_min, intersect_min_adaptive};
-use islabel::core::DistanceOracle as _;
+use islabel::core::query::intersect_min;
 use islabel::graph::{Dist, VertexId, INF};
 use proptest::prelude::*;
 
@@ -50,7 +44,7 @@ impl LabelPair {
 
 /// Distances that exercise the saturating-add corners: small values,
 /// `INF` itself, and values close enough to `INF` that `d(s)+d(t)`
-/// overflows u64 and must saturate in every lane.
+/// overflows u64 and must saturate.
 fn arb_dist() -> impl Strategy<Value = Dist> {
     prop_oneof![
         0u64..5_000,
@@ -91,30 +85,13 @@ fn arb_pair(max_universe: usize) -> impl Strategy<Value = LabelPair> {
     )
 }
 
-/// Asserts every supported tier (plus the adaptive scalar used for
-/// skewed pairs) agrees with the linear scalar reference, both ways.
-fn assert_all_tiers_match(p: &LabelPair) {
+/// Asserts the production kernel agrees with the linear reference, in
+/// both argument orders, for distance and witness.
+fn assert_matches_reference(p: &LabelPair) {
     let (a, b) = p.views();
     let want = intersect_min(a, b);
-    prop_assert_eq!(intersect_min_adaptive(a, b), want, "adaptive a,b");
-    prop_assert_eq!(intersect_min_adaptive(b, a), want, "adaptive b,a");
-    for tier in KernelTier::ALL {
-        if !tier.is_supported() {
-            continue;
-        }
-        prop_assert_eq!(
-            kernel::intersect_min_at(tier, a, b),
-            want,
-            "{} a,b",
-            tier.name()
-        );
-        prop_assert_eq!(
-            kernel::intersect_min_at(tier, b, a),
-            want,
-            "{} b,a",
-            tier.name()
-        );
-    }
+    prop_assert_eq!(intersect_min_auto(a, b), want, "auto a,b");
+    prop_assert_eq!(intersect_min_auto(b, a), want, "auto b,a");
 }
 
 proptest! {
@@ -122,16 +99,16 @@ proptest! {
 
     /// Free-form shapes: arbitrary overlap, gaps, and INF-adjacent sums.
     #[test]
-    fn tiers_match_reference_on_arbitrary_pairs(p in arb_pair(72)) {
-        assert_all_tiers_match(&p);
+    fn kernel_matches_reference_on_arbitrary_pairs(p in arb_pair(72)) {
+        assert_matches_reference(&p);
     }
 
     /// Skewed shapes on both sides of the gallop crossover: a short label
     /// of 0..=9 entries against a long one of up to ~200, so the
-    /// `short * GALLOP_CROSSOVER <= long` delegation boundary is crossed
+    /// `short * GALLOP_CROSSOVER <= long` switch to galloping is crossed
     /// in both directions.
     #[test]
-    fn tiers_match_reference_on_skewed_pairs(
+    fn kernel_matches_reference_on_skewed_pairs(
         short_slots in proptest::collection::vec((1u32..6, arb_dist()), 0..10),
         long_slots in proptest::collection::vec((1u32..3, arb_dist()), 0..200),
     ) {
@@ -148,14 +125,13 @@ proptest! {
             p.ba.push(id);
             p.bd.push(d);
         }
-        assert_all_tiers_match(&p);
+        assert_matches_reference(&p);
     }
 }
 
 /// Deterministic boundary shapes: identical ancestor sets (all-match)
-/// and disjoint sets (no-match) at every length that straddles the
-/// 4-lane SSE2/NEON and 8-lane AVX2 chunk edges, including the
-/// equal-run fast path (all-match at len >= 8) and its INF saturation.
+/// and disjoint sets (no-match) at every length that straddles 4, 8 and
+/// their multiples, under small, saturating and one-sided-INF distances.
 #[test]
 fn chunk_boundary_lengths_all_match_and_no_match() {
     const LENS: [usize; 14] = [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33];
@@ -178,7 +154,7 @@ fn chunk_boundary_lengths_all_match_and_no_match() {
                 ba: ids.clone(),
                 bd: (0..len).map(|i| dist(1, i)).collect(),
             };
-            assert_all_tiers_match(&p);
+            assert_matches_reference(&p);
             // No-match: interleaved odd/even ids, empty intersection.
             let p = LabelPair {
                 aa: (0..len as u32).map(|i| i * 2).collect(),
@@ -186,17 +162,16 @@ fn chunk_boundary_lengths_all_match_and_no_match() {
                 ba: (0..len as u32).map(|i| i * 2 + 1).collect(),
                 bd: (0..len).map(|i| dist(1, i)).collect(),
             };
-            assert_all_tiers_match(&p);
+            assert_matches_reference(&p);
         }
     }
 }
 
 /// Ties must resolve to the *first* (lowest-id) ancestor achieving the
-/// minimum at every tier — the witness drives path reconstruction, so a
-/// vectorized min that picked a later lane would corrupt paths even with
-/// the distance right.
+/// minimum — the witness drives path reconstruction, so a kernel that
+/// picked a later one would corrupt paths even with the distance right.
 #[test]
-fn tie_break_picks_first_witness_at_every_tier() {
+fn tie_break_picks_first_witness() {
     for len in [2usize, 8, 9, 16, 40] {
         let ids: Vec<VertexId> = (0..len as u32).map(|i| i * 3 + 2).collect();
         // Every entry sums to the same total: all-way tie.
@@ -209,68 +184,6 @@ fn tie_break_picks_first_witness_at_every_tier() {
         let (a, b) = p.views();
         let want = intersect_min(a, b);
         assert_eq!(want, (100, Some(2)), "reference itself must tie-break low");
-        assert_all_tiers_match(&p);
+        assert_matches_reference(&p);
     }
-}
-
-/// End-to-end: force each supported tier through full sessions (heap
-/// IS-LABEL and mmap) and pin the complete outcome against the
-/// scalar-forced run. Mutates the process-global tier latch, so every
-/// `force_tier` caller lives in this single test.
-#[test]
-fn forced_tiers_are_bit_identical_end_to_end() {
-    use islabel::core::{BuildConfig, IsLabelIndex, MmapIndex};
-    use islabel::graph::generators::{barabasi_albert, WeightModel};
-    use std::io::Cursor;
-
-    let g = barabasi_albert(400, 3, WeightModel::UniformRange(1, 9), 77);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
-    let buf = islabel::core::persist::v3::write_index(&index, Cursor::new(Vec::new()))
-        .unwrap()
-        .into_inner();
-    let mapped = MmapIndex::from_bytes(buf).unwrap();
-    let pairs: Vec<(u32, u32)> = (0..250u32)
-        .map(|i| ((i * 11) % 400, (i * 29 + 3) % 400))
-        .collect();
-
-    type HeapOutcomes = Vec<(Dist, islabel::core::query::Meeting, usize)>;
-    type MmapDists = Vec<Option<Dist>>;
-    let run = |tier: KernelTier| -> (HeapOutcomes, MmapDists) {
-        assert_eq!(kernel::force_tier(Some(tier)), tier);
-        let mut s = index.session();
-        let heap = pairs
-            .iter()
-            .map(|&(a, b)| {
-                let o = s.search_outcome(a, b).unwrap();
-                (o.dist, o.meeting, o.settled)
-            })
-            .collect();
-        let mut ms = mapped.session();
-        let mm = pairs
-            .iter()
-            .map(|&(a, b)| ms.distance(a, b).unwrap())
-            .collect();
-        (heap, mm)
-    };
-
-    let baseline = run(KernelTier::Scalar);
-    for tier in KernelTier::ALL {
-        if tier == KernelTier::Scalar || !tier.is_supported() {
-            continue;
-        }
-        let got = run(tier);
-        assert_eq!(
-            got.0,
-            baseline.0,
-            "heap outcomes diverge at {}",
-            tier.name()
-        );
-        assert_eq!(
-            got.1,
-            baseline.1,
-            "mmap distances diverge at {}",
-            tier.name()
-        );
-    }
-    kernel::force_tier(None);
 }

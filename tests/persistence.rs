@@ -187,3 +187,57 @@ fn typed_persist_roundtrip_including_pending_updates() {
     ));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Concurrent saves to one path (rebuild coordinator beside an operator
+/// save): every call must succeed and the surviving artifact must be one
+/// writer's complete output — each call renames a temp file of its own.
+#[test]
+fn concurrent_saves_to_one_path_all_succeed() {
+    use islabel::core::persist::{try_load_index_from_path, try_save_index_to_path};
+    use islabel::store::StoreReader;
+
+    const THREADS: usize = 8;
+    const SAVES: usize = 5;
+    let dir = tempdir("concurrent-save");
+    let path = dir.join("shared.islx");
+    let g = Dataset::GoogleLike.generate(Scale::Tiny);
+    let index = IsLabelIndex::build(&g, BuildConfig::default());
+
+    let barrier = std::sync::Barrier::new(THREADS);
+    let results: Vec<Result<(), islabel::core::Error>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    (0..SAVES)
+                        .map(|_| try_save_index_to_path(&index, &path))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("saver thread panicked"))
+            .collect()
+    });
+    for (i, r) in results.iter().enumerate() {
+        assert!(r.is_ok(), "save {i} of {}: {r:?}", results.len());
+    }
+
+    // Full checksum verification, then a semantic load that answers.
+    StoreReader::open(&path).expect("surviving artifact verifies");
+    let reloaded = try_load_index_from_path(&path).unwrap();
+    let n = g.num_vertices() as u32;
+    for i in 0..40u32 {
+        let (s, t) = ((i * 11) % n, (i * 17 + 3) % n);
+        assert_eq!(reloaded.distance(s, t), index.distance(s, t), "({s}, {t})");
+    }
+    // No temp file outlives its save.
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|name| name != "shared.islx")
+        .collect();
+    assert!(leftovers.is_empty(), "{leftovers:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
