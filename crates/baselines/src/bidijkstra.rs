@@ -9,9 +9,9 @@
 //!
 //! The searcher runs on the same dense primitives as the IS-LABEL kernel
 //! (the graph's own ids are already compact): [`StampedSlab`] tentative
-//! distances with O(1) epoch-bump reset — replacing the old touched-list
-//! walk — and the indexed 4-ary [`IndexedHeap`] with decrease-key, which
-//! eliminates the lazy-deletion `clean_top` scan.
+//! distances with O(1) epoch-bump reset and the indexed 4-ary
+//! [`IndexedHeap`] with decrease-key, so no pop wades through stale
+//! entries.
 
 use islabel_core::dense::{IndexedHeap, StampedSlab};
 use islabel_core::oracle::{check_vertex, DistanceOracle, QueryError, QuerySession};

@@ -17,11 +17,12 @@ fn stage_benches(c: &mut Criterion) {
     // Pure Equation 1 (G_k empty).
     let full = IsLabelIndex::build(&g, BuildConfig::full());
     let mut i = 0usize;
+    let mut session = full.session();
     group.bench_function(BenchmarkId::new("eq1-only", "full-hierarchy"), |b| {
         b.iter(|| {
             let (s, t) = pairs[i % pairs.len()];
             i += 1;
-            black_box(full.distance(s, t))
+            black_box(session.distance(s, t))
         })
     });
 
@@ -30,11 +31,12 @@ fn stage_benches(c: &mut Criterion) {
     for k in [2u32, 4, 8] {
         let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(k));
         let mut i = 0usize;
+        let mut session = index.session();
         group.bench_function(BenchmarkId::new("seeded-search", format!("k{k}")), |b| {
             b.iter(|| {
                 let (s, t) = pairs[i % pairs.len()];
                 i += 1;
-                black_box(index.distance(s, t))
+                black_box(session.distance(s, t))
             })
         });
     }

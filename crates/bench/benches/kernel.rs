@@ -3,8 +3,8 @@
 //! * `intersect_min` (linear merge) vs `intersect_min_adaptive` (galloping)
 //!   at controlled length skews — the Equation 1 cost at the two ends of
 //!   the label-size distribution;
-//! * the indexed 4-ary heap with decrease-key vs the lazy-deletion
-//!   `BinaryHeap` pattern it replaces, on an identical Dijkstra-shaped
+//! * the indexed 4-ary heap with decrease-key vs the textbook
+//!   lazy-deletion `BinaryHeap` pattern, on an identical Dijkstra-shaped
 //!   push/decrease/pop stream.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

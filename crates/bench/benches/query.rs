@@ -25,11 +25,12 @@ fn query_benches(c: &mut Criterion) {
         let mut bidij = BiDijkstra::new(n);
 
         let mut i = 0usize;
+        let mut session = index.session();
         group.bench_function(BenchmarkId::new("is-label", ds.name()), |b| {
             b.iter(|| {
                 let (s, t) = pairs[i % pairs.len()];
                 i += 1;
-                black_box(index.distance(s, t))
+                black_box(session.distance(s, t))
             })
         });
         let mut i = 0usize;

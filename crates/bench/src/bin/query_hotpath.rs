@@ -1,11 +1,13 @@
 //! The query hot-path benchmark behind `BENCH_PR10.json`: per-engine build
 //! time, p50/p99 query latency, throughput and settled counts on ER / BA /
-//! grid graphs, plus three before/after comparisons: interleaved vs split
-//! `DenseCsr` adjacency layout, the dense compact-id kernel vs the hashmap
-//! kernel (PR 4), and parallel vs single-thread `LabelSet::build` (PR 4).
-//! PR 10 adds the `obs_overhead` section: the documented overhead budget
-//! for query-phase tracing plus registry re-emission (metrics-on, the
-//! serving default) vs a trace-disabled session (metrics-off).
+//! grid graphs, plus two before/after comparisons: interleaved vs split
+//! `DenseCsr` adjacency layout, and parallel vs single-thread
+//! `LabelSet::build` (PR 4). `BENCH_PR4/9/10.json` also carry a
+//! `kernel_comparison` block, from when there was a second search kernel
+//! to compare against. PR 10 adds the `obs_overhead` section: the
+//! documented overhead budget for query-phase tracing plus registry
+//! re-emission (metrics-on, the serving default) vs a trace-disabled
+//! session (metrics-off).
 //!
 //! ```text
 //! query_hotpath [--smoke] [--out PATH]
@@ -25,8 +27,8 @@
 //! `graphs[].engines[]` carries `build_ms`, `queries`, `p50_us`, `p99_us`,
 //! `qps`, `settled_total` (null for engines without a settle counter).
 //! `layout` carries the interleaved-vs-split adjacency claim;
-//! `kernel_comparison` and `label_build` the PR-4 claims; `obs_overhead`
-//! the PR-10 claim (metrics-on p50 within a few percent of metrics-off).
+//! `label_build` the PR-4 claim; `obs_overhead` the PR-10 claim
+//! (metrics-on p50 within a few percent of metrics-off).
 //! Every comparison interleaves its contestants over three rounds and
 //! keeps each one's best run.
 
@@ -35,7 +37,6 @@ use islabel_core::dense::{dense_bi_dijkstra, DenseGk, DenseScratch, DenseView};
 use islabel_core::kernel;
 use islabel_core::label::LabelSet;
 use islabel_core::oracle::DistanceOracle;
-use islabel_core::query::{intersect_min, label_bi_dijkstra_in, SearchParams, SearchScratch};
 use islabel_core::reference::dijkstra_p2p;
 use islabel_core::{BuildConfig, DiIsLabelIndex, IsLabelIndex};
 use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
@@ -368,98 +369,6 @@ fn layout_comparison(name: &'static str, g: &CsrGraph, queries: usize) -> Layout
     }
 }
 
-struct KernelComparison {
-    graph: &'static str,
-    n: usize,
-    queries: usize,
-    hashmap_qps: f64,
-    dense_qps: f64,
-}
-
-/// Single-thread throughput of the dense session vs the hashmap reference
-/// kernel (reused `SearchScratch`, reused seed buffers — its best case),
-/// on the same index and workload. The two loops are interleaved over
-/// several rounds (best run each) so machine-speed drift across the
-/// measurement window cannot hand either kernel an unearned win.
-fn kernel_comparison(
-    name: &'static str,
-    g: &CsrGraph,
-    queries: usize,
-    smoke: bool,
-) -> KernelComparison {
-    let index = IsLabelIndex::build(g, BuildConfig::default());
-    let pairs = query_pairs(g.num_vertices(), queries, 0xD15C);
-    let h = index.hierarchy();
-
-    let mut scratch = SearchScratch::new();
-    let mut fseeds: Vec<(VertexId, Dist)> = Vec::new();
-    let mut rseeds: Vec<(VertexId, Dist)> = Vec::new();
-    let mut sparse_pass = |sum: &mut u64| -> std::time::Duration {
-        *sum = 0;
-        let t0 = Instant::now();
-        for &(s, t) in &pairs {
-            let ls = index.labels().label(s);
-            let lt = index.labels().label(t);
-            let (mu0, witness) = intersect_min(ls, lt);
-            fseeds.clear();
-            fseeds.extend(ls.iter().filter(|&(a, _)| h.is_in_gk(a)));
-            rseeds.clear();
-            rseeds.extend(lt.iter().filter(|&(a, _)| h.is_in_gk(a)));
-            let out = label_bi_dijkstra_in(
-                h.gk(),
-                SearchParams {
-                    fseeds: &fseeds,
-                    rseeds: &rseeds,
-                    mu0,
-                    mu0_witness: witness,
-                    track_paths: false,
-                },
-                &mut scratch,
-            );
-            *sum = sum.wrapping_add(out.dist);
-        }
-        t0.elapsed()
-    };
-    let mut session = index.session();
-    let mut dense_pass = |sum: &mut u64| -> std::time::Duration {
-        *sum = 0;
-        let t0 = Instant::now();
-        for &(s, t) in &pairs {
-            let d = session.distance(s, t).expect("in range").unwrap_or(INF);
-            *sum = sum.wrapping_add(d);
-        }
-        t0.elapsed()
-    };
-
-    let (mut sparse_sum, mut dense_sum) = (0u64, 0u64);
-    let mut sparse_dt = std::time::Duration::MAX;
-    let mut dense_dt = std::time::Duration::MAX;
-    for _ in 0..3 {
-        sparse_dt = sparse_dt.min(sparse_pass(&mut sparse_sum));
-        dense_dt = dense_dt.min(dense_pass(&mut dense_sum));
-    }
-    assert_eq!(dense_sum, sparse_sum, "kernel disagreement on {name}");
-    // Releases the closure's borrow of `session` for the smoke check.
-    let _ = dense_pass;
-    if smoke {
-        for &(s, t) in &pairs {
-            assert_eq!(
-                session.distance(s, t).expect("in range"),
-                dijkstra_p2p(g, s, t),
-                "dense kernel vs reference Dijkstra ({s}, {t})"
-            );
-        }
-    }
-
-    KernelComparison {
-        graph: name,
-        n: g.num_vertices(),
-        queries: pairs.len(),
-        hashmap_qps: pairs.len() as f64 / sparse_dt.as_secs_f64(),
-        dense_qps: pairs.len() as f64 / dense_dt.as_secs_f64(),
-    }
-}
-
 struct LabelBuild {
     graph: &'static str,
     k: u32,
@@ -592,7 +501,6 @@ fn to_json(
     mode: &str,
     graphs: &[GraphReport],
     layout: &LayoutComparison,
-    kernel: &KernelComparison,
     labels: &LabelBuild,
     obs: &ObsOverhead,
 ) -> String {
@@ -640,16 +548,6 @@ fn to_json(
         layout.split_qps,
         layout.interleaved_qps,
         layout.interleaved_qps / layout.split_qps
-    ));
-    out.push_str(&format!(
-        "  \"kernel_comparison\": {{\"graph\": \"{}\", \"n\": {}, \"queries\": {}, \
-         \"hashmap_qps\": {:.1}, \"dense_qps\": {:.1}, \"speedup\": {:.3}}},\n",
-        kernel.graph,
-        kernel.n,
-        kernel.queries,
-        kernel.hashmap_qps,
-        kernel.dense_qps,
-        kernel.dense_qps / kernel.hashmap_qps
     ));
     out.push_str(&format!(
         "  \"label_build\": {{\"graph\": \"{}\", \"k\": {}, \"entries\": {}, \"threads\": {}, \
@@ -728,8 +626,6 @@ fn main() {
 
     eprintln!("[query_hotpath] adjacency layout (interleaved vs split) ...");
     let layout = layout_comparison("grid", &graphs[2].1, if smoke { 50 } else { 300 });
-    eprintln!("[query_hotpath] kernel comparison (dense vs hashmap) ...");
-    let kernel = kernel_comparison("er", &graphs[0].1, label_queries, smoke);
     eprintln!("[query_hotpath] label construction (parallel vs single) ...");
     let labels = label_build_comparison("er", &graphs[0].1, 10);
     eprintln!("[query_hotpath] observability overhead (metrics on vs off) ...");
@@ -764,14 +660,6 @@ fn main() {
         layout.n
     );
     println!(
-        "kernel: dense {:.0} qps vs hashmap {:.0} qps ({:.2}x) on {} n={}",
-        kernel.dense_qps,
-        kernel.hashmap_qps,
-        kernel.dense_qps / kernel.hashmap_qps,
-        kernel.graph,
-        kernel.n
-    );
-    println!(
         "labels: parallel {:.0} ms vs single {:.0} ms ({:.2}x, {} threads, k={}, {} entries)",
         labels.parallel_ms,
         labels.single_ms,
@@ -789,7 +677,6 @@ fn main() {
         if smoke { "smoke" } else { "full" },
         &reports,
         &layout,
-        &kernel,
         &labels,
         &obs,
     );

@@ -8,29 +8,31 @@
 //! update_throughput [--smoke] [--out PATH]
 //! ```
 //!
-//! Three query paths are timed over the same workload:
+//! Two query paths are timed over the same workload:
 //!
 //! * `pristine_dense` — session on the freshly built index (the PR-4 hot
 //!   path, the baseline);
 //! * `overlay_dense` — session on the same index after ingesting updates:
-//!   the dense kernel over the session's `PatchedDense` view (inserted
-//!   tail + tombstones);
-//! * `overlay_hashmap` — one-shot `try_distance` on the updated index:
-//!   the hashmap overlay kernel (the reference the dense path is pinned
-//!   against).
+//!   the same kernel over the session's `PatchedDense` view (inserted
+//!   tail + tombstones).
 //!
-//! `--smoke` shrinks the graph and cross-checks every overlay answer:
-//! `overlay_dense == overlay_hashmap` bit-for-bit, and both match (or
-//! upper-bound, when the index is stale) reference Dijkstra over the
-//! materialized current graph. Env knobs: `ISLABEL_UPDATE_N` (default
-//! 20 000 vertices), `ISLABEL_UPDATE_OPS` (default 500 pending updates —
-//! within the ≤1k band the acceptance ratio is specified for), and
-//! `ISLABEL_UPDATE_QUERIES` (default 4 000).
+//! `--smoke` shrinks the graph and holds every overlay answer to the
+//! lazy-update contract (`core::updates`) against reference Dijkstra over
+//! the materialized current graph: never below the reference, never a
+//! distance for an unreachable pair. (Equality is not the contract after
+//! insertions; and a *stale* index promises nothing, which is why the
+//! ingest here deletes only vertices whose deletion stays exact.) Env
+//! knobs: `ISLABEL_UPDATE_N` (default 20 000 vertices),
+//! `ISLABEL_UPDATE_OPS` (default 500 pending updates — within the ≤1k band
+//! the acceptance ratio is specified for), and `ISLABEL_UPDATE_QUERIES`
+//! (default 4 000).
 //!
 //! Schema (`islabel-bench-pr6/v1`): `ingest` carries durable ops/sec and
-//! WAL bytes; `query.{pristine_dense,overlay_dense,overlay_hashmap}`
-//! carry `p50_us`/`p99_us`/`qps`; `overlay_vs_pristine_p50_ratio` is the
-//! acceptance number (must stay within 1.5x).
+//! WAL bytes; `query.{pristine_dense,overlay_dense}` carry
+//! `p50_us`/`p99_us`/`qps` (`BENCH_PR6.json` also has an `overlay_hashmap`
+//! lane, from when one-shots ran a second kernel);
+//! `overlay_vs_pristine_p50_ratio` is the acceptance number (must stay
+//! within 1.5x).
 
 use islabel_bench::timing::percentile_us;
 use islabel_core::persist::try_save_index_to_path;
@@ -102,7 +104,9 @@ fn query_pairs(n: usize, count: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
 
 /// Streams `ops` valid updates (70% edge inserts, 20% vertex inserts, 10%
 /// deletions, live endpoints only) through the WAL-attached index; every
-/// op is durable before it is applied. Returns (elapsed_secs, applied).
+/// op is durable before it is applied. Deletions name only `G_k` members
+/// and inserted vertices, whose removal stays exact (a peeled one would
+/// mark the index stale). Returns (elapsed_secs, applied).
 fn ingest(index: &mut IsLabelIndex, ops: usize, seed: u64) -> (f64, usize) {
     let base_n = index.num_vertices();
     let mut alive = vec![true; base_n];
@@ -137,7 +141,10 @@ fn ingest(index: &mut IsLabelIndex, ops: usize, seed: u64) -> (f64, usize) {
             index.insert_vertex(&[(a, w)]);
             alive.push(true);
         } else {
-            let Some(v) = pick_live(&alive) else { continue };
+            let deletable = |v: &VertexId| index.is_in_gk(*v);
+            let Some(v) = (0..64).find_map(|_| pick_live(&alive).filter(deletable)) else {
+                continue;
+            };
             index.delete_vertex(v);
             alive[v as usize] = false;
         }
@@ -209,32 +216,22 @@ fn main() {
     let pending = index.pending_ops();
     let stale = index.is_stale();
 
-    // Non-pristine serving: dense kernel over the patched view (session)
-    // vs the hashmap overlay kernel (one-shot reference).
+    // Non-pristine serving: the session's patched view.
     eprintln!("[update_throughput] overlay_dense ({pending} pending ops) ...");
     let mut session = index.session();
-    let (overlay_dense, dense_answers) =
+    let (overlay_dense, answers) =
         time_path(&pairs, |s, t| session.distance(s, t).expect("in range"));
     drop(session);
-    eprintln!("[update_throughput] overlay_hashmap ...");
-    let (overlay_hashmap, hashmap_answers) =
-        time_path(&pairs, |s, t| index.try_distance(s, t).expect("in range"));
 
-    // The two overlay paths must agree bit-for-bit, measured or not.
-    assert_eq!(
-        dense_answers, hashmap_answers,
-        "patched dense session disagrees with the hashmap overlay kernel"
-    );
     if smoke {
         eprintln!("[update_throughput] smoke cross-check vs reference Dijkstra ...");
+        assert!(!stale, "ingest deletes only vertices that stay exact");
         let current = index.current_graph();
-        for (&(s, t), &got) in pairs.iter().zip(&dense_answers) {
-            let truth = dijkstra_p2p(&current, s, t);
-            match (got, truth, stale) {
-                (got, truth, false) => assert_eq!(got, truth, "exact while fresh ({s}, {t})"),
-                (Some(d), Some(tr), true) => assert!(d >= tr, "upper bound ({s}, {t})"),
-                (Some(_), None, true) => panic!("distance for unreachable pair ({s}, {t})"),
-                _ => {}
+        for (&(s, t), &got) in pairs.iter().zip(&answers) {
+            match (got, dijkstra_p2p(&current, s, t)) {
+                (Some(d), Some(tr)) => assert!(d >= tr, "below the reference ({s}, {t})"),
+                (Some(_), None) => panic!("distance for unreachable pair ({s}, {t})"),
+                (None, _) => {}
             }
         }
     }
@@ -248,7 +245,6 @@ fn main() {
     for (name, s) in [
         ("pristine_dense", &pristine),
         ("overlay_dense", &overlay_dense),
-        ("overlay_hashmap", &overlay_hashmap),
     ] {
         println!(
             "{:<16} {:>8} {:>9.2} {:>9.2} {:>11.0}",
@@ -272,7 +268,7 @@ fn main() {
         "{{\n  \"schema\": \"islabel-bench-pr6/v1\",\n  \"mode\": \"{}\",\n  \
          \"graph\": {{\"name\": \"ba\", \"n\": {}, \"m\": {}}},\n  \"build_ms\": {:.2},\n  \
          \"ingest\": {{\"ops\": {}, \"elapsed_s\": {:.4}, \"ops_per_sec\": {:.1}, \
-         \"wal_bytes\": {}, \"pending_ops\": {}, \"stale\": {}}},\n  \"query\": {{\n{},\n{},\n{}\n  }},\n  \
+         \"wal_bytes\": {}, \"pending_ops\": {}, \"stale\": {}}},\n  \"query\": {{\n{},\n{}\n  }},\n  \
          \"overlay_vs_pristine_p50_ratio\": {:.4}\n}}\n",
         if smoke { "smoke" } else { "full" },
         n,
@@ -286,7 +282,6 @@ fn main() {
         stale,
         fmt_path("pristine_dense", &pristine),
         fmt_path("overlay_dense", &overlay_dense),
-        fmt_path("overlay_hashmap", &overlay_hashmap),
         ratio
     );
     std::fs::write(&out_path, &json).expect("write bench JSON");

@@ -858,9 +858,18 @@ fn pick_live(rng: &mut StdRng, index: &IsLabelIndex) -> Option<VertexId> {
         .find(|&v| !index.is_vertex_deleted(v))
 }
 
+/// Picks a live vertex whose deletion stays exact — a `G_k` member or an
+/// inserted vertex ([`IsLabelIndex::is_in_gk`]). Deleting a peeled vertex
+/// would mark the index stale, and a stale index promises nothing
+/// `recover --check` could hold it to.
+fn pick_deletable(rng: &mut StdRng, index: &IsLabelIndex) -> Option<VertexId> {
+    (0..64).find_map(|_| pick_live(rng, index).filter(|&v| index.is_in_gk(v)))
+}
+
 /// `ingest INDEX --wal WAL`: attach the log and stream a synthetic update
 /// workload (~70% edge inserts, ~20% vertex inserts, ~10% deletions)
-/// through the WAL-backed mutation path. The index is intentionally
+/// through the WAL-backed mutation path (deletions via [`pick_deletable`],
+/// so the index never goes stale). The index is intentionally
 /// *never* re-saved: durability of the applied ops comes from the log
 /// alone, which is exactly what `recover` (and the CI crash smoke, which
 /// `kill -9`s this command mid-stream) exercises.
@@ -908,7 +917,7 @@ fn ingest(argv: &[String]) -> Result<(), String> {
             index.try_insert_vertex(&edges).map_err(|e| e.to_string())?;
             counts[1] += 1;
         } else {
-            let Some(v) = pick_live(&mut rng, &index) else {
+            let Some(v) = pick_deletable(&mut rng, &index) else {
                 continue;
             };
             index.try_delete_vertex(v).map_err(|e| e.to_string())?;
@@ -937,11 +946,14 @@ fn ingest(argv: &[String]) -> Result<(), String> {
 }
 
 /// `recover INDEX --wal WAL [--check]`: replay the log against the
-/// artifact and report what recovery did. `--check` cross-validates the
-/// recovered overlay: session answers must equal the direct query path,
-/// and (while the index is not stale) both must equal a from-scratch
-/// Dijkstra on the materialized current graph. Any mismatch fails the
-/// command — the CI crash smoke turns that into a red build.
+/// artifact and report what recovery did. `--check` holds the recovered
+/// overlay to the lazy-update contract (`core::updates`) against a
+/// from-scratch Dijkstra on the materialized current graph: no answer
+/// below the reference, none for an unreachable pair, and equality while
+/// the index carries no updates at all. A stale index promises nothing, so
+/// there the reference leg is skipped and the last line says so. Any
+/// violation fails the command — the CI crash smoke turns that into a red
+/// build, and requires that the reference leg ran.
 fn recover(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &["wal"])?;
     args.reject_unknown_flags(&["check"])?;
@@ -966,31 +978,30 @@ fn recover(argv: &[String]) -> Result<(), String> {
             if index.is_vertex_deleted(s) || index.is_vertex_deleted(t) {
                 continue;
             }
-            let direct = index.try_distance(s, t).map_err(|e| e.to_string())?;
             let served = session.distance(s, t).map_err(|e| e.to_string())?;
-            if served != direct {
-                return Err(format!(
-                    "recover check failed: dist({s}, {t}) session {served:?} != direct {direct:?}"
-                ));
-            }
             if !index.is_stale() {
                 let exact = islabel_core::reference::dijkstra_p2p(&g, s, t);
-                if direct != exact {
+                let ok = match (served, exact) {
+                    _ if !index.has_updates() => served == exact,
+                    (Some(d), Some(truth)) => d >= truth,
+                    (Some(_), None) => false,
+                    (None, _) => true,
+                };
+                if !ok {
                     return Err(format!(
-                        "recover check failed: dist({s}, {t}) index {direct:?} != reference {exact:?}"
+                        "recover check failed: dist({s}, {t}) index {served:?} vs reference {exact:?}"
                     ));
                 }
             }
             checked += 1;
         }
-        println!(
-            "check OK: {checked} pair(s) agree across session, direct and {} paths",
-            if index.is_stale() {
-                "(stale; reference skipped)"
-            } else {
-                "reference"
-            }
-        );
+        if index.is_stale() {
+            println!("check OK: {checked} pair(s) answered (stale; reference skipped)");
+        } else {
+            println!(
+                "check OK: {checked} pair(s) hold against reference Dijkstra (reference leg ran)"
+            );
+        }
     }
     Ok(())
 }

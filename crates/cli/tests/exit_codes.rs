@@ -59,7 +59,8 @@ fn recover_check_exit_codes() {
             .success()
     );
 
-    // Healthy artifact + WAL: recover --check exits 0.
+    // Healthy artifact + WAL: recover --check exits 0, and not because it
+    // skipped the comparison with reference Dijkstra.
     let out = islabel(&["recover", index_s, "--wal", wal_s, "--check"]);
     assert_eq!(
         out.status.code(),
@@ -67,6 +68,8 @@ fn recover_check_exit_codes() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("reference leg ran"), "stdout was: {text}");
 
     // A WAL that is not a WAL: exit 1 and `error:` on stderr.
     std::fs::write(&wal, b"this is not a write-ahead log").unwrap();

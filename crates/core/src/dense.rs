@@ -1,14 +1,11 @@
-//! The dense search kernel: compact `G_k` ids, generation-stamped flat
-//! arrays, and an indexed 4-ary min-heap with decrease-key.
+//! The search kernel: Algorithm 1 over compact `G_k` ids, generation-stamped
+//! flat arrays, and an indexed 4-ary min-heap with decrease-key.
 //!
 //! The paper's query cost is dominated by "Time (b)" — the label-seeded
 //! bidirectional Dijkstra over the residual graph `G_k` (Section 5.2,
-//! Algorithm 1). The original kernel in [`crate::query`] runs that search
-//! over hash maps keyed by global vertex ids and lazy-deletion binary
-//! heaps; correct, but every relaxation pays a hash and every pop may wade
-//! through stale entries. Hub-labeling systems (PLL and its successors) get
-//! their speed from flat, cache-friendly state instead, and this module
-//! brings the `G_k` search to that standard:
+//! Algorithm 1). Hub-labeling systems (PLL and its successors) get their
+//! speed from flat, cache-friendly state, and this module holds the `G_k`
+//! search to that standard:
 //!
 //! * [`GkIdMap`] remaps the (typically sparse) `G_k` vertex set to compact
 //!   ids `0..|G_k|`, built **once per index**. Label seeds translate with
@@ -20,22 +17,25 @@
 //!   generation stamp, and "clearing" is one epoch increment — no per-query
 //!   `memset`, no hashing, no allocation.
 //! * [`IndexedHeap`] is a 4-ary min-heap with a stamped position index and
-//!   true decrease-key: at most one live entry per vertex, so the
-//!   `clean_top` stale-entry filtering of the lazy-deletion kernel
-//!   disappears entirely, and heap capacity is bounded by `|G_k|`.
+//!   true decrease-key: at most one live entry per vertex, so no pop ever
+//!   wades through stale entries, and heap capacity is bounded by `|G_k|`.
 //! * [`DenseScratch`] bundles the per-search state; a session allocates it
 //!   once and every later query runs **allocation-free** (asserted by the
 //!   `alloc_free` integration test).
 //!
-//! [`dense_bi_dijkstra`] is a drop-in replacement for the hashmap kernel:
-//! it settles the same vertices in the same order (ties broken by vertex
-//! id, exactly like `BinaryHeap<Reverse<(Dist, VertexId)>>`) and returns
-//! bit-identical `(dist, meeting, settled)` outcomes — the
-//! `dense_kernel` conformance suite holds the two kernels equal across
-//! graphs, engines, and dynamic updates.
+//! [`dense_search`] is the **only** implementation of Algorithm 1
+//! (`docs/adr/0003-one-search-kernel.md`): generic over [`DenseView`], so
+//! the pristine CSR, the directed forward/transposed pair, the
+//! dynamic-update [`PatchedDense`] and a mapped artifact's sections all run
+//! the same loop, and generic over [`ParentSink`], so a path query is that
+//! loop with predecessor recording compiled in and a distance query
+//! ([`dense_bi_dijkstra`]) the same loop with it compiled out. Its oracle
+//! is [`crate::reference`] Dijkstra. Ties pop in `(key, vertex)` order and
+//! dense ids ascend with global ids, so which of several equally short
+//! paths a path query returns is a function of the graph alone.
 //!
-//! In both kernels µ bounds the *work* of Algorithm 1, not only its
-//! stopping point, by two rules (`docs/adr/0001-mu-bounded-search.md`):
+//! µ bounds the *work* of Algorithm 1, not only its stopping point, by two
+//! rules (`docs/adr/0001-mu-bounded-search.md`):
 //!
 //! 1. a key that plus the opposite frontier's minimum is `≥ µ` is never
 //!    materialised — the relaxation is skipped before a slab or heap line
@@ -48,9 +48,9 @@
 //!    only ever takes real path lengths, and it is finite from the moment
 //!    the frontiers touch.
 //!
-//! Settle order is unchanged: rule 1 removes only entries that would
-//! never have been popped, rule 2 only makes the cutoff fire earlier, and
-//! the pops that remain compare `(key, vertex)` as before.
+//! Settle order is unchanged by either: rule 1 removes only entries that
+//! would never have been popped, rule 2 only makes the cutoff fire earlier,
+//! and the pops that remain compare `(key, vertex)` as before.
 //!
 //! The kernel functions here are an **alloc-free zone**: `islabel-lint`
 //! (see `lint.toml` at the repo root) rejects any allocating construct
@@ -85,9 +85,8 @@ pub trait DenseView {
 /// `0..|G_k|`, built once per index.
 ///
 /// Because `G_k` members are enumerated in ascending global order, dense
-/// ids preserve the relative order of global ids — which is what lets the
-/// dense kernel reproduce the hashmap kernel's id-based tie-breaking
-/// exactly.
+/// ids preserve the relative order of global ids — so the kernel's
+/// `(key, vertex)` tie-breaking is the same in either id space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GkIdMap {
     /// `dense_of[global]` is the compact id, or [`NO_DENSE`].
@@ -266,14 +265,13 @@ impl DenseView for DenseCsr {
 
 /// Dynamic-update deltas remapped into compact-id space: an append-only
 /// *tail* of dense ids for inserted vertices, a tombstone bitmap for
-/// deletions, and per-vertex extra adjacency — what lets a moderately
-/// updated index stay on the zero-alloc dense kernel instead of falling
-/// back to the hashmap kernel.
+/// deletions, and per-vertex extra adjacency — what keeps an updated index
+/// on the same zero-alloc kernel as a pristine one.
 ///
 /// Tail ids extend the base mapping order-preservingly: inserted global id
 /// `base_n + j` becomes dense id `base_len + j`, so the combined dense id
 /// order is still the global id order and the heap tie-breaking of
-/// [`dense_bi_dijkstra`] stays identical to the hashmap kernel's.
+/// [`dense_search`] does not depend on which vertices were inserted.
 #[derive(Debug, Clone, Default)]
 pub struct DensePatch {
     /// Number of base compact ids; tail ids start here.
@@ -338,9 +336,7 @@ impl DensePatch {
 
 /// A [`DenseView`] of the base compact CSR with a [`DensePatch`] applied:
 /// a vertex's base adjacency first, then the patch's extra adjacency in
-/// push order, with tombstoned endpoints filtered — the dense mirror,
-/// edge for edge and in the same iteration order, of the sparse overlay
-/// residual view the hashmap fallback searches.
+/// push order, with tombstoned endpoints filtered.
 #[derive(Debug, Clone, Copy)]
 pub struct PatchedDense<'a> {
     /// The pristine base adjacency (dense ids `0..base_len`).
@@ -501,12 +497,12 @@ impl<T: Copy + Default> StampedSlab<T> {
 /// An indexed 4-ary min-heap with decrease-key over compact vertex ids.
 ///
 /// Entries are `(key, vertex)` ordered by `(key, vertex)` — the same total
-/// order `BinaryHeap<Reverse<(Dist, VertexId)>>` pops in, which keeps the
-/// dense kernel's settle order (and therefore its `settled` counts and
-/// meeting vertices) bit-identical to the lazy-deletion kernel's. Unlike
-/// lazy deletion there is **at most one live entry per vertex**: a
-/// relaxation either inserts or sifts the existing entry up, so the heap
-/// never exceeds `|G_k|` slots and `pop` never revisits stale state.
+/// order `BinaryHeap<Reverse<(Dist, VertexId)>>` pops in (the unit tests
+/// model it against one), so settle order, `settled` counts and meeting
+/// vertices are functions of the graph alone. Unlike a lazy-deletion heap
+/// there is **at most one live entry per vertex**: a relaxation either
+/// inserts or sifts the existing entry up, so the heap never exceeds
+/// `|G_k|` slots and `pop` never revisits stale state.
 ///
 /// 4-ary layout: children of slot `i` are `4i + 1 ..= 4i + 4`. A wider node
 /// trades deeper sift-downs for fewer cache-missing levels, the standard
@@ -651,30 +647,129 @@ impl IndexedHeap {
     }
 }
 
-/// Reusable workspace of one dense bidirectional search: stamped tentative
-/// distances and the two indexed frontiers.
+/// Where [`dense_search`] writes predecessor pointers: the compile-time
+/// choice between a distance query and a path query (paper Section 8.1).
+/// The kernel is monomorphised per sink, and with [`NoParents`] both
+/// methods are empty, so that instantiation executes no parent store.
+pub trait ParentSink {
+    /// Forgets the previous search.
+    fn reset(&mut self);
+
+    /// `child` was reached from `parent` on the forward (`true`) or reverse
+    /// frontier; `parent` is [`NO_DENSE`] for a label seed. A later, shorter
+    /// relaxation of `child` overwrites the entry.
+    fn record(&mut self, forward: bool, child: u32, parent: u32);
+}
+
+/// The distance-query sink: records nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoParents;
+
+impl ParentSink for NoParents {
+    #[inline(always)]
+    fn reset(&mut self) {}
+
+    #[inline(always)]
+    fn record(&mut self, _forward: bool, _child: u32, _parent: u32) {}
+}
+
+/// The path-query sink: one stamped predecessor array per frontier.
+#[derive(Debug)]
+pub struct DenseParents {
+    fwd: StampedSlab<u32>,
+    rev: StampedSlab<u32>,
+}
+
+impl DenseParents {
+    /// The chain that reached `m` on the forward (`true`) or reverse
+    /// frontier of the last search, seed first and `m` last; `None` when
+    /// that side never reached `m`.
+    pub fn chain(&self, forward: bool, m: u32) -> Option<Vec<u32>> {
+        let parents = if forward { &self.fwd } else { &self.rev };
+        let mut chain = vec![m];
+        loop {
+            let p = parents.get(chain[chain.len() - 1])?;
+            if p == NO_DENSE {
+                break;
+            }
+            chain.push(p);
+            // Every step leads to a vertex settled strictly earlier.
+            debug_assert!(chain.len() <= parents.len(), "parent cycle");
+        }
+        chain.reverse();
+        Some(chain)
+    }
+}
+
+impl ParentSink for DenseParents {
+    #[inline]
+    fn reset(&mut self) {
+        self.fwd.reset();
+        self.rev.reset();
+    }
+
+    #[inline]
+    fn record(&mut self, forward: bool, child: u32, parent: u32) {
+        if forward {
+            self.fwd.set(child, parent);
+        } else {
+            self.rev.set(child, parent);
+        }
+    }
+}
+
+/// Reusable workspace of one bidirectional search: stamped tentative
+/// distances, the two indexed frontiers and the [`ParentSink`].
 ///
 /// A session sizes this once against `|G_k|` and every later search resets
-/// it in O(1); [`dense_bi_dijkstra`] performs no heap allocation. Not
-/// `Clone` (see [`IndexedHeap`]) — each thread builds its own with
-/// [`DenseScratch::new`].
+/// it in O(1); [`dense_search`] performs no heap allocation. Not `Clone`
+/// (see [`IndexedHeap`]) — each thread builds its own. [`DenseScratch::new`]
+/// gives the distance-query workspace every session holds;
+/// [`DenseScratch::with_parents`] adds the two predecessor arrays, which
+/// only a path query pays for.
 #[derive(Debug)]
-pub struct DenseScratch {
+pub struct DenseScratch<P = NoParents> {
     dist_f: StampedSlab<Dist>,
     dist_r: StampedSlab<Dist>,
     fq: IndexedHeap,
     rq: IndexedHeap,
+    parents: P,
 }
 
 impl DenseScratch {
-    /// A workspace for searches over `m = |G_k|` compact vertices; all
-    /// arrays and both heaps are fully pre-sized.
+    /// A workspace for distance searches over `m = |G_k|` compact
+    /// vertices; all arrays and both heaps are fully pre-sized.
     pub fn new(m: usize) -> Self {
+        Self::sized(m, NoParents)
+    }
+}
+
+impl DenseScratch<DenseParents> {
+    /// A workspace for path searches over `m` compact vertices.
+    pub fn with_parents(m: usize) -> Self {
+        Self::sized(
+            m,
+            DenseParents {
+                fwd: StampedSlab::new(m),
+                rev: StampedSlab::new(m),
+            },
+        )
+    }
+
+    /// The predecessor pointers of the last search.
+    pub fn parents(&self) -> &DenseParents {
+        &self.parents
+    }
+}
+
+impl<P: ParentSink> DenseScratch<P> {
+    fn sized(m: usize, parents: P) -> Self {
         Self {
             dist_f: StampedSlab::new(m),
             dist_r: StampedSlab::new(m),
             fq: IndexedHeap::new(m),
             rq: IndexedHeap::new(m),
+            parents,
         }
     }
 
@@ -688,25 +783,12 @@ impl DenseScratch {
         self.dist_r.reset();
         self.fq.clear();
         self.rq.clear();
+        self.parents.reset();
     }
 }
 
-/// Algorithm 1 on the dense substrate: label-seeded bidirectional Dijkstra
-/// over compact ids, allocation-free inside `scratch`.
-///
-/// `fseeds` / `rseeds` carry **compact** ids (map label ancestors through
-/// [`GkIdMap::dense`]); the returned [`Meeting::Search`] vertex is likewise
-/// compact — callers map it back with [`GkIdMap::global`].
-///
-/// µ bounds the work by the two rules of the [module docs](self): a
-/// relaxation to key `nd` is skipped when `nd + min(opposite queue) ≥ µ`,
-/// and one that lands is checked against the opposite side's tentative
-/// distance. Semantics match
-/// [`crate::query::label_bi_dijkstra_directed_in`] exactly; the
-/// conformance suite asserts bit-identical `(dist, meeting, settled)`
-/// against the hashmap kernel. Generic over [`DenseView`], so the same
-/// code path serves the pristine [`DenseCsr`] and the dynamic-update
-/// [`PatchedDense`].
+/// Algorithm 1 for a distance query: [`dense_search`] with parent
+/// recording compiled out.
 pub fn dense_bi_dijkstra<G: DenseView>(
     fwd: &G,
     rev: &G,
@@ -715,6 +797,36 @@ pub fn dense_bi_dijkstra<G: DenseView>(
     mu0: Dist,
     mu0_witness: Option<VertexId>,
     scratch: &mut DenseScratch,
+) -> SearchOutcome {
+    dense_search(fwd, rev, fseeds, rseeds, mu0, mu0_witness, scratch)
+}
+
+/// Algorithm 1: label-seeded bidirectional Dijkstra over compact ids,
+/// allocation-free inside `scratch`.
+///
+/// `fseeds` / `rseeds` carry **compact** ids (map label ancestors through
+/// [`GkIdMap::dense`]); the returned [`Meeting::Search`] vertex is likewise
+/// compact — callers map it back with [`GkIdMap::global`]. The reverse
+/// search runs over `rev`, the transposed arcs of a directed index
+/// (Section 8.2) and `fwd` itself otherwise.
+///
+/// Differences from the paper's pseudocode, all conservative:
+/// * vertices enter the queues on demand instead of all starting at `∞`;
+/// * µ bounds the work by the two rules of the [module docs](self): a
+///   relaxation to key `nd` is skipped when `nd + min(opposite queue) ≥ µ`,
+///   and one that lands is checked against the opposite side's tentative
+///   distance, as is every vertex when it settles.
+///
+/// With `P =` [`DenseParents`] every tentative-distance write also records
+/// where it came from, which is all a path query adds.
+pub fn dense_search<G: DenseView, P: ParentSink>(
+    fwd: &G,
+    rev: &G,
+    fseeds: &[(u32, Dist)],
+    rseeds: &[(u32, Dist)],
+    mu0: Dist,
+    mu0_witness: Option<VertexId>,
+    scratch: &mut DenseScratch<P>,
 ) -> SearchOutcome {
     debug_assert!(scratch.capacity() >= fwd.num_vertices());
     scratch.reset();
@@ -731,6 +843,7 @@ pub fn dense_bi_dijkstra<G: DenseView>(
         dist_r,
         fq,
         rq,
+        parents,
     } = scratch;
 
     let (mut settled, mut relaxed, mut pushed) = (0usize, 0usize, 0usize);
@@ -738,6 +851,7 @@ pub fn dense_bi_dijkstra<G: DenseView>(
         if dist_f.get(v).is_none_or(|cur| d < cur) {
             dist_f.set(v, d);
             fq.push_or_decrease(v, d);
+            parents.record(true, v, NO_DENSE);
             pushed += 1;
         }
     }
@@ -745,6 +859,7 @@ pub fn dense_bi_dijkstra<G: DenseView>(
         if dist_r.get(v).is_none_or(|cur| d < cur) {
             dist_r.set(v, d);
             rq.push_or_decrease(v, d);
+            parents.record(false, v, NO_DENSE);
             pushed += 1;
         }
     }
@@ -752,6 +867,8 @@ pub fn dense_bi_dijkstra<G: DenseView>(
     loop {
         let min_f = fq.peek_key();
         let min_r = rq.peek_key();
+        // Line 8: stop when either frontier is exhausted or no via-G_k path
+        // can beat µ.
         if min_f == INF || min_r == INF {
             break;
         }
@@ -759,10 +876,10 @@ pub fn dense_bi_dijkstra<G: DenseView>(
             break;
         }
 
-        // Settle the cheaper frontier (ties to forward, like the sparse
-        // kernel's `min_f <= min_r`). `min_y` is the opposite queue's
-        // minimum, constant for this settle.
-        let (g, q, dist_x, dist_y, min_y) = if min_f <= min_r {
+        // Settle the cheaper frontier, ties to forward. `min_y` is the
+        // opposite queue's minimum, constant for this settle.
+        let forward = min_f <= min_r;
+        let (g, q, dist_x, dist_y, min_y) = if forward {
             (fwd, &mut *fq, &mut *dist_f, &*dist_r, min_r)
         } else {
             (rev, &mut *rq, &mut *dist_r, &*dist_f, min_f)
@@ -793,6 +910,7 @@ pub fn dense_bi_dijkstra<G: DenseView>(
             if dist_x.get(u).is_none_or(|cur| nd < cur) {
                 dist_x.set(u, nd);
                 q.push_or_decrease(u, nd);
+                parents.record(forward, u, v);
                 pushed += 1;
                 // Lines 17–18, on the tentative distance.
                 if let Some(dy) = dist_y.get(u) {
@@ -815,17 +933,18 @@ pub fn dense_bi_dijkstra<G: DenseView>(
     }
 }
 
-/// The full session fast path for one query: Equation 1 via
-/// [`crate::kernel::intersect_min_auto`] (the single entry point every
-/// engine shares), label seeds translated to compact ids through
-/// `to_dense` (the lookup doubling as the `G_k` membership filter), then
-/// [`dense_bi_dijkstra`]. The returned meeting vertex is still compact —
-/// callers wanting global ids apply [`globalize_outcome`].
+/// One whole query: Equation 1 via [`crate::kernel::intersect_min_auto`]
+/// (the single entry point every engine shares), label seeds translated to
+/// compact ids through `to_dense` (the lookup doubling as the `G_k`
+/// membership filter), then [`dense_search`]. The returned meeting vertex
+/// is still compact — callers wanting global ids apply
+/// [`globalize_outcome`].
 ///
 /// Shared by the undirected, directed, patched-overlay, and mmap
 /// sessions (pass the out-label of `s` and the in-label of `t` for a
-/// directed query) so neither the seed handling nor the intersect kernel
-/// can drift between them: pristine heap sessions pass
+/// directed query), and by the one-shot, from-labels and path queries of
+/// [`crate::IsLabelIndex`], so neither the seed handling nor the intersect
+/// kernel can drift between them: pristine heap sessions pass
 /// [`GkIdMap::dense`], the mmap session a closure over its mapped
 /// `dense_of` section, and the patched session its tail-aware extension
 /// of the base map.
@@ -835,7 +954,7 @@ pub fn dense_bi_dijkstra<G: DenseView>(
 /// query, none inside a loop — and accumulated into `trace` as plain
 /// field adds, preserving this function's zero-allocation contract.
 #[allow(clippy::too_many_arguments)]
-pub fn seeded_search<G: DenseView>(
+pub fn seeded_search<G: DenseView, P: ParentSink>(
     ls: crate::label::LabelView<'_>,
     lt: crate::label::LabelView<'_>,
     to_dense: impl Fn(VertexId) -> Option<u32>,
@@ -843,7 +962,7 @@ pub fn seeded_search<G: DenseView>(
     rev: &G,
     fseeds: &mut Vec<(u32, Dist)>,
     rseeds: &mut Vec<(u32, Dist)>,
-    scratch: &mut DenseScratch,
+    scratch: &mut DenseScratch<P>,
     trace: &mut crate::trace::QueryTrace,
 ) -> SearchOutcome {
     let t0 = trace.enabled.then(std::time::Instant::now);
@@ -862,7 +981,7 @@ pub fn seeded_search<G: DenseView>(
         }
     }
     let t2 = trace.enabled.then(std::time::Instant::now);
-    let out = dense_bi_dijkstra(fwd, rev, fseeds, rseeds, mu0, witness, scratch);
+    let out = dense_search(fwd, rev, fseeds, rseeds, mu0, witness, scratch);
     if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
         let t3 = std::time::Instant::now();
         trace.record_query(crate::trace::PhaseSample {
@@ -1056,6 +1175,64 @@ mod tests {
             let expect = crate::reference::dijkstra_p2p(&g, s, t).unwrap_or(INF);
             assert_eq!(out.dist, expect, "({s}, {t})");
         }
+    }
+
+    #[test]
+    fn dense_search_respects_mu0_shortcut() {
+        // A long chain in G_k, but labels already know a distance-1
+        // shortcut: the search returns it and prunes at once.
+        let mut b = islabel_graph::GraphBuilder::new(5);
+        for v in 0..4u32 {
+            b.add_edge(v, v + 1, 10);
+        }
+        let dense = DenseGk::undirected(5, &[0, 1, 2, 3, 4], &b.build());
+        let mut scratch = DenseScratch::new(5);
+        let out = dense_bi_dijkstra(
+            dense.fwd(),
+            dense.rev(),
+            &[(0, 0)],
+            &[(4, 0)],
+            1,
+            Some(99),
+            &mut scratch,
+        );
+        assert_eq!(out.dist, 1);
+        assert_eq!(out.meeting, Meeting::Labels(99));
+        assert!(out.settled <= 2, "settled {}", out.settled);
+    }
+
+    #[test]
+    fn dense_search_parent_chains_start_at_the_best_seeds() {
+        // Path 0-1-2-3-4 (unit weights). Forward seeds {1: 5, 2: 1},
+        // reverse seed {4: 0}: best is 2->3->4 = 1+2 = 3.
+        let mut b = islabel_graph::GraphBuilder::new(5);
+        for v in 0..4u32 {
+            b.add_edge(v, v + 1, 1);
+        }
+        let dense = DenseGk::undirected(5, &[0, 1, 2, 3, 4], &b.build());
+        let mut scratch = DenseScratch::with_parents(5);
+        let out = dense_search(
+            dense.fwd(),
+            dense.rev(),
+            &[(1, 5), (2, 1)],
+            &[(4, 0)],
+            INF,
+            None,
+            &mut scratch,
+        );
+        assert_eq!(out.dist, 3);
+        let Meeting::Search(m) = out.meeting else {
+            panic!("{:?}", out.meeting)
+        };
+        let fchain = scratch.parents().chain(true, m).unwrap();
+        let rchain = scratch.parents().chain(false, m).unwrap();
+        assert_eq!((fchain[0], rchain[0]), (2, 4));
+        assert_eq!(fchain.len() + rchain.len() - 2, 2, "two G_k edges");
+        // A vertex one side never reached has no chain there.
+        assert_eq!(scratch.parents().chain(false, 0), None);
+        // The next search forgets them.
+        dense_search(dense.fwd(), dense.rev(), &[], &[], INF, None, &mut scratch);
+        assert_eq!(scratch.parents().chain(true, m), None);
     }
 
     #[test]

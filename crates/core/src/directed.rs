@@ -25,10 +25,8 @@
 
 use crate::config::{BuildConfig, IsStrategy, KSelection};
 use crate::dense::{seeded_search, DenseCsr, DenseGk, DenseScratch, GkIdMap};
-use crate::kernel::intersect_min_auto;
 use crate::label::LabelSet;
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
-use crate::query::{label_bi_dijkstra_directed, GkGraph, SearchParams};
 use crate::stats::IndexStats;
 use islabel_graph::{CsrDigraph, Dist, FxHashMap, VertexId, Weight, INF};
 use std::time::Instant;
@@ -311,8 +309,8 @@ impl DiIsLabelIndex {
     }
 
     /// The residual digraph `G_k` over the full id universe (peeled
-    /// vertices are isolated in it). The reference/sparse search path runs
-    /// over this; the hot path uses [`DiIsLabelIndex::dense_gk`].
+    /// vertices are isolated in it). Queries search its compact form,
+    /// [`DiIsLabelIndex::dense_gk`].
     pub fn gk(&self) -> &CsrDigraph {
         &self.gk
     }
@@ -364,33 +362,10 @@ impl DiIsLabelIndex {
     }
 
     /// Directed distance with typed errors: `Ok(None)` means unreachable,
-    /// `Err(VertexOutOfRange)` flags a malformed query.
+    /// `Err(VertexOutOfRange)` flags a malformed query. A one-shot is a
+    /// [`session`](DiIsLabelIndex::session) opened for this one query.
     pub fn try_distance(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
-        check_vertex(s, self.num_vertices())?;
-        check_vertex(t, self.num_vertices())?;
-        if s == t {
-            return Ok(Some(0));
-        }
-        // Stage 1: Equation 1 over X = LABEL_out(s) ∩ LABEL_in(t).
-        let ls = self.out_labels.label(s);
-        let lt = self.in_labels.label(t);
-        let (mu0, witness) = intersect_min_auto(ls, lt);
-
-        // Stage 2: forward search on arcs, reverse search on transposed arcs.
-        let fseeds: Vec<(VertexId, Dist)> = ls.iter().filter(|&(a, _)| self.is_in_gk(a)).collect();
-        let rseeds: Vec<(VertexId, Dist)> = lt.iter().filter(|&(a, _)| self.is_in_gk(a)).collect();
-        let result = label_bi_dijkstra_directed(
-            &Forward(&self.gk),
-            &Backward(&self.gk),
-            SearchParams {
-                fseeds: &fseeds,
-                rseeds: &rseeds,
-                mu0,
-                mu0_witness: witness,
-                track_paths: false,
-            },
-        );
-        Ok((result.dist < INF).then_some(result.dist))
+        self.session().distance(s, t)
     }
 
     /// Directed reachability: whether any path `s → t` exists. The paper
@@ -405,10 +380,9 @@ impl DiIsLabelIndex {
     /// seed buffers are fully pre-sized, so steady-state queries are
     /// allocation-free.
     pub fn session(&self) -> DiIsLabelSession<'_> {
-        let seed_cap = self
-            .out_labels
-            .max_label_len()
-            .max(self.in_labels.max_label_len());
+        // The longer of the two directions' longest labels, as `try_build`
+        // recorded it — not rescanned per open.
+        let seed_cap = self.stats.max_label_len;
         DiIsLabelSession {
             index: self,
             scratch: DenseScratch::new(self.dense.ids().len()),
@@ -433,7 +407,9 @@ pub struct DiIsLabelSession<'a> {
 
 impl DiIsLabelSession<'_> {
     /// Directed distance `dist(s → t)` through the reused dense scratch;
-    /// same contract as [`DiIsLabelIndex::try_distance`].
+    /// same contract as [`DiIsLabelIndex::try_distance`]: Equation 1 over
+    /// `X = LABEL_out(s) ∩ LABEL_in(t)`, then the forward search on arcs and
+    /// the reverse search on transposed arcs.
     pub fn distance(&mut self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
         let index = self.index;
         check_vertex(s, index.num_vertices())?;
@@ -571,24 +547,6 @@ fn build_directional_labels(
         false,
         threads,
     )
-}
-
-/// Forward arc view of the residual digraph.
-struct Forward<'a>(&'a CsrDigraph);
-
-impl GkGraph for Forward<'_> {
-    fn edges_of(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.0.out_edges(v)
-    }
-}
-
-/// Transposed arc view for the reverse frontier.
-struct Backward<'a>(&'a CsrDigraph);
-
-impl GkGraph for Backward<'_> {
-    fn edges_of(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.0.in_edges(v)
-    }
 }
 
 /// Reference directed Dijkstra (ground truth for tests and baselines).
@@ -764,6 +722,11 @@ mod tests {
         assert!(s.label_entries >= 2 * 60);
         assert_eq!(s.num_vertices, 60);
         assert!(s.k >= 2);
+        // Sessions size their seed buffers from this.
+        let longest = (0..60)
+            .map(|v| index.out_label(v).len().max(index.in_label(v).len()))
+            .max();
+        assert_eq!(Some(s.max_label_len), longest);
     }
 
     #[test]

@@ -218,6 +218,31 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_ancestor_is_a_typed_error() {
+        // `fetch` returns the stored bytes as they are, so a corrupt file
+        // can name a vertex the index does not have; the fallible query
+        // must say so instead of indexing out of bounds.
+        let (index, storage, store) = setup();
+        let good = store.fetch(&storage, 5).unwrap();
+        for bad in [200, VertexId::MAX] {
+            let mut corrupt = store.fetch(&storage, 100).unwrap();
+            *corrupt.ancestors.last_mut().unwrap() = bad;
+            let expect = Err(crate::QueryError::VertexOutOfRange {
+                vertex: bad,
+                universe: 200,
+            });
+            assert_eq!(
+                index.try_distance_from_labels(good.view(), corrupt.view()),
+                expect
+            );
+            assert_eq!(
+                index.try_distance_from_labels(corrupt.view(), good.view()),
+                expect
+            );
+        }
+    }
+
+    #[test]
     fn empty_labels_roundtrip() {
         let storage = MemStorage::new();
         let ls = LabelSet::from_per_vertex(vec![], false);

@@ -2,15 +2,16 @@
 
 use crate::config::BuildConfig;
 use crate::dense::{
-    globalize_outcome, seeded_search, DenseGk, DensePatch, DenseScratch, PatchedDense,
+    globalize_outcome, seeded_search, DenseGk, DensePatch, DenseScratch, ParentSink, PatchedDense,
 };
 use crate::hierarchy::VertexHierarchy;
 use crate::kernel::intersect_min_auto;
-use crate::label::LabelSet;
+use crate::label::{LabelSet, LabelView};
 use crate::oracle::{check_vertex, BatchOptions, DistanceOracle, Error, QueryError, QuerySession};
 use crate::persist::wal::{scan_wal, WalRecovery, WalWriter, WAL_HEADER_LEN};
-use crate::query::{label_bi_dijkstra, Meeting, QueryType, SearchParams, SearchResult};
+use crate::query::{Meeting, QueryType, SearchOutcome};
 use crate::stats::IndexStats;
+use crate::trace::QueryTrace;
 use crate::updates::{Overlay, UpdateOp};
 use islabel_graph::{CsrGraph, Dist, VertexId, Weight, INF};
 use std::path::Path;
@@ -239,16 +240,41 @@ impl IsLabelIndex {
 
     /// Point-to-point distance with typed errors: `Ok(None)` means
     /// unreachable, `Err(VertexOutOfRange)` flags a malformed query.
+    ///
+    /// A one-shot is a [`session`](IsLabelIndex::session) opened for this
+    /// one query: `|G_k|`-sized scratch per call, plus one overlay snapshot
+    /// when the index carries updates. Hold a session to answer many.
     pub fn try_distance(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
-        self.check_vertex(s)?;
-        self.check_vertex(t)?;
-        Ok(self.query_internal(s, t, false).0.distance)
+        self.session().distance(s, t)
     }
 
     /// Detailed query with diagnostics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` or `t` is not a vertex of the index.
     pub fn query(&self, s: VertexId, t: VertexId) -> QueryOutcome {
-        let (outcome, _) = self.query_internal(s, t, false);
-        outcome
+        let out = self
+            .session()
+            .search_outcome(s, t)
+            .unwrap_or_else(|e| panic!("{e}"));
+        // Equation 1 on its own, as the search saw it (a deleted endpoint
+        // answers nothing; `s == t` meets at the self entry, 0).
+        let eq1_estimate = if self.overlay.is_deleted(s) || self.overlay.is_deleted(t) {
+            None
+        } else {
+            let ls = self.overlay.effective_label(&self.labels, s);
+            let lt = self.overlay.effective_label(&self.labels, t);
+            let (mu0, _) = intersect_min_auto(ls.view(), lt.view());
+            (mu0 < INF).then_some(mu0)
+        };
+        QueryOutcome {
+            distance: (out.dist < INF).then_some(out.dist),
+            query_type: self.query_type(s, t),
+            eq1_estimate,
+            settled: out.settled,
+            answered_by_search: matches!(out.meeting, Meeting::Search(_)),
+        }
     }
 
     /// Answers a distance query from externally supplied labels (e.g.
@@ -258,13 +284,10 @@ impl IsLabelIndex {
     ///
     /// # Panics
     ///
-    /// Panics if the index has dynamic updates; use
+    /// Panics if the index has dynamic updates or a label names a vertex
+    /// the index does not have; use
     /// [`IsLabelIndex::try_distance_from_labels`] for the fallible form.
-    pub fn distance_from_labels(
-        &self,
-        ls: crate::label::LabelView<'_>,
-        lt: crate::label::LabelView<'_>,
-    ) -> Option<Dist> {
+    pub fn distance_from_labels(&self, ls: LabelView<'_>, lt: LabelView<'_>) -> Option<Dist> {
         self.try_distance_from_labels(ls, lt)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -273,35 +296,24 @@ impl IsLabelIndex {
     /// [`distance_from_labels`](IsLabelIndex::distance_from_labels):
     /// returns [`QueryError::StaleIndex`] when the index has pending
     /// dynamic updates (whose patched labels the supplied views cannot
-    /// reflect) instead of asserting.
+    /// reflect) instead of asserting, and
+    /// [`QueryError::VertexOutOfRange`] for an ancestor the index does not
+    /// have — the views are the caller's bytes (a disk label is returned
+    /// as stored), not validated labels of this index.
     pub fn try_distance_from_labels(
         &self,
-        ls: crate::label::LabelView<'_>,
-        lt: crate::label::LabelView<'_>,
+        ls: LabelView<'_>,
+        lt: LabelView<'_>,
     ) -> Result<Option<Dist>, QueryError> {
         if !self.overlay.is_pristine() {
             return Err(QueryError::StaleIndex);
         }
-        let (mu0, witness) = intersect_min_auto(ls, lt);
-        let fseeds: Vec<(VertexId, Dist)> = ls
-            .iter()
-            .filter(|&(a, _)| self.hierarchy.is_in_gk(a))
-            .collect();
-        let rseeds: Vec<(VertexId, Dist)> = lt
-            .iter()
-            .filter(|&(a, _)| self.hierarchy.is_in_gk(a))
-            .collect();
-        let result = label_bi_dijkstra(
-            self.hierarchy.gk(),
-            SearchParams {
-                fseeds: &fseeds,
-                rseeds: &rseeds,
-                mu0,
-                mu0_witness: witness,
-                track_paths: false,
-            },
-        );
-        Ok((result.dist < INF).then_some(result.dist))
+        for &a in ls.ancestors.iter().chain(lt.ancestors) {
+            self.check_vertex(a)?;
+        }
+        let mut scratch = DenseScratch::new(self.dense.ids().len());
+        let out = self.search_once(ls, lt, &mut scratch);
+        Ok((out.dist < INF).then_some(out.dist))
     }
 
     /// Shortest path between `s` and `t` (Section 8.1). Returns `None` when
@@ -325,6 +337,9 @@ impl IsLabelIndex {
     /// — built with `keep_path_info: false`, or carrying dynamic updates
     /// whose patched label entries have no path metadata. The silent
     /// `None`-for-both conflation of the panicking form is gone here.
+    ///
+    /// The search is the distance query's, with predecessor recording
+    /// compiled in ([`DenseScratch::with_parents`]).
     pub fn try_shortest_path(
         &self,
         s: VertexId,
@@ -343,89 +358,40 @@ impl IsLabelIndex {
                 length: 0,
             }));
         }
-        let (outcome, result) = self.query_internal(s, t, true);
-        let Some(dist) = outcome.distance else {
-            return Ok(None);
-        };
-        Ok(crate::path::reconstruct(self, s, t, dist, &result))
+        let mut scratch = DenseScratch::with_parents(self.dense.ids().len());
+        let out = self.search_once(self.labels.label(s), self.labels.label(t), &mut scratch);
+        Ok(crate::path::reconstruct(
+            self,
+            s,
+            t,
+            &out,
+            scratch.parents(),
+        ))
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<(), QueryError> {
         check_vertex(v, self.overlay.universe())
     }
 
-    fn assert_vertex(&self, v: VertexId) {
-        if let Err(e) = self.check_vertex(v) {
-            panic!("{e}");
-        }
-    }
-
-    fn query_internal(
+    /// One untraced search over the pristine substrate with seed buffers
+    /// allocated for just this call; the meeting vertex is still compact.
+    fn search_once<P: ParentSink>(
         &self,
-        s: VertexId,
-        t: VertexId,
-        track_paths: bool,
-    ) -> (QueryOutcome, SearchResult) {
-        self.assert_vertex(s);
-        self.assert_vertex(t);
-        let query_type = self.query_type(s, t);
-
-        if self.overlay.is_deleted(s) || self.overlay.is_deleted(t) {
-            let result = empty_result();
-            return (
-                QueryOutcome {
-                    distance: None,
-                    query_type,
-                    eq1_estimate: None,
-                    settled: 0,
-                    answered_by_search: false,
-                },
-                result,
-            );
-        }
-        if s == t {
-            let result = empty_result();
-            return (
-                QueryOutcome {
-                    distance: Some(0),
-                    query_type,
-                    eq1_estimate: Some(0),
-                    settled: 0,
-                    answered_by_search: false,
-                },
-                result,
-            );
-        }
-
-        // Stage 1: Equation 1 over the (effective) labels.
-        let ls = self.overlay.effective_label(&self.labels, s);
-        let lt = self.overlay.effective_label(&self.labels, t);
-        let (mu0, witness) = intersect_min_auto(ls.view(), lt.view());
-
-        // Stage 2: label-seeded bidirectional search over G_k.
-        let fseeds = self.overlay.gk_seeds(&self.hierarchy, ls.view());
-        let rseeds = self.overlay.gk_seeds(&self.hierarchy, lt.view());
-        let params = SearchParams {
-            fseeds: &fseeds,
-            rseeds: &rseeds,
-            mu0,
-            mu0_witness: witness,
-            track_paths,
-        };
-        let result = if self.overlay.is_pristine() {
-            label_bi_dijkstra(self.hierarchy.gk(), params)
-        } else {
-            label_bi_dijkstra(&self.overlay.gk_view(self.hierarchy.gk()), params)
-        };
-
-        let outcome = QueryOutcome {
-            distance: (result.dist < INF).then_some(result.dist),
-            query_type,
-            eq1_estimate: (mu0 < INF).then_some(mu0),
-            settled: result.settled,
-            answered_by_search: matches!(result.meeting, Meeting::Search(_)),
-        };
-        (outcome, result)
+        ls: LabelView<'_>,
+        lt: LabelView<'_>,
+        scratch: &mut DenseScratch<P>,
+    ) -> SearchOutcome {
+        seeded_search(
+            ls,
+            lt,
+            |a| self.dense.ids().dense(a),
+            self.dense.fwd(),
+            self.dense.rev(),
+            &mut Vec::with_capacity(ls.len()),
+            &mut Vec::with_capacity(lt.len()),
+            scratch,
+            &mut QueryTrace::disabled(),
+        )
     }
 
     /// Opens a per-thread [`IsLabelSession`] with reusable search scratch;
@@ -442,9 +408,11 @@ impl IsLabelIndex {
     /// allocation-free in steady state. The session is a point-in-time
     /// view; reopen it after further mutations.
     pub fn session(&self) -> IsLabelSession<'_> {
+        // The longest label is read from the stats every constructor and
+        // loader fills, not rescanned: opening stays O(|G_k|), not O(n).
+        let label_cap = self.stats.max_label_len + self.overlay.max_patch_len();
         let overlay = (!self.overlay.is_pristine()).then(|| {
             let patch = self.overlay.dense_patch(self.dense.ids());
-            let label_cap = self.labels.max_label_len() + self.overlay.max_patch_len();
             OverlayDense {
                 patch,
                 anc_s: Vec::with_capacity(label_cap),
@@ -453,17 +421,16 @@ impl IsLabelIndex {
                 dist_t: Vec::with_capacity(label_cap),
             }
         });
-        let seed_cap = self.labels.max_label_len() + self.overlay.max_patch_len();
         let scratch_len = overlay
             .as_ref()
             .map_or(self.dense.ids().len(), |od| od.patch.num_vertices());
         IsLabelSession {
             index: self,
             scratch: DenseScratch::new(scratch_len),
-            fseeds: Vec::with_capacity(seed_cap),
-            rseeds: Vec::with_capacity(seed_cap),
+            fseeds: Vec::with_capacity(label_cap),
+            rseeds: Vec::with_capacity(label_cap),
             overlay,
-            trace: crate::trace::QueryTrace::new(),
+            trace: QueryTrace::new(),
         }
     }
 
@@ -786,8 +753,8 @@ impl DistanceOracle for IsLabelIndex {
 
     /// Labels plus the dense `G_k` search substrate — everything the
     /// session hot path reads. (The full-universe residual graph is also
-    /// resident for path reconstruction and the overlay fallback, but it is
-    /// not on the query path.)
+    /// resident, for path reconstruction's via lookups, but it is not on
+    /// the query path.)
     fn index_bytes(&self) -> usize {
         self.labels.memory_bytes() + self.dense.memory_bytes()
     }
@@ -916,8 +883,7 @@ impl IsLabelSession<'_> {
     /// the dense kernel running over the [`PatchedDense`] view — base CSR
     /// plus inserted tail, tombstoned vertices skipped. Dense ids extend
     /// the base mapping monotonically (tail ids after all base ids), so
-    /// tie-breaking, settle order, and settled counts match the reference
-    /// overlay path exactly (pinned by the `dense_kernel` suite).
+    /// ties still break by global id.
     fn run_dense_patched(&mut self, s: VertexId, t: VertexId) -> crate::query::SearchOutcome {
         let index = self.index;
         let od = self
@@ -998,18 +964,6 @@ impl QuerySession for IsLabelSession<'_> {
 
     fn trace_mut(&mut self) -> Option<&mut crate::trace::QueryTrace> {
         Some(&mut self.trace)
-    }
-}
-
-fn empty_result() -> SearchResult {
-    SearchResult {
-        dist: INF,
-        meeting: Meeting::None,
-        settled: 0,
-        parents_f: Default::default(),
-        parents_r: Default::default(),
-        dist_f: Default::default(),
-        dist_r: Default::default(),
     }
 }
 

@@ -25,9 +25,10 @@
 //!    Algorithm 4). `d` upper-bounds the true distance but is *exact* at the
 //!    max-level vertex of any shortest path (Lemma 5), which is what makes
 //!    querying correct.
-//! 3. **Queries** ([`query`]): intersect the two sorted labels (Equation 1)
-//!    to seed `µ`, then run a label-seeded bidirectional Dijkstra over `G_k`
-//!    (Algorithm 1) that prunes with `min(FQ) + min(RQ) ≥ µ`.
+//! 3. **Queries** ([`query`], [`dense`]): intersect the two sorted labels
+//!    (Equation 1) to seed `µ`, then run a label-seeded bidirectional
+//!    Dijkstra over `G_k` (Algorithm 1) that prunes with
+//!    `min(FQ) + min(RQ) ≥ µ`.
 //!
 //! ## Entry points
 //!
@@ -38,12 +39,12 @@
 //! * [`Snapshot`] / [`OracleHandle`] ([`snapshot`]) — immutable Arc-backed
 //!   index views with atomic hot-swap, the serving substrate consumed by
 //!   the `islabel-serve` worker pool.
-//! * [`dense`] — the dense search kernel the session hot path runs on:
-//!   compact `G_k` ids ([`GkIdMap`]), generation-stamped flat arrays
-//!   ([`StampedSlab`]) and an indexed 4-ary heap with decrease-key
-//!   ([`IndexedHeap`]); updated indexes stay on it through a
-//!   [`DensePatch`]ed view, and the hashmap kernel in [`query`] remains
-//!   the reference path.
+//! * [`dense`] — the one implementation of Algorithm 1
+//!   ([`dense::dense_search`]), which every distance and path query of
+//!   every engine runs: compact `G_k` ids ([`GkIdMap`]),
+//!   generation-stamped flat arrays ([`StampedSlab`]) and an indexed 4-ary
+//!   heap with decrease-key ([`IndexedHeap`]); updated indexes stay on it
+//!   through a [`DensePatch`]ed view. Its oracle is [`mod@reference`] Dijkstra.
 //! * [`kernel`] — Equation 1's one production entry point
 //!   ([`kernel::intersect_min_auto`], the adaptive merge-join every query
 //!   path routes through, with the linear [`query::intersect_min`] as its

@@ -18,11 +18,12 @@
 //! an original edge, and the weights sum to the reported distance (asserted
 //! in debug builds and in the test suite).
 
+use crate::dense::DenseParents;
 use crate::hierarchy::VertexHierarchy;
 use crate::index::IsLabelIndex;
-use crate::query::{Meeting, SearchResult, SEED_PARENT};
+use crate::query::{Meeting, SearchOutcome};
 use islabel_graph::adjacency::NO_VIA;
-use islabel_graph::{CsrGraph, Dist, FxHashMap, VertexId};
+use islabel_graph::{CsrGraph, Dist, VertexId};
 
 /// A reconstructed shortest path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,17 +66,17 @@ impl Path {
     }
 }
 
-/// Reconstructs the path realizing `dist`, using the meeting information of
-/// a path-tracked search.
+/// Reconstructs the path realizing `out.dist` from the meeting of a search
+/// that recorded `parents` (both in compact ids, as the kernel left them).
 pub(crate) fn reconstruct(
     index: &IsLabelIndex,
     s: VertexId,
     t: VertexId,
-    dist: Dist,
-    result: &SearchResult,
+    out: &SearchOutcome,
+    parents: &DenseParents,
 ) -> Option<Path> {
     let h = &index.hierarchy;
-    let mut vertices = match result.meeting {
+    let mut vertices = match out.meeting {
         Meeting::None => return None,
         Meeting::Labels(w) => {
             // Optimal path goes s → w → t entirely through label chains.
@@ -86,8 +87,12 @@ pub(crate) fn reconstruct(
         }
         Meeting::Search(m) => {
             // s →(label)→ seed_f →(G_k)→ m →(G_k)→ seed_r →(label)→ t.
-            let fchain = walk_to_seed(&result.parents_f, m)?;
-            let rchain = walk_to_seed(&result.parents_r, m)?;
+            let ids = index.dense_gk().ids();
+            let global = |chain: Vec<u32>| -> Vec<VertexId> {
+                chain.into_iter().map(|d| ids.global(d)).collect()
+            };
+            let fchain = global(parents.chain(true, m)?);
+            let rchain = global(parents.chain(false, m)?);
             let mut out = label_path(index, s, fchain[0])?;
             for w in fchain.windows(2) {
                 expand_gk_edge(h, w[0], w[1], &mut out);
@@ -104,30 +109,12 @@ pub(crate) fn reconstruct(
     dedup_consecutive(&mut vertices);
     let path = Path {
         vertices,
-        length: dist,
+        length: out.dist,
     };
     debug_assert_eq!(path.vertices.first(), Some(&s));
     debug_assert_eq!(path.vertices.last(), Some(&t));
     debug_assert!(path.validate_against(&index.graph).is_ok());
     Some(path)
-}
-
-/// Walks parent pointers from `m` back to the seed vertex; returns the chain
-/// `seed .. m`.
-fn walk_to_seed(parents: &FxHashMap<VertexId, VertexId>, m: VertexId) -> Option<Vec<VertexId>> {
-    let mut chain = vec![m];
-    let mut cur = m;
-    loop {
-        let &p = parents.get(&cur)?;
-        if p == SEED_PARENT {
-            break;
-        }
-        chain.push(p);
-        cur = p;
-        debug_assert!(chain.len() <= parents.len() + 1, "parent cycle");
-    }
-    chain.reverse();
-    Some(chain)
 }
 
 /// Follows first hops from `v` to its ancestor `w`, expanding every step;

@@ -32,10 +32,9 @@
 //! ids, deletions a tombstone bitmap, and inserted residual edges extra
 //! adjacency — and run the same zero-alloc search over the patched view
 //! (overlay-merged labels are produced into session-owned buffers at seed
-//! time). The sparse hashmap kernel over `Overlay::gk_view` remains the
-//! reference implementation that one-shot queries use and the conformance
-//! suite pins the dense path against; `rebuild()` folds the overlay into a
-//! fresh base index.
+//! time). A one-shot query opens such a session for itself, so it pays the
+//! snapshot (`Overlay::dense_patch`) per call; `rebuild()` folds the
+//! overlay into a fresh base index.
 //!
 //! **Durability**: every mutation is recorded in an ordered op log
 //! ([`UpdateOp`]) inside the overlay. When a write-ahead log is attached
@@ -50,7 +49,6 @@ use crate::dense::{DensePatch, GkIdMap};
 use crate::hierarchy::VertexHierarchy;
 use crate::index::IsLabelIndex;
 use crate::label::{LabelSet, LabelView};
-use crate::query::GkGraph;
 use islabel_graph::{CsrGraph, Dist, FxHashMap, FxHashSet, VertexId, Weight};
 
 /// One dynamic update in application order — the unit of the write-ahead
@@ -330,9 +328,7 @@ impl Overlay {
     /// session dense path: inserted vertices become tail ids (global
     /// `base_n + j` → dense `|ids| + j`, preserving id order), deletions
     /// become tombstones, and the extra residual adjacency is translated
-    /// list by list in push order — so
-    /// [`PatchedDense`](crate::dense::PatchedDense) iterates exactly the
-    /// edges [`Overlay::gk_view`] does.
+    /// list by list in push order.
     pub(crate) fn dense_patch(&self, ids: &GkIdMap) -> DensePatch {
         let m = ids.len();
         let to_dense = |v: VertexId| -> Option<u32> {
@@ -356,27 +352,6 @@ impl Overlay {
             }
         }
         patch
-    }
-
-    /// The `G_k` seeds of a label: entries whose ancestor is effectively in
-    /// `G_k`.
-    pub(crate) fn gk_seeds(
-        &self,
-        h: &VertexHierarchy,
-        label: LabelView<'_>,
-    ) -> Vec<(VertexId, Dist)> {
-        label
-            .iter()
-            .filter(|&(a, _)| self.effective_in_gk(h, a))
-            .collect()
-    }
-
-    /// Residual-graph view with the overlay applied.
-    pub(crate) fn gk_view<'a>(&'a self, base: &'a CsrGraph) -> OverlayGk<'a> {
-        OverlayGk {
-            base,
-            overlay: self,
-        }
     }
 
     /// Materializes the fully updated graph: base edges minus tombstones,
@@ -588,30 +563,6 @@ fn push_gk_edge(
 ) {
     gk_extra.entry(u).or_default().push((v, w));
     gk_extra.entry(v).or_default().push((u, w));
-}
-
-/// Residual graph plus overlay: base `G_k` edges with tombstones applied,
-/// chained with inserted adjacency.
-pub(crate) struct OverlayGk<'a> {
-    base: &'a CsrGraph,
-    overlay: &'a Overlay,
-}
-
-impl GkGraph for OverlayGk<'_> {
-    fn edges_of(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        let alive = !self.overlay.is_deleted(v);
-        let base = (alive && (v as usize) < self.base.num_vertices())
-            .then(|| self.base.edges(v))
-            .into_iter()
-            .flatten();
-        let extra = alive
-            .then(|| self.overlay.gk_extra.get(&v))
-            .flatten()
-            .into_iter()
-            .flat_map(|list| list.iter().copied());
-        base.chain(extra)
-            .filter(|&(u, _)| !self.overlay.is_deleted(u))
-    }
 }
 
 #[cfg(test)]

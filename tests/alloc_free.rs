@@ -141,15 +141,6 @@ fn sessions_answer_queries_without_allocating() {
         count, 0,
         "patched IsLabelSession allocated {count} times over 200 queries"
     );
-    // Outside the armed region: the patched dense path must agree with the
-    // hashmap overlay one-shot path on every audited pair.
-    for &(s, t) in &pairs[..200] {
-        assert_eq!(
-            patched_session.distance(s, t).unwrap(),
-            updated.try_distance(s, t).unwrap(),
-            "patched session vs try_distance ({s}, {t})"
-        );
-    }
     drop(patched_session);
 
     // --- di-IS-LABEL over the symmetrized digraph. ---

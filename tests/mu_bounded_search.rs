@@ -1,43 +1,34 @@
 //! The µ-bounded `G_k` search, driven through public parts.
 //!
-//! `dense_bi_dijkstra` is started from adversarial states — µ0 = ∞, µ0 at,
-//! above and below the true distance, duplicate seeds, one vertex seeded on
-//! both sides, seeds at or beyond µ0 — over every view the sessions hand it
-//! (pristine `DenseCsr`, directed fwd/transposed pair, `PatchedDense`, the
-//! split sections of a mapped artifact) and held to two things: the answer
-//! is `min(µ0, seeded reference distance)`, and a `Meeting::Search(v)`
-//! reconstructs, parent by parent, a real path of exactly that length.
+//! The kernel is started from adversarial states — µ0 = ∞, µ0 at, above and
+//! below the true distance, duplicate seeds, one vertex seeded on both
+//! sides, seeds at or beyond µ0, no seeds at all — over every view the
+//! sessions hand it (pristine `DenseCsr`, directed fwd/transposed pair,
+//! `PatchedDense`, the split sections of a mapped artifact) and held to
+//! three things: the answer is `min(µ0, seeded reference distance)`; the
+//! distance query and the path query (the same loop with parent recording
+//! compiled in) return the same outcome; and a `Meeting::Search(v)` is
+//! justified by the kernel's own parent chains — each step an edge of the
+//! view, the two chains summing to exactly that length.
 //!
 //! The last test pins the exact work counts of fixed query sets, so a kernel
-//! edit that stops pruning fails as a count, not as a noisy timing.
+//! edit that stops pruning, or settles in another order, fails as a count,
+//! not as a noisy timing.
 
 use islabel::core::dense::{
-    dense_bi_dijkstra, DenseCsr, DenseGk, DensePatch, DenseScratch, DenseView, GkIdMap,
-    PatchedDense,
+    dense_bi_dijkstra, dense_search, DenseCsr, DenseGk, DenseParents, DensePatch, DenseScratch,
+    DenseView, GkIdMap, PatchedDense,
 };
 use islabel::core::directed::di_dijkstra_p2p;
 use islabel::core::persist::save_index_to_path;
-use islabel::core::query::{
-    label_bi_dijkstra_directed, label_bi_dijkstra_directed_in, GkGraph, Meeting, SearchParams,
-    SearchScratch, SEED_PARENT,
-};
+use islabel::core::query::Meeting;
 use islabel::core::reference::dijkstra_p2p;
 use islabel::core::MmapIndex;
 use islabel::graph::datasets::{Dataset, Scale};
 use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
-use islabel::graph::{FxHashMap, GraphBuilder};
+use islabel::graph::GraphBuilder;
 use islabel::prelude::*;
 use islabel::store::format::{SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_WEIGHTS};
-
-/// Any dense view as the hashmap kernel's graph, in the same id space, so
-/// the reference kernel's parent pointers describe paths of the view.
-struct AsGk<'a, G>(&'a G);
-
-impl<G: DenseView> GkGraph for AsGk<'_, G> {
-    fn edges_of(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.0.edges_of(v)
-    }
-}
 
 type Seeds = Vec<(u32, Dist)>;
 
@@ -55,39 +46,34 @@ fn seeded_reference(p2p: &dyn Fn(u32, u32) -> Option<Dist>, f: &Seeds, r: &Seeds
     best
 }
 
-/// Length of the parent chain from `m` back to its seed over `view`: the
-/// seed's (smallest) label distance plus the weight of every step, each of
-/// which must be an edge of the view.
-fn chain_length<G: DenseView>(
-    view: &G,
-    parents: &FxHashMap<VertexId, VertexId>,
-    seeds: &Seeds,
-    m: u32,
-) -> Dist {
-    let mut len = 0;
-    let mut cur = m;
-    for _ in 0..=parents.len() {
-        let p = parents[&cur];
-        if p == SEED_PARENT {
-            let seed = seeds.iter().filter(|&&(v, _)| v == cur).map(|&(_, d)| d);
-            return len + seed.min().expect("chain ends at a seed");
-        }
-        let step = view.edges_of(p).filter(|&(u, _)| u == cur).map(|(_, w)| w);
-        len += step.min().expect("parent step is an edge of the view") as Dist;
-        cur = p;
+/// Length of a parent chain (seed first) over `view`: the seed's
+/// (smallest) label distance plus the weight of every step, each of which
+/// must be an edge of the view.
+fn chain_length<G: DenseView>(view: &G, chain: &[u32], seeds: &Seeds) -> Dist {
+    let seed = seeds
+        .iter()
+        .filter(|&&(v, _)| v == chain[0])
+        .map(|&(_, d)| d);
+    let mut len = seed.min().expect("chain starts at a seed");
+    for step in chain.windows(2) {
+        let edge = view.edges_of(step[0]).filter(|&(u, _)| u == step[1]);
+        len += edge
+            .map(|(_, w)| w)
+            .min()
+            .expect("parent step is an edge of the view") as Dist;
     }
-    panic!("parent cycle at {m}");
+    len
 }
 
-/// One start state: both kernels agree, the answer is the seeded
-/// reference capped by µ0, and the meeting explains it.
+/// One start state: the answer is the seeded reference capped by µ0, with
+/// and without parent recording, and the meeting explains it.
 #[allow(clippy::too_many_arguments)]
 fn check_start<G: DenseView>(
     what: &str,
     fwd: &G,
     rev: &G,
     scratch: &mut DenseScratch,
-    sparse: &mut SearchScratch,
+    tracked: &mut DenseScratch<DenseParents>,
     fseeds: &Seeds,
     rseeds: &Seeds,
     reference: Dist,
@@ -99,25 +85,8 @@ fn check_start<G: DenseView>(
     let what = format!("{what} f={fseeds:?} r={rseeds:?} mu0={mu0} ref={reference}");
     assert_eq!(out.dist, mu0.min(reference), "{what}");
 
-    let params = SearchParams {
-        fseeds,
-        rseeds,
-        mu0,
-        mu0_witness: witness,
-        track_paths: true,
-    };
-    let sparse_out = label_bi_dijkstra_directed_in(&AsGk(fwd), &AsGk(rev), params, sparse);
-    assert_eq!(
-        (out.dist, out.meeting, out.settled, out.relaxed, out.pushed),
-        (
-            sparse_out.dist,
-            sparse_out.meeting,
-            sparse_out.settled,
-            sparse_out.relaxed,
-            sparse_out.pushed
-        ),
-        "{what}"
-    );
+    let with_parents = dense_search(fwd, rev, fseeds, rseeds, mu0, witness, tracked);
+    assert_eq!(out, with_parents, "{what}");
     assert!(out.pushed <= out.relaxed + fseeds.len() + rseeds.len());
 
     match out.meeting {
@@ -128,10 +97,10 @@ fn check_start<G: DenseView>(
         }
         Meeting::Search(m) => {
             assert!(reference < mu0, "{what}");
-            let res = label_bi_dijkstra_directed(&AsGk(fwd), &AsGk(rev), params);
-            assert_eq!(res.meeting, out.meeting, "{what}");
-            let path = chain_length(fwd, &res.parents_f, fseeds, m)
-                + chain_length(rev, &res.parents_r, rseeds, m);
+            let parents = tracked.parents();
+            let fchain = parents.chain(true, m).expect("forward side reached m");
+            let rchain = parents.chain(false, m).expect("reverse side reached m");
+            let path = chain_length(fwd, &fchain, fseeds) + chain_length(rev, &rchain, rseeds);
             assert_eq!(path, out.dist, "{what}: path through {m}");
         }
     }
@@ -142,11 +111,11 @@ fn check_start<G: DenseView>(
 fn check_view<G: DenseView>(what: &str, fwd: &G, rev: &G, p2p: &dyn Fn(u32, u32) -> Option<Dist>) {
     let m = fwd.num_vertices() as u32;
     let mut scratch = DenseScratch::new(m as usize);
-    let mut sparse = SearchScratch::new();
+    let mut tracked = DenseScratch::with_parents(m as usize);
     for i in 0..24u32 {
         let (s, t) = ((i * 37 + 1) % m, (i * 101 + 17) % m);
         let (s2, t2, x) = ((s + 5) % m, (t + 9) % m, (i * 53 + 29) % m);
-        let seed_sets: [(Seeds, Seeds); 5] = [
+        let seed_sets: [(Seeds, Seeds); 7] = [
             // Plain point-to-point.
             (vec![(s, 0)], vec![(t, 0)]),
             // Several seeds a side, like a label's G_k entries.
@@ -157,6 +126,10 @@ fn check_view<G: DenseView>(what: &str, fwd: &G, rev: &G, p2p: &dyn Fn(u32, u32)
             (vec![(s, 0), (x, 2)], vec![(x, 3), (t, 0)]),
             // A seed far beyond any µ0 tried below.
             (vec![(s2, 1_000_000), (s, 1)], vec![(t, 0), (t2, 1_000_000)]),
+            // No G_k entry in one label, or in either: Equation 1 alone
+            // answers (µ0 = ∞ included, which must come back as no path).
+            (vec![], vec![(t, 0)]),
+            (vec![], vec![]),
         ];
         for (fseeds, rseeds) in &seed_sets {
             let reference = seeded_reference(p2p, fseeds, rseeds);
@@ -171,7 +144,7 @@ fn check_view<G: DenseView>(what: &str, fwd: &G, rev: &G, p2p: &dyn Fn(u32, u32)
                     fwd,
                     rev,
                     &mut scratch,
-                    &mut sparse,
+                    &mut tracked,
                     fseeds,
                     rseeds,
                     reference,
@@ -348,35 +321,68 @@ fn mapped_view_from_adversarial_starts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs `pairs` through a fresh session and returns the trace's
+/// Runs `pairs` through `session` and returns its trace's
 /// `(settled, relaxed, pushed)` totals.
-fn work_totals(index: &IsLabelIndex, n: u32, pairs: u32) -> (u64, u64, u64) {
-    let mut session = index.session();
+fn work_totals(mut session: impl QuerySession, n: u32, pairs: u32) -> (u64, u64, u64) {
     for i in 0..pairs {
         let (s, t) = ((i * 97 + 3) % n, (i * 131 + 50) % n);
         session.distance(s, t).unwrap();
     }
-    let trace = QuerySession::trace(&session).unwrap();
+    let trace = session.trace().unwrap();
     (trace.settled, trace.relaxed, trace.pushed)
 }
 
 #[test]
 fn search_work_counts_are_pinned() {
-    // Exact (settled, relaxed, pushed) totals of two fixed query sets. With
+    // Exact (settled, relaxed, pushed) totals of fixed query sets. With
     // the relaxation bound taken out of the kernel the first two counts of
     // each stay as they are — the bound changes no settle — and `pushed`
     // reads 85 604 on Web-like and 406 893 on BA.
     let web = Dataset::WebLike.generate(Scale::Small);
     let index = IsLabelIndex::build(&web, BuildConfig::default());
     assert_eq!(
-        work_totals(&index, web.num_vertices() as u32, 500),
+        work_totals(index.session(), web.num_vertices() as u32, 500),
         WEB_TOTALS
     );
 
     let ba = barabasi_albert(3_000, 4, WeightModel::UniformRange(1, 5), 17);
-    let index = IsLabelIndex::build(&ba, BuildConfig::default());
-    assert_eq!(work_totals(&index, 3_000, 500), BA_TOTALS);
+    let mut index = IsLabelIndex::build(&ba, BuildConfig::default());
+    assert_eq!(work_totals(index.session(), 3_000, 500), BA_TOTALS);
+
+    // The same index carrying updates: the patched view. Edges and
+    // vertices land on peeled and residual endpoints alike; deletions name
+    // `G_k` members only, which keeps the index exact (not stale).
+    for i in 0..40u32 {
+        let (a, b) = ((i * 37 + 1) % 3_000, (i * 53 + 400) % 3_000);
+        index.insert_edge(a, b, i % 5 + 1);
+    }
+    for i in 0..10u32 {
+        index.insert_vertex(&[((i * 97 + 3) % 3_000, 2), ((i * 61 + 700) % 3_000, 4)]);
+    }
+    for i in 0..8usize {
+        let v = index.hierarchy().gk_members()[i * 5 + 2];
+        index.delete_vertex(v);
+    }
+    assert!(index.has_updates() && !index.is_stale());
+    assert_eq!(work_totals(index.session(), 3_010, 500), PATCHED_BA_TOTALS);
+
+    let grid = grid2d(60, 60, WeightModel::UniformRange(1, 10), 7);
+    let index = IsLabelIndex::build(&grid, BuildConfig::default());
+    assert_eq!(work_totals(index.session(), 3_600, 300), GRID_TOTALS);
+
+    let mut arcs = DigraphBuilder::new(3_000);
+    for (u, v, w) in ba.edge_list() {
+        arcs.add_arc(u, v, w);
+        if (u + v) % 3 != 0 {
+            arcs.add_arc(v, u, w + 1);
+        }
+    }
+    let index = DiIsLabelIndex::build(&arcs.build(), BuildConfig::default());
+    assert_eq!(work_totals(index.session(), 3_000, 500), DIRECTED_TOTALS);
 }
 
 const WEB_TOTALS: (u64, u64, u64) = (4_732, 163_182, 27_706);
 const BA_TOTALS: (u64, u64, u64) = (16_231, 576_188, 99_306);
+const PATCHED_BA_TOTALS: (u64, u64, u64) = (18_788, 608_796, 111_504);
+const GRID_TOTALS: (u64, u64, u64) = (136_835, 1_923_543, 291_719);
+const DIRECTED_TOTALS: (u64, u64, u64) = (18_633, 523_924, 99_711);

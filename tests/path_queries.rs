@@ -79,3 +79,70 @@ fn path_hop_counts_match_bfs_on_unweighted_graphs() {
         assert_eq!(p.num_edges() as u64, bfs[t as usize], "target {t}");
     }
 }
+
+/// The query pairs `check_paths` walks.
+fn pairs(n: usize, queries: usize) -> impl Iterator<Item = (VertexId, VertexId)> {
+    (0..queries).map(move |i| {
+        (
+            ((i * 2654435761) % n) as VertexId,
+            ((i * 97 + 13) % n) as VertexId,
+        )
+    })
+}
+
+/// Graphs whose two-level hierarchy (one peeled independent set) leaves
+/// most vertices in `G_k`, with narrow weight ranges so equally short
+/// paths abound.
+fn wide_gk_graphs() -> [(&'static str, CsrGraph); 2] {
+    [
+        (
+            "grid30",
+            grid2d(30, 30, WeightModel::UniformRange(1, 3), 11),
+        ),
+        (
+            "ba600",
+            barabasi_albert(600, 3, WeightModel::UniformRange(1, 4), 19),
+        ),
+    ]
+}
+
+#[test]
+fn paths_meeting_inside_gk() {
+    // With k = 2 the optimum is found by the `G_k` search far more often
+    // than by Equation 1, so reconstruction walks the search's parent
+    // chains on both sides of the meeting vertex instead of label hops.
+    for (tag, g) in wide_gk_graphs() {
+        let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(2));
+        let by_search = pairs(g.num_vertices(), 120)
+            .filter(|&(s, t)| index.query(s, t).answered_by_search)
+            .count();
+        assert!(by_search >= 96, "{tag}: {by_search}/120 met in G_k");
+        check_paths(&g, BuildConfig::fixed_k(2), 120, tag);
+    }
+}
+
+#[test]
+fn path_vertex_sequences_are_pinned() {
+    // FNV-1a over every vertex of every path of a fixed pair set. Which of
+    // several equally short paths comes back is decided by the search's
+    // relax and pop order, so this pins the order itself: the value was
+    // taken before path queries moved onto the dense kernel.
+    let [(_, grid), (_, ba)] = wide_gk_graphs();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| hash = (hash ^ word).wrapping_mul(0x0100_0000_01b3);
+    for (g, config) in [
+        (&grid, BuildConfig::fixed_k(2)),
+        (&ba, BuildConfig::fixed_k(2)),
+        (&ba, BuildConfig::default()),
+    ] {
+        let index = IsLabelIndex::build(g, config);
+        for (s, t) in pairs(g.num_vertices(), 150) {
+            let path = index.shortest_path(s, t).expect("connected");
+            path.vertices.iter().for_each(|&v| mix(v as u64));
+            mix(u64::MAX);
+        }
+    }
+    assert_eq!(hash, PATH_CHECKSUM);
+}
+
+const PATH_CHECKSUM: u64 = 2_028_400_663_044_672_045;
