@@ -133,6 +133,8 @@ pub struct DistanceClient {
     stashed: HashMap<u64, Response>,
     max_frame_bytes: u32,
     frame: Vec<u8>,
+    /// The request being encoded by `send`, reused across calls.
+    outgoing: Vec<u8>,
 }
 
 impl DistanceClient {
@@ -188,6 +190,7 @@ impl DistanceClient {
             stashed: HashMap::new(),
             max_frame_bytes,
             frame: Vec::new(),
+            outgoing: Vec::new(),
         })
     }
 
@@ -211,19 +214,26 @@ impl DistanceClient {
     /// A request that would exceed the frame cap is rejected locally with
     /// [`NetError::FrameTooLarge`] — sending it would only get the
     /// connection closed by the server's prefix check.
+    ///
+    /// The pipeline is a **window**, not a queue: the server answers on
+    /// the thread that reads, so it stops reading once the responses
+    /// nobody collects fill the socket buffers, and closes the connection
+    /// after its `write_timeout`. Keep a bounded number of requests in
+    /// flight and [`recv`](DistanceClient::recv) as you go.
     pub fn send(&mut self, request: &Request) -> Result<u64, NetError> {
-        let framed =
-            protocol::encode_framed(|out| protocol::encode_request(self.next_id, request, out));
-        let body_len = framed.len() - 4;
+        let id = self.next_id;
+        self.outgoing.clear();
+        let body_len = protocol::append_framed(&mut self.outgoing, |out| {
+            protocol::encode_request(id, request, out)
+        });
         if body_len > self.max_frame_bytes as usize {
             return Err(NetError::FrameTooLarge {
                 len: body_len as u32,
                 max: self.max_frame_bytes,
             });
         }
-        let id = self.next_id;
         self.next_id += 1;
-        self.writer.write_all(&framed)?;
+        self.writer.write_all(&self.outgoing)?;
         Ok(id)
     }
 

@@ -18,14 +18,15 @@
 //!   `Reload`/`Shutdown` opcodes; stable error codes that round-trip
 //!   [`QueryError`](islabel_core::QueryError)). Pure functions over byte
 //!   buffers, panic-free on adversarial input.
-//! * [`DistanceServer`] — an acceptor thread plus one reader/writer
-//!   thread pair per connection. Connections are **pipelined**: the
-//!   reader decodes and answers frames while the writer streams earlier
-//!   responses back, each tagged with its request id, so one connection
-//!   keeps many requests in flight. Queries answer through a pinned
-//!   [`Snapshot`](islabel_core::Snapshot) session that refreshes when a
-//!   hot swap is observed — a wire-triggered `Reload` behaves exactly
-//!   like [`OracleHandle::swap`](islabel_core::OracleHandle::swap):
+//! * [`DistanceServer`] — an acceptor thread plus one thread per
+//!   connection, which reads a burst of frames, answers each and writes
+//!   the responses back — each tagged with its request id, in request
+//!   order — before it waits for more input. Connections are
+//!   **pipelined**: one connection keeps a window of requests in flight
+//!   and a burst costs one `recv` and one `send`. Queries answer through
+//!   a pinned [`Snapshot`](islabel_core::Snapshot) session that refreshes
+//!   when a hot swap is observed — a wire-triggered `Reload` behaves
+//!   exactly like [`OracleHandle::swap`](islabel_core::OracleHandle::swap):
 //!   in-flight frames finish on their pinned generation.
 //! * [`DistanceClient`] / [`ClientPool`] — a blocking client with
 //!   request-id correlation (sync conveniences plus raw `send`/`recv`

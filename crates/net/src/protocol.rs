@@ -881,20 +881,22 @@ pub fn encode_frame(body: &[u8], out: &mut impl BufMut) {
     out.put_slice(body);
 }
 
-/// Builds a full frame by encoding the body in place after a length
-/// placeholder and patching the prefix — one buffer, no body copy. The
-/// single definition of the prefix layout both halves of the connection
-/// use on their hot paths.
-pub fn encode_framed(encode_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut framed = vec![0u8; 4];
-    encode_body(&mut framed);
-    let len = (framed.len() - 4) as u32;
-    // The placeholder prefix always exists — the buffer starts at 4 bytes
-    // and `encode_body` only appends.
-    if let Some(prefix) = framed.get_mut(..4) {
-        prefix.copy_from_slice(&len.to_le_bytes());
+/// Appends a full frame to `out`: a length placeholder, the body
+/// `encode_body` writes after it, then the prefix patched in place — no
+/// buffer per frame, no body copy. Returns the body length. The single
+/// definition of the prefix layout both halves of the connection use on
+/// their hot paths.
+pub fn append_framed(out: &mut Vec<u8>, encode_body: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    encode_body(out);
+    let len = out.len().saturating_sub(at + 4);
+    // The placeholder always exists — it was appended above and
+    // `encode_body` only appends after it.
+    if let Some(prefix) = out.get_mut(at..at + 4) {
+        prefix.copy_from_slice(&(len as u32).to_le_bytes());
     }
-    framed
+    len
 }
 
 /// Why [`read_frame`] stopped without producing a frame.
@@ -1288,5 +1290,21 @@ mod tests {
             read_frame(&mut r, 64, &mut buf),
             Err(FrameReadError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
         ));
+    }
+
+    #[test]
+    fn appended_frames_match_the_copying_encoder() {
+        // Two frames appended behind bytes already in the buffer: each
+        // prefix is patched at its own offset, nothing before it moves.
+        let mut out = b"kept".to_vec();
+        let mut want = out.clone();
+        for (id, req) in [(1, Request::Ping), (2, Request::Query { s: 3, t: 9 })] {
+            let mut body = Vec::new();
+            encode_request(id, &req, &mut body);
+            encode_frame(&body, &mut want);
+            let len = append_framed(&mut out, |out| encode_request(id, &req, out));
+            assert_eq!(len, body.len());
+        }
+        assert_eq!(out, want);
     }
 }

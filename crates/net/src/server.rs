@@ -1,20 +1,30 @@
 //! [`DistanceServer`]: the TCP front of the serving stack.
 //!
-//! One acceptor thread plus a reader/writer thread pair per connection.
-//! The reader decodes request frames and answers them through a
+//! One acceptor thread plus **one thread per connection**, which owns a
+//! request from `recv` to `send`: it parses request frames out of a
+//! connection-owned input buffer, answers each through a
 //! [`QuerySession`](islabel_core::QuerySession) pinned to the current
-//! [`Snapshot`]; the writer streams encoded responses back, each tagged
-//! with the request id it answers — so a connection is a **pipeline**:
-//! the client may have any number of requests in flight and responses
-//! arrive in processing order, correlated by id, while TCP backpressure
-//! (a bounded write queue) bounds per-connection memory.
+//! [`Snapshot`], and appends the encoded response — tagged with the
+//! request id it answers — to a connection-owned output buffer. One rule
+//! moves that buffer onto the socket: **a connection never waits for
+//! input while it holds unwritten output** (and never holds more than a
+//! fixed flush size of it). So a depth-1 request costs one `recv`, one
+//! `send` and no thread wake-up; a pipelined burst that arrived together
+//! is answered with one `send`; and a client whose next frame is only
+//! half-arrived still gets the replies to the frames before it. A
+//! connection is a **pipeline**: the client may have a window of requests
+//! in flight and responses arrive in request order, correlated by id.
+//! Backpressure is the kernel's socket buffer: a client that stops
+//! reading stalls only its own connection's thread, for at most
+//! [`NetConfig::write_timeout`], and is then closed. See
+//! `docs/adr/0004-one-thread-per-connection.md`.
 //!
-//! Hot swap semantics mirror `QueryService`: after every frame the reader
-//! compares its pinned generation with the shared [`OracleHandle`]; when
-//! a swap (e.g. a wire-triggered `Reload` or `Compact`) has landed, it
-//! re-pins and opens a fresh session, and the frame being processed when
-//! the swap hit finishes on the generation it pinned. Idle connections
-//! re-pin too: the reader's socket read runs under
+//! Hot swap semantics mirror `QueryService`: after every frame the
+//! connection compares its pinned generation with the shared
+//! [`OracleHandle`]; when a swap (e.g. a wire-triggered `Reload` or
+//! `Compact`) has landed, it re-pins and opens a fresh session, and the
+//! frame being processed when the swap hit finishes on the generation it
+//! pinned. Idle connections re-pin too: the socket read runs under
 //! [`NetConfig::idle_tick`], and a timeout that fires *between* frames
 //! checks the handle generation and drops a retired pin — a silent
 //! connection no longer keeps an old index's memory alive beyond one
@@ -41,9 +51,9 @@ use crate::protocol::{
 };
 use islabel_core::persist::try_load_oracle_from_path;
 use islabel_core::snapshot::{OracleHandle, SharedOracle, Snapshot};
-use islabel_serve::{AtomicLatencyHistogram, LatencyHistogram, RebuildCoordinator};
-use std::collections::VecDeque;
-use std::io::{Read, Write};
+use islabel_obs::{AtomicLatencyHistogram, LatencyHistogram};
+use islabel_serve::RebuildCoordinator;
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -61,16 +71,14 @@ pub struct NetConfig {
     pub max_batch_pairs: usize,
     /// Cap on simultaneously open connections; excess accepts are dropped.
     pub max_connections: usize,
-    /// Bound of each connection's outbound response queue, in frames.
-    /// When the client reads too slowly the reader blocks here —
-    /// backpressure instead of unbounded buffering.
-    pub write_queue_frames: usize,
     /// Whether the admin `Reload` opcode is honored; when `false` it is
     /// answered with `ReloadFailed` even for token-bearing connections.
     pub allow_reload: bool,
-    /// Socket write timeout per connection. Bounds how long a client that
-    /// stops *reading* can stall its writer thread — and therefore how
-    /// long [`DistanceServer::shutdown`] can block on such a client.
+    /// The peer-stall bound, per connection: how long a peer that stops
+    /// *reading* — or never finishes its hello — can hold its connection
+    /// thread (it is the socket write timeout, and the read timeout of
+    /// the handshake) before the connection is closed, and therefore how
+    /// long [`DistanceServer::shutdown`] can block on such a peer.
     /// `None` disables the bound (not recommended).
     pub write_timeout: Option<Duration>,
     /// Shared secret gating the admin opcodes (`Reload`, `Shutdown`,
@@ -80,7 +88,7 @@ pub struct NetConfig {
     /// matching earlier builds.
     pub admin_token: Option<String>,
     /// Read timeout of the per-connection frame loop. A timeout between
-    /// frames is an idle housekeeping tick — the reader re-checks the
+    /// frames is an idle housekeeping tick — the connection re-checks the
     /// snapshot generation and releases a retired pin — not an error.
     /// `None` blocks forever (idle connections then pin retired snapshots
     /// until they next speak).
@@ -93,7 +101,6 @@ impl Default for NetConfig {
             max_frame_bytes: protocol::DEFAULT_MAX_FRAME_BYTES,
             max_batch_pairs: 65_536,
             max_connections: 1024,
-            write_queue_frames: 1024,
             allow_reload: true,
             write_timeout: Some(Duration::from_secs(30)),
             admin_token: None,
@@ -103,7 +110,7 @@ impl Default for NetConfig {
 }
 
 /// Monotonic server-wide counters (relaxed atomics, written by the
-/// connection readers).
+/// connection threads).
 struct NetCounters {
     connections_total: AtomicU64,
     connections_active: AtomicU64,
@@ -111,6 +118,7 @@ struct NetCounters {
     queries: AtomicU64,
     batches: AtomicU64,
     errors: AtomicU64,
+    flushes: AtomicU64,
     latency: AtomicLatencyHistogram,
     started: Instant,
 }
@@ -124,6 +132,7 @@ impl NetCounters {
             queries: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            flushes: AtomicU64::new(0),
             latency: AtomicLatencyHistogram::new(),
             started: Instant::now(),
         }
@@ -145,88 +154,13 @@ pub struct ServerStats {
     pub batches: u64,
     /// Error responses sent.
     pub errors: u64,
+    /// Socket writes issued by connection threads; `frames / flushes` is
+    /// the coalescing factor (1.0 when every request is sent alone).
+    pub flushes: u64,
     /// Time since the server started.
     pub uptime: Duration,
     /// Per-query service-time distribution (p50/p99 accessors).
     pub latency: LatencyHistogram,
-}
-
-/// Bounded per-connection queue of encoded response frames, reader →
-/// writer.
-struct WriteQueue {
-    state: Mutex<WriteQueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-struct WriteQueueState {
-    frames: VecDeque<Vec<u8>>,
-    closed: bool,
-}
-
-impl WriteQueue {
-    fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(WriteQueueState {
-                frames: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks while full; `false` once the writer has gone away.
-    fn push(&self, frame: Vec<u8>) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if st.closed {
-                return false;
-            }
-            if st.frames.len() < self.capacity {
-                st.frames.push_back(frame);
-                self.not_empty.notify_one();
-                return true;
-            }
-            st = self.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Blocks until a frame is available; `None` once closed *and*
-    /// drained, so every accepted response is written before the writer
-    /// exits.
-    fn pop(&self) -> Option<Vec<u8>> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(f) = st.frames.pop_front() {
-                self.not_full.notify_one();
-                return Some(f);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Non-blocking pop, used by the writer to batch before flushing.
-    fn try_pop(&self) -> Option<Vec<u8>> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let f = st.frames.pop_front();
-        if f.is_some() {
-            self.not_full.notify_one();
-        }
-        f
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
 }
 
 /// State shared by the acceptor, the connections and the owning handle.
@@ -239,7 +173,7 @@ struct ServerShared {
     /// `CompactFailed`.
     coordinator: Mutex<Option<Arc<RebuildCoordinator>>>,
     shutting_down: AtomicBool,
-    /// Set with the signal below; readers check it per frame and refuse
+    /// Set with the signal below; connections check it per frame and refuse
     /// queries with `ShuttingDown` once a drain has been requested.
     draining: AtomicBool,
     /// Signaled when a wire `Shutdown` (or `request_shutdown`) asks the
@@ -378,6 +312,8 @@ impl DistanceServer {
             queries: c.queries.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
+            // ordering: Relaxed — same counter discipline.
+            flushes: c.flushes.load(Ordering::Relaxed),
             uptime: c.started.elapsed(),
             latency: c.latency.snapshot(),
         }
@@ -403,8 +339,9 @@ impl DistanceServer {
     }
 
     /// Graceful shutdown: stop accepting, close every connection's read
-    /// side, let readers finish the frames they already received, flush
-    /// writers, join everything, and return the final stats.
+    /// side, let each connection answer the frames it already received
+    /// and write those answers out, join everything, and return the final
+    /// stats.
     pub fn shutdown(mut self) -> ServerStats {
         self.close_and_join();
         self.stats()
@@ -425,11 +362,11 @@ impl DistanceServer {
         }
         let mut conns = self.conns.lock().unwrap_or_else(|e| e.into_inner());
         for conn in conns.iter_mut() {
-            // Read side only: the reader wakes with EOF, stops taking
-            // frames, and the writer still drains queued responses (e.g.
-            // a just-pushed ShutdownAck) to well-behaved clients. The
-            // write side stays bounded by `NetConfig::write_timeout`, so
-            // a client that stopped reading cannot wedge this join.
+            // Read side only: the connection answers what it already
+            // received, writes that out (it flushes before every read),
+            // then reads EOF and exits. The write side stays bounded by
+            // `NetConfig::write_timeout`, so a client that stopped
+            // reading cannot wedge this join.
             let _ = conn.stream.shutdown(Shutdown::Read);
             if let Some(reader) = conn.reader.take() {
                 // lint:allow(panic, re-raising a reader thread's panic at join keeps connection bugs loud instead of swallowed)
@@ -531,12 +468,15 @@ fn accept_loop(
     }
 }
 
-/// Everything one connection does, on its reader thread: handshake, spawn
-/// the writer, answer frames until EOF / fatal framing error / shutdown
-/// opcode, then drain the writer and exit.
+/// Everything one connection does, on its own thread: handshake, then
+/// answer frames until EOF / fatal framing error / shutdown opcode.
 fn connection_loop(mut stream: TcpStream, shared: &Arc<ServerShared>) {
     let _ = stream.set_nodelay(true);
+    // One bound for a peer that stalls us: it times out the writes, and
+    // the reads of the handshake — a socket that connects and never says
+    // hello must not hold a connection slot for ever.
     let _ = stream.set_write_timeout(shared.config.write_timeout);
+    let _ = stream.set_read_timeout(shared.config.write_timeout);
     run_connection(&mut stream, shared);
     // Socket-level shutdown on *every* exit path (including handshake
     // rejections): the acceptor's registry holds a clone of this stream,
@@ -582,68 +522,107 @@ fn run_connection(stream: &mut TcpStream, shared: &Arc<ServerShared>) {
         None => true,
         Some(expected) => token == expected.as_bytes(),
     };
-    // Only now arm the idle tick: the handshake itself should block
-    // normally, but the frame loop's reads wake periodically so an idle
+    // The handshake is over: from here a silent peer is idle, not
+    // stalled, and the frame loop's reads wake periodically so an idle
     // connection can release a retired snapshot pin.
     let _ = stream.set_read_timeout(shared.config.idle_tick);
+    serve_frames(stream, shared, authed);
+}
 
-    let queue = Arc::new(WriteQueue::new(shared.config.write_queue_frames));
-    let writer = {
-        let queue = Arc::clone(&queue);
-        let stream = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        std::thread::Builder::new()
-            .name("islabel-net-write".into())
-            .spawn(move || writer_loop(stream, &queue))
-            // lint:allow(panic, OS refusing to spawn the writer half means resource exhaustion — failing loudly beats a silently half-duplex connection)
-            .expect("spawn connection writer")
-    };
+/// Responses are written out once this many bytes of them are pending, so
+/// a long pipelined burst streams instead of accumulating, and a larger
+/// buffer is not kept after it has been written.
+const FLUSH_BYTES: usize = 64 * 1024;
 
-    serve_frames(stream, shared, &queue, authed);
+/// One connection's socket with its pending output. Reading through it
+/// writes that output first, which is all of the flow control there is:
+/// the connection **never waits for input while it holds unwritten
+/// output**, so no reply is ever stuck behind a frame that has not
+/// arrived, and a burst parsed out of one `recv` leaves in one `send`.
+struct Wire<'a> {
+    stream: &'a TcpStream,
+    out: Vec<u8>,
+    counters: &'a NetCounters,
+}
 
-    // Drain: the writer flushes everything queued, then exits.
-    queue.close();
-    // lint:allow(panic, re-raising the writer thread's panic keeps connection bugs loud instead of swallowed)
-    writer.join().expect("connection writer panicked");
+impl Wire<'_> {
+    /// Writes the pending output out. An error — the peer is gone, or
+    /// stopped reading for `write_timeout` — leaves an unknown prefix on
+    /// the wire, so the caller must drop the connection.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        // ordering: Relaxed — independent monotonic counter.
+        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
+        let mut stream = self.stream;
+        let written = stream.write_all(&self.out);
+        self.out.clear();
+        // One 512 KiB `Batch`/`Metrics` reply must not pin that much for
+        // the life of the connection.
+        self.out.shrink_to(FLUSH_BYTES);
+        written
+    }
+
+    /// Appends one response frame; `false` once the socket has refused
+    /// output (client gone).
+    fn respond(&mut self, id: u64, resp: &Response) -> bool {
+        if matches!(resp, Response::Error(_)) {
+            // ordering: Relaxed — independent monotonic counter.
+            self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        protocol::append_framed(&mut self.out, |out| {
+            protocol::encode_response(id, resp, out)
+        });
+        self.out.len() < FLUSH_BYTES || self.flush().is_ok()
+    }
+}
+
+impl Read for Wire<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        // A write that timed out must not read as the *read* timing out:
+        // between frames that is an idle tick, and the loop would carry
+        // on over a torn stream.
+        self.flush()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::BrokenPipe, e))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
 }
 
 /// The frame loop: pin a snapshot, answer frames through one session,
 /// re-pin when a hot swap is observed between frames — or, for an idle
 /// connection, when the read-timeout tick notices a retired pin.
-fn serve_frames(
-    stream: &mut TcpStream,
-    shared: &Arc<ServerShared>,
-    queue: &WriteQueue,
-    authed: bool,
-) {
+fn serve_frames(stream: &TcpStream, shared: &Arc<ServerShared>, authed: bool) {
     let mut frame = Vec::new();
-    let respond = |id: u64, resp: &Response| -> bool {
-        if matches!(resp, Response::Error(_)) {
-            // ordering: Relaxed — independent monotonic counter.
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        queue.push(protocol::encode_framed(|out| {
-            protocol::encode_response(id, resp, out)
-        }))
-    };
+    // One `recv` per burst: frames are parsed out of the buffered reader,
+    // which goes back to the socket (through `Wire::read`, so after the
+    // pending replies have left) only when it holds no whole frame.
+    let mut conn = BufReader::new(Wire {
+        stream,
+        out: Vec::new(),
+        counters: &shared.counters,
+    });
     'pin: loop {
         let pinned = shared.handle.load();
         let mut session = pinned.session();
         loop {
-            match protocol::read_frame(stream, shared.config.max_frame_bytes, &mut frame) {
+            match protocol::read_frame(&mut conn, shared.config.max_frame_bytes, &mut frame) {
                 Ok(true) => {}
-                Ok(false) => return, // clean close
+                // Clean close. Like every exit on a read, it leaves
+                // nothing unwritten: the read flushed first.
+                Ok(false) => return,
                 Err(FrameReadError::Oversized { len, max }) => {
                     // The stream cannot be resynchronized past a lying
                     // prefix: answer (id unknowable) and close.
-                    respond(
+                    let wire = conn.get_mut();
+                    wire.respond(
                         0,
                         &Response::Error(WireError::TooLarge {
                             message: format!("frame length {len} exceeds cap {max}"),
                         }),
                     );
+                    let _ = wire.flush();
                     return;
                 }
                 Err(FrameReadError::IdleTimeout) => {
@@ -666,7 +645,7 @@ fn serve_frames(
                 Err(e) => {
                     // Frame-scoped failure: answer it, keep the connection.
                     let id = protocol::decode_request_id(&frame).unwrap_or(0);
-                    if !respond(
+                    if !conn.get_mut().respond(
                         id,
                         &Response::Error(WireError::Malformed {
                             message: e.to_string(),
@@ -849,10 +828,13 @@ fn serve_frames(
                     Response::ShutdownAck
                 }
             };
-            if !respond(id, &response) {
-                return; // writer died (client gone)
+            if !conn.get_mut().respond(id, &response) {
+                return;
             }
             if shutdown_after {
+                // The ack is on the wire before the teardown it
+                // acknowledges can start.
+                let _ = conn.get_mut().flush();
                 shared.signal_shutdown();
                 return;
             }
@@ -873,12 +855,12 @@ fn serve_frames(
 fn register_net_metrics(shared: &Arc<ServerShared>) {
     use islabel_obs::names::{
         METRIC_NET_BATCHES_TOTAL, METRIC_NET_CONNECTIONS_ACTIVE, METRIC_NET_CONNECTIONS_TOTAL,
-        METRIC_NET_ERRORS_TOTAL, METRIC_NET_FRAMES_TOTAL, METRIC_NET_QUERIES_TOTAL,
-        METRIC_NET_QUERY_LATENCY_SECONDS, METRIC_NET_SNAPSHOT_GENERATION,
+        METRIC_NET_ERRORS_TOTAL, METRIC_NET_FLUSHES_TOTAL, METRIC_NET_FRAMES_TOTAL,
+        METRIC_NET_QUERIES_TOTAL, METRIC_NET_QUERY_LATENCY_SECONDS, METRIC_NET_SNAPSHOT_GENERATION,
     };
     let registry = islabel_obs::Registry::global();
     type Pick = fn(&NetCounters) -> &AtomicU64;
-    let counters: [(&'static str, &'static str, Pick); 5] = [
+    let counters: [(&'static str, &'static str, Pick); 6] = [
         (
             METRIC_NET_CONNECTIONS_TOTAL,
             "Connections accepted since the server started.",
@@ -903,6 +885,11 @@ fn register_net_metrics(shared: &Arc<ServerShared>) {
             METRIC_NET_ERRORS_TOTAL,
             "Error responses sent over the wire.",
             |c| &c.errors,
+        ),
+        (
+            METRIC_NET_FLUSHES_TOTAL,
+            "Socket writes issued by connection threads (frames / flushes = coalescing factor).",
+            |c| &c.flushes,
         ),
     ];
     for (name, help, pick) in counters {
@@ -967,34 +954,32 @@ fn wire_stats(shared: &ServerShared, pinned: &Snapshot) -> WireStats {
     }
 }
 
-/// The writer half: stream queued response frames out, flushing whenever
-/// the queue momentarily empties (so pipelined bursts coalesce into few
-/// syscalls but a lone response never waits).
-fn writer_loop(stream: TcpStream, queue: &WriteQueue) {
-    let mut out = std::io::BufWriter::new(stream);
-    while let Some(frame) = queue.pop() {
-        if out.write_all(&frame).is_err() {
-            break;
-        }
-        loop {
-            match queue.try_pop() {
-                Some(next) => {
-                    if out.write_all(&next).is_err() {
-                        queue.close();
-                        return;
-                    }
-                }
-                None => {
-                    if out.flush().is_err() {
-                        queue.close();
-                        return;
-                    }
-                    break;
-                }
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A flush that times out while the connection sits between frames
+    /// must end it. Surfacing the write's `WouldBlock` from the read would
+    /// make it an idle tick, and the loop would carry on over a stream
+    /// with half a reply on it.
+    #[test]
+    fn stalled_write_is_not_an_idle_tick() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _never_reads = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let counters = NetCounters::new();
+        let mut wire = Wire {
+            stream: &stream,
+            out: vec![0; 32 << 20], // more than the socket buffers take
+            counters: &counters,
+        };
+        let mut frame = Vec::new();
+        assert!(matches!(
+            protocol::read_frame(&mut wire, 64, &mut frame),
+            Err(FrameReadError::Io(_))
+        ));
     }
-    // Unblock a reader stuck pushing after a write error.
-    queue.close();
-    let _ = out.flush();
 }

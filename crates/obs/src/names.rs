@@ -44,6 +44,9 @@ pub const METRIC_NET_QUERIES_TOTAL: &str = "islabel_net_queries_total";
 pub const METRIC_NET_BATCHES_TOTAL: &str = "islabel_net_batches_total";
 /// Error responses sent over the wire.
 pub const METRIC_NET_ERRORS_TOTAL: &str = "islabel_net_errors_total";
+/// Socket writes issued by connection threads; frames / flushes is the
+/// coalescing factor (1.0 when every request is sent alone).
+pub const METRIC_NET_FLUSHES_TOTAL: &str = "islabel_net_flushes_total";
 /// Per-query service-time distribution inside the network server.
 pub const METRIC_NET_QUERY_LATENCY_SECONDS: &str = "islabel_net_query_latency_seconds";
 /// Snapshot generation (hot-swap version) the server currently serves.

@@ -63,6 +63,7 @@ pub use rebuild::{CompactError, CompactStats, RebuildCoordinator};
 use islabel_core::snapshot::{OracleHandle, SharedOracle, Snapshot};
 use islabel_core::{DistanceOracle, QueryError, QuerySession};
 use islabel_graph::{Dist, VertexId};
+use islabel_obs::{AtomicLatencyHistogram, LatencyHistogram};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -249,13 +250,6 @@ impl ShardQueue {
         self.not_full.notify_all();
     }
 }
-
-// The latency histogram lived here through PR 9; PR 10 promoted it into
-// the zero-dependency `islabel-obs` crate so the network server, the
-// registry exposition, and this worker pool share one implementation.
-// Re-exported for compatibility (islabel-net and the integration suites
-// import it from here).
-pub use islabel_obs::{AtomicLatencyHistogram, LatencyHistogram, LATENCY_BUCKETS};
 
 /// Monotonic per-shard counters, written by the worker with relaxed
 /// atomics.
@@ -709,6 +703,7 @@ mod tests {
     use islabel_core::{BuildConfig, IsLabelIndex};
     use islabel_graph::generators::{erdos_renyi_gnm, WeightModel};
     use islabel_graph::{CsrGraph, GraphBuilder};
+    use islabel_obs::LATENCY_BUCKETS;
 
     fn test_graph() -> CsrGraph {
         erdos_renyi_gnm(120, 300, WeightModel::UniformRange(1, 7), 0x5E)

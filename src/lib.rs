@@ -70,9 +70,8 @@ pub use islabel_graph::{
     CsrDigraph, CsrGraph, Dataset, DigraphBuilder, Dist, GraphBuilder, Scale, VertexId, Weight, INF,
 };
 pub use islabel_net::{ClientPool, DistanceClient, DistanceServer, NetConfig, NetError};
-pub use islabel_serve::{
-    BatchTicket, LatencyHistogram, QueryService, ServeConfig, ServiceStats, ShardStats,
-};
+pub use islabel_obs::LatencyHistogram;
+pub use islabel_serve::{BatchTicket, QueryService, ServeConfig, ServiceStats, ShardStats};
 
 /// One-stop imports for programming against the unified query API.
 pub mod prelude {
@@ -86,7 +85,6 @@ pub mod prelude {
         CsrDigraph, CsrGraph, DigraphBuilder, Dist, GraphBuilder, VertexId, Weight, INF,
     };
     pub use islabel_net::{ClientPool, DistanceClient, DistanceServer, NetConfig, NetError};
-    pub use islabel_serve::{
-        BatchTicket, LatencyHistogram, QueryService, ServeConfig, ServiceStats, ShardStats,
-    };
+    pub use islabel_obs::LatencyHistogram;
+    pub use islabel_serve::{BatchTicket, QueryService, ServeConfig, ServiceStats, ShardStats};
 }

@@ -643,3 +643,189 @@ fn metrics_opcode_round_trips_and_is_refused_while_draining() {
     );
     server.shutdown();
 }
+
+/// A raw socket past a real handshake, with a client-side read timeout so
+/// a reply that never comes fails the test instead of hanging it.
+fn raw_connection(addr: std::net::SocketAddr) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let mut hello = Vec::new();
+    protocol::encode_hello(&mut hello);
+    raw.write_all(&hello).unwrap();
+    let mut server_hello = [0u8; protocol::HELLO_LEN];
+    raw.read_exact(&mut server_hello).unwrap();
+    assert_eq!(protocol::decode_hello(&server_hello), Ok(protocol::VERSION));
+    raw
+}
+
+fn push_request(out: &mut Vec<u8>, id: u64, request: &Request) {
+    protocol::append_framed(out, |out| protocol::encode_request(id, request, out));
+}
+
+fn read_response(raw: &mut TcpStream) -> (u64, Response) {
+    let mut buf = Vec::new();
+    assert!(protocol::read_frame(raw, 1 << 20, &mut buf).unwrap());
+    protocol::decode_response(&buf).unwrap()
+}
+
+/// Polls until the server reports `want` open connections (the counter
+/// drops just after the socket closes).
+fn wait_for_active(server: &DistanceServer, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().connections_active != want {
+        assert!(
+            Instant::now() < deadline,
+            "connections_active stuck at {} (want {want})",
+            server.stats().connections_active
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Regression: the hello was read with no timeout, so a peer that stalls
+/// after `sent` bytes of it held a connection thread and one of
+/// `max_connections` slots until the server shut down. The handshake is
+/// now bounded by the peer-stall bound, `write_timeout`.
+fn assert_stalled_hello_is_closed(sent: &[u8]) {
+    let server = DistanceServer::start(
+        Arc::new(line_index(2)),
+        "127.0.0.1:0",
+        NetConfig {
+            write_timeout: Some(Duration::from_millis(150)),
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    raw.write_all(sent).unwrap();
+    let mut scratch = [0u8; 1];
+    assert_eq!(raw.read(&mut scratch).unwrap(), 0, "peer was not closed");
+    wait_for_active(&server, 0);
+    server.shutdown();
+}
+
+#[test]
+fn peer_that_never_says_hello_is_closed_after_the_stall_bound() {
+    assert_stalled_hello_is_closed(b"");
+}
+
+#[test]
+fn peer_that_sends_half_a_hello_is_closed_after_the_stall_bound() {
+    assert_stalled_hello_is_closed(b"ISLW");
+}
+
+/// The invariant that replaced the writer thread: the connection never
+/// waits for input while it holds unwritten output. One segment carries
+/// frame A whole and the first bytes of frame B; A's reply must arrive
+/// while B is still incomplete (a server that flushes only when its
+/// input buffer is *empty* would sit on it), and B's reply after it.
+#[test]
+fn reply_is_not_held_behind_a_half_arrived_next_frame() {
+    let server =
+        DistanceServer::start(Arc::new(line_index(3)), "127.0.0.1:0", NetConfig::default())
+            .unwrap();
+    let mut raw = raw_connection(server.local_addr());
+
+    let (mut segment, mut b) = (Vec::new(), Vec::new());
+    push_request(&mut segment, 1, &Request::Query { s: 0, t: 2 });
+    push_request(&mut b, 2, &Request::Query { s: 0, t: 1 });
+    segment.extend_from_slice(&b[..6]);
+    raw.write_all(&segment).unwrap();
+    assert_eq!(read_response(&mut raw), (1, Response::Distance(Some(6))));
+
+    raw.write_all(&b[6..]).unwrap();
+    assert_eq!(read_response(&mut raw), (2, Response::Distance(Some(3))));
+    server.shutdown();
+}
+
+/// A pipelined burst that arrives together is answered in request order
+/// and leaves in a handful of socket writes, not one per frame.
+#[test]
+fn pipelined_burst_is_answered_in_order_with_coalesced_writes() {
+    let g = erdos_renyi_gnm(120, 300, WeightModel::UniformRange(1, 6), 0x66);
+    let oracle: SharedOracle = Arc::new(IsLabelIndex::build(&g, BuildConfig::default()));
+    let pairs = pair_mix(120, 64);
+    let truth: Vec<Option<Dist>> = {
+        let mut session = oracle.session();
+        pairs
+            .iter()
+            .map(|&(s, t)| session.distance(s, t).unwrap())
+            .collect()
+    };
+    let server = DistanceServer::start(oracle, "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut raw = raw_connection(server.local_addr());
+    let before = server.stats();
+
+    let mut burst = Vec::new();
+    for (i, &(s, t)) in pairs.iter().enumerate() {
+        push_request(&mut burst, i as u64 + 1, &Request::Query { s, t });
+    }
+    raw.write_all(&burst).unwrap();
+    for (i, want) in truth.iter().enumerate() {
+        assert_eq!(
+            read_response(&mut raw),
+            (i as u64 + 1, Response::Distance(*want))
+        );
+    }
+
+    let after = server.stats();
+    assert_eq!(after.frames - before.frames, 64);
+    let flushes = after.flushes - before.flushes;
+    assert!(
+        (1..=8).contains(&flushes),
+        "{flushes} writes for 64 replies"
+    );
+    server.shutdown();
+}
+
+/// Backpressure without a queue: a client that pipelines requests and
+/// never reads stalls only its own connection's thread, is closed after
+/// `write_timeout`, and neither starves another connection nor wedges
+/// shutdown.
+#[test]
+fn client_that_stops_reading_stalls_only_itself_and_is_closed() {
+    let server = DistanceServer::start(
+        Arc::new(line_index(3)),
+        "127.0.0.1:0",
+        NetConfig {
+            write_timeout: Some(Duration::from_millis(200)),
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let mut good = DistanceClient::connect(server.local_addr()).unwrap();
+    good.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let mut stalled = raw_connection(server.local_addr());
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    wait_for_active(&server, 2);
+
+    // Pipeline without ever reading, until our own write refuses more:
+    // the socket buffers are full both ways, or the server has already
+    // given up on us.
+    const CHUNK_FRAMES: u64 = 4096;
+    const MAX_FRAMES: u64 = 2_000_000;
+    let mut chunk = Vec::new();
+    for i in 0..CHUNK_FRAMES {
+        push_request(&mut chunk, i + 1, &Request::Query { s: 0, t: 2 });
+    }
+    let mut sent = 0;
+    while stalled.write_all(&chunk).is_ok() {
+        sent += CHUNK_FRAMES;
+        assert!(
+            sent < MAX_FRAMES,
+            "the server buffered {sent} unread replies"
+        );
+        // The other connection is served the whole time.
+        assert_eq!(good.distance(0, 2).unwrap(), Some(6));
+    }
+
+    wait_for_active(&server, 1);
+    assert_eq!(good.distance(0, 2).unwrap(), Some(6));
+    let closing = Instant::now();
+    server.shutdown();
+    assert!(closing.elapsed() < Duration::from_secs(5));
+}
