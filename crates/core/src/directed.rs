@@ -25,6 +25,7 @@
 
 use crate::config::{BuildConfig, IsStrategy, KSelection};
 use crate::dense::{seeded_search, DenseCsr, DenseGk, DenseScratch, GkIdMap};
+use crate::hierarchy::order_by_degree;
 use crate::label::LabelSet;
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
 use crate::stats::IndexStats;
@@ -177,6 +178,7 @@ impl DiIsLabelIndex {
         let mut peel_out: Vec<Box<[(VertexId, Weight)]>> = vec![Box::default(); n];
         let mut peel_in: Vec<Box<[(VertexId, Weight)]>> = vec![Box::default(); n];
 
+        let mut excluded_at = vec![0u32; n];
         let mut i: u32 = 1;
         let k = loop {
             if work.num_present == 0 {
@@ -188,7 +190,7 @@ impl DiIsLabelIndex {
                 _ => {}
             }
             let size_before = work.size();
-            let li = select_is(&work, config.is_strategy);
+            let li = select_is(&work, config.is_strategy, i, &mut excluded_at);
             debug_assert!(!li.is_empty());
             for &v in &li {
                 let (out_adj, in_adj) = work.remove_vertex(v);
@@ -270,7 +272,7 @@ impl DiIsLabelIndex {
             max_label_len: out_labels.max_label_len().max(in_labels.max_label_len()),
             hierarchy_time: t1 - t0,
             labeling_time: t2 - t1,
-            build_time: t2 - t0,
+            build_time: t0.elapsed(),
         };
 
         Ok(Self {
@@ -476,16 +478,20 @@ impl DistanceOracle for DiIsLabelIndex {
     }
 }
 
-/// Greedy IS over the undirected skeleton of the remaining digraph.
-fn select_is(work: &DiAdjacency, strategy: IsStrategy) -> Vec<VertexId> {
+/// Greedy IS over the undirected skeleton of the remaining digraph;
+/// `excluded_at[v] == level` marks `v` excluded at this level.
+fn select_is(
+    work: &DiAdjacency,
+    strategy: IsStrategy,
+    level: u32,
+    excluded_at: &mut [u32],
+) -> Vec<VertexId> {
     let mut order: Vec<VertexId> = (0..work.present.len() as VertexId)
         .filter(|&v| work.present[v as usize])
         .collect();
     match strategy {
-        IsStrategy::MinDegreeGreedy => order.sort_by_key(|&v| (work.degree(v), v)),
-        IsStrategy::MaxDegreeGreedy => {
-            order.sort_by_key(|&v| (std::cmp::Reverse(work.degree(v)), v))
-        }
+        IsStrategy::MinDegreeGreedy => order = order_by_degree(&order, |v| work.degree(v), false),
+        IsStrategy::MaxDegreeGreedy => order = order_by_degree(&order, |v| work.degree(v), true),
         IsStrategy::Random(seed) => {
             let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
             let mut next = move || {
@@ -501,15 +507,14 @@ fn select_is(work: &DiAdjacency, strategy: IsStrategy) -> Vec<VertexId> {
             }
         }
     }
-    let mut excluded = vec![false; work.present.len()];
     let mut li = Vec::new();
     for &u in &order {
-        if excluded[u as usize] {
+        if excluded_at[u as usize] == level {
             continue;
         }
         li.push(u);
         for v in work.undirected_neighbors(u) {
-            excluded[v as usize] = true;
+            excluded_at[v as usize] = level;
         }
     }
     li.sort_unstable();
@@ -517,7 +522,7 @@ fn select_is(work: &DiAdjacency, strategy: IsStrategy) -> Vec<VertexId> {
 }
 
 /// One direction's peel-arc lists as a [`crate::label::PeelSource`], so the
-/// directed index shares the level-parallel sorted-merge labeling loop with
+/// directed index shares the level-parallel scatter-min labeling loop with
 /// the undirected one.
 struct DirectionalPeel<'a>(&'a [Box<[(VertexId, Weight)]>]);
 
@@ -727,6 +732,30 @@ mod tests {
             .map(|v| index.out_label(v).len().max(index.in_label(v).len()))
             .max();
         assert_eq!(Some(s.max_label_len), longest);
+        assert!(s.build_time >= s.hierarchy_time + s.labeling_time);
+    }
+
+    #[test]
+    fn both_label_directions_match_the_hash_map_reference() {
+        // Unit weights, so equal-distance ties are everywhere, and levels
+        // wide enough to fan out over the labeling workers.
+        let g = random_digraph(1500, 5000, 1, 21);
+        for config in [BuildConfig::default(), BuildConfig::full()] {
+            let index = DiIsLabelIndex::build(&g, config);
+            for (built, peel) in [
+                (&index.out_labels, &index.peel_out),
+                (&index.in_labels, &index.peel_in),
+            ] {
+                let expected = crate::label::tests::reference_labels(
+                    index.num_vertices(),
+                    &index.levels,
+                    &index.gk_members,
+                    &DirectionalPeel(peel),
+                    false,
+                );
+                assert_eq!(built, &expected, "{:?}", config.k_selection);
+            }
+        }
     }
 
     #[test]

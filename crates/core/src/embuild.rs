@@ -702,8 +702,8 @@ fn label_top_down(
 }
 
 /// Min-merge with the deterministic tie-break (equal distance keeps the
-/// smaller first hop) shared with the in-memory Algorithm 4, which realizes
-/// the same rule through its ascending-neighbor iteration.
+/// smaller first hop) shared with the in-memory Algorithm 4, whose
+/// scatter-min keeps the same lexicographic minimum of `(distance, hop)`.
 fn relax(acc: &mut FxHashMap<VertexId, (Dist, VertexId)>, anc: VertexId, d: Dist, hop: VertexId) {
     match acc.entry(anc) {
         std::collections::hash_map::Entry::Vacant(slot) => {

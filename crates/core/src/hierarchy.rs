@@ -65,6 +65,7 @@ impl VertexHierarchy {
         let mut peel_adj: Vec<Box<[PeelEdge]>> = vec![Box::default(); n];
         let mut levels: Vec<Vec<VertexId>> = Vec::new();
 
+        let mut excluded_at = vec![0u32; n];
         let mut i: u32 = 1;
         let k = loop {
             if work.num_present() == 0 {
@@ -77,7 +78,7 @@ impl VertexHierarchy {
             }
 
             let size_before = work.size();
-            let li = select_independent_set(&work, config.is_strategy, i);
+            let li = select_independent_set(&work, config.is_strategy, i, &mut excluded_at);
             debug_assert!(
                 !li.is_empty(),
                 "greedy IS cannot be empty on a non-empty graph"
@@ -278,19 +279,18 @@ impl VertexHierarchy {
 /// This is the in-memory counterpart of Algorithm 2: visit vertices in the
 /// strategy's order (for the paper's greedy: ascending snapshot degree, ties
 /// by id) and take every vertex not yet excluded by a chosen neighbor.
+/// `excluded_at[v] == level` marks `v` excluded at this level, so the array
+/// is shared by all levels and never reset.
 fn select_independent_set(
     work: &AdjacencyGraph,
     strategy: IsStrategy,
     level: u32,
+    excluded_at: &mut [u32],
 ) -> Vec<VertexId> {
     let mut order: Vec<VertexId> = work.present_vertices().collect();
     match strategy {
-        IsStrategy::MinDegreeGreedy => {
-            order.sort_by_key(|&v| (work.degree(v), v));
-        }
-        IsStrategy::MaxDegreeGreedy => {
-            order.sort_by_key(|&v| (std::cmp::Reverse(work.degree(v)), v));
-        }
+        IsStrategy::MinDegreeGreedy => order = order_by_degree(&order, |v| work.degree(v), false),
+        IsStrategy::MaxDegreeGreedy => order = order_by_degree(&order, |v| work.degree(v), true),
         IsStrategy::Random(seed) => {
             // Deterministic per (seed, level) Fisher–Yates driven by a
             // splitmix-style generator; rand is not needed for this.
@@ -309,19 +309,51 @@ fn select_independent_set(
         }
     }
 
-    let mut excluded = vec![false; work.universe()];
     let mut li = Vec::new();
     for &u in &order {
-        if excluded[u as usize] {
+        if excluded_at[u as usize] == level {
             continue;
         }
         li.push(u);
         for (v, _) in work.neighbors(u) {
-            excluded[v as usize] = true;
+            excluded_at[v as usize] = level;
         }
     }
     li.sort_unstable();
     li
+}
+
+/// The greedy visiting order of one level: `present` (id-ascending) by
+/// ascending degree, ties by id — by descending degree when `descending`.
+/// Exactly the order a comparison sort on the key `(degree(v), v)` resp.
+/// `(Reverse(degree(v)), v)` gives, as one stable counting pass that reads
+/// each degree once (a sort key would read a hash map's length O(n log n)
+/// times).
+/// Shared by the undirected and the directed hierarchy.
+pub(crate) fn order_by_degree(
+    present: &[VertexId],
+    degree: impl Fn(VertexId) -> usize,
+    descending: bool,
+) -> Vec<VertexId> {
+    debug_assert!(present.windows(2).all(|w| w[0] < w[1]));
+    let degrees: Vec<usize> = present.iter().map(|&v| degree(v)).collect();
+    let max = degrees.iter().copied().max().unwrap_or(0);
+    let bucket = |d: usize| if descending { max - d } else { d };
+    // `next[b]` is where bucket `b`'s next vertex goes.
+    let mut next = vec![0usize; max + 2];
+    for &d in &degrees {
+        next[bucket(d) + 1] += 1;
+    }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    let mut order = vec![0; present.len()];
+    for (&v, &d) in present.iter().zip(&degrees) {
+        let at = &mut next[bucket(d)];
+        order[*at] = v;
+        *at += 1;
+    }
+    order
 }
 
 /// Removes one level and inserts its augmenting edges (Algorithm 3).
@@ -686,6 +718,34 @@ pub(crate) mod tests {
         let h = VertexHierarchy::build(&b.build(), &BuildConfig::full());
         assert_eq!(h.levels()[0], vec![1, 2, 3, 4, 5]);
         assert_eq!(h.level_of(0), 2);
+    }
+
+    #[test]
+    fn counting_pass_is_the_comparison_sort_by_degree_then_id() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xDE6);
+        let mut cases: Vec<Vec<usize>> = vec![vec![], vec![0], vec![0; 9]];
+        // A single hub of degree n − 1 over leaves, with isolated vertices.
+        cases.push([vec![0, 1, 0], vec![11], vec![1; 10]].concat());
+        for n in [2usize, 17, 300] {
+            for max in [1, 4, n - 1] {
+                cases.push((0..n).map(|_| rng.gen_range(0..=max)).collect());
+            }
+        }
+        for degrees in cases {
+            // Present vertices are id-ascending but not contiguous.
+            let present: Vec<VertexId> =
+                (0..degrees.len() as VertexId).map(|i| 3 * i + 1).collect();
+            let degree = |v: VertexId| degrees[(v / 3) as usize];
+
+            let mut ascending = present.clone();
+            ascending.sort_by_key(|&v| (degree(v), v));
+            assert_eq!(order_by_degree(&present, degree, false), ascending);
+
+            let mut descending = present.clone();
+            descending.sort_by_key(|&v| (std::cmp::Reverse(degree(v)), v));
+            assert_eq!(order_by_degree(&present, degree, true), descending);
+        }
     }
 
     #[test]

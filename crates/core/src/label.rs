@@ -23,13 +23,15 @@
 //!   leave workers idle), producing bit-identical labels at any thread
 //!   count. Transient labels live in flat arenas — per-vertex `Vec`s would
 //!   put the allocator on the contended path.
-//! * The per-vertex min-merge is a **deterministic sorted k-way merge**
-//!   over the (ancestor-sorted) neighbor labels instead of a hash map:
-//!   cursors advance through the sorted inputs via a small heap ordered by
-//!   `(ancestor, neighbor)`, so equal ancestors resolve in ascending
-//!   neighbor order and the "earliest smallest-id first hop wins" tie rule
-//!   of the old hash merge is preserved exactly — with no hashing and no
-//!   output sort. Worker-local merge buffers are reused across the chunk.
+//! * The per-vertex min-merge is a **scatter-min**: each worker owns a
+//!   dense slot array indexed by ancestor id and walks every peel
+//!   neighbor's final label once — one add and one compare per input
+//!   entry. An entry is the lexicographic minimum of `(distance, first
+//!   hop)` over the peel neighbors (equal distance keeps the smaller first
+//!   hop), so the result does not depend on the order neighbors are
+//!   visited in. Labels leave ancestor-ascending because the touched ids
+//!   are sorted, and exactly the touched slots are reset, so between two
+//!   vertices every slot is unset (`docs/adr/0005-scatter-min-labeling.md`).
 //!
 //! Storage is struct-of-arrays, each vertex's entries sorted by ancestor id,
 //! which makes Equation 1 a linear merge-join — the "simple sequential
@@ -37,8 +39,7 @@
 
 use crate::hierarchy::VertexHierarchy;
 use islabel_graph::{Dist, VertexId, Weight};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sentinel first hop for labels built without path info.
 pub const NO_HOP: VertexId = VertexId::MAX;
@@ -184,100 +185,89 @@ impl ArenaLabels {
     }
 }
 
-/// A cursor of the k-way merge: walks `label(u)` shifted by the peel-edge
-/// weight. The self entry `(v, 0, v)` rides as a synthetic cursor with
-/// `u == v` (no neighbor label can contain `v`: ancestors of a strictly
-/// higher-level neighbor all sit above `v`'s level).
-#[derive(Debug, Clone, Copy)]
-struct Cursor {
-    u: VertexId,
-    shift: Dist,
-    pos: u32,
+/// A slot no vertex has written: no real entry carries [`NO_HOP`] as its
+/// first hop, and every real `(dist, hop)` compares below it.
+const UNSET: (Dist, VertexId) = (Dist::MAX, NO_HOP);
+
+/// One labeling worker's scratch, created once per build: `(dist, first
+/// hop)` per ancestor id plus the ids written for the current vertex.
+/// Between two vertices every slot is [`UNSET`] and `touched` is empty.
+#[derive(Debug)]
+struct ScatterMin {
+    slots: Vec<(Dist, VertexId)>,
+    touched: Vec<VertexId>,
 }
 
-/// Reusable per-worker state of the sorted k-way merge.
-#[derive(Debug, Default)]
-struct MergeBufs {
-    cursors: Vec<Cursor>,
-    /// Min-heap of `(current ancestor, neighbor id, cursor index)`; the
-    /// `(ancestor, neighbor)` order makes equal-ancestor resolution scan
-    /// neighbors ascending — the deterministic first-hop tie rule.
-    heap: BinaryHeap<Reverse<(VertexId, VertexId, u32)>>,
-    out: Vec<Entry>,
-}
-
-impl MergeBufs {
-    /// Computes `label(v)` by k-way merging the (final) labels of `v`'s
-    /// peel neighbors plus the self entry, leaving the sorted result in
-    /// `self.out`.
-    fn merge_vertex<P: PeelSource>(&mut self, v: VertexId, peel: &P, labels: &ArenaLabels) {
-        self.cursors.clear();
-        self.heap.clear();
-        self.out.clear();
-        // Synthetic self cursor first so `entry_at` can special-case it.
-        self.cursors.push(Cursor {
-            u: v,
-            shift: 0,
-            pos: 0,
-        });
-        self.heap.push(Reverse((v, v, 0)));
-        for (u, w) in peel.peel_neighbors(v) {
-            let list = labels.get(u);
-            if list.is_empty() {
-                continue;
-            }
-            let ci = self.cursors.len() as u32;
-            self.cursors.push(Cursor {
-                u,
-                shift: w as Dist,
-                pos: 0,
-            });
-            self.heap.push(Reverse((list[0].0, u, ci)));
-        }
-
-        // `(anc, dist, hop)` under cursor `ci`; self cursor yields (v, 0, v).
-        let entry_at = |c: Cursor, v: VertexId| -> (VertexId, Dist, VertexId) {
-            if c.u == v {
-                (v, 0, v)
-            } else {
-                let (anc, d, _) = labels.get(c.u)[c.pos as usize];
-                (anc, c.shift + d, c.u)
-            }
-        };
-
-        while let Some(Reverse((anc, _, ci))) = self.heap.pop() {
-            let (_, mut best_d, mut best_hop) = entry_at(self.cursors[ci as usize], v);
-            self.advance(ci, v, labels);
-            // Drain every cursor sitting on the same ancestor, ascending by
-            // neighbor id: strict improvement only, so the earliest
-            // (smallest-id) neighbor achieving the minimum keeps the hop.
-            while let Some(&Reverse((a2, _, cj))) = self.heap.peek() {
-                if a2 != anc {
-                    break;
-                }
-                self.heap.pop();
-                let (_, d2, hop2) = entry_at(self.cursors[cj as usize], v);
-                if d2 < best_d {
-                    best_d = d2;
-                    best_hop = hop2;
-                }
-                self.advance(cj, v, labels);
-            }
-            self.out.push((anc, best_d, best_hop));
+impl ScatterMin {
+    fn new(n: usize) -> Self {
+        Self {
+            slots: vec![UNSET; n],
+            touched: Vec::new(),
         }
     }
 
-    /// Steps cursor `ci` and re-queues it if its input has entries left.
-    fn advance(&mut self, ci: u32, v: VertexId, labels: &ArenaLabels) {
-        let c = &mut self.cursors[ci as usize];
-        if c.u == v {
-            return; // the self cursor has exactly one entry
+    /// Appends `label(v)` to `out`, ancestor-ascending, and returns its
+    /// length: the self entry plus, per ancestor of a peel neighbor `u`, the
+    /// lexicographic minimum of `(ω(v, u) + d(u, ancestor), u)`.
+    fn label_vertex<P: PeelSource>(
+        &mut self,
+        v: VertexId,
+        peel: &P,
+        labels: &ArenaLabels,
+        out: &mut Vec<Entry>,
+    ) -> u32 {
+        for (u, w) in peel.peel_neighbors(v) {
+            let shift = w as Dist;
+            for &(anc, d, _) in labels.get(u) {
+                let slot = &mut self.slots[anc as usize];
+                if slot.1 == NO_HOP {
+                    self.touched.push(anc);
+                }
+                let cand = (shift + d, u);
+                if cand < *slot {
+                    *slot = cand;
+                }
+            }
         }
-        c.pos += 1;
-        let list = labels.get(c.u);
-        if (c.pos as usize) < list.len() {
-            self.heap.push(Reverse((list[c.pos as usize].0, c.u, ci)));
+        // No neighbor label contains `v`: ancestors of a strictly
+        // higher-level neighbor all sit above `v`'s level.
+        debug_assert_eq!(self.slots[v as usize], UNSET);
+        self.slots[v as usize] = (0, v);
+        self.touched.push(v);
+        self.touched.sort_unstable();
+        for &anc in &self.touched {
+            let (d, hop) = std::mem::replace(&mut self.slots[anc as usize], UNSET);
+            out.push((anc, d, hop));
         }
+        let len = self.touched.len() as u32;
+        self.touched.clear();
+        len
+    }
+
+    /// Labels chunks of `parts` claimed off `next` until none are left.
+    fn claim_chunks<P: PeelSource>(
+        &mut self,
+        parts: &[&[VertexId]],
+        next: &AtomicUsize,
+        peel: &P,
+        labels: &ArenaLabels,
+    ) -> Vec<ChunkOut> {
+        let mut outs = Vec::new();
+        loop {
+            let pi = next.fetch_add(1, Ordering::Relaxed);
+            let Some(part) = parts.get(pi) else { break };
+            let mut flat: Vec<Entry> = Vec::new();
+            let lens = part
+                .iter()
+                .map(|&v| self.label_vertex(v, peel, labels, &mut flat))
+                .collect();
+            outs.push((pi, lens, flat));
+        }
+        outs
+    }
+
+    fn is_clean(&self) -> bool {
+        self.touched.is_empty() && self.slots.iter().all(|&s| s == UNSET)
     }
 }
 
@@ -306,70 +296,68 @@ pub(crate) fn build_from_peel<P: PeelSource>(
     labels.commit(gk_members, &vec![1u32; gk_members.len()], &self_entries);
     drop(self_entries);
 
+    // One scratch per worker for the whole build, lent to each level's
+    // threads: a per-level array would be re-filled `k` times.
+    let peeled = &levels[..(k as usize).saturating_sub(1)];
+    let workers_for = |len: usize| threads.min(len.div_ceil(PARALLEL_LEVEL_CUTOFF)).max(1);
+    let max_workers = peeled
+        .iter()
+        .map(|li| workers_for(li.len()))
+        .max()
+        .unwrap_or(1);
+    let mut scratch: Vec<ScatterMin> = (0..max_workers).map(|_| ScatterMin::new(n)).collect();
+
     // Top-down: level k−1 down to 1. Every peel neighbor of a level-i
     // vertex is at a level > i, so its label is already final — which also
     // means the vertices of one level are mutually independent and can be
     // labeled in parallel.
-    for i in (1..k).rev() {
-        let li = &levels[(i - 1) as usize];
-        let workers = threads.min(li.len().div_ceil(PARALLEL_LEVEL_CUTOFF)).max(1);
-        if workers <= 1 {
-            let mut bufs = MergeBufs::default();
-            let mut flat: Vec<Entry> = Vec::new();
-            let mut lens: Vec<u32> = Vec::with_capacity(li.len());
-            for &v in li {
-                bufs.merge_vertex(v, peel, &labels);
-                flat.extend_from_slice(&bufs.out);
-                lens.push(bufs.out.len() as u32);
-            }
-            labels.commit(li, &lens, &flat);
-        } else {
-            // Dynamic chunk assignment: label sizes vary wildly within a
-            // level, so fixed contiguous halves leave workers idle. Chunks
-            // several times smaller than a worker's fair share are claimed
-            // off an atomic counter instead — cheap work stealing.
-            let chunk = li
-                .len()
-                .div_ceil(workers * 8)
-                .max(PARALLEL_LEVEL_CUTOFF / 2);
-            let parts: Vec<&[VertexId]> = li.chunks(chunk).collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let shared = &labels;
-            let produced: Vec<Vec<ChunkOut>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let parts = &parts;
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut bufs = MergeBufs::default();
-                            let mut outs = Vec::new();
-                            loop {
-                                let pi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(part) = parts.get(pi) else { break };
-                                let mut flat: Vec<Entry> = Vec::new();
-                                let mut lens: Vec<u32> = Vec::with_capacity(part.len());
-                                for &v in *part {
-                                    bufs.merge_vertex(v, peel, shared);
-                                    flat.extend_from_slice(&bufs.out);
-                                    lens.push(bufs.out.len() as u32);
-                                }
-                                outs.push((pi, lens, flat));
-                            }
-                            outs
-                        })
+    for li in peeled.iter().rev() {
+        let workers = workers_for(li.len());
+        // Dynamic chunk assignment: label sizes vary wildly within a
+        // level, so fixed contiguous halves leave workers idle. Chunks
+        // several times smaller than a worker's fair share are claimed
+        // off an atomic counter instead — cheap work stealing.
+        let chunk = li
+            .len()
+            .div_ceil(workers * 8)
+            .max(PARALLEL_LEVEL_CUTOFF / 2);
+        let parts: Vec<&[VertexId]> = li.chunks(chunk).collect();
+        let next = AtomicUsize::new(0);
+        let (parts_ref, next_ref, shared) = (&parts[..], &next, &labels);
+        let mut produced: Vec<ChunkOut> = Vec::new();
+        if workers > 1 {
+            produced = std::thread::scope(|scope| {
+                // A failed spawn is not an error: chunks are claimed, not
+                // assigned, so the workers that did start cover the level.
+                let handles: Vec<_> = scratch[..workers]
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(i, s)| {
+                        std::thread::Builder::new()
+                            .name(format!("islabel-label-{i}"))
+                            .spawn_scoped(scope, move || {
+                                s.claim_chunks(parts_ref, next_ref, peel, shared)
+                            })
+                            .ok()
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("labeling worker panicked"))
+                    .flat_map(|h| h.join().expect("labeling worker panicked"))
                     .collect()
             });
-            for outs in produced {
-                for (pi, lens, flat) in outs {
-                    labels.commit(parts[pi], &lens, &flat);
-                }
-            }
         }
+        // The calling thread runs the same loop: a small level entirely,
+        // and after a fan-out whatever is unclaimed — nothing, unless no
+        // worker could be started.
+        produced.extend(scratch[0].claim_chunks(parts_ref, next_ref, peel, shared));
+        for (pi, lens, flat) in produced {
+            labels.commit(parts[pi], &lens, &flat);
+        }
+        debug_assert!(
+            scratch.iter().all(ScatterMin::is_clean),
+            "a labeling worker left a slot set"
+        );
     }
 
     LabelSet::from_arena(&labels, n, keep_path_info)
@@ -386,9 +374,10 @@ impl LabelSet {
     }
 
     /// [`LabelSet::build`] with an explicit worker count (`0` and `1` both
-    /// run single-threaded). Every vertex's label is computed independently
-    /// by a deterministic sorted k-way merge, so the output is bit-identical
-    /// across `threads` values.
+    /// run single-threaded). Every vertex's label is the per-ancestor
+    /// lexicographic minimum of `(distance, first hop)` over its peel
+    /// neighbors — a pure function of already-final labels — so the output
+    /// is bit-identical across `threads` values.
     pub fn build_with_threads(h: &VertexHierarchy, keep_path_info: bool, threads: usize) -> Self {
         build_from_peel(
             h.universe(),
@@ -526,14 +515,147 @@ impl LabelSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::BuildConfig;
     use crate::hierarchy::tests::{paper_graph, paper_hierarchy};
     use crate::reference;
+    use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
+    use islabel_graph::{FxHashMap, GraphBuilder};
 
     fn label_pairs(ls: &LabelSet, v: VertexId) -> Vec<(VertexId, Dist)> {
         ls.label(v).iter().collect()
+    }
+
+    /// Second implementation of Algorithm 4 with first hops: a top-down
+    /// hash-map min-merge under the lexicographic `(dist, hop)` rule, one
+    /// vertex at a time, sharing only [`PeelSource`] and the flattening
+    /// with [`build_from_peel`].
+    pub(crate) fn reference_labels<P: PeelSource>(
+        n: usize,
+        levels: &[Vec<VertexId>],
+        gk_members: &[VertexId],
+        peel: &P,
+        keep_path_info: bool,
+    ) -> LabelSet {
+        let mut per_vertex: Vec<Vec<Entry>> = vec![Vec::new(); n];
+        for &v in gk_members {
+            per_vertex[v as usize] = vec![(v, 0, v)];
+        }
+        for li in levels.iter().rev() {
+            for &v in li {
+                let mut acc: FxHashMap<VertexId, (Dist, VertexId)> = FxHashMap::default();
+                acc.insert(v, (0, v));
+                for (u, w) in peel.peel_neighbors(v) {
+                    for &(anc, d, _) in &per_vertex[u as usize] {
+                        let cand = (w as Dist + d, u);
+                        let cur = acc.entry(anc).or_insert(cand);
+                        *cur = (*cur).min(cand);
+                    }
+                }
+                let mut label: Vec<Entry> = acc.into_iter().map(|(a, (d, h))| (a, d, h)).collect();
+                label.sort_unstable();
+                per_vertex[v as usize] = label;
+            }
+        }
+        LabelSet::from_per_vertex(per_vertex, keep_path_info)
+    }
+
+    /// A hierarchy's peel lists walked backwards: the visiting order must
+    /// not decide a first hop.
+    struct ReversedPeel<'a>(&'a VertexHierarchy);
+
+    impl PeelSource for ReversedPeel<'_> {
+        fn peel_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
+            self.0.peel_adj(v).iter().rev().map(|e| (e.to, e.weight))
+        }
+    }
+
+    #[test]
+    fn equal_distance_keeps_the_smaller_first_hop_in_any_visiting_order() {
+        // The unit 4-cycle 0-1-3-2-0 peeled one vertex a level: vertex 0 has
+        // peel neighbors 1 and 2. Both reach ancestor 3 at distance 2 — a
+        // tie the smaller id wins; ancestor 2 is 3 away through 1 and 1 away
+        // through 2 itself — the larger id is strictly closer and wins.
+        let mut b = GraphBuilder::new(4);
+        for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            b.add_edge(u, v, 1);
+        }
+        let h = VertexHierarchy::build_with_forced_levels(
+            &b.build(),
+            &[vec![0], vec![1], vec![2], vec![3]],
+        );
+        let neighbors: Vec<VertexId> = h.peel_adj(0).iter().map(|e| e.to).collect();
+        assert_eq!(neighbors, vec![1, 2]);
+
+        let forward = build_from_peel(4, h.k(), h.levels(), &[], &HierarchyPeel(&h), true, 1);
+        let backward = build_from_peel(4, h.k(), h.levels(), &[], &ReversedPeel(&h), true, 1);
+        assert_eq!(forward, backward);
+        let label = forward.label(0);
+        assert_eq!(label.get_with_hop(3), Some((2, 1)), "tie");
+        assert_eq!(label.get_with_hop(2), Some((1, 2)), "closer");
+        assert_eq!(label.get_with_hop(1), Some((1, 1)));
+        assert_eq!(label.get_with_hop(0), Some((0, 0)));
+    }
+
+    /// Records the name of every thread that walks a peel list.
+    struct NamingPeel<'a>(&'a VertexHierarchy, std::sync::Mutex<Vec<String>>);
+
+    impl PeelSource for NamingPeel<'_> {
+        fn peel_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            let mut seen = self.1.lock().expect("no labeling thread panicked");
+            if !seen.contains(&name) {
+                seen.push(name);
+            }
+            self.0.peel_adj(v).iter().map(|e| (e.to, e.weight))
+        }
+    }
+
+    #[test]
+    fn labeling_workers_are_named() {
+        let g = grid2d(45, 45, WeightModel::Unit, 13);
+        let h = VertexHierarchy::build(&g, &BuildConfig::sigma(0.95));
+        let peel = NamingPeel(&h, std::sync::Mutex::default());
+        let n = h.universe();
+        build_from_peel(n, h.k(), h.levels(), h.gk_members(), &peel, false, 3);
+        let caller = std::thread::current().name().unwrap_or("").to_string();
+        let mut workers = peel.1.into_inner().expect("no labeling thread panicked");
+        workers.retain(|name| *name != caller);
+        assert!(!workers.is_empty(), "no level fanned out");
+        let allowed = ["islabel-label-0", "islabel-label-1", "islabel-label-2"];
+        assert!(
+            workers.iter().all(|w| allowed.contains(&w.as_str())),
+            "{workers:?}"
+        );
+    }
+
+    #[test]
+    fn matches_the_hash_map_reference_with_first_hops_at_every_worker_count() {
+        // Unit weights put ties everywhere; the graphs are large enough
+        // that the first levels fan out over all eight workers.
+        let graphs = [
+            ("er", erdos_renyi_gnm(2000, 2800, WeightModel::Unit, 11)),
+            ("ba", barabasi_albert(2000, 2, WeightModel::Unit, 12)),
+            ("grid", grid2d(45, 45, WeightModel::Unit, 13)),
+        ];
+        for (name, g) in &graphs {
+            for config in [BuildConfig::sigma(0.95), BuildConfig::full()] {
+                let h = VertexHierarchy::build(g, &config);
+                let peel = HierarchyPeel(&h);
+                let expected =
+                    reference_labels(h.universe(), h.levels(), h.gk_members(), &peel, true);
+                assert!(expected.has_path_info());
+                for threads in [1, 2, 3, 8] {
+                    assert_eq!(
+                        LabelSet::build_with_threads(&h, true, threads),
+                        expected,
+                        "{name} {:?} threads {threads}",
+                        config.k_selection
+                    );
+                }
+            }
+        }
     }
 
     #[test]

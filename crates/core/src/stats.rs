@@ -28,7 +28,8 @@ pub struct IndexStats {
     pub hierarchy_time: Duration,
     /// Time spent in top-down labeling (Algorithm 4).
     pub labeling_time: Duration,
-    /// End-to-end build time (the paper's "indexing time").
+    /// End-to-end build time (the paper's "indexing time"): hierarchy,
+    /// labeling and everything a builder does after them.
     pub build_time: Duration,
 }
 
@@ -48,7 +49,8 @@ impl std::fmt::Display for IndexStats {
         use islabel_graph::algo::stats::{human_bytes, human_count};
         write!(
             f,
-            "k={} |V_Gk|={} |E_Gk|={} labels={} ({}) avg_label={:.1} build={:.2?}",
+            "k={} |V_Gk|={} |E_Gk|={} labels={} ({}) avg_label={:.1} build={:.2?} \
+             (hierarchy {:.2?}, labels {:.2?})",
             self.k,
             human_count(self.gk_vertices),
             human_count(self.gk_edges),
@@ -56,6 +58,8 @@ impl std::fmt::Display for IndexStats {
             human_bytes(self.label_bytes),
             self.avg_label_len,
             self.build_time,
+            self.hierarchy_time,
+            self.labeling_time,
         )
     }
 }
@@ -88,6 +92,10 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("k=6"), "{text}");
         assert!(text.contains("8.9 KB"), "{text}");
+        assert!(
+            text.ends_with("build=9.00ms (hierarchy 5.00ms, labels 3.00ms)"),
+            "{text}"
+        );
     }
 
     #[test]
