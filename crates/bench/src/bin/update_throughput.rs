@@ -13,8 +13,9 @@
 //! * `pristine_dense` — session on the freshly built index (the PR-4 hot
 //!   path, the baseline);
 //! * `overlay_dense` — session on the same index after ingesting updates:
-//!   the same kernel over the session's `PatchedDense` view (inserted
-//!   tail + tombstones).
+//!   the same kernel over the `PatchedDense` view of the `DensePatch`
+//!   the overlay maintains (inserted tail, tombstones, extra adjacency),
+//!   which the session borrows.
 //!
 //! `--smoke` shrinks the graph and holds every overlay answer to the
 //! lazy-update contract (`core::updates`) against reference Dijkstra over

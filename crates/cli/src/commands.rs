@@ -942,7 +942,30 @@ fn ingest(argv: &[String]) -> Result<(), String> {
         "pending ops now {}; durable in {wal_path}",
         index.pending_ops()
     );
+    if let Some(line) = overlay_line(&index) {
+        println!("overlay: {line}");
+    }
     Ok(())
+}
+
+/// What shape the update overlay is, for `ingest`, `recover` and `stats`;
+/// `None` for a pristine index, which has none.
+fn overlay_line(index: &IsLabelIndex) -> Option<String> {
+    let o = index.overlay_stats();
+    index.has_updates().then(|| {
+        format!(
+            "{} ops, {} inserted, {} deleted, {} patched labels / {} entries (max {}), \
+             {} extra edges, {:.2} MiB",
+            o.pending_ops,
+            o.inserted_vertices,
+            o.tombstones,
+            o.patched_labels,
+            o.patch_entries,
+            o.max_patch_len,
+            o.extra_edges,
+            o.bytes as f64 / (1024.0 * 1024.0)
+        )
+    })
 }
 
 /// `recover INDEX --wal WAL [--check]`: replay the log against the
@@ -968,6 +991,9 @@ fn recover(argv: &[String]) -> Result<(), String> {
         describe_recovery(&recovery),
         index.is_stale()
     );
+    if let Some(line) = overlay_line(&index) {
+        println!("overlay: {line}");
+    }
     if args.flag("check") {
         let g = index.current_graph();
         let mut session = index.session();
@@ -1069,6 +1095,9 @@ fn stats(argv: &[String]) -> Result<(), String> {
             human_count(dense.fwd().num_entries()),
             human_bytes(dense.memory_bytes())
         );
+        if let Some(line) = overlay_line(&index) {
+            println!("  overlay:       {line}");
+        }
         print_search_work(&index);
     } else {
         let g = load_graph(path)?;

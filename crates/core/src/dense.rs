@@ -263,16 +263,21 @@ impl DenseView for DenseCsr {
     }
 }
 
-/// Dynamic-update deltas remapped into compact-id space: an append-only
-/// *tail* of dense ids for inserted vertices, a tombstone bitmap for
-/// deletions, and per-vertex extra adjacency — what keeps an updated index
-/// on the same zero-alloc kernel as a pristine one.
+/// Dynamic-update deltas in compact-id space: an append-only *tail* of
+/// dense ids for inserted vertices, a tombstone bitmap for deletions, and
+/// per-vertex extra adjacency — what keeps an updated index on the same
+/// zero-alloc kernel as a pristine one. The update overlay
+/// ([`crate::updates::Overlay`]) owns one from its first mutation on and
+/// maintains it op by op; sessions borrow it.
 ///
 /// Tail ids extend the base mapping order-preservingly: inserted global id
 /// `base_n + j` becomes dense id `base_len + j`, so the combined dense id
 /// order is still the global id order and the heap tie-breaking of
 /// [`dense_search`] does not depend on which vertices were inserted.
-#[derive(Debug, Clone, Default)]
+///
+/// Nothing is ever removed: a tombstoned vertex keeps its list and stays
+/// in its neighbours' lists, and [`PatchedDense::edges_of`] filters both.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DensePatch {
     /// Number of base compact ids; tail ids start here.
     base_len: u32,
@@ -307,6 +312,18 @@ impl DensePatch {
         self.tail
     }
 
+    /// Appends one inserted vertex to the tail and returns its dense id:
+    /// alive, with no adjacency yet.
+    pub fn push_vertex(&mut self) -> u32 {
+        let d = self.base_len + self.tail;
+        self.tail += 1;
+        self.extra.push(Vec::new());
+        if self.dead.len() * 64 < self.num_vertices() {
+            self.dead.push(0);
+        }
+        d
+    }
+
     /// Tombstones dense id `d`.
     pub fn mark_dead(&mut self, d: u32) {
         self.dead[(d / 64) as usize] |= 1u64 << (d % 64);
@@ -328,8 +345,21 @@ impl DensePatch {
         self.extra.iter().map(Vec::len).max().unwrap_or(0)
     }
 
+    /// Resident bytes, by capacity: the bitmap, the list headers and every
+    /// list's buffer.
+    pub fn memory_bytes(&self) -> usize {
+        self.dead.capacity() * std::mem::size_of::<u64>()
+            + self.extra.capacity() * std::mem::size_of::<Vec<(u32, Weight)>>()
+            + self
+                .extra
+                .iter()
+                .map(|l| l.capacity() * std::mem::size_of::<(u32, Weight)>())
+                .sum::<usize>()
+    }
+
+    /// `d`'s extra adjacency as pushed, tombstoned endpoints included.
     #[inline]
-    fn extra_of(&self, d: u32) -> &[(u32, Weight)] {
+    pub(crate) fn extra_of(&self, d: u32) -> &[(u32, Weight)] {
         &self.extra[d as usize]
     }
 }
@@ -461,6 +491,12 @@ impl<T: Copy + Default> StampedSlab<T> {
     /// Whether the slab has no slots.
     pub fn is_empty(&self) -> bool {
         self.vals.is_empty()
+    }
+
+    /// Moves the epoch counter, so a test can put a reset on the wrap.
+    #[cfg(test)]
+    pub(crate) fn force_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
     }
 
     /// Unsets every slot in O(1) by bumping the epoch.

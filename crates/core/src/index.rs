@@ -12,7 +12,7 @@ use crate::persist::wal::{scan_wal, WalRecovery, WalWriter, WAL_HEADER_LEN};
 use crate::query::{Meeting, QueryType, SearchOutcome};
 use crate::stats::IndexStats;
 use crate::trace::QueryTrace;
-use crate::updates::{Overlay, UpdateOp};
+use crate::updates::{Overlay, OverlayStats, UpdateOp};
 use islabel_graph::{CsrGraph, Dist, VertexId, Weight, INF};
 use std::path::Path;
 use std::time::Instant;
@@ -86,7 +86,7 @@ pub struct IsLabelIndex {
     pub(crate) labels: LabelSet,
     /// Compact-id search substrate (see [`crate::dense`]), built once per
     /// index; the session hot path runs on it.
-    dense: DenseGk,
+    pub(crate) dense: DenseGk,
     config: BuildConfig,
     stats: IndexStats,
     pub(crate) overlay: Overlay,
@@ -245,8 +245,8 @@ impl IsLabelIndex {
     /// unreachable, `Err(VertexOutOfRange)` flags a malformed query.
     ///
     /// A one-shot is a [`session`](IsLabelIndex::session) opened for this
-    /// one query: `|G_k|`-sized scratch per call, plus one overlay snapshot
-    /// when the index carries updates. Hold a session to answer many.
+    /// one query: `|G_k|`-sized scratch per call, whether or not the index
+    /// carries updates. Hold a session to answer many.
     pub fn try_distance(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
         self.session().distance(s, t)
     }
@@ -266,9 +266,11 @@ impl IsLabelIndex {
         let eq1_estimate = if self.overlay.is_deleted(s) || self.overlay.is_deleted(t) {
             None
         } else {
-            let ls = self.overlay.effective_label(&self.labels, s);
-            let lt = self.overlay.effective_label(&self.labels, t);
-            let (mu0, _) = intersect_min_auto(ls.view(), lt.view());
+            let (mut anc_s, mut dist_s, mut anc_t, mut dist_t) = Default::default();
+            let overlay = &self.overlay;
+            let ls = overlay.effective_label_into(&self.labels, s, &mut anc_s, &mut dist_s);
+            let lt = overlay.effective_label_into(&self.labels, t, &mut anc_t, &mut dist_t);
+            let (mu0, _) = intersect_min_auto(ls, lt);
             (mu0 < INF).then_some(mu0)
         };
         QueryOutcome {
@@ -405,24 +407,22 @@ impl IsLabelIndex {
     /// zero heap allocations (asserted by the `alloc_free` test).
     ///
     /// Indexes carrying dynamic updates stay on the dense kernel too: the
-    /// session snapshots the overlay into a [`DensePatch`] (inserted-vertex
-    /// tail plus tombstones) at open time, sizes every buffer for the
-    /// patched universe, and queries run against the patched view — still
-    /// allocation-free in steady state. The session is a point-in-time
-    /// view; reopen it after further mutations.
+    /// session borrows the [`DensePatch`] the overlay maintains
+    /// (inserted-vertex tail, tombstones, extra adjacency), sizes every
+    /// buffer for the patched universe, and queries run against the
+    /// patched view — still allocation-free in steady state. Opening costs
+    /// the same whatever the number of pending updates; the borrow keeps
+    /// the index from being mutated under an open session.
     pub fn session(&self) -> IsLabelSession<'_> {
         // The longest label is read from the stats every constructor and
         // loader fills, not rescanned: opening stays O(|G_k|), not O(n).
         let label_cap = self.stats.max_label_len + self.overlay.max_patch_len();
-        let overlay = (!self.overlay.is_pristine()).then(|| {
-            let patch = self.overlay.dense_patch(self.dense.ids());
-            OverlayDense {
-                patch,
-                anc_s: Vec::with_capacity(label_cap),
-                dist_s: Vec::with_capacity(label_cap),
-                anc_t: Vec::with_capacity(label_cap),
-                dist_t: Vec::with_capacity(label_cap),
-            }
+        let overlay = self.overlay.residual().map(|patch| OverlayDense {
+            patch,
+            anc_s: Vec::with_capacity(label_cap),
+            dist_s: Vec::with_capacity(label_cap),
+            anc_t: Vec::with_capacity(label_cap),
+            dist_t: Vec::with_capacity(label_cap),
         });
         let scratch_len = overlay
             .as_ref()
@@ -589,6 +589,20 @@ impl IsLabelIndex {
     /// Number of pending dynamic updates (the overlay op log length).
     pub fn pending_ops(&self) -> usize {
         self.overlay.ops().len()
+    }
+
+    /// The update overlay itself; `==` on two of them compares their whole
+    /// state (see [`Overlay`]).
+    pub fn overlay(&self) -> &Overlay {
+        &self.overlay
+    }
+
+    /// What shape the update overlay is — pending ops, inserted and
+    /// deleted vertices, patched labels, extra `G_k` edges, bytes held
+    /// (which [`DistanceOracle::index_bytes`] leaves out). All zero on a
+    /// pristine index.
+    pub fn overlay_stats(&self) -> OverlayStats {
+        self.overlay.stats()
     }
 
     /// Attaches the write-ahead log at `path` with the default `fsync`
@@ -780,20 +794,21 @@ pub struct IsLabelSession<'a> {
     scratch: DenseScratch,
     fseeds: Vec<(u32, Dist)>,
     rseeds: Vec<(u32, Dist)>,
-    /// Present iff the index carries dynamic updates: the overlay folded
-    /// into dense-kernel form at session-open time.
-    overlay: Option<OverlayDense>,
+    /// Present iff the index carries dynamic updates: the overlay's
+    /// residual delta plus this session's label merge buffers.
+    overlay: Option<OverlayDense<'a>>,
     /// Phase timings/settle counts, recorded by the seeded search (plain
     /// fields — the zero-allocation contract includes tracing).
     trace: crate::trace::QueryTrace,
 }
 
-/// Session-local snapshot of the update overlay in dense-kernel terms: the
-/// structural patch (inserted tail + tombstones) plus label merge buffers
-/// for the two endpoints, pre-sized so queries stay allocation-free.
+/// What a session needs of the update overlay: the structural patch the
+/// overlay owns (inserted tail, tombstones, extra adjacency) plus label
+/// merge buffers for the two endpoints, pre-sized so queries stay
+/// allocation-free.
 #[derive(Debug)]
-struct OverlayDense {
-    patch: DensePatch,
+struct OverlayDense<'a> {
+    patch: &'a DensePatch,
     anc_s: Vec<VertexId>,
     dist_s: Vec<Dist>,
     anc_t: Vec<VertexId>,
@@ -902,24 +917,16 @@ impl IsLabelSession<'_> {
                 .overlay
                 .effective_label_into(&index.labels, t, &mut od.anc_t, &mut od.dist_t);
         let ids = index.dense.ids();
-        let m = ids.len();
-        let base_n = index.graph.num_vertices();
         let view = PatchedDense {
             base: index.dense.fwd(),
-            patch: &od.patch,
+            patch: od.patch,
         };
         // Inserted vertices (global id >= base_n) live on the dense tail;
         // deleted ancestors were already dropped by the label merge.
         seeded_search(
             ls,
             lt,
-            |a| {
-                if (a as usize) < base_n {
-                    ids.dense(a)
-                } else {
-                    Some((m + (a as usize - base_n)) as u32)
-                }
-            },
+            |a| index.overlay.dense_id(ids, a),
             &view,
             &view,
             &mut self.fseeds,

@@ -44,7 +44,8 @@
 //!   every engine runs: compact `G_k` ids ([`GkIdMap`]),
 //!   generation-stamped flat arrays ([`StampedSlab`]) and an indexed 4-ary
 //!   heap with decrease-key ([`IndexedHeap`]); updated indexes stay on it
-//!   through a [`DensePatch`]ed view. Its oracle is [`mod@reference`] Dijkstra.
+//!   through a view of the [`DensePatch`] their overlay maintains
+//!   ([`updates`]). Its oracle is [`mod@reference`] Dijkstra.
 //! * [`kernel`] — Equation 1's one production entry point
 //!   ([`kernel::intersect_min_auto`], the adaptive merge-join every query
 //!   path routes through, with the linear [`query::intersect_min`] as its
@@ -118,4 +119,4 @@ pub use query::QueryType;
 pub use snapshot::{OracleHandle, SharedOracle, Snapshot};
 pub use stats::IndexStats;
 pub use trace::{PhaseSample, QueryTrace};
-pub use updates::UpdateOp;
+pub use updates::{OverlayStats, UpdateOp};

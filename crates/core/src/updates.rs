@@ -26,15 +26,25 @@
 //!   filtered out of every label at query time.
 //!
 //! **Kernel routing**: the dense compact-id kernel ([`crate::dense`]) maps
-//! the *base* `G_k` vertex set, and a non-pristine index stays on it:
-//! sessions build a [`crate::dense::DensePatch`] at creation time —
-//! inserted vertices become an order-preserving append-only tail of dense
-//! ids, deletions a tombstone bitmap, and inserted residual edges extra
-//! adjacency — and run the same zero-alloc search over the patched view
-//! (overlay-merged labels are produced into session-owned buffers at seed
-//! time). A one-shot query opens such a session for itself, so it pays the
-//! snapshot (`Overlay::dense_patch`) per call; `rebuild()` folds the
-//! overlay into a fresh base index.
+//! the *base* `G_k` vertex set, and a non-pristine index stays on it. The
+//! overlay owns a [`DensePatch`] — inserted vertices as an
+//! order-preserving append-only tail of dense ids, deletions as a
+//! tombstone bitmap, inserted residual edges as extra adjacency — created
+//! by its first mutation and maintained by each one, so it *is* the
+//! residual delta at all times. A session borrows it and runs the same
+//! zero-alloc search over the patched view (overlay-merged labels are
+//! produced into session-owned buffers at seed time); opening one costs
+//! what it costs on a pristine index plus four label buffers, whatever
+//! the number of pending ops. `rebuild()` folds the overlay into a fresh
+//! base index.
+//!
+//! **State, and how it is kept** (`docs/adr/0006-flat-overlay.md`): a
+//! label patch is strictly ancestor-ascending and only ever min-merged;
+//! the descendants of a patched vertex are walked over the reverse peel
+//! DAG, held as one CSR with a stamped visited array from the first
+//! peeled-endpoint update on; all label reads of one patch application
+//! precede its first write; nothing is ever removed from the
+//! [`DensePatch`] — the view filters tombstoned endpoints.
 //!
 //! **Durability**: every mutation is recorded in an ordered op log
 //! ([`UpdateOp`]) inside the overlay. When a write-ahead log is attached
@@ -45,11 +55,11 @@
 //! seals the same ops into the artifact, so a non-pristine index persists
 //! and reloads losslessly (see [`crate::persist::wal`]).
 
-use crate::dense::{DensePatch, GkIdMap};
+use crate::dense::{DensePatch, GkIdMap, StampedSlab};
 use crate::hierarchy::VertexHierarchy;
 use crate::index::IsLabelIndex;
 use crate::label::{LabelSet, LabelView};
-use islabel_graph::{CsrGraph, Dist, FxHashMap, FxHashSet, VertexId, Weight};
+use islabel_graph::{CsrGraph, Dist, FxHashMap, VertexId, Weight};
 
 /// One dynamic update in application order — the unit of the write-ahead
 /// log ([`crate::persist::wal`]) and of the sealed-ops section of a
@@ -130,52 +140,157 @@ impl UpdateOp {
 }
 
 /// Overlay state accumulated by dynamic updates.
-#[derive(Debug, Default)]
+///
+/// `==` compares the *state* — patches, tombstones, the residual delta,
+/// the op log and the counters derived from them — and not the write
+/// path's working memory, so a replayed overlay equals the live one it
+/// reconstructs.
+#[derive(Debug, Default, PartialEq)]
 pub struct Overlay {
     base_n: usize,
     extra_vertices: usize,
-    /// Extra residual-graph adjacency (both directions), covering inserted
-    /// vertices and inserted `G_k`-to-`G_k` edges.
-    gk_extra: FxHashMap<VertexId, Vec<(VertexId, Weight)>>,
-    /// Tombstoned vertices.
-    deleted: FxHashSet<VertexId>,
+    /// Tombstone bitmap over global ids, grown on demand: a vertex beyond
+    /// its end is alive.
+    dead: Vec<u64>,
+    /// Tombstoned vertices in deletion order.
+    deleted: Vec<VertexId>,
     /// Extra label entries per vertex, ascending by ancestor, min-merged.
     label_patches: FxHashMap<VertexId, Vec<(VertexId, Dist)>>,
+    /// Entries over all of `label_patches`.
+    patch_entries: usize,
+    /// Upper bound on the longest patch: raised as patches grow, never
+    /// lowered when a deletion drops one (it only pre-sizes buffers).
+    max_patch_len: usize,
     /// Every inserted edge verbatim, for [`Overlay::materialize`].
     inserted_edges: Vec<(VertexId, VertexId, Weight)>,
-    /// Reverse first-hop DAG (`children[u]` = vertices whose peel adjacency
-    /// lists `u`), built on first use.
-    children: Option<Vec<Vec<VertexId>>>,
+    /// The residual-graph delta in compact-id space (see the module docs):
+    /// `None` exactly while the overlay is pristine.
+    residual: Option<DensePatch>,
+    /// Inserted `G_k`-to-`G_k` edges, those at since-deleted vertices
+    /// included (each is two entries of `residual`).
+    residual_edges: usize,
     stale: bool,
     /// Every applied mutation in order — the source of WAL records and of
     /// the sealed-ops section of a persisted artifact. Idempotent no-ops
     /// (re-deleting a deleted vertex) are not recorded.
     ops: Vec<UpdateOp>,
+    /// Working memory of the write path; not state.
+    scratch: PatchScratch,
 }
 
-/// A label after overlay application: borrowed when untouched, materialized
-/// when patched or filtered.
-pub(crate) enum EffLabel<'a> {
-    Base(LabelView<'a>),
-    Owned {
-        ancestors: Vec<VertexId>,
-        dists: Vec<Dist>,
-    },
+/// What [`Overlay::patch_with_entries`] reuses from call to call.
+#[derive(Debug, Default)]
+struct PatchScratch {
+    /// Built by the first update that patches a peeled vertex.
+    walk: Option<DescendantWalk>,
+    /// The label one `insert_edge` endpoint teaches the other, shifted.
+    shifted: Vec<(VertexId, Dist)>,
+    /// `(vertex, d(vertex, target))` of the walk in progress.
+    victims: Vec<(VertexId, Dist)>,
+    merged: Vec<(VertexId, Dist)>,
 }
 
-impl EffLabel<'_> {
-    /// Views the entries (owned labels carry no first hops — path
-    /// reconstruction is only offered on pristine indexes).
-    pub(crate) fn view(&self) -> LabelView<'_> {
-        match self {
-            EffLabel::Base(v) => *v,
-            EffLabel::Owned { ancestors, dists } => LabelView {
-                ancestors,
-                dists,
-                first_hops: &[],
-            },
+/// Working memory never tells two overlays apart.
+impl PartialEq for PatchScratch {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// The reverse peel DAG — `children(u)` are the vertices whose peel
+/// adjacency lists `u`, ascending — in CSR form, with the stamped visited
+/// array of the walk over it. The vertices reachable from `u` are exactly
+/// those whose label contains `u` (Definition 3 read backwards).
+#[derive(Debug)]
+struct DescendantWalk {
+    offsets: Vec<u32>,
+    list: Vec<VertexId>,
+    seen: StampedSlab<()>,
+    stack: Vec<VertexId>,
+}
+
+impl DescendantWalk {
+    /// Transposes `peel_adj` over the `n` base vertices in two counting
+    /// passes.
+    fn build(h: &VertexHierarchy, n: usize) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for x in 0..n as VertexId {
+            for e in h.peel_adj(x) {
+                offsets[e.to as usize + 1] += 1;
+            }
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut list = vec![0; offsets[n] as usize];
+        for x in 0..n as VertexId {
+            for e in h.peel_adj(x) {
+                let slot = &mut next[e.to as usize];
+                list[*slot as usize] = x;
+                *slot += 1;
+            }
+        }
+        Self {
+            offsets,
+            list,
+            seen: StampedSlab::new(n),
+            stack: Vec::new(),
         }
     }
+
+    /// Hands every proper descendant of `root` to `visit`, each once.
+    fn for_each_descendant(&mut self, root: VertexId, mut visit: impl FnMut(VertexId)) {
+        let Self {
+            offsets,
+            list,
+            seen,
+            stack,
+        } = self;
+        seen.reset();
+        seen.set(root, ());
+        stack.push(root);
+        while let Some(x) = stack.pop() {
+            let (lo, hi) = (offsets[x as usize], offsets[x as usize + 1]);
+            for &c in &list[lo as usize..hi as usize] {
+                if !seen.contains(c) {
+                    seen.set(c, ());
+                    stack.push(c);
+                    visit(c);
+                }
+            }
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.list.capacity() + self.seen.len() + self.stack.capacity())
+            * std::mem::size_of::<u32>()
+    }
+}
+
+/// The overlay's shape ([`IsLabelIndex::overlay_stats`]): counters the
+/// mutation path maintains, so reading them costs nothing, and `bytes`,
+/// which is summed over capacities on call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OverlayStats {
+    /// Applied mutations since the last build (the op log length).
+    pub pending_ops: usize,
+    /// Dynamically inserted vertices, deleted ones included.
+    pub inserted_vertices: usize,
+    /// Deleted vertices.
+    pub tombstones: usize,
+    /// Vertices whose label carries a patch.
+    pub patched_labels: usize,
+    /// Entries over all label patches.
+    pub patch_entries: usize,
+    /// Upper bound on the longest label patch (a deletion that drops the
+    /// longest one does not lower it).
+    pub max_patch_len: usize,
+    /// Inserted `G_k`-to-`G_k` edges, those at since-deleted vertices
+    /// included.
+    pub extra_edges: usize,
+    /// Heap bytes the overlay holds, working memory included.
+    pub bytes: usize,
 }
 
 impl Overlay {
@@ -192,14 +307,9 @@ impl Overlay {
         self.base_n + self.extra_vertices
     }
 
-    /// Whether no update has been applied.
+    /// Whether no update has been applied (every mutation logs its op).
     pub fn is_pristine(&self) -> bool {
-        self.extra_vertices == 0
-            && self.deleted.is_empty()
-            && self.gk_extra.is_empty()
-            && self.label_patches.is_empty()
-            && self.inserted_edges.is_empty()
-            && self.ops.is_empty()
+        self.ops.is_empty()
     }
 
     /// The ordered mutation log (see [`UpdateOp`]).
@@ -213,8 +323,11 @@ impl Overlay {
     }
 
     /// Whether `v` is tombstoned.
+    #[inline]
     pub fn is_deleted(&self, v: VertexId) -> bool {
-        !self.deleted.is_empty() && self.deleted.contains(&v)
+        self.dead
+            .get((v / 64) as usize)
+            .is_some_and(|word| (word >> (v % 64)) & 1 == 1)
     }
 
     /// Effective `G_k` membership: inserted vertices always live in `G_k`.
@@ -226,25 +339,76 @@ impl Overlay {
         }
     }
 
-    /// The label of `v` with patches merged and deleted ancestors removed.
-    pub(crate) fn effective_label<'a>(&'a self, labels: &'a LabelSet, v: VertexId) -> EffLabel<'a> {
-        if (v as usize) < self.base_n
-            && !self.label_patches.contains_key(&v)
-            && self.deleted.is_empty()
-        {
-            return EffLabel::Base(labels.label(v));
-        }
-        let mut ancestors = Vec::new();
-        let mut dists = Vec::new();
-        self.merge_label_into(labels, v, &mut ancestors, &mut dists);
-        EffLabel::Owned { ancestors, dists }
+    /// The residual delta sessions search over; `None` while pristine.
+    pub(crate) fn residual(&self) -> Option<&DensePatch> {
+        self.residual.as_ref()
     }
 
-    /// Buffer-reusing form of [`Overlay::effective_label`] for the session
-    /// dense path: untouched labels are returned borrowed from the base
-    /// set, patched ones are merged into the caller's buffers (pre-size
-    /// them to `max_label_len + max_patch_len` for zero steady-state
-    /// allocations).
+    /// Compact id of `v` in the patched dense universe: base `G_k` members
+    /// through `ids`, inserted vertices on the tail in id order, `None` for
+    /// a peeled vertex.
+    #[inline]
+    pub(crate) fn dense_id(&self, ids: &GkIdMap, v: VertexId) -> Option<u32> {
+        if (v as usize) < self.base_n {
+            ids.dense(v)
+        } else {
+            Some((ids.len() + (v as usize - self.base_n)) as u32)
+        }
+    }
+
+    /// Longest label patch, as an upper bound (pre-sizes session label
+    /// buffers).
+    pub(crate) fn max_patch_len(&self) -> usize {
+        self.max_patch_len
+    }
+
+    /// See [`IsLabelIndex::overlay_stats`].
+    pub(crate) fn stats(&self) -> OverlayStats {
+        use std::mem::size_of;
+        let patch_bytes = self.label_patches.capacity()
+            * size_of::<(VertexId, Vec<(VertexId, Dist)>)>()
+            + self
+                .label_patches
+                .values()
+                .map(|p| p.capacity() * size_of::<(VertexId, Dist)>())
+                .sum::<usize>();
+        let op_bytes = self.ops.capacity() * size_of::<UpdateOp>()
+            + self
+                .ops
+                .iter()
+                .map(|op| match op {
+                    UpdateOp::InsertVertex { edges } => {
+                        edges.capacity() * size_of::<(VertexId, Weight)>()
+                    }
+                    _ => 0,
+                })
+                .sum::<usize>();
+        let s = &self.scratch;
+        let scratch_bytes = s.walk.as_ref().map_or(0, DescendantWalk::memory_bytes)
+            + (s.shifted.capacity() + s.victims.capacity() + s.merged.capacity())
+                * size_of::<(VertexId, Dist)>();
+        OverlayStats {
+            pending_ops: self.ops.len(),
+            inserted_vertices: self.extra_vertices,
+            tombstones: self.deleted.len(),
+            patched_labels: self.label_patches.len(),
+            patch_entries: self.patch_entries,
+            max_patch_len: self.max_patch_len,
+            extra_edges: self.residual_edges,
+            bytes: self.dead.capacity() * size_of::<u64>()
+                + self.deleted.capacity() * size_of::<VertexId>()
+                + patch_bytes
+                + self.inserted_edges.capacity() * size_of::<(VertexId, VertexId, Weight)>()
+                + self.residual.as_ref().map_or(0, DensePatch::memory_bytes)
+                + op_bytes
+                + scratch_bytes,
+        }
+    }
+
+    /// The label of `v` with patches merged and deleted ancestors removed:
+    /// untouched labels are returned borrowed from the base set, patched
+    /// ones are merged into the caller's buffers (pre-size them to
+    /// `max_label_len + max_patch_len` for zero steady-state allocations).
     pub(crate) fn effective_label_into<'a>(
         &self,
         labels: &'a LabelSet,
@@ -258,7 +422,12 @@ impl Overlay {
         {
             return labels.label(v);
         }
-        self.merge_label_into(labels, v, ancestors, dists);
+        ancestors.clear();
+        dists.clear();
+        self.merge_label_into(labels, v, |anc, d| {
+            ancestors.push(anc);
+            dists.push(d);
+        });
         LabelView {
             ancestors,
             dists,
@@ -266,22 +435,16 @@ impl Overlay {
         }
     }
 
-    /// Longest label patch, in entries (pre-sizes session label buffers).
-    pub(crate) fn max_patch_len(&self) -> usize {
-        self.label_patches.values().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Merges `v`'s base entries (if any) with its patches, min per
-    /// ancestor, dropping deleted ancestors, into `ancestors`/`dists`.
+    /// ancestor, dropping deleted ancestors, and hands each surviving
+    /// `(ancestor, dist)` to `emit` in ancestor order.
+    #[inline]
     fn merge_label_into(
         &self,
         labels: &LabelSet,
         v: VertexId,
-        ancestors: &mut Vec<VertexId>,
-        dists: &mut Vec<Dist>,
+        mut emit: impl FnMut(VertexId, Dist),
     ) {
-        ancestors.clear();
-        dists.clear();
         let base = ((v as usize) < self.base_n).then(|| labels.label(v));
         let empty: &[(VertexId, Dist)] = &[];
         let patch: &[(VertexId, Dist)] = self.label_patches.get(&v).map_or(empty, |p| p.as_slice());
@@ -295,8 +458,7 @@ impl Overlay {
                         // Same ancestor on both sides: keep the minimum.
                         let d = bdist[i].min(patch[j].1);
                         if !self.is_deleted(ba) {
-                            ancestors.push(ba);
-                            dists.push(d);
+                            emit(ba, d);
                         }
                         i += 1;
                         j += 1;
@@ -310,48 +472,16 @@ impl Overlay {
             };
             if take_base {
                 if !self.is_deleted(banc[i]) {
-                    ancestors.push(banc[i]);
-                    dists.push(bdist[i]);
+                    emit(banc[i], bdist[i]);
                 }
                 i += 1;
             } else {
                 if !self.is_deleted(patch[j].0) {
-                    ancestors.push(patch[j].0);
-                    dists.push(patch[j].1);
+                    emit(patch[j].0, patch[j].1);
                 }
                 j += 1;
             }
         }
-    }
-
-    /// Remaps the overlay's residual deltas into compact-id space for the
-    /// session dense path: inserted vertices become tail ids (global
-    /// `base_n + j` → dense `|ids| + j`, preserving id order), deletions
-    /// become tombstones, and the extra residual adjacency is translated
-    /// list by list in push order.
-    pub(crate) fn dense_patch(&self, ids: &GkIdMap) -> DensePatch {
-        let m = ids.len();
-        let to_dense = |v: VertexId| -> Option<u32> {
-            if (v as usize) < self.base_n {
-                ids.dense(v)
-            } else {
-                Some((m + (v as usize - self.base_n)) as u32)
-            }
-        };
-        let mut patch = DensePatch::new(m, self.extra_vertices);
-        for &v in &self.deleted {
-            if let Some(d) = to_dense(v) {
-                patch.mark_dead(d);
-            }
-        }
-        for (&u, list) in &self.gk_extra {
-            let du = to_dense(u).expect("gk_extra key is an effective G_k vertex");
-            for &(v, w) in list {
-                let dv = to_dense(v).expect("gk_extra target is an effective G_k vertex");
-                patch.push_edge(du, dv, w);
-            }
-        }
-        patch
     }
 
     /// Materializes the fully updated graph: base edges minus tombstones,
@@ -377,6 +507,17 @@ impl Overlay {
     // so they can borrow hierarchy/labels immutably beside the overlay.
     // -----------------------------------------------------------------
 
+    /// Logs `op` as applied and returns the residual delta for it to
+    /// update, creating the delta if this is the first mutation.
+    fn begin_op(index: &mut IsLabelIndex, op: UpdateOp) -> &mut DensePatch {
+        index.overlay.ops.push(op);
+        let base_len = index.dense.ids().len();
+        index
+            .overlay
+            .residual
+            .get_or_insert_with(|| DensePatch::new(base_len, 0))
+    }
+
     /// Implements [`IsLabelIndex::insert_vertex`].
     pub(crate) fn insert_vertex(
         index: &mut IsLabelIndex,
@@ -391,18 +532,25 @@ impl Overlay {
             assert!(!index.overlay.is_deleted(v), "neighbor {v} is deleted");
             assert!(w > 0, "weights must be positive");
         }
-        index.overlay.ops.push(UpdateOp::InsertVertex {
-            edges: edges.to_vec(),
-        });
-        index.overlay.extra_vertices += 1;
+        Overlay::begin_op(
+            index,
+            UpdateOp::InsertVertex {
+                edges: edges.to_vec(),
+            },
+        )
+        .push_vertex();
+        let overlay = &mut index.overlay;
+        overlay.extra_vertices += 1;
         // The new vertex lives in G_k with a self-only label.
-        index.overlay.label_patches.insert(u, vec![(u, 0)]);
+        overlay.label_patches.insert(u, vec![(u, 0)]);
+        overlay.patch_entries += 1;
+        overlay.max_patch_len = overlay.max_patch_len.max(1);
 
         for &(v, w) in edges {
             index.overlay.inserted_edges.push((u, v, w));
             if index.overlay.effective_in_gk(&index.hierarchy, v) {
                 // "If v is in G_k, then we simply add the edge (u, v)."
-                push_gk_edge(&mut index.overlay.gk_extra, u, v, w);
+                Overlay::push_residual_edge(index, u, v, w);
             } else {
                 // "Otherwise ... add (u, ω(u, v)) to label(v)" and patch all
                 // descendants of v with the accumulated distance.
@@ -428,28 +576,28 @@ impl Overlay {
             "endpoint deleted"
         );
         assert!(w > 0, "weights must be positive");
-        index.overlay.ops.push(UpdateOp::InsertEdge { a, b, w });
+        Overlay::begin_op(index, UpdateOp::InsertEdge { a, b, w });
         index.overlay.inserted_edges.push((a, b, w));
 
         let a_gk = index.overlay.effective_in_gk(&index.hierarchy, a);
         let b_gk = index.overlay.effective_in_gk(&index.hierarchy, b);
         if a_gk && b_gk {
-            push_gk_edge(&mut index.overlay.gk_extra, a, b, w);
+            Overlay::push_residual_edge(index, a, b, w);
             return;
         }
         // For each non-G_k endpoint x, teach x (and its descendants) the
         // other endpoint's entire label shifted by w — each patched value is
-        // the length of a real path x → other → ancestor.
-        for (x, y) in [(a, b), (b, a)] {
-            if !index.overlay.effective_in_gk(&index.hierarchy, x) {
-                let shifted: Vec<(VertexId, Dist)> = index
-                    .overlay
-                    .effective_label(&index.labels, y)
-                    .view()
-                    .iter()
-                    .map(|(anc, d)| (anc, d + w as Dist))
-                    .collect();
+        // the length of a real path x → other → ancestor. The second
+        // endpoint is taught the first one's label as just patched.
+        for (x, x_gk, y) in [(a, a_gk, b), (b, b_gk, a)] {
+            if !x_gk {
+                let mut shifted = std::mem::take(&mut index.overlay.scratch.shifted);
+                shifted.clear();
+                index.overlay.merge_label_into(&index.labels, y, |anc, d| {
+                    shifted.push((anc, d + w as Dist))
+                });
                 Overlay::patch_with_entries(index, x, &shifted);
+                index.overlay.scratch.shifted = shifted;
             }
         }
     }
@@ -463,115 +611,509 @@ impl Overlay {
         if index.overlay.is_deleted(v) {
             return;
         }
-        index.overlay.ops.push(UpdateOp::DeleteVertex { v });
-        let was_peeled = (v as usize) < index.overlay.base_n && !index.hierarchy.is_in_gk(v);
-        index.overlay.deleted.insert(v);
-        index.overlay.label_patches.remove(&v);
-        if let Some(list) = index.overlay.gk_extra.remove(&v) {
-            for (nbr, _) in list {
-                if let Some(mirror) = index.overlay.gk_extra.get_mut(&nbr) {
-                    mirror.retain(|&(x, _)| x != v);
-                }
-            }
+        let dense = index.overlay.dense_id(index.dense.ids(), v);
+        let residual = Overlay::begin_op(index, UpdateOp::DeleteVertex { v });
+        if let Some(d) = dense {
+            // Its own list and its neighbours' entries for it stay where
+            // they are: the patched view skips both.
+            residual.mark_dead(d);
         }
-        if was_peeled {
-            // Augmenting edges and label entries may still represent paths
-            // through v; only a rebuild can reconcile them (paper: "rebuild
-            // the index periodically").
-            index.overlay.stale = true;
+        let overlay = &mut index.overlay;
+        let word = (v / 64) as usize;
+        if overlay.dead.len() <= word {
+            overlay.dead.resize(word + 1, 0);
+        }
+        overlay.dead[word] |= 1u64 << (v % 64);
+        overlay.deleted.push(v);
+        if let Some(patch) = overlay.label_patches.remove(&v) {
+            overlay.patch_entries -= patch.len();
+        }
+        if dense.is_none() {
+            // A peeled vertex: augmenting edges and label entries may still
+            // represent paths through v; only a rebuild can reconcile them
+            // (paper: "rebuild the index periodically").
+            overlay.stale = true;
         }
     }
 
-    /// Patches `target` and all its descendants with `entries` (descendants
-    /// get each distance shifted by their label distance to `target`).
+    /// Adds the inserted edge `(a, b)` between two effective `G_k`
+    /// vertices to the residual delta, both directions.
+    fn push_residual_edge(index: &mut IsLabelIndex, a: VertexId, b: VertexId, w: Weight) {
+        let overlay = &mut index.overlay;
+        let ids = index.dense.ids();
+        let da = overlay
+            .dense_id(ids, a)
+            .expect("an effective G_k vertex has a dense id");
+        let db = overlay
+            .dense_id(ids, b)
+            .expect("an effective G_k vertex has a dense id");
+        let residual = overlay
+            .residual
+            .as_mut()
+            .expect("every mutation begins by creating the residual delta");
+        residual.push_edge(da, db, w);
+        residual.push_edge(db, da, w);
+        overlay.residual_edges += 1;
+    }
+
+    /// Patches the peeled vertex `target` and all its descendants with
+    /// `entries` (strictly ancestor-ascending; descendants get each
+    /// distance shifted by their label distance to `target`).
     fn patch_with_entries(
         index: &mut IsLabelIndex,
         target: VertexId,
         entries: &[(VertexId, Dist)],
     ) {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let overlay = &mut index.overlay;
+        let mut scratch = std::mem::take(&mut overlay.scratch);
+        let PatchScratch {
+            walk,
+            victims,
+            merged,
+            ..
+        } = &mut scratch;
+        let walk =
+            walk.get_or_insert_with(|| DescendantWalk::build(&index.hierarchy, overlay.base_n));
+
         // Collect (vertex, shift) pairs first so all label reads happen
-        // before any patch write.
-        let mut victims: Vec<(VertexId, Dist)> = vec![(target, 0)];
-        Overlay::ensure_children(index);
-        let children = index.overlay.children.as_ref().expect("just built");
-        let mut visited: FxHashSet<VertexId> = FxHashSet::default();
-        visited.insert(target);
-        let mut stack = vec![target];
-        while let Some(x) = stack.pop() {
-            if (x as usize) >= children.len() {
-                continue; // inserted vertices have no children
+        // before any patch write. Deleted vertices are walked through but
+        // not patched.
+        victims.clear();
+        victims.push((target, 0));
+        walk.for_each_descendant(target, |c| {
+            if overlay.is_deleted(c) {
+                return;
             }
-            for &c in &children[x as usize] {
-                if visited.insert(c) {
-                    stack.push(c);
-                }
+            // d(c, target) as c's effective label has it: target is an
+            // ancestor of every descendant by construction of the DAG, and
+            // an earlier patch may have brought it closer.
+            let base = index.labels.label(c).get(target);
+            let patched = overlay
+                .label_patches
+                .get(&c)
+                .and_then(|p| patch_entry(p, target));
+            if let Some(d) = base.into_iter().chain(patched).min() {
+                victims.push((c, d));
             }
-        }
-        for &x in visited.iter() {
-            if x == target || index.overlay.is_deleted(x) {
-                continue;
-            }
-            // d(x, target) from x's effective label; target is an ancestor
-            // of every descendant by construction of the first-hop DAG.
-            if let Some(d) = index
-                .overlay
-                .effective_label(&index.labels, x)
-                .view()
-                .get(target)
-            {
-                victims.push((x, d));
-            }
-        }
+        });
 
-        for (x, shift) in victims {
-            let patch = index.overlay.label_patches.entry(x).or_default();
-            for &(anc, d) in entries {
-                merge_patch(patch, anc, d + shift);
-            }
+        for &(x, shift) in victims.iter() {
+            let patch = overlay.label_patches.entry(x).or_default();
+            let before = patch.len();
+            min_merge_shifted(patch, entries, shift, merged);
+            overlay.patch_entries += patch.len() - before;
+            overlay.max_patch_len = overlay.max_patch_len.max(patch.len());
         }
-    }
-
-    /// Builds the reverse first-hop DAG once.
-    fn ensure_children(index: &mut IsLabelIndex) {
-        if index.overlay.children.is_some() {
-            return;
-        }
-        let n = index.overlay.base_n;
-        let mut children: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-        for x in 0..n as VertexId {
-            for e in index.hierarchy.peel_adj(x) {
-                children[e.to as usize].push(x);
-            }
-        }
-        index.overlay.children = Some(children);
+        overlay.scratch = scratch;
     }
 }
 
-/// Inserts a sorted patch entry, keeping the minimum on collision.
-fn merge_patch(patch: &mut Vec<(VertexId, Dist)>, anc: VertexId, d: Dist) {
-    match patch.binary_search_by_key(&anc, |&(a, _)| a) {
-        Ok(i) => patch[i].1 = patch[i].1.min(d),
-        Err(i) => patch.insert(i, (anc, d)),
-    }
+/// The patch's distance to `ancestor`, if it has one.
+fn patch_entry(patch: &[(VertexId, Dist)], ancestor: VertexId) -> Option<Dist> {
+    patch
+        .binary_search_by_key(&ancestor, |&(a, _)| a)
+        .ok()
+        .map(|i| patch[i].1)
 }
 
-fn push_gk_edge(
-    gk_extra: &mut FxHashMap<VertexId, Vec<(VertexId, Weight)>>,
-    u: VertexId,
-    v: VertexId,
-    w: Weight,
+/// Min-merges `entries`, each distance raised by `shift`, into `patch` in
+/// one pass — both are strictly ancestor-ascending, and so is the result.
+/// `buf` is the merge's output buffer, reused across calls.
+fn min_merge_shifted(
+    patch: &mut Vec<(VertexId, Dist)>,
+    entries: &[(VertexId, Dist)],
+    shift: Dist,
+    buf: &mut Vec<(VertexId, Dist)>,
 ) {
-    gk_extra.entry(u).or_default().push((v, w));
-    gk_extra.entry(v).or_default().push((u, w));
+    if patch.is_empty() {
+        patch.extend(entries.iter().map(|&(a, d)| (a, d + shift)));
+        return;
+    }
+    buf.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < patch.len() && j < entries.len() {
+        let (pa, pd) = patch[i];
+        let (ea, ed) = (entries[j].0, entries[j].1 + shift);
+        if pa <= ea {
+            buf.push((pa, if pa == ea { pd.min(ed) } else { pd }));
+            i += 1;
+            j += usize::from(pa == ea);
+        } else {
+            buf.push((ea, ed));
+            j += 1;
+        }
+    }
+    buf.extend_from_slice(&patch[i..]);
+    buf.extend(entries[j..].iter().map(|&(a, d)| (a, d + shift)));
+    patch.clear();
+    patch.extend_from_slice(buf);
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{DescendantWalk, UpdateOp};
     use crate::config::BuildConfig;
     use crate::index::IsLabelIndex;
     use crate::reference::dijkstra_p2p;
-    use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, WeightModel};
-    use islabel_graph::{GraphBuilder, VertexId};
+    use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
+    use islabel_graph::{CsrGraph, Dist, GraphBuilder, VertexId, Weight};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Section 8.3's rule by its definition, with none of the overlay's
+    /// machinery: the descendants of `target` are the vertices whose *base
+    /// label contains it* (found by scanning every label), a descendant's
+    /// shift is the smaller of its base and patch entries for `target`,
+    /// entries are min-inserted one at a time, and a deletion drops the
+    /// vertex's patch and every extra edge at it.
+    #[derive(Debug, Default)]
+    struct NaiveOverlay {
+        patches: BTreeMap<VertexId, BTreeMap<VertexId, Dist>>,
+        deleted: BTreeSet<VertexId>,
+        /// Inserted `G_k` edges per endpoint, in insertion order.
+        extra: BTreeMap<VertexId, Vec<(VertexId, Weight)>>,
+        inserted: usize,
+    }
+
+    impl NaiveOverlay {
+        fn in_gk(&self, base: &IsLabelIndex, v: VertexId) -> bool {
+            v as usize >= base.base_graph().num_vertices() || base.hierarchy().is_in_gk(v)
+        }
+
+        /// `v`'s label as a query would see it.
+        fn effective(&self, base: &IsLabelIndex, v: VertexId) -> BTreeMap<VertexId, Dist> {
+            let mut label = self.patches.get(&v).cloned().unwrap_or_default();
+            if (v as usize) < base.base_graph().num_vertices() {
+                for (anc, d) in base.labels().label(v).iter() {
+                    let e = label.entry(anc).or_insert(d);
+                    *e = (*e).min(d);
+                }
+            }
+            label.retain(|anc, _| !self.deleted.contains(anc));
+            label
+        }
+
+        fn patch(&mut self, base: &IsLabelIndex, target: VertexId, entries: &[(VertexId, Dist)]) {
+            let victims: Vec<(VertexId, Dist)> = base
+                .base_graph()
+                .vertices()
+                .filter(|x| !self.deleted.contains(x))
+                .filter_map(|x| {
+                    let shift = base.labels().label(x).get(target)?;
+                    let patched = self.patches.get(&x).and_then(|p| p.get(&target));
+                    Some((x, patched.map_or(shift, |&p| p.min(shift))))
+                })
+                .collect();
+            for (x, shift) in victims {
+                let patch = self.patches.entry(x).or_default();
+                for &(anc, d) in entries {
+                    let e = patch.entry(anc).or_insert(d + shift);
+                    *e = (*e).min(d + shift);
+                }
+            }
+        }
+
+        fn gk_edge(&mut self, a: VertexId, b: VertexId, w: Weight) {
+            self.extra.entry(a).or_default().push((b, w));
+            self.extra.entry(b).or_default().push((a, w));
+        }
+
+        fn apply(&mut self, base: &IsLabelIndex, op: &UpdateOp) {
+            match op {
+                UpdateOp::InsertVertex { edges } => {
+                    let u = (base.base_graph().num_vertices() + self.inserted) as VertexId;
+                    self.inserted += 1;
+                    self.patches.insert(u, BTreeMap::from([(u, 0)]));
+                    for &(v, w) in edges {
+                        if self.in_gk(base, v) {
+                            self.gk_edge(u, v, w);
+                        } else {
+                            self.patch(base, v, &[(u, w as Dist)]);
+                        }
+                    }
+                }
+                &UpdateOp::InsertEdge { a, b, w } => {
+                    if self.in_gk(base, a) && self.in_gk(base, b) {
+                        return self.gk_edge(a, b, w);
+                    }
+                    for (x, y) in [(a, b), (b, a)] {
+                        if !self.in_gk(base, x) {
+                            let shifted: Vec<(VertexId, Dist)> = self
+                                .effective(base, y)
+                                .into_iter()
+                                .map(|(anc, d)| (anc, d + w as Dist))
+                                .collect();
+                            self.patch(base, x, &shifted);
+                        }
+                    }
+                }
+                &UpdateOp::DeleteVertex { v } => {
+                    self.deleted.insert(v);
+                    self.patches.remove(&v);
+                    self.extra.remove(&v);
+                    for list in self.extra.values_mut() {
+                        list.retain(|&(x, _)| x != v);
+                    }
+                    self.extra.retain(|_, list| !list.is_empty());
+                }
+            }
+        }
+
+        /// Holds a live index's overlay to this model: every patch entry
+        /// for entry, the tombstones, the extra adjacency the patched view
+        /// serves (tombstoned endpoints filtered, dense ids mapped back),
+        /// and the maintained counters.
+        fn assert_matches(&self, index: &IsLabelIndex, context: &str) {
+            let overlay = &index.overlay;
+            assert_eq!(overlay.extra_vertices, self.inserted, "{context}");
+            assert_eq!(
+                overlay.label_patches.len(),
+                self.patches.len(),
+                "{context}: patched labels"
+            );
+            for (v, want) in &self.patches {
+                let got = overlay.label_patches.get(v).map_or(&[][..], Vec::as_slice);
+                assert!(
+                    got.iter().copied().eq(want.iter().map(|(&a, &d)| (a, d))),
+                    "{context}: patch of {v} is {got:?}, want {want:?}"
+                );
+            }
+            let stats = overlay.stats();
+            assert_eq!(
+                stats.patch_entries,
+                self.patches.values().map(BTreeMap::len).sum::<usize>(),
+                "{context}"
+            );
+            let longest = self.patches.values().map(BTreeMap::len).max().unwrap_or(0);
+            assert!(stats.max_patch_len >= longest, "{context}");
+
+            let mut dead = overlay.deleted.clone();
+            dead.sort_unstable();
+            assert!(dead.iter().eq(&self.deleted), "{context}: tombstones");
+            for v in 0..overlay.universe() as VertexId {
+                assert_eq!(
+                    overlay.is_deleted(v),
+                    self.deleted.contains(&v),
+                    "{context}"
+                );
+            }
+
+            let ids = index.dense.ids();
+            let global = |d: u32| match (d as usize).checked_sub(ids.len()) {
+                Some(j) => (overlay.base_n + j) as VertexId,
+                None => ids.global(d),
+            };
+            let mut extra = BTreeMap::new();
+            let patch = overlay.residual().expect("a mutated overlay has its delta");
+            assert_eq!(patch.tail() as usize, self.inserted, "{context}");
+            for d in (0..patch.num_vertices() as u32).filter(|&d| !patch.is_dead(d)) {
+                let list: Vec<(VertexId, Weight)> = patch
+                    .extra_of(d)
+                    .iter()
+                    .filter(|&&(to, _)| !patch.is_dead(to))
+                    .map(|&(to, w)| (global(to), w))
+                    .collect();
+                if !list.is_empty() {
+                    extra.insert(global(d), list);
+                }
+            }
+            assert_eq!(extra, self.extra, "{context}: extra adjacency");
+        }
+    }
+
+    /// 300 ops in the benchmark's 70 / 20 / 10 mix over live endpoints —
+    /// any live vertex may be deleted, from the first op on, and inserted
+    /// vertices serve as later endpoints — plus, from op 40 on, the shapes
+    /// a random draw rarely produces: a vertex inserted with the same
+    /// neighbour twice, an edge from a peeled vertex to one of its own
+    /// descendants, and that same edge again.
+    fn seeded_ops(index: &IsLabelIndex, seed: u64) -> Vec<UpdateOp> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut alive = vec![true; index.num_vertices()];
+        let peeled: Vec<VertexId> = index
+            .base_graph()
+            .vertices()
+            .filter(|&v| !index.is_in_gk(v))
+            .collect();
+        let mut ops = Vec::new();
+        while ops.len() < 300 {
+            let live = |rng: &mut StdRng, alive: &[bool]| loop {
+                let v = rng.gen_range(0..alive.len());
+                if alive[v] {
+                    return v as VertexId;
+                }
+            };
+            let w: Weight = rng.gen_range(1..=9);
+            if ops.len() == 40 {
+                let a = live(&mut rng, &alive);
+                let b = live(&mut rng, &alive);
+                alive.push(true);
+                ops.push(UpdateOp::InsertVertex {
+                    edges: vec![(a, w), (b, 2), (a, 1)],
+                });
+                // A live peeled vertex and a live proper descendant of it.
+                let pair = peeled.iter().find_map(|&a| {
+                    let b = index.base_graph().vertices().find(|&b| {
+                        b != a && alive[b as usize] && index.labels().label(b).get(a).is_some()
+                    })?;
+                    alive[a as usize].then_some((a, b))
+                });
+                if let Some((a, b)) = pair {
+                    ops.push(UpdateOp::InsertEdge { a, b, w });
+                    ops.push(UpdateOp::InsertEdge { a, b, w });
+                }
+                continue;
+            }
+            let roll = if ops.is_empty() {
+                95
+            } else {
+                rng.gen_range(0..100u32)
+            };
+            ops.push(if roll < 70 {
+                let a = live(&mut rng, &alive);
+                let b = live(&mut rng, &alive);
+                if a == b {
+                    continue;
+                }
+                UpdateOp::InsertEdge { a, b, w }
+            } else if roll < 90 {
+                let a = live(&mut rng, &alive);
+                alive.push(true);
+                UpdateOp::InsertVertex {
+                    edges: vec![(a, w)],
+                }
+            } else {
+                let v = live(&mut rng, &alive);
+                alive[v as usize] = false;
+                UpdateOp::DeleteVertex { v }
+            });
+        }
+        ops
+    }
+
+    fn test_graphs() -> Vec<(&'static str, CsrGraph)> {
+        let mut graphs = Vec::new();
+        for (tag, weights) in [
+            ("unit", WeightModel::Unit),
+            ("1..9", WeightModel::UniformRange(1, 9)),
+        ] {
+            graphs.push((tag, erdos_renyi_gnm(160, 400, weights, 3)));
+            graphs.push((tag, barabasi_albert(160, 3, weights, 4)));
+            graphs.push((tag, grid2d(12, 12, weights, 5)));
+        }
+        graphs
+    }
+
+    fn check_against_the_rule_by_definition(config: BuildConfig) {
+        for (g, (tag, graph)) in test_graphs().into_iter().enumerate() {
+            let base = IsLabelIndex::build(&graph, config);
+            let mut index = IsLabelIndex::build(&graph, config);
+            assert!(index.overlay.residual().is_none());
+            assert!(index.overlay.scratch.walk.is_none());
+            let mut naive = NaiveOverlay::default();
+            for (i, op) in seeded_ops(&base, 100 + g as u64).iter().enumerate() {
+                index.replay_op(op).unwrap();
+                naive.apply(&base, op);
+                naive.assert_matches(&index, &format!("graph {g} ({tag}), op {i}: {op:?}"));
+            }
+            assert_eq!(index.pending_ops(), 300);
+            assert_eq!(index.overlay_stats().tombstones, naive.deleted.len());
+        }
+    }
+
+    #[test]
+    fn overlay_state_is_the_rule_by_definition_after_every_op_with_a_gk() {
+        check_against_the_rule_by_definition(BuildConfig::sigma(0.95));
+    }
+
+    #[test]
+    fn overlay_state_is_the_rule_by_definition_after_every_op_on_a_full_hierarchy() {
+        check_against_the_rule_by_definition(BuildConfig::full());
+    }
+
+    #[test]
+    fn children_csr_is_the_transposed_peel_adjacency() {
+        for (_, graph) in test_graphs() {
+            for config in [BuildConfig::sigma(0.95), BuildConfig::full()] {
+                let index = IsLabelIndex::build(&graph, config);
+                let n = graph.num_vertices();
+                let mut naive = vec![Vec::new(); n];
+                for x in graph.vertices() {
+                    for e in index.hierarchy().peel_adj(x) {
+                        naive[e.to as usize].push(x);
+                    }
+                }
+                let walk = DescendantWalk::build(index.hierarchy(), n);
+                assert_eq!(walk.offsets.len(), n + 1);
+                for (u, children) in naive.iter().enumerate() {
+                    let (lo, hi) = (walk.offsets[u] as usize, walk.offsets[u + 1] as usize);
+                    assert_eq!(&walk.list[lo..hi], children, "children of {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn descendant_walk_is_the_same_across_the_epoch_wrap() {
+        let graph = barabasi_albert(160, 3, WeightModel::Unit, 4);
+        let index = IsLabelIndex::build(&graph, BuildConfig::full());
+        let mut walk = DescendantWalk::build(index.hierarchy(), 160);
+        let descendants = |walk: &mut DescendantWalk, root: VertexId| {
+            let mut seen = Vec::new();
+            walk.for_each_descendant(root, |c| seen.push(c));
+            seen.sort_unstable();
+            seen
+        };
+        // By definition: every other vertex whose label contains the root.
+        let roots: Vec<VertexId> = (0..160).step_by(7).collect();
+        let expect: Vec<Vec<VertexId>> = roots
+            .iter()
+            .map(|&r| {
+                let has = |x: &VertexId| *x != r && index.labels().label(*x).get(r).is_some();
+                graph.vertices().filter(has).collect()
+            })
+            .collect();
+        assert!(expect.iter().any(|d| d.len() > 1), "need a real walk");
+        // The second walk runs on the last epoch, the third wraps.
+        walk.seen.force_epoch(u32::MAX - 2);
+        for (&r, want) in roots.iter().zip(&expect) {
+            assert_eq!(&descendants(&mut walk, r), want, "descendants of {r}");
+        }
+    }
+
+    #[test]
+    fn a_deleted_gk_vertex_stays_filtered_when_its_neighbours_get_new_edges() {
+        let g = erdos_renyi_gnm(120, 300, WeightModel::UniformRange(1, 6), 9);
+        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let members = index.hierarchy().gk_members().to_vec();
+        assert!(members.len() >= 4);
+        let (hub, a, b, c) = (members[0], members[1], members[2], members[3]);
+        // Cheap shortcuts through `hub`, then `hub` dies: its entries stay
+        // in a's and b's extra lists and only the view hides them.
+        index.insert_edge(hub, a, 1);
+        index.insert_edge(hub, b, 1);
+        let u = index.insert_vertex(&[(hub, 1), (c, 1)]);
+        index.delete_vertex(hub);
+        index.insert_edge(a, c, 1);
+        index.insert_edge(a, u, 2);
+        assert!(!index.is_stale());
+
+        let current = index.current_graph();
+        assert_eq!(current.degree(hub), 0);
+        let mut session = index.session();
+        for s in [a, b, c, u, 1, 17, 60].into_iter().filter(|&s| s != hub) {
+            for t in g.vertices().chain([u]) {
+                assert_eq!(
+                    session.distance(s, t).unwrap(),
+                    dijkstra_p2p(&current, s, t),
+                    "({s}, {t})"
+                );
+                let out = session.search_outcome(s, t).unwrap();
+                assert_ne!(out.meeting, crate::query::Meeting::Search(hub));
+            }
+        }
+    }
 
     fn check_upper_bound_and_rebuild_exact(
         index: &mut IsLabelIndex,

@@ -111,8 +111,8 @@ fn sessions_answer_queries_without_allocating() {
 
     // --- IS-LABEL with pending updates: the PatchedDense session path. ---
     // A non-pristine index must stay on the dense kernel: the session
-    // snapshots the overlay into a DensePatch at open time and pre-sizes
-    // every buffer for the patched universe, so queries against an index
+    // borrows the DensePatch the overlay maintains and pre-sizes every
+    // buffer for the patched universe, so queries against an index
     // carrying inserts, new vertices, and tombstones allocate nothing.
     let mut updated = IsLabelIndex::build(&g, BuildConfig::default());
     for i in 0..30u32 {
@@ -142,6 +142,37 @@ fn sessions_answer_queries_without_allocating() {
         "patched IsLabelSession allocated {count} times over 200 queries"
     );
     drop(patched_session);
+
+    // --- Opening a session is O(1) in the overlay. ---
+    // The session borrows the overlay's patch instead of copying it, so
+    // the blocks it allocates (search scratch, seed and label buffers) do
+    // not grow with the pending ops — ten times the ops, many more
+    // vertices with extra edges, the same count.
+    let mut opens = [0u64; 2];
+    for (slot, pending) in [50u32, 500].into_iter().enumerate() {
+        let mut grown = IsLabelIndex::build(&g, BuildConfig::default());
+        let members = grown.hierarchy().gk_members().to_vec();
+        for i in 0..pending {
+            match i % 5 {
+                0 => drop(grown.insert_vertex(&[((i * 97 + 3) % 1800, 2)])),
+                // G_k to G_k: one more pair of extra adjacency entries.
+                1 | 2 => {
+                    let k = i as usize * 7;
+                    let (a, b) = (members[k % members.len()], members[(k + 1) % members.len()]);
+                    grown.insert_edge(a, b, i % 5 + 1);
+                }
+                _ => grown.insert_edge((i * 37 + 1) % 1800, (i * 53 + 401) % 1800, 3),
+            }
+        }
+        assert_eq!(grown.pending_ops(), pending as usize);
+        opens[slot] = audited(|| drop(grown.session()));
+    }
+    assert!(opens[0] > 0);
+    assert_eq!(
+        opens[0], opens[1],
+        "session() allocated {} blocks at 50 pending ops and {} at 500",
+        opens[0], opens[1]
+    );
 
     // --- di-IS-LABEL over the symmetrized digraph. ---
     let mut b = DigraphBuilder::new(n);

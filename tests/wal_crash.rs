@@ -10,7 +10,9 @@
 //! property-based encode/decode identity for the record format itself.
 
 use islabel::core::persist::wal::{decode_op, encode_op, scan_wal, WAL_HEADER_LEN};
-use islabel::core::persist::{load_index_with_wal, try_save_index_to_path};
+use islabel::core::persist::{
+    load_index_with_wal, try_load_index_from_path, try_save_index_to_path,
+};
 use islabel::core::UpdateOp;
 use islabel::graph::generators::{barabasi_albert, WeightModel};
 use islabel::{BuildConfig, CsrGraph, IsLabelIndex};
@@ -199,6 +201,45 @@ fn sealed_prefix_is_not_double_applied_on_recovery() {
     assert_eq!(recovery.replayed, 2, "only the post-checkpoint suffix");
     assert_eq!(recovered.pending_ops(), 4);
     assert_eq!(recovered.current_graph(), want);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Recovery restores the *state*, not only the answers: at every op-count
+/// prefix, the overlay replayed from the log cut there, and the one sealed
+/// into an artifact and reloaded, equal the overlay of an index that
+/// applied those ops live — patch for patch, tombstone for tombstone,
+/// extra edge for extra edge.
+#[test]
+fn recovered_and_resealed_overlays_equal_the_live_one_at_every_prefix() {
+    let dir = tempdir("state");
+    let (index_path, wal_path, expected) = crashed_pair(&dir);
+    let wal_bytes = std::fs::read(&wal_path).unwrap();
+    let scan = scan_wal(&wal_path).unwrap().unwrap();
+    let (cut_path, sealed_path) = (dir.join("cut.wal"), dir.join("sealed.islx"));
+
+    assert_eq!(expected.len(), scan.ops.len() + 1);
+    for (k, graph) in expected.iter().enumerate() {
+        let mut live = try_load_index_from_path(&index_path).unwrap();
+        for op in &scan.ops[..k] {
+            match op {
+                UpdateOp::InsertEdge { a, b, w } => live.insert_edge(*a, *b, *w),
+                UpdateOp::InsertVertex { edges } => drop(live.insert_vertex(edges)),
+                UpdateOp::DeleteVertex { v } => live.delete_vertex(*v),
+            }
+        }
+        assert_eq!(live.current_graph(), *graph, "prefix {k}");
+        assert_eq!(live.overlay_stats().pending_ops, k);
+
+        let cut = k.checked_sub(1).map_or(WAL_HEADER_LEN, |i| scan.offsets[i]);
+        std::fs::write(&cut_path, &wal_bytes[..cut as usize]).unwrap();
+        let (recovered, recovery) = load_index_with_wal(&index_path, &cut_path).unwrap();
+        assert_eq!(recovery.replayed, k);
+        assert_eq!(recovered.overlay(), live.overlay(), "recovered, prefix {k}");
+
+        try_save_index_to_path(&live, &sealed_path).unwrap();
+        let resealed = try_load_index_from_path(&sealed_path).unwrap();
+        assert_eq!(resealed.overlay(), live.overlay(), "resealed, prefix {k}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
