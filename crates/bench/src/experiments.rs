@@ -616,98 +616,6 @@ pub fn ablation_twohop() -> Table {
     t
 }
 
-/// Serving-throughput scaling: queries/sec through the sharded
-/// [`QueryService`](islabel_serve::QueryService) at 1/2/4/8 worker shards
-/// against the single-thread session baseline, on an Erdős–Rényi graph of
-/// `n ≥ 50k` vertices (`ISLABEL_SERVE_N` / `ISLABEL_SERVE_QUERIES`
-/// override the defaults).
-///
-/// Every configuration answers the identical workload and is asserted
-/// equal to the baseline answers — the table measures the serving layer,
-/// not a different query.
-pub fn serve_throughput() -> Table {
-    let n: usize = std::env::var("ISLABEL_SERVE_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50_000);
-    let nq: usize = std::env::var("ISLABEL_SERVE_QUERIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40_000);
-    let batch = 256usize;
-    let g = islabel_graph::generators::erdos_renyi_gnm(
-        n,
-        3 * n,
-        islabel_graph::generators::WeightModel::UniformRange(1, 10),
-        0x5EED,
-    );
-    let (index, build_dt) = time(|| IsLabelIndex::build(&g, BuildConfig::default()));
-    let oracle: std::sync::Arc<dyn DistanceOracle> = std::sync::Arc::new(index);
-    let workload = QueryWorkload::random(n, nq, 0x5EED);
-
-    let mut t = Table::new(
-        format!(
-            "Serving throughput — QueryService over IS-LABEL on ER (n = {}, m = {}, {} queries, \
-             batch {batch}; build {})",
-            human_count(n),
-            human_count(3 * n),
-            human_count(nq),
-            secs(build_dt),
-        ),
-        &["mode", "shards", "wall time", "queries/sec", "vs 1 session"],
-    );
-
-    // Baseline: one thread, one session, no service in between.
-    let (expect, base_dt) = time(|| {
-        let mut session = oracle.session();
-        workload
-            .pairs
-            .iter()
-            .map(|&(s, q)| session.distance(s, q).expect("workload in range"))
-            .collect::<Vec<_>>()
-    });
-    let base_ops = nq as f64 / base_dt.as_secs_f64();
-    t.row(vec![
-        "session (direct)".into(),
-        "-".into(),
-        secs(base_dt),
-        format!("{base_ops:.0}"),
-        "1.00x".into(),
-    ]);
-
-    for shards in [1usize, 2, 4, 8] {
-        let service = islabel_serve::QueryService::start(
-            std::sync::Arc::clone(&oracle),
-            islabel_serve::ServeConfig {
-                shards,
-                queue_capacity: 4096,
-            },
-        );
-        let (answers, dt) = time(|| {
-            let tickets: Vec<_> = workload
-                .pairs
-                .chunks(batch)
-                .map(|c| service.submit(c))
-                .collect();
-            tickets
-                .into_iter()
-                .flat_map(|ticket| ticket.wait().expect("workload in range"))
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(answers, expect, "{shards}-shard service diverges");
-        service.shutdown();
-        let ops = nq as f64 / dt.as_secs_f64();
-        t.row(vec![
-            "QueryService".into(),
-            shards.to_string(),
-            secs(dt),
-            format!("{ops:.0}"),
-            format!("{:.2}x", ops / base_ops),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

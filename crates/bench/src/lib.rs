@@ -28,6 +28,12 @@
 //!
 //! Environment knobs: `ISLABEL_SCALE` (`tiny`/`small`/`medium`/`large`,
 //! default `small`) and `ISLABEL_QUERIES` (default 1000).
+//!
+//! These bins reproduce the paper's tables. Performance claims about this
+//! repository are made with the repo benchmark instead (`BENCHMARK.json`,
+//! `benchmark/`), which borrows [`QueryWorkload`] and
+//! [`timing::percentile_us`] from here
+//! (`docs/adr/0007-one-format-one-harness.md`).
 
 pub mod experiments;
 pub mod table;

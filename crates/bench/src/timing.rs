@@ -22,8 +22,8 @@ pub fn secs(d: Duration) -> String {
 }
 
 /// Nearest-rank percentile of pre-sorted nanosecond latencies, in
-/// microseconds — the shared definition behind every `BENCH_*.json`
-/// latency field (`query_hotpath`, `net_throughput`).
+/// microseconds — the definition behind the repo benchmark's
+/// `latency_p50_us` / `latency_p90_us` (`benchmark/`).
 pub fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
     if sorted_ns.is_empty() {
         return 0.0;

@@ -25,7 +25,6 @@ islabel — IS-LABEL point-to-point distance index (VLDB 2013 reproduction)
 USAGE:
     islabel gen <dataset> [--scale tiny|small|medium|large] [-o out.isgb]
     islabel convert <in> <out>                 (.txt <-> .isgb by extension)
-    islabel convert <in.islx> <out.islx> --to v3|v2   (index format versions)
     islabel build <graph> -o <index.islx> [--sigma F | --k N | --full]
                   [--no-paths] [--external [--workdir DIR]]
     islabel query <index.islx | graph> <s> <t> [--path] [--engine E]
@@ -159,35 +158,16 @@ fn gen(argv: &[String]) -> Result<(), String> {
 }
 
 fn convert(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["to"])?;
+    let args = Args::parse(argv, &[])?;
     args.reject_unknown_flags(&[])?;
     let input = args.pos(0, "input path")?;
     let output = args.pos(1, "output path")?;
-    if input.ends_with(".islx") {
-        // Index-format conversion: load whichever version `input` is
-        // (auto-detected) and rewrite it as the requested version.
-        if !output.ends_with(".islx") {
-            return Err("index conversion needs an .islx output path".into());
-        }
-        let to = args.opt("to").unwrap_or("v3");
-        let index = load_index_from_path(input).map_err(|e| format!("load {input}: {e}"))?;
-        match to {
-            "v3" => islabel_core::persist::save_index_to_path(&index, output),
-            "v2" => islabel_core::persist::save_index_v2_to_path(&index, output),
-            other => return Err(format!("--to {other}: expected v2 or v3")),
-        }
-        .map_err(|e| format!("save {output}: {e}"))?;
-        let bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "{input} -> {output} ({to} artifact, {} vertices, {} pending op(s), {})",
-            human_count(index.num_vertices()),
-            index.pending_ops(),
-            human_bytes(bytes as usize)
+    if input.ends_with(".islx") || output.ends_with(".islx") {
+        return Err(
+            "convert translates graph files (.txt <-> .isgb); an .islx index has one format \
+             and is produced from its graph by `islabel build`"
+                .into(),
         );
-        return Ok(());
-    }
-    if args.opt("to").is_some() {
-        return Err("--to only applies to .islx index inputs".into());
     }
     let g = load_graph(input)?;
     save_graph(&g, output)?;
@@ -1139,35 +1119,21 @@ fn print_search_work(index: &IsLabelIndex) {
     );
 }
 
-/// `stats --file`: the on-disk view of an `.islx` artifact — format
-/// version, header facts, per-section byte layout (v3) and whether
-/// serving it would be memory-mapped or heap-resident.
+/// `stats --file`: the on-disk view of an `.islx` artifact — header
+/// facts, per-section byte layout and whether serving it would be
+/// memory-mapped or heap-resident. Anything but a v3 container (an older
+/// format version included) is refused by the reader's typed error.
 fn file_stats(path: &str) -> Result<(), String> {
-    let bytes = std::fs::metadata(path)
-        .map(|m| m.len() as usize)
-        .map_err(|e| format!("stat {path}: {e}"))?;
-    let mut head = [0u8; 8];
-    {
-        use std::io::Read as _;
-        let mut f = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-        f.read_exact(&mut head)
-            .map_err(|e| format!("read {path}: {e}"))?;
-    }
-    if &head[..4] != b"ISLX" {
-        return Err(format!("{path}: not an ISLX artifact"));
-    }
-    let version = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    println!("artifact: {path}");
-    println!("  file size:     {}", human_bytes(bytes));
-    if version != islabel_store::format::FORMAT_VERSION {
-        println!("  format:        v{version} (stream; loads fully onto the heap)");
-        println!("  residency:     heap (convert --to v3 for mmap serving)");
-        return Ok(());
-    }
     let reader = islabel_store::StoreReader::open(std::path::Path::new(path))
         .map_err(|e| format!("open {path}: {e}"))?;
     let h = reader.header();
-    println!("  format:        v{version} (flat sections; mmap-servable)");
+    let bytes = reader.len();
+    println!("artifact: {path}");
+    println!("  file size:     {}", human_bytes(bytes));
+    println!(
+        "  format:        v{} (flat sections; mmap-servable)",
+        islabel_store::format::FORMAT_VERSION
+    );
     println!("  epoch:         {}", h.epoch);
     println!("  k:             {}", h.k);
     println!("  vertices:      {}", human_count(h.n as usize));
@@ -1280,42 +1246,40 @@ mod tests {
     }
 
     #[test]
-    fn convert_index_versions_and_file_stats() {
+    fn convert_is_graph_only_and_file_stats_reads_the_one_format() {
         let graph = tmp("cvi.isgb");
-        let v3 = tmp("cvi.islx");
-        let v2 = tmp("cvi2.islx");
-        let back = tmp("cvi3.islx");
+        let index = tmp("cvi.islx");
+        let old = tmp("cvi-old.islx");
         run(&["gen", "google", "--scale", "tiny", "-o", &graph]).unwrap();
-        run(&["build", &graph, "-o", &v3]).unwrap();
+        run(&["build", &graph, "-o", &index]).unwrap();
+        assert_eq!(std::fs::read(&index).unwrap()[4..8], 3u32.to_le_bytes());
+        run(&["stats", &index, "--file"]).unwrap();
 
-        let version_of = |p: &str| {
-            let bytes = std::fs::read(p).unwrap();
-            u32::from_le_bytes(bytes[4..8].try_into().unwrap())
-        };
-        // Builds write v3 by default; conversion reaches v2 and back.
-        assert_eq!(version_of(&v3), 3);
-        run(&["convert", &v3, &v2, "--to", "v2"]).unwrap();
-        assert_eq!(version_of(&v2), 2);
-        run(&["convert", &v2, &back]).unwrap(); // --to defaults to v3
-        assert_eq!(version_of(&back), 3);
-
-        // Every version answers queries, and --file reports each layout.
-        for p in [&v3, &v2, &back] {
-            run(&["query", p, "0", "5"]).unwrap();
-            run(&["stats", p, "--file"]).unwrap();
+        // An index is not convertible, in either position.
+        for (input, output) in [(&index, &old), (&graph, &old), (&index, &graph)] {
+            let err = run(&["convert", input, output]).unwrap_err();
+            assert!(err.contains("islabel build"), "{err}");
         }
-
-        // Misuse is rejected cleanly.
-        let err = run(&["convert", &graph, &v2, "--to", "v2"]).unwrap_err();
-        assert!(err.contains("--to"), "{err}");
-        let err = run(&["convert", &v3, "out.txt", "--to", "v2"]).unwrap_err();
-        assert!(err.contains(".islx"), "{err}");
-        let err = run(&["convert", &v3, &v2, "--to", "v7"]).unwrap_err();
-        assert!(err.contains("v2 or v3"), "{err}");
+        assert!(!Path::new(&old).exists());
         let err = run(&["stats", &graph, "--file"]).unwrap_err();
         assert!(err.contains(".islx"), "{err}");
 
-        for f in [&graph, &v3, &v2, &back] {
+        // A pre-v3 artifact is refused by version, naming the remedy.
+        let mut v2 = b"ISLX".to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.resize(1024, 0);
+        std::fs::write(&old, v2).unwrap();
+        for args in [
+            vec!["stats", old.as_str(), "--file"],
+            vec!["stats", old.as_str()],
+            vec!["query", old.as_str(), "0", "5"],
+        ] {
+            let err = run(&args).unwrap_err();
+            assert!(err.contains("version 2"), "{err}");
+            assert!(err.contains("islabel build"), "{err}");
+        }
+
+        for f in [&graph, &index, &old] {
             std::fs::remove_file(f).ok();
         }
     }

@@ -84,6 +84,24 @@ fn recover_check_exit_codes() {
 }
 
 #[test]
+fn pre_v3_artifact_exits_one_naming_version_and_remedy() {
+    for version in [1u32, 2] {
+        let old = tmp(&format!("v{version}.islx"));
+        let mut bytes = b"ISLX".to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.resize(1024, 0);
+        std::fs::write(&old, bytes).unwrap();
+
+        let out = islabel(&["query", old.to_str().unwrap(), "0", "1"]);
+        assert_eq!(out.status.code(), Some(1));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("version {version}")), "{err}");
+        assert!(err.contains("islabel build"), "{err}");
+        std::fs::remove_file(&old).ok();
+    }
+}
+
+#[test]
 fn remote_query_against_dead_port_exits_one() {
     // Bind-then-drop reserves a port that nothing is listening on.
     let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();

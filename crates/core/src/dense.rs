@@ -164,10 +164,11 @@ impl GkIdMap {
 /// than split target/weight arrays: the relax loop always consumes both
 /// halves of an entry together, and interleaving them means a short row
 /// (grid graphs average degree 4 = one 32-byte span) costs one cache
-/// line instead of two. `query_hotpath`'s `layout_comparison` section
-/// measures this layout against the split one per PR; the on-disk v3
-/// format keeps split sections (a compatibility surface), and the writer
-/// de-interleaves on save.
+/// line instead of two. The mapped engine serves the split layout, so
+/// the repo benchmark's `core.mmapindex.vs_heap_ratio` is this layout
+/// measured against the split one; the on-disk v3 format keeps split
+/// sections (a compatibility surface), and the writer de-interleaves on
+/// save.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseCsr {
     offsets: Vec<u32>,

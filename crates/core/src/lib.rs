@@ -50,8 +50,9 @@
 //!   ([`kernel::intersect_min_auto`], the adaptive merge-join every query
 //!   path routes through, with the linear [`query::intersect_min`] as its
 //!   oracle) plus the software-prefetch hint the dense search uses.
-//! * [`persist`] — versioned artifact serialization plus the write-ahead
-//!   log ([`persist::wal`]) that makes dynamic updates crash-durable:
+//! * [`persist`] — the one artifact format ([`persist::v3`]) plus the
+//!   write-ahead log ([`persist::wal`]) that makes dynamic updates
+//!   crash-durable:
 //!   [`persist::load_index_with_wal`] reconstructs the exact overlay after
 //!   a crash at any byte boundary, [`persist::compact_index_with_wal`]
 //!   folds the log into a rebuilt artifact.

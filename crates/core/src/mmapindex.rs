@@ -116,13 +116,16 @@ impl MmapIndex {
 
     fn from_reader(reader: StoreReader) -> Result<Self, Error> {
         let s = Sections::resolve(&reader)?;
-        s.validate()?;
+        // Before the O(index) scan: the oracle loader answers this refusal
+        // (and only this one, by its `Unsupported` kind) with the heap
+        // engine, whose loader validates the same sections itself.
         if s.op_count != 0 {
             return Err(Error::Persist(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
                 "artifact has sealed dynamic updates; the mmap engine serves only pristine indexes",
             )));
         }
+        s.validate()?;
         Ok(Self { reader })
     }
 

@@ -5,9 +5,9 @@
 //! `Sections` resolution and semantic validation so the two load paths
 //! cannot drift in what they accept.
 //!
-//! Unlike the v2 stream, every array is its own 8-byte-aligned section
-//! (see `islabel_store::format` for the layout constants), which is what
-//! makes mmap-and-serve possible. The residual graph `G_k` is stored
+//! Every array is its own 8-byte-aligned section (see
+//! `islabel_store::format` for the layout constants), which is what makes
+//! mmap-and-serve possible. The residual graph `G_k` is stored
 //! *only* in compact (dense-id) form; the heap loader reconstructs the
 //! full-universe CSR through [`GraphBuilder`], which is exact because CSR
 //! construction is canonical (sorted, deduplicated) and the dense
@@ -586,8 +586,8 @@ impl<'a> Sections<'a> {
     }
 }
 
-/// Loads a v3 artifact fully into heap structures — the same
-/// [`IsLabelIndex`] the v2 loader produces, including sealed-op replay.
+/// Loads a v3 artifact fully into heap structures, including sealed-op
+/// replay.
 pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
     let s = Sections::resolve(reader)?;
     s.validate()?;
@@ -684,9 +684,9 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
     let mut index = IsLabelIndex::from_parts(graph, hierarchy, labels, config, stats);
     index.set_artifact_epoch(s.epoch);
 
-    // Replay the sealed op log through the normal mutation path, exactly
-    // like the v2 loader: every record is validated against the overlay
-    // state it applies to.
+    // Replay the sealed op log through the normal mutation path: every
+    // record is validated against the overlay state it applies to, so a
+    // corrupt op section fails cleanly instead of building a wrong overlay.
     let mut bytes = s.ops;
     for i in 0..s.op_count {
         if bytes.len() < 4 {
@@ -784,6 +784,7 @@ mod tests {
         assert!(loaded.has_updates());
         assert_eq!(loaded.num_vertices(), index.num_vertices());
         assert_eq!(loaded.artifact_epoch(), index.artifact_epoch());
+        assert_eq!(loaded.is_stale(), index.is_stale());
         for i in 0..40u32 {
             let (s, t) = ((i * 7) % 151, (i * 11 + 3) % 151);
             assert_eq!(loaded.try_distance(s, t), index.try_distance(s, t));

@@ -22,7 +22,7 @@
 //! ```
 //!
 //! The `epoch` pairs the log with exactly one index artifact lineage
-//! (minted at build time, stored in the v2 `.islx` header): replay is only
+//! (minted at build time, stored in the `.islx` header): replay is only
 //! attempted when the epochs match, which closes the crash window between
 //! "new artifact renamed into place" and "old WAL truncated" during
 //! compaction — a stale log is discarded, never replayed onto the wrong

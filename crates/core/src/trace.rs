@@ -19,8 +19,8 @@
 //!
 //! The serving layers drain [`QueryTrace::last`] once per query into the
 //! process-wide registry and the slow-query log; the cumulative fields
-//! let offline tools (the `query_hotpath` bench) report phase shares
-//! without touching a registry at all.
+//! let offline tools (`islabel stats`, the repo benchmark's traced runs)
+//! report phase shares without touching a registry at all.
 
 /// The phase split of a single traced query, in nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -51,7 +51,7 @@
 //! ([`IsLabelIndex::attach_wal`](crate::IsLabelIndex::attach_wal)) each op
 //! is appended to disk *before* it is applied, and
 //! [`crate::persist::load_index_with_wal`] replays the log to reconstruct
-//! the exact overlay after a crash; [`crate::persist::try_save_index`]
+//! the exact overlay after a crash; [`crate::persist::try_save_index_to_path`]
 //! seals the same ops into the artifact, so a non-pristine index persists
 //! and reloads losslessly (see [`crate::persist::wal`]).
 

@@ -774,9 +774,9 @@ fn serve_frames(stream: &TcpStream, shared: &Arc<ServerShared>, authed: bool) {
                             message: "admin reload disabled by server config".into(),
                         })
                     } else {
-                        // Mmap-preferred: a pristine v3 artifact is served
-                        // zero-copy off the mapped file, anything else
-                        // (v2, sealed updates) loads onto the heap.
+                        // Mmap-preferred: a pristine artifact is served
+                        // zero-copy off the mapped file, one with sealed
+                        // updates loads onto the heap.
                         match try_load_oracle_from_path(&path) {
                             Ok(oracle) => {
                                 let num_vertices = oracle.num_vertices() as u64;

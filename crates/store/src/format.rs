@@ -27,8 +27,9 @@ use std::io;
 /// File magic shared by every `.islx` version.
 pub const MAGIC: [u8; 4] = *b"ISLX";
 
-/// The flat, mmap-servable artifact format version. Versions 1 and 2 are
-/// the streamed heap-deserialized layouts (see `islabel-core::persist`).
+/// The flat, mmap-servable artifact format version — the only one read.
+/// Versions 1 and 2 were streamed, heap-deserialized layouts; a file
+/// carrying either is refused as [`FormatError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 3;
 
 /// Fixed header bytes before the section table.
@@ -168,7 +169,11 @@ impl std::fmt::Display for FormatError {
             }
             FormatError::BadMagic => write!(f, "bad magic (not an ISLX artifact)"),
             FormatError::UnsupportedVersion(v) => {
-                write!(f, "unsupported store format version {v}")
+                write!(
+                    f,
+                    "unsupported artifact version {v} (this build reads only version \
+                     {FORMAT_VERSION}; rebuild the index from its graph with `islabel build`)"
+                )
             }
             FormatError::HeaderChecksum => write!(f, "header checksum mismatch"),
             FormatError::Header(what) => write!(f, "corrupt header: {what}"),

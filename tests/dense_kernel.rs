@@ -51,10 +51,7 @@ fn dense_kernel_matches_reference_across_graphs_and_configs() {
     }
 }
 
-#[test]
-fn dense_kernel_matches_reference_on_directed_graphs() {
-    // Directed conformance: the session (forward and transposed compact
-    // CSRs) against directed Dijkstra.
+fn random_digraph() -> islabel::graph::CsrDigraph {
     let mut b = DigraphBuilder::new(300);
     let mut state = 0xD1CEu64;
     let mut next = move || {
@@ -70,7 +67,14 @@ fn dense_kernel_matches_reference_on_directed_graphs() {
             b.add_arc(u, v, (next() % 6 + 1) as Weight);
         }
     }
-    let g = b.build();
+    b.build()
+}
+
+#[test]
+fn dense_kernel_matches_reference_on_directed_graphs() {
+    // Directed conformance: the session (forward and transposed compact
+    // CSRs) against directed Dijkstra.
+    let g = random_digraph();
     let index = DiIsLabelIndex::build(&g, BuildConfig::default());
     let mut session = index.session();
     for (s, t) in query_pairs(300, 150) {
@@ -192,4 +196,55 @@ fn overlay_session_keeps_the_lazy_update_contract() {
             "post-rebuild ({s}, {t})"
         );
     }
+}
+
+/// Answers `pairs` on one session with phase tracing on, then off: the
+/// answers must be equal and the trace must stand still while off.
+fn assert_tracing_is_invisible<S: QuerySession + ?Sized, A: PartialEq + std::fmt::Debug>(
+    what: &str,
+    session: &mut S,
+    n: u32,
+    mut answer: impl FnMut(&mut S, VertexId, VertexId) -> A,
+) {
+    let mut run = |session: &mut S| -> Vec<A> {
+        query_pairs(n, 80)
+            .map(|(s, t)| answer(session, s, t))
+            .collect()
+    };
+    let traced = run(session);
+    let before = session.trace().expect("session traces").clone();
+    assert!(before.enabled && before.queries > 0, "{what}");
+    session.trace_mut().expect("session traces").enabled = false;
+    assert_eq!(run(session), traced, "{what}: tracing changed an answer");
+    let after = session.trace().expect("session traces");
+    assert_eq!(after.queries, before.queries, "{what}: traced while off");
+    assert_eq!(after.last, before.last, "{what}: traced while off");
+}
+
+#[test]
+fn answers_do_not_depend_on_phase_tracing() {
+    let g = barabasi_albert(250, 3, WeightModel::UniformRange(1, 4), 31);
+    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let outcome = |session: &mut islabel::core::IsLabelSession<'_>, s, t| {
+        session.search_outcome(s, t).unwrap()
+    };
+    assert_tracing_is_invisible("heap", &mut index.session(), 250, outcome);
+
+    let image = islabel::core::persist::v3::write_index(&index, std::io::Cursor::new(Vec::new()))
+        .unwrap()
+        .into_inner();
+    let mapped = MmapIndex::from_bytes(image).unwrap();
+    assert_tracing_is_invisible("mmap", &mut *mapped.session(), 250, |session, s, t| {
+        session.distance(s, t).unwrap()
+    });
+
+    let u = index.insert_vertex(&[(index.hierarchy().gk_members()[0], 2), (7, 1)]);
+    index.insert_edge(u, 11, 5);
+    index.delete_vertex(index.hierarchy().gk_members()[1]);
+    assert_tracing_is_invisible("patched", &mut index.session(), 251, outcome);
+
+    let di = DiIsLabelIndex::build(&random_digraph(), BuildConfig::default());
+    assert_tracing_is_invisible("directed", &mut di.session(), 300, |session, s, t| {
+        session.distance(s, t).unwrap()
+    });
 }

@@ -248,22 +248,16 @@ fn cached_max_label_len_matches_the_labels_on_every_construction_path() {
     // instead of rescanning the labels, so every way of making an index
     // must fill it with the real maximum.
     use islabel::core::embuild::{build_external_from_csr, EmConfig};
-    use islabel::core::persist::{
-        load_index, load_index_from_path, save_index, save_index_to_path,
-    };
+    use islabel::core::persist::{load_index_from_path, save_index_to_path};
 
     let g = Dataset::WebLike.generate(Scale::Tiny);
     let config = BuildConfig::default();
     let built = IsLabelIndex::try_build(&g, config).unwrap();
     assert!(built.labels().max_label_len() > 1);
 
-    let mut stream = Vec::new();
-    save_index(&built, &mut stream).unwrap();
-    let from_v2 = load_index(&mut &stream[..]).unwrap();
-
     let dir = tempdir("cached-max");
     save_index_to_path(&built, dir.join("i.islx")).unwrap();
-    let from_v3 = load_index_from_path(dir.join("i.islx")).unwrap();
+    let reloaded = load_index_from_path(dir.join("i.islx")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
     let storage = MemStorage::new();
@@ -271,8 +265,7 @@ fn cached_max_label_len_matches_the_labels_on_every_construction_path() {
 
     for (how, index) in [
         ("try_build", &built),
-        ("v2 stream", &from_v2),
-        ("v3 path", &from_v3),
+        ("saved and reloaded", &reloaded),
         ("external build", &external),
     ] {
         assert_eq!(

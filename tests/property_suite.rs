@@ -194,9 +194,11 @@ proptest! {
     #[test]
     fn persisted_index_answers_identically(g in arb_graph(30, 80), qseed in 0u32..500) {
         let index = IsLabelIndex::build(&g, BuildConfig::default());
-        let mut buf = Vec::new();
-        islabel::core::persist::save_index(&index, &mut buf).unwrap();
-        let loaded = islabel::core::persist::load_index(&mut &buf[..]).unwrap();
+        let buf = islabel::core::persist::v3::write_index(&index, std::io::Cursor::new(Vec::new()))
+            .unwrap()
+            .into_inner();
+        let reader = islabel::store::StoreReader::from_bytes(buf).unwrap();
+        let loaded = islabel::core::persist::v3::read_index(&reader).unwrap();
         let n = g.num_vertices() as u32;
         for i in 0..10u32 {
             let s = (qseed + i * 11) % n;

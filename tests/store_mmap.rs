@@ -5,11 +5,13 @@
 
 use islabel::core::persist::{
     compact_index_with_wal, load_index_from_path, load_index_with_wal, save_index_to_path,
-    save_index_v2_to_path, try_load_oracle_from_path,
+    try_load_oracle_from_path,
 };
 use islabel::core::{BuildConfig, IsLabelIndex, MmapIndex};
 use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
-use islabel::store::format::{DATA_START, SECTION_LABEL_DISTS};
+use islabel::store::format::{
+    DATA_START, SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS, SECTION_LABEL_OFFSETS,
+};
 use islabel::store::StoreReader;
 use islabel::DistanceOracle;
 
@@ -219,22 +221,80 @@ fn open_verified_catches_payload_corruption_that_open_tolerates() {
 }
 
 #[test]
-fn oracle_loader_prefers_mmap_for_v3_and_falls_back_for_v2() {
+fn oracle_loader_prefers_mmap_for_a_pristine_artifact_and_refuses_old_versions() {
     let g = grid2d(12, 12, WeightModel::UniformRange(1, 4), 5);
     let index = IsLabelIndex::build(&g, BuildConfig::default());
     let dir = tempdir("loader");
-    let v3 = dir.join("index.islx");
-    let v2 = dir.join("index-v2.islx");
-    save_index_to_path(&index, &v3).unwrap();
-    save_index_v2_to_path(&index, &v2).unwrap();
+    let path = dir.join("index.islx");
+    save_index_to_path(&index, &path).unwrap();
     assert_eq!(
-        try_load_oracle_from_path(&v3).unwrap().engine_name(),
+        try_load_oracle_from_path(&path).unwrap().engine_name(),
         "islabel-mmap"
     );
+
+    // The v1/v2 streams shared the magic: every entry point refuses them
+    // by version, with the remedy in the message.
+    for version in [1u32, 2] {
+        let mut old = b"ISLX".to_vec();
+        old.extend_from_slice(&version.to_le_bytes());
+        old.resize(DATA_START + 64, 0);
+        std::fs::write(&path, &old).unwrap();
+        let from_loader = try_load_oracle_from_path(&path).err().unwrap();
+        assert!(matches!(from_loader, islabel::core::Error::Persist(_)));
+        let errors = [
+            load_index_from_path(&path).unwrap_err().to_string(),
+            from_loader.to_string(),
+            MmapIndex::open(&path).unwrap_err().to_string(),
+        ];
+        for err in errors {
+            assert!(err.contains(&format!("version {version}")), "{err}");
+            assert!(err.contains("islabel build"), "{err}");
+        }
+    }
+}
+
+/// Duplicates the first ancestor of some label with two or more entries
+/// over the second, leaving every checksum as it was: only a content
+/// checksum or the semantic scan ("not sorted") can object.
+fn unsort_one_label(bytes: &mut [u8]) {
+    let r = StoreReader::from_bytes(bytes.to_vec()).unwrap();
+    let offsets = r.section_u64s(SECTION_LABEL_OFFSETS).unwrap().unwrap();
+    let v = offsets.windows(2).position(|w| w[1] - w[0] >= 2).unwrap();
+    let sec = r.header().section(SECTION_LABEL_ANCESTORS).unwrap();
+    let at = sec.offset as usize + offsets[v] as usize * 4;
+    bytes.copy_within(at..at + 4, at + 4);
+}
+
+#[test]
+fn oracle_loader_validates_once_and_reports_the_first_error() {
+    let (index, mut pristine) = sample_artifact();
+    let dir = tempdir("once");
+    let path = dir.join("index.islx");
+
+    // A corrupt pristine artifact: the mapped open (no content checksums)
+    // finds the unsorted label, and that error is the one returned — a
+    // second, heap open would have reported the checksum instead.
+    unsort_one_label(&mut pristine);
+    std::fs::write(&path, &pristine).unwrap();
+    let err = try_load_oracle_from_path(&path).err().unwrap().to_string();
+    assert!(err.contains("not sorted"), "{err}");
+
+    // A sealed artifact is served by the heap engine ...
+    let mut updated = index;
+    updated.try_insert_edge(0, 150, 1).unwrap();
+    save_index_to_path(&updated, &path).unwrap();
     assert_eq!(
-        try_load_oracle_from_path(&v2).unwrap().engine_name(),
+        try_load_oracle_from_path(&path).unwrap().engine_name(),
         "islabel"
     );
+    // ... and refused by the mapped engine before the semantic scan runs:
+    // the same defect in a sealed file is never reached.
+    let mut sealed = std::fs::read(&path).unwrap();
+    unsort_one_label(&mut sealed);
+    std::fs::write(&path, &sealed).unwrap();
+    let err = MmapIndex::open(&path).unwrap_err().to_string();
+    assert!(err.contains("sealed dynamic updates"), "{err}");
+    assert!(try_load_oracle_from_path(&path).is_err());
 }
 
 #[test]
