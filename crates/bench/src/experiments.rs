@@ -568,8 +568,9 @@ pub fn ablation_parallel() -> Table {
     let workload = QueryWorkload::random(g.num_vertices(), nq, 0xD4);
     let mut base = Duration::ZERO;
     for threads in [1usize, 2, 4, 8] {
-        let (answers, dt) = time(|| index.distance_batch_parallel(&workload.pairs, threads));
-        assert_eq!(answers.len(), nq);
+        let (answers, dt) =
+            time(|| index.distance_batch(&workload.pairs, BatchOptions::with_threads(threads)));
+        assert_eq!(answers.map(|a| a.len()), Ok(nq));
         if threads == 1 {
             base = dt;
         }

@@ -382,9 +382,10 @@ fn bench(argv: &[String]) -> Result<(), String> {
 }
 
 /// Drives a synthetic closed-loop workload through a [`QueryService`] and
-/// prints per-shard and latency tables. `--smoke` is the one-shot CI mode:
-/// small fixed workload, in-memory generated graph if no input is given,
-/// and a correctness cross-check that fails the command on any mismatch.
+/// prints the service's counters and the client latency table. `--smoke`
+/// is the one-shot CI mode: small fixed workload, in-memory generated
+/// graph if no input is given, and a correctness cross-check plus a stats
+/// check that fail the command on any mismatch.
 fn serve(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(
         argv,
@@ -508,12 +509,9 @@ fn serve(argv: &[String]) -> Result<(), String> {
 
     let service = QueryService::start(
         std::sync::Arc::clone(&oracle),
-        ServeConfig {
-            shards,
-            queue_capacity: 256,
-        },
+        ServeConfig::with_shards(shards),
     );
-    // Re-emit the per-shard counters through the process-wide registry so
+    // Re-emit the service's counters through the process-wide registry so
     // the same exposition the wire server streams is available here.
     service.register_metrics(islabel_obs::Registry::global());
     println!(
@@ -543,7 +541,7 @@ fn serve(argv: &[String]) -> Result<(), String> {
     // Closed-loop synthetic workload: each client thread submits a batch,
     // waits for it, repeats. Queries served before this point (the
     // cross-check) are excluded from the throughput figure.
-    let pre_workload_queries = service.stats().total_queries();
+    let pre_workload_queries = service.stats().queries;
     let t0 = Instant::now();
     let mut latencies: Vec<std::time::Duration> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..clients)
@@ -584,29 +582,17 @@ fn serve(argv: &[String]) -> Result<(), String> {
     let wall = t0.elapsed();
     let stats = service.shutdown();
 
-    println!("\nper-shard stats");
+    println!("\nservice stats");
+    println!("    queries |   chunks |      busy | mean µs/query |  p50 µs |  p99 µs | errors");
     println!(
-        "  shard |   queries |  batches |      busy | mean µs/query |  p50 µs |  p99 µs | swaps seen"
-    );
-    for s in &stats.shards {
-        println!(
-            "  {:>5} | {:>9} | {:>8} | {:>9.2?} | {:>13.2} | {:>7.1} | {:>7.1} | {:>10}",
-            s.shard,
-            s.queries,
-            s.batches,
-            s.busy,
-            s.mean_query_latency().as_secs_f64() * 1e6,
-            s.latency.p50().as_secs_f64() * 1e6,
-            s.latency.p99().as_secs_f64() * 1e6,
-            s.swaps_observed
-        );
-    }
-    let service_latency = stats.latency();
-    println!(
-        "  per-query service time: p50 {:.1} µs, p99 {:.1} µs over {} queries",
-        service_latency.p50().as_secs_f64() * 1e6,
-        service_latency.p99().as_secs_f64() * 1e6,
-        service_latency.count()
+        "  {:>9} | {:>8} | {:>9.2?} | {:>13.2} | {:>7.1} | {:>7.1} | {:>6}",
+        stats.queries,
+        stats.batches,
+        stats.busy,
+        stats.mean_query_latency().as_secs_f64() * 1e6,
+        stats.latency.p50().as_secs_f64() * 1e6,
+        stats.latency.p99().as_secs_f64() * 1e6,
+        stats.errors
     );
     latencies.sort_unstable();
     let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
@@ -618,15 +604,21 @@ fn serve(argv: &[String]) -> Result<(), String> {
         pct(0.99),
         latencies[latencies.len() - 1]
     );
-    let served_queries = stats.total_queries() - pre_workload_queries;
+    let served_queries = stats.queries - pre_workload_queries;
     println!(
-        "\n{} queries in {wall:.2?} -> {:.0} queries/sec across {} shard(s)",
+        "\n{} queries in {wall:.2?} -> {:.0} queries/sec from {clients} client(s)",
         served_queries,
         served_queries as f64 / wall.as_secs_f64(),
-        stats.shards.len()
     );
     if smoke {
-        println!("smoke OK: cross-check passed, workload drained, workers joined");
+        // Every client asks for `ceil(requests / clients)` queries.
+        let asked = (clients * requests.div_ceil(clients)) as u64;
+        if served_queries != asked || stats.latency.count() != stats.queries || stats.errors != 0 {
+            return Err(format!(
+                "serve stats do not add up: asked {asked}, served {served_queries}: {stats:?}"
+            ));
+        }
+        println!("smoke OK: cross-check passed, every query counted once");
     }
     Ok(())
 }

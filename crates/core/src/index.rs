@@ -7,7 +7,7 @@ use crate::dense::{
 use crate::hierarchy::VertexHierarchy;
 use crate::kernel::intersect_min_auto;
 use crate::label::{LabelSet, LabelView};
-use crate::oracle::{check_vertex, BatchOptions, DistanceOracle, Error, QueryError, QuerySession};
+use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
 use crate::persist::wal::{scan_wal, WalRecovery, WalWriter, WAL_HEADER_LEN};
 use crate::query::{Meeting, QueryType, SearchOutcome};
 use crate::stats::IndexStats;
@@ -435,28 +435,6 @@ impl IsLabelIndex {
             overlay,
             trace: QueryTrace::new(),
         }
-    }
-
-    /// Answers a batch of queries on `threads` worker threads. Queries are
-    /// read-only, so the index is shared freely (`&self` + `Sync`); this is
-    /// the natural serving mode for the paper's workload of independent
-    /// point-to-point queries.
-    ///
-    /// Results are returned in input order. `threads == 0` no longer
-    /// panics: it selects `available_parallelism()`, the
-    /// [`BatchOptions`] default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any vertex is out of range; use
-    /// [`DistanceOracle::distance_batch`] for the fallible form.
-    pub fn distance_batch_parallel(
-        &self,
-        pairs: &[(VertexId, VertexId)],
-        threads: usize,
-    ) -> Vec<Option<Dist>> {
-        self.distance_batch(pairs, BatchOptions::with_threads(threads))
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ---------------------------------------------------------------------
@@ -981,6 +959,7 @@ impl QuerySession for IsLabelSession<'_> {
 mod tests {
     use super::*;
     use crate::config::KSelection;
+    use crate::oracle::BatchOptions;
     use crate::reference::{dijkstra_all, dijkstra_p2p};
     use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, WeightModel};
     use islabel_graph::GraphBuilder;
@@ -1250,7 +1229,10 @@ mod tests {
         let sequential: Vec<Option<Dist>> =
             pairs.iter().map(|&(s, t)| index.distance(s, t)).collect();
         // The old assert!(threads > 0) is gone: 0 selects the default.
-        assert_eq!(index.distance_batch_parallel(&pairs, 0), sequential);
+        assert_eq!(
+            index.distance_batch(&pairs, BatchOptions::with_threads(0)),
+            Ok(sequential)
+        );
     }
 
     #[test]
@@ -1320,12 +1302,15 @@ mod tests {
             pairs.iter().map(|&(s, t)| index.distance(s, t)).collect();
         for threads in [1, 2, 4, 7] {
             assert_eq!(
-                index.distance_batch_parallel(&pairs, threads),
-                sequential,
+                index.distance_batch(&pairs, BatchOptions::with_threads(threads)),
+                Ok(sequential.clone()),
                 "{threads}"
             );
         }
-        assert!(index.distance_batch_parallel(&[], 4).is_empty());
+        assert_eq!(
+            index.distance_batch(&[], BatchOptions::with_threads(4)),
+            Ok(vec![])
+        );
     }
 
     #[test]

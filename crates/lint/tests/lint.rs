@@ -207,7 +207,7 @@ fn registry_extraction_covers_the_real_surface() {
     // too, keeping this guard honest.
     assert_eq!(
         extracted.metric_names.len(),
-        30,
+        29,
         "{:?}",
         extracted.metric_names
     );

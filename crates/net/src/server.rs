@@ -19,16 +19,19 @@
 //! [`NetConfig::write_timeout`], and is then closed. See
 //! `docs/adr/0004-one-thread-per-connection.md`.
 //!
-//! Hot swap semantics mirror `QueryService`: after every frame the
-//! connection compares its pinned generation with the shared
-//! [`OracleHandle`]; when a swap (e.g. a wire-triggered `Reload` or
-//! `Compact`) has landed, it re-pins and opens a fresh session, and the
-//! frame being processed when the swap hit finishes on the generation it
-//! pinned. Idle connections re-pin too: the socket read runs under
-//! [`NetConfig::idle_tick`], and a timeout that fires *between* frames
-//! checks the handle generation and drops a retired pin — a silent
-//! connection no longer keeps an old index's memory alive beyond one
-//! tick.
+//! Hot swap follows `QueryService`'s rule — a request is answered from
+//! the one generation pinned before it — with the pin and its session
+//! held across frames. Every `Query` and every pair of a `Batch` goes
+//! through [`islabel_serve::answer_traced`], the service's own per-query
+//! step. After every frame the connection compares its pinned generation
+//! with the shared [`OracleHandle`]; when a swap (e.g. a wire-triggered
+//! `Reload` or `Compact`) has landed, it re-pins and opens a fresh
+//! session, and the frame being processed when the swap hit finishes on
+//! the generation it pinned. Idle connections re-pin too: the socket
+//! read runs under [`NetConfig::idle_tick`], and a timeout that fires
+//! *between* frames checks the handle generation and drops a retired pin
+//! — a silent connection no longer keeps an old index's memory alive
+//! beyond one tick.
 //!
 //! Admin opcodes (`Reload`, `Shutdown`, `Compact`) can be gated behind a
 //! shared secret ([`NetConfig::admin_token`]) presented in the client's
@@ -52,7 +55,7 @@ use crate::protocol::{
 use islabel_core::persist::try_load_oracle_from_path;
 use islabel_core::snapshot::{OracleHandle, SharedOracle, Snapshot};
 use islabel_obs::{AtomicLatencyHistogram, LatencyHistogram};
-use islabel_serve::RebuildCoordinator;
+use islabel_serve::{answer_traced, RebuildCoordinator};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -692,40 +695,8 @@ fn serve_frames(stream: &TcpStream, shared: &Arc<ServerShared>, authed: bool) {
                 Request::Query { s, t } => {
                     // ordering: Relaxed — independent monotonic counter.
                     shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-                    let traced_before = session.trace().map_or(0, |tr| tr.queries);
-                    let q0 = Instant::now();
-                    let answer = session.distance(s, t);
-                    let elapsed = q0.elapsed();
+                    let (answer, elapsed) = answer_traced(session.as_mut(), s, t, pinned.version());
                     shared.counters.latency.record(elapsed);
-                    // Re-emit the engine's per-phase trace (if this query
-                    // actually produced one — short-circuits like s == t
-                    // don't) through the registry and the slow-query log.
-                    if let Some(sample) = session
-                        .trace()
-                        .filter(|tr| tr.queries > traced_before)
-                        .map(|tr| tr.last)
-                    {
-                        islabel_obs::QueryPhases::global().record(
-                            sample.intersect_ns,
-                            sample.seed_ns,
-                            sample.search_ns,
-                            sample.settled,
-                            sample.relaxed,
-                            sample.pushed,
-                        );
-                        islabel_obs::SlowQueryLog::global().observe(islabel_obs::SlowQuery {
-                            seq: 0,
-                            src: s,
-                            dst: t,
-                            dist: answer.as_ref().ok().and_then(|d| *d),
-                            total_ns: elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-                            intersect_ns: sample.intersect_ns,
-                            seed_ns: sample.seed_ns,
-                            search_ns: sample.search_ns,
-                            settled: sample.settled,
-                            snapshot_generation: pinned.version(),
-                        });
-                    }
                     match answer {
                         Ok(d) => Response::Distance(d),
                         Err(e) => Response::Error(WireError::from(e)),
@@ -748,9 +719,9 @@ fn serve_frames(stream: &TcpStream, shared: &Arc<ServerShared>, authed: bool) {
                         for &(s, t) in &pairs {
                             // ordering: Relaxed — independent monotonic counter.
                             shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-                            let q0 = Instant::now();
-                            let answer = session.distance(s, t);
-                            shared.counters.latency.record(q0.elapsed());
+                            let (answer, elapsed) =
+                                answer_traced(session.as_mut(), s, t, pinned.version());
+                            shared.counters.latency.record(elapsed);
                             match answer {
                                 Ok(d) => dists.push(d),
                                 Err(e) => {

@@ -1,5 +1,5 @@
 //! The power-of-two latency histogram, promoted here from
-//! `islabel-serve` so every layer (shard workers, the network server,
+//! `islabel-serve` so every layer (the query service, the network server,
 //! exposition) shares one implementation. PR 10 adds a running
 //! nanosecond sum so the Prometheus `_sum` series is exact rather than
 //! bucket-approximated.
@@ -14,7 +14,7 @@ pub const LATENCY_BUCKETS: usize = 40;
 
 /// Lock-free recorder behind [`LatencyHistogram`]: one relaxed atomic
 /// bucket increment plus one relaxed sum add per observation, shared
-/// across threads. Used by the shard workers in `islabel-serve` and by
+/// across threads. Used by `QueryService` in `islabel-serve` and by
 /// the network server in `islabel-net`.
 pub struct AtomicLatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -186,5 +186,45 @@ mod tests {
 
         let rebuilt = LatencyHistogram::from_parts(*local.buckets(), local.sum_nanos());
         assert_eq!(rebuilt, local);
+    }
+
+    #[test]
+    fn latency_histogram_buckets_and_percentiles() {
+        let mut h = LatencyHistogram::new();
+        assert_eq!(h.percentile(0.5), Duration::ZERO);
+        // 90 fast observations (~1 µs) and 10 slow ones (~1 ms): p50 must
+        // land in the fast bucket's range, p99 in the slow one's.
+        for _ in 0..90 {
+            h.record(Duration::from_micros(1));
+        }
+        for _ in 0..10 {
+            h.record(Duration::from_millis(1));
+        }
+        assert_eq!(h.count(), 100);
+        let p50 = h.p50();
+        let p99 = h.p99();
+        assert!(
+            p50 >= Duration::from_micros(1) && p50 <= Duration::from_micros(2),
+            "{p50:?}"
+        );
+        assert!(
+            p99 >= Duration::from_millis(1) && p99 <= Duration::from_millis(2),
+            "{p99:?}"
+        );
+        // Conservative upper edge: the quantile never under-reports by
+        // more than the bucket width (2x).
+        assert!(h.percentile(1.0) >= p99);
+
+        let atomic = AtomicLatencyHistogram::new();
+        atomic.record(Duration::from_nanos(0)); // bucket 0, no panic
+        atomic.record(Duration::from_secs(3600)); // clamps to the top bucket
+        let snap = atomic.snapshot();
+        assert_eq!(snap.count(), 2);
+        assert_eq!(snap.buckets()[0], 1);
+        assert_eq!(snap.buckets()[LATENCY_BUCKETS - 1], 1);
+
+        let mut merged = snap.clone();
+        merged.merge(&h);
+        assert_eq!(merged.count(), 102);
     }
 }

@@ -5,17 +5,15 @@
 //! so renaming a metric silently — breaking every dashboard scraping it
 //! — is a CI failure, exactly like renumbering a wire opcode.
 
-/// Queries answered by a `QueryService` shard (label `shard`).
+/// Queries answered by a `QueryService`.
 pub const METRIC_SERVE_QUERIES_TOTAL: &str = "islabel_serve_queries_total";
-/// Batch chunks processed by a `QueryService` shard (label `shard`).
+/// Batch chunks answered by a `QueryService` (a single query is one).
 pub const METRIC_SERVE_BATCHES_TOTAL: &str = "islabel_serve_batches_total";
-/// Typed query errors per shard (label `shard`).
+/// Chunks a `QueryService` cut short on a typed query error.
 pub const METRIC_SERVE_ERRORS_TOTAL: &str = "islabel_serve_errors_total";
-/// Hot-swap refreshes observed by the shard workers (label `shard`).
-pub const METRIC_SERVE_SWAPS_OBSERVED_TOTAL: &str = "islabel_serve_swaps_observed_total";
-/// Wall-clock nanoseconds the shard workers spent answering (label `shard`).
+/// Wall-clock nanoseconds a `QueryService`'s callers spent answering.
 pub const METRIC_SERVE_BUSY_NANOSECONDS_TOTAL: &str = "islabel_serve_busy_nanoseconds_total";
-/// In-worker service-time distribution, all shards merged.
+/// Per-query service-time distribution of a `QueryService`.
 pub const METRIC_SERVE_QUERY_LATENCY_SECONDS: &str = "islabel_serve_query_latency_seconds";
 
 /// Cumulative query-phase time (label `phase`: intersect/seed/search).

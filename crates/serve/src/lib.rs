@@ -3,33 +3,32 @@
 
 //! # islabel-serve
 //!
-//! The concurrent serving layer over the IS-LABEL workspace: a sharded
-//! [`QueryService`] worker pool that answers point-to-point distance
-//! queries from an immutable, hot-swappable index
-//! [`Snapshot`].
+//! The concurrent serving layer over the IS-LABEL workspace: a
+//! [`QueryService`] that answers point-to-point distance queries from an
+//! immutable, hot-swappable index [`Snapshot`] **on the thread that
+//! asked** (ADR-0008).
 //!
 //! The paper's index is built once and then serves a workload of
-//! independent queries (Section 2); this crate supplies the process
-//! architecture that turns the library into a server:
+//! independent queries that cost microseconds each (Section 2), so there
+//! is nothing to hand a query to: the service owns no thread, no queue
+//! and no lock.
 //!
-//! * **Sharded workers** — each shard owns a worker thread, a bounded
-//!   request queue and a per-thread [`QuerySession`], so the hot path
-//!   reuses search state instead of allocating per query and scales with
-//!   cores.
-//! * **Batch submission** — [`QueryService::submit`] fans a batch out
-//!   across the shards and returns a [`BatchTicket`]; callers overlap
-//!   submission and collection however they like.
-//! * **Hot swap** — the service queries through an [`OracleHandle`]:
-//!   swap in a freshly built index at any time, new requests pick it up,
-//!   and requests already being processed finish on the snapshot they
-//!   started on.
-//! * **Observability** — per-shard query/batch/busy-time counters and a
-//!   fixed-bucket latency histogram with p50/p99 accessors
-//!   ([`ShardStats`], [`LatencyHistogram`]) aggregated in
-//!   [`ServiceStats`].
-//! * **Graceful shutdown** — [`QueryService::shutdown`] (and `Drop`)
-//!   closes the queues, drains every queued request and joins the
-//!   workers.
+//! * **Caller-runs** — [`QueryService::query`] pins the current snapshot,
+//!   opens a [`QuerySession`] and answers before it returns.
+//! * **Batches** — [`QueryService::submit`] pins **one** snapshot for the
+//!   whole batch, cuts it into at most [`ServeConfig::shards`] chunks and
+//!   answers the first on the caller and the rest under
+//!   [`std::thread::scope`], each chunk through its own session. The
+//!   [`BatchTicket`] it returns already holds the result.
+//! * **Hot swap** — the service queries through an [`OracleHandle`]: swap
+//!   in a freshly built index at any time. A call pins exactly one
+//!   generation before its first query and every answer it returns comes
+//!   from that generation; the next call sees the new index.
+//! * **Observability** — one set of query / chunk / error / busy-time
+//!   counters and a fixed-bucket latency histogram per service
+//!   ([`ServiceStats`]); [`answer_traced`] re-emits every query's phase
+//!   trace to the process-wide registry and slow-query log, here and in
+//!   the network server.
 //! * **Background compaction** — [`RebuildCoordinator`] ([`rebuild`])
 //!   folds accumulated dynamic updates (overlay + write-ahead log) into a
 //!   fresh pristine index on a worker thread, then atomically persists,
@@ -53,7 +52,7 @@
 //! let ticket = service.submit(&[(0, 1), (1, 1), (0, 3)]);
 //! assert_eq!(ticket.wait(), Ok(vec![Some(2), Some(0), Some(6)]));
 //! let stats = service.shutdown();
-//! assert_eq!(stats.total_queries(), 4);
+//! assert_eq!(stats.queries, 4);
 //! ```
 
 pub mod rebuild;
@@ -64,41 +63,24 @@ use islabel_core::snapshot::{OracleHandle, SharedOracle, Snapshot};
 use islabel_core::{DistanceOracle, QueryError, QuerySession};
 use islabel_graph::{Dist, VertexId};
 use islabel_obs::{AtomicLatencyHistogram, LatencyHistogram};
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Sizing knobs of a [`QueryService`].
-#[derive(Debug, Clone, Copy)]
+/// The one sizing knob of a [`QueryService`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServeConfig {
-    /// Worker shards (threads); `0` selects
+    /// Most chunks (and so threads, the caller included) one
+    /// [`submit`](QueryService::submit) is split over; `0` selects
     /// [`std::thread::available_parallelism`].
     pub shards: usize,
-    /// Bound of each shard's request queue, in batches. Submitters block
-    /// when a shard's queue is full — backpressure instead of unbounded
-    /// memory growth.
-    pub queue_capacity: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            shards: 0,
-            queue_capacity: 1024,
-        }
-    }
 }
 
 impl ServeConfig {
     /// A config with an explicit shard count (`0` = auto).
     pub fn with_shards(shards: usize) -> Self {
-        Self {
-            shards,
-            ..Self::default()
-        }
+        Self { shards }
     }
 
     fn effective_shards(&self) -> usize {
@@ -111,181 +93,55 @@ impl ServeConfig {
     }
 }
 
-/// One queued unit of work: a contiguous chunk of a submitted batch.
-struct Job {
-    pairs: Vec<(VertexId, VertexId)>,
-    /// Offset of this chunk inside the batch's result vector.
-    base: usize,
-    state: Arc<BatchState>,
-}
-
-/// Shared completion state of one submitted batch.
-struct BatchState {
-    results: Mutex<BatchResults>,
-    done: Condvar,
-}
-
-struct BatchResults {
-    out: Vec<Option<Dist>>,
-    first_err: Option<QueryError>,
-    /// Chunks still outstanding.
-    remaining: usize,
-}
-
-/// A claim on the results of one [`QueryService::submit`] call.
-///
-/// Dropping the ticket without calling [`wait`](BatchTicket::wait) is
-/// allowed; the queries still run and their stats are still recorded.
-#[must_use = "a ticket does nothing until wait()ed on"]
+/// The result of one [`QueryService::submit`] call. The batch was answered
+/// before `submit` returned; the ticket only carries the answers out.
+#[must_use = "the answers are inside: call wait()"]
+#[derive(Debug)]
 pub struct BatchTicket {
-    state: Arc<BatchState>,
+    result: Result<Vec<Option<Dist>>, QueryError>,
 }
 
 impl BatchTicket {
-    /// Blocks until every chunk of the batch has been answered; returns
-    /// the distances in input order. Any failing query fails the whole
-    /// batch (as in [`DistanceOracle::distance_batch`]), but because
-    /// chunks run concurrently on different shards, *which* failing
-    /// pair's error is reported is unspecified when several fail — don't
-    /// rely on it for error-to-pair attribution.
+    /// The distances in input order; never blocks. Any failing query fails
+    /// the whole batch (as in [`DistanceOracle::distance_batch`]) with the
+    /// error of the first failing pair in input order.
     pub fn wait(self) -> Result<Vec<Option<Dist>>, QueryError> {
-        let mut guard = self.state.results.lock().unwrap_or_else(|e| e.into_inner());
-        while guard.remaining > 0 {
-            guard = self
-                .state
-                .done
-                .wait(guard)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        match guard.first_err {
-            Some(e) => Err(e),
-            None => Ok(std::mem::take(&mut guard.out)),
-        }
+        self.result
     }
 }
 
-impl std::fmt::Debug for BatchTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchTicket").finish_non_exhaustive()
-    }
-}
-
-/// Bounded MPSC queue feeding one shard's worker.
-struct ShardQueue {
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-struct QueueState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl ShardQueue {
-    fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks while the queue is full. Returns `false` if the queue was
-    /// closed (job dropped) — unreachable through the public API, which
-    /// closes queues only once no submitter can exist.
-    fn push(&self, job: Job) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if state.closed {
-                return false;
-            }
-            if state.jobs.len() < self.capacity {
-                state.jobs.push_back(job);
-                self.not_empty.notify_one();
-                return true;
-            }
-            state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Blocks until a job is available; `None` once closed *and* drained,
-    /// so shutdown never discards accepted work.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Non-blocking pop; `None` when the queue is momentarily empty.
-    fn try_pop(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let job = state.jobs.pop_front();
-        if job.is_some() {
-            self.not_full.notify_one();
-        }
-        job
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// Monotonic per-shard counters, written by the worker with relaxed
-/// atomics.
-#[derive(Default)]
-struct ShardCounters {
+/// Monotonic per-service counters, written by whichever thread answers
+/// with relaxed atomics.
+#[derive(Debug, Default)]
+struct Counters {
     queries: AtomicU64,
     batches: AtomicU64,
     busy_nanos: AtomicU64,
     errors: AtomicU64,
-    swaps_observed: AtomicU64,
     latency: AtomicLatencyHistogram,
 }
 
-/// A point-in-time snapshot of one shard's counters.
+/// A point-in-time snapshot of a service's counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index (`0..num_shards`).
-    pub shard: usize,
+pub struct ServiceStats {
     /// Queries answered (including ones that returned an error).
     pub queries: u64,
-    /// Batch chunks processed.
+    /// Chunks answered: one per [`query`](QueryService::query), up to
+    /// [`shards`](ServeConfig::shards) per [`submit`](QueryService::submit).
     pub batches: u64,
-    /// Wall-clock time the worker spent answering (excludes queue idle).
+    /// Wall-clock time spent answering chunks, session open included,
+    /// summed over the threads that ran them.
     pub busy: Duration,
-    /// Queries that returned a typed error.
+    /// Chunks cut short by a typed query error.
     pub errors: u64,
-    /// Times the worker refreshed its session onto a newer snapshot.
-    pub swaps_observed: u64,
-    /// Per-query service-time distribution (inside the worker, excludes
-    /// queueing), with [`p50`](LatencyHistogram::p50) /
-    /// [`p99`](LatencyHistogram::p99) accessors.
+    /// Per-query service-time distribution (the session call alone), with
+    /// [`p50`](LatencyHistogram::p50) / [`p99`](LatencyHistogram::p99)
+    /// accessors.
     pub latency: LatencyHistogram,
 }
 
-impl ShardStats {
-    /// Mean in-worker service time per query (`busy / queries`).
+impl ServiceStats {
+    /// Mean busy time per query (`busy / queries`).
     pub fn mean_query_latency(&self) -> Duration {
         if self.queries == 0 {
             Duration::ZERO
@@ -295,63 +151,17 @@ impl ShardStats {
     }
 }
 
-/// Aggregated [`ShardStats`] for a whole service.
-#[derive(Debug, Clone)]
-pub struct ServiceStats {
-    /// One entry per shard, in shard order.
-    pub shards: Vec<ShardStats>,
-}
-
-impl ServiceStats {
-    /// Queries answered across all shards.
-    pub fn total_queries(&self) -> u64 {
-        self.shards.iter().map(|s| s.queries).sum()
-    }
-
-    /// Batch chunks processed across all shards.
-    pub fn total_batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.batches).sum()
-    }
-
-    /// Errors across all shards.
-    pub fn total_errors(&self) -> u64 {
-        self.shards.iter().map(|s| s.errors).sum()
-    }
-
-    /// Busy time summed over shards (CPU-seconds of query work).
-    pub fn total_busy(&self) -> Duration {
-        self.shards.iter().map(|s| s.busy).sum()
-    }
-
-    /// Service-wide per-query latency distribution: every shard's
-    /// histogram merged.
-    pub fn latency(&self) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::new();
-        for s in &self.shards {
-            merged.merge(&s.latency);
-        }
-        merged
-    }
-}
-
-struct Shard {
-    queue: Arc<ShardQueue>,
-    counters: Arc<ShardCounters>,
-    worker: Option<JoinHandle<()>>,
-}
-
-/// A sharded worker pool answering distance queries from a hot-swappable
-/// index snapshot.
+/// Answers distance queries from a hot-swappable index snapshot on the
+/// calling thread.
 ///
-/// See the [crate docs](crate) for the serving model. Construction spawns
-/// the workers immediately; the service accepts queries until
-/// [`shutdown`](QueryService::shutdown) (or drop), which drains accepted
-/// work before joining.
+/// See the [crate docs](crate) for the serving model. The service owns no
+/// thread: it is a handle, a chunk count and a set of counters, and load
+/// is bounded by the number of callers.
+#[derive(Debug)]
 pub struct QueryService {
     handle: Arc<OracleHandle>,
-    shards: Vec<Shard>,
-    /// Round-robin cursor so small batches spread across shards.
-    next_shard: AtomicUsize,
+    shards: usize,
+    counters: Arc<Counters>,
 }
 
 impl QueryService {
@@ -366,43 +176,21 @@ impl QueryService {
     /// Starts a service over an existing [`OracleHandle`], sharing it with
     /// whoever performs the swaps (e.g. an index-rebuild pipeline).
     pub fn with_handle(handle: Arc<OracleHandle>, config: ServeConfig) -> Self {
-        let num_shards = config.effective_shards();
-        let shards = (0..num_shards)
-            .map(|i| {
-                let queue = Arc::new(ShardQueue::new(config.queue_capacity));
-                let counters = Arc::new(ShardCounters::default());
-                let worker = {
-                    let queue = Arc::clone(&queue);
-                    let counters = Arc::clone(&counters);
-                    let handle = Arc::clone(&handle);
-                    std::thread::Builder::new()
-                        .name(format!("islabel-serve-{i}"))
-                        .spawn(move || worker_loop(&queue, &handle, &counters))
-                        .expect("spawn shard worker")
-                };
-                Shard {
-                    queue,
-                    counters,
-                    worker: Some(worker),
-                }
-            })
-            .collect();
         Self {
             handle,
-            shards,
-            next_shard: AtomicUsize::new(0),
+            shards: config.effective_shards(),
+            counters: Arc::default(),
         }
     }
 
-    /// The shared handle the workers load snapshots from.
+    /// The shared handle every call loads its snapshot from.
     pub fn handle(&self) -> &Arc<OracleHandle> {
         &self.handle
     }
 
-    /// Hot-swaps the served index (see [`OracleHandle::swap`]): new
-    /// requests are answered by `oracle`, requests already being processed
-    /// finish on the snapshot they started on. Returns the retired
-    /// snapshot.
+    /// Hot-swaps the served index (see [`OracleHandle::swap`]): calls that
+    /// start afterwards are answered by `oracle`, calls already running
+    /// finish on the snapshot they pinned. Returns the retired snapshot.
     pub fn swap(&self, oracle: SharedOracle) -> Snapshot {
         self.handle.swap(oracle)
     }
@@ -412,288 +200,194 @@ impl QueryService {
         self.handle.swap_oracle(oracle)
     }
 
-    /// Number of worker shards.
+    /// Most chunks one [`submit`](QueryService::submit) is split over.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
-    /// Submits a batch of independent queries and returns a ticket for the
-    /// results. The batch is split into contiguous chunks and fanned out
-    /// over the shards (small batches round-robin so independent callers
-    /// spread); blocks only if the target queues are full (backpressure).
+    /// Answers a batch of independent queries from **one** snapshot and
+    /// returns them in a ticket. The batch is cut into at most
+    /// [`num_shards`](QueryService::num_shards) contiguous chunks; the
+    /// first runs on the caller, the rest on scoped threads, each through
+    /// its own session.
     pub fn submit(&self, pairs: &[(VertexId, VertexId)]) -> BatchTicket {
-        let n = pairs.len();
-        let num_shards = self.shards.len();
-        let num_chunks = num_shards.min(n).max(1);
-        let chunk = n.div_ceil(num_chunks).max(1);
-        let state = Arc::new(BatchState {
-            results: Mutex::new(BatchResults {
-                out: vec![None; n],
-                first_err: None,
-                remaining: if n == 0 { 0 } else { n.div_ceil(chunk) },
-            }),
-            done: Condvar::new(),
-        });
-        if n == 0 {
-            return BatchTicket { state };
-        }
-        // ordering: Relaxed — round-robin ticket for shard spreading;
-        // only uniqueness matters, no memory is published through it.
-        let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        for (i, slice) in pairs.chunks(chunk).enumerate() {
-            let job = Job {
-                pairs: slice.to_vec(),
-                base: i * chunk,
-                state: Arc::clone(&state),
+        let snapshot = &self.handle.load();
+        let mut out = vec![None; pairs.len()];
+        let chunk = pairs.len().div_ceil(self.shards).max(1);
+        let mut chunks = pairs.chunks(chunk).zip(out.chunks_mut(chunk));
+        let first = chunks.next();
+        let result = std::thread::scope(|scope| {
+            let rest: Vec<_> = chunks
+                .map(|(work, slots)| scope.spawn(move || self.answer_chunk(snapshot, work, slots)))
+                .collect();
+            let mut result = match first {
+                Some((work, slots)) => self.answer_chunk(snapshot, work, slots),
+                None => Ok(()),
             };
-            let accepted = self.shards[(start + i) % num_shards].queue.push(job);
-            debug_assert!(accepted, "queues stay open while the service exists");
+            for worker in rest {
+                result = result.and(worker.join().expect("batch chunk panicked"));
+            }
+            result
+        });
+        BatchTicket {
+            result: result.map(|()| out),
         }
-        BatchTicket { state }
     }
 
-    /// Blocking single query through the pool; equivalent to a one-element
-    /// [`submit`](QueryService::submit) + [`BatchTicket::wait`].
+    /// Answers one query on the calling thread.
     pub fn query(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
-        self.submit(&[(s, t)])
-            .wait()
-            .map(|mut v| v.pop().expect("one result for one query"))
+        let mut out = [None];
+        self.answer_chunk(&self.handle.load(), &[(s, t)], &mut out)?;
+        Ok(out[0])
     }
 
-    /// A point-in-time snapshot of every shard's counters.
+    /// Answers `pairs` into `out` through one session of `snapshot`,
+    /// stopping at the first error, and counts the chunk.
+    fn answer_chunk(
+        &self,
+        snapshot: &Snapshot,
+        pairs: &[(VertexId, VertexId)],
+        out: &mut [Option<Dist>],
+    ) -> Result<(), QueryError> {
+        let t0 = Instant::now();
+        let mut session = snapshot.session();
+        let mut answered = 0;
+        let mut result = Ok(());
+        for (slot, &(s, t)) in out.iter_mut().zip(pairs) {
+            let (answer, elapsed) = answer_traced(session.as_mut(), s, t, snapshot.version());
+            self.counters.latency.record(elapsed);
+            answered += 1;
+            match answer {
+                Ok(d) => *slot = d,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        let c = &self.counters;
+        // ordering: Relaxed — independent monotonic counters; stats reads
+        // tolerate tearing across counters by design.
+        c.queries.fetch_add(answered, Ordering::Relaxed);
+        c.batches.fetch_add(1, Ordering::Relaxed);
+        c.busy_nanos
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if result.is_err() {
+            // ordering: Relaxed — same counter discipline.
+            c.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        result
+    }
+
+    /// A point-in-time snapshot of the service's counters.
     pub fn stats(&self) -> ServiceStats {
+        let c = &self.counters;
         ServiceStats {
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| ShardStats {
-                    shard: i,
-                    // ordering: Relaxed — independent monotonic counters;
-                    // a stats snapshot tolerates tearing by design.
-                    queries: s.counters.queries.load(Ordering::Relaxed),
-                    batches: s.counters.batches.load(Ordering::Relaxed),
-                    busy: Duration::from_nanos(s.counters.busy_nanos.load(Ordering::Relaxed)),
-                    errors: s.counters.errors.load(Ordering::Relaxed),
-                    swaps_observed: s.counters.swaps_observed.load(Ordering::Relaxed),
-                    latency: s.counters.latency.snapshot(),
-                })
-                .collect(),
+            // ordering: Relaxed — independent monotonic counters; a stats
+            // snapshot tolerates tearing by design.
+            queries: c.queries.load(Ordering::Relaxed),
+            batches: c.batches.load(Ordering::Relaxed),
+            busy: Duration::from_nanos(c.busy_nanos.load(Ordering::Relaxed)),
+            errors: c.errors.load(Ordering::Relaxed),
+            latency: c.latency.snapshot(),
         }
     }
 
-    /// Registers this service's shard counters and merged latency
-    /// histogram on `registry` as collector closures (sampled at
-    /// exposition time, so recording stays a plain relaxed atomic in the
-    /// worker). Re-registering — e.g. after a service restart — replaces
-    /// the previous instance's collectors.
+    /// Registers this service's counters and latency histogram on
+    /// `registry` as collector closures (sampled at exposition time, so
+    /// recording stays a plain relaxed atomic on the answering thread).
+    /// Re-registering — e.g. after a service restart — replaces the
+    /// previous instance's collectors.
     pub fn register_metrics(&self, registry: &islabel_obs::Registry) {
         use islabel_obs::names::*;
-        let all: Vec<Arc<ShardCounters>> = self
-            .shards
-            .iter()
-            .map(|s| Arc::clone(&s.counters))
-            .collect();
-        for (i, c) in all.iter().enumerate() {
-            let shard = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &shard)];
-            let h = Arc::clone(c);
-            registry.counter_fn(
-                METRIC_SERVE_QUERIES_TOTAL,
-                "Queries answered by the shard worker.",
-                labels,
-                // ordering: Relaxed — independent monotonic counter; the
-                // exposition snapshot tolerates tearing by design.
-                move || h.queries.load(Ordering::Relaxed),
-            );
-            let h = Arc::clone(c);
-            registry.counter_fn(
-                METRIC_SERVE_BATCHES_TOTAL,
-                "Batch chunks processed by the shard worker.",
-                labels,
-                // ordering: Relaxed — same counter discipline.
-                move || h.batches.load(Ordering::Relaxed),
-            );
-            let h = Arc::clone(c);
-            registry.counter_fn(
-                METRIC_SERVE_ERRORS_TOTAL,
-                "Queries that returned a typed error.",
-                labels,
-                // ordering: Relaxed — same counter discipline.
-                move || h.errors.load(Ordering::Relaxed),
-            );
-            let h = Arc::clone(c);
-            registry.counter_fn(
-                METRIC_SERVE_SWAPS_OBSERVED_TOTAL,
-                "Hot-swap refreshes observed by the shard worker.",
-                labels,
-                // ordering: Relaxed — same counter discipline.
-                move || h.swaps_observed.load(Ordering::Relaxed),
-            );
-            let h = Arc::clone(c);
-            registry.counter_fn(
-                METRIC_SERVE_BUSY_NANOSECONDS_TOTAL,
-                "Wall-clock nanoseconds the shard worker spent answering.",
-                labels,
-                // ordering: Relaxed — same counter discipline.
-                move || h.busy_nanos.load(Ordering::Relaxed),
-            );
-        }
+        let counter = |name, help, read: fn(&Counters) -> &AtomicU64| {
+            let c = Arc::clone(&self.counters);
+            // ordering: Relaxed — independent monotonic counter; the
+            // exposition snapshot tolerates tearing by design.
+            registry.counter_fn(name, help, &[], move || read(&c).load(Ordering::Relaxed));
+        };
+        counter(
+            METRIC_SERVE_QUERIES_TOTAL,
+            "Queries answered by the service.",
+            |c| &c.queries,
+        );
+        counter(
+            METRIC_SERVE_BATCHES_TOTAL,
+            "Batch chunks answered by the service.",
+            |c| &c.batches,
+        );
+        counter(
+            METRIC_SERVE_ERRORS_TOTAL,
+            "Chunks cut short by a typed query error.",
+            |c| &c.errors,
+        );
+        counter(
+            METRIC_SERVE_BUSY_NANOSECONDS_TOTAL,
+            "Wall-clock nanoseconds spent answering, summed over threads.",
+            |c| &c.busy_nanos,
+        );
+        let c = Arc::clone(&self.counters);
         registry.histogram_fn(
             METRIC_SERVE_QUERY_LATENCY_SECONDS,
-            "In-worker service time per query, all shards merged.",
+            "Service time per query.",
             &[],
-            move || {
-                let mut merged = LatencyHistogram::new();
-                for c in &all {
-                    merged.merge(&c.latency.snapshot());
-                }
-                merged
-            },
+            move || c.latency.snapshot(),
         );
     }
 
-    /// Graceful shutdown: stops accepting work, drains every queued
-    /// request, joins the workers and returns the final stats.
-    pub fn shutdown(mut self) -> ServiceStats {
-        self.close_and_join();
+    /// Ends the service and returns the final stats. There is nothing to
+    /// drain or join: every call was answered before it returned.
+    pub fn shutdown(self) -> ServiceStats {
         self.stats()
     }
-
-    fn close_and_join(&mut self) {
-        for shard in &self.shards {
-            shard.queue.close();
-        }
-        for shard in &mut self.shards {
-            if let Some(worker) = shard.worker.take() {
-                worker.join().expect("shard worker panicked");
-            }
-        }
-    }
 }
 
-impl Drop for QueryService {
-    fn drop(&mut self) {
-        self.close_and_join();
+/// Answers one pair through `session` and times it — the one place a
+/// served query is traced, shared by [`QueryService`] and both query
+/// opcodes of the network server. If the query ran the seeded search
+/// (`s == t` and errors short-circuit before it), its phase sample is
+/// re-emitted to [`QueryPhases::global`](islabel_obs::QueryPhases::global)
+/// and offered to the slow-query log, tagged with the snapshot
+/// `generation` that answered. Re-emission happens here, after the engine
+/// returns — never inside the session's kernel loops (see the
+/// counter-placement invariant in the islabel-obs crate docs).
+pub fn answer_traced(
+    session: &mut dyn QuerySession,
+    s: VertexId,
+    t: VertexId,
+    generation: u64,
+) -> (Result<Option<Dist>, QueryError>, Duration) {
+    let traced_before = session.trace().map_or(0, |tr| tr.queries);
+    let q0 = Instant::now();
+    let answer = session.distance(s, t);
+    let elapsed = q0.elapsed();
+    if let Some(sample) = session
+        .trace()
+        .filter(|tr| tr.queries > traced_before)
+        .map(|tr| tr.last)
+    {
+        islabel_obs::QueryPhases::global().record(
+            sample.intersect_ns,
+            sample.seed_ns,
+            sample.search_ns,
+            sample.settled,
+            sample.relaxed,
+            sample.pushed,
+        );
+        islabel_obs::SlowQueryLog::global().observe(islabel_obs::SlowQuery {
+            seq: 0,
+            src: s,
+            dst: t,
+            dist: answer.ok().flatten(),
+            total_ns: elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
+            intersect_ns: sample.intersect_ns,
+            seed_ns: sample.seed_ns,
+            search_ns: sample.search_ns,
+            settled: sample.settled,
+            snapshot_generation: generation,
+        });
     }
-}
-
-impl std::fmt::Debug for QueryService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryService")
-            .field("shards", &self.shards.len())
-            .field("handle", &self.handle)
-            .finish()
-    }
-}
-
-/// One shard's life: pin the current snapshot, open a session, answer
-/// jobs, refresh the session when a hot swap is observed, exit when the
-/// queue closes and drains. A job popped before a swap is always finished
-/// on the snapshot it started on.
-fn worker_loop(queue: &ShardQueue, handle: &OracleHandle, counters: &ShardCounters) {
-    'serve: loop {
-        // Block for work *before* pinning a snapshot, so an idle shard
-        // holds no reference to a retired index.
-        let Some(first) = queue.pop() else {
-            return; // closed and drained
-        };
-        let snapshot = handle.load();
-        let version = snapshot.version();
-        let mut session = snapshot.session();
-        let mut job = first;
-        loop {
-            process(job, session.as_mut(), counters, version);
-            if handle.version() != version {
-                // ordering: Relaxed — independent monotonic counter.
-                counters.swaps_observed.fetch_add(1, Ordering::Relaxed);
-                continue 'serve; // reload the snapshot for the next job
-            }
-            match queue.try_pop() {
-                Some(next) => job = next,
-                // Idle: drop the session (and its snapshot pin) while
-                // blocking for more work.
-                None => continue 'serve,
-            }
-        }
-    }
-}
-
-fn process(job: Job, session: &mut dyn QuerySession, counters: &ShardCounters, version: u64) {
-    let t0 = Instant::now();
-    let mut local: Vec<Option<Dist>> = Vec::with_capacity(job.pairs.len());
-    let mut err = None;
-    // Registry re-emission happens here, per query, after the engine
-    // returns — never inside the session's kernel loops (see the
-    // counter-placement invariant in the islabel-obs crate docs).
-    let phases = islabel_obs::QueryPhases::global();
-    let slowlog = islabel_obs::SlowQueryLog::global();
-    for &(s, t) in &job.pairs {
-        let q0 = Instant::now();
-        let traced_before = session.trace().map_or(0, |tr| tr.queries);
-        let answer = session.distance(s, t);
-        let elapsed = q0.elapsed();
-        counters.latency.record(elapsed);
-        // A fresh trace sample exists only if the query actually ran the
-        // seeded search (s == t and errors short-circuit before it).
-        if let Some(sample) = session
-            .trace()
-            .filter(|tr| tr.queries > traced_before)
-            .map(|tr| tr.last)
-        {
-            phases.record(
-                sample.intersect_ns,
-                sample.seed_ns,
-                sample.search_ns,
-                sample.settled,
-                sample.relaxed,
-                sample.pushed,
-            );
-            slowlog.observe(islabel_obs::SlowQuery {
-                seq: 0,
-                src: s,
-                dst: t,
-                dist: answer.as_ref().ok().and_then(|d| d.map(u64::from)),
-                total_ns: elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-                intersect_ns: sample.intersect_ns,
-                seed_ns: sample.seed_ns,
-                search_ns: sample.search_ns,
-                settled: sample.settled,
-                snapshot_generation: version,
-            });
-        }
-        match answer {
-            Ok(d) => local.push(d),
-            Err(e) => {
-                err = Some(e);
-                break;
-            }
-        }
-    }
-    let answered = local.len() as u64 + u64::from(err.is_some());
-    // ordering: Relaxed — independent monotonic counters; stats reads
-    // tolerate tearing across counters by design.
-    counters.queries.fetch_add(answered, Ordering::Relaxed);
-    counters.batches.fetch_add(1, Ordering::Relaxed);
-    counters
-        .busy_nanos
-        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    if err.is_some() {
-        // ordering: Relaxed — same counter discipline.
-        counters.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    let mut results = job.state.results.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(e) = err {
-        results.first_err.get_or_insert(e);
-    }
-    for (i, d) in local.into_iter().enumerate() {
-        results.out[job.base + i] = d;
-    }
-    results.remaining -= 1;
-    if results.remaining == 0 {
-        job.state.done.notify_all();
-    }
+    (answer, elapsed)
 }
 
 #[cfg(test)]
@@ -703,7 +397,6 @@ mod tests {
     use islabel_core::{BuildConfig, IsLabelIndex};
     use islabel_graph::generators::{erdos_renyi_gnm, WeightModel};
     use islabel_graph::{CsrGraph, GraphBuilder};
-    use islabel_obs::LATENCY_BUCKETS;
 
     fn test_graph() -> CsrGraph {
         erdos_renyi_gnm(120, 300, WeightModel::UniformRange(1, 7), 0x5E)
@@ -711,13 +404,7 @@ mod tests {
 
     fn service_over(g: &CsrGraph, shards: usize) -> QueryService {
         let index = IsLabelIndex::build(g, BuildConfig::default());
-        QueryService::start(
-            Arc::new(index),
-            ServeConfig {
-                shards,
-                queue_capacity: 8,
-            },
-        )
+        QueryService::start(Arc::new(index), ServeConfig::with_shards(shards))
     }
 
     #[test]
@@ -734,24 +421,9 @@ mod tests {
         let got = service.submit(&pairs).wait().unwrap();
         assert_eq!(got, expect);
         let stats = service.shutdown();
-        assert_eq!(stats.total_queries(), 200);
-        assert!(stats.total_batches() >= 1);
-        assert_eq!(stats.total_errors(), 0);
-    }
-
-    #[test]
-    fn single_queries_round_robin_over_shards() {
-        let g = test_graph();
-        let service = service_over(&g, 2);
-        for i in 0..20u32 {
-            let (s, t) = (i % 120, (i * 31 + 3) % 120);
-            assert!(service.query(s, t).is_ok());
-        }
-        let stats = service.stats();
-        assert_eq!(stats.total_queries(), 20);
-        // Round-robin: both shards served some of the 20 singles.
-        assert!(stats.shards.iter().all(|s| s.queries > 0), "{stats:?}");
-        drop(service);
+        assert_eq!(stats.queries, 200);
+        assert_eq!(stats.batches, 3, "200 pairs over 3 shards");
+        assert_eq!(stats.errors, 0);
     }
 
     #[test]
@@ -766,7 +438,7 @@ mod tests {
         // The service keeps serving after a failed batch.
         assert!(service.query(0, 1).is_ok());
         let stats = service.shutdown();
-        assert_eq!(stats.total_errors(), 1);
+        assert_eq!(stats.errors, 1);
     }
 
     #[test]
@@ -777,57 +449,18 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_accepted_work() {
+    fn shutdown_reports_every_answered_query() {
         let g = test_graph();
         let service = service_over(&g, 1);
         let tickets: Vec<BatchTicket> = (0..30)
             .map(|i| service.submit(&[(i % 120, (i * 7 + 1) % 120), (0, i % 120)]))
             .collect();
         let stats = service.shutdown();
-        assert_eq!(stats.total_queries(), 60, "shutdown dropped queued work");
+        assert_eq!(stats.queries, 60);
+        assert_eq!(stats.batches, 30, "one shard: one chunk a submit");
         for ticket in tickets {
             ticket.wait().unwrap();
         }
-    }
-
-    #[test]
-    fn latency_histogram_buckets_and_percentiles() {
-        let mut h = LatencyHistogram::new();
-        assert_eq!(h.percentile(0.5), Duration::ZERO);
-        // 90 fast observations (~1 µs) and 10 slow ones (~1 ms): p50 must
-        // land in the fast bucket's range, p99 in the slow one's.
-        for _ in 0..90 {
-            h.record(Duration::from_micros(1));
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_millis(1));
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.p50();
-        let p99 = h.p99();
-        assert!(
-            p50 >= Duration::from_micros(1) && p50 <= Duration::from_micros(2),
-            "{p50:?}"
-        );
-        assert!(
-            p99 >= Duration::from_millis(1) && p99 <= Duration::from_millis(2),
-            "{p99:?}"
-        );
-        // Conservative upper edge: the quantile never under-reports by
-        // more than the bucket width (2x).
-        assert!(h.percentile(1.0) >= p99);
-
-        let atomic = AtomicLatencyHistogram::new();
-        atomic.record(Duration::from_nanos(0)); // bucket 0, no panic
-        atomic.record(Duration::from_secs(3600)); // clamps to the top bucket
-        let snap = atomic.snapshot();
-        assert_eq!(snap.count(), 2);
-        assert_eq!(snap.buckets()[0], 1);
-        assert_eq!(snap.buckets()[LATENCY_BUCKETS - 1], 1);
-
-        let mut merged = snap.clone();
-        merged.merge(&h);
-        assert_eq!(merged.count(), 102);
     }
 
     #[test]
@@ -838,13 +471,11 @@ mod tests {
             (0..100u32).map(|i| (i % 120, (i * 17 + 3) % 120)).collect();
         service.submit(&pairs).wait().unwrap();
         let stats = service.shutdown();
-        let total = stats.latency();
-        assert_eq!(total.count(), 100, "one observation per query");
-        assert!(total.p50() > Duration::ZERO);
-        assert!(total.p99() >= total.p50());
-        for s in &stats.shards {
-            assert_eq!(s.latency.count(), s.queries);
-        }
+        assert_eq!(stats.latency.count(), 100, "one observation per query");
+        assert_eq!(stats.latency.count(), stats.queries);
+        assert!(stats.latency.p50() > Duration::ZERO);
+        assert!(stats.latency.p99() >= stats.latency.p50());
+        assert!(stats.busy >= Duration::from_nanos(stats.latency.sum_nanos()));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`core`] — the IS-LABEL index itself (hierarchy, labels, queries).
 //! * [`baselines`] — comparison methods (Dijkstra, bi-Dijkstra, VC-Index,
 //!   Pruned Landmark Labeling).
-//! * [`serve`] — the concurrent serving layer ([`QueryService`] worker
-//!   pool over hot-swappable [`Snapshot`]s).
+//! * [`serve`] — the concurrent serving layer (a caller-runs
+//!   [`QueryService`] over hot-swappable [`Snapshot`]s).
 //! * [`net`] — the network boundary: a binary wire protocol, a pipelining
 //!   TCP [`DistanceServer`], and a blocking [`DistanceClient`] /
 //!   [`ClientPool`].
@@ -71,7 +71,7 @@ pub use islabel_graph::{
 };
 pub use islabel_net::{ClientPool, DistanceClient, DistanceServer, NetConfig, NetError};
 pub use islabel_obs::LatencyHistogram;
-pub use islabel_serve::{BatchTicket, QueryService, ServeConfig, ServiceStats, ShardStats};
+pub use islabel_serve::{BatchTicket, QueryService, ServeConfig, ServiceStats};
 
 /// One-stop imports for programming against the unified query API.
 pub mod prelude {
@@ -86,5 +86,5 @@ pub mod prelude {
     };
     pub use islabel_net::{ClientPool, DistanceClient, DistanceServer, NetConfig, NetError};
     pub use islabel_obs::LatencyHistogram;
-    pub use islabel_serve::{BatchTicket, QueryService, ServeConfig, ServiceStats, ShardStats};
+    pub use islabel_serve::{BatchTicket, QueryService, ServeConfig, ServiceStats};
 }
