@@ -141,17 +141,7 @@ impl PllIndex {
         self.num_entries() * 12 + self.labels.len() * std::mem::size_of::<Vec<(u32, Dist)>>()
     }
 
-    /// Exact point-to-point distance by label merge-join.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` or `t` is out of range; use
-    /// [`PllIndex::try_distance`] for the fallible form.
-    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<Dist> {
-        self.try_distance(s, t).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Exact point-to-point distance with typed errors; `Ok(None)` means
+    /// Exact point-to-point distance by label merge-join; `Ok(None)` means
     /// unreachable.
     pub fn try_distance(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
         islabel_core::oracle::check_vertex(s, self.labels.len())?;
@@ -238,7 +228,7 @@ mod tests {
                 let truth = dijkstra_all(&g, s);
                 for t in g.vertices() {
                     let expect = (truth[t as usize] < INF).then_some(truth[t as usize]);
-                    assert_eq!(pll.distance(s, t), expect, "seed {seed} ({s}, {t})");
+                    assert_eq!(pll.try_distance(s, t), Ok(expect), "seed {seed} ({s}, {t})");
                 }
             }
         }
@@ -250,7 +240,11 @@ mod tests {
         let pll = PllIndex::build(&g);
         for i in 0..80u32 {
             let (s, t) = ((i * 7) % 300, (i * 17 + 3) % 300);
-            assert_eq!(pll.distance(s, t), dijkstra_p2p(&g, s, t), "({s}, {t})");
+            assert_eq!(
+                pll.try_distance(s, t),
+                Ok(dijkstra_p2p(&g, s, t)),
+                "({s}, {t})"
+            );
         }
     }
 
@@ -269,9 +263,9 @@ mod tests {
         let mut b = islabel_graph::GraphBuilder::new(4);
         b.add_edge(0, 1, 3);
         let pll = PllIndex::build(&b.build());
-        assert_eq!(pll.distance(0, 1), Some(3));
-        assert_eq!(pll.distance(0, 2), None);
-        assert_eq!(pll.distance(2, 3), None);
-        assert_eq!(pll.distance(3, 3), Some(0));
+        assert_eq!(pll.try_distance(0, 1), Ok(Some(3)));
+        assert_eq!(pll.try_distance(0, 2), Ok(None));
+        assert_eq!(pll.try_distance(2, 3), Ok(None));
+        assert_eq!(pll.try_distance(3, 3), Ok(Some(0)));
     }
 }

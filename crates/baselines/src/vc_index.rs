@@ -138,18 +138,8 @@ impl VcIndex {
         self.search_graph.memory_bytes()
     }
 
-    /// Point-to-point distance with early termination (the P2P conversion).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` or `t` is out of range; use
-    /// [`VcIndex::try_distance`] for the fallible form.
-    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<Dist> {
-        self.try_distance(s, t).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Point-to-point distance with typed errors; `Ok(None)` means
-    /// unreachable.
+    /// Point-to-point distance with early termination (the P2P
+    /// conversion); `Ok(None)` means unreachable.
     pub fn try_distance(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
         check_vertex(s, self.num_vertices())?;
         check_vertex(t, self.num_vertices())?;
@@ -297,8 +287,8 @@ mod tests {
             for i in 0..50u32 {
                 let (s, t) = ((i * 3) % 100, (i * 7 + 2) % 100);
                 assert_eq!(
-                    vc.distance(s, t),
-                    dijkstra_p2p(&g, s, t),
+                    vc.try_distance(s, t),
+                    Ok(dijkstra_p2p(&g, s, t)),
                     "seed {seed} ({s}, {t})"
                 );
             }
@@ -311,7 +301,11 @@ mod tests {
         let vc = VcIndex::build(&g, VcConfig::default());
         for i in 0..60u32 {
             let (s, t) = ((i * 13) % 400, (i * 29 + 7) % 400);
-            assert_eq!(vc.distance(s, t), dijkstra_p2p(&g, s, t), "({s}, {t})");
+            assert_eq!(
+                vc.try_distance(s, t),
+                Ok(dijkstra_p2p(&g, s, t)),
+                "({s}, {t})"
+            );
         }
     }
 
@@ -358,9 +352,9 @@ mod tests {
         b.add_edge(0, 1, 1);
         b.add_edge(2, 3, 1);
         let vc = VcIndex::build(&b.build(), VcConfig::default());
-        assert_eq!(vc.distance(0, 3), None);
-        assert_eq!(vc.distance(0, 1), Some(1));
-        assert_eq!(vc.distance(4, 4), Some(0));
+        assert_eq!(vc.try_distance(0, 3), Ok(None));
+        assert_eq!(vc.try_distance(0, 1), Ok(Some(1)));
+        assert_eq!(vc.try_distance(4, 4), Ok(Some(0)));
     }
 
     #[test]
@@ -375,7 +369,7 @@ mod tests {
         for i in 0..20u32 {
             let (s, t) = ((i * 97) % 1500, (i * 211 + 13) % 1500);
             vc_settled += vc.distance_with_cost(s, t).1.settled;
-            is_settled += is.query(s, t).settled;
+            is_settled += is.query(s, t).unwrap().settled;
         }
         assert!(
             vc_settled > is_settled,

@@ -46,7 +46,7 @@ fn query_benches(c: &mut Criterion) {
             b.iter(|| {
                 let (s, t) = pairs[i % pairs.len()];
                 i += 1;
-                black_box(vc.distance(s, t))
+                black_box(vc.try_distance(s, t).unwrap())
             })
         });
         let mut i = 0usize;
@@ -54,7 +54,7 @@ fn query_benches(c: &mut Criterion) {
             b.iter(|| {
                 let (s, t) = pairs[i % pairs.len()];
                 i += 1;
-                black_box(pll.distance(s, t))
+                black_box(pll.try_distance(s, t).unwrap())
             })
         });
     }

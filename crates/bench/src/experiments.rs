@@ -23,7 +23,7 @@ use std::time::Duration;
 
 /// Aggregated timings of a disk-label query batch.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct DiskQueryStats {
+struct DiskQueryStats {
     /// Modeled label-retrieval time (the paper's Time (a)).
     pub time_a: Duration,
     /// Measured CPU time of Equation 1 + the `G_k` search (Time (b)).
@@ -56,7 +56,7 @@ impl DiskQueryStats {
 ///
 /// Endpoints inside `G_k` need no fetch — their label is the self entry —
 /// exactly why Table 5's Type 1 rows show Time (a) = 0.
-pub fn run_disk_queries(
+fn run_disk_queries(
     index: &IsLabelIndex,
     store: &DiskLabelStore,
     storage: &dyn Storage,
@@ -76,7 +76,8 @@ pub fn run_disk_queries(
         stats.time_a += cost.modeled_time(&delta);
         stats.fetches += delta.seeks;
 
-        let (_, dt) = time(|| index.distance_from_labels(ls.view(), lt.view()));
+        let (answer, dt) = time(|| index.try_distance_from_labels(ls.view(), lt.view()));
+        answer.expect("a pristine index answers from its own stored labels");
         stats.time_b += dt;
     }
     stats
@@ -104,7 +105,7 @@ fn fetch_or_self(
 /// the identical call path, so rows of a comparison table differ only by
 /// engine, and the session is opened outside the clock, so they measure
 /// queries and not scratch allocation.
-pub fn oracle_total_time(oracle: &dyn DistanceOracle, pairs: &[(VertexId, VertexId)]) -> Duration {
+fn oracle_total_time(oracle: &dyn DistanceOracle, pairs: &[(VertexId, VertexId)]) -> Duration {
     let mut session = oracle.session();
     let (_, dt) = time(|| {
         let mut acc = 0u64;
@@ -119,7 +120,7 @@ pub fn oracle_total_time(oracle: &dyn DistanceOracle, pairs: &[(VertexId, Vertex
 }
 
 /// Builds the index plus its disk-label store on counted in-memory storage.
-pub fn build_disk_backed(
+fn build_disk_backed(
     g: &CsrGraph,
     config: BuildConfig,
 ) -> (IsLabelIndex, MemStorage, DiskLabelStore) {
@@ -158,7 +159,7 @@ pub fn table2() -> Table {
 // ---------------------------------------------------------------------------
 
 /// Table 3 (σ = 0.95) / Table 7 (σ = 0.90): construction results.
-pub fn construction_table(sigma: f64, with_query_time: bool) -> Table {
+fn construction_table(sigma: f64, with_query_time: bool) -> Table {
     let headers: Vec<&str> = if with_query_time {
         vec![
             "dataset",
@@ -701,8 +702,8 @@ mod tests {
                 let ls = fetch_or_self(&index, &store, &storage, s);
                 let lt = fetch_or_self(&index, &store, &storage, t);
                 assert_eq!(
-                    index.distance_from_labels(ls.view(), lt.view()),
-                    index.distance(s, t),
+                    index.try_distance_from_labels(ls.view(), lt.view()),
+                    index.try_distance(s, t),
                     "({s}, {t})"
                 );
             }

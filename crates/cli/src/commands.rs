@@ -237,7 +237,7 @@ fn build(argv: &[String]) -> Result<(), String> {
         );
         index
     } else {
-        IsLabelIndex::build(&g, config)
+        IsLabelIndex::try_build(&g, config).map_err(|e| e.to_string())?
     };
     println!("{}", index.stats());
     try_save_index_to_path(&index, &out).map_err(|e| format!("save {out}: {e}"))?;

@@ -341,11 +341,6 @@ impl DensePatch {
         self.extra[from as usize].push((to, w));
     }
 
-    /// Longest extra adjacency list (used to pre-size seed buffers).
-    pub fn max_extra_len(&self) -> usize {
-        self.extra.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Resident bytes, by capacity: the bitmap, the list headers and every
     /// list's buffer.
     pub fn memory_bytes(&self) -> usize {

@@ -136,9 +136,10 @@ impl DiAdjacency {
 /// b.add_arc(1, 2, 1);
 /// b.add_arc(2, 0, 1);
 /// let g = b.build();
-/// let index = DiIsLabelIndex::build(&g, BuildConfig::default());
-/// assert_eq!(index.distance(0, 2), Some(5));
-/// assert_eq!(index.distance(2, 1), Some(5)); // 2 → 0 → 1
+/// let index = DiIsLabelIndex::try_build(&g, BuildConfig::default())?;
+/// assert_eq!(index.try_distance(0, 2)?, Some(5));
+/// assert_eq!(index.try_distance(2, 1)?, Some(5)); // 2 → 0 → 1
+/// # Ok::<(), islabel_core::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct DiIsLabelIndex {
@@ -160,14 +161,8 @@ pub struct DiIsLabelIndex {
 }
 
 impl DiIsLabelIndex {
-    /// Builds the directed index, panicking on an invalid configuration
-    /// (convenience over [`DiIsLabelIndex::try_build`]).
-    pub fn build(g: &CsrDigraph, config: BuildConfig) -> Self {
-        Self::try_build(g, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the directed index; returns
-    /// [`Error::InvalidConfig`] instead of panicking on nonsense `config`.
+    /// Builds the directed index; returns [`Error::InvalidConfig`] on a
+    /// nonsense `config`.
     pub fn try_build(g: &CsrDigraph, config: BuildConfig) -> Result<Self, Error> {
         config.try_validate()?;
         let t0 = Instant::now();
@@ -353,17 +348,7 @@ impl DiIsLabelIndex {
         self.in_labels.label(v)
     }
 
-    /// Directed distance `dist(s → t)`; `None` when `t` is unreachable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` or `t` is out of range; use
-    /// [`DiIsLabelIndex::try_distance`] for the fallible form.
-    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<Dist> {
-        self.try_distance(s, t).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Directed distance with typed errors: `Ok(None)` means unreachable,
+    /// Directed distance `dist(s → t)`: `Ok(None)` means unreachable,
     /// `Err(VertexOutOfRange)` flags a malformed query. A one-shot is a
     /// [`session`](DiIsLabelIndex::session) opened for this one query.
     pub fn try_distance(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
@@ -372,9 +357,10 @@ impl DiIsLabelIndex {
 
     /// Directed reachability: whether any path `s → t` exists. The paper
     /// points out the directed index answers this "fundamental problem"
-    /// for free (Section 9).
-    pub fn reachable(&self, s: VertexId, t: VertexId) -> bool {
-        self.distance(s, t).is_some()
+    /// for free (Section 9). Same errors as
+    /// [`DiIsLabelIndex::try_distance`].
+    pub fn reachable(&self, s: VertexId, t: VertexId) -> Result<bool, QueryError> {
+        Ok(self.try_distance(s, t)?.is_some())
     }
 
     /// Opens a per-thread [`DiIsLabelSession`] with reusable dense-kernel
@@ -606,12 +592,12 @@ mod tests {
     fn matches_directed_dijkstra_exhaustively_small() {
         for seed in 0..4u64 {
             let g = random_digraph(30, 90, 5, seed);
-            let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+            let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
             for s in g.vertices() {
                 for t in g.vertices() {
                     assert_eq!(
-                        index.distance(s, t),
-                        di_dijkstra_p2p(&g, s, t),
+                        index.try_distance(s, t),
+                        Ok(di_dijkstra_p2p(&g, s, t)),
                         "seed {seed} query ({s}, {t})"
                     );
                 }
@@ -627,12 +613,12 @@ mod tests {
             BuildConfig::full(),
             BuildConfig::fixed_k(3),
         ] {
-            let index = DiIsLabelIndex::build(&g, config);
+            let index = DiIsLabelIndex::try_build(&g, config).unwrap();
             for i in 0..80u32 {
                 let (s, t) = ((i * 7) % 150, (i * 13 + 2) % 150);
                 assert_eq!(
-                    index.distance(s, t),
-                    di_dijkstra_p2p(&g, s, t),
+                    index.try_distance(s, t),
+                    Ok(di_dijkstra_p2p(&g, s, t)),
                     "{:?} ({s}, {t})",
                     config.k_selection
                 );
@@ -647,11 +633,11 @@ mod tests {
         b.add_arc(0, 1, 2);
         b.add_arc(1, 2, 3);
         let g = b.build();
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
-        assert_eq!(index.distance(0, 2), Some(5));
-        assert_eq!(index.distance(2, 0), None);
-        assert!(index.reachable(0, 2));
-        assert!(!index.reachable(2, 0));
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        assert_eq!(index.try_distance(0, 2), Ok(Some(5)));
+        assert_eq!(index.try_distance(2, 0), Ok(None));
+        assert_eq!(index.reachable(0, 2), Ok(true));
+        assert_eq!(index.reachable(2, 0), Ok(false));
     }
 
     #[test]
@@ -660,9 +646,9 @@ mod tests {
         b.add_arc(0, 1, 3);
         b.add_arc(1, 0, 8);
         let g = b.build();
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
-        assert_eq!(index.distance(0, 1), Some(3));
-        assert_eq!(index.distance(1, 0), Some(8));
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        assert_eq!(index.try_distance(0, 1), Ok(Some(3)));
+        assert_eq!(index.try_distance(1, 0), Ok(Some(8)));
     }
 
     #[test]
@@ -677,17 +663,17 @@ mod tests {
             }
         }
         let g = b.build();
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
-        assert!(index.reachable(0, 8));
-        assert_eq!(index.distance(0, 8), Some(2));
-        assert!(!index.reachable(8, 0));
-        assert!(!index.reachable(3, 1));
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        assert_eq!(index.reachable(0, 8), Ok(true));
+        assert_eq!(index.try_distance(0, 8), Ok(Some(2)));
+        assert_eq!(index.reachable(8, 0), Ok(false));
+        assert_eq!(index.reachable(3, 1), Ok(false));
     }
 
     #[test]
     fn in_out_labels_upper_bound_true_distances() {
         let g = random_digraph(80, 240, 4, 7);
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         for v in (0..80u32).step_by(9) {
             for (anc, d) in index.out_label(v).iter() {
                 let truth = di_dijkstra_p2p(&g, v, anc).expect("out-ancestors must be reachable");
@@ -708,12 +694,12 @@ mod tests {
             b.add_arc(v, (v + 1) % n, 1);
         }
         let g = b.build();
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         // Around the ring: dist(u, v) = (v - u) mod n.
         for u in 0..n {
             for v in 0..n {
                 let expect = ((v + n - u) % n) as Dist;
-                assert_eq!(index.distance(u, v), Some(expect), "({u}, {v})");
+                assert_eq!(index.try_distance(u, v), Ok(Some(expect)), "({u}, {v})");
             }
         }
     }
@@ -721,7 +707,7 @@ mod tests {
     #[test]
     fn stats_count_both_directions() {
         let g = random_digraph(60, 200, 3, 3);
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let s = index.stats();
         // Each vertex carries a self entry in both label sets.
         assert!(s.label_entries >= 2 * 60);
@@ -741,7 +727,7 @@ mod tests {
         // wide enough to fan out over the labeling workers.
         let g = random_digraph(1500, 5000, 1, 21);
         for config in [BuildConfig::default(), BuildConfig::full()] {
-            let index = DiIsLabelIndex::build(&g, config);
+            let index = DiIsLabelIndex::try_build(&g, config).unwrap();
             for (built, peel) in [
                 (&index.out_labels, &index.peel_out),
                 (&index.in_labels, &index.peel_in),
@@ -761,15 +747,15 @@ mod tests {
     #[test]
     fn isolated_vertices_and_self_queries() {
         let g = DigraphBuilder::new(5).build();
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
-        assert_eq!(index.distance(0, 0), Some(0));
-        assert_eq!(index.distance(0, 4), None);
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        assert_eq!(index.try_distance(0, 0), Ok(Some(0)));
+        assert_eq!(index.try_distance(0, 4), Ok(None));
     }
 
     #[test]
     fn session_matches_try_distance_directed() {
         let g = random_digraph(120, 420, 7, 5);
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let mut session = index.session();
         for round in 0..2 {
             for i in 0..70u32 {
@@ -790,7 +776,7 @@ mod tests {
         b.add_arc(0, 1, 2);
         b.add_arc(1, 2, 3);
         let g = b.build();
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let oracle: &dyn crate::DistanceOracle = &index;
         assert_eq!(oracle.engine_name(), "di-islabel");
         assert_eq!(oracle.num_vertices(), 3);

@@ -212,7 +212,9 @@ mod tests {
         for (s, t) in [(0u32, 199u32), (5, 100), (42, 43)] {
             let ls = store.fetch(&storage, s).unwrap();
             let lt = store.fetch(&storage, t).unwrap();
-            let got = index.distance_from_labels(ls.view(), lt.view());
+            let got = index
+                .try_distance_from_labels(ls.view(), lt.view())
+                .unwrap();
             assert_eq!(got, crate::reference::dijkstra_p2p(&g, s, t), "({s}, {t})");
         }
     }

@@ -125,7 +125,7 @@ fn sort_file<T: ExtRecord>(
 ///
 /// Only the paper's greedy min-degree strategy is supported externally (the
 /// ablation strategies are in-memory concerns).
-pub fn build_external(
+fn build_external(
     storage: &dyn Storage,
     input: &DiskGraph,
     config: BuildConfig,
@@ -758,8 +758,8 @@ mod tests {
             let s = ((q * 7919) % n) as VertexId;
             let t = ((q * 104729 + 1) % n) as VertexId;
             assert_eq!(
-                em_index.distance(s, t),
-                crate::reference::dijkstra_p2p(g, s, t),
+                em_index.try_distance(s, t),
+                Ok(crate::reference::dijkstra_p2p(g, s, t)),
                 "{tag}: query ({s}, {t})"
             );
         }
@@ -873,7 +873,7 @@ mod tests {
             let s = ((q * 13) % 150) as VertexId;
             let t = ((q * 41 + 3) % 150) as VertexId;
             let expect = crate::reference::dijkstra_p2p(&g, s, t);
-            match (index.shortest_path(s, t), expect) {
+            match (index.try_shortest_path(s, t).unwrap(), expect) {
                 (Some(p), Some(d)) => {
                     assert_eq!(p.length, d);
                     p.validate_against(&g).unwrap();

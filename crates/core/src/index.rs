@@ -57,12 +57,12 @@ pub struct QueryOutcome {
 
 /// The IS-LABEL index (paper Sections 4–6).
 ///
-/// Build once with [`IsLabelIndex::build`], then answer point-to-point
-/// distance queries with [`distance`](IsLabelIndex::distance) and
-/// shortest-path queries with
-/// [`shortest_path`](IsLabelIndex::shortest_path). The index also supports
-/// the lazy dynamic updates of Section 8.3 (see the `updates` methods and
-/// their caveats).
+/// Build once with [`IsLabelIndex::try_build`], then answer point-to-point
+/// distance queries with [`try_distance`](IsLabelIndex::try_distance) (or
+/// a held [`session`](IsLabelIndex::session)) and shortest-path queries
+/// with [`try_shortest_path`](IsLabelIndex::try_shortest_path). The index
+/// also supports the lazy dynamic updates of Section 8.3 (see the `updates`
+/// methods and their caveats).
 ///
 /// # Examples
 ///
@@ -75,9 +75,10 @@ pub struct QueryOutcome {
 ///     b.add_edge(v, v + 1, (v + 1));
 /// }
 /// let g = b.build();
-/// let index = IsLabelIndex::build(&g, BuildConfig::default());
-/// assert_eq!(index.distance(0, 4), Some(1 + 2 + 3 + 4));
-/// assert_eq!(index.distance(4, 0), Some(10)); // undirected symmetry
+/// let index = IsLabelIndex::try_build(&g, BuildConfig::default())?;
+/// assert_eq!(index.try_distance(0, 4)?, Some(1 + 2 + 3 + 4));
+/// assert_eq!(index.try_distance(4, 0)?, Some(10)); // undirected symmetry
+/// # Ok::<(), islabel_core::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct IsLabelIndex {
@@ -100,7 +101,9 @@ pub struct IsLabelIndex {
 
 impl IsLabelIndex {
     /// Builds the index, panicking on an invalid configuration
-    /// (convenience over [`IsLabelIndex::try_build`]).
+    /// (convenience over [`IsLabelIndex::try_build`]). The last panicking
+    /// twin: it stays only because the frozen `benchmark/` harness calls
+    /// it, and goes when that harness is re-baselined (ROADMAP item 8).
     pub fn build(g: &CsrGraph, config: BuildConfig) -> Self {
         Self::try_build(g, config).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -231,18 +234,8 @@ impl IsLabelIndex {
         }
     }
 
-    /// Point-to-point distance; `None` means unreachable (the paper's `∞`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` or `t` is not a vertex of the index; use
-    /// [`IsLabelIndex::try_distance`] for the fallible form.
-    pub fn distance(&self, s: VertexId, t: VertexId) -> Option<Dist> {
-        self.try_distance(s, t).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Point-to-point distance with typed errors: `Ok(None)` means
-    /// unreachable, `Err(VertexOutOfRange)` flags a malformed query.
+    /// Point-to-point distance: `Ok(None)` means unreachable (the paper's
+    /// `∞`), `Err(VertexOutOfRange)` flags a malformed query.
     ///
     /// A one-shot is a [`session`](IsLabelIndex::session) opened for this
     /// one query: `|G_k|`-sized scratch per call, whether or not the index
@@ -251,16 +244,10 @@ impl IsLabelIndex {
         self.session().distance(s, t)
     }
 
-    /// Detailed query with diagnostics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` or `t` is not a vertex of the index.
-    pub fn query(&self, s: VertexId, t: VertexId) -> QueryOutcome {
-        let out = self
-            .session()
-            .search_outcome(s, t)
-            .unwrap_or_else(|e| panic!("{e}"));
+    /// Detailed query with diagnostics; `Err(VertexOutOfRange)` flags a
+    /// malformed query, as for [`IsLabelIndex::try_distance`].
+    pub fn query(&self, s: VertexId, t: VertexId) -> Result<QueryOutcome, QueryError> {
+        let out = self.session().search_outcome(s, t)?;
         // Equation 1 on its own, as the search saw it (a deleted endpoint
         // answers nothing; `s == t` meets at the self entry, 0).
         let eq1_estimate = if self.overlay.is_deleted(s) || self.overlay.is_deleted(t) {
@@ -273,38 +260,23 @@ impl IsLabelIndex {
             let (mu0, _) = intersect_min_auto(ls, lt);
             (mu0 < INF).then_some(mu0)
         };
-        QueryOutcome {
+        Ok(QueryOutcome {
             distance: (out.dist < INF).then_some(out.dist),
             query_type: self.query_type(s, t),
             eq1_estimate,
             settled: out.settled,
             answered_by_search: matches!(out.meeting, Meeting::Search(_)),
-        }
+        })
     }
 
     /// Answers a distance query from externally supplied labels (e.g.
     /// fetched from a [`crate::disklabel::DiskLabelStore`]): Equation 1 plus
-    /// the `G_k` search, without touching the in-memory label arrays. Only
-    /// valid while the index has no dynamic updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index has dynamic updates or a label names a vertex
-    /// the index does not have; use
-    /// [`IsLabelIndex::try_distance_from_labels`] for the fallible form.
-    pub fn distance_from_labels(&self, ls: LabelView<'_>, lt: LabelView<'_>) -> Option<Dist> {
-        self.try_distance_from_labels(ls, lt)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of
-    /// [`distance_from_labels`](IsLabelIndex::distance_from_labels):
-    /// returns [`QueryError::StaleIndex`] when the index has pending
+    /// the `G_k` search, without touching the in-memory label arrays.
+    /// Returns [`QueryError::StaleIndex`] when the index has pending
     /// dynamic updates (whose patched labels the supplied views cannot
-    /// reflect) instead of asserting, and
-    /// [`QueryError::VertexOutOfRange`] for an ancestor the index does not
-    /// have — the views are the caller's bytes (a disk label is returned
-    /// as stored), not validated labels of this index.
+    /// reflect), and [`QueryError::VertexOutOfRange`] for an ancestor the
+    /// index does not have — the views are the caller's bytes (a disk
+    /// label is returned as stored), not validated labels of this index.
     pub fn try_distance_from_labels(
         &self,
         ls: LabelView<'_>,
@@ -321,27 +293,10 @@ impl IsLabelIndex {
         Ok((out.dist < INF).then_some(out.dist))
     }
 
-    /// Shortest path between `s` and `t` (Section 8.1). Returns `None` when
-    /// unreachable, and also when the index cannot answer path queries at
-    /// all (see [`IsLabelIndex::try_shortest_path`], which distinguishes
-    /// the two with [`QueryError::NoPathInfo`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` or `t` is not a vertex of the index.
-    pub fn shortest_path(&self, s: VertexId, t: VertexId) -> Option<crate::path::Path> {
-        match self.try_shortest_path(s, t) {
-            Ok(p) => p,
-            Err(QueryError::NoPathInfo) => None,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Shortest path with typed errors: `Ok(None)` means unreachable,
-    /// [`QueryError::NoPathInfo`] means the index cannot reconstruct paths
-    /// — built with `keep_path_info: false`, or carrying dynamic updates
-    /// whose patched label entries have no path metadata. The silent
-    /// `None`-for-both conflation of the panicking form is gone here.
+    /// Shortest path between `s` and `t` (Section 8.1): `Ok(None)` means
+    /// unreachable, [`QueryError::NoPathInfo`] means the index cannot
+    /// reconstruct paths — built with `keep_path_info: false`, or carrying
+    /// dynamic updates whose patched label entries have no path metadata.
     ///
     /// The search is the distance query's, with predecessor recording
     /// compiled in ([`DenseScratch::with_parents`]).
@@ -447,90 +402,47 @@ impl IsLabelIndex {
     /// new vertex joins `G_k`; labels of affected descendants are patched
     /// (paper Section 8.3).
     ///
-    /// # Panics
-    ///
-    /// Panics on invalid input (out-of-range or deleted neighbor,
-    /// non-positive weight) or if an attached WAL fails to append; use
-    /// [`IsLabelIndex::try_insert_vertex`] for typed I/O errors.
-    pub fn insert_vertex(&mut self, edges: &[(VertexId, Weight)]) -> VertexId {
-        self.try_insert_vertex(edges)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`insert_vertex`](IsLabelIndex::insert_vertex) with typed WAL I/O
-    /// errors ([`Error::Persist`]): the op is appended to the attached log
-    /// (if any) *before* it is applied, so a crash directly after `Ok`
-    /// cannot lose it. Invalid input still panics — it is a programmer
-    /// error, not an I/O condition — and an op that fails the append is
-    /// *not* applied, keeping log and overlay in lockstep.
+    /// Every update is checked, then logged, then applied. Input the
+    /// overlay cannot apply (an out-of-range or deleted neighbour, a zero
+    /// weight) is refused with [`Error::InvalidUpdate`], and a failed
+    /// append to the attached WAL with [`Error::Persist`]; either way
+    /// nothing is applied, so log and overlay stay in lockstep. The op is
+    /// in the log *before* it is applied, so a crash directly after `Ok`
+    /// cannot lose it.
     pub fn try_insert_vertex(&mut self, edges: &[(VertexId, Weight)]) -> Result<VertexId, Error> {
-        let op = UpdateOp::InsertVertex {
+        self.admit(&UpdateOp::InsertVertex {
             edges: edges.to_vec(),
-        };
-        // Validate before logging: an op that would panic on application
-        // must never reach the log (replay could not apply it).
-        if let Err(msg) = op.validate(&self.overlay) {
-            panic!("{msg}");
-        }
-        self.wal_append(&op)?;
+        })?;
         Ok(Overlay::insert_vertex(self, edges))
     }
 
-    /// Inserts an edge between two existing vertices.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid input or a WAL append failure; see
-    /// [`IsLabelIndex::try_insert_edge`].
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        self.try_insert_edge(u, v, w)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`insert_edge`](IsLabelIndex::insert_edge) with typed WAL I/O errors
-    /// (log-before-apply; same contract as
-    /// [`IsLabelIndex::try_insert_vertex`]).
+    /// Inserts an edge between two existing vertices; refuses a deleted or
+    /// out-of-range endpoint, a self-loop and a zero weight (same contract
+    /// as [`IsLabelIndex::try_insert_vertex`]).
     pub fn try_insert_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<(), Error> {
-        let op = UpdateOp::InsertEdge { a: u, b: v, w };
-        if let Err(msg) = op.validate(&self.overlay) {
-            panic!("{msg}");
-        }
-        self.wal_append(&op)?;
+        self.admit(&UpdateOp::InsertEdge { a: u, b: v, w })?;
         Overlay::insert_edge(self, u, v, w);
         Ok(())
     }
 
     /// Deletes a vertex. Queries touching it return `None` afterwards.
     /// Deleting a vertex that was peeled into the hierarchy marks the index
-    /// *stale* (see [`IsLabelIndex::is_stale`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range or on a WAL append failure; see
-    /// [`IsLabelIndex::try_delete_vertex`].
-    pub fn delete_vertex(&mut self, v: VertexId) {
-        self.try_delete_vertex(v).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`delete_vertex`](IsLabelIndex::delete_vertex) with typed WAL I/O
-    /// errors. Idempotent: re-deleting a deleted vertex is `Ok` and is not
-    /// logged (a consistent log never contains a delete of an
-    /// already-deleted vertex, which lets replay flag such records as
-    /// corruption).
+    /// *stale* (see [`IsLabelIndex::is_stale`]). An out-of-range or
+    /// already-deleted `v` is refused with [`Error::InvalidUpdate`] and
+    /// changes nothing (a consistent log never holds a second delete of one
+    /// vertex, which lets replay flag such a record as corruption); same
+    /// contract as [`IsLabelIndex::try_insert_vertex`].
     pub fn try_delete_vertex(&mut self, v: VertexId) -> Result<(), Error> {
-        assert!(
-            (v as usize) < self.overlay.universe(),
-            "vertex {v} out of range"
-        );
-        if self.overlay.is_deleted(v) {
-            return Ok(());
-        }
-        self.wal_append(&UpdateOp::DeleteVertex { v })?;
+        self.admit(&UpdateOp::DeleteVertex { v })?;
         Overlay::delete_vertex(self, v);
         Ok(())
     }
 
-    fn wal_append(&mut self, op: &UpdateOp) -> Result<(), Error> {
+    /// The two steps every update takes before it is applied: check `op`
+    /// against the overlay, then append it to the attached log. An op that
+    /// fails the check never reaches the log (replay could not apply it).
+    fn admit(&mut self, op: &UpdateOp) -> Result<(), Error> {
+        op.validate(&self.overlay).map_err(Error::InvalidUpdate)?;
         if let Some(wal) = self.wal.as_mut() {
             wal.append(op).map_err(Error::Persist)?;
         }
@@ -708,10 +620,10 @@ impl IsLabelIndex {
         !self.overlay.is_pristine()
     }
 
-    /// Whether `v` has been removed by a dynamic [`delete_vertex`]
+    /// Whether `v` has been removed by a dynamic [`try_delete_vertex`]
     /// (`v` beyond the universe counts as not deleted).
     ///
-    /// [`delete_vertex`]: IsLabelIndex::delete_vertex
+    /// [`try_delete_vertex`]: IsLabelIndex::try_delete_vertex
     pub fn is_vertex_deleted(&self, v: VertexId) -> bool {
         (v as usize) < self.overlay.universe() && self.overlay.is_deleted(v)
     }
@@ -974,11 +886,11 @@ mod tests {
         // Example 4: dist(h, e) = 3 even though d(h, e) = 4 in label(h);
         // dist(a, g) = 3.
         let index = paper_index();
-        assert_eq!(index.distance(7, 4), Some(3));
-        assert_eq!(index.distance(0, 6), Some(3));
+        assert_eq!(index.try_distance(7, 4), Ok(Some(3)));
+        assert_eq!(index.try_distance(0, 6), Ok(Some(3)));
         // Example 6 (k = 2 hierarchy there, but distances are distances):
         // dist(c, i) = 3.
-        assert_eq!(index.distance(2, 8), Some(3));
+        assert_eq!(index.try_distance(2, 8), Ok(Some(3)));
     }
 
     #[test]
@@ -990,7 +902,11 @@ mod tests {
                 let truth = dijkstra_all(&g, s);
                 for t in g.vertices() {
                     let expect = (truth[t as usize] < INF).then_some(truth[t as usize]);
-                    assert_eq!(index.distance(s, t), expect, "seed {seed} query ({s}, {t})");
+                    assert_eq!(
+                        index.try_distance(s, t),
+                        Ok(expect),
+                        "seed {seed} query ({s}, {t})"
+                    );
                 }
             }
         }
@@ -1015,8 +931,8 @@ mod tests {
             for &(s, t) in &queries {
                 let expect = dijkstra_p2p(&g, s, t);
                 assert_eq!(
-                    index.distance(s, t),
-                    expect,
+                    index.try_distance(s, t),
+                    Ok(expect),
                     "k_selection {:?} query ({s}, {t})",
                     config.k_selection
                 );
@@ -1032,11 +948,11 @@ mod tests {
         b.add_edge(3, 4, 1);
         let g = b.build();
         let index = IsLabelIndex::build(&g, BuildConfig::default());
-        assert_eq!(index.distance(0, 2), Some(2));
-        assert_eq!(index.distance(3, 4), Some(1));
-        assert_eq!(index.distance(0, 3), None);
-        assert_eq!(index.distance(2, 5), None);
-        assert_eq!(index.distance(5, 5), Some(0));
+        assert_eq!(index.try_distance(0, 2), Ok(Some(2)));
+        assert_eq!(index.try_distance(3, 4), Ok(Some(1)));
+        assert_eq!(index.try_distance(0, 3), Ok(None));
+        assert_eq!(index.try_distance(2, 5), Ok(None));
+        assert_eq!(index.try_distance(5, 5), Ok(Some(0)));
     }
 
     #[test]
@@ -1045,7 +961,7 @@ mod tests {
         let index = IsLabelIndex::build(&g, BuildConfig::full());
         assert_eq!(index.stats().gk_vertices, 0);
         for (s, t) in [(0u32, 79u32), (1, 50), (10, 60)] {
-            let out = index.query(s, t);
+            let out = index.query(s, t).unwrap();
             assert_eq!(out.settled, 0, "no search may run with empty G_k");
             assert!(!out.answered_by_search);
             assert_eq!(out.distance, dijkstra_p2p(&g, s, t));
@@ -1072,7 +988,7 @@ mod tests {
         assert_eq!(index.query_type(out_gk, in_gk), QueryType::OneInGk);
         assert_eq!(index.query_type(out_gk, out_gk2), QueryType::NeitherInGk);
 
-        let out = index.query(in_gk, in_gk2);
+        let out = index.query(in_gk, in_gk2).unwrap();
         assert_eq!(out.distance, dijkstra_p2p(&g, in_gk, in_gk2));
     }
 
@@ -1102,9 +1018,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_query_panics() {
-        paper_index().distance(0, 100);
+    fn out_of_range_endpoints_are_typed_errors_on_every_query_form() {
+        let index = paper_index();
+        let oob = QueryError::VertexOutOfRange {
+            vertex: 100,
+            universe: 9,
+        };
+        assert_eq!(index.try_distance(0, 100), Err(oob));
+        assert_eq!(index.session().distance(100, 0), Err(oob));
+        assert_eq!(index.try_shortest_path(0, 100), Err(oob));
+        let view = LabelView {
+            ancestors: &[100],
+            dists: &[0],
+            first_hops: &[],
+        };
+        assert_eq!(index.try_distance_from_labels(view, view), Err(oob));
     }
 
     #[test]
@@ -1151,8 +1079,7 @@ mod tests {
         assert!(with.try_shortest_path(0, 1).unwrap().is_some());
         assert_eq!(with.try_shortest_path(0, 3), Ok(None));
 
-        // Without path info: a typed NoPathInfo, where shortest_path would
-        // silently return None.
+        // Without path info: a typed NoPathInfo, not a silent None.
         let without = IsLabelIndex::build(
             &g,
             BuildConfig {
@@ -1164,11 +1091,10 @@ mod tests {
             without.try_shortest_path(0, 1),
             Err(crate::QueryError::NoPathInfo)
         );
-        assert_eq!(without.shortest_path(0, 1), None);
 
         // Dynamic updates also drop path metadata.
         let mut updated = IsLabelIndex::build(&g, BuildConfig::default());
-        updated.insert_edge(2, 3, 1);
+        updated.try_insert_edge(2, 3, 1).unwrap();
         assert_eq!(
             updated.try_shortest_path(0, 1),
             Err(crate::QueryError::NoPathInfo)
@@ -1196,7 +1122,7 @@ mod tests {
             index.try_distance_from_labels(view(&sa, &sd), view(&ta, &td)),
             Ok(Some(3))
         );
-        index.insert_edge(0, 8, 1);
+        index.try_insert_edge(0, 8, 1).unwrap();
         assert_eq!(
             index.try_distance_from_labels(view(&sa, &sd), view(&ta, &td)),
             Err(crate::QueryError::StaleIndex)
@@ -1226,8 +1152,10 @@ mod tests {
         let index = IsLabelIndex::build(&g, BuildConfig::default());
         let pairs: Vec<(VertexId, VertexId)> =
             (0..40).map(|i| (i % 60, (i * 7 + 3) % 60)).collect();
-        let sequential: Vec<Option<Dist>> =
-            pairs.iter().map(|&(s, t)| index.distance(s, t)).collect();
+        let sequential: Vec<Option<Dist>> = pairs
+            .iter()
+            .map(|&(s, t)| index.try_distance(s, t).unwrap())
+            .collect();
         // The old assert!(threads > 0) is gone: 0 selects the default.
         assert_eq!(
             index.distance_batch(&pairs, BatchOptions::with_threads(0)),
@@ -1262,7 +1190,7 @@ mod tests {
     fn session_serves_updated_index_on_patched_dense_kernel() {
         let g = erdos_renyi_gnm(60, 140, WeightModel::UniformRange(1, 5), 23);
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
-        let v = index.insert_vertex(&[(0, 2), (10, 1)]);
+        let v = index.try_insert_vertex(&[(0, 2), (10, 1)]).unwrap();
         let mut session = DistanceOracle::session(&index);
         for t in [0u32, 10, 30, v] {
             assert_eq!(
@@ -1277,8 +1205,8 @@ mod tests {
     fn self_distance_is_zero_for_all_vertices() {
         let index = paper_index();
         for v in 0..9 {
-            assert_eq!(index.distance(v, v), Some(0));
-            assert_eq!(index.query(v, v).eq1_estimate, Some(0));
+            assert_eq!(index.try_distance(v, v), Ok(Some(0)));
+            assert_eq!(index.query(v, v).unwrap().eq1_estimate, Some(0));
         }
     }
 
@@ -1287,7 +1215,11 @@ mod tests {
         let g = erdos_renyi_gnm(100, 220, WeightModel::UniformRange(1, 9), 31);
         let index = IsLabelIndex::build(&g, BuildConfig::default());
         for (s, t) in (0..50u32).map(|i| (i, 99 - i)) {
-            assert_eq!(index.distance(s, t), index.distance(t, s), "({s}, {t})");
+            assert_eq!(
+                index.try_distance(s, t),
+                index.try_distance(t, s),
+                "({s}, {t})"
+            );
         }
     }
 
@@ -1298,8 +1230,10 @@ mod tests {
         let pairs: Vec<(VertexId, VertexId)> = (0..200)
             .map(|i| ((i * 7) % 300, (i * 13 + 5) % 300))
             .collect();
-        let sequential: Vec<Option<Dist>> =
-            pairs.iter().map(|&(s, t)| index.distance(s, t)).collect();
+        let sequential: Vec<Option<Dist>> = pairs
+            .iter()
+            .map(|&(s, t)| index.try_distance(s, t).unwrap())
+            .collect();
         for threads in [1, 2, 4, 7] {
             assert_eq!(
                 index.distance_batch(&pairs, BatchOptions::with_threads(threads)),

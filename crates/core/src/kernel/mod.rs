@@ -5,8 +5,8 @@
 //!   Equation 1 through (`seeded_search` for the IS-LABEL, di-IS-LABEL,
 //!   patched-overlay and mmap sessions, and the one-shot query paths). It
 //!   is [`crate::query::intersect_min_adaptive`]: a linear merge-join for
-//!   similarly sized labels, galloping past
-//!   [`crate::query::GALLOP_CROSSOVER`]. The linear
+//!   similarly sized labels, galloping past a length ratio of
+//!   `GALLOP_CROSSOVER` (8). The linear
 //!   [`crate::query::intersect_min`] is its oracle — the equivalence suite
 //!   (`tests/intersect_equivalence.rs`) holds the two bit-identical, for
 //!   distance and witness, on adversarial label shapes. Both rely on

@@ -33,9 +33,9 @@
 //! ## Entry points
 //!
 //! * [`DistanceOracle`] — the unified query trait every engine in the
-//!   workspace implements, with typed fallible `try_*` forms ([`Error`],
-//!   [`QueryError`]) next to the panicking conveniences, and per-thread
-//!   [`QuerySession`]s that reuse search scratch on the hot path.
+//!   workspace implements. Every operation that can fail has one public
+//!   form, and it returns a typed error ([`Error`], [`QueryError`]);
+//!   per-thread [`QuerySession`]s reuse search scratch on the hot path.
 //! * [`Snapshot`] / [`OracleHandle`] ([`snapshot`]) — immutable Arc-backed
 //!   index views with atomic hot-swap, the serving substrate consumed by
 //!   the `islabel-serve` worker pool.
@@ -79,8 +79,9 @@
 //!     b.add_edge(u, v, w);
 //! }
 //! let g = b.build();
-//! let index = IsLabelIndex::build(&g, BuildConfig::default());
-//! assert_eq!(index.distance(7, 4), Some(3)); // dist(h, e) in the paper
+//! let index = IsLabelIndex::try_build(&g, BuildConfig::default())?;
+//! assert_eq!(index.try_distance(7, 4)?, Some(3)); // dist(h, e) in the paper
+//! # Ok::<(), islabel_core::Error>(())
 //! ```
 
 pub mod config;
@@ -92,7 +93,6 @@ pub mod hierarchy;
 pub mod index;
 pub mod kernel;
 pub mod label;
-pub mod labelcache;
 pub mod mmapindex;
 pub mod oracle;
 pub mod path;

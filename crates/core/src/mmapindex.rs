@@ -293,7 +293,7 @@ mod tests {
     fn mmap_refuses_sealed_updates() {
         let g = barabasi_albert(80, 2, WeightModel::Unit, 3);
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
-        index.insert_edge(0, 40, 1);
+        index.try_insert_edge(0, 40, 1).unwrap();
         let buf = v3::write_index(&index, Cursor::new(Vec::new()))
             .unwrap()
             .into_inner();

@@ -14,9 +14,9 @@
 //!   error: disconnected pairs are a normal answer.
 //! * `Err(QueryError::...)` means the query itself was malformed or the
 //!   index cannot answer it exactly (out-of-range vertex, stale index).
-//! * Every engine keeps its original infallible methods (e.g.
-//!   [`crate::IsLabelIndex::distance`]) as thin panicking conveniences
-//!   delegating to the `try_*` forms.
+//! * Every operation that can fail has exactly one public form, and that
+//!   form returns `Result` (`docs/adr/0009-one-form-per-operation.md`).
+//!   A caller that wants a panic writes `.unwrap()` itself.
 
 use islabel_graph::{Dist, VertexId};
 use std::num::NonZeroUsize;
@@ -75,6 +75,10 @@ pub enum Error {
     Query(QueryError),
     /// A build configuration that makes no sense (bad σ, k < 2, ...).
     InvalidConfig(String),
+    /// A dynamic update the index cannot apply (an out-of-range or deleted
+    /// vertex, a zero weight, a self-loop, a second delete); refused before
+    /// it reaches the log or the overlay.
+    InvalidUpdate(String),
     /// An I/O failure while saving or loading an index.
     Persist(std::io::Error),
 }
@@ -84,6 +88,7 @@ impl std::fmt::Display for Error {
         match self {
             Error::Query(e) => write!(f, "{e}"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            Error::InvalidUpdate(msg) => write!(f, "invalid update: {msg}"),
             Error::Persist(e) => write!(f, "persistence error: {e}"),
         }
     }
@@ -93,7 +98,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Query(e) => Some(e),
-            Error::InvalidConfig(_) => None,
+            Error::InvalidConfig(_) | Error::InvalidUpdate(_) => None,
             Error::Persist(e) => Some(e),
         }
     }
@@ -351,6 +356,7 @@ mod tests {
         let error_variants = [
             Error::Query(QueryError::StaleIndex),
             Error::InvalidConfig("k < 2".into()),
+            Error::InvalidUpdate("vertex 9 out of range".into()),
             Error::Persist(std::io::Error::new(std::io::ErrorKind::NotFound, "gone")),
         ];
         let mut messages: Vec<String> = query_variants

@@ -200,7 +200,7 @@ mod tests {
         let index = IsLabelIndex::build(g, config);
         for &(s, t) in pairs {
             let expect = dijkstra_p2p(g, s, t);
-            let path = index.shortest_path(s, t);
+            let path = index.try_shortest_path(s, t).unwrap();
             match (expect, path) {
                 (None, None) => {}
                 (Some(d), Some(p)) => {
@@ -220,12 +220,12 @@ mod tests {
         let g = crate::hierarchy::tests::paper_graph();
         let index = IsLabelIndex::build(&g, BuildConfig::default());
         // dist(h, e) = 3 along h-g-d-e.
-        let p = index.shortest_path(7, 4).unwrap();
+        let p = index.try_shortest_path(7, 4).unwrap().unwrap();
         assert_eq!(p.length, 3);
         p.validate_against(&g).unwrap();
         // dist(a, g) = 3; two optimal routes exist (a-e-d-g and a-b-e-d-g has
         // length 4, so a-e-d-g or a-e-g? (e,g) is not an original edge...).
-        let p = index.shortest_path(0, 6).unwrap();
+        let p = index.try_shortest_path(0, 6).unwrap().unwrap();
         assert_eq!(p.length, 3);
         p.validate_against(&g).unwrap();
     }
@@ -268,13 +268,13 @@ mod tests {
         b.add_edge(2, 3, 4);
         let g = b.build();
         let index = IsLabelIndex::build(&g, BuildConfig::default());
-        assert_eq!(index.shortest_path(0, 2), None);
+        assert_eq!(index.try_shortest_path(0, 2), Ok(None));
         assert_eq!(
-            index.shortest_path(0, 1),
-            Some(Path {
+            index.try_shortest_path(0, 1),
+            Ok(Some(Path {
                 vertices: vec![0, 1],
                 length: 3
-            })
+            }))
         );
     }
 
@@ -282,7 +282,7 @@ mod tests {
     fn trivial_paths() {
         let g = erdos_renyi_gnm(20, 40, WeightModel::Unit, 3);
         let index = IsLabelIndex::build(&g, BuildConfig::default());
-        let p = index.shortest_path(5, 5).unwrap();
+        let p = index.try_shortest_path(5, 5).unwrap().unwrap();
         assert_eq!(p.vertices, vec![5]);
         assert_eq!(p.length, 0);
         assert_eq!(p.num_edges(), 0);
@@ -296,24 +296,27 @@ mod tests {
             ..BuildConfig::default()
         };
         let index = IsLabelIndex::build(&g, config);
-        assert_eq!(index.shortest_path(0, 1), None);
+        assert_eq!(
+            index.try_shortest_path(0, 1),
+            Err(crate::QueryError::NoPathInfo)
+        );
         // Distances still work.
-        assert_eq!(index.distance(0, 1), dijkstra_p2p(&g, 0, 1));
+        assert_eq!(index.try_distance(0, 1), Ok(dijkstra_p2p(&g, 0, 1)));
     }
 
     #[test]
     fn path_disabled_after_updates() {
         let g = erdos_renyi_gnm(30, 80, WeightModel::Unit, 5);
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
-        assert!(index.shortest_path(0, 1).is_some());
-        index.insert_vertex(&[(0, 1)]);
+        assert!(index.try_shortest_path(0, 1).unwrap().is_some());
+        index.try_insert_vertex(&[(0, 1)]).unwrap();
         assert_eq!(
-            index.shortest_path(0, 1),
-            None,
+            index.try_shortest_path(0, 1),
+            Err(crate::QueryError::NoPathInfo),
             "paths unsupported after updates"
         );
         index.rebuild();
-        assert!(index.shortest_path(0, 1).is_some());
+        assert!(index.try_shortest_path(0, 1).unwrap().is_some());
     }
 
     #[test]

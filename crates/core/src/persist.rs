@@ -214,7 +214,7 @@ mod tests {
     fn path_save_is_atomic_and_types_io_errors() {
         let g = barabasi_albert(50, 2, WeightModel::Unit, 1);
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
-        index.insert_edge(0, 30, 1);
+        index.try_insert_edge(0, 30, 1).unwrap();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("islabel-atomic-{}.islx", std::process::id()));
 

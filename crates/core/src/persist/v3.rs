@@ -739,10 +739,14 @@ mod tests {
         assert_eq!(loaded.config().k_selection, index.config().k_selection);
         for i in 0..60u32 {
             let (s, t) = ((i * 7) % 200, (i * 11 + 3) % 200);
-            assert_eq!(loaded.distance(s, t), index.distance(s, t), "({s}, {t})");
             assert_eq!(
-                loaded.shortest_path(s, t),
-                index.shortest_path(s, t),
+                loaded.try_distance(s, t),
+                index.try_distance(s, t),
+                "({s}, {t})"
+            );
+            assert_eq!(
+                loaded.try_shortest_path(s, t),
+                index.try_shortest_path(s, t),
                 "path ({s}, {t})"
             );
         }
@@ -762,7 +766,7 @@ mod tests {
         assert_eq!(loaded.stats().gk_vertices, 0);
         for i in 0..30u32 {
             let (s, t) = ((i * 13) % 200, (i * 29 + 1) % 200);
-            assert_eq!(loaded.distance(s, t), index.distance(s, t));
+            assert_eq!(loaded.try_distance(s, t), index.try_distance(s, t));
         }
     }
 
@@ -770,10 +774,10 @@ mod tests {
     fn v3_seals_and_replays_dynamic_updates() {
         let g = barabasi_albert(150, 3, WeightModel::Unit, 1);
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
-        index.insert_edge(0, 30, 1);
-        let u = index.insert_vertex(&[(0, 2), (30, 1)]);
+        index.try_insert_edge(0, 30, 1).unwrap();
+        let u = index.try_insert_vertex(&[(0, 2), (30, 1)]).unwrap();
         let victim = index.hierarchy().gk_members()[0];
-        index.delete_vertex(victim);
+        index.try_delete_vertex(victim).unwrap();
 
         let buf = write_index(&index, Cursor::new(Vec::new()))
             .unwrap()

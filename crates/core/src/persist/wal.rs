@@ -49,9 +49,9 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Magic bytes of a WAL file.
-pub const WAL_MAGIC: &[u8; 4] = b"ISWL";
+const WAL_MAGIC: &[u8; 4] = b"ISWL";
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+const WAL_VERSION: u32 = 1;
 /// Byte length of the WAL header (magic + version + epoch).
 pub const WAL_HEADER_LEN: u64 = 16;
 /// Upper bound on one record's payload — anything larger is corruption,

@@ -86,11 +86,11 @@ pub fn intersect_min(a: LabelView<'_>, b: LabelView<'_>) -> (Dist, Option<Vertex
 /// Length ratio beyond which [`intersect_min_adaptive`] switches from the
 /// linear merge to galloping: with `|long| / |short| ≥ 8`, the
 /// `O(|short| · log |long|)` skip-search beats scanning the long label.
-pub const GALLOP_CROSSOVER: usize = 8;
+const GALLOP_CROSSOVER: usize = 8;
 
 /// Equation 1 with an adaptive strategy: the linear merge-join of
 /// [`intersect_min`] for similarly sized labels, and a **galloping**
-/// intersection when one label is at least [`GALLOP_CROSSOVER`]× longer
+/// intersection when one label is at least `GALLOP_CROSSOVER` (8)× longer
 /// than the other — each entry of the short label gallops (doubling probe
 /// stride, then binary search) forward into the unscanned tail of the long
 /// one, so heavily skewed intersections (a leaf label against a hub label)

@@ -68,12 +68,12 @@ use islabel_graph::{CsrGraph, Dist, FxHashMap, VertexId, Weight};
 /// (the patching algorithms are deterministic).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateOp {
-    /// [`IsLabelIndex::insert_vertex`] with the given adjacency.
+    /// [`IsLabelIndex::try_insert_vertex`] with the given adjacency.
     InsertVertex {
         /// `(neighbor, weight)` pairs of the new vertex.
         edges: Vec<(VertexId, Weight)>,
     },
-    /// [`IsLabelIndex::insert_edge`].
+    /// [`IsLabelIndex::try_insert_edge`].
     InsertEdge {
         /// One endpoint.
         a: VertexId,
@@ -82,7 +82,7 @@ pub enum UpdateOp {
         /// Positive edge weight.
         w: Weight,
     },
-    /// [`IsLabelIndex::delete_vertex`].
+    /// [`IsLabelIndex::try_delete_vertex`].
     DeleteVertex {
         /// The tombstoned vertex.
         v: VertexId,
@@ -90,12 +90,13 @@ pub enum UpdateOp {
 }
 
 impl UpdateOp {
-    /// Checks this op against the overlay state it would apply to,
-    /// mirroring the mutation path's assertions — so WAL replay can reject
-    /// a checksum-valid but semantically impossible record cleanly instead
-    /// of panicking mid-recovery. (A `DeleteVertex` of an already-deleted
-    /// vertex is also rejected: the mutation path never logs the idempotent
-    /// no-op, so such a record cannot occur in a consistent log.)
+    /// Checks this op against the overlay state it would apply to: the
+    /// public update methods refuse what fails it with
+    /// [`Error::InvalidUpdate`](crate::Error::InvalidUpdate), and WAL
+    /// replay rejects a checksum-valid but semantically impossible record
+    /// cleanly instead of panicking mid-recovery. (A `DeleteVertex` of an
+    /// already-deleted vertex is rejected too, so such a record cannot
+    /// occur in a consistent log.)
     pub(crate) fn validate(&self, overlay: &Overlay) -> Result<(), String> {
         let universe = overlay.universe();
         let check = |v: VertexId, role: &str| -> Result<(), String> {
@@ -518,7 +519,7 @@ impl Overlay {
             .get_or_insert_with(|| DensePatch::new(base_len, 0))
     }
 
-    /// Implements [`IsLabelIndex::insert_vertex`].
+    /// Implements [`IsLabelIndex::try_insert_vertex`].
     pub(crate) fn insert_vertex(
         index: &mut IsLabelIndex,
         edges: &[(VertexId, Weight)],
@@ -560,7 +561,7 @@ impl Overlay {
         u
     }
 
-    /// Implements [`IsLabelIndex::insert_edge`].
+    /// Implements [`IsLabelIndex::try_insert_edge`].
     pub(crate) fn insert_edge(index: &mut IsLabelIndex, a: VertexId, b: VertexId, w: Weight) {
         assert!(
             (a as usize) < index.overlay.universe(),
@@ -602,7 +603,7 @@ impl Overlay {
         }
     }
 
-    /// Implements [`IsLabelIndex::delete_vertex`].
+    /// Implements [`IsLabelIndex::try_delete_vertex`].
     pub(crate) fn delete_vertex(index: &mut IsLabelIndex, v: VertexId) {
         assert!(
             (v as usize) < index.overlay.universe(),
@@ -755,6 +756,7 @@ mod tests {
     use super::{DescendantWalk, UpdateOp};
     use crate::config::BuildConfig;
     use crate::index::IsLabelIndex;
+    use crate::oracle::Error;
     use crate::reference::dijkstra_p2p;
     use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
     use islabel_graph::{CsrGraph, Dist, GraphBuilder, VertexId, Weight};
@@ -1091,12 +1093,12 @@ mod tests {
         let (hub, a, b, c) = (members[0], members[1], members[2], members[3]);
         // Cheap shortcuts through `hub`, then `hub` dies: its entries stay
         // in a's and b's extra lists and only the view hides them.
-        index.insert_edge(hub, a, 1);
-        index.insert_edge(hub, b, 1);
-        let u = index.insert_vertex(&[(hub, 1), (c, 1)]);
-        index.delete_vertex(hub);
-        index.insert_edge(a, c, 1);
-        index.insert_edge(a, u, 2);
+        index.try_insert_edge(hub, a, 1).unwrap();
+        index.try_insert_edge(hub, b, 1).unwrap();
+        let u = index.try_insert_vertex(&[(hub, 1), (c, 1)]).unwrap();
+        index.try_delete_vertex(hub).unwrap();
+        index.try_insert_edge(a, c, 1).unwrap();
+        index.try_insert_edge(a, u, 2).unwrap();
         assert!(!index.is_stale());
 
         let current = index.current_graph();
@@ -1122,7 +1124,7 @@ mod tests {
         let current = index.current_graph();
         for &(s, t) in queries {
             let truth = dijkstra_p2p(&current, s, t);
-            let got = index.distance(s, t);
+            let got = index.try_distance(s, t).unwrap();
             match (got, truth) {
                 (Some(g), Some(tr)) => {
                     assert!(g >= tr, "({s}, {t}): reported {g} below true {tr}")
@@ -1137,8 +1139,8 @@ mod tests {
         let current = index.current_graph();
         for &(s, t) in queries {
             assert_eq!(
-                index.distance(s, t),
-                dijkstra_p2p(&current, s, t),
+                index.try_distance(s, t),
+                Ok(dijkstra_p2p(&current, s, t)),
                 "post-rebuild ({s}, {t})"
             );
         }
@@ -1150,7 +1152,7 @@ mod tests {
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
         let gk_a = index.hierarchy().gk_members()[0];
         let gk_b = index.hierarchy().gk_members()[1];
-        let u = index.insert_vertex(&[(gk_a, 2), (gk_b, 5)]);
+        let u = index.try_insert_vertex(&[(gk_a, 2), (gk_b, 5)]).unwrap();
         assert!(index.has_updates());
         assert!(!index.is_stale());
         assert_eq!(index.num_vertices(), 151);
@@ -1160,13 +1162,13 @@ mod tests {
         // vertex is in G_k and both its edges are searchable.
         for t in [gk_a, gk_b, 0, 17, 42] {
             assert_eq!(
-                index.distance(u, t),
-                dijkstra_p2p(&current, u, t),
+                index.try_distance(u, t),
+                Ok(dijkstra_p2p(&current, u, t)),
                 "u -> {t}"
             );
             assert_eq!(
-                index.distance(t, u),
-                dijkstra_p2p(&current, t, u),
+                index.try_distance(t, u),
+                Ok(dijkstra_p2p(&current, t, u)),
                 "{t} -> u"
             );
         }
@@ -1182,7 +1184,9 @@ mod tests {
             .take(2)
             .collect();
         assert_eq!(peeled.len(), 2, "test needs peeled vertices");
-        let u = index.insert_vertex(&[(peeled[0], 1), (peeled[1], 4)]);
+        let u = index
+            .try_insert_vertex(&[(peeled[0], 1), (peeled[1], 4)])
+            .unwrap();
 
         let queries: Vec<(VertexId, VertexId)> = (0..30)
             .map(|i| (u, (i * 5) % 150))
@@ -1198,12 +1202,12 @@ mod tests {
         let members = index.hierarchy().gk_members().to_vec();
         assert!(members.len() >= 2);
         let (a, b) = (members[0], *members.last().unwrap());
-        index.insert_edge(a, b, 1);
+        index.try_insert_edge(a, b, 1).unwrap();
         let current = index.current_graph();
         for (s, t) in [(a, b), (0, 119), (a, 60), (5, b)] {
             assert_eq!(
-                index.distance(s, t),
-                dijkstra_p2p(&current, s, t),
+                index.try_distance(s, t),
+                Ok(dijkstra_p2p(&current, s, t)),
                 "({s}, {t})"
             );
         }
@@ -1215,7 +1219,7 @@ mod tests {
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
         let peeled = g.vertices().find(|&v| !index.is_in_gk(v)).unwrap();
         let far = g.vertices().rev().find(|&v| v != peeled).unwrap();
-        index.insert_edge(peeled, far, 1);
+        index.try_insert_edge(peeled, far, 1).unwrap();
         let queries: Vec<(VertexId, VertexId)> = (0..25)
             .map(|i| ((i * 3) % 100, (i * 11 + 7) % 100))
             .collect();
@@ -1227,19 +1231,19 @@ mod tests {
         let g = erdos_renyi_gnm(120, 300, WeightModel::Unit, 9);
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
         let victim = index.hierarchy().gk_members()[0];
-        index.delete_vertex(victim);
+        index.try_delete_vertex(victim).unwrap();
         assert!(
             !index.is_stale(),
             "deleting a G_k vertex must not mark stale"
         );
-        assert_eq!(index.distance(victim, 0), None);
-        assert_eq!(index.distance(0, victim), None);
+        assert_eq!(index.try_distance(victim, 0), Ok(None));
+        assert_eq!(index.try_distance(0, victim), Ok(None));
 
         let current = index.current_graph();
         for (s, t) in [(0u32, 119u32), (3, 40), (10, 90), (55, 56)] {
             assert_eq!(
-                index.distance(s, t),
-                dijkstra_p2p(&current, s, t),
+                index.try_distance(s, t),
+                Ok(dijkstra_p2p(&current, s, t)),
                 "({s}, {t})"
             );
         }
@@ -1250,17 +1254,17 @@ mod tests {
         let g = barabasi_albert(100, 2, WeightModel::Unit, 10);
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
         let victim = g.vertices().find(|&v| !index.is_in_gk(v)).unwrap();
-        index.delete_vertex(victim);
+        index.try_delete_vertex(victim).unwrap();
         assert!(index.is_stale());
-        assert_eq!(index.distance(victim, 1), None);
+        assert_eq!(index.try_distance(victim, 1), Ok(None));
 
         index.rebuild();
         assert!(!index.is_stale());
         let current = index.current_graph();
         for (s, t) in [(0u32, 99u32), (2, 50), (victim, 3)] {
             assert_eq!(
-                index.distance(s, t),
-                dijkstra_p2p(&current, s, t),
+                index.try_distance(s, t),
+                Ok(dijkstra_p2p(&current, s, t)),
                 "({s}, {t})"
             );
         }
@@ -1273,26 +1277,32 @@ mod tests {
         b.add_edge(1, 2, 1);
         b.add_edge(2, 3, 1);
         let mut index = IsLabelIndex::build(&b.build(), BuildConfig::default());
-        index.delete_vertex(1);
-        index.delete_vertex(1);
+        index.try_delete_vertex(1).unwrap();
+        // A second delete is refused and changes nothing, so deleting is
+        // idempotent in its effect.
+        assert!(matches!(
+            index.try_delete_vertex(1),
+            Err(Error::InvalidUpdate(_))
+        ));
+        assert_eq!(index.pending_ops(), 1);
         // Vertex 1 was peeled: the index is stale (label entries may still
         // reflect paths through it — the documented lazy semantics), but
         // queries naming the deleted endpoint must answer None.
         assert!(index.is_stale());
-        assert_eq!(index.distance(1, 2), None);
-        assert_eq!(index.distance(0, 1), None);
+        assert_eq!(index.try_distance(1, 2), Ok(None));
+        assert_eq!(index.try_distance(0, 1), Ok(None));
 
-        let u = index.insert_vertex(&[(0, 1), (2, 1)]);
-        let v = index.insert_vertex(&[(u, 1)]);
-        assert_eq!(index.distance(0, 2), Some(2)); // 0-u-2 bypasses deleted 1
-        assert_eq!(index.distance(v, 2), Some(2));
+        let u = index.try_insert_vertex(&[(0, 1), (2, 1)]).unwrap();
+        let v = index.try_insert_vertex(&[(u, 1)]).unwrap();
+        assert_eq!(index.try_distance(0, 2), Ok(Some(2))); // 0-u-2 bypasses deleted 1
+        assert_eq!(index.try_distance(v, 2), Ok(Some(2)));
 
         // Rebuild reconciles everything exactly.
         index.rebuild();
         let g = index.current_graph();
-        assert_eq!(index.distance(0, 2), dijkstra_p2p(&g, 0, 2));
-        assert_eq!(index.distance(0, 2), Some(2));
-        assert_eq!(index.distance(0, 1), None);
+        assert_eq!(index.try_distance(0, 2), Ok(dijkstra_p2p(&g, 0, 2)));
+        assert_eq!(index.try_distance(0, 2), Ok(Some(2)));
+        assert_eq!(index.try_distance(0, 1), Ok(None));
     }
 
     #[test]
@@ -1305,20 +1315,70 @@ mod tests {
         let mut prev = anchor;
         let mut ids = Vec::new();
         for _ in 0..5 {
-            let u = index.insert_vertex(&[(prev, 2)]);
+            let u = index.try_insert_vertex(&[(prev, 2)]).unwrap();
             ids.push(u);
             prev = u;
         }
-        assert_eq!(index.distance(anchor, *ids.last().unwrap()), Some(10));
-        assert_eq!(index.distance(ids[0], ids[4]), Some(8));
+        assert_eq!(
+            index.try_distance(anchor, *ids.last().unwrap()).unwrap(),
+            Some(10)
+        );
+        assert_eq!(index.try_distance(ids[0], ids[4]), Ok(Some(8)));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn insert_edge_to_unknown_vertex_panics() {
+    fn invalid_updates_are_typed_errors_that_change_nothing() {
         let g = erdos_renyi_gnm(10, 20, WeightModel::Unit, 1);
         let mut index = IsLabelIndex::build(&g, BuildConfig::default());
-        index.insert_edge(0, 99, 1);
+        // The same valid history without a log: the state `index` must
+        // still be in after every refused call.
+        let mut twin = IsLabelIndex::build(&g, BuildConfig::default());
+        let wal = std::env::temp_dir().join(format!(
+            "islabel-invalid-updates-{}.wal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&wal);
+        index.attach_wal(&wal).unwrap();
+        let wal_len = || std::fs::metadata(&wal).unwrap().len();
+        for ix in [&mut index, &mut twin] {
+            ix.try_delete_vertex(5).unwrap();
+            ix.try_insert_vertex(&[(0, 1)]).unwrap();
+        }
+        let logged = wal_len();
+
+        use UpdateOp::{DeleteVertex, InsertEdge, InsertVertex};
+        let vertex = |edges: &[(VertexId, Weight)]| InsertVertex {
+            edges: edges.to_vec(),
+        };
+        let invalid = [
+            ("edge out of range", InsertEdge { a: 0, b: 99, w: 1 }),
+            ("neighbour out of range", vertex(&[(1, 1), (99, 1)])),
+            ("delete out of range", DeleteVertex { v: 99 }),
+            ("edge to a deleted vertex", InsertEdge { a: 0, b: 5, w: 1 }),
+            ("deleted neighbour", vertex(&[(5, 1)])),
+            ("zero-weight edge", InsertEdge { a: 0, b: 2, w: 0 }),
+            ("zero-weight neighbour", vertex(&[(0, 0)])),
+            ("self-loop", InsertEdge { a: 3, b: 3, w: 1 }),
+            ("double delete", DeleteVertex { v: 5 }),
+        ];
+        for (what, op) in invalid {
+            let got = match op {
+                InsertVertex { edges } => index.try_insert_vertex(&edges).map(drop),
+                InsertEdge { a, b, w } => index.try_insert_edge(a, b, w),
+                DeleteVertex { v } => index.try_delete_vertex(v),
+            };
+            assert!(
+                matches!(got, Err(Error::InvalidUpdate(_))),
+                "{what}: {got:?}"
+            );
+            assert!(index.overlay() == twin.overlay(), "{what}: overlay changed");
+            assert_eq!(wal_len(), logged, "{what}: the log grew");
+        }
+
+        // The log is live: the next valid op is appended as usual.
+        index.try_insert_edge(0, 2, 1).unwrap();
+        assert!(wal_len() > logged);
+        std::fs::remove_file(&wal).unwrap();
     }
 
     #[test]
@@ -1327,9 +1387,9 @@ mod tests {
         b.add_edge(0, 1, 5);
         b.add_edge(1, 2, 5);
         let mut index = IsLabelIndex::build(&b.build(), BuildConfig::default());
-        let u = index.insert_vertex(&[(0, 1)]);
-        index.insert_edge(u, 2, 1);
-        index.delete_vertex(1);
+        let u = index.try_insert_vertex(&[(0, 1)]).unwrap();
+        index.try_insert_edge(u, 2, 1).unwrap();
+        index.try_delete_vertex(1).unwrap();
         let g = index.current_graph();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.degree(1), 0); // deleted => isolated

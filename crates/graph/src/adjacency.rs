@@ -128,14 +128,6 @@ impl AdjacencyGraph {
         self.adj[v as usize].iter().map(|(&u, &e)| (u, e))
     }
 
-    /// `v`'s adjacency sorted by neighbor id — used wherever determinism
-    /// matters (tie-breaking, serialization, EM/IM equivalence tests).
-    pub fn neighbors_sorted(&self, v: VertexId) -> Vec<(VertexId, EdgeInfo)> {
-        let mut out: Vec<_> = self.neighbors(v).collect();
-        out.sort_unstable_by_key(|&(u, _)| u);
-        out
-    }
-
     /// Weight of edge `(u, v)` if present.
     pub fn edge(&self, u: VertexId, v: VertexId) -> Option<EdgeInfo> {
         self.adj[u as usize].get(&v).copied()

@@ -172,18 +172,6 @@ impl DigraphBuilder {
         }
     }
 
-    /// Creates a builder and bulk-loads `arcs`.
-    pub fn from_arcs(
-        n: usize,
-        arcs: impl IntoIterator<Item = (VertexId, VertexId, Weight)>,
-    ) -> Self {
-        let mut b = Self::new(n);
-        for (u, v, w) in arcs {
-            b.add_arc(u, v, w);
-        }
-        b
-    }
-
     /// Adds the directed arc `u -> v`.
     ///
     /// # Panics

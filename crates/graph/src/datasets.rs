@@ -19,7 +19,6 @@
 use crate::algo::components::largest_component;
 use crate::csr::CsrGraph;
 use crate::generators::{barabasi_albert, erdos_renyi_gnm, WeightModel};
-use crate::ids::VertexId;
 
 /// The five evaluation datasets of the paper, plus their relative sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -180,12 +179,6 @@ fn union(a: &CsrGraph, b: &CsrGraph) -> CsrGraph {
         builder.add_edge(u, v, w);
     }
     builder.build()
-}
-
-/// Remaps a vertex set expressed in old ids through a relabeling table.
-/// Convenience for callers who keep both the LCC graph and original ids.
-pub fn remap_vertices(old_ids: &[VertexId], table: &[VertexId]) -> Vec<VertexId> {
-    old_ids.iter().map(|&v| table[v as usize]).collect()
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! change. See the repo-root `lint.toml` for the live configuration and
 //! the README "Static analysis" section for the rule-by-rule contract.
 
+use crate::dead_pub::AllowEntry;
 use crate::toml;
 use std::path::Path;
 
@@ -54,6 +55,8 @@ pub struct LintConfig {
     /// `[metric_names]` section is extracted from (empty = obs diff
     /// disabled).
     pub obs_path: String,
+    /// Items the `dead-pub` rule keeps although nothing names them.
+    pub dead_pub_allow: Vec<AllowEntry>,
 }
 
 impl LintConfig {
@@ -113,6 +116,20 @@ impl LintConfig {
                 if let Some(v) = t.get(key).and_then(|v| v.as_str()) {
                     *slot = v.to_string();
                 }
+            }
+        }
+        if let Some(t) = doc.table("dead_pub") {
+            for entry in t.get("allow").map(|v| v.str_items()).unwrap_or_default() {
+                let (name, reason) = entry.split_once(',').unwrap_or((&entry, ""));
+                if reason.trim().is_empty() {
+                    return Err(format!(
+                        "[dead_pub] allow entry `{entry}` has no reason; write \"name, reason\""
+                    ));
+                }
+                cfg.dead_pub_allow.push(AllowEntry {
+                    name: name.trim().to_string(),
+                    reason: reason.trim().to_string(),
+                });
             }
         }
         if cfg.roots.is_empty() {

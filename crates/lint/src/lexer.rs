@@ -50,7 +50,7 @@ impl Tok {
 
 /// One comment (line or block) with the lines it spans.
 #[derive(Debug, Clone)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// Comment text, including the `//` / `/*` markers.
     pub text: String,
     /// 1-based first line.
@@ -65,7 +65,7 @@ pub struct Lexed {
     /// Code tokens in source order.
     pub toks: Vec<Tok>,
     /// Comments in source order, separate from the token stream.
-    pub comments: Vec<Comment>,
+    pub(crate) comments: Vec<Comment>,
 }
 
 impl Lexed {
@@ -84,7 +84,7 @@ impl Lexed {
     }
 
     /// All comments that touch `line`.
-    pub fn comments_on_line(&self, line: u32) -> impl Iterator<Item = &Comment> {
+    pub(crate) fn comments_on_line(&self, line: u32) -> impl Iterator<Item = &Comment> {
         self.comments
             .iter()
             .filter(move |c| c.line_start <= line && line <= c.line_end)

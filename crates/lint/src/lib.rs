@@ -8,7 +8,8 @@
 //! the wire decoder must never panic on untrusted bytes, the dense query
 //! kernel must not allocate per query, wire error codes are frozen once
 //! shipped, atomic memory orderings need written justification, and
-//! `unsafe` needs a `// SAFETY:` contract. Until now those lived in
+//! `unsafe` needs a `// SAFETY:` contract, and public API that nothing
+//! calls should not exist ([`dead_pub`]). Until now those lived in
 //! review discipline and a handful of proptest/counting-allocator tests;
 //! this crate turns them into machine-checked rules gated in CI.
 //!
@@ -30,6 +31,7 @@
 //! "Static analysis" section for the rule table.
 
 pub mod config;
+pub mod dead_pub;
 pub mod lexer;
 pub mod registry;
 pub mod rules;
@@ -40,8 +42,14 @@ pub use rules::Finding;
 
 use std::path::{Path, PathBuf};
 
+/// Roots read as callers by the `dead-pub` rule and never linted: the
+/// standalone `benchmark/` package calls the library crates from outside
+/// the workspace.
+const CALLER_ONLY_ROOTS: &[&str] = &["benchmark"];
+
 /// Recursively collects `.rs` files under `dir`, returning
-/// workspace-relative paths with `/` separators.
+/// workspace-relative paths with `/` separators. Build output (`target`
+/// directories) is skipped.
 fn walk_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
     for entry in entries {
@@ -51,7 +59,9 @@ fn walk_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String>
             .file_type()
             .map_err(|e| format!("file_type {}: {e}", path.display()))?;
         if ty.is_dir() {
-            walk_rs(root, &path, out)?;
+            if entry.file_name() != "target" {
+                walk_rs(root, &path, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path
                 .strip_prefix(root)
@@ -75,13 +85,30 @@ pub fn run(root: &Path, cfg: &LintConfig) -> Result<Vec<Finding>, String> {
     files.sort();
     files.retain(|f| !cfg.is_excluded(f));
 
-    let mut findings = Vec::new();
-
-    for rel in &files {
+    let read = |rel: String| -> Result<(String, String), String> {
         let src =
-            std::fs::read_to_string(root.join(rel)).map_err(|e| format!("read {rel}: {e}"))?;
-        findings.extend(check_file(rel, &src, cfg));
+            std::fs::read_to_string(root.join(&rel)).map_err(|e| format!("read {rel}: {e}"))?;
+        Ok((rel, src))
+    };
+    let linted = files.into_iter().map(read).collect::<Result<Vec<_>, _>>()?;
+
+    let mut findings = Vec::new();
+    for (rel, src) in &linted {
+        findings.extend(check_file(rel, src, cfg));
     }
+
+    let mut caller_files = Vec::new();
+    for r in CALLER_ONLY_ROOTS {
+        let dir = root.join(r);
+        if dir.is_dir() {
+            walk_rs(root, &dir, &mut caller_files)?;
+        }
+    }
+    let callers = caller_files
+        .into_iter()
+        .map(read)
+        .collect::<Result<Vec<_>, _>>()?;
+    findings.extend(dead_pub::check(&linted, &callers, &cfg.dead_pub_allow));
 
     // Zones must point at real files: a renamed module silently dropping
     // out of its zone would defeat the whole gate.
@@ -92,7 +119,7 @@ pub fn run(root: &Path, cfg: &LintConfig) -> Result<Vec<Finding>, String> {
         .chain(cfg.forbid_unsafe_roots.iter())
         .chain(cfg.unsafe_allowed_files.iter())
     {
-        if !files.iter().any(|f| f == zoned) {
+        if !linted.iter().any(|(f, _)| f == zoned) {
             findings.push(Finding {
                 file: "lint.toml".into(),
                 line: 1,

@@ -31,7 +31,8 @@ fn main() -> ExitCode {
                      \n\
                      Reads <root>/lint.toml (found by walking up from the current\n\
                      directory unless --root is given), checks the panic-free,\n\
-                     alloc-free, ordering, unsafe-hygiene, and wire-registry rules,\n\
+                     alloc-free, ordering, unsafe-hygiene, wire-registry and\n\
+                     dead-pub rules,\n\
                      and prints one 'file:line: [rule] message' line per finding.\n\
                      \n\
                      EXIT CODES:\n\

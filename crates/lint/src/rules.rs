@@ -19,7 +19,7 @@ pub struct Finding {
     /// 1-based line.
     pub line: u32,
     /// Stable rule name (`panic`, `alloc`, `ordering`, `unsafe`,
-    /// `wire-registry`, `allow-hygiene`).
+    /// `wire-registry`, `dead-pub`, `allow-hygiene`).
     pub rule: String,
     /// Human-readable description.
     pub message: String,
@@ -38,7 +38,7 @@ impl std::fmt::Display for Finding {
 /// A parsed `lint:allow(rule, reason)` escape, bound to the line of code
 /// it covers.
 #[derive(Debug)]
-pub struct Allow {
+pub(crate) struct Allow {
     /// The rule name inside the parentheses.
     pub rule: String,
     /// The justification after the comma (may be empty — that is itself
@@ -54,7 +54,7 @@ pub struct Allow {
 
 /// A `fn` item's span in the token stream and the source.
 #[derive(Debug)]
-pub struct FnSpan {
+pub(crate) struct FnSpan {
     /// The function's name.
     pub name: String,
     /// Token index of the `fn` keyword.
@@ -73,9 +73,9 @@ pub struct FileCtx {
     /// Per-token flag: inside a `#[cfg(test)]` item.
     pub in_test: Vec<bool>,
     /// All `fn` items (including nested and test ones).
-    pub fns: Vec<FnSpan>,
+    pub(crate) fns: Vec<FnSpan>,
     /// Parsed `lint:allow` escapes.
-    pub allows: Vec<Allow>,
+    pub(crate) allows: Vec<Allow>,
 }
 
 impl FileCtx {
@@ -636,11 +636,6 @@ pub fn rule_allow_hygiene(ctx: &FileCtx, active_rules: &[&str], out: &mut Vec<Fi
             });
         }
     }
-}
-
-/// Comment adjacency probe used by rules and tests.
-pub fn has_adjacent_comment(ctx: &FileCtx, line: u32, needle: &str) -> bool {
-    ctx.has_justifying_comment(line, needle)
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@ pub type Table = BTreeMap<String, Value>;
 /// A parsed document: table name → occurrences (one for `[t]`, several
 /// for repeated `[[t]]`). Top-level keys live under the empty name `""`.
 #[derive(Debug, Default)]
-pub struct Doc {
+pub(crate) struct Doc {
     /// Table name → the tables declared under it, in order.
     pub tables: BTreeMap<String, Vec<Table>>,
 }
@@ -83,7 +83,7 @@ impl Doc {
 }
 
 /// Parses a document; errors carry the 1-based line number.
-pub fn parse(src: &str) -> Result<Doc, String> {
+pub(crate) fn parse(src: &str) -> Result<Doc, String> {
     let mut doc = Doc::default();
     let mut current = String::new();
     doc.tables.insert(String::new(), vec![Table::new()]);

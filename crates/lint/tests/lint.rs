@@ -3,6 +3,7 @@
 //! diff must catch drift, and — the point of the whole crate — the real
 //! workspace must lint clean (so CI can block on it).
 
+use islabel_lint::dead_pub::{self, AllowEntry};
 use islabel_lint::{check_file, registry, rules::Finding, LintConfig};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -116,6 +117,84 @@ fn unsafe_clean_fixture_passes() {
     let cfg = zone_cfg("f.rs", &["unsafe_root"]);
     let findings = check_file("f.rs", &fixture("unsafe_clean.rs"), &cfg);
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+/// Runs `dead-pub` over a one-crate workspace: the fixture as the crate's
+/// `lib.rs`, an integration test naming `called` and `Kept`, and a
+/// caller-only `benchmark/` naming `from_bench` — whose own uncalled
+/// `pub fn` must never be reported, because caller-only files are never
+/// linted.
+fn dead_pub_findings(fixture_name: &str, allow: &[&str]) -> Vec<Finding> {
+    let linted = [
+        ("crates/demo/src/lib.rs", fixture(fixture_name)),
+        (
+            "crates/demo/tests/api.rs",
+            "use demo::{called, Kept};".to_string(),
+        ),
+    ];
+    let callers = [(
+        "benchmark/src/lib.rs",
+        "pub fn never_linted() { demo::from_bench(); }".to_string(),
+    )];
+    let owned = |files: &[(&str, String)]| -> Vec<(String, String)> {
+        files
+            .iter()
+            .map(|(p, s)| (p.to_string(), s.clone()))
+            .collect()
+    };
+    let allow: Vec<AllowEntry> = allow
+        .iter()
+        .map(|name| AllowEntry {
+            name: name.to_string(),
+            reason: "appears in a public signature".into(),
+        })
+        .collect();
+    dead_pub::check(&owned(&linted), &owned(&callers), &allow)
+}
+
+#[test]
+fn dead_pub_fixture_trips_every_uncalled_item() {
+    let findings = dead_pub_findings("dead_pub_violating.rs", &[]);
+    assert!(
+        findings.iter().all(|f| f.file == "crates/demo/src/lib.rs"),
+        "{findings:?}"
+    );
+    assert_eq!(
+        lines_of(&findings, "dead-pub"),
+        vec![9, 12, 14, 16, 18, 20, 21]
+    );
+    assert!(
+        findings[0].message.contains("pub fn `orphan`"),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn dead_pub_clean_fixture_passes() {
+    let findings = dead_pub_findings("dead_pub_clean.rs", &["Signature"]);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn dead_pub_allow_entries_need_a_reason_and_a_use() {
+    // An entry that suppresses nothing is itself a finding...
+    let findings = dead_pub_findings("dead_pub_clean.rs", &["Signature", "Kept"]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].file, "lint.toml");
+    assert!(findings[0].message.contains("`Kept`"), "{findings:?}");
+    // ...and one without a reason does not load.
+    let toml = "[files]\nroots = [\"src\"]\n[dead_pub]\nallow = [\"Signature\"]\n";
+    let err = LintConfig::parse(toml).expect_err("a reasonless entry is refused");
+    assert!(err.contains("no reason"), "{err}");
+    let toml = "[files]\nroots = [\"src\"]\n[dead_pub]\nallow = [\"Signature, in a signature\"]\n";
+    let cfg = LintConfig::parse(toml).expect("entry with a reason loads");
+    assert_eq!(
+        cfg.dead_pub_allow,
+        vec![AllowEntry {
+            name: "Signature".into(),
+            reason: "in a signature".into()
+        }]
+    );
 }
 
 #[test]

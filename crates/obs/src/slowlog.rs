@@ -68,7 +68,7 @@ impl std::fmt::Debug for SlowQueryLog {
 }
 
 /// Default capacity of [`SlowQueryLog::global`].
-pub const DEFAULT_SLOWLOG_CAPACITY: usize = 128;
+const DEFAULT_SLOWLOG_CAPACITY: usize = 128;
 
 impl SlowQueryLog {
     /// A disabled log (threshold 0) holding at most `capacity` entries.

@@ -83,7 +83,7 @@ pub const SECTION_LABEL_HOPS: u32 = 14;
 pub const SECTION_OPS: u32 = 15;
 
 /// Highest section kind currently defined (for validation).
-pub const SECTION_KIND_MAX: u32 = 15;
+const SECTION_KIND_MAX: u32 = 15;
 
 /// Human-readable name of a section kind, for diagnostics (`islabel
 /// stats --file`) and error messages. Unknown kinds answer `"unknown"`.
@@ -113,7 +113,7 @@ pub const FLAG_KEEP_PATH_INFO: u32 = 1 << 0;
 /// Header flag bit: the `SECTION_LABEL_HOPS` section is present.
 pub const FLAG_HAS_HOPS: u32 = 1 << 1;
 /// All flag bits a v3 reader understands; unknown bits fail validation.
-pub const FLAG_MASK: u32 = FLAG_KEEP_PATH_INFO | FLAG_HAS_HOPS;
+const FLAG_MASK: u32 = FLAG_KEEP_PATH_INFO | FLAG_HAS_HOPS;
 
 // Shared at-rest record layouts. These are the single source of truth for
 // every crate that serializes the same records (the disk-resident label
@@ -228,7 +228,7 @@ const CRC_TABLE: [u32; 256] = {
 
 /// Streaming CRC-32 state, for checksumming a section as it is written.
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+struct Crc32 {
     state: u32,
 }
 

@@ -36,18 +36,18 @@ mod sys {
     //! for the flags we use (PROT_READ and MAP_PRIVATE are 1 and 2 on
     //! every supported unix).
 
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
+    pub(super) const PROT_READ: i32 = 1;
+    pub(super) const MAP_PRIVATE: i32 = 2;
     /// Linux-only: prefault the whole mapping in the `mmap` call itself,
     /// so the validate-on-open pass reads at memory speed instead of
     /// taking one soft page fault per 4 KiB.
     #[cfg(target_os = "linux")]
-    pub const MAP_POPULATE: i32 = 0x8000;
+    pub(super) const MAP_POPULATE: i32 = 0x8000;
 
     extern "C" {
         // SAFETY: signatures match POSIX mmap/munmap as exported by the
         // platform libc that std already links against.
-        pub fn mmap(
+        pub(super) fn mmap(
             addr: *mut u8,
             len: usize,
             prot: i32,
@@ -55,11 +55,11 @@ mod sys {
             fd: i32,
             offset: i64,
         ) -> *mut u8;
-        pub fn munmap(addr: *mut u8, len: usize) -> i32;
+        pub(super) fn munmap(addr: *mut u8, len: usize) -> i32;
     }
 
     /// `MAP_FAILED` is `(void*)-1`, not null.
-    pub fn map_failed() -> *mut u8 {
+    pub(super) fn map_failed() -> *mut u8 {
         usize::MAX as *mut u8
     }
 }

@@ -10,21 +10,21 @@
 //! ```
 
 use islabel::core::disklabel::DiskLabelStore;
-use islabel::core::BuildConfig;
+use islabel::core::{BuildConfig, Error};
 use islabel::extmem::storage::Storage;
 use islabel::extmem::{DirStorage, IoCostModel};
 use islabel::graph::{Dataset, Scale};
 use islabel::IsLabelIndex;
 use std::time::Instant;
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Error> {
     let graph = Dataset::BtcLike.generate(Scale::Small);
     println!(
         "BTC-like graph: {} vertices, {} edges",
         graph.num_vertices(),
         graph.num_edges()
     );
-    let index = IsLabelIndex::build(&graph, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&graph, BuildConfig::default())?;
     println!("index: {}", index.stats());
 
     // Real files under a temp directory, every byte counted.
@@ -56,7 +56,10 @@ fn main() -> std::io::Result<()> {
     for &(s, t) in &queries {
         let ls = store.fetch(&storage, s)?;
         let lt = store.fetch(&storage, t)?;
-        if index.distance_from_labels(ls.view(), lt.view()).is_some() {
+        if index
+            .try_distance_from_labels(ls.view(), lt.view())?
+            .is_some()
+        {
             answered += 1;
         }
     }

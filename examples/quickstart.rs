@@ -4,10 +4,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use islabel::core::BuildConfig;
+use islabel::core::{BuildConfig, Error};
 use islabel::{GraphBuilder, IsLabelIndex};
 
-fn main() {
+fn main() -> Result<(), Error> {
     // The 9-vertex example graph from the paper's Figure 1 (a = 0 ... i = 8).
     // Every edge has weight 1 except (e, f) with weight 3.
     let mut builder = GraphBuilder::new(9);
@@ -29,7 +29,7 @@ fn main() {
 
     // Build with the paper's defaults (σ = 0.95 k-selection, greedy
     // min-degree independent sets, path info retained).
-    let index = IsLabelIndex::build(&graph, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&graph, BuildConfig::default())?;
     println!("built index: {}", index.stats());
 
     let names = ["a", "b", "c", "d", "e", "f", "g", "h", "i"];
@@ -40,11 +40,13 @@ fn main() {
         "dist({}, {}) = {:?}",
         names[h as usize],
         names[e as usize],
-        index.distance(h, e)
+        index.try_distance(h, e)?
     );
 
     // Section 8.1: full shortest-path reconstruction.
-    let path = index.shortest_path(h, e).expect("h and e are connected");
+    let path = index
+        .try_shortest_path(h, e)?
+        .expect("h and e are connected");
     let pretty: Vec<&str> = path.vertices.iter().map(|&v| names[v as usize]).collect();
     println!(
         "path(h -> e) = {} (length {})",
@@ -54,9 +56,10 @@ fn main() {
 
     // Unreachable pairs answer None (the paper's ∞).
     let lonely = GraphBuilder::new(2).build();
-    let empty_index = IsLabelIndex::build(&lonely, BuildConfig::default());
+    let empty_index = IsLabelIndex::try_build(&lonely, BuildConfig::default())?;
     println!(
         "disconnected: dist(0, 1) = {:?}",
-        empty_index.distance(0, 1)
+        empty_index.try_distance(0, 1)?
     );
+    Ok(())
 }

@@ -9,11 +9,11 @@
 //! cargo run --release --example road_grid
 //! ```
 
-use islabel::core::BuildConfig;
+use islabel::core::{BuildConfig, Error};
 use islabel::graph::generators::{grid2d, WeightModel};
 use islabel::IsLabelIndex;
 
-fn main() {
+fn main() -> Result<(), Error> {
     let (rows, cols) = (120usize, 120usize);
     // Travel times between 1 and 9 minutes per segment.
     let graph = grid2d(rows, cols, WeightModel::UniformRange(1, 9), 7);
@@ -23,7 +23,7 @@ fn main() {
         graph.num_edges()
     );
 
-    let index = IsLabelIndex::build(&graph, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&graph, BuildConfig::default())?;
     println!("index: {}", index.stats());
 
     let id = |r: usize, c: usize| (r * cols + c) as u32;
@@ -34,14 +34,15 @@ fn main() {
     ];
 
     for (s, t, what) in routes {
-        let path = index.shortest_path(s, t).expect("grid is connected");
+        let path = index.try_shortest_path(s, t)?.expect("grid is connected");
         path.validate_against(&graph)
             .expect("path must be edge-valid");
         println!(
             "{what}: travel time {} over {} segments (distance query agrees: {})",
             path.length,
             path.num_edges(),
-            index.distance(s, t).unwrap() == path.length,
+            index.try_distance(s, t)?.unwrap() == path.length,
         );
     }
+    Ok(())
 }

@@ -12,12 +12,12 @@
 //! ```
 
 use islabel::baselines::BiDijkstra;
-use islabel::core::BuildConfig;
+use islabel::core::{BuildConfig, Error};
 use islabel::graph::generators::{barabasi_albert, WeightModel};
 use islabel::IsLabelIndex;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Error> {
     let n = 50_000;
     println!("generating a {n}-member social network (preferential attachment)...");
     let graph = barabasi_albert(n, 4, WeightModel::Unit, 2024);
@@ -29,7 +29,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let index = IsLabelIndex::build(&graph, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&graph, BuildConfig::default())?;
     println!("indexed in {:.2?}: {}", t0.elapsed(), index.stats());
 
     // 2000 random "how far apart are these two people" queries.
@@ -45,7 +45,7 @@ fn main() {
     let t0 = Instant::now();
     let mut total_sep = 0u64;
     for &(s, t) in &pairs {
-        total_sep += index.distance(s, t).expect("BA graphs are connected");
+        total_sep += index.try_distance(s, t)?.expect("BA graphs are connected");
     }
     let is_time = t0.elapsed();
 
@@ -69,4 +69,5 @@ fn main() {
         dij_time,
         dij_time.as_secs_f64() * 1e6 / pairs.len() as f64,
     );
+    Ok(())
 }

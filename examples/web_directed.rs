@@ -5,11 +5,11 @@
 //! cargo run --release --example web_directed
 //! ```
 
-use islabel::core::BuildConfig;
+use islabel::core::{BuildConfig, Error};
 use islabel::{DiIsLabelIndex, DigraphBuilder};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-fn main() {
+fn main() -> Result<(), Error> {
     // A synthetic "web": hyperlinks are directed, popular pages attract
     // links (preferential attachment on the in-degree side), plus a sparse
     // back-link layer.
@@ -39,7 +39,7 @@ fn main() {
         web.num_arcs()
     );
 
-    let index = DiIsLabelIndex::build(&web, BuildConfig::default());
+    let index = DiIsLabelIndex::try_build(&web, BuildConfig::default())?;
     println!("directed index: {}", index.stats());
 
     let mut reachable = 0usize;
@@ -48,8 +48,8 @@ fn main() {
     for _ in 0..samples {
         let s = rng.gen_range(0..n as u32);
         let t = rng.gen_range(0..n as u32);
-        let fwd = index.distance(s, t);
-        let bwd = index.distance(t, s);
+        let fwd = index.try_distance(s, t)?;
+        let bwd = index.try_distance(t, s)?;
         if fwd.is_some() {
             reachable += 1;
         }
@@ -64,11 +64,12 @@ fn main() {
     let (s, t) = (5u32, 17u32);
     println!(
         "page {s} {} reach page {t} (dist = {:?})",
-        if index.reachable(s, t) {
+        if index.reachable(s, t)? {
             "can"
         } else {
             "cannot"
         },
-        index.distance(s, t)
+        index.try_distance(s, t)?
     );
+    Ok(())
 }

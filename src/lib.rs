@@ -31,9 +31,10 @@
 //! b.add_edge(2, 3, 1);
 //! let g = b.build();
 //!
-//! let index = IsLabelIndex::build(&g, BuildConfig::default());
-//! assert_eq!(index.distance(0, 3), Some(4));
-//! assert_eq!(index.distance(3, 3), Some(0));
+//! let index = IsLabelIndex::try_build(&g, BuildConfig::default())?;
+//! assert_eq!(index.try_distance(0, 3)?, Some(4));
+//! assert_eq!(index.try_distance(3, 3)?, Some(0));
+//! # Ok::<(), islabel::core::Error>(())
 //! ```
 //!
 //! Engine-agnostic code programs against [`DistanceOracle`] and builds any

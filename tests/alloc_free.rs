@@ -119,14 +119,16 @@ fn sessions_answer_queries_without_allocating() {
         let a = (i * 37 + 1) % 1800;
         let b = (i * 53 + 400) % 1800;
         if a != b {
-            updated.insert_edge(a, b, i % 5 + 1);
+            updated.try_insert_edge(a, b, i % 5 + 1).unwrap();
         }
     }
     for i in 0..10u32 {
-        updated.insert_vertex(&[((i * 97 + 3) % 1800, 2), ((i * 61 + 700) % 1800, 4)]);
+        updated
+            .try_insert_vertex(&[((i * 97 + 3) % 1800, 2), ((i * 61 + 700) % 1800, 4)])
+            .unwrap();
     }
     for v in 1900..1916u32 {
-        updated.delete_vertex(v);
+        updated.try_delete_vertex(v).unwrap();
     }
     assert!(updated.has_updates());
     let mut patched_session = updated.session();
@@ -154,14 +156,20 @@ fn sessions_answer_queries_without_allocating() {
         let members = grown.hierarchy().gk_members().to_vec();
         for i in 0..pending {
             match i % 5 {
-                0 => drop(grown.insert_vertex(&[((i * 97 + 3) % 1800, 2)])),
+                0 => {
+                    grown
+                        .try_insert_vertex(&[((i * 97 + 3) % 1800, 2)])
+                        .unwrap();
+                }
                 // G_k to G_k: one more pair of extra adjacency entries.
                 1 | 2 => {
                     let k = i as usize * 7;
                     let (a, b) = (members[k % members.len()], members[(k + 1) % members.len()]);
-                    grown.insert_edge(a, b, i % 5 + 1);
+                    grown.try_insert_edge(a, b, i % 5 + 1).unwrap();
                 }
-                _ => grown.insert_edge((i * 37 + 1) % 1800, (i * 53 + 401) % 1800, 3),
+                _ => grown
+                    .try_insert_edge((i * 37 + 1) % 1800, (i * 53 + 401) % 1800, 3)
+                    .unwrap(),
             }
         }
         assert_eq!(grown.pending_ops(), pending as usize);
@@ -181,7 +189,7 @@ fn sessions_answer_queries_without_allocating() {
         b.add_arc(v, u, w);
     }
     let dg = b.build();
-    let di = DiIsLabelIndex::build(&dg, BuildConfig::default());
+    let di = DiIsLabelIndex::try_build(&dg, BuildConfig::default()).unwrap();
     let mut di_session = di.session();
     let count = audited(|| {
         for &(s, t) in &pairs {

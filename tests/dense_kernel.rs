@@ -75,7 +75,7 @@ fn dense_kernel_matches_reference_on_directed_graphs() {
     // Directed conformance: the session (forward and transposed compact
     // CSRs) against directed Dijkstra.
     let g = random_digraph();
-    let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+    let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let mut session = index.session();
     for (s, t) in query_pairs(300, 150) {
         let expect = islabel::core::directed::di_dijkstra_p2p(&g, s, t);
@@ -166,10 +166,12 @@ fn overlay_session_keeps_the_lazy_update_contract() {
     let mut index = IsLabelIndex::build(&g, BuildConfig::default());
     let gk_anchor = index.hierarchy().gk_members()[0];
     let peeled = g.vertices().find(|&v| !index.is_in_gk(v)).unwrap();
-    let u = index.insert_vertex(&[(gk_anchor, 2), (peeled, 1)]);
-    index.insert_edge(u, gk_anchor, 5);
+    let u = index
+        .try_insert_vertex(&[(gk_anchor, 2), (peeled, 1)])
+        .unwrap();
+    index.try_insert_edge(u, gk_anchor, 5).unwrap();
     let victim = index.hierarchy().gk_members()[1];
-    index.delete_vertex(victim);
+    index.try_delete_vertex(victim).unwrap();
     assert!(index.has_updates());
 
     let current = index.current_graph();
@@ -238,12 +240,15 @@ fn answers_do_not_depend_on_phase_tracing() {
         session.distance(s, t).unwrap()
     });
 
-    let u = index.insert_vertex(&[(index.hierarchy().gk_members()[0], 2), (7, 1)]);
-    index.insert_edge(u, 11, 5);
-    index.delete_vertex(index.hierarchy().gk_members()[1]);
+    let u = index
+        .try_insert_vertex(&[(index.hierarchy().gk_members()[0], 2), (7, 1)])
+        .unwrap();
+    index.try_insert_edge(u, 11, 5).unwrap();
+    let victim = index.hierarchy().gk_members()[1];
+    index.try_delete_vertex(victim).unwrap();
     assert_tracing_is_invisible("patched", &mut index.session(), 251, outcome);
 
-    let di = DiIsLabelIndex::build(&random_digraph(), BuildConfig::default());
+    let di = DiIsLabelIndex::try_build(&random_digraph(), BuildConfig::default()).unwrap();
     assert_tracing_is_invisible("directed", &mut di.session(), 300, |session, s, t| {
         session.distance(s, t).unwrap()
     });

@@ -47,12 +47,12 @@ fn weblike_digraph(n: usize, seed: u64) -> CsrDigraph {
 fn random_digraphs_match_dijkstra() {
     for seed in 0..3u64 {
         let g = random_digraph(200, 800, 9, seed);
-        let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+        let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         for i in 0..120u32 {
             let (s, t) = ((i * 17) % 200, (i * 31 + 3) % 200);
             assert_eq!(
-                index.distance(s, t),
-                di_dijkstra_p2p(&g, s, t),
+                index.try_distance(s, t),
+                Ok(di_dijkstra_p2p(&g, s, t)),
                 "seed {seed} ({s}, {t})"
             );
         }
@@ -67,12 +67,12 @@ fn weblike_digraph_matches_dijkstra_across_configs() {
         BuildConfig::full(),
         BuildConfig::fixed_k(4),
     ] {
-        let index = DiIsLabelIndex::build(&g, config);
+        let index = DiIsLabelIndex::try_build(&g, config).unwrap();
         for i in 0..100u32 {
             let (s, t) = ((i * 13) % 500, (i * 101 + 1) % 500);
             assert_eq!(
-                index.distance(s, t),
-                di_dijkstra_p2p(&g, s, t),
+                index.try_distance(s, t),
+                Ok(di_dijkstra_p2p(&g, s, t)),
                 "{:?} ({s}, {t})",
                 config.k_selection
             );
@@ -83,7 +83,7 @@ fn weblike_digraph_matches_dijkstra_across_configs() {
 #[test]
 fn reachability_matches_bfs_closure() {
     let g = random_digraph(80, 160, 3, 11);
-    let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+    let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     for s in (0..80u32).step_by(7) {
         // Directed BFS closure as ground truth.
         let mut seen = [false; 80];
@@ -98,7 +98,7 @@ fn reachability_matches_bfs_closure() {
             }
         }
         for t in 0..80u32 {
-            assert_eq!(index.reachable(s, t), seen[t as usize], "({s}, {t})");
+            assert_eq!(index.reachable(s, t), Ok(seen[t as usize]), "({s}, {t})");
         }
     }
 }
@@ -119,18 +119,18 @@ fn undirected_graph_as_digraph_agrees_with_undirected_index() {
         b.add_arc(v, u, w);
     }
     let dg = b.build();
-    let di = DiIsLabelIndex::build(&dg, BuildConfig::default());
+    let di = DiIsLabelIndex::try_build(&dg, BuildConfig::default()).unwrap();
     let ui = islabel::IsLabelIndex::build(&ug, BuildConfig::default());
     for i in 0..100u32 {
         let (s, t) = ((i * 7) % 150, (i * 11 + 5) % 150);
-        assert_eq!(di.distance(s, t), ui.distance(s, t), "({s}, {t})");
+        assert_eq!(di.try_distance(s, t), ui.try_distance(s, t), "({s}, {t})");
     }
 }
 
 #[test]
 fn level_partition_is_complete() {
     let g = weblike_digraph(300, 3);
-    let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+    let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let peeled: usize = index.levels().iter().map(|l| l.len()).sum();
     let in_gk = (0..300u32).filter(|&v| index.is_in_gk(v)).count();
     assert_eq!(peeled + in_gk, 300);
@@ -139,7 +139,7 @@ fn level_partition_is_complete() {
 #[test]
 fn out_label_chains_ascend_levels() {
     let g = random_digraph(120, 500, 4, 21);
-    let index = DiIsLabelIndex::build(&g, BuildConfig::default());
+    let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     for v in 0..120u32 {
         for &(to, _) in index.peel_out(v) {
             assert!(

@@ -354,14 +354,16 @@ fn search_work_counts_are_pinned() {
     // `G_k` members only, which keeps the index exact (not stale).
     for i in 0..40u32 {
         let (a, b) = ((i * 37 + 1) % 3_000, (i * 53 + 400) % 3_000);
-        index.insert_edge(a, b, i % 5 + 1);
+        index.try_insert_edge(a, b, i % 5 + 1).unwrap();
     }
     for i in 0..10u32 {
-        index.insert_vertex(&[((i * 97 + 3) % 3_000, 2), ((i * 61 + 700) % 3_000, 4)]);
+        index
+            .try_insert_vertex(&[((i * 97 + 3) % 3_000, 2), ((i * 61 + 700) % 3_000, 4)])
+            .unwrap();
     }
     for i in 0..8usize {
         let v = index.hierarchy().gk_members()[i * 5 + 2];
-        index.delete_vertex(v);
+        index.try_delete_vertex(v).unwrap();
     }
     assert!(index.has_updates() && !index.is_stale());
     assert_eq!(work_totals(index.session(), 3_010, 500), PATCHED_BA_TOTALS);
@@ -377,7 +379,7 @@ fn search_work_counts_are_pinned() {
             arcs.add_arc(v, u, w + 1);
         }
     }
-    let index = DiIsLabelIndex::build(&arcs.build(), BuildConfig::default());
+    let index = DiIsLabelIndex::try_build(&arcs.build(), BuildConfig::default()).unwrap();
     assert_eq!(work_totals(index.session(), 3_000, 500), DIRECTED_TOTALS);
 }
 

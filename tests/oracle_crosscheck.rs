@@ -28,9 +28,9 @@ fn crosscheck(name: &str, g: &CsrGraph, config: BuildConfig, seed: u64) {
     for q in 0..QUERIES {
         let s = rng.gen_range(0..n);
         let t = rng.gen_range(0..n);
-        let via_label = index.distance(s, t);
+        let via_label = index.try_distance(s, t).unwrap();
         let via_dijkstra = bidij.distance(g, s, t);
-        let via_pll = pll.distance(s, t);
+        let via_pll = pll.try_distance(s, t).unwrap();
         assert_eq!(
             via_label, via_dijkstra,
             "{name}: IS-LABEL vs bi-Dijkstra disagree on query #{q} ({s}, {t})"

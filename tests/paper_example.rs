@@ -97,9 +97,9 @@ fn figure2_labels() {
 fn example4_queries_through_public_api() {
     let index = IsLabelIndex::build(&paper_graph(), BuildConfig::default());
     // dist(h, e) = 3 despite d(h, e) = 4 in the label.
-    assert_eq!(index.distance(7, 4), Some(3));
+    assert_eq!(index.try_distance(7, 4), Ok(Some(3)));
     // dist(a, g): label(a) ∩ label(g) = {g}; 3 + 0 = 3.
-    assert_eq!(index.distance(0, 6), Some(3));
+    assert_eq!(index.try_distance(0, 6), Ok(Some(3)));
 }
 
 #[test]
@@ -131,13 +131,17 @@ fn example6_bidijkstra_query_on_k2() {
     // L1, but the answer must be identical.
     let index = IsLabelIndex::build(&paper_graph(), BuildConfig::fixed_k(2));
     assert_eq!(index.stats().k, 2);
-    assert_eq!(index.distance(2, 8), Some(3));
+    assert_eq!(index.try_distance(2, 8), Ok(Some(3)));
 
     // And all pairwise answers at k = 2 equal the full-hierarchy answers.
     let full = IsLabelIndex::build(&paper_graph(), BuildConfig::full());
     for s in 0..9u32 {
         for t in 0..9u32 {
-            assert_eq!(index.distance(s, t), full.distance(s, t), "({s}, {t})");
+            assert_eq!(
+                index.try_distance(s, t),
+                full.try_distance(s, t),
+                "({s}, {t})"
+            );
         }
     }
 }
@@ -149,7 +153,11 @@ fn all_pairs_match_dijkstra_on_paper_graph() {
     for s in 0..9u32 {
         let truth = islabel::core::reference::dijkstra_all(&g, s);
         for t in 0..9u32 {
-            assert_eq!(index.distance(s, t), Some(truth[t as usize]), "({s}, {t})");
+            assert_eq!(
+                index.try_distance(s, t),
+                Ok(Some(truth[t as usize])),
+                "({s}, {t})"
+            );
         }
     }
 }

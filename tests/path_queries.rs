@@ -14,7 +14,7 @@ fn check_paths(g: &CsrGraph, config: BuildConfig, queries: usize, tag: &str) {
         let s = ((i * 2654435761) % n) as VertexId;
         let t = ((i * 97 + 13) % n) as VertexId;
         let expect = dijkstra_p2p(g, s, t);
-        match (index.shortest_path(s, t), expect) {
+        match (index.try_shortest_path(s, t).unwrap(), expect) {
             (Some(p), Some(d)) => {
                 assert_eq!(p.length, d, "{tag} ({s}, {t}) length");
                 assert_eq!(*p.vertices.first().unwrap(), s);
@@ -62,7 +62,7 @@ fn path_endpoints_and_self_paths() {
     let g = barabasi_albert(100, 2, WeightModel::Unit, 5);
     let index = IsLabelIndex::build(&g, BuildConfig::default());
     for v in (0..100u32).step_by(13) {
-        let p = index.shortest_path(v, v).unwrap();
+        let p = index.try_shortest_path(v, v).unwrap().unwrap();
         assert_eq!(p.vertices, vec![v]);
         assert_eq!(p.length, 0);
     }
@@ -75,7 +75,7 @@ fn path_hop_counts_match_bfs_on_unweighted_graphs() {
     let index = IsLabelIndex::build(&g, BuildConfig::default());
     let bfs = islabel::graph::algo::bfs_distances(&g, 17);
     for t in (0..300u32).step_by(29) {
-        let p = index.shortest_path(17, t).unwrap();
+        let p = index.try_shortest_path(17, t).unwrap().unwrap();
         assert_eq!(p.num_edges() as u64, bfs[t as usize], "target {t}");
     }
 }
@@ -114,7 +114,7 @@ fn paths_meeting_inside_gk() {
     for (tag, g) in wide_gk_graphs() {
         let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(2));
         let by_search = pairs(g.num_vertices(), 120)
-            .filter(|&(s, t)| index.query(s, t).answered_by_search)
+            .filter(|&(s, t)| index.query(s, t).unwrap().answered_by_search)
             .count();
         assert!(by_search >= 96, "{tag}: {by_search}/120 met in G_k");
         check_paths(&g, BuildConfig::fixed_k(2), 120, tag);
@@ -137,7 +137,7 @@ fn path_vertex_sequences_are_pinned() {
     ] {
         let index = IsLabelIndex::build(g, config);
         for (s, t) in pairs(g.num_vertices(), 150) {
-            let path = index.shortest_path(s, t).expect("connected");
+            let path = index.try_shortest_path(s, t).unwrap().expect("connected");
             path.vertices.iter().for_each(|&v| mix(v as u64));
             mix(u64::MAX);
         }

@@ -50,7 +50,7 @@ fn index_built_from_reloaded_graph_is_identical() {
             (i * 13) % g.num_vertices() as u32,
             (i * 7 + 1) % g.num_vertices() as u32,
         );
-        assert_eq!(a.distance(s, t), b.distance(s, t));
+        assert_eq!(a.try_distance(s, t), b.try_distance(s, t));
     }
 }
 
@@ -76,8 +76,8 @@ fn disk_labels_on_real_files() {
         let ls = store.fetch(&storage, s).unwrap();
         let lt = store.fetch(&storage, t).unwrap();
         assert_eq!(
-            index.distance_from_labels(ls.view(), lt.view()),
-            index.distance(s, t),
+            index.try_distance_from_labels(ls.view(), lt.view()),
+            index.try_distance(s, t),
             "({s}, {t})"
         );
     }
@@ -145,14 +145,18 @@ fn typed_persist_roundtrip_including_pending_updates() {
     for i in 0..40u32 {
         let n = g.num_vertices() as u32;
         let (s, t) = ((i * 11) % n, (i * 17 + 3) % n);
-        assert_eq!(reloaded.distance(s, t), index.distance(s, t), "({s}, {t})");
+        assert_eq!(
+            reloaded.try_distance(s, t),
+            index.try_distance(s, t),
+            "({s}, {t})"
+        );
     }
 
     // Pending dynamic updates persist too: the op log is sealed into the
     // artifact and replayed on load (the historical StaleIndex refusal is
     // gone), reconstructing the exact overlay.
-    index.insert_edge(0, 1, 5);
-    let u = index.insert_vertex(&[(0, 2)]);
+    index.try_insert_edge(0, 1, 5).unwrap();
+    let u = index.try_insert_vertex(&[(0, 2)]).unwrap();
     try_save_index_to_path(&index, &path).unwrap();
     let updated = try_load_index_from_path(&path).unwrap();
     assert!(updated.has_updates());
@@ -162,15 +166,12 @@ fn typed_persist_roundtrip_including_pending_updates() {
         let n = g.num_vertices() as u32;
         let (s, t) = ((i * 11) % n, (i * 17 + 3) % n);
         assert_eq!(
-            updated.try_distance(s, t).unwrap(),
-            index.try_distance(s, t).unwrap(),
+            updated.try_distance(s, t),
+            index.try_distance(s, t),
             "({s}, {t})"
         );
     }
-    assert_eq!(
-        updated.try_distance(u, 1).unwrap(),
-        index.try_distance(u, 1).unwrap()
-    );
+    assert_eq!(updated.try_distance(u, 1), index.try_distance(u, 1));
 
     // I/O failures map to Error::Persist.
     assert!(matches!(
@@ -230,7 +231,11 @@ fn concurrent_saves_to_one_path_all_succeed() {
     let n = g.num_vertices() as u32;
     for i in 0..40u32 {
         let (s, t) = ((i * 11) % n, (i * 17 + 3) % n);
-        assert_eq!(reloaded.distance(s, t), index.distance(s, t), "({s}, {t})");
+        assert_eq!(
+            reloaded.try_distance(s, t),
+            index.try_distance(s, t),
+            "({s}, {t})"
+        );
     }
     // No temp file outlives its save.
     let leftovers: Vec<_> = std::fs::read_dir(&dir)

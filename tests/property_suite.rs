@@ -55,7 +55,7 @@ proptest! {
         for i in 0..12u32 {
             let s = (qseed.wrapping_add(i * 7919)) % n;
             let t = (qseed.wrapping_mul(31).wrapping_add(i * 104729)) % n;
-            prop_assert_eq!(index.distance(s, t), reference::dijkstra_p2p(&g, s, t));
+            prop_assert_eq!(index.try_distance(s, t), Ok(reference::dijkstra_p2p(&g, s, t)));
         }
     }
 
@@ -140,7 +140,7 @@ proptest! {
         for i in 0..8u32 {
             let s = (qseed + i * 97) % n;
             let t = (qseed * 3 + i * 389) % n;
-            match (index.shortest_path(s, t), reference::dijkstra_p2p(&g, s, t)) {
+            match (index.try_shortest_path(s, t).unwrap(), reference::dijkstra_p2p(&g, s, t)) {
                 (Some(p), Some(d)) => {
                     prop_assert_eq!(p.length, d);
                     prop_assert!(p.validate_against(&g).is_ok());
@@ -180,14 +180,11 @@ proptest! {
             }
         }
         let g = b.build();
-        let index = islabel::DiIsLabelIndex::build(&g, BuildConfig::default());
+        let index = islabel::DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         for i in 0..10u32 {
             let s = (qseed + i * 13) % n as u32;
             let t = (qseed * 7 + i * 29) % n as u32;
-            prop_assert_eq!(
-                index.distance(s, t),
-                islabel::core::directed::di_dijkstra_p2p(&g, s, t)
-            );
+            prop_assert_eq!(index.try_distance(s, t), Ok(islabel::core::directed::di_dijkstra_p2p(&g, s, t)));
         }
     }
 
@@ -203,8 +200,8 @@ proptest! {
         for i in 0..10u32 {
             let s = (qseed + i * 11) % n;
             let t = (qseed * 3 + i * 41) % n;
-            prop_assert_eq!(loaded.distance(s, t), index.distance(s, t));
-            prop_assert_eq!(loaded.shortest_path(s, t), index.shortest_path(s, t));
+            prop_assert_eq!(loaded.try_distance(s, t), index.try_distance(s, t));
+            prop_assert_eq!(loaded.try_shortest_path(s, t), index.try_shortest_path(s, t));
         }
     }
 
@@ -223,9 +220,9 @@ proptest! {
             let n = index.num_vertices() as u32;
             let (a, b) = (a % n, b % n);
             if i % 2 == 0 {
-                index.insert_vertex(&[(a, w)]);
+                index.try_insert_vertex(&[(a, w)]).unwrap();
             } else if a != b {
-                index.insert_edge(a, b, w);
+                index.try_insert_edge(a, b, w).unwrap();
             }
         }
         let current = index.current_graph();
@@ -234,7 +231,7 @@ proptest! {
             let s = (qseed + i * 17) % n;
             let t = (qseed * 5 + i * 23) % n;
             let truth = reference::dijkstra_p2p(&current, s, t);
-            match (index.distance(s, t), truth) {
+            match (index.try_distance(s, t).unwrap(), truth) {
                 (Some(got), Some(want)) => prop_assert!(got >= want, "{got} < {want}"),
                 (Some(_), None) => prop_assert!(false, "distance for unreachable pair"),
                 _ => {}
@@ -244,7 +241,7 @@ proptest! {
         for i in 0..10u32 {
             let s = (qseed + i * 17) % n;
             let t = (qseed * 5 + i * 23) % n;
-            prop_assert_eq!(index.distance(s, t), reference::dijkstra_p2p(&current, s, t));
+            prop_assert_eq!(index.try_distance(s, t), Ok(reference::dijkstra_p2p(&current, s, t)));
         }
     }
 

@@ -29,14 +29,14 @@ fn long_update_sequence_upper_bound_then_exact() {
                     .map(|&v| (v, rng.gen_range(1..5)))
                     .collect();
                 if !edges.is_empty() {
-                    index.insert_vertex(&edges);
+                    index.try_insert_vertex(&edges).unwrap();
                 }
             }
             1 => {
                 let a = rng.gen_range(0..index.num_vertices() as VertexId);
                 let b = rng.gen_range(0..index.num_vertices() as VertexId);
                 if a != b && !deleted(&index, a) && !deleted(&index, b) {
-                    index.insert_edge(a, b, rng.gen_range(1..8));
+                    index.try_insert_edge(a, b, rng.gen_range(1..8)).unwrap();
                 }
             }
             _ => {
@@ -45,7 +45,7 @@ fn long_update_sequence_upper_bound_then_exact() {
                 let members = index.hierarchy().gk_members().to_vec();
                 if let Some(&v) = members.get(rng.gen_range(0..members.len().max(1))) {
                     if !deleted(&index, v) {
-                        index.delete_vertex(v);
+                        index.try_delete_vertex(v).unwrap();
                     }
                 }
             }
@@ -59,11 +59,15 @@ fn long_update_sequence_upper_bound_then_exact() {
         let s = (i * 37) % current.num_vertices() as VertexId;
         let t = (i * 101 + 3) % current.num_vertices() as VertexId;
         if deleted(&index, s) || deleted(&index, t) {
-            assert_eq!(index.distance(s, t), None, "deleted endpoint ({s}, {t})");
+            assert_eq!(
+                index.try_distance(s, t),
+                Ok(None),
+                "deleted endpoint ({s}, {t})"
+            );
             continue;
         }
         let truth = dijkstra_p2p(&current, s, t);
-        match (index.distance(s, t), truth) {
+        match (index.try_distance(s, t).unwrap(), truth) {
             (Some(got), Some(want)) => {
                 assert!(got >= want, "({s}, {t}): {got} < true {want}");
                 upper_bound_hits += 1;
@@ -86,15 +90,15 @@ fn long_update_sequence_upper_bound_then_exact() {
             continue;
         }
         assert_eq!(
-            index.distance(s, t),
-            dijkstra_p2p(&current, s, t),
+            index.try_distance(s, t),
+            Ok(dijkstra_p2p(&current, s, t)),
             "post-rebuild ({s}, {t})"
         );
     }
 }
 
 fn deleted(index: &IsLabelIndex, v: VertexId) -> bool {
-    index.distance(v, v).is_none()
+    index.try_distance(v, v).unwrap().is_none()
 }
 
 fn deleted_after_rebuild(g: &islabel::CsrGraph, v: VertexId) -> bool {
@@ -113,15 +117,15 @@ fn growth_only_workload_stays_connected_and_exact_for_gk_chains() {
     let mut ids = vec![anchor];
     for i in 0..15 {
         let parent = ids[i / 2];
-        let v = index.insert_vertex(&[(parent, 1)]);
+        let v = index.try_insert_vertex(&[(parent, 1)]).unwrap();
         ids.push(v);
     }
     let current = index.current_graph();
     for (i, &a) in ids.iter().enumerate() {
         for &b in ids.iter().skip(i) {
             assert_eq!(
-                index.distance(a, b),
-                dijkstra_p2p(&current, a, b),
+                index.try_distance(a, b),
+                Ok(dijkstra_p2p(&current, a, b)),
                 "({a}, {b})"
             );
         }
@@ -135,10 +139,10 @@ fn stale_flag_reports_and_clears() {
     let peeled = (0..120u32).find(|&v| !index.is_in_gk(v)).unwrap();
     let other = if peeled == 0 { 1 } else { 0 };
     assert!(!index.is_stale());
-    index.delete_vertex(peeled);
+    index.try_delete_vertex(peeled).unwrap();
     assert!(index.is_stale());
     index.rebuild();
     assert!(!index.is_stale());
     // The deleted vertex stays deleted (isolated) through the rebuild.
-    assert_eq!(index.distance(peeled, other), None);
+    assert_eq!(index.try_distance(peeled, other), Ok(None));
 }

@@ -40,21 +40,21 @@ fn crashed_pair(dir: &Path) -> (PathBuf, PathBuf, Vec<CsrGraph>) {
     index.attach_wal(&wal_path).unwrap();
 
     let mut expected = vec![index.current_graph()];
-    index.insert_edge(2, 77, 1);
+    index.try_insert_edge(2, 77, 1).unwrap();
     expected.push(index.current_graph());
-    let u = index.insert_vertex(&[(3, 2), (50, 4)]);
+    let u = index.try_insert_vertex(&[(3, 2), (50, 4)]).unwrap();
     expected.push(index.current_graph());
-    index.insert_edge(u, 10, 3);
+    index.try_insert_edge(u, 10, 3).unwrap();
     expected.push(index.current_graph());
-    index.delete_vertex(5);
+    index.try_delete_vertex(5).unwrap();
     expected.push(index.current_graph());
-    let v = index.insert_vertex(&[(u, 1)]);
+    let v = index.try_insert_vertex(&[(u, 1)]).unwrap();
     expected.push(index.current_graph());
-    index.insert_edge(0, 149, 2);
+    index.try_insert_edge(0, 149, 2).unwrap();
     expected.push(index.current_graph());
-    index.delete_vertex(u);
+    index.try_delete_vertex(u).unwrap();
     expected.push(index.current_graph());
-    index.insert_edge(7, v, 4);
+    index.try_insert_edge(7, v, 4).unwrap();
     expected.push(index.current_graph());
     // Crash: the process dies here. The index was never re-saved — the
     // artifact on disk is still pristine; only the WAL knows the ops.
@@ -188,12 +188,12 @@ fn sealed_prefix_is_not_double_applied_on_recovery() {
     try_save_index_to_path(&index, &index_path).unwrap();
     index.attach_wal(&wal_path).unwrap();
 
-    index.insert_edge(1, 99, 2);
-    let u = index.insert_vertex(&[(4, 3)]);
+    index.try_insert_edge(1, 99, 2).unwrap();
+    let u = index.try_insert_vertex(&[(4, 3)]).unwrap();
     // Checkpoint: the artifact now seals both ops; the WAL keeps them too.
     try_save_index_to_path(&index, &index_path).unwrap();
-    index.insert_edge(u, 7, 1);
-    index.delete_vertex(u);
+    index.try_insert_edge(u, 7, 1).unwrap();
+    index.try_delete_vertex(u).unwrap();
     let want = index.current_graph();
     drop(index);
 
@@ -222,9 +222,9 @@ fn recovered_and_resealed_overlays_equal_the_live_one_at_every_prefix() {
         let mut live = try_load_index_from_path(&index_path).unwrap();
         for op in &scan.ops[..k] {
             match op {
-                UpdateOp::InsertEdge { a, b, w } => live.insert_edge(*a, *b, *w),
-                UpdateOp::InsertVertex { edges } => drop(live.insert_vertex(edges)),
-                UpdateOp::DeleteVertex { v } => live.delete_vertex(*v),
+                UpdateOp::InsertEdge { a, b, w } => live.try_insert_edge(*a, *b, *w).unwrap(),
+                UpdateOp::InsertVertex { edges } => drop(live.try_insert_vertex(edges).unwrap()),
+                UpdateOp::DeleteVertex { v } => live.try_delete_vertex(*v).unwrap(),
             }
         }
         assert_eq!(live.current_graph(), *graph, "prefix {k}");
