@@ -12,7 +12,9 @@
 //!   one array read, and every per-vertex search array shrinks from
 //!   universe-sized to `|G_k|`-sized.
 //! * [`DenseCsr`] stores `G_k`'s adjacency over compact ids in flat CSR
-//!   arrays, so the relax loop is a pure sequential scan.
+//!   arrays, every row in ascending `(weight, neighbour)` order, so the
+//!   relax loop is a sequential scan that µ can cut short. The same type
+//!   borrows a mapped artifact's sections, which have the same layout.
 //! * [`StampedSlab`] gives O(1) *whole-array reset*: each slot carries a
 //!   generation stamp, and "clearing" is one epoch increment — no per-query
 //!   `memset`, no hashing, no allocation.
@@ -42,7 +44,11 @@
 //!    is touched. Frontier minima only grow and µ only shrinks, so the
 //!    `min(FQ) + min(RQ) ≥ µ` cutoff fires before such a key could be
 //!    popped, and whatever it could close from the other side is no
-//!    shorter than µ already is;
+//!    shorter than µ already is. Rule 1 **cuts the row**: within one
+//!    settle `d(v)` and the opposite minimum are constant and µ only
+//!    shrinks, so in a row sorted by weight the first entry it rejects
+//!    condemns every later one, and the scan stops there
+//!    (`docs/adr/0010-weight-ordered-rows.md`);
 //! 2. a relaxation that lands is checked against the opposite side's
 //!    *tentative* distance. Any tentative distance is a real path, so µ
 //!    only ever takes real path lengths, and it is finite from the moment
@@ -51,6 +57,11 @@
 //! Settle order is unchanged by either: rule 1 removes only entries that
 //! would never have been popped, rule 2 only makes the cutoff fire earlier,
 //! and the pops that remain compare `(key, vertex)` as before.
+//!
+//! A row is a weight-ordered *run* — the whole row of a pristine CSR —
+//! and an unordered *tail*: a [`PatchedDense`]'s inserted edges. The run
+//! is cut, the tail is read in full ([`DenseView::ordered_run`],
+//! [`DenseView::tail_of`]).
 //!
 //! The kernel functions here are an **alloc-free zone**: `islabel-lint`
 //! (see `lint.toml` at the repo root) rejects any allocating construct
@@ -64,14 +75,33 @@ pub const NO_DENSE: u32 = u32::MAX;
 
 /// Read access to a dense adjacency over compact ids — what the kernel
 /// actually requires of its graph. Implemented by the pristine [`DenseCsr`]
-/// and by [`PatchedDense`] (base CSR plus a dynamic-update
-/// [`DensePatch`]), so the same allocation-free search serves both.
+/// (built on the heap or borrowed from a mapped artifact) and by
+/// [`PatchedDense`] (base CSR plus a dynamic-update [`DensePatch`]), so the
+/// same allocation-free search serves all three.
+///
+/// The kernel reads a row as [`ordered_run`](Self::ordered_run), cut at
+/// the first entry µ rejects, then [`tail_of`](Self::tail_of) in full. A
+/// view that implements only [`edges_of`](Self::edges_of) promises no
+/// order: its whole row is tail.
 pub trait DenseView {
     /// Number of compact vertices (the dense id range).
     fn num_vertices(&self) -> usize;
 
-    /// Iterates `(dense_neighbor, weight)` pairs of compact vertex `d`.
+    /// Every `(dense_neighbor, weight)` pair of compact vertex `d`: the
+    /// ordered run, then the tail.
     fn edges_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_;
+
+    /// The part of `d`'s row in ascending `(weight, neighbour)` order.
+    #[inline]
+    fn ordered_run(&self, _d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        std::iter::empty()
+    }
+
+    /// The rest of `d`'s row, in no particular order.
+    #[inline]
+    fn tail_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        self.edges_of(d)
+    }
 
     /// Best-effort hint that `d`'s adjacency is about to be iterated:
     /// implementations issue a software prefetch for the row's first
@@ -154,46 +184,68 @@ impl GkIdMap {
     }
 }
 
-/// `G_k` adjacency over compact ids in flat CSR arrays.
+/// The row order of `G_k` as one integer: a row is sorted when the keys of
+/// its `(neighbour, weight)` entries strictly ascend, which is ascending
+/// `(weight, neighbour)` with no neighbour twice.
+#[inline]
+pub(crate) fn row_key(neighbour: u32, weight: Weight) -> u64 {
+    u64::from(weight) << 32 | u64::from(neighbour)
+}
+
+/// `G_k` adjacency over compact ids in flat CSR arrays, every row in
+/// ascending `(weight, neighbour)` order.
 ///
 /// The base residual graph spans the full id universe with peeled vertices
 /// isolated; remapping to `0..|G_k|` packs the arrays the relax loop
 /// actually touches into contiguous, cache-dense memory.
 ///
-/// Edges are stored **interleaved** as `(neighbor, weight)` pairs rather
-/// than split target/weight arrays: the relax loop always consumes both
-/// halves of an entry together, and interleaving them means a short row
-/// (grid graphs average degree 4 = one 32-byte span) costs one cache
-/// line instead of two. The mapped engine serves the split layout, so
-/// the repo benchmark's `core.mmapindex.vs_heap_ratio` is this layout
-/// measured against the split one; the on-disk v3 format keeps split
-/// sections (a compatibility surface), and the writer de-interleaves on
-/// save.
+/// The row order is what lets rule 1 cut a row (module docs). It is
+/// established here, in [`build`](DenseCsr::build), the one constructor
+/// of every heap CSR, and checked once when an artifact is opened
+/// (`Sections::validate`); the kernel never re-checks it.
+///
+/// Targets and weights are two arrays side by side, the layout of the v3
+/// artifact's `GK_OFFSETS` / `GK_TARGETS` / `GK_WEIGHTS` sections. `S` is
+/// what holds them: `Vec`s for a built index (the default), or slices
+/// borrowed from a mapped artifact (`DenseCsr<&[u32]>`). So one row view,
+/// and one [`DenseView`] impl, serves both, and the writer saves the
+/// arrays verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenseCsr {
-    offsets: Vec<u32>,
-    entries: Vec<(u32, Weight)>,
+pub struct DenseCsr<S = Vec<u32>> {
+    offsets: S,
+    targets: S,
+    weights: S,
 }
 
 impl DenseCsr {
     /// Builds from an edge source: for each of the `m` compact vertices,
-    /// `edges(dense_id)` yields `(dense_neighbor, weight)` pairs.
+    /// `edges(dense_id)` yields `(dense_neighbor, weight)` pairs, in any
+    /// order. Each row is stored sorted by `(weight, neighbour)`.
     pub fn build<I: Iterator<Item = (u32, Weight)>>(
         m: usize,
         mut edges: impl FnMut(u32) -> I,
     ) -> Self {
         let mut offsets = Vec::with_capacity(m + 1);
-        let mut entries = Vec::new();
+        let (mut targets, mut weights) = (Vec::new(), Vec::new());
+        let mut row: Vec<u64> = Vec::new();
         offsets.push(0);
         for d in 0..m as u32 {
-            entries.extend(edges(d));
+            row.clear();
+            row.extend(edges(d).map(|(u, w)| row_key(u, w)));
+            row.sort_unstable();
+            targets.extend(row.iter().map(|&key| key as u32));
+            weights.extend(row.iter().map(|&key| (key >> 32) as Weight));
             assert!(
-                entries.len() <= u32::MAX as usize,
+                targets.len() <= u32::MAX as usize,
                 "G_k adjacency exceeds u32 offsets; widen DenseCsr::offsets"
             );
-            offsets.push(entries.len() as u32);
+            offsets.push(targets.len() as u32);
         }
-        Self { offsets, entries }
+        Self {
+            offsets,
+            targets,
+            weights,
+        }
     }
 
     /// Compacts the undirected residual graph `gk` (over the full universe)
@@ -207,59 +259,88 @@ impl DenseCsr {
         })
     }
 
+    /// The offsets, targets and weights arrays, serialized verbatim as the
+    /// v3 artifact's `GK_OFFSETS`, `GK_TARGETS` and `GK_WEIGHTS` sections.
+    pub(crate) fn arrays(&self) -> [&[u32]; 3] {
+        [&self.offsets, &self.targets, &self.weights]
+    }
+}
+
+impl<'a> DenseCsr<&'a [u32]> {
+    /// Borrows a mapped artifact's `G_k` sections. The caller has run
+    /// `Sections::validate`, which checks every bound and the row order
+    /// this view's readers rely on.
+    pub(crate) fn from_sections(
+        offsets: &'a [u32],
+        targets: &'a [u32],
+        weights: &'a [u32],
+    ) -> Self {
+        Self {
+            offsets,
+            targets,
+            weights,
+        }
+    }
+}
+
+impl<S: AsRef<[u32]>> DenseCsr<S> {
     /// Number of compact vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets.as_ref().len().saturating_sub(1)
     }
 
     /// Number of stored (directed) adjacency entries.
     pub fn num_entries(&self) -> usize {
-        self.entries.len()
+        self.targets.as_ref().len()
     }
 
-    /// Iterates `(dense_neighbor, weight)` pairs of compact vertex `d`.
+    /// The targets and weights of compact vertex `d`'s row, in ascending
+    /// `(weight, neighbour)` order.
     #[inline]
-    pub fn edges_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
-        let lo = self.offsets[d as usize] as usize;
-        let hi = self.offsets[d as usize + 1] as usize;
-        self.entries[lo..hi].iter().copied()
+    pub(crate) fn row(&self, d: u32) -> (&[u32], &[Weight]) {
+        let offsets = self.offsets.as_ref();
+        let lo = offsets[d as usize] as usize;
+        let hi = offsets[d as usize + 1] as usize;
+        (
+            &self.targets.as_ref()[lo..hi],
+            &self.weights.as_ref()[lo..hi],
+        )
     }
 
     /// Resident bytes of the CSR arrays.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u32>()
-            + self.entries.len() * std::mem::size_of::<(u32, Weight)>()
-    }
-
-    /// The raw offsets array, serialized verbatim as the v3 artifact's
-    /// `GK_OFFSETS` section.
-    pub(crate) fn offsets_raw(&self) -> &[u32] {
-        &self.offsets
-    }
-
-    /// The raw interleaved `(neighbor, weight)` entries; the v3 writer
-    /// de-interleaves these into the split `GK_TARGETS` / `GK_WEIGHTS`
-    /// sections (the on-disk layout is a compatibility surface and stays
-    /// split regardless of the in-memory choice).
-    pub(crate) fn entries_raw(&self) -> &[(u32, Weight)] {
-        &self.entries
+        (self.offsets.as_ref().len() + 2 * self.num_entries()) * std::mem::size_of::<u32>()
     }
 }
 
-impl DenseView for DenseCsr {
+impl<S: AsRef<[u32]>> DenseView for DenseCsr<S> {
     fn num_vertices(&self) -> usize {
         DenseCsr::num_vertices(self)
     }
 
+    #[inline]
     fn edges_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
-        DenseCsr::edges_of(self, d)
+        self.ordered_run(d)
+    }
+
+    #[inline]
+    fn ordered_run(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        let (targets, weights) = self.row(d);
+        targets.iter().copied().zip(weights.iter().copied())
+    }
+
+    #[inline]
+    fn tail_of(&self, _d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        std::iter::empty()
     }
 
     #[inline]
     fn prefetch_row(&self, d: u32) {
-        if let Some(&lo) = self.offsets.get(d as usize) {
-            crate::kernel::prefetch_index(&self.entries, lo as usize);
+        // A row spans two arrays: hint both.
+        if let Some(&lo) = self.offsets.as_ref().get(d as usize) {
+            crate::kernel::prefetch_index(self.targets.as_ref(), lo as usize);
+            crate::kernel::prefetch_index(self.weights.as_ref(), lo as usize);
         }
     }
 }
@@ -361,8 +442,9 @@ impl DensePatch {
 }
 
 /// A [`DenseView`] of the base compact CSR with a [`DensePatch`] applied:
-/// a vertex's base adjacency first, then the patch's extra adjacency in
-/// push order, with tombstoned endpoints filtered.
+/// a vertex's base adjacency first (the weight-ordered run), then the
+/// patch's extra adjacency in push order (the tail, read in full), with
+/// tombstoned endpoints filtered from both.
 #[derive(Debug, Clone, Copy)]
 pub struct PatchedDense<'a> {
     /// The pristine base adjacency (dense ids `0..base_len`).
@@ -377,16 +459,25 @@ impl DenseView for PatchedDense<'_> {
     }
 
     fn edges_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
-        let alive = !self.patch.is_dead(d);
-        let base = (alive && d < self.patch.base_len)
-            .then(|| self.base.edges_of(d))
+        self.ordered_run(d).chain(self.tail_of(d))
+    }
+
+    #[inline]
+    fn ordered_run(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        (d < self.patch.base_len && !self.patch.is_dead(d))
+            .then(|| self.base.ordered_run(d))
             .into_iter()
-            .flatten();
-        let extra = alive
+            .flatten()
+            .filter(|&(u, _)| !self.patch.is_dead(u))
+    }
+
+    #[inline]
+    fn tail_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        (!self.patch.is_dead(d))
             .then(|| self.patch.extra_of(d).iter().copied())
             .into_iter()
-            .flatten();
-        base.chain(extra).filter(|&(u, _)| !self.patch.is_dead(u))
+            .flatten()
+            .filter(|&(u, _)| !self.patch.is_dead(u))
     }
 
     #[inline]
@@ -844,8 +935,9 @@ pub fn dense_bi_dijkstra<G: DenseView>(
 ///
 /// Differences from the paper's pseudocode, all conservative:
 /// * vertices enter the queues on demand instead of all starting at `∞`;
-/// * µ bounds the work by the two rules of the [module docs](self): a
-///   relaxation to key `nd` is skipped when `nd + min(opposite queue) ≥ µ`,
+/// * µ bounds the work by the two rules of the [module docs](self): the
+///   first relaxation to a key `nd` with `nd + min(opposite queue) ≥ µ`
+///   ends the row's weight-ordered run (a tail entry is only skipped),
 ///   and one that lands is checked against the opposite side's tentative
 ///   distance, as is every vertex when it settles.
 ///
@@ -933,12 +1025,7 @@ pub fn dense_search<G: DenseView, P: ParentSink>(
                 meeting = Meeting::Search(v);
             }
         }
-        for (u, w) in g.edges_of(v) {
-            relaxed += 1;
-            let nd = d + w as Dist;
-            if nd.saturating_add(min_y) >= mu {
-                continue;
-            }
+        let mut relax = |u: u32, nd: Dist, mu: &mut Dist| {
             if dist_x.get(u).is_none_or(|cur| nd < cur) {
                 dist_x.set(u, nd);
                 q.push_or_decrease(u, nd);
@@ -947,11 +1034,30 @@ pub fn dense_search<G: DenseView, P: ParentSink>(
                 // Lines 17–18, on the tentative distance.
                 if let Some(dy) = dist_y.get(u) {
                     let cand = nd.saturating_add(dy);
-                    if cand < mu {
-                        mu = cand;
+                    if cand < *mu {
+                        *mu = cand;
                         meeting = Meeting::Search(u);
                     }
                 }
+            }
+        };
+        // Rule 1. `d` and `min_y` are fixed for this settle and µ only
+        // shrinks, so in the weight-ordered run the first entry rejected
+        // rejects every later one: the run is cut there. The tail has no
+        // order and is read in full.
+        for (u, w) in g.ordered_run(v) {
+            relaxed += 1;
+            let nd = d + w as Dist;
+            if nd.saturating_add(min_y) >= mu {
+                break;
+            }
+            relax(u, nd, &mut mu);
+        }
+        for (u, w) in g.tail_of(v) {
+            relaxed += 1;
+            let nd = d + w as Dist;
+            if nd.saturating_add(min_y) < mu {
+                relax(u, nd, &mut mu);
             }
         }
     }
@@ -1181,6 +1287,27 @@ mod tests {
         let adj: Vec<(u32, Weight)> = csr.edges_of(1).collect();
         assert_eq!(adj, vec![(0, 2), (2, 4)]);
         assert!(csr.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn dense_csr_rows_are_weight_ordered() {
+        // Pushed in neighbour order; stored by (weight, neighbour), ties
+        // by neighbour.
+        let rows: [&[(u32, Weight)]; 3] = [&[(1, 9), (2, 3), (3, 3), (4, 1)], &[], &[(0, 5)]];
+        let csr = DenseCsr::build(rows.len(), |d| rows[d as usize].iter().copied());
+        let run: Vec<(u32, Weight)> = csr.ordered_run(0).collect();
+        assert_eq!(run, vec![(4, 1), (2, 3), (3, 3), (1, 9)]);
+        assert_eq!(csr.row(0), (&[4, 2, 3, 1][..], &[1, 3, 3, 9][..]));
+        assert_eq!(csr.edges_of(0).collect::<Vec<_>>(), run);
+        assert_eq!(csr.tail_of(0).count(), 0);
+        assert_eq!(csr.row(1), (&[][..], &[][..]));
+        assert_eq!(csr.num_entries(), 5);
+        // A borrowed view of the same arrays is the same rows.
+        let [offsets, targets, weights] = csr.arrays();
+        let mapped = DenseCsr::from_sections(offsets, targets, weights);
+        for d in 0..3 {
+            assert_eq!(mapped.row(d), csr.row(d));
+        }
     }
 
     #[test]

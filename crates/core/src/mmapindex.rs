@@ -26,13 +26,16 @@
 //! [`crate::index::IsLabelSession`]: [`seeded_search`] — Equation 1 via
 //! [`crate::kernel::intersect_min_auto`], seeds
 //! filtered through the mapped `dense_of` array, then the dense search
-//! on a [`DenseView`] over the mapped CSR sections. The `store_mmap`
+//! on a [`crate::dense::DenseCsr`] that borrows the mapped `G_k` sections.
+//! Heap and mapped indexes share that one row layout and its row order,
+//! ascending `(weight, neighbour)`, which `Sections::validate` checks on
+//! open (`docs/adr/0010-weight-ordered-rows.md`). The `store_mmap`
 //! integration suite pins bit-identical results against the heap engine.
 
-use crate::dense::{seeded_search, DenseScratch, DenseView, NO_DENSE};
+use crate::dense::{seeded_search, DenseScratch, NO_DENSE};
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
 use crate::persist::v3::Sections;
-use islabel_graph::{Dist, VertexId, Weight, INF};
+use islabel_graph::{Dist, VertexId, INF};
 use islabel_store::StoreReader;
 use std::path::Path;
 
@@ -41,43 +44,6 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct MmapIndex {
     reader: StoreReader,
-}
-
-/// The dense `G_k` CSR as typed views of the mapped sections — the
-/// [`DenseView`] the kernel runs on. `G_k` is undirected, so the same
-/// view serves as both search directions.
-#[derive(Debug, Clone, Copy)]
-struct MappedDense<'a> {
-    offsets: &'a [u32],
-    targets: &'a [u32],
-    weights: &'a [u32],
-}
-
-impl DenseView for MappedDense<'_> {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    #[inline]
-    fn edges_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
-        let lo = self.offsets[d as usize] as usize;
-        let hi = self.offsets[d as usize + 1] as usize;
-        self.targets[lo..hi]
-            .iter()
-            .zip(&self.weights[lo..hi])
-            .map(|(&t, &w)| (t, w))
-    }
-
-    #[inline]
-    fn prefetch_row(&self, d: u32) {
-        // The mapped sections keep the on-disk split layout, so a row
-        // spans two streams: hint both.
-        if let Some(&lo) = self.offsets.get(d as usize) {
-            crate::kernel::prefetch_index(self.targets, lo as usize);
-            crate::kernel::prefetch_index(self.weights, lo as usize);
-        }
-    }
 }
 
 impl MmapIndex {
@@ -211,11 +177,8 @@ impl<'a> MmapSession<'a> {
         if s == t {
             return Ok(Some(0));
         }
-        let dense = MappedDense {
-            offsets: sec.gk_offsets,
-            targets: sec.gk_targets,
-            weights: sec.gk_weights,
-        };
+        // `G_k` is undirected, so one view serves both search directions.
+        let dense = sec.gk();
         let out = seeded_search(
             sec.label_view(s),
             sec.label_view(t),

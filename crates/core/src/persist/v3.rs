@@ -8,7 +8,11 @@
 //! Every array is its own 8-byte-aligned section (see
 //! `islabel_store::format` for the layout constants), which is what makes
 //! mmap-and-serve possible. The residual graph `G_k` is stored
-//! *only* in compact (dense-id) form; the heap loader reconstructs the
+//! *only* in compact (dense-id) form, as the in-memory
+//! [`crate::dense::DenseCsr`]'s three arrays written verbatim: every row
+//! in ascending `(weight, neighbour)` order, which `Sections::validate`
+//! checks, so an artifact written before rows were ordered is refused
+//! with "rebuild with islabel build". The heap loader reconstructs the
 //! full-universe CSR through [`GraphBuilder`], which is exact because CSR
 //! construction is canonical (sorted, deduplicated) and the dense
 //! sections were derived from a CSR built the same way.
@@ -31,7 +35,7 @@ use islabel_store::{ArtifactMeta, StoreReader, StoreWriter};
 use std::io::{self, Seek, Write};
 use std::time::Duration;
 
-use crate::dense::NO_DENSE;
+use crate::dense::{row_key, DenseCsr, DenseView, NO_DENSE};
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
@@ -135,38 +139,16 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
     w.write_u32s(&buf32)?;
     w.end_section()?;
 
-    // Dense G_k: the compact CSR and both id maps. The in-memory CSR
-    // interleaves (neighbor, weight) pairs for the search's cache
-    // behavior; the on-disk sections are a compatibility surface and
-    // stay split, so the writer de-interleaves through the streaming
-    // buffer here.
-    let fwd_csr = dense.fwd();
-    w.begin_section(SECTION_GK_OFFSETS)?;
-    w.write_u32s(fwd_csr.offsets_raw())?;
-    w.end_section()?;
-    w.begin_section(SECTION_GK_TARGETS)?;
-    buf32.clear();
-    for &(t, _) in fwd_csr.entries_raw() {
-        buf32.push(t);
-        if buf32.len() >= 4096 {
-            w.write_u32s(&buf32)?;
-            buf32.clear();
-        }
+    // Dense G_k: the compact CSR, whose three arrays are the sections'
+    // layout and row order, written verbatim; then both id maps.
+    for (kind, array) in [SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_WEIGHTS]
+        .into_iter()
+        .zip(dense.fwd().arrays())
+    {
+        w.begin_section(kind)?;
+        w.write_u32s(array)?;
+        w.end_section()?;
     }
-    w.write_u32s(&buf32)?;
-    buf32.clear();
-    w.end_section()?;
-    w.begin_section(SECTION_GK_WEIGHTS)?;
-    for &(_, wt) in fwd_csr.entries_raw() {
-        buf32.push(wt);
-        if buf32.len() >= 4096 {
-            w.write_u32s(&buf32)?;
-            buf32.clear();
-        }
-    }
-    w.write_u32s(&buf32)?;
-    buf32.clear();
-    w.end_section()?;
     w.begin_section(SECTION_GK_DENSE_OF)?;
     w.write_u32s(dense.ids().dense_of_raw())?;
     w.end_section()?;
@@ -452,6 +434,17 @@ impl<'a> Sections<'a> {
         if self.gk_weights.contains(&0) {
             return Err(bad("gk edge weight zero"));
         }
+        // The search cuts a row at the first entry µ rejects, so a row out
+        // of order would skip a shorter edge: refused here, never
+        // re-checked by the kernel.
+        let gk = self.gk();
+        for d in 0..m as u32 {
+            let (targets, weights) = gk.row(d);
+            let keys = targets.iter().zip(weights).map(|(&t, &w)| row_key(t, w));
+            if !keys.is_sorted_by(|a, b| a < b) {
+                return Err(bad("gk row not weight-ordered; rebuild with islabel build"));
+            }
+        }
         for t in self.gk_vias.chunks_exact(3) {
             if t[0] >= nv || t[1] >= nv || t[2] >= nv {
                 return Err(bad("via annotation out of range"));
@@ -568,6 +561,13 @@ impl<'a> Sections<'a> {
         }
     }
 
+    /// The `G_k` sections as the kernel's row view. Sound to query only
+    /// after [`validate`](Self::validate).
+    #[inline]
+    pub(crate) fn gk(&self) -> DenseCsr<&'a [u32]> {
+        DenseCsr::from_sections(self.gk_offsets, self.gk_targets, self.gk_weights)
+    }
+
     /// One vertex's label as a [`crate::label::LabelView`] over the
     /// mapped slices. `v` must be `< n` (callers bounds-check first).
     #[inline]
@@ -628,12 +628,16 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
     // bit-identical to the graph the dense sections were derived from.
     let mut b = GraphBuilder::new(n);
     b.reserve(s.gk_targets.len() / 2);
-    for d in 0..m {
-        let (lo, hi) = (s.gk_offsets[d] as usize, s.gk_offsets[d + 1] as usize);
-        for (&t, &w) in s.gk_targets[lo..hi].iter().zip(&s.gk_weights[lo..hi]) {
-            if t as usize > d {
-                b.add_edge(s.global_of[d], s.global_of[t as usize], w);
-            }
+    let dense = s.gk();
+    let mut row = Vec::new();
+    for d in 0..m as u32 {
+        // Each row back in neighbour order, so the builder sorts a sorted
+        // edge list.
+        row.clear();
+        row.extend(dense.edges_of(d).filter(|&(t, _)| t > d));
+        row.sort_unstable();
+        for &(t, w) in &row {
+            b.add_edge(s.global_of[d as usize], s.global_of[t as usize], w);
         }
     }
     let gk = b.build();

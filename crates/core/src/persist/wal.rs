@@ -375,15 +375,19 @@ impl WalWriter {
         self.epoch
     }
 
-    /// Appends one record (buffered sync: see [`WalWriter::sync`]).
+    /// Appends one record (buffered sync: see [`WalWriter::sync`]). The
+    /// record is built in the writer's reusable buffer: 8 bytes reserved,
+    /// the payload encoded after them, then its length and CRC written in
+    /// place, so an append allocates nothing once the buffer has grown.
     pub fn append(&mut self, op: &UpdateOp) -> io::Result<()> {
         self.buf.clear();
+        self.buf.extend_from_slice(&[0; 8]);
         encode_op(op, &mut self.buf);
-        let mut record = Vec::with_capacity(8 + self.buf.len());
-        record.extend_from_slice(&(self.buf.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32(&self.buf).to_le_bytes());
-        record.extend_from_slice(&self.buf);
-        self.file.write_all(&record)?;
+        let (head, payload) = self.buf.split_at_mut(8);
+        let (len, crc) = head.split_at_mut(4);
+        len.copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        crc.copy_from_slice(&crc32(payload).to_le_bytes());
+        self.file.write_all(&self.buf)?;
         wal_metrics().appends.inc();
         self.pending += 1;
         if self.pending >= self.sync_every {

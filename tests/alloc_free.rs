@@ -3,7 +3,8 @@
 // (it only counts and forwards to the system allocator).
 #![allow(unsafe_code)]
 
-//! Steady-state allocation audit for the query hot path.
+//! Steady-state allocation audit for the query hot path, and for the
+//! WAL append every durable op makes.
 //!
 //! The dense kernel's contract is that a warmed-up [`QuerySession`] answers
 //! queries with **zero heap allocations**: the stamped slabs and both
@@ -224,6 +225,34 @@ fn sessions_answer_queries_without_allocating() {
         }
     });
     assert_eq!(count, 0, "VcSession allocated {count} times");
+
+    // --- A durable op's WAL record. ---
+    // Length, CRC and payload are built in the writer's reusable buffer:
+    // the first append grows it (and registers the WAL metrics), every
+    // later one of no larger payload allocates nothing, syncs included.
+    use islabel::core::persist::wal::WalWriter;
+    use islabel::core::UpdateOp;
+    let path = std::env::temp_dir().join(format!("islabel-alloc-free-{}.wal", std::process::id()));
+    let mut wal = WalWriter::create(&path, 7, 4).unwrap();
+    let ops = [
+        UpdateOp::InsertVertex {
+            edges: vec![(3, 2), (9, 4)],
+        },
+        UpdateOp::InsertEdge { a: 1, b: 2, w: 3 },
+        UpdateOp::DeleteVertex { v: 5 },
+    ];
+    wal.append(&ops[0]).unwrap();
+    let count = audited(|| {
+        for op in ops.iter().cycle().take(30) {
+            wal.append(op).unwrap();
+        }
+    });
+    drop(wal);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        count, 0,
+        "WalWriter::append allocated {count} times over 30 ops"
+    );
 
     // The checksum keeps the query loops observable.
     assert!(checksum > 0);

@@ -5,12 +5,13 @@
 
 use islabel::core::persist::{
     compact_index_with_wal, load_index_from_path, load_index_with_wal, save_index_to_path,
-    try_load_oracle_from_path,
+    try_load_index_from_path, try_load_oracle_from_path,
 };
 use islabel::core::{BuildConfig, IsLabelIndex, MmapIndex};
 use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
 use islabel::store::format::{
-    DATA_START, SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS, SECTION_LABEL_OFFSETS,
+    checksum64, Header, DATA_START, SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_WEIGHTS,
+    SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS, SECTION_LABEL_OFFSETS,
 };
 use islabel::store::StoreReader;
 use islabel::DistanceOracle;
@@ -295,6 +296,67 @@ fn oracle_loader_validates_once_and_reports_the_first_error() {
     let err = MmapIndex::open(&path).unwrap_err().to_string();
     assert!(err.contains("sealed dynamic updates"), "{err}");
     assert!(try_load_oracle_from_path(&path).is_err());
+}
+
+/// Recomputes every section checksum and the header CRC, so only the
+/// semantic scan can object to an edit of the payload.
+fn reseal(bytes: &mut [u8]) {
+    let mut header = Header::decode(bytes, bytes.len() as u64).unwrap();
+    for s in &mut header.sections {
+        s.checksum = checksum64(&bytes[s.offset as usize..(s.offset + s.len) as usize]);
+    }
+    bytes[..DATA_START].copy_from_slice(&header.encode());
+}
+
+#[test]
+fn gk_rows_out_of_weight_order_are_refused_by_both_openers() {
+    let (_, good) = sample_artifact();
+    let r = StoreReader::from_bytes(good.clone()).unwrap();
+    let offsets = r.section_u32s(SECTION_GK_OFFSETS).unwrap().unwrap();
+    let weights = r.section_u32s(SECTION_GK_WEIGHTS).unwrap().unwrap();
+    // The first two neighbouring entries of one row whose weights differ
+    // (or tie, so only the neighbour order breaks).
+    let pair = |distinct: bool| {
+        offsets
+            .windows(2)
+            .flat_map(|w| w[0] as usize..(w[1] as usize).saturating_sub(1))
+            .find(|&e| (weights[e] != weights[e + 1]) == distinct)
+            .expect("a row with such a pair")
+    };
+    let cases = [("weights", pair(true)), ("neighbours", pair(false))];
+    let sections = [SECTION_GK_TARGETS, SECTION_GK_WEIGHTS]
+        .map(|kind| r.header().section(kind).unwrap().offset as usize);
+    drop(r);
+
+    let dir = tempdir("gk-order");
+    let path = dir.join("index.islx");
+    for (what, e) in cases {
+        let mut bad = good.clone();
+        for base in sections {
+            let at = base + e * 4;
+            let (first, second) = bad[at..at + 8].split_at_mut(4);
+            first.swap_with_slice(second);
+        }
+        reseal(&mut bad);
+        std::fs::write(&path, &bad).unwrap();
+        let errors = [
+            MmapIndex::open(&path).expect_err("mapped open refuses"),
+            try_load_index_from_path(&path).expect_err("heap load refuses"),
+        ];
+        for err in errors {
+            let err = err.to_string();
+            assert!(
+                err.contains("gk row not weight-ordered; rebuild with islabel build"),
+                "{what}: {err}"
+            );
+        }
+    }
+    // The untouched bytes, resealed the same way, still open.
+    let mut resealed = good;
+    reseal(&mut resealed);
+    std::fs::write(&path, &resealed).unwrap();
+    MmapIndex::open(&path).unwrap();
+    try_load_index_from_path(&path).unwrap();
 }
 
 #[test]
