@@ -1,29 +1,22 @@
 //! In-memory bidirectional Dijkstra — the paper's **IM-DIJ** baseline.
 //!
 //! Table 8 compares IS-LABEL against bidirectional Dijkstra run entirely in
-//! memory over the original graph. This implementation alternates
-//! extractions between the cheaper frontier and stops when
-//! `min(FQ) + min(RQ) ≥ µ`, the same cutoff Algorithm 1 uses, and — like
-//! the IS-LABEL kernel, so the comparison stays fair — skips a relaxation
-//! whose key plus the opposite queue's minimum already reaches `µ`.
-//!
-//! The searcher runs on the same dense primitives as the IS-LABEL kernel
-//! (the graph's own ids are already compact): [`StampedSlab`] tentative
-//! distances with O(1) epoch-bump reset and the indexed 4-ary
-//! [`IndexedHeap`] with decrease-key, so no pop wades through stale
-//! entries.
+//! memory over the original graph. IM-DIJ runs Algorithm 1's kernel
+//! ([`dense_bi_dijkstra`]) over the graph itself, with one seed per side
+//! and µ0 = ∞: it alternates extractions between the cheaper frontier,
+//! stops when `min(FQ) + min(RQ) ≥ µ`, and skips a relaxation whose key
+//! plus the opposite queue's minimum already reaches `µ` — the same search
+//! IS-LABEL runs over `G_k`, so the comparison stays fair
+//! (`docs/adr/0011-one-implementation-per-job.md`).
 
-use islabel_core::dense::{IndexedHeap, StampedSlab};
+use islabel_core::dense::{dense_bi_dijkstra, DenseScratch};
 use islabel_core::oracle::{check_vertex, DistanceOracle, QueryError, QuerySession};
 use islabel_graph::{CsrGraph, Dist, VertexId, INF};
 use std::sync::Mutex;
 
 /// Reusable bidirectional Dijkstra.
 pub struct BiDijkstra {
-    dist_f: StampedSlab<Dist>,
-    dist_r: StampedSlab<Dist>,
-    fq: IndexedHeap,
-    rq: IndexedHeap,
+    scratch: DenseScratch,
 }
 
 impl std::fmt::Debug for BiDijkstra {
@@ -33,23 +26,12 @@ impl std::fmt::Debug for BiDijkstra {
 }
 
 impl BiDijkstra {
-    /// Allocates buffers for graphs of `n` vertices; both heaps are
-    /// pre-sized (decrease-key bounds each by `n`), so later queries never
-    /// allocate.
+    /// Allocates the search workspace for graphs of `n` vertices; it is
+    /// fully pre-sized, so later queries never allocate.
     pub fn new(n: usize) -> Self {
         Self {
-            dist_f: StampedSlab::new(n),
-            dist_r: StampedSlab::new(n),
-            fq: IndexedHeap::new(n),
-            rq: IndexedHeap::new(n),
+            scratch: DenseScratch::new(n),
         }
-    }
-
-    fn reset(&mut self) {
-        self.dist_f.reset();
-        self.dist_r.reset();
-        self.fq.clear();
-        self.rq.clear();
     }
 
     /// Point-to-point distance, plus the number of settled vertices (the
@@ -63,50 +45,8 @@ impl BiDijkstra {
         if s == t {
             return (Some(0), 0);
         }
-        self.reset();
-        self.dist_f.set(s, 0);
-        self.dist_r.set(t, 0);
-        self.fq.push_or_decrease(s, 0);
-        self.rq.push_or_decrease(t, 0);
-        let mut mu = INF;
-        let mut settled = 0usize;
-
-        loop {
-            let min_f = self.fq.peek_key();
-            let min_r = self.rq.peek_key();
-            if min_f == INF || min_r == INF {
-                break;
-            }
-            if min_f.saturating_add(min_r) >= mu {
-                break;
-            }
-            let (q, dist_x, dist_y, min_y) = if min_f <= min_r {
-                (&mut self.fq, &mut self.dist_f, &self.dist_r, min_r)
-            } else {
-                (&mut self.rq, &mut self.dist_r, &self.dist_f, min_f)
-            };
-            let (d, v) = q.pop().expect("finite peek_key means a live entry");
-            settled += 1;
-            if let Some(dy) = dist_y.get(v) {
-                mu = mu.min(d + dy);
-            }
-            for (u, w) in g.edges(v) {
-                let nd = d + w as Dist;
-                // The IS-LABEL kernel's relaxation bound: this key could
-                // never be popped before the cutoff fires.
-                if nd.saturating_add(min_y) >= mu {
-                    continue;
-                }
-                if dist_x.get(u).is_none_or(|cur| nd < cur) {
-                    dist_x.set(u, nd);
-                    q.push_or_decrease(u, nd);
-                    if let Some(dy) = dist_y.get(u) {
-                        mu = mu.min(nd.saturating_add(dy));
-                    }
-                }
-            }
-        }
-        ((mu < INF).then_some(mu), settled)
+        let out = dense_bi_dijkstra(g, g, &[(s, 0)], &[(t, 0)], INF, None, &mut self.scratch);
+        ((out.dist < INF).then_some(out.dist), out.settled)
     }
 
     /// Point-to-point distance.

@@ -5,10 +5,11 @@
 //!
 //! Every comparison method the paper's evaluation needs:
 //!
-//! * [`Dijkstra`] — textbook single-source / point-to-point Dijkstra with
-//!   reusable buffers.
 //! * [`BiDijkstra`] — in-memory bidirectional Dijkstra, the paper's
-//!   **IM-DIJ** baseline (Table 8).
+//!   **IM-DIJ** baseline (Table 8). It runs Algorithm 1's kernel
+//!   ([`islabel_core::dense::dense_bi_dijkstra`]) over the input graph, one
+//!   seed per side; plain single-source Dijkstra is
+//!   [`islabel_core::reference`].
 //! * [`VcIndex`] — a clean-room reimplementation of the vertex-cover
 //!   distance index of Cheng et al. (SIGMOD 2012), converted for
 //!   point-to-point querying by early termination exactly as the paper did
@@ -23,13 +24,11 @@
 //! from an [`Engine`] selector.
 
 pub mod bidijkstra;
-pub mod dijkstra;
 pub mod pll;
 pub mod registry;
 pub mod vc_index;
 
 pub use bidijkstra::{BiDijkstra, BiDijkstraOracle};
-pub use dijkstra::Dijkstra;
 pub use pll::PllIndex;
 pub use registry::{build_oracle, Engine};
 pub use vc_index::{VcConfig, VcIndex, VcQueryCost};

@@ -649,7 +649,6 @@ fn serve_listen(
             std::sync::Arc::clone(&handle),
             index_path,
             wal_path,
-            BuildConfig::default(),
         ))
     });
     let server = DistanceServer::bind_with_coordinator(handle, listen, config, coordinator)
@@ -1006,8 +1005,8 @@ fn recover(argv: &[String]) -> Result<(), String> {
 
 /// `compact INDEX --wal WAL`: offline rebuild-then-truncate — fold the
 /// artifact's sealed ops plus the WAL tail into a fresh pristine index,
-/// persist it atomically, then reset the log (same ordering as the live
-/// `RebuildCoordinator`).
+/// persist it atomically, then reset the log (the pipeline the live
+/// `RebuildCoordinator` runs, with nothing to publish).
 fn compact(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &["wal"])?;
     args.reject_unknown_flags(&[])?;

@@ -28,10 +28,11 @@
 //! [`dense_search`] is the **only** implementation of Algorithm 1
 //! (`docs/adr/0003-one-search-kernel.md`): generic over [`DenseView`], so
 //! the pristine CSR, the directed forward/transposed pair, the
-//! dynamic-update [`PatchedDense`] and a mapped artifact's sections all run
-//! the same loop, and generic over [`ParentSink`], so a path query is that
-//! loop with predecessor recording compiled in and a distance query
-//! ([`dense_bi_dijkstra`]) the same loop with it compiled out. Its oracle
+//! dynamic-update [`PatchedDense`], a mapped artifact's sections and the
+//! IM-DIJ baseline's input graph all run the same loop, and generic over
+//! [`ParentSink`], so a path query is that loop with predecessor recording
+//! compiled in and a distance query ([`dense_bi_dijkstra`]) the same loop
+//! with it compiled out. Its oracle
 //! is [`crate::reference`] Dijkstra. Ties pop in `(key, vertex)` order and
 //! dense ids ascend with global ids, so which of several equally short
 //! paths a path query returns is a function of the graph alone.
@@ -75,9 +76,10 @@ pub const NO_DENSE: u32 = u32::MAX;
 
 /// Read access to a dense adjacency over compact ids — what the kernel
 /// actually requires of its graph. Implemented by the pristine [`DenseCsr`]
-/// (built on the heap or borrowed from a mapped artifact) and by
-/// [`PatchedDense`] (base CSR plus a dynamic-update [`DensePatch`]), so the
-/// same allocation-free search serves all three.
+/// (built on the heap or borrowed from a mapped artifact), by
+/// [`PatchedDense`] (base CSR plus a dynamic-update [`DensePatch`]) and by
+/// the input [`CsrGraph`] itself (IM-DIJ), so the same allocation-free
+/// search serves all four.
 ///
 /// The kernel reads a row as [`ordered_run`](Self::ordered_run), cut at
 /// the first entry µ rejects, then [`tail_of`](Self::tail_of) in full. A
@@ -342,6 +344,22 @@ impl<S: AsRef<[u32]>> DenseView for DenseCsr<S> {
             crate::kernel::prefetch_index(self.targets.as_ref(), lo as usize);
             crate::kernel::prefetch_index(self.weights.as_ref(), lo as usize);
         }
+    }
+}
+
+/// The input graph as a view: its vertex ids are already compact, and its
+/// rows are in neighbour order, not weight order, so every row is tail and
+/// rule 1 skips an entry instead of cutting the row. This is how IM-DIJ
+/// (`islabel-baselines`' `BiDijkstra`) runs Algorithm 1's kernel with one
+/// seed per side and µ0 = ∞.
+impl DenseView for CsrGraph {
+    fn num_vertices(&self) -> usize {
+        CsrGraph::num_vertices(self)
+    }
+
+    #[inline]
+    fn edges_of(&self, d: u32) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        self.edges(d)
     }
 }
 

@@ -4,9 +4,10 @@
 //! index:
 //!
 //! * **Hierarchy**: independent sets are selected "by simply ignoring the
-//!   direction of the edges"; but distance repair is directional — peeling
-//!   `v` creates an augmenting arc `(u, w)` only when `(u, v)` and `(v, w)`
-//!   both exist as arcs, with weight `ω(u,v) + ω(v,w)`.
+//!   direction of the edges" — the undirected hierarchy's own selection
+//!   run over the undirected skeleton; but distance repair is directional:
+//!   peeling `v` creates an augmenting arc `(u, w)` only when `(u, v)` and
+//!   `(v, w)` both exist as arcs, with weight `ω(u,v) + ω(v,w)`.
 //! * **Labels**: each vertex keeps an *out-label* (out-ancestors reached by
 //!   level-increasing chains of forward arcs) and an *in-label*
 //!   (in-ancestors via backward arcs).
@@ -23,9 +24,9 @@
 //! undirected index only (the paper describes them in the undirected
 //! setting); directed queries return distances.
 
-use crate::config::{BuildConfig, IsStrategy, KSelection};
+use crate::config::{BuildConfig, KSelection};
 use crate::dense::{seeded_search, DenseCsr, DenseGk, DenseScratch, GkIdMap};
-use crate::hierarchy::order_by_degree;
+use crate::hierarchy::select_independent_set;
 use crate::label::LabelSet;
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
 use crate::stats::IndexStats;
@@ -185,7 +186,16 @@ impl DiIsLabelIndex {
                 _ => {}
             }
             let size_before = work.size();
-            let li = select_is(&work, config.is_strategy, i, &mut excluded_at);
+            let li = select_independent_set(
+                (0..n as VertexId)
+                    .filter(|&v| work.present[v as usize])
+                    .collect(),
+                |v| work.degree(v),
+                |v| work.undirected_neighbors(v),
+                config.is_strategy,
+                i,
+                &mut excluded_at,
+            );
             debug_assert!(!li.is_empty());
             for &v in &li {
                 let (out_adj, in_adj) = work.remove_vertex(v);
@@ -462,49 +472,6 @@ impl DistanceOracle for DiIsLabelIndex {
     fn session(&self) -> Box<dyn QuerySession + '_> {
         Box::new(DiIsLabelIndex::session(self))
     }
-}
-
-/// Greedy IS over the undirected skeleton of the remaining digraph;
-/// `excluded_at[v] == level` marks `v` excluded at this level.
-fn select_is(
-    work: &DiAdjacency,
-    strategy: IsStrategy,
-    level: u32,
-    excluded_at: &mut [u32],
-) -> Vec<VertexId> {
-    let mut order: Vec<VertexId> = (0..work.present.len() as VertexId)
-        .filter(|&v| work.present[v as usize])
-        .collect();
-    match strategy {
-        IsStrategy::MinDegreeGreedy => order = order_by_degree(&order, |v| work.degree(v), false),
-        IsStrategy::MaxDegreeGreedy => order = order_by_degree(&order, |v| work.degree(v), true),
-        IsStrategy::Random(seed) => {
-            let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
-            let mut next = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            for j in (1..order.len()).rev() {
-                let r = (next() % (j as u64 + 1)) as usize;
-                order.swap(j, r);
-            }
-        }
-    }
-    let mut li = Vec::new();
-    for &u in &order {
-        if excluded_at[u as usize] == level {
-            continue;
-        }
-        li.push(u);
-        for v in work.undirected_neighbors(u) {
-            excluded_at[v as usize] = level;
-        }
-    }
-    li.sort_unstable();
-    li
 }
 
 /// One direction's peel-arc lists as a [`crate::label::PeelSource`], so the

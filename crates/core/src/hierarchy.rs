@@ -78,7 +78,14 @@ impl VertexHierarchy {
             }
 
             let size_before = work.size();
-            let li = select_independent_set(&work, config.is_strategy, i, &mut excluded_at);
+            let li = select_independent_set(
+                work.present_vertices().collect(),
+                |v| work.degree(v),
+                |v| work.neighbors(v).map(|(u, _)| u),
+                config.is_strategy,
+                i,
+                &mut excluded_at,
+            );
             debug_assert!(
                 !li.is_empty(),
                 "greedy IS cannot be empty on a non-empty graph"
@@ -274,23 +281,30 @@ impl VertexHierarchy {
     }
 }
 
-/// Selects one level's independent set from the present vertices of `work`.
+/// Selects one level's independent set from `present`, the vertices of
+/// `G_level` in ascending id order.
 ///
 /// This is the in-memory counterpart of Algorithm 2: visit vertices in the
 /// strategy's order (for the paper's greedy: ascending snapshot degree, ties
 /// by id) and take every vertex not yet excluded by a chosen neighbor.
 /// `excluded_at[v] == level` marks `v` excluded at this level, so the array
 /// is shared by all levels and never reset.
-fn select_independent_set(
-    work: &AdjacencyGraph,
+///
+/// The one selection of both hierarchies: the undirected one passes its
+/// degree and neighbours, the directed one (Section 8.2) the undirected
+/// skeleton's, out plus in — "simply ignoring the direction of the edges".
+pub(crate) fn select_independent_set<N: IntoIterator<Item = VertexId>>(
+    present: Vec<VertexId>,
+    degree: impl Fn(VertexId) -> usize,
+    neighbors: impl Fn(VertexId) -> N,
     strategy: IsStrategy,
     level: u32,
     excluded_at: &mut [u32],
 ) -> Vec<VertexId> {
-    let mut order: Vec<VertexId> = work.present_vertices().collect();
+    let mut order = present;
     match strategy {
-        IsStrategy::MinDegreeGreedy => order = order_by_degree(&order, |v| work.degree(v), false),
-        IsStrategy::MaxDegreeGreedy => order = order_by_degree(&order, |v| work.degree(v), true),
+        IsStrategy::MinDegreeGreedy => order = order_by_degree(&order, degree, false),
+        IsStrategy::MaxDegreeGreedy => order = order_by_degree(&order, degree, true),
         IsStrategy::Random(seed) => {
             // Deterministic per (seed, level) Fisher–Yates driven by a
             // splitmix-style generator; rand is not needed for this.
@@ -315,7 +329,7 @@ fn select_independent_set(
             continue;
         }
         li.push(u);
-        for (v, _) in work.neighbors(u) {
+        for v in neighbors(u) {
             excluded_at[v as usize] = level;
         }
     }
@@ -329,8 +343,7 @@ fn select_independent_set(
 /// `(Reverse(degree(v)), v)` gives, as one stable counting pass that reads
 /// each degree once (a sort key would read a hash map's length O(n log n)
 /// times).
-/// Shared by the undirected and the directed hierarchy.
-pub(crate) fn order_by_degree(
+fn order_by_degree(
     present: &[VertexId],
     degree: impl Fn(VertexId) -> usize,
     descending: bool,

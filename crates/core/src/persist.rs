@@ -138,7 +138,7 @@ pub fn load_index_with_wal(
     Ok((index, recovery))
 }
 
-/// Outcome of [`compact_index_with_wal`].
+/// Outcome of [`compact_and_publish`] and [`compact_index_with_wal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactInfo {
     /// Dynamic updates folded into the rebuilt base index (sealed ops plus
@@ -156,39 +156,52 @@ pub struct CompactInfo {
     pub epoch: u64,
 }
 
-/// Folds all pending updates into a fresh pristine index on disk: load +
-/// WAL recovery, rebuild from the materialized graph, **durably** save the
-/// new artifact (temp file + rename + fsync), then reset the WAL to the new
-/// epoch. The ordering makes every crash window safe: before the rename the
-/// old artifact/WAL pair is intact; between the rename and the WAL reset
-/// the leftover log's epoch no longer matches, so
-/// [`load_index_with_wal`] discards it instead of replaying already-folded
-/// ops twice.
-///
-/// This is the offline/CLI form; a serving process uses
-/// `RebuildCoordinator` in `islabel-serve`, which additionally swaps the
-/// live oracle between the save and the WAL reset.
+/// [`compact_and_publish`] with nothing to publish: folds all pending
+/// updates of an offline artifact + WAL pair into a fresh pristine index
+/// on disk (the CLI's `compact`).
 pub fn compact_index_with_wal(
     index_path: impl AsRef<Path>,
     wal_path: impl AsRef<Path>,
 ) -> Result<CompactInfo, crate::Error> {
-    let (index, recovery) = load_index_with_wal(index_path.as_ref(), wal_path.as_ref())?;
+    compact_and_publish(index_path.as_ref(), wal_path.as_ref(), |_, _| {})
+}
+
+/// The one compaction pipeline: load + WAL recovery, rebuild the
+/// materialized graph with the artifact's own [`BuildConfig`](crate::BuildConfig)
+/// (its `k` selection and path info), **durably** save the new artifact
+/// (temp file + rename + fsync), hand it to `publish` — the saved path and
+/// the rebuilt index — then reset the WAL to the new epoch.
+///
+/// The ordering makes every crash window safe: before the rename the old
+/// artifact/WAL pair is intact; between the rename and the WAL reset the
+/// leftover log's epoch no longer matches, so [`load_index_with_wal`]
+/// discards it instead of replaying already-folded ops twice. A serving
+/// process (`RebuildCoordinator` in `islabel-serve`) swaps its live oracle
+/// in `publish`, so readers move to the new index before the log forgets
+/// the ops it folds.
+pub fn compact_and_publish(
+    index_path: &Path,
+    wal_path: &Path,
+    publish: impl FnOnce(&Path, IsLabelIndex),
+) -> Result<CompactInfo, crate::Error> {
+    let (index, recovery) = load_index_with_wal(index_path, wal_path)?;
     let folded_ops = index.pending_ops();
     let graph = index.current_graph();
-    let rebuilt = IsLabelIndex::try_build(&graph, *index.config())?;
-    let epoch = rebuilt.artifact_epoch();
-    drop(index); // release the old WAL writer before resetting the file
-    try_save_index_to_path(&rebuilt, index_path)?;
-    let mut w =
-        wal::WalWriter::create(wal_path.as_ref(), epoch, 1).map_err(crate::Error::Persist)?;
-    w.sync().map_err(crate::Error::Persist)?;
-    Ok(CompactInfo {
+    let config = *index.config();
+    drop(index); // release the old WAL writer before the log is reset
+    let rebuilt = IsLabelIndex::try_build(&graph, config)?;
+    let info = CompactInfo {
         folded_ops,
         replayed_ops: recovery.replayed,
         num_vertices: rebuilt.stats().num_vertices,
         num_edges: rebuilt.stats().num_edges,
-        epoch,
-    })
+        epoch: rebuilt.artifact_epoch(),
+    };
+    try_save_index_to_path(&rebuilt, index_path)?;
+    publish(index_path, rebuilt);
+    let mut w = wal::WalWriter::create(wal_path, info.epoch, 1).map_err(crate::Error::Persist)?;
+    w.sync().map_err(crate::Error::Persist)?;
+    Ok(info)
 }
 
 #[cfg(test)]

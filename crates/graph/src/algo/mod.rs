@@ -2,11 +2,9 @@
 //! tests and the experiment harness.
 
 pub mod bfs;
-pub mod clustering;
 pub mod components;
 pub mod stats;
 
 pub use bfs::bfs_distances;
-pub use clustering::{avg_clustering, degree_histogram, local_clustering};
 pub use components::{connected_components, largest_component, ComponentInfo};
 pub use stats::GraphStats;

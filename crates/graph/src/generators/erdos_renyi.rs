@@ -1,4 +1,4 @@
-//! Erdős–Rényi random graphs (G(n, m) and G(n, p)).
+//! Erdős–Rényi random graphs, G(n, m).
 
 use super::WeightModel;
 use crate::builder::GraphBuilder;
@@ -37,67 +37,6 @@ pub fn erdos_renyi_gnm(n: usize, m: usize, weights: WeightModel, seed: u64) -> C
     b.build()
 }
 
-/// G(n, p): every possible edge independently present with probability `p`.
-///
-/// Uses geometric skipping so the cost is proportional to the number of
-/// edges generated, not to `n²`.
-pub fn erdos_renyi_gnp(n: usize, p: f64, weights: WeightModel, seed: u64) -> CsrGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    if p <= 0.0 || n < 2 {
-        return b.build();
-    }
-    if p >= 1.0 {
-        for u in 0..n as VertexId {
-            for v in (u + 1)..n as VertexId {
-                b.add_edge(u, v, weights.sample(&mut rng));
-            }
-        }
-        return b.build();
-    }
-    // Iterate candidate edge indices 0..n(n-1)/2 with geometric jumps.
-    let log1mp = (1.0 - p).ln();
-    let total = n as u128 * (n as u128 - 1) / 2;
-    let mut idx: u128 = 0;
-    loop {
-        let r: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let skip = (r.ln() / log1mp).floor() as u128;
-        idx = idx.saturating_add(skip).saturating_add(1);
-        if idx > total {
-            break;
-        }
-        let (u, v) = edge_from_index(n, idx - 1);
-        b.add_edge(u, v, weights.sample(&mut rng));
-    }
-    b.build()
-}
-
-/// Maps a linear index in `0..n(n-1)/2` to the corresponding `(u, v)`, u < v,
-/// in row-major upper-triangular order.
-fn edge_from_index(n: usize, idx: u128) -> (VertexId, VertexId) {
-    // Row u owns (n - 1 - u) entries. Walk rows; n is laptop-scale here and
-    // this runs once per generated edge, so the linear scan would be O(n) —
-    // instead solve the quadratic for the row.
-    let n = n as u128;
-    // Number of cells before row u: S(u) = u*n - u*(u+1)/2.
-    // Find largest u with S(u) <= idx via the quadratic formula.
-    let fidx = idx as f64;
-    let fn_ = n as f64;
-    let mut u = ((2.0 * fn_ - 1.0 - ((2.0 * fn_ - 1.0).powi(2) - 8.0 * fidx).max(0.0).sqrt()) / 2.0)
-        .floor() as u128;
-    // Guard against float rounding.
-    let s = |u: u128| u * n - u * (u + 1) / 2;
-    while u > 0 && s(u) > idx {
-        u -= 1;
-    }
-    while s(u + 1) <= idx {
-        u += 1;
-    }
-    let v = u + 1 + (idx - s(u));
-    (u as VertexId, v as VertexId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,42 +52,5 @@ mod tests {
     fn gnm_clamps_to_complete_graph() {
         let g = erdos_renyi_gnm(5, 1000, WeightModel::Unit, 5);
         assert_eq!(g.num_edges(), 10);
-    }
-
-    #[test]
-    fn gnp_zero_and_one() {
-        let g = erdos_renyi_gnp(20, 0.0, WeightModel::Unit, 1);
-        assert_eq!(g.num_edges(), 0);
-        let g = erdos_renyi_gnp(20, 1.0, WeightModel::Unit, 1);
-        assert_eq!(g.num_edges(), 190);
-    }
-
-    #[test]
-    fn gnp_density_roughly_matches_p() {
-        let n = 200;
-        let p = 0.05;
-        let g = erdos_renyi_gnp(n, p, WeightModel::Unit, 99);
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let got = g.num_edges() as f64;
-        assert!(
-            (got - expected).abs() < expected * 0.25,
-            "got {got}, expected ~{expected}"
-        );
-    }
-
-    #[test]
-    fn edge_from_index_enumerates_upper_triangle() {
-        let n = 6;
-        let mut seen = Vec::new();
-        for idx in 0..(n * (n - 1) / 2) as u128 {
-            seen.push(edge_from_index(n, idx));
-        }
-        let mut expect = Vec::new();
-        for u in 0..n as VertexId {
-            for v in (u + 1)..n as VertexId {
-                expect.push((u, v));
-            }
-        }
-        assert_eq!(seen, expect);
     }
 }

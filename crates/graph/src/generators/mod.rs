@@ -20,7 +20,7 @@ mod weights;
 
 pub use barabasi_albert::barabasi_albert;
 pub use communities::clustered_communities;
-pub use erdos_renyi::{erdos_renyi_gnm, erdos_renyi_gnp};
+pub use erdos_renyi::erdos_renyi_gnm;
 pub use grid::grid2d;
 pub use rmat::{rmat, RmatParams};
 pub use watts_strogatz::watts_strogatz;

@@ -11,7 +11,10 @@
 //!
 //! A name is a token, not a path: an unrelated identifier of the same
 //! spelling elsewhere keeps an item alive, so the rule errs towards
-//! missing dead code rather than reporting live code.
+//! missing dead code rather than reporting live code. The one exception is
+//! a name inside a `pub use … ;`: a re-export passes a name on without
+//! calling it, so a crate root re-exporting an item nobody uses does not
+//! keep it alive.
 //!
 //! What a crate deliberately exports without calling it — a type that
 //! only appears in a public signature, say — goes on the `[dead_pub]
@@ -45,7 +48,7 @@ pub fn check(
     let mut defs: Vec<(usize, &str, PubItem)> = Vec::new();
     for (idx, (path, src)) in linted.iter().chain(callers).enumerate() {
         let ctx = FileCtx::new(path.clone(), src);
-        for t in ctx.lexed.toks.iter().filter(|t| t.kind == TokKind::Ident) {
+        for t in naming_idents(&ctx.lexed.toks) {
             let files = named_in.entry(t.text.clone()).or_default();
             if files.last() != Some(&idx) {
                 files.push(idx);
@@ -94,6 +97,24 @@ pub fn check(
         }
     }
     out
+}
+
+/// The identifiers of a file that name an item for this rule: all of them
+/// except those inside a `pub use … ;`, which passes a name on without
+/// calling it.
+fn naming_idents(toks: &[Tok]) -> impl Iterator<Item = &Tok> {
+    let mut in_reexport = false;
+    toks.iter().enumerate().filter_map(move |(i, t)| {
+        if in_reexport {
+            in_reexport = !t.is_punct(b';');
+            return None;
+        }
+        if t.is_ident("pub") && toks.get(i + 1).is_some_and(|next| next.is_ident("use")) {
+            in_reexport = true;
+            return None;
+        }
+        (t.kind == TokKind::Ident).then_some(t)
+    })
 }
 
 /// One `pub` item at module level.

@@ -170,6 +170,41 @@ fn dead_pub_fixture_trips_every_uncalled_item() {
 }
 
 #[test]
+fn dead_pub_reexport_is_not_a_caller() {
+    let linted: Vec<(String, String)> = [
+        (
+            "crates/demo/src/lib.rs",
+            "mod inner;\npub use inner::{Called, FromRoot, Reexported}; \
+             pub fn root() -> FromRoot { FromRoot }\n"
+                .to_string(),
+        ),
+        (
+            "crates/demo/src/inner.rs",
+            fixture("dead_pub_reexported.rs"),
+        ),
+        (
+            "crates/demo/tests/api.rs",
+            "use demo::{root, Called};".to_string(),
+        ),
+    ]
+    .into_iter()
+    .map(|(p, s)| (p.to_string(), s))
+    .collect();
+    let findings = dead_pub::check(&linted, &[], &[]);
+    assert!(
+        findings
+            .iter()
+            .all(|f| f.file == "crates/demo/src/inner.rs"),
+        "{findings:?}"
+    );
+    assert_eq!(lines_of(&findings, "dead-pub"), vec![10]);
+    assert!(
+        findings[0].message.contains("pub type `Reexported`"),
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn dead_pub_clean_fixture_passes() {
     let findings = dead_pub_findings("dead_pub_clean.rs", &["Signature"]);
     assert!(findings.is_empty(), "{findings:?}");

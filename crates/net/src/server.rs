@@ -172,9 +172,9 @@ struct ServerShared {
     config: NetConfig,
     counters: NetCounters,
     /// Serves the wire `Compact` opcode when configured (see
-    /// [`DistanceServer::set_coordinator`]); `None` answers with
+    /// [`DistanceServer::bind_with_coordinator`]); `None` answers with
     /// `CompactFailed`.
-    coordinator: Mutex<Option<Arc<RebuildCoordinator>>>,
+    coordinator: Option<Arc<RebuildCoordinator>>,
     shutting_down: AtomicBool,
     /// Set with the signal below; connections check it per frame and refuse
     /// queries with `ShuttingDown` once a drain has been requested.
@@ -238,11 +238,12 @@ impl DistanceServer {
         Self::bind_with_coordinator(handle, addr, config, None)
     }
 
-    /// [`bind`](Self::bind) with the compaction coordinator wired up
-    /// *before* the acceptor thread starts, so a `Compact` request racing
-    /// server startup can never observe the unconfigured state (a
-    /// [`set_coordinator`](Self::set_coordinator) after `bind` leaves that
-    /// window open).
+    /// [`bind`](Self::bind) with the compaction coordinator serving the
+    /// wire `Compact` opcode, wired up *before* the acceptor thread starts,
+    /// so a `Compact` request racing server startup can never observe the
+    /// unconfigured state. Without one, `Compact` is answered with
+    /// `CompactFailed` — a server fronting an in-memory oracle has no
+    /// artifact + WAL pair to fold.
     pub fn bind_with_coordinator(
         handle: Arc<OracleHandle>,
         addr: impl ToSocketAddrs,
@@ -255,7 +256,7 @@ impl DistanceServer {
             handle,
             config,
             counters: NetCounters::new(),
-            coordinator: Mutex::new(coordinator),
+            coordinator,
             shutting_down: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             shutdown_requested: (Mutex::new(false), Condvar::new()),
@@ -289,18 +290,6 @@ impl DistanceServer {
     /// served index.
     pub fn handle(&self) -> &Arc<OracleHandle> {
         &self.shared.handle
-    }
-
-    /// Wires up the background-compaction coordinator serving the wire
-    /// `Compact` opcode. Without one, `Compact` is answered with
-    /// `CompactFailed` — a server fronting an in-memory oracle has no
-    /// artifact + WAL pair to fold.
-    pub fn set_coordinator(&self, coordinator: Arc<RebuildCoordinator>) {
-        *self
-            .shared
-            .coordinator
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(coordinator);
     }
 
     /// A point-in-time snapshot of the server's counters.
@@ -766,29 +755,20 @@ fn serve_frames(stream: &TcpStream, shared: &Arc<ServerShared>, authed: bool) {
                         }
                     }
                 }
-                Request::Compact => {
-                    // Clone the Arc out so a long rebuild doesn't hold the
-                    // registration lock (set_coordinator stays callable).
-                    let coordinator = shared
-                        .coordinator
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .clone();
-                    match coordinator {
-                        None => Response::Error(WireError::CompactFailed {
-                            message: "no compaction coordinator configured".into(),
-                        }),
-                        Some(c) => match c.compact() {
-                            Ok(stats) => Response::Compacted {
-                                version: stats.version,
-                                num_vertices: stats.num_vertices as u64,
-                            },
-                            Err(e) => Response::Error(WireError::CompactFailed {
-                                message: e.to_string(),
-                            }),
+                Request::Compact => match &shared.coordinator {
+                    None => Response::Error(WireError::CompactFailed {
+                        message: "no compaction coordinator configured".into(),
+                    }),
+                    Some(c) => match c.compact() {
+                        Ok(stats) => Response::Compacted {
+                            version: stats.version,
+                            num_vertices: stats.info.num_vertices as u64,
                         },
-                    }
-                }
+                        Err(e) => Response::Error(WireError::CompactFailed {
+                            message: e.to_string(),
+                        }),
+                    },
+                },
                 Request::Metrics => {
                     let mut text = islabel_obs::Registry::global().render();
                     islabel_obs::SlowQueryLog::global().render_into(&mut text);

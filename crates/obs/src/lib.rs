@@ -56,5 +56,5 @@ pub mod slowlog;
 pub use hist::{AtomicLatencyHistogram, LatencyHistogram, LATENCY_BUCKETS};
 pub use metric::{Counter, Gauge};
 pub use phases::QueryPhases;
-pub use registry::{MetricKind, Registry};
+pub use registry::Registry;
 pub use slowlog::{SlowQuery, SlowQueryLog};

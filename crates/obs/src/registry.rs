@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// same name again with a different kind is a programmer error and
 /// panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+enum MetricKind {
     /// Monotonically increasing count.
     Counter,
     /// Last-value-wins signed level.

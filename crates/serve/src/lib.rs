@@ -33,7 +33,9 @@
 //!   folds accumulated dynamic updates (overlay + write-ahead log) into a
 //!   fresh pristine index on a worker thread, then atomically persists,
 //!   swaps, and truncates the log — *new index durable → swap → WAL
-//!   truncate*, so a crash at any point loses nothing.
+//!   truncate*, so a crash at any point loses nothing. It runs core's one
+//!   compaction pipeline (`persist::compact_and_publish`) and supplies
+//!   only the swap.
 //!
 //! ```
 //! use islabel_core::{BuildConfig, IsLabelIndex};

@@ -4,21 +4,22 @@
 //! deletions of peeled vertices make answers approximate
 //! ([`IsLabelIndex::is_stale`]), and the write-ahead log grows without
 //! bound. The [`RebuildCoordinator`] folds all of that back into a
-//! pristine artifact *while the server keeps answering queries*:
+//! pristine artifact *while the server keeps answering queries*, by
+//! running the one compaction pipeline, [`compact_and_publish`]:
 //!
-//! 1. **Rebuild** — load the on-disk artifact, replay its WAL
-//!    ([`load_index_with_wal`]) and build a fresh index from the
-//!    materialized current graph on the calling worker thread. Queries
-//!    keep flowing against the old snapshot throughout.
+//! 1. **Rebuild** — load the on-disk artifact, replay its WAL and build a
+//!    fresh index from the materialized current graph with the artifact's
+//!    own build configuration, on a worker thread. Queries keep flowing
+//!    against the old snapshot throughout.
 //! 2. **Durability point** — persist the rebuilt artifact atomically
 //!    (temp file + rename) *before* anything else changes.
-//! 3. **Swap** — publish through the shared [`OracleHandle`]; in-flight
-//!    queries finish on the snapshot they started on. The published
-//!    oracle is the *memory-mapped* view of the just-saved v3 artifact
-//!    ([`islabel_core::MmapIndex`]) — the rebuild's heap index is
-//!    dropped and the server serves zero-copy off the artifact it owns
-//!    on disk; if mapping fails for any reason the heap index is
-//!    published instead, so compaction never fails on the swap.
+//! 3. **Swap** — the coordinator's part: publish through the shared
+//!    [`OracleHandle`]; in-flight queries finish on the snapshot they
+//!    started on. The published oracle is the *memory-mapped* view of the
+//!    just-saved v3 artifact ([`islabel_core::MmapIndex`]) — the rebuild's
+//!    heap index is dropped and the server serves zero-copy off the
+//!    artifact it owns on disk; if mapping fails for any reason the heap
+//!    index is published instead, so compaction never fails on the swap.
 //! 4. **WAL reset** — only now truncate the log, rewriting it with the
 //!    rebuilt artifact's fresh epoch.
 //!
@@ -35,12 +36,11 @@
 //! twice for no benefit.
 //!
 //! [`IsLabelIndex::is_stale`]: islabel_core::IsLabelIndex::is_stale
-//! [`load_index_with_wal`]: islabel_core::load_index_with_wal
 //! [`compact`]: RebuildCoordinator::compact
 
-use islabel_core::persist::{load_index_with_wal, try_save_index_to_path, wal::WalWriter};
+use islabel_core::persist::{compact_and_publish, CompactInfo};
 use islabel_core::snapshot::OracleHandle;
-use islabel_core::{BuildConfig, IsLabelIndex, MmapIndex, SharedOracle, DEFAULT_WAL_SYNC_EVERY};
+use islabel_core::{MmapIndex, SharedOracle};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -50,13 +50,8 @@ use std::sync::{Arc, Mutex};
 pub struct CompactStats {
     /// Snapshot generation the rebuilt index was published as.
     pub version: u64,
-    /// Vertices in the rebuilt (pristine) index.
-    pub num_vertices: usize,
-    /// Pending ops (sealed + WAL-replayed) folded into the rebuild.
-    pub folded_ops: usize,
-    /// Ops replayed from the WAL tail specifically (the rest were sealed
-    /// in the artifact).
-    pub replayed_ops: usize,
+    /// What the pipeline folded and rebuilt.
+    pub info: CompactInfo,
 }
 
 /// Why a compaction did not complete.
@@ -85,32 +80,29 @@ impl std::error::Error for CompactError {}
 /// docs](self) for the crash-safety argument).
 ///
 /// Shared with the serving side as an `Arc`: the network server's
-/// `Compact` admin opcode and the CLI's `compact` command both funnel
-/// into [`compact`](RebuildCoordinator::compact).
+/// `Compact` admin opcode funnels into
+/// [`compact`](RebuildCoordinator::compact).
 pub struct RebuildCoordinator {
     handle: Arc<OracleHandle>,
     index_path: PathBuf,
     wal_path: PathBuf,
-    config: BuildConfig,
     /// Single-flight guard; holds no data, only the "running" claim.
     running: Mutex<()>,
 }
 
 impl RebuildCoordinator {
     /// A coordinator publishing through `handle`, rebuilding from the
-    /// artifact at `index_path` plus the WAL at `wal_path`, with `config`
-    /// governing the rebuild.
+    /// artifact at `index_path` plus the WAL at `wal_path`. The rebuild
+    /// uses the artifact's own build configuration.
     pub fn new(
         handle: Arc<OracleHandle>,
         index_path: impl Into<PathBuf>,
         wal_path: impl Into<PathBuf>,
-        config: BuildConfig,
     ) -> Self {
         Self {
             handle,
             index_path: index_path.into(),
             wal_path: wal_path.into(),
-            config,
             running: Mutex::new(()),
         }
     }
@@ -151,14 +143,14 @@ impl RebuildCoordinator {
                     "Overlay + WAL operations folded into rebuilt indexes.",
                     &[],
                 )
-                .add(stats.folded_ops as u64);
+                .add(stats.info.folded_ops as u64);
             registry
                 .counter(
                     islabel_obs::names::METRIC_COMPACT_REPLAYED_OPS_TOTAL,
                     "WAL-tail operations replayed during compaction rebuilds.",
                     &[],
                 )
-                .add(stats.replayed_ops as u64);
+                .add(stats.info.replayed_ops as u64);
         }
         result
     }
@@ -169,49 +161,29 @@ impl RebuildCoordinator {
         };
         let index_path = self.index_path.clone();
         let wal_path = self.wal_path.clone();
-        let config = self.config;
         let handle = Arc::clone(&self.handle);
         let worker = std::thread::Builder::new()
             .name("islabel-compact".into())
             .spawn(move || -> Result<CompactStats, String> {
-                let (index, recovery) =
-                    load_index_with_wal(&index_path, &wal_path).map_err(|e| e.to_string())?;
-                let folded_ops = index.pending_ops();
-                let graph = index.current_graph();
-                // Release the recovered index's WAL writer before the new
-                // log is written below.
-                drop(index);
-                let rebuilt = IsLabelIndex::try_build(&graph, config).map_err(|e| e.to_string())?;
-                let epoch = rebuilt.artifact_epoch();
-                let num_vertices = rebuilt.num_vertices();
-                // Durability point: the rebuilt artifact reaches disk
-                // (atomically) before the swap and before the log is
-                // touched.
-                try_save_index_to_path(&rebuilt, &index_path).map_err(|e| e.to_string())?;
-                // Serve zero-copy off the artifact just persisted: map it
-                // and drop the rebuild's heap copy. The verified open
-                // recomputes every section checksum, so a corrupt write
-                // can never be published. Any failure falls back to the
-                // heap index — both engines answer identically, so this
-                // choice is unobservable to queries.
-                let published: SharedOracle = match MmapIndex::open_verified(&index_path) {
-                    Ok(mapped) => Arc::new(mapped),
-                    Err(_) => Arc::new(rebuilt),
-                };
-                let snapshot = handle.swap(published);
-                drop(snapshot); // retire the old snapshot's pin immediately
-                                // Only now reset the log, onto the new artifact's epoch. A
-                                // crash before this point leaves a stale-epoch WAL the next
-                                // load discards.
-                let mut w = WalWriter::create(&wal_path, epoch, DEFAULT_WAL_SYNC_EVERY)
-                    .map_err(|e| e.to_string())?;
-                w.sync().map_err(|e| e.to_string())?;
-                Ok(CompactStats {
-                    version: handle.version(),
-                    num_vertices,
-                    folded_ops,
-                    replayed_ops: recovery.replayed,
+                let mut version = 0;
+                let info = compact_and_publish(&index_path, &wal_path, |saved, rebuilt| {
+                    // Serve zero-copy off the artifact just persisted: map
+                    // it and drop the rebuild's heap copy. The verified
+                    // open recomputes every section checksum, so a corrupt
+                    // write can never be published. Any failure falls back
+                    // to the heap index — both engines answer identically,
+                    // so this choice is unobservable to queries.
+                    let published: SharedOracle = match MmapIndex::open_verified(saved) {
+                        Ok(mapped) => Arc::new(mapped),
+                        Err(_) => Arc::new(rebuilt),
+                    };
+                    // The generation is the retired one's plus one, read
+                    // off the swap itself so a concurrent swap cannot
+                    // misreport it; the retired pin is dropped at once.
+                    version = handle.swap(published).version() + 1;
                 })
+                .map_err(|e| e.to_string())?;
+                Ok(CompactStats { version, info })
             })
             .map_err(|e| CompactError::Failed(e.to_string()))?;
         match worker.join() {
@@ -233,15 +205,39 @@ impl std::fmt::Debug for RebuildCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use islabel_core::persist;
+    use islabel_core::persist::{self, load_index_with_wal};
     use islabel_core::snapshot::Snapshot;
+    use islabel_core::{BuildConfig, IsLabelIndex, KSelection};
     use islabel_graph::generators::{barabasi_albert, WeightModel};
+    use std::path::Path;
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("islabel-rebuild-{tag}-{}", std::process::id()));
+    /// A scratch directory unique per call, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    fn tempdir(tag: &str) -> TempDir {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        // ordering: Relaxed — only the counter's uniqueness matters.
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "islabel-rebuild-{tag}-{}-{seq}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TempDir(dir)
     }
 
     #[test]
@@ -250,7 +246,7 @@ mod tests {
         let index_path = dir.join("i.islx");
         let wal_path = dir.join("i.wal");
         let g = barabasi_albert(150, 3, WeightModel::Unit, 9);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         persist::try_save_index_to_path(&index, &index_path).unwrap();
         index.attach_wal(&wal_path).unwrap();
         index.try_insert_edge(2, 77, 1).unwrap();
@@ -263,18 +259,13 @@ mod tests {
         assert_eq!(recovery.replayed, 2);
         assert!(served.has_updates());
         let handle = Arc::new(OracleHandle::new(Snapshot::new(served)));
-        let coordinator = RebuildCoordinator::new(
-            Arc::clone(&handle),
-            &index_path,
-            &wal_path,
-            BuildConfig::default(),
-        );
+        let coordinator = RebuildCoordinator::new(Arc::clone(&handle), &index_path, &wal_path);
 
         let stats = coordinator.compact().unwrap();
         assert_eq!(stats.version, 1);
-        assert_eq!(stats.num_vertices, 151);
-        assert_eq!(stats.folded_ops, 2);
-        assert_eq!(stats.replayed_ops, 2);
+        assert_eq!(stats.info.num_vertices, 151);
+        assert_eq!(stats.info.folded_ops, 2);
+        assert_eq!(stats.info.replayed_ops, 2);
 
         // The served snapshot is the pristine rebuild.
         let snap = handle.load();
@@ -290,7 +281,37 @@ mod tests {
         assert_eq!(rec2.replayed, 0);
         assert!(!rec2.created, "the reset WAL already matches");
         assert_ne!(reloaded.artifact_epoch(), epoch_before);
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(reloaded.artifact_epoch(), stats.info.epoch);
+    }
+
+    #[test]
+    fn compact_rebuilds_with_the_artifacts_own_config() {
+        // A full hierarchy without path info, as `islabel build --full
+        // --no-paths` writes it: the rebuild must not fall back to the
+        // default σ rule or bring path info back.
+        let dir = tempdir("config");
+        let index_path = dir.join("i.islx");
+        let wal_path = dir.join("i.wal");
+        let g = barabasi_albert(150, 3, WeightModel::UniformRange(1, 5), 2);
+        let config = BuildConfig {
+            keep_path_info: false,
+            ..BuildConfig::full()
+        };
+        let mut index = IsLabelIndex::try_build(&g, config).unwrap();
+        persist::try_save_index_to_path(&index, &index_path).unwrap();
+        index.attach_wal(&wal_path).unwrap();
+        index.try_insert_edge(4, 90, 2).unwrap();
+        drop(index);
+
+        let (served, _) = load_index_with_wal(&index_path, &wal_path).unwrap();
+        let handle = Arc::new(OracleHandle::new(Snapshot::new(served)));
+        let coordinator = RebuildCoordinator::new(Arc::clone(&handle), &index_path, &wal_path);
+        assert_eq!(coordinator.compact().unwrap().info.folded_ops, 1);
+
+        let reloaded = persist::try_load_index_from_path(&index_path).unwrap();
+        assert_eq!(reloaded.config().k_selection, KSelection::Full);
+        assert!(!reloaded.labels().has_path_info());
+        assert_eq!(reloaded.hierarchy().num_gk_vertices(), 0);
     }
 
     #[test]
@@ -299,14 +320,13 @@ mod tests {
         let index_path = dir.join("i.islx");
         let wal_path = dir.join("i.wal");
         let g = barabasi_albert(80, 2, WeightModel::Unit, 4);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         persist::try_save_index_to_path(&index, &index_path).unwrap();
         let handle = Arc::new(OracleHandle::new(Snapshot::new(index)));
         let coordinator = Arc::new(RebuildCoordinator::new(
             Arc::clone(&handle),
             &index_path,
             &wal_path,
-            BuildConfig::default(),
         ));
 
         // Hold the single-flight guard as a concurrent compaction would.
@@ -314,27 +334,24 @@ mod tests {
         assert_eq!(coordinator.compact(), Err(CompactError::Busy));
         drop(guard);
         coordinator.compact().unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn failed_compact_leaves_serving_state_untouched() {
         let dir = tempdir("fail");
         let g = barabasi_albert(80, 2, WeightModel::Unit, 4);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let handle = Arc::new(OracleHandle::new(Snapshot::new(index)));
         // No artifact on disk: the rebuild cannot even load.
         let coordinator = RebuildCoordinator::new(
             Arc::clone(&handle),
             dir.join("missing.islx"),
             dir.join("missing.wal"),
-            BuildConfig::default(),
         );
         assert!(matches!(
             coordinator.compact(),
             Err(CompactError::Failed(_))
         ));
         assert_eq!(handle.version(), 0, "no swap on failure");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

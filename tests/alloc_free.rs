@@ -202,7 +202,8 @@ fn sessions_answer_queries_without_allocating() {
     assert_eq!(count, 0, "DiIsLabelSession allocated {count} times");
     drop(di_session);
 
-    // --- The baselines sharing the indexed heap + stamped slabs. ---
+    // --- The baselines: IM-DIJ runs the dense kernel itself over the
+    // input graph, VC-Index shares its indexed heap + stamped slabs. ---
     let bidij = BiDijkstraOracle::new(g.clone());
     let mut bd_session = DistanceOracle::session(&bidij);
     let count = audited(|| {

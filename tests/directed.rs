@@ -3,7 +3,7 @@
 //! the in/out labels.
 
 use islabel::core::directed::di_dijkstra_p2p;
-use islabel::core::{BuildConfig, DiIsLabelIndex};
+use islabel::core::{BuildConfig, DiIsLabelIndex, IsStrategy};
 use islabel::{CsrDigraph, DigraphBuilder, VertexId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -124,6 +124,47 @@ fn undirected_graph_as_digraph_agrees_with_undirected_index() {
     for i in 0..100u32 {
         let (s, t) = ((i * 7) % 150, (i * 11 + 5) % 150);
         assert_eq!(di.try_distance(s, t), ui.try_distance(s, t), "({s}, {t})");
+    }
+}
+
+#[test]
+fn symmetric_digraph_peels_the_undirected_levels() {
+    // Both hierarchies run one IS selection, so on symmetric arcs — where
+    // the directed degree is twice the undirected one and every neighbour
+    // is listed twice — they peel the same levels for every strategy.
+    // Under the σ rule k may differ: the directed size counts arcs twice.
+    let ug = islabel::graph::generators::barabasi_albert(
+        600,
+        3,
+        islabel::graph::generators::WeightModel::UniformRange(1, 9),
+        5,
+    );
+    let mut b = DigraphBuilder::new(600);
+    for (u, v, w) in ug.edge_list() {
+        b.add_arc(u, v, w);
+        b.add_arc(v, u, w);
+    }
+    let dg = b.build();
+    for is_strategy in [
+        IsStrategy::MinDegreeGreedy,
+        IsStrategy::MaxDegreeGreedy,
+        IsStrategy::Random(7),
+    ] {
+        for base in [BuildConfig::full(), BuildConfig::fixed_k(4)] {
+            let config = BuildConfig {
+                is_strategy,
+                ..base
+            };
+            let di = DiIsLabelIndex::try_build(&dg, config).unwrap();
+            let ui = islabel::IsLabelIndex::try_build(&ug, config).unwrap();
+            assert_eq!(
+                di.levels(),
+                ui.hierarchy().levels(),
+                "{is_strategy:?} {:?}",
+                config.k_selection
+            );
+            assert_eq!(di.k(), ui.hierarchy().k());
+        }
     }
 }
 
