@@ -1107,8 +1107,9 @@ pub fn dense_search<G: DenseView, P: ParentSink>(
 ///
 /// When `trace.enabled`, the phase boundaries (intersect → seed fetch →
 /// dense search) are timestamped — four `Instant::now()` reads per
-/// query, none inside a loop — and accumulated into `trace` as plain
-/// field adds, preserving this function's zero-allocation contract.
+/// query, three when `fwd` has no vertices and the seed scan is skipped,
+/// none inside a loop — and accumulated into `trace` as plain field
+/// adds, preserving this function's zero-allocation contract.
 #[allow(clippy::too_many_arguments)]
 pub fn seeded_search<G: DenseView, P: ParentSink>(
     ls: crate::label::LabelView<'_>,
@@ -1125,18 +1126,25 @@ pub fn seeded_search<G: DenseView, P: ParentSink>(
     let (mu0, witness) = crate::kernel::intersect_min_auto(ls, lt);
     let t1 = trace.enabled.then(std::time::Instant::now);
     fseeds.clear();
-    for (a, d) in ls.iter() {
-        if let Some(da) = to_dense(a) {
-            fseeds.push((da, d));
-        }
-    }
     rseeds.clear();
-    for (a, d) in lt.iter() {
-        if let Some(da) = to_dense(a) {
-            rseeds.push((da, d));
+    // A view with no vertices (a full hierarchy, `G_k = ∅`) has no seed
+    // to find, so the scan and its clock read are skipped. The view
+    // counts a patched tail, so inserted vertices are still seeded.
+    let t2 = if fwd.num_vertices() == 0 {
+        t1
+    } else {
+        for (a, d) in ls.iter() {
+            if let Some(da) = to_dense(a) {
+                fseeds.push((da, d));
+            }
         }
-    }
-    let t2 = trace.enabled.then(std::time::Instant::now);
+        for (a, d) in lt.iter() {
+            if let Some(da) = to_dense(a) {
+                rseeds.push((da, d));
+            }
+        }
+        trace.enabled.then(std::time::Instant::now)
+    };
     let out = dense_search(fwd, rev, fseeds, rseeds, mu0, witness, scratch);
     if let (Some(t0), Some(t1), Some(t2)) = (t0, t1, t2) {
         let t3 = std::time::Instant::now();

@@ -1202,6 +1202,24 @@ mod tests {
     }
 
     #[test]
+    fn full_hierarchy_seeds_the_patched_tail() {
+        // A full hierarchy has an empty `G_k`, so the session skips the
+        // seed scan. Inserted vertices join `G_k` on the patched tail:
+        // `v2 → v1 → a` is found only by seeding that tail, so the skip
+        // must test the searched view, not the base `|G_k|`.
+        let g = erdos_renyi_gnm(60, 140, WeightModel::UniformRange(1, 5), 23);
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
+        assert_eq!(index.hierarchy().num_gk_vertices(), 0);
+        let (a, w1, w2) = (7, 3, 4);
+        let v1 = index.try_insert_vertex(&[(a, w1)]).unwrap();
+        let v2 = index.try_insert_vertex(&[(v1, w2)]).unwrap();
+        assert_eq!(
+            index.session().distance(v2, a),
+            Ok(Some(Dist::from(w1 + w2)))
+        );
+    }
+
+    #[test]
     fn self_distance_is_zero_for_all_vertices() {
         let index = paper_index();
         for v in 0..9 {

@@ -1,5 +1,5 @@
-//! The session hot path's two leaf helpers: Equation 1's one production
-//! entry point and the software-prefetch hint of the dense search.
+//! The session hot path's leaf helpers: Equation 1's one production
+//! entry point and the software-prefetch hints.
 //!
 //! * [`intersect_min_auto`] — the entry point every engine routes
 //!   Equation 1 through (`seeded_search` for the IS-LABEL, di-IS-LABEL,
@@ -13,18 +13,23 @@
 //!   labels being strictly ancestor-ascending, which artifacts are
 //!   validated for on open.
 //! * [`prefetch_index`] — a safe, bounds-checked wrapper over the
-//!   architecture's prefetch hint, used by [`crate::dense`] and
-//!   [`crate::mmapindex`] to pull the next CSR adjacency row toward L1
-//!   while the current row is being relaxed.
+//!   architecture's prefetch hint. [`crate::dense::DenseCsr`]'s
+//!   `prefetch_row` calls it, for heap and mapped `G_k` alike, to pull
+//!   the next settle's adjacency row toward L1 while the current row is
+//!   being relaxed.
+//! * [`prefetch_lines`] — one [`prefetch_index`] per cache line of a
+//!   slice. [`crate::query::intersect_min_adaptive`] calls it first, on
+//!   every array its strategy will scan, so a label fetch's misses
+//!   overlap (`docs/adr/0012-label-fetch-burst.md`).
 //!
 //! Why Equation 1 has exactly one kernel and no dispatch:
-//! `docs/adr/0002-one-intersect-kernel.md`. Both functions are part of
-//! the steady-state **alloc-free zone** (`lint.toml`,
+//! `docs/adr/0002-one-intersect-kernel.md`. All three functions are part
+//! of the steady-state **alloc-free zone** (`lint.toml`,
 //! `tests/alloc_free.rs`).
 
 mod prefetch;
 
-pub use prefetch::prefetch_index;
+pub use prefetch::{prefetch_index, prefetch_lines};
 
 use crate::label::LabelView;
 use islabel_graph::{Dist, VertexId};

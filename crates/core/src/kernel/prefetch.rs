@@ -22,6 +22,25 @@ pub fn prefetch_index<T>(slice: &[T], i: usize) {
     }
 }
 
+/// Cache-line size the hints step by.
+const LINE_BYTES: usize = 64;
+
+/// Best-effort prefetch of every cache line `slice` touches, issued
+/// back to back so the misses overlap instead of arriving one line at a
+/// time as a scan reaches them. One [`prefetch_index`] per line, plus the
+/// last element, whose line a slice starting mid-line would otherwise
+/// miss. Same contract: a hint, a no-op on an empty slice.
+#[inline]
+pub fn prefetch_lines<T>(slice: &[T]) {
+    let step = (LINE_BYTES / std::mem::size_of::<T>().max(1)).max(1);
+    let mut i = 0;
+    while i < slice.len() {
+        prefetch_index(slice, i);
+        i += step;
+    }
+    prefetch_index(slice, slice.len().wrapping_sub(1));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -33,6 +52,10 @@ mod tests {
         prefetch_index(&v, 99);
         prefetch_index(&v, 100); // out of range: no-op
         prefetch_index::<u64>(&[], 0);
+        prefetch_lines(&v);
+        prefetch_lines(&v[3..]);
+        prefetch_lines::<u64>(&[]);
+        prefetch_lines::<()>(&[(); 5]);
         assert_eq!(v[99], 99);
     }
 }

@@ -44,6 +44,9 @@ use std::path::Path;
 #[derive(Debug)]
 pub struct MmapIndex {
     reader: StoreReader,
+    /// The longest label, read once from `label_offsets` at open: what a
+    /// session pre-sizes its seed buffers to.
+    max_label_len: usize,
 }
 
 impl MmapIndex {
@@ -92,7 +95,17 @@ impl MmapIndex {
             )));
         }
         s.validate()?;
-        Ok(Self { reader })
+        // Validated monotone, so no difference underflows.
+        let max_label_len = s
+            .label_offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0);
+        Ok(Self {
+            reader,
+            max_label_len,
+        })
     }
 
     /// The underlying store (header facts, section table, residency).
@@ -147,7 +160,9 @@ impl DistanceOracle for MmapIndex {
 }
 
 /// Per-thread query state over a mapped artifact: the resolved section
-/// views plus reusable seed buffers and dense-search scratch.
+/// views plus reusable seed buffers and dense-search scratch, pre-sized
+/// as [`crate::index::IsLabelSession`]'s are, so it allocates nothing
+/// from its first query on.
 #[derive(Debug)]
 pub struct MmapSession<'a> {
     sections: Sections<'a>,
@@ -163,8 +178,8 @@ impl<'a> MmapSession<'a> {
         let scratch = DenseScratch::new(sections.m);
         Self {
             sections,
-            fseeds: Vec::new(),
-            rseeds: Vec::new(),
+            fseeds: Vec::with_capacity(index.max_label_len),
+            rseeds: Vec::with_capacity(index.max_label_len),
             scratch,
             trace: crate::trace::QueryTrace::new(),
         }

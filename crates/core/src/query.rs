@@ -22,6 +22,7 @@
 //! The merge-join intersections here are an **alloc-free zone** enforced
 //! by `islabel-lint` (see `lint.toml` at the repo root).
 
+use crate::kernel::prefetch_lines;
 use crate::label::LabelView;
 use islabel_graph::{Dist, VertexId, INF};
 
@@ -96,13 +97,26 @@ const GALLOP_CROSSOVER: usize = 8;
 /// one, so heavily skewed intersections (a leaf label against a hub label)
 /// cost `O(|short| · log |long|)` instead of `O(|short| + |long|)`.
 ///
+/// Before either strategy runs, every cache line it will scan is hinted
+/// in one burst ([`crate::kernel::prefetch_lines`]): both labels'
+/// ancestor and distance runs for the merge, only the short label's for
+/// the gallop, whose probes into the long label are too sparse to pay.
+///
 /// Returns exactly what [`intersect_min`] returns on every input; the
 /// query hot paths call this form.
 pub fn intersect_min_adaptive(a: LabelView<'_>, b: LabelView<'_>) -> (Dist, Option<VertexId>) {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.len().saturating_mul(GALLOP_CROSSOVER) > long.len() {
+        // Ancestors first: the merge compares them on every step and
+        // reads a distance only on a match.
+        prefetch_lines(a.ancestors);
+        prefetch_lines(b.ancestors);
+        prefetch_lines(a.dists);
+        prefetch_lines(b.dists);
         return intersect_min(a, b);
     }
+    prefetch_lines(short.ancestors);
+    prefetch_lines(short.dists);
     let mut best = INF;
     let mut witness = None;
     let mut lo = 0usize;

@@ -6,14 +6,15 @@
 //! Steady-state allocation audit for the query hot path, and for the
 //! WAL append every durable op makes.
 //!
-//! The dense kernel's contract is that a warmed-up [`QuerySession`] answers
-//! queries with **zero heap allocations**: the stamped slabs and both
-//! indexed heaps are pre-sized against `|G_k|` (decrease-key bounds each
-//! heap by one entry per vertex) and the seed buffers against the longest
-//! label. This test installs a counting allocator, arms it after session
-//! creation, replays a mixed query workload through every engine whose
-//! session is documented allocation-free, and asserts the counter stayed
-//! at zero.
+//! The dense kernel's contract is that a [`QuerySession`] answers queries
+//! with **zero heap allocations** from its first query on: the stamped
+//! slabs and both indexed heaps are pre-sized against `|G_k|`
+//! (decrease-key bounds each heap by one entry per vertex) and the seed
+//! buffers against the longest label. This test installs a counting
+//! allocator, arms it right after session creation, replays a mixed query
+//! workload through every engine whose session is documented
+//! allocation-free (heap, mapped, full-hierarchy, patched, directed and
+//! the baselines), and asserts the counter stayed at zero.
 //!
 //! The whole audit runs as **one** `#[test]` so no concurrent test thread
 //! can allocate while the counter is armed.
@@ -109,6 +110,48 @@ fn sessions_answer_queries_without_allocating() {
         pairs.len()
     );
     drop(session);
+
+    // --- The same index mapped: seed buffers sized at open. ---
+    // `MmapIndex` records the longest label from `label_offsets`, so its
+    // session, like the heap one, allocates nothing from the first query.
+    let bytes = islabel::core::persist::v3::write_index(&index, std::io::Cursor::new(Vec::new()))
+        .unwrap()
+        .into_inner();
+    let mapped = MmapIndex::from_bytes(bytes).unwrap();
+    let mut mapped_session = mapped.session();
+    let count = audited(|| {
+        for &(s, t) in &pairs {
+            if let Ok(Some(d)) = mapped_session.distance(s, t) {
+                checksum = checksum.wrapping_add(d);
+            }
+        }
+    });
+    assert_eq!(
+        count,
+        0,
+        "MmapSession allocated {count} times over {} queries",
+        pairs.len()
+    );
+    drop(mapped_session);
+
+    // --- A full hierarchy: `G_k` is empty and Equation 1 is the query. ---
+    let full = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
+    assert_eq!(full.hierarchy().num_gk_vertices(), 0);
+    let mut full_session = full.session();
+    let count = audited(|| {
+        for &(s, t) in &pairs {
+            if let Ok(Some(d)) = full_session.distance(s, t) {
+                checksum = checksum.wrapping_add(d);
+            }
+        }
+    });
+    assert_eq!(
+        count,
+        0,
+        "full-hierarchy IsLabelSession allocated {count} times over {} queries",
+        pairs.len()
+    );
+    drop(full_session);
 
     // --- IS-LABEL with pending updates: the PatchedDense session path. ---
     // A non-pristine index must stay on the dense kernel: the session

@@ -86,6 +86,9 @@ fn mmap_is_bit_identical_to_heap_across_graphs_and_configs() {
                 ..BuildConfig::default()
             },
         ),
+        // An empty `G_k`: Equation 1 is the whole query, as on the
+        // benchmark's `query-labels`.
+        ("full", BuildConfig::full()),
     ];
     let dir = tempdir("crosscheck");
     for (gname, g) in &graphs {
