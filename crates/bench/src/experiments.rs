@@ -68,10 +68,11 @@ fn run_disk_queries(
         ..Default::default()
     };
     let io = storage.stats();
+    let (mut ls, mut lt) = (FetchedLabel::default(), FetchedLabel::default());
     for &(s, t) in &workload.pairs {
         let before = io.snapshot();
-        let ls = fetch_or_self(index, store, storage, s);
-        let lt = fetch_or_self(index, store, storage, t);
+        fetch_or_self(index, store, storage, s, &mut ls);
+        fetch_or_self(index, store, storage, t, &mut lt);
         let delta = io.snapshot().since(&before);
         stats.time_a += cost.modeled_time(&delta);
         stats.fetches += delta.seeks;
@@ -83,20 +84,22 @@ fn run_disk_queries(
     stats
 }
 
+/// Puts `label(v)` into `out`, reading the disk only outside `G_k`.
 fn fetch_or_self(
     index: &IsLabelIndex,
     store: &DiskLabelStore,
     storage: &dyn Storage,
     v: VertexId,
-) -> FetchedLabel {
+    out: &mut FetchedLabel,
+) {
     if index.is_in_gk(v) {
         // label(v) = {(v, 0)} for residual vertices — no disk access.
-        FetchedLabel {
-            ancestors: vec![v],
-            dists: vec![0],
-        }
+        out.ancestors.clear();
+        out.ancestors.push(v);
+        out.dists.clear();
+        out.dists.push(0);
     } else {
-        store.fetch(storage, v).expect("label fetch")
+        store.fetch(storage, v, out).expect("label fetch");
     }
 }
 
@@ -698,9 +701,10 @@ mod tests {
             let g = Dataset::GoogleLike.generate(islabel_graph::Scale::Tiny);
             let (index, storage, store) = build_disk_backed(&g, BuildConfig::default());
             let w = QueryWorkload::random(g.num_vertices(), 30, 3);
+            let (mut ls, mut lt) = (FetchedLabel::default(), FetchedLabel::default());
             for &(s, t) in &w.pairs {
-                let ls = fetch_or_self(&index, &store, &storage, s);
-                let lt = fetch_or_self(&index, &store, &storage, t);
+                fetch_or_self(&index, &store, &storage, s, &mut ls);
+                fetch_or_self(&index, &store, &storage, t, &mut lt);
                 assert_eq!(
                     index.try_distance_from_labels(ls.view(), lt.view()),
                     index.try_distance(s, t),

@@ -3,7 +3,7 @@
 use crate::args::Args;
 use islabel_baselines::{build_oracle, Engine};
 use islabel_core::persist::{
-    compact_index_with_wal, load_index_from_path, load_index_with_wal, try_save_index_to_path,
+    compact_index_with_wal, load_index_with_wal, try_load_index_from_path, try_save_index_to_path,
 };
 use islabel_core::{
     BatchOptions, BuildConfig, DistanceOracle, IsLabelIndex, KSelection, QueryError, QuerySession,
@@ -275,7 +275,7 @@ fn load_engine(engine_opt: Option<&str>, input: &str) -> Result<Loaded, String> 
                 "--engine {engine} needs a graph input; {input} is a prebuilt IS-LABEL index"
             ));
         }
-        let index = load_index_from_path(input).map_err(|e| format!("load {input}: {e}"))?;
+        let index = try_load_index_from_path(input).map_err(|e| format!("load {input}: {e}"))?;
         return Ok(Loaded::Index(Box::new(index)));
     }
     let g = load_graph(input)?;
@@ -1039,7 +1039,7 @@ fn stats(argv: &[String]) -> Result<(), String> {
         return file_stats(path);
     }
     if path.ends_with(".islx") {
-        let index = load_index_from_path(path).map_err(|e| format!("load {path}: {e}"))?;
+        let index = try_load_index_from_path(path).map_err(|e| format!("load {path}: {e}"))?;
         let s = index.stats();
         println!("index: {path}");
         println!("  vertices:      {}", human_count(s.num_vertices));

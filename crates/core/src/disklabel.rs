@@ -24,13 +24,18 @@ use islabel_graph::{Dist, VertexId};
 use islabel_store::format::LABEL_ENTRY_BYTES;
 use std::io::{self, Read, Write};
 
-/// A label fetched from disk, owning its arrays.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Caller-owned buffers one label is fetched into. Each
+/// [`DiskLabelStore::fetch`] overwrites them and grows them only past the
+/// longest label fetched so far, so a fetch loop over one buffer allocates
+/// nothing in steady state.
+#[derive(Debug, Clone, Default)]
 pub struct FetchedLabel {
     /// Ancestor ids, ascending.
     pub ancestors: Vec<VertexId>,
     /// Distances parallel to `ancestors`.
     pub dists: Vec<Dist>,
+    /// The record bytes of the last fetch.
+    raw: Vec<u8>,
 }
 
 impl FetchedLabel {
@@ -135,23 +140,26 @@ impl DiskLabelStore {
         *self.offsets.last().unwrap()
     }
 
-    /// Fetches one label with a single positioned read (one counted seek —
-    /// the paper's "retrieving a vertex label from disk takes only one
-    /// I/O").
-    pub fn fetch(&self, storage: &dyn Storage, v: VertexId) -> io::Result<FetchedLabel> {
+    /// Fetches `v`'s label into `out` with a single positioned read (one
+    /// counted seek — the paper's "retrieving a vertex label from disk
+    /// takes only one I/O") and returns it as a view.
+    pub fn fetch<'a>(
+        &self,
+        storage: &dyn Storage,
+        v: VertexId,
+        out: &'a mut FetchedLabel,
+    ) -> io::Result<LabelView<'a>> {
         let lo = self.offsets[v as usize];
         let hi = self.offsets[v as usize + 1];
-        let mut buf = vec![0u8; (hi - lo) as usize];
-        storage.read_at(&self.name, lo, &mut buf)?;
-        let count = buf.len() / LABEL_ENTRY_BYTES;
-        let mut ancestors = Vec::with_capacity(count);
-        let mut dists = Vec::with_capacity(count);
-        let mut b = &buf[..];
-        for _ in 0..count {
-            ancestors.push(b.get_u32_le());
-            dists.push(b.get_u64_le());
+        out.raw.resize((hi - lo) as usize, 0);
+        storage.read_at(&self.name, lo, &mut out.raw)?;
+        out.ancestors.clear();
+        out.dists.clear();
+        for mut entry in out.raw.chunks_exact(LABEL_ENTRY_BYTES) {
+            out.ancestors.push(entry.get_u32_le());
+            out.dists.push(entry.get_u64_le());
         }
-        Ok(FetchedLabel { ancestors, dists })
+        Ok(out.view())
     }
 }
 
@@ -175,10 +183,11 @@ mod tests {
     fn roundtrip_matches_in_memory_labels() {
         let (index, storage, store) = setup();
         assert_eq!(store.num_vertices(), 200);
+        let mut buf = FetchedLabel::default();
         for v in 0..200u32 {
-            let fetched = store.fetch(&storage, v).unwrap();
             let mem: Vec<(VertexId, Dist)> = index.labels().label(v).iter().collect();
-            let disk: Vec<(VertexId, Dist)> = fetched.view().iter().collect();
+            let disk: Vec<(VertexId, Dist)> =
+                store.fetch(&storage, v, &mut buf).unwrap().iter().collect();
             assert_eq!(disk, mem, "label({v})");
         }
     }
@@ -188,8 +197,9 @@ mod tests {
         let (_, storage, store) = setup();
         let stats = storage.stats();
         stats.reset();
-        store.fetch(&storage, 7).unwrap();
-        store.fetch(&storage, 123).unwrap();
+        let mut buf = FetchedLabel::default();
+        store.fetch(&storage, 7, &mut buf).unwrap();
+        store.fetch(&storage, 123, &mut buf).unwrap();
         let snap = stats.snapshot();
         assert_eq!(snap.seeks, 2);
     }
@@ -200,21 +210,21 @@ mod tests {
         let reopened = DiskLabelStore::open(&storage, "labels").unwrap();
         assert_eq!(reopened.num_vertices(), store.num_vertices());
         assert_eq!(reopened.data_bytes(), store.data_bytes());
-        let a = store.fetch(&storage, 55).unwrap();
-        let b = reopened.fetch(&storage, 55).unwrap();
-        assert_eq!(a, b);
+        let (mut a, mut b) = (FetchedLabel::default(), FetchedLabel::default());
+        store.fetch(&storage, 55, &mut a).unwrap();
+        reopened.fetch(&storage, 55, &mut b).unwrap();
+        assert_eq!((a.ancestors, a.dists), (b.ancestors, b.dists));
     }
 
     #[test]
     fn disk_labels_answer_queries_correctly() {
         let (index, storage, store) = setup();
         let g = index.base_graph().clone();
+        let (mut bs, mut bt) = (FetchedLabel::default(), FetchedLabel::default());
         for (s, t) in [(0u32, 199u32), (5, 100), (42, 43)] {
-            let ls = store.fetch(&storage, s).unwrap();
-            let lt = store.fetch(&storage, t).unwrap();
-            let got = index
-                .try_distance_from_labels(ls.view(), lt.view())
-                .unwrap();
+            let ls = store.fetch(&storage, s, &mut bs).unwrap();
+            let lt = store.fetch(&storage, t, &mut bt).unwrap();
+            let got = index.try_distance_from_labels(ls, lt).unwrap();
             assert_eq!(got, crate::reference::dijkstra_p2p(&g, s, t), "({s}, {t})");
         }
     }
@@ -225,9 +235,11 @@ mod tests {
         // can name a vertex the index does not have; the fallible query
         // must say so instead of indexing out of bounds.
         let (index, storage, store) = setup();
-        let good = store.fetch(&storage, 5).unwrap();
+        let mut good = FetchedLabel::default();
+        store.fetch(&storage, 5, &mut good).unwrap();
+        let mut corrupt = FetchedLabel::default();
         for bad in [200, VertexId::MAX] {
-            let mut corrupt = store.fetch(&storage, 100).unwrap();
+            store.fetch(&storage, 100, &mut corrupt).unwrap();
             *corrupt.ancestors.last_mut().unwrap() = bad;
             let expect = Err(crate::QueryError::VertexOutOfRange {
                 vertex: bad,

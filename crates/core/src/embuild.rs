@@ -28,18 +28,25 @@
 //! * IS selection visits vertices in `(degree, id)` order;
 //! * augmenting-edge collisions keep the minimum weight, then the existing
 //!   edge, then the smallest via vertex;
-//! * label merges keep the minimum distance, then the smallest first hop.
+//! * label merges keep the minimum distance, then the smallest first hop:
+//!   Algorithm 4 sorts each block's candidates by `(slot, ancestor,
+//!   distance, first hop)` and keeps the first per `(slot, ancestor)` —
+//!   the lexicographic minimum of `(distance, first hop)` that the
+//!   in-memory scatter-min keeps too.
+//!
+//! That holds for every [`BuildConfig`] the pipeline accepts, path info
+//! off included: the peel adjacency keeps its via vertices either way, as
+//! the in-memory builder's does, so both write the same artifact bytes.
 
 use crate::config::{BuildConfig, KSelection};
-use crate::hierarchy::{PeelEdge, VertexHierarchy};
+use crate::hierarchy::{GkVia, PeelEdge, VertexHierarchy};
 use crate::index::IsLabelIndex;
 use crate::label::LabelSet;
-use crate::stats::IndexStats;
 use islabel_extmem::diskgraph::{AdjByDegree, AdjRecord, DiskGraph};
 use islabel_extmem::extsort::{external_sort, ExtRecord, RecordReader, RecordWriter, SortConfig};
 use islabel_extmem::storage::Storage;
 use islabel_graph::adjacency::NO_VIA;
-use islabel_graph::{CsrGraph, Dist, FxHashMap, FxHashSet, VertexId, Weight};
+use islabel_graph::{CsrGraph, Dist, FxHashSet, VertexId, Weight};
 use std::io;
 use std::time::Instant;
 
@@ -78,67 +85,36 @@ impl EmConfig {
     }
 }
 
-/// Streaming adapter: exposes a record file as an iterator for
-/// [`external_sort`], stashing any I/O error for later propagation.
-struct RecordStream<'a, T: ExtRecord> {
-    reader: RecordReader<Box<dyn io::Read + Send + 'a>>,
-    error: &'a mut Option<io::Error>,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T: ExtRecord> Iterator for RecordStream<'_, T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        match self.reader.next() {
-            Ok(item) => item,
-            Err(e) => {
-                *self.error = Some(e);
-                None
-            }
-        }
-    }
-}
-
+/// Sorts the record file `input_name` into `output_name` by
+/// [`external_sort`], propagating any read error of the input stream.
 fn sort_file<T: ExtRecord>(
     storage: &dyn Storage,
     input_name: &str,
     output_name: &str,
     config: SortConfig,
 ) -> io::Result<()> {
+    let mut reader = RecordReader::new(storage.open(input_name)?);
     let mut error = None;
-    let stream: RecordStream<'_, T> = RecordStream {
-        reader: RecordReader::new(storage.open(input_name)?),
-        error: &mut error,
-        _marker: std::marker::PhantomData,
-    };
+    let stream = std::iter::from_fn(|| {
+        reader.next::<T>().unwrap_or_else(|e| {
+            error = Some(e);
+            None
+        })
+    });
     external_sort(storage, stream, output_name, config)?;
-    if let Some(e) = error {
-        return Err(e);
-    }
-    Ok(())
+    error.map_or(Ok(()), Err)
 }
 
 /// Builds an [`IsLabelIndex`] from a disk-resident graph through the
 /// external-memory pipeline. `config` carries the paper-level parameters
-/// (k-selection, path info); `em` the memory-model tuning.
-///
-/// Only the paper's greedy min-degree strategy is supported externally (the
-/// ablation strategies are in-memory concerns).
+/// (k-selection, path info) and has passed [`check_config`]; `em` the
+/// memory-model tuning.
 fn build_external(
     storage: &dyn Storage,
     input: &DiskGraph,
     config: BuildConfig,
     em: EmConfig,
 ) -> io::Result<IsLabelIndex> {
-    config.validate();
-    assert!(
-        matches!(
-            config.is_strategy,
-            crate::config::IsStrategy::MinDegreeGreedy
-        ),
-        "external construction implements the paper's min-degree greedy selection"
-    );
     let t0 = Instant::now();
     let n = input.universe;
     let sort_config = SortConfig {
@@ -212,11 +188,7 @@ fn build_external(
             peel_adj[rec.vertex as usize] = rec
                 .edges
                 .iter()
-                .map(|&(to, weight, via)| PeelEdge {
-                    to,
-                    weight,
-                    via: if config.keep_path_info { via } else { NO_VIA },
-                })
+                .map(|&(to, weight, via)| PeelEdge { to, weight, via })
                 .collect();
         }
     }
@@ -245,36 +217,45 @@ fn build_external(
     let hierarchy =
         VertexHierarchy::from_parts(level_of, k, levels, peel_adj, gk, gk_vias, gk_members);
     let graph = input.to_csr(storage)?;
-    let stats = IndexStats {
-        num_vertices: n,
-        num_edges: graph.num_edges(),
-        k,
-        gk_vertices: hierarchy.num_gk_vertices(),
-        gk_edges: hierarchy.num_gk_edges(),
-        label_entries: labels.num_entries(),
-        label_bytes: labels.memory_bytes(),
-        avg_label_len: labels.avg_label_len(),
-        max_label_len: labels.max_label_len(),
-        hierarchy_time: t1 - t0,
-        labeling_time: t2 - t1,
-        build_time: t2 - t0,
-    };
     Ok(IsLabelIndex::from_parts(
-        graph, hierarchy, labels, config, stats,
+        graph,
+        hierarchy,
+        labels,
+        config,
+        t1 - t0,
+        t2 - t1,
     ))
 }
 
-/// Convenience: stage a CSR graph into storage and build externally.
+/// Stages a CSR graph into storage and builds externally. An invalid
+/// `config`, or an IS strategy other than the paper's min-degree greedy
+/// (the ablation strategies are in-memory concerns), is an
+/// [`io::ErrorKind::InvalidInput`] error, returned before anything is
+/// written.
 pub fn build_external_from_csr(
     storage: &dyn Storage,
     g: &CsrGraph,
     config: BuildConfig,
     em: EmConfig,
 ) -> io::Result<IsLabelIndex> {
+    check_config(&config)?;
     let dg = DiskGraph::from_csr(storage, "embuild.input", g)?;
     let index = build_external(storage, &dg, config, em);
     dg.delete(storage)?;
     index
+}
+
+/// The caller-input checks of [`build_external_from_csr`].
+fn check_config(config: &BuildConfig) -> io::Result<()> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    config.try_validate().map_err(|e| invalid(e.to_string()))?;
+    match config.is_strategy {
+        crate::config::IsStrategy::MinDegreeGreedy => Ok(()),
+        other => Err(invalid(format!(
+            "external construction implements only the paper's min-degree greedy \
+             selection, not {other:?}"
+        ))),
+    }
 }
 
 fn adj_name(level: u32) -> String {
@@ -310,7 +291,7 @@ fn select_level(
     // isolated in G_i and join L_i unconditionally (degree 0, nothing to
     // exclude) — mirroring their position at the front of the (degree, id)
     // order.
-    let mut has_record: FxHashSet<VertexId> = FxHashSet::default();
+    let mut has_record = vec![false; level_of.len()];
 
     let mut adj_writer = RecordWriter::new(storage.create(&adj_name(level))?);
     let mut excluded: FxHashSet<VertexId> = FxHashSet::default();
@@ -318,7 +299,7 @@ fn select_level(
     let mut reader = RecordReader::new(storage.open(&stream_name)?);
     let mut purge_round = 0usize;
     while let Some(AdjByDegree(rec)) = reader.next::<AdjByDegree>()? {
-        has_record.insert(rec.vertex);
+        has_record[rec.vertex as usize] = true;
         if excluded.contains(&rec.vertex) {
             continue;
         }
@@ -336,7 +317,7 @@ fn select_level(
             let purged_name = format!("embuild.degsort.L{level}.purge{purge_round}");
             let mut w = RecordWriter::new(storage.create(&purged_name)?);
             while let Some(rest) = reader.next::<AdjByDegree>()? {
-                has_record.insert(rest.0.vertex);
+                has_record[rest.0.vertex as usize] = true;
                 if !excluded.contains(&rest.0.vertex) {
                     w.write(&rest)?;
                 }
@@ -352,7 +333,7 @@ fn select_level(
     storage.delete(&stream_name)?;
 
     for v in 0..level_of.len() as VertexId {
-        if level_of[v as usize] == 0 && !has_record.contains(&v) {
+        if level_of[v as usize] == 0 && !has_record[v as usize] {
             li.push(v);
         }
     }
@@ -406,7 +387,9 @@ fn build_next_graph(
 
     // Merge-scan G_i with the sorted EA.
     let next_name = format!("embuild.g.L{}", level + 1);
-    let mut ea = PeekableEa::new(RecordReader::new(storage.open(&ea_sorted)?));
+    let mut ea = RecordReader::new(storage.open(&ea_sorted)?);
+    // One-record lookahead over the EA stream.
+    let mut ea_head: Option<(u32, u32, u32, u32)> = ea.next()?;
     let mut writer = RecordWriter::new(storage.create(&next_name)?);
     let mut num_vertices = 0usize;
     let mut half_edges = 0usize;
@@ -416,60 +399,31 @@ fn build_next_graph(
         // Every EA endpoint had an edge to its peeled via vertex in G_i, so
         // it owns a G_i record; the stream stays aligned.
         debug_assert!(
-            ea.peek()?.is_none_or(|e| e.0 >= v),
+            ea_head.is_none_or(|e| e.0 >= v),
             "EA endpoint without G_i record"
         );
         if level_of[v as usize] == level {
             continue; // peeled: the record is already archived in ADJ(L_i)
         }
-        // Merge-join v's surviving edges with v's EA entries (both ascending
-        // by target id).
-        let mut merged: Vec<(VertexId, Weight, VertexId)> = Vec::new();
-        let mut old = rec
+        // v's surviving edges and its EA records, merged by one sort on
+        // `(target, weight, rank, via)`: per target the minimum weight
+        // wins ("update ω with the smaller weight"), a tie keeps the
+        // existing edge (rank 0) over the EA records (rank 1), and EA ties
+        // keep the smallest via.
+        let mut ranked: Vec<(VertexId, Weight, u8, VertexId)> = rec
             .edges
             .iter()
             .filter(|&&(t, _, _)| level_of[t as usize] != level)
-            .peekable();
-        loop {
-            let ea_here = match ea.peek()? {
-                Some(e) if e.0 == v => Some(*e),
-                _ => None,
-            };
-            match (old.peek(), ea_here) {
-                (None, None) => break,
-                (Some(&&(t, w, via)), None) => {
-                    merged.push((t, w, via));
-                    old.next();
-                }
-                (None, Some((_, t, w, via))) => {
-                    push_first(&mut merged, t, w, via);
-                    ea.advance()?;
-                }
-                (Some(&&(ot, ow, ovia)), Some((_, et, ew, evia))) => {
-                    if ot < et {
-                        merged.push((ot, ow, ovia));
-                        old.next();
-                    } else if et < ot {
-                        push_first(&mut merged, et, ew, evia);
-                        ea.advance()?;
-                    } else {
-                        // Collision: strictly smaller EA weight replaces the
-                        // existing edge, ties keep it ("update ω with the
-                        // smaller weight").
-                        if ew < ow {
-                            merged.push((et, ew, evia));
-                        } else {
-                            merged.push((ot, ow, ovia));
-                        }
-                        old.next();
-                        // Drain the remaining (worse) EA duplicates of (v, t).
-                        while ea.peek()?.is_some_and(|e| e.0 == v && e.1 == et) {
-                            ea.advance()?;
-                        }
-                    }
-                }
-            }
+            .map(|&(t, w, via)| (t, w, 0, via))
+            .collect();
+        while let Some((_, t, w, via)) = ea_head.filter(|e| e.0 == v) {
+            ranked.push((t, w, 1, via));
+            ea_head = ea.next()?;
         }
+        ranked.sort_unstable();
+        ranked.dedup_by_key(|e| e.0);
+        let merged: Vec<(VertexId, Weight, VertexId)> =
+            ranked.iter().map(|&(t, w, _, via)| (t, w, via)).collect();
         if !merged.is_empty() {
             num_vertices += 1;
             half_edges += merged.len();
@@ -479,7 +433,7 @@ fn build_next_graph(
             })?;
         }
     }
-    debug_assert!(ea.peek()?.is_none(), "unconsumed EA records");
+    debug_assert!(ea_head.is_none(), "unconsumed EA records");
     writer.finish()?;
     storage.delete(&ea_sorted)?;
 
@@ -492,72 +446,29 @@ fn build_next_graph(
     )
 }
 
-/// Appends `(t, w, via)` unless `t` was already emitted for this vertex (EA
-/// is sorted, so the first record per target carries the minimum).
-fn push_first(
-    merged: &mut Vec<(VertexId, Weight, VertexId)>,
-    t: VertexId,
-    w: Weight,
-    via: VertexId,
-) {
-    if merged.last().map(|&(lt, _, _)| lt) != Some(t) {
-        merged.push((t, w, via));
-    }
-}
-
-/// One-record lookahead over the EA stream.
-struct PeekableEa<R: io::Read> {
-    reader: RecordReader<R>,
-    head: Option<(u32, u32, u32, u32)>,
-    primed: bool,
-}
-
-impl<R: io::Read> PeekableEa<R> {
-    fn new(reader: RecordReader<R>) -> Self {
-        Self {
-            reader,
-            head: None,
-            primed: false,
-        }
-    }
-
-    fn peek(&mut self) -> io::Result<Option<&(u32, u32, u32, u32)>> {
-        if !self.primed {
-            self.head = self.reader.next()?;
-            self.primed = true;
-        }
-        Ok(self.head.as_ref())
-    }
-
-    fn advance(&mut self) -> io::Result<()> {
-        self.peek()?;
-        self.head = self.reader.next()?;
-        Ok(())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Residual graph materialization
 // ---------------------------------------------------------------------------
 
-/// Via vertices of residual augmenting edges, keyed by `(min, max)` pair.
-type GkViaMap = FxHashMap<(VertexId, VertexId), VertexId>;
-
+/// Loads `G_k` and its via annotations as `(min, max, via)` triples. The
+/// scan visits vertices ascending and each row by ascending target, so the
+/// triples come out strictly ascending by `(min, max)`: the order
+/// [`VertexHierarchy`] keeps them in.
 fn materialize_gk(
     storage: &dyn Storage,
     gk: &DiskGraph,
     n: usize,
     keep_path_info: bool,
-) -> io::Result<(CsrGraph, GkViaMap)> {
+) -> io::Result<(CsrGraph, Vec<GkVia>)> {
     let mut b = islabel_graph::GraphBuilder::new(n);
-    let mut vias = FxHashMap::default();
+    let mut vias = Vec::new();
     let mut scan = gk.scan(storage)?;
     while let Some(rec) = scan.next()? {
         for &(t, w, via) in &rec.edges {
             if rec.vertex < t {
                 b.add_edge(rec.vertex, t, w);
                 if keep_path_info && via != NO_VIA {
-                    vias.insert((rec.vertex, t), via);
+                    vias.push((rec.vertex, t, via));
                 }
             }
         }
@@ -611,11 +522,18 @@ impl ExtRecord for LabelRecord {
     }
 }
 
-/// One in-flight label of the current block.
-struct BlockEntry {
-    vertex: VertexId,
-    /// Min-merged accumulator (`ancestor -> (d, first hop)`).
-    acc: FxHashMap<VertexId, (Dist, VertexId)>,
+/// One label candidate of the current block: `(block slot, ancestor,
+/// distance, first hop)`. Sorting puts each `(slot, ancestor)` group's
+/// lexicographic minimum of `(distance, first hop)` first.
+type Candidate = (u32, VertexId, Dist, VertexId);
+
+/// Sorts `candidates` and keeps the first per `(slot, ancestor)`: the
+/// min-merge with the deterministic tie-break (equal distance keeps the
+/// smaller first hop) shared with the in-memory Algorithm 4, whose
+/// scatter-min keeps the same lexicographic minimum.
+fn sort_reduce(candidates: &mut Vec<Candidate>) {
+    candidates.sort_unstable();
+    candidates.dedup_by_key(|&mut (slot, anc, _, _)| (slot, anc));
 }
 
 /// Labels level `k−1` down to `1`, writing the `labels.L{i}` files.
@@ -625,28 +543,42 @@ struct BlockEntry {
 /// `ω(v, u) + label(u)` over the direct neighbors `u`. Neighbors living in
 /// `G_k` contribute their trivial self-only labels inline, so no label file
 /// is materialized for `G_k`.
+///
+/// A block's candidates collect in one buffer that [`sort_reduce`] merges.
+/// Whenever the buffer grows by `em.memory_budget` bytes past its last
+/// merged size it is merged early, so it never holds more than the block's
+/// merged labels plus one budget.
 fn label_top_down(
     storage: &dyn Storage,
     k: u32,
     level_of: &[u32],
     em: &EmConfig,
 ) -> io::Result<()> {
+    let budget_entries = (em.memory_budget / std::mem::size_of::<Candidate>()).max(1);
+    // Slot -> vertex of the current block.
+    let mut block: Vec<VertexId> = Vec::new();
+    let mut candidates: Vec<Candidate> = Vec::new();
+    // Join index: `(neighbour u, block slot, ω(v, u))`, sorted by `u`.
+    let mut join: Vec<(VertexId, u32, Weight)> = Vec::new();
+    let mut out = LabelRecord {
+        vertex: 0,
+        entries: Vec::new(),
+    };
     for i in (1..k).rev() {
         let mut bl = RecordReader::new(storage.open(&adj_name(i))?);
         let mut writer = RecordWriter::new(storage.create(&label_name(i))?);
         loop {
             // Load one block of BL under the memory budget.
-            let mut block: Vec<BlockEntry> = Vec::new();
-            // Join index: neighbor u -> [(block slot, ω(v, u))].
-            let mut join: FxHashMap<VertexId, Vec<(usize, Weight)>> = FxHashMap::default();
+            block.clear();
+            candidates.clear();
+            join.clear();
             let mut block_bytes = 0usize;
             while block_bytes < em.memory_budget {
                 let Some(rec) = bl.next::<AdjRecord>()? else {
                     break;
                 };
-                let slot = block.len();
-                let mut acc = FxHashMap::default();
-                acc.insert(rec.vertex, (0 as Dist, rec.vertex));
+                let slot = block.len() as u32;
+                candidates.push((slot, rec.vertex, 0, rec.vertex));
                 for &(u, w, _) in &rec.edges {
                     debug_assert!(level_of[u as usize] > i);
                     // Fold u's self entry inline: this covers G_k neighbors
@@ -654,68 +586,57 @@ fn label_top_down(
                     // to a file) and peeled neighbors that were isolated at
                     // peel time (same situation). For everything else the
                     // BU join below re-derives the same value, a no-op.
-                    relax(&mut acc, u, w as Dist, u);
+                    candidates.push((slot, u, w as Dist, u));
                     if level_of[u as usize] != k {
-                        join.entry(u).or_default().push((slot, w));
+                        join.push((u, slot, w));
                     }
                 }
                 block_bytes += rec.approx_size() * 4 + 64;
-                block.push(BlockEntry {
-                    vertex: rec.vertex,
-                    acc,
-                });
+                block.push(rec.vertex);
             }
             if block.is_empty() {
                 break;
             }
+            join.sort_unstable();
+            let mut merge_at = candidates.len() + budget_entries;
 
             // Scan BU — the final labels of all higher peeled levels — once
             // per block (the paper's block nested loop).
             for j in (i + 1)..k {
                 let mut bu = RecordReader::new(storage.open(&label_name(j))?);
                 while let Some(lab) = bu.next::<LabelRecord>()? {
-                    let Some(holders) = join.get(&lab.vertex) else {
-                        continue;
-                    };
-                    for &(slot, w) in holders {
-                        let acc = &mut block[slot].acc;
+                    let from = join.partition_point(|&(u, _, _)| u < lab.vertex);
+                    for &(_, slot, w) in join[from..]
+                        .iter()
+                        .take_while(|&&(u, _, _)| u == lab.vertex)
+                    {
                         for &(anc, d, _) in &lab.entries {
-                            relax(acc, anc, w as Dist + d, lab.vertex);
+                            candidates.push((slot, anc, w as Dist + d, lab.vertex));
+                        }
+                        if candidates.len() >= merge_at {
+                            sort_reduce(&mut candidates);
+                            merge_at = candidates.len() + budget_entries;
                         }
                     }
                 }
             }
 
-            for entry in block {
-                let mut entries: Vec<(VertexId, Dist, VertexId)> =
-                    entry.acc.iter().map(|(&a, &(d, h))| (a, d, h)).collect();
-                entries.sort_unstable_by_key(|&(a, _, _)| a);
-                writer.write(&LabelRecord {
-                    vertex: entry.vertex,
-                    entries,
-                })?;
+            // Every slot holds at least its self entry, so the merged
+            // candidates are the block's labels, slot by slot, each
+            // ascending by ancestor.
+            sort_reduce(&mut candidates);
+            let labels = candidates.chunk_by(|a, b| a.0 == b.0);
+            for (label, &vertex) in labels.zip(&block) {
+                out.vertex = vertex;
+                out.entries.clear();
+                out.entries
+                    .extend(label.iter().map(|&(_, anc, d, hop)| (anc, d, hop)));
+                writer.write(&out)?;
             }
         }
         writer.finish()?;
     }
     Ok(())
-}
-
-/// Min-merge with the deterministic tie-break (equal distance keeps the
-/// smaller first hop) shared with the in-memory Algorithm 4, whose
-/// scatter-min keeps the same lexicographic minimum of `(distance, hop)`.
-fn relax(acc: &mut FxHashMap<VertexId, (Dist, VertexId)>, anc: VertexId, d: Dist, hop: VertexId) {
-    match acc.entry(anc) {
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            slot.insert((d, hop));
-        }
-        std::collections::hash_map::Entry::Occupied(mut slot) => {
-            let (cur_d, cur_h) = *slot.get();
-            if d < cur_d || (d == cur_d && hop < cur_h) {
-                *slot.get_mut() = (d, hop);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -774,6 +695,10 @@ mod tests {
             BuildConfig::full(),
             BuildConfig::fixed_k(3),
             BuildConfig::sigma(0.7),
+            BuildConfig {
+                keep_path_info: false,
+                ..BuildConfig::default()
+            },
         ] {
             let storage = MemStorage::new();
             let em_index =
@@ -797,6 +722,13 @@ mod tests {
                 im_index.hierarchy().gk(),
                 "{config:?} gk"
             );
+            for (u, v, _) in im_index.hierarchy().gk().edge_list() {
+                assert_eq!(
+                    em_index.hierarchy().gk_via(u, v),
+                    im_index.hierarchy().gk_via(u, v),
+                    "{config:?} gk_via({u}, {v})"
+                );
+            }
             for v in 0..30u32 {
                 let em_l: Vec<_> = em_index.labels().label(v).iter().collect();
                 let im_l: Vec<_> = im_index.labels().label(v).iter().collect();
@@ -881,6 +813,42 @@ mod tests {
                 (None, None) => {}
                 (p, d) => panic!("({s}, {t}): {p:?} vs {d:?}"),
             }
+        }
+    }
+
+    /// Builds `config` externally, expecting a typed refusal that names
+    /// `what` and leaves storage empty.
+    fn assert_refused(config: BuildConfig, what: &str) {
+        let g = erdos_renyi_gnm(20, 40, WeightModel::Unit, 1);
+        let storage = MemStorage::new();
+        let err = build_external_from_csr(&storage, &g, config, EmConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(what), "{err}");
+        assert!(storage.names().is_empty(), "{:?}", storage.names());
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error() {
+        let config = BuildConfig {
+            k_selection: KSelection::FixedK(1),
+            ..BuildConfig::default()
+        };
+        let message = config.try_validate().unwrap_err().to_string();
+        assert_refused(config, &message);
+    }
+
+    #[test]
+    fn ablation_strategies_are_a_typed_error() {
+        use crate::config::IsStrategy;
+        for (is_strategy, what) in [
+            (IsStrategy::Random(3), "Random"),
+            (IsStrategy::MaxDegreeGreedy, "MaxDegreeGreedy"),
+        ] {
+            let config = BuildConfig {
+                is_strategy,
+                ..BuildConfig::default()
+            };
+            assert_refused(config, what);
         }
     }
 

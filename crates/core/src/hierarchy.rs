@@ -15,7 +15,7 @@
 
 use crate::config::{BuildConfig, IsStrategy, KSelection};
 use islabel_graph::adjacency::AdjacencyGraph;
-use islabel_graph::{CsrGraph, FxHashMap, VertexId, Weight};
+use islabel_graph::{CsrGraph, VertexId, Weight};
 
 /// One archived adjacency entry of a peeled vertex: the edge `(v, to)` as it
 /// existed in `G_{ℓ(v)}` at peel time.
@@ -31,6 +31,10 @@ pub struct PeelEdge {
     /// path reconstruction (Section 8.1).
     pub via: VertexId,
 }
+
+/// One `G_k` via annotation: `(min, max, via)` for the augmenting edge
+/// between `min < max` created by peeling `via`.
+pub(crate) type GkVia = (VertexId, VertexId, VertexId);
 
 /// The k-level vertex hierarchy `(H_{<k}, G_k)` of Definition 4.
 #[derive(Debug, Clone)]
@@ -48,9 +52,11 @@ pub struct VertexHierarchy {
     /// The residual graph `G_k` over the full id universe (peeled vertices
     /// are isolated in it).
     gk: CsrGraph,
-    /// Via vertices of `G_k`'s augmenting edges, keyed by `(min, max)`
-    /// endpoint pair. Empty when path info is disabled.
-    gk_vias: FxHashMap<(VertexId, VertexId), VertexId>,
+    /// Via vertices of `G_k`'s augmenting edges as `(min, max, via)`
+    /// triples, strictly ascending by `(min, max)` — the order of the v3
+    /// via section, which `Sections::validate` checks on open. Empty when
+    /// path info is disabled.
+    gk_vias: Vec<GkVia>,
     /// Vertices of `G_k`, ascending.
     gk_members: Vec<VertexId>,
 }
@@ -150,16 +156,16 @@ impl VertexHierarchy {
         Self::finish(work, k, level_of, peel_adj, levels, true)
     }
 
-    /// Assembles a hierarchy from externally constructed parts (used by the
-    /// I/O-efficient pipeline in [`crate::embuild`], which must produce the
-    /// exact same structure as the in-memory builder).
+    /// Assembles a hierarchy from its parts (the in-memory builder's, the
+    /// I/O-efficient pipeline's in [`crate::embuild`] — which must produce
+    /// the exact same structure — and the artifact loader's).
     pub(crate) fn from_parts(
         level_of: Vec<u32>,
         k: u32,
         levels: Vec<Vec<VertexId>>,
         peel_adj: Vec<Box<[PeelEdge]>>,
         gk: CsrGraph,
-        gk_vias: FxHashMap<(VertexId, VertexId), VertexId>,
+        gk_vias: Vec<GkVia>,
         gk_members: Vec<VertexId>,
     ) -> Self {
         Self {
@@ -185,23 +191,11 @@ impl VertexHierarchy {
         for &v in &gk_members {
             level_of[v as usize] = k;
         }
-        let (gk, via_list) = work.to_csr_with_vias();
-        let mut gk_vias = FxHashMap::default();
-        if keep_path_info {
-            gk_vias.reserve(via_list.len());
-            for (u, v, via) in via_list {
-                gk_vias.insert((u, v), via);
-            }
+        let (gk, mut gk_vias) = work.to_csr_with_vias();
+        if !keep_path_info {
+            gk_vias = Vec::new();
         }
-        Self {
-            level_of,
-            k,
-            levels,
-            peel_adj,
-            gk,
-            gk_vias,
-            gk_members,
-        }
+        Self::from_parts(level_of, k, levels, peel_adj, gk, gk_vias, gk_members)
     }
 
     /// Vertex-id universe size.
@@ -264,20 +258,17 @@ impl VertexHierarchy {
     /// Via vertex of the `G_k` edge `(u, v)` if it is an augmenting edge.
     pub fn gk_via(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
         let key = if u < v { (u, v) } else { (v, u) };
-        self.gk_vias.get(&key).copied()
+        let i = self
+            .gk_vias
+            .binary_search_by_key(&key, |&(a, b, _)| (a, b))
+            .ok()?;
+        Some(self.gk_vias[i].2)
     }
 
-    /// Approximate resident bytes of the hierarchy (used in stats).
-    pub fn memory_bytes(&self) -> usize {
-        let peel: usize = self
-            .peel_adj
-            .iter()
-            .map(|a| a.len() * std::mem::size_of::<PeelEdge>())
-            .sum();
-        peel + self.level_of.len() * 4
-            + self.gk.memory_bytes()
-            + self.gk_vias.len() * 12
-            + self.gk_members.len() * 4
+    /// Every `G_k` via annotation as `(min, max, via)`, strictly ascending
+    /// by `(min, max)`.
+    pub(crate) fn gk_vias(&self) -> &[GkVia] {
+        &self.gk_vias
     }
 }
 

@@ -15,7 +15,7 @@ use crate::trace::QueryTrace;
 use crate::updates::{Overlay, OverlayStats, UpdateOp};
 use islabel_graph::{CsrGraph, Dist, VertexId, Weight, INF};
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default `fsync` batching for an attached write-ahead log: sync every
 /// this many appended records (see [`IsLabelIndex::attach_wal_with`]).
@@ -119,14 +119,28 @@ impl IsLabelIndex {
         let t1 = Instant::now();
         let labels = LabelSet::build(&hierarchy, config.keep_path_info);
         let t2 = Instant::now();
-        let overlay = Overlay::new(g.num_vertices());
-        let dense =
-            DenseGk::undirected(hierarchy.universe(), hierarchy.gk_members(), hierarchy.gk());
-        let graph = g.clone();
+        let mut index = Self::from_parts(g.clone(), hierarchy, labels, config, t1 - t0, t2 - t1);
+        // Stamped after the last construction step, so it covers the dense
+        // substrate, the overlay and the graph copy too.
+        index.stats.build_time = t0.elapsed();
+        Ok(index)
+    }
 
+    /// Assembles an index from its parts (the in-memory builder's, the
+    /// external-memory pipeline's — identical hierarchy and labels through
+    /// disk-based algorithms — and the artifact loader's), with the two
+    /// phase times of its build.
+    pub(crate) fn from_parts(
+        graph: CsrGraph,
+        hierarchy: VertexHierarchy,
+        labels: LabelSet,
+        config: BuildConfig,
+        hierarchy_time: Duration,
+        labeling_time: Duration,
+    ) -> Self {
         let stats = IndexStats {
-            num_vertices: g.num_vertices(),
-            num_edges: g.num_edges(),
+            num_vertices: graph.num_vertices(),
+            num_edges: graph.num_edges(),
             k: hierarchy.k(),
             gk_vertices: hierarchy.num_gk_vertices(),
             gk_edges: hierarchy.num_gk_edges(),
@@ -134,35 +148,10 @@ impl IsLabelIndex {
             label_bytes: labels.memory_bytes(),
             avg_label_len: labels.avg_label_len(),
             max_label_len: labels.max_label_len(),
-            hierarchy_time: t1 - t0,
-            labeling_time: t2 - t1,
-            // Stamped after the last construction step, so it covers the
-            // dense substrate, the overlay and the graph copy too.
-            build_time: t0.elapsed(),
+            hierarchy_time,
+            labeling_time,
+            build_time: hierarchy_time + labeling_time,
         };
-        Ok(Self {
-            graph,
-            hierarchy,
-            labels,
-            dense,
-            config,
-            stats,
-            overlay,
-            artifact_epoch: mint_epoch(),
-            wal: None,
-        })
-    }
-
-    /// Builds from pre-computed parts (used by the external-memory pipeline,
-    /// which produces the identical hierarchy and labels through disk-based
-    /// algorithms).
-    pub(crate) fn from_parts(
-        graph: CsrGraph,
-        hierarchy: VertexHierarchy,
-        labels: LabelSet,
-        config: BuildConfig,
-        stats: IndexStats,
-    ) -> Self {
         let overlay = Overlay::new(graph.num_vertices());
         let dense =
             DenseGk::undirected(hierarchy.universe(), hierarchy.gk_members(), hierarchy.gk());

@@ -106,7 +106,8 @@ pub(crate) fn reconstruct(
             out
         }
     };
-    dedup_consecutive(&mut vertices);
+    // A junction repeats when a seed coincides with the meeting vertex.
+    vertices.dedup();
     let path = Path {
         vertices,
         length: out.dist,
@@ -158,18 +159,12 @@ fn expand_edge(
     // (a, via) and (via, b) live in via's archived peel adjacency; they may
     // themselves be augmenting edges of strictly lower levels, so the
     // recursion terminates.
-    let ea = h
-        .peel_adj(via)
-        .iter()
-        .find(|e| e.to == a)
-        .expect("via vertex must list both endpoints");
-    let eb = h
-        .peel_adj(via)
-        .iter()
-        .find(|e| e.to == b)
-        .expect("via vertex must list both endpoints");
-    expand_edge(h, a, via, ea.via, out);
-    expand_edge(h, via, b, eb.via, out);
+    let via_of = |end: VertexId| {
+        let edge = h.peel_adj(via).iter().find(|e| e.to == end);
+        edge.expect("via vertex must list both endpoints").via
+    };
+    expand_edge(h, a, via, via_of(a), out);
+    expand_edge(h, via, b, via_of(b), out);
 }
 
 /// Appends `tail` (a path `x .. w`) to `out` (ending in `w`) in reverse,
@@ -177,12 +172,6 @@ fn expand_edge(
 fn append_reversed(out: &mut Vec<VertexId>, tail: Vec<VertexId>) {
     debug_assert_eq!(out.last(), tail.last());
     out.extend(tail.into_iter().rev().skip(1));
-}
-
-/// Removes immediately repeated vertices (junctions can duplicate when a
-/// seed coincides with the meeting vertex).
-fn dedup_consecutive(v: &mut Vec<VertexId>) {
-    v.dedup();
 }
 
 #[cfg(test)]

@@ -32,23 +32,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub mod v3;
 pub mod wal;
 
-/// Saves to a file path, atomically: the artifact is written to a sibling
-/// temp file, `fsync`ed, and renamed into place, so a crash or I/O failure
-/// mid-save never destroys an existing artifact at `path`. Pending dynamic
-/// updates are sealed into the artifact's op section and the loader
-/// reconstructs the exact overlay (see the module docs).
-pub fn save_index_to_path(index: &IsLabelIndex, path: impl AsRef<Path>) -> io::Result<()> {
-    atomic_save(index, path.as_ref())
-}
-
-/// Loads the artifact at `path` fully onto the heap: structure and content
-/// checksums verified by [`StoreReader::open`], every stored value by the
-/// semantic scan in [`v3::read_index`], sealed ops replayed. Anything that
-/// is not a v3 artifact — an older version included — is a typed error.
-pub fn load_index_from_path(path: impl AsRef<Path>) -> io::Result<IsLabelIndex> {
-    v3::read_index(&StoreReader::open(path.as_ref())?)
-}
-
 /// Loads the artifact at `path` as a serving oracle, preferring the
 /// zero-copy engine: a pristine artifact is memory-mapped and served in
 /// place ([`crate::MmapIndex`]); one with sealed dynamic updates — the
@@ -71,9 +54,12 @@ pub fn try_load_oracle_from_path(
     }
 }
 
-/// Fully typed save to a file path: I/O failures surface as
-/// [`Error::Persist`](crate::Error::Persist). Otherwise identical to
-/// [`save_index_to_path`].
+/// Saves to a file path, atomically: the artifact is written to a sibling
+/// temp file, `fsync`ed, and renamed into place, so a crash or I/O failure
+/// mid-save never destroys an existing artifact at `path`. Pending dynamic
+/// updates are sealed into the artifact's op section and the loader
+/// reconstructs the exact overlay (see the module docs). I/O failures
+/// surface as [`Error::Persist`](crate::Error::Persist).
 pub fn try_save_index_to_path(
     index: &IsLabelIndex,
     path: impl AsRef<Path>,
@@ -117,10 +103,15 @@ fn atomic_save(index: &IsLabelIndex, path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Fully typed load: I/O and format failures surface as
-/// [`Error::Persist`](crate::Error::Persist).
+/// Loads the artifact at `path` fully onto the heap: structure and content
+/// checksums verified by [`StoreReader::open`], every stored value by the
+/// semantic scan in [`v3::read_index`], sealed ops replayed. Anything that
+/// is not a v3 artifact — an older version included — is a typed
+/// [`Error::Persist`](crate::Error::Persist), as is any I/O failure.
 pub fn try_load_index_from_path(path: impl AsRef<Path>) -> Result<IsLabelIndex, crate::Error> {
-    load_index_from_path(path).map_err(crate::Error::Persist)
+    StoreReader::open(path.as_ref())
+        .and_then(|reader| v3::read_index(&reader))
+        .map_err(crate::Error::Persist)
 }
 
 /// Loads the artifact at `index_path` and attaches (recovering if needed)
@@ -234,9 +225,9 @@ mod tests {
         // A non-pristine save now goes through and replaces the artifact
         // in place (temp file + rename).
         let pristine = IsLabelIndex::build(&g, BuildConfig::default());
-        save_index_to_path(&pristine, &path).unwrap();
+        try_save_index_to_path(&pristine, &path).unwrap();
         try_save_index_to_path(&index, &path).unwrap();
-        let loaded = load_index_from_path(&path).unwrap();
+        let loaded = try_load_index_from_path(&path).unwrap();
         assert!(loaded.has_updates());
         assert_eq!(loaded.try_distance(0, 30), index.try_distance(0, 30));
 
@@ -247,7 +238,7 @@ mod tests {
             try_save_index_to_path(&index, &bad_dest),
             Err(crate::Error::Persist(_))
         ));
-        assert!(load_index_from_path(&path).is_ok());
+        assert!(try_load_index_from_path(&path).is_ok());
         let strays = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -267,8 +258,8 @@ mod tests {
         let index = IsLabelIndex::build(&g, BuildConfig::default());
         let path =
             std::env::temp_dir().join(format!("islabel-persist-{}.islx", std::process::id()));
-        save_index_to_path(&index, &path).unwrap();
-        let loaded = load_index_from_path(&path).unwrap();
+        try_save_index_to_path(&index, &path).unwrap();
+        let loaded = try_load_index_from_path(&path).unwrap();
         assert_eq!(loaded.labels(), index.labels());
         std::fs::remove_file(&path).ok();
     }

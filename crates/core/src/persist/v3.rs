@@ -22,9 +22,8 @@ use crate::hierarchy::{PeelEdge, VertexHierarchy};
 use crate::index::IsLabelIndex;
 use crate::label::LabelSet;
 use crate::persist::wal;
-use crate::stats::IndexStats;
 use islabel_graph::io::{read_csr_binary, write_csr_binary};
-use islabel_graph::{FxHashMap, GraphBuilder, VertexId};
+use islabel_graph::{GraphBuilder, VertexId};
 use islabel_store::format::{
     FLAG_HAS_HOPS, FLAG_KEEP_PATH_INFO, SECTION_GK_DENSE_OF, SECTION_GK_GLOBAL_OF,
     SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_VIAS, SECTION_GK_WEIGHTS, SECTION_GRAPH,
@@ -99,44 +98,19 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
 
     // Hierarchy levels.
     w.begin_section(SECTION_LEVELS)?;
-    let mut buf32: Vec<u32> = Vec::with_capacity(4096);
-    for v in 0..n as VertexId {
-        buf32.push(h.level_of(v));
-        if buf32.len() == 4096 {
-            w.write_u32s(&buf32)?;
-            buf32.clear();
-        }
-    }
-    w.write_u32s(&buf32)?;
+    buffered((0..n as VertexId).map(|v| h.level_of(v)), |b| {
+        w.write_u32s(b)
+    })?;
     w.end_section()?;
 
     // Peel adjacency: an entry-index offset table, then the flat triples.
     w.begin_section(SECTION_PEEL_OFFSETS)?;
-    let mut buf64: Vec<u64> = Vec::with_capacity(4096);
-    let mut total = 0u64;
-    buf64.push(0);
-    for v in 0..n as VertexId {
-        total += h.peel_adj(v).len() as u64;
-        buf64.push(total);
-        if buf64.len() >= 4096 {
-            w.write_u64s(&buf64)?;
-            buf64.clear();
-        }
-    }
-    w.write_u64s(&buf64)?;
+    buffered(offsets(n, |v| h.peel_adj(v).len()), |b| w.write_u64s(b))?;
     w.end_section()?;
     w.begin_section(SECTION_PEEL_EDGES)?;
-    buf32.clear();
-    for v in 0..n as VertexId {
-        for e in h.peel_adj(v) {
-            buf32.extend_from_slice(&[e.to, e.weight, e.via]);
-        }
-        if buf32.len() >= 4096 {
-            w.write_u32s(&buf32)?;
-            buf32.clear();
-        }
-    }
-    w.write_u32s(&buf32)?;
+    let peel = (0..n as VertexId).flat_map(|v| h.peel_adj(v));
+    let peel = peel.flat_map(|e| [e.to, e.weight, e.via]);
+    buffered(peel, |b| w.write_u32s(b))?;
     w.end_section()?;
 
     // Dense G_k: the compact CSR, whose three arrays are the sections'
@@ -156,35 +130,16 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
     w.write_u32s(dense.ids().global_of_raw())?;
     w.end_section()?;
 
-    // Via annotations, global ids (path expansion only).
+    // Via annotations, global ids (path expansion only): the hierarchy's
+    // ascending triples, verbatim.
     w.begin_section(SECTION_GK_VIAS)?;
-    buf32.clear();
-    for (u, v, _) in h.gk().edge_list() {
-        if let Some(via) = h.gk_via(u, v) {
-            buf32.extend_from_slice(&[u, v, via]);
-        }
-        if buf32.len() >= 4096 {
-            w.write_u32s(&buf32)?;
-            buf32.clear();
-        }
-    }
-    w.write_u32s(&buf32)?;
+    let vias = h.gk_vias().iter().flat_map(|&(u, v, via)| [u, v, via]);
+    buffered(vias, |b| w.write_u32s(b))?;
     w.end_section()?;
 
     // Labels, struct-of-arrays.
     w.begin_section(SECTION_LABEL_OFFSETS)?;
-    buf64.clear();
-    buf64.push(0);
-    let mut total = 0u64;
-    for v in 0..n as VertexId {
-        total += labels.label(v).len() as u64;
-        buf64.push(total);
-        if buf64.len() >= 4096 {
-            w.write_u64s(&buf64)?;
-            buf64.clear();
-        }
-    }
-    w.write_u64s(&buf64)?;
+    buffered(offsets(n, |v| labels.label(v).len()), |b| w.write_u64s(b))?;
     w.end_section()?;
     w.begin_section(SECTION_LABEL_ANCESTORS)?;
     for v in 0..n as VertexId {
@@ -222,6 +177,32 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
     w.end_section()?;
 
     w.finish()
+}
+
+/// Feeds `values` to `sink` in chunks of 4096.
+fn buffered<T>(
+    values: impl IntoIterator<Item = T>,
+    mut sink: impl FnMut(&[T]) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(4096);
+    for x in values {
+        buf.push(x);
+        if buf.len() == 4096 {
+            sink(&buf)?;
+            buf.clear();
+        }
+    }
+    sink(&buf)
+}
+
+/// The entry-index offset table of `n` consecutive runs, run `v` holding
+/// `len(v)` entries: `0`, then every prefix sum.
+fn offsets(n: usize, len: impl Fn(VertexId) -> usize) -> impl Iterator<Item = u64> {
+    let ends = (0..n as VertexId).scan(0u64, move |total, v| {
+        *total += len(v) as u64;
+        Some(*total)
+    });
+    std::iter::once(0).chain(ends)
 }
 
 /// The resolved, typed views of every v3 section, plus the header facts
@@ -450,6 +431,15 @@ impl<'a> Sections<'a> {
                 return Err(bad("via annotation out of range"));
             }
         }
+        // `gk_via` binary-searches the triples as loaded, so they must be
+        // strictly ascending by `(u, v)` with `u < v`: refused here, never
+        // re-checked by the lookup.
+        let pairs = self.gk_vias.chunks_exact(3).map(|t| (t[0], t[1]));
+        if !pairs.clone().all(|(u, v)| u < v) || !pairs.is_sorted_by(|a, b| a < b) {
+            return Err(bad(
+                "gk via table not strictly ascending by (u, v) with u < v",
+            ));
+        }
         Ok(())
     }
 
@@ -642,10 +632,11 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
     }
     let gk = b.build();
 
-    let mut gk_vias = FxHashMap::default();
-    for t in s.gk_vias.chunks_exact(3) {
-        gk_vias.insert((t[0], t[1]), t[2]);
-    }
+    let gk_vias = s
+        .gk_vias
+        .chunks_exact(3)
+        .map(|t| (t[0], t[1], t[2]))
+        .collect();
 
     let mut per_vertex: Vec<Vec<(VertexId, u64, VertexId)>> = Vec::with_capacity(n);
     for w in s.label_offsets.windows(2) {
@@ -671,21 +662,15 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
         keep_path_info: s.keep_path_info,
         ..BuildConfig::default()
     };
-    let stats = IndexStats {
-        num_vertices: n,
-        num_edges: graph.num_edges(),
-        k: s.k,
-        gk_vertices: hierarchy.num_gk_vertices(),
-        gk_edges: hierarchy.num_gk_edges(),
-        label_entries: labels.num_entries(),
-        label_bytes: labels.memory_bytes(),
-        avg_label_len: labels.avg_label_len(),
-        max_label_len: labels.max_label_len(),
-        hierarchy_time: Duration::ZERO, // not recorded in the artifact
-        labeling_time: Duration::ZERO,
-        build_time: Duration::ZERO,
-    };
-    let mut index = IsLabelIndex::from_parts(graph, hierarchy, labels, config, stats);
+    // Build times are not recorded in the artifact.
+    let mut index = IsLabelIndex::from_parts(
+        graph,
+        hierarchy,
+        labels,
+        config,
+        Duration::ZERO,
+        Duration::ZERO,
+    );
     index.set_artifact_epoch(s.epoch);
 
     // Replay the sealed op log through the normal mutation path: every

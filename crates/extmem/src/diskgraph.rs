@@ -116,11 +116,6 @@ pub struct DiskGraph {
 }
 
 impl DiskGraph {
-    /// The paper's `|G| = |V| + |E|`.
-    pub fn size(&self) -> usize {
-        self.num_vertices + self.num_edges
-    }
-
     /// Writes `records` (which must be ascending by vertex id, each
     /// neighbor list sorted) as graph `name`, and returns the handle.
     pub fn create(

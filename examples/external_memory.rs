@@ -9,7 +9,7 @@
 //! cargo run --release --example external_memory
 //! ```
 
-use islabel::core::disklabel::DiskLabelStore;
+use islabel::core::disklabel::{DiskLabelStore, FetchedLabel};
 use islabel::core::{BuildConfig, Error};
 use islabel::extmem::storage::Storage;
 use islabel::extmem::{DirStorage, IoCostModel};
@@ -53,13 +53,11 @@ fn main() -> Result<(), Error> {
 
     let t0 = Instant::now();
     let mut answered = 0usize;
+    let (mut bs, mut bt) = (FetchedLabel::default(), FetchedLabel::default());
     for &(s, t) in &queries {
-        let ls = store.fetch(&storage, s)?;
-        let lt = store.fetch(&storage, t)?;
-        if index
-            .try_distance_from_labels(ls.view(), lt.view())?
-            .is_some()
-        {
+        let ls = store.fetch(&storage, s, &mut bs)?;
+        let lt = store.fetch(&storage, t, &mut bt)?;
+        if index.try_distance_from_labels(ls, lt)?.is_some() {
             answered += 1;
         }
     }

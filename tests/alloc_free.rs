@@ -3,8 +3,8 @@
 // (it only counts and forwards to the system allocator).
 #![allow(unsafe_code)]
 
-//! Steady-state allocation audit for the query hot path, and for the
-//! WAL append every durable op makes.
+//! Steady-state allocation audit for the query hot path, for the
+//! WAL append every durable op makes, and for a disk-label fetch.
 //!
 //! The dense kernel's contract is that a [`QuerySession`] answers queries
 //! with **zero heap allocations** from its first query on: the stamped
@@ -297,6 +297,23 @@ fn sessions_answer_queries_without_allocating() {
         count, 0,
         "WalWriter::append allocated {count} times over 30 ops"
     );
+
+    // --- A disk-label fetch (the paper's Time (a), Section 6.2). ---
+    // Into a caller-owned buffer that has held the longest label: nothing
+    // to allocate. `MemStorage::read_at` only clones an `Arc`.
+    use islabel::core::disklabel::{DiskLabelStore, FetchedLabel};
+    let storage = islabel::extmem::storage::MemStorage::new();
+    let store = DiskLabelStore::write(&storage, "labels", index.labels()).unwrap();
+    let longest = (0..n as VertexId).max_by_key(|&v| index.labels().label(v).len());
+    let mut buf = FetchedLabel::default();
+    store.fetch(&storage, longest.unwrap(), &mut buf).unwrap();
+    let count = audited(|| {
+        for v in pairs.iter().flat_map(|&(s, t)| [s, t]) {
+            let label = store.fetch(&storage, v, &mut buf).unwrap();
+            checksum = checksum.wrapping_add(label.dists[label.len() - 1]);
+        }
+    });
+    assert_eq!(count, 0, "DiskLabelStore::fetch allocated {count} times");
 
     // The checksum keeps the query loops observable.
     assert!(checksum > 0);

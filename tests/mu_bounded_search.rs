@@ -20,7 +20,7 @@ use islabel::core::dense::{
     DenseView, GkIdMap, PatchedDense,
 };
 use islabel::core::directed::di_dijkstra_p2p;
-use islabel::core::persist::save_index_to_path;
+use islabel::core::persist::try_save_index_to_path;
 use islabel::core::query::Meeting;
 use islabel::core::reference::dijkstra_p2p;
 use islabel::core::MmapIndex;
@@ -374,7 +374,7 @@ fn mapped_view_from_adversarial_starts() {
         // A two-level hierarchy leaves a G_k worth searching.
         let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(2));
         let path = dir.join(format!("{name}.islx"));
-        save_index_to_path(&index, &path).unwrap();
+        try_save_index_to_path(&index, &path).unwrap();
         let mapped = MmapIndex::open(&path).unwrap();
         let section = |kind| mapped.reader().section_u32s(kind).unwrap().unwrap();
         let view = Mapped {

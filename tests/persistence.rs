@@ -1,7 +1,7 @@
 //! Persistence integration: graph text/binary formats, disk-resident
 //! labels on real files, and the modeled I/O accounting.
 
-use islabel::core::disklabel::DiskLabelStore;
+use islabel::core::disklabel::{DiskLabelStore, FetchedLabel};
 use islabel::core::{BuildConfig, IsLabelIndex};
 use islabel::extmem::storage::Storage;
 use islabel::extmem::{DirStorage, IoCostModel, MemStorage};
@@ -65,18 +65,23 @@ fn disk_labels_on_real_files() {
 
     // Reopen from disk (fresh offset table) and compare every label.
     let reopened = DiskLabelStore::open(&storage, "labels").unwrap();
+    let (mut bs, mut bt) = (FetchedLabel::default(), FetchedLabel::default());
     for v in (0..g.num_vertices() as u32).step_by(37) {
-        let disk: Vec<(u32, u64)> = reopened.fetch(&storage, v).unwrap().view().iter().collect();
+        let disk: Vec<(u32, u64)> = reopened
+            .fetch(&storage, v, &mut bs)
+            .unwrap()
+            .iter()
+            .collect();
         let mem: Vec<(u32, u64)> = index.labels().label(v).iter().collect();
         assert_eq!(disk, mem, "label({v})");
     }
 
     // Queries straight off disk match in-memory answers.
     for (s, t) in [(0u32, 100u32), (5, 77), (50, 51)] {
-        let ls = store.fetch(&storage, s).unwrap();
-        let lt = store.fetch(&storage, t).unwrap();
+        let ls = store.fetch(&storage, s, &mut bs).unwrap();
+        let lt = store.fetch(&storage, t, &mut bt).unwrap();
         assert_eq!(
-            index.try_distance_from_labels(ls.view(), lt.view()),
+            index.try_distance_from_labels(ls, lt),
             index.try_distance(s, t),
             "({s}, {t})"
         );
@@ -93,8 +98,9 @@ fn io_accounting_feeds_cost_model() {
 
     let io = storage.stats();
     io.reset();
-    store.fetch(&storage, 3).unwrap();
-    store.fetch(&storage, 4).unwrap();
+    let mut buf = FetchedLabel::default();
+    store.fetch(&storage, 3, &mut buf).unwrap();
+    store.fetch(&storage, 4, &mut buf).unwrap();
     let snap = io.snapshot();
     assert_eq!(snap.seeks, 2);
 
@@ -253,7 +259,7 @@ fn cached_max_label_len_matches_the_labels_on_every_construction_path() {
     // instead of rescanning the labels, so every way of making an index
     // must fill it with the real maximum.
     use islabel::core::embuild::{build_external_from_csr, EmConfig};
-    use islabel::core::persist::{load_index_from_path, save_index_to_path};
+    use islabel::core::persist::{try_load_index_from_path, try_save_index_to_path};
 
     let g = Dataset::WebLike.generate(Scale::Tiny);
     let config = BuildConfig::default();
@@ -261,8 +267,8 @@ fn cached_max_label_len_matches_the_labels_on_every_construction_path() {
     assert!(built.labels().max_label_len() > 1);
 
     let dir = tempdir("cached-max");
-    save_index_to_path(&built, dir.join("i.islx")).unwrap();
-    let reloaded = load_index_from_path(dir.join("i.islx")).unwrap();
+    try_save_index_to_path(&built, dir.join("i.islx")).unwrap();
+    let reloaded = try_load_index_from_path(dir.join("i.islx")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
     let storage = MemStorage::new();

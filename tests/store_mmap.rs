@@ -4,14 +4,14 @@
 //! yield typed errors or semantically-valid successes, never a panic.
 
 use islabel::core::persist::{
-    compact_index_with_wal, load_index_from_path, load_index_with_wal, save_index_to_path,
-    try_load_index_from_path, try_load_oracle_from_path,
+    compact_index_with_wal, load_index_with_wal, try_load_index_from_path,
+    try_load_oracle_from_path, try_save_index_to_path,
 };
 use islabel::core::{BuildConfig, IsLabelIndex, MmapIndex};
 use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
 use islabel::store::format::{
-    checksum64, Header, DATA_START, SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_WEIGHTS,
-    SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS, SECTION_LABEL_OFFSETS,
+    checksum64, Header, DATA_START, SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_VIAS,
+    SECTION_GK_WEIGHTS, SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS, SECTION_LABEL_OFFSETS,
 };
 use islabel::store::StoreReader;
 use islabel::DistanceOracle;
@@ -58,7 +58,7 @@ fn sample_artifact() -> (IsLabelIndex, Vec<u8>) {
     let index = IsLabelIndex::build(&g, BuildConfig::default());
     let dir = tempdir("sample");
     let path = dir.join("sample.islx");
-    save_index_to_path(&index, &path).unwrap();
+    try_save_index_to_path(&index, &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     (index, bytes)
 }
@@ -95,12 +95,12 @@ fn mmap_is_bit_identical_to_heap_across_graphs_and_configs() {
         for (cname, config) in &configs {
             let heap = IsLabelIndex::build(g, *config);
             let path = dir.join(format!("{gname}-{cname}.islx"));
-            save_index_to_path(&heap, &path).unwrap();
+            try_save_index_to_path(&heap, &path).unwrap();
             let mapped = MmapIndex::open_verified(&path).unwrap();
             assert_eq!(mapped.engine_name(), "islabel-mmap");
             assert_eq!(mapped.num_vertices(), heap.num_vertices());
             // The heap reload of the same v3 bytes is the third witness.
-            let reloaded = load_index_from_path(&path).unwrap();
+            let reloaded = try_load_index_from_path(&path).unwrap();
             let mut ms = mapped.session();
             let mut hs = heap.session();
             let mut rs = reloaded.session();
@@ -230,7 +230,7 @@ fn oracle_loader_prefers_mmap_for_a_pristine_artifact_and_refuses_old_versions()
     let index = IsLabelIndex::build(&g, BuildConfig::default());
     let dir = tempdir("loader");
     let path = dir.join("index.islx");
-    save_index_to_path(&index, &path).unwrap();
+    try_save_index_to_path(&index, &path).unwrap();
     assert_eq!(
         try_load_oracle_from_path(&path).unwrap().engine_name(),
         "islabel-mmap"
@@ -246,7 +246,7 @@ fn oracle_loader_prefers_mmap_for_a_pristine_artifact_and_refuses_old_versions()
         let from_loader = try_load_oracle_from_path(&path).err().unwrap();
         assert!(matches!(from_loader, islabel::core::Error::Persist(_)));
         let errors = [
-            load_index_from_path(&path).unwrap_err().to_string(),
+            try_load_index_from_path(&path).unwrap_err().to_string(),
             from_loader.to_string(),
             MmapIndex::open(&path).unwrap_err().to_string(),
         ];
@@ -286,7 +286,7 @@ fn oracle_loader_validates_once_and_reports_the_first_error() {
     // A sealed artifact is served by the heap engine ...
     let mut updated = index;
     updated.try_insert_edge(0, 150, 1).unwrap();
-    save_index_to_path(&updated, &path).unwrap();
+    try_save_index_to_path(&updated, &path).unwrap();
     assert_eq!(
         try_load_oracle_from_path(&path).unwrap().engine_name(),
         "islabel"
@@ -363,13 +363,55 @@ fn gk_rows_out_of_weight_order_are_refused_by_both_openers() {
 }
 
 #[test]
+fn gk_vias_out_of_order_are_refused_by_both_openers() {
+    let (_, good) = sample_artifact();
+    let r = StoreReader::from_bytes(good.clone()).unwrap();
+    let vias = r.section_u32s(SECTION_GK_VIAS).unwrap().unwrap()[..6].to_vec();
+    let base = r.header().section(SECTION_GK_VIAS).unwrap().offset as usize;
+    drop(r);
+
+    // Each case rewrites the two leading `(u, v, via)` triples.
+    let (t0, t1) = (&vias[..3], &vias[3..]);
+    let cases = [
+        ("out of order", [t1, t0].concat()),
+        ("duplicated", [t0, t0].concat()),
+        ("u > v", [&[t0[1], t0[0], t0[2]], t1].concat()),
+        ("u == v", [&[t0[0], t0[0], t0[2]], t1].concat()),
+    ];
+    let dir = tempdir("gk-vias");
+    let path = dir.join("index.islx");
+    for (what, triples) in cases {
+        let mut bad = good.clone();
+        for (i, x) in triples.iter().enumerate() {
+            bad[base + 4 * i..base + 4 * i + 4].copy_from_slice(&x.to_le_bytes());
+        }
+        reseal(&mut bad);
+        std::fs::write(&path, &bad).unwrap();
+        let errors = [
+            MmapIndex::open(&path).expect_err("mapped open refuses"),
+            try_load_index_from_path(&path).expect_err("heap load refuses"),
+        ];
+        for err in errors.map(|e| e.to_string()) {
+            let expect = "gk via table not strictly ascending by (u, v) with u < v";
+            assert!(err.contains(expect), "{what}: {err}");
+        }
+    }
+    // The untouched bytes, resealed the same way, still open.
+    let mut resealed = good;
+    reseal(&mut resealed);
+    std::fs::write(&path, &resealed).unwrap();
+    MmapIndex::open(&path).unwrap();
+    try_load_index_from_path(&path).unwrap();
+}
+
+#[test]
 fn compact_returns_serving_to_the_mmap_engine() {
     let g = barabasi_albert(250, 3, WeightModel::UniformRange(1, 8), 21);
     let index = IsLabelIndex::build(&g, BuildConfig::default());
     let dir = tempdir("compact");
     let ipath = dir.join("index.islx");
     let wpath = dir.join("index.wal");
-    save_index_to_path(&index, &ipath).unwrap();
+    try_save_index_to_path(&index, &ipath).unwrap();
 
     // Pristine artifact: mmap serves.
     assert_eq!(
@@ -382,7 +424,7 @@ fn compact_returns_serving_to_the_mmap_engine() {
     for i in 0..20u32 {
         live.try_insert_edge(i, (i * 3 + 40) % 250, 2).unwrap();
     }
-    save_index_to_path(&live, &ipath).unwrap(); // seals the pending ops
+    try_save_index_to_path(&live, &ipath).unwrap(); // seals the pending ops
     drop(live);
     assert_eq!(
         try_load_oracle_from_path(&ipath).unwrap().engine_name(),
@@ -395,7 +437,7 @@ fn compact_returns_serving_to_the_mmap_engine() {
     assert_eq!(info.folded_ops, 20);
     let oracle = try_load_oracle_from_path(&ipath).unwrap();
     assert_eq!(oracle.engine_name(), "islabel-mmap");
-    let reference = load_index_from_path(&ipath).unwrap();
+    let reference = try_load_index_from_path(&ipath).unwrap();
     let mut os = oracle.session();
     let mut rs = reference.session();
     for (s, t) in pairs(250, 200) {
