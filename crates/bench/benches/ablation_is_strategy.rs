@@ -1,5 +1,5 @@
-//! Ablation bench: how the independent-set selection strategy (DESIGN.md's
-//! called-out design choice, paper Section 6.1.1) affects build time.
+//! Ablation bench: how the independent-set selection strategy (the paper's
+//! greedy min-degree choice, Section 6.1.1) affects build time.
 //! Companion to the `ablation_strategy` binary, which reports label-size
 //! and query-time effects.
 

@@ -1,4 +1,4 @@
-//! Ablation runner (see DESIGN.md's per-experiment index).
+//! Ablation runner (see README's "Reproducing the paper's tables").
 
 fn main() {
     println!("{}", islabel_bench::experiments::ablation_strategy());

@@ -1,4 +1,5 @@
-//! Runs every experiment in sequence — the source of EXPERIMENTS.md.
+//! Runs every experiment in sequence (README's "Reproducing the paper's
+//! tables").
 //!
 //! Scale/query-count via `ISLABEL_SCALE` / `ISLABEL_QUERIES`.
 

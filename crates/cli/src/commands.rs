@@ -51,7 +51,7 @@ ENGINES (for graph inputs; an .islx artifact is always an IS-LABEL index):
     islabel (default), di-islabel, pll, vc, bidij
 
 DATASETS: btc, web, skitter, wikitalk, google (synthetic stand-ins for the
-paper's evaluation graphs; see DESIGN.md).
+paper's evaluation graphs; see README § Reproducing the paper's tables).
 
 EXIT CODES:
     0   success

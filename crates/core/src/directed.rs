@@ -24,31 +24,37 @@
 //! undirected index only (the paper describes them in the undirected
 //! setting); directed queries return distances.
 
-use crate::config::{BuildConfig, KSelection};
+use crate::config::{BuildConfig, IsStrategy};
 use crate::dense::{seeded_search, DenseCsr, DenseGk, DenseScratch, GkIdMap};
-use crate::hierarchy::select_independent_set;
+use crate::hierarchy::{peel_levels, select_independent_set, LevelPeel, Levels};
 use crate::label::LabelSet;
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
 use crate::stats::IndexStats;
 use islabel_graph::{CsrDigraph, Dist, FxHashMap, VertexId, Weight, INF};
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// A sorted list of `(endpoint, weight)` arcs.
 type ArcList = Vec<(VertexId, Weight)>;
 
-/// Mutable directed adjacency used during peeling (the directed analogue of
-/// `AdjacencyGraph`).
+/// The directed backend of the level driver: `G_i` as a mutable directed
+/// adjacency (the analogue of `AdjacencyGraph`) plus the peel-time arcs.
+/// `L_i` is selected on the undirected skeleton, and peeling `v` joins its
+/// in-arcs with its out-arcs.
 #[derive(Debug, Clone)]
 struct DiAdjacency {
     out: Vec<FxHashMap<VertexId, Weight>>,
     inn: Vec<FxHashMap<VertexId, Weight>>,
     present: Vec<bool>,
-    num_present: usize,
     num_arcs: usize,
+    peel_out: Vec<Box<[(VertexId, Weight)]>>,
+    peel_in: Vec<Box<[(VertexId, Weight)]>>,
+    excluded_at: Vec<u32>,
+    strategy: IsStrategy,
 }
 
 impl DiAdjacency {
-    fn from_digraph(g: &CsrDigraph) -> Self {
+    fn from_digraph(g: &CsrDigraph, strategy: IsStrategy) -> Self {
         let n = g.num_vertices();
         let mut out: Vec<FxHashMap<VertexId, Weight>> = vec![FxHashMap::default(); n];
         let mut inn: Vec<FxHashMap<VertexId, Weight>> = vec![FxHashMap::default(); n];
@@ -62,27 +68,12 @@ impl DiAdjacency {
             out,
             inn,
             present: vec![true; n],
-            num_present: n,
             num_arcs: g.num_arcs(),
+            peel_out: vec![Box::default(); n],
+            peel_in: vec![Box::default(); n],
+            excluded_at: vec![0; n],
+            strategy,
         }
-    }
-
-    fn size(&self) -> usize {
-        self.num_present + self.num_arcs
-    }
-
-    /// Undirected degree used by the greedy IS selection (out + in; an
-    /// antiparallel pair counts twice, a deterministic and cheap proxy).
-    fn degree(&self, v: VertexId) -> usize {
-        self.out[v as usize].len() + self.inn[v as usize].len()
-    }
-
-    /// All vertices adjacent to `v` in either direction.
-    fn undirected_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.out[v as usize]
-            .keys()
-            .copied()
-            .chain(self.inn[v as usize].keys().copied())
     }
 
     fn upsert_arc_min(&mut self, u: VertexId, w: VertexId, weight: Weight) {
@@ -119,8 +110,58 @@ impl DiAdjacency {
         }
         self.num_arcs -= out_adj.len() + in_adj.len();
         self.present[v as usize] = false;
-        self.num_present -= 1;
         (out_adj, in_adj)
+    }
+}
+
+impl LevelPeel for DiAdjacency {
+    type Error = Infallible;
+
+    fn num_edges(&self) -> usize {
+        self.num_arcs
+    }
+
+    fn peel(&mut self, level: u32, level_of: &mut [u32]) -> Result<Vec<VertexId>, Infallible> {
+        let (out, inn) = (&self.out, &self.inn);
+        let li = select_independent_set(
+            (0..self.present.len() as VertexId)
+                .filter(|&v| self.present[v as usize])
+                .collect(),
+            // Out + in: an antiparallel pair counts twice, a deterministic
+            // and cheap proxy for the undirected degree.
+            |v| out[v as usize].len() + inn[v as usize].len(),
+            |v| {
+                out[v as usize]
+                    .keys()
+                    .chain(inn[v as usize].keys())
+                    .copied()
+            },
+            self.strategy,
+            level,
+            &mut self.excluded_at,
+        );
+        for &v in &li {
+            let (out_adj, in_adj) = self.remove_vertex(v);
+            level_of[v as usize] = level;
+            // Directed repair: one arc per (in-neighbor, out-neighbor)
+            // pair — "we create an augmenting edge (u, w) at G_i only if
+            // ∃v ∈ L_{i−1} such that (u, v), (v, w) ∈ E_{G_{i−1}}".
+            for &(u, wu) in &in_adj {
+                for &(w, ww) in &out_adj {
+                    if u != w {
+                        let weight = wu.checked_add(ww).expect(
+                            "augmenting arc weight overflows u32: input weights are too \
+                             large (shortest-path lengths must fit in u32 during \
+                             construction)",
+                        );
+                        self.upsert_arc_min(u, w, weight);
+                    }
+                }
+            }
+            self.peel_out[v as usize] = out_adj.into_boxed_slice();
+            self.peel_in[v as usize] = in_adj.into_boxed_slice();
+        }
+        Ok(li)
     }
 }
 
@@ -144,15 +185,11 @@ impl DiAdjacency {
 /// ```
 #[derive(Debug)]
 pub struct DiIsLabelIndex {
-    level_of: Vec<u32>,
-    k: u32,
-    levels: Vec<Vec<VertexId>>,
+    levels: Levels,
     /// Peel-time outgoing arcs `v → to` (targets at strictly higher levels).
     peel_out: Vec<Box<[(VertexId, Weight)]>>,
     /// Peel-time incoming arcs `from → v`.
     peel_in: Vec<Box<[(VertexId, Weight)]>>,
-    gk: CsrDigraph,
-    gk_members: Vec<VertexId>,
     /// Compact-id forward/transposed residual adjacency (see
     /// [`crate::dense`]); the session hot path searches this.
     dense: DenseGk,
@@ -168,95 +205,27 @@ impl DiIsLabelIndex {
         config.try_validate()?;
         let t0 = Instant::now();
         let n = g.num_vertices();
-        let mut work = DiAdjacency::from_digraph(g);
-        let mut level_of = vec![0u32; n];
-        let mut levels: Vec<Vec<VertexId>> = Vec::new();
-        let mut peel_out: Vec<Box<[(VertexId, Weight)]>> = vec![Box::default(); n];
-        let mut peel_in: Vec<Box<[(VertexId, Weight)]>> = vec![Box::default(); n];
+        let mut work = DiAdjacency::from_digraph(g, config.is_strategy);
+        let Ok(levels) = peel_levels(n, &config, &mut work);
 
-        let mut excluded_at = vec![0u32; n];
-        let mut i: u32 = 1;
-        let k = loop {
-            if work.num_present == 0 {
-                break i;
-            }
-            match config.k_selection {
-                KSelection::FixedK(kf) if i == kf => break i,
-                _ if i == config.max_levels => break i,
-                _ => {}
-            }
-            let size_before = work.size();
-            let li = select_independent_set(
-                (0..n as VertexId)
-                    .filter(|&v| work.present[v as usize])
-                    .collect(),
-                |v| work.degree(v),
-                |v| work.undirected_neighbors(v),
-                config.is_strategy,
-                i,
-                &mut excluded_at,
-            );
-            debug_assert!(!li.is_empty());
-            for &v in &li {
-                let (out_adj, in_adj) = work.remove_vertex(v);
-                level_of[v as usize] = i;
-                // Directed repair: one arc per (in-neighbor, out-neighbor)
-                // pair — "we create an augmenting edge (u, w) at G_i only if
-                // ∃v ∈ L_{i−1} such that (u, v), (v, w) ∈ E_{G_{i−1}}".
-                for &(u, wu) in &in_adj {
-                    for &(w, ww) in &out_adj {
-                        if u != w {
-                            let weight = wu.checked_add(ww).expect(
-                                "augmenting arc weight overflows u32: input weights are too \
-                                 large (shortest-path lengths must fit in u32 during \
-                                 construction)",
-                            );
-                            work.upsert_arc_min(u, w, weight);
-                        }
-                    }
-                }
-                peel_out[v as usize] = out_adj.into_boxed_slice();
-                peel_in[v as usize] = in_adj.into_boxed_slice();
-            }
-            levels.push(li);
-            let size_after = work.size();
-            if let KSelection::SigmaThreshold(sigma) = config.k_selection {
-                if size_after as f64 > sigma * size_before as f64 {
-                    break i + 1;
-                }
-            }
-            i += 1;
+        // G_k's forward and transposed rows, straight from the residual
+        // adjacency (`DenseCsr::build` sorts each row).
+        let ids = GkIdMap::build(n, &levels.gk_members);
+        let rows = |adj: &[FxHashMap<VertexId, Weight>]| {
+            DenseCsr::build(ids.len(), |d| {
+                adj[ids.global(d) as usize]
+                    .iter()
+                    .map(|(&u, &w)| (ids.dense(u).expect("G_k arc endpoint outside G_k"), w))
+            })
         };
-
-        let gk_members: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| work.present[v as usize])
-            .collect();
-        for &v in &gk_members {
-            level_of[v as usize] = k;
-        }
-        let mut gb = islabel_graph::DigraphBuilder::new(n);
-        for &v in &gk_members {
-            for (&u, &w) in &work.out[v as usize] {
-                gb.add_arc(v, u, w);
-            }
-        }
-        let gk = gb.build();
-        let ids = GkIdMap::build(n, &gk_members);
-        let fwd = DenseCsr::build(ids.len(), |d| {
-            gk.out_edges(ids.global(d))
-                .map(|(u, w)| (ids.dense(u).expect("G_k arc endpoint outside G_k"), w))
-        });
-        let rev = DenseCsr::build(ids.len(), |d| {
-            gk.in_edges(ids.global(d))
-                .map(|(u, w)| (ids.dense(u).expect("G_k arc endpoint outside G_k"), w))
-        });
+        let (fwd, rev) = (rows(&work.out), rows(&work.inn));
         let dense = DenseGk::directed(ids, fwd, rev);
         let t1 = Instant::now();
 
         // Top-down labeling in both directions (Algorithm 4 applied to the
         // out- and in-peel adjacency respectively).
-        let out_labels = build_directional_labels(&level_of, k, &levels, &gk_members, &peel_out);
-        let in_labels = build_directional_labels(&level_of, k, &levels, &gk_members, &peel_in);
+        let out_labels = build_directional_labels(&levels, &work.peel_out);
+        let in_labels = build_directional_labels(&levels, &work.peel_in);
         let t2 = Instant::now();
 
         let label_entries = out_labels.num_entries() + in_labels.num_entries();
@@ -264,9 +233,9 @@ impl DiIsLabelIndex {
         let stats = IndexStats {
             num_vertices: n,
             num_edges: g.num_arcs(),
-            k,
-            gk_vertices: gk_members.len(),
-            gk_edges: gk.num_arcs(),
+            k: levels.k,
+            gk_vertices: levels.gk_members.len(),
+            gk_edges: work.num_arcs,
             label_entries,
             label_bytes,
             avg_label_len: if n == 0 {
@@ -281,13 +250,9 @@ impl DiIsLabelIndex {
         };
 
         Ok(Self {
-            level_of,
-            k,
             levels,
-            peel_out,
-            peel_in,
-            gk,
-            gk_members,
+            peel_out: work.peel_out,
+            peel_in: work.peel_in,
             dense,
             out_labels,
             in_labels,
@@ -297,29 +262,22 @@ impl DiIsLabelIndex {
 
     /// Number of vertices indexed.
     pub fn num_vertices(&self) -> usize {
-        self.level_of.len()
+        self.levels.level_of.len()
     }
 
     /// The number of levels `k`.
     pub fn k(&self) -> u32 {
-        self.k
+        self.levels.k
     }
 
     /// The peeled level sets.
     pub fn levels(&self) -> &[Vec<VertexId>] {
-        &self.levels
+        &self.levels.sets
     }
 
     /// Vertices of the residual graph, ascending.
     pub fn gk_members(&self) -> &[VertexId] {
-        &self.gk_members
-    }
-
-    /// The residual digraph `G_k` over the full id universe (peeled
-    /// vertices are isolated in it). Queries search its compact form,
-    /// [`DiIsLabelIndex::dense_gk`].
-    pub fn gk(&self) -> &CsrDigraph {
-        &self.gk
+        &self.levels.gk_members
     }
 
     /// The dense search substrate: compact `G_k` ids plus remapped forward
@@ -340,7 +298,7 @@ impl DiIsLabelIndex {
 
     /// Whether `v` survived into the residual graph.
     pub fn is_in_gk(&self, v: VertexId) -> bool {
-        self.level_of[v as usize] == self.k
+        self.levels.level_of[v as usize] == self.levels.k
     }
 
     /// Construction statistics (label fields cover both directions).
@@ -488,23 +446,9 @@ impl crate::label::PeelSource for DirectionalPeel<'_> {
 /// Top-down labeling along one direction's peel adjacency (the shared
 /// Algorithm 4 loop; first hops are discarded — directed queries return
 /// distances only).
-fn build_directional_labels(
-    level_of: &[u32],
-    k: u32,
-    levels: &[Vec<VertexId>],
-    gk_members: &[VertexId],
-    peel: &[Box<[(VertexId, Weight)]>],
-) -> LabelSet {
+fn build_directional_labels(levels: &Levels, peel: &[Box<[(VertexId, Weight)]>]) -> LabelSet {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    crate::label::build_from_peel(
-        level_of.len(),
-        k,
-        levels,
-        gk_members,
-        &DirectionalPeel(peel),
-        false,
-        threads,
-    )
+    crate::label::build_from_peel(levels, &DirectionalPeel(peel), false, threads)
 }
 
 /// Reference directed Dijkstra (ground truth for tests and baselines).
@@ -539,6 +483,7 @@ pub fn di_dijkstra_p2p(g: &CsrDigraph, s: VertexId, t: VertexId) -> Option<Dist>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::KSelection;
     use islabel_graph::DigraphBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -700,9 +645,7 @@ mod tests {
                 (&index.in_labels, &index.peel_in),
             ] {
                 let expected = crate::label::tests::reference_labels(
-                    index.num_vertices(),
                     &index.levels,
-                    &index.gk_members,
                     &DirectionalPeel(peel),
                     false,
                 );

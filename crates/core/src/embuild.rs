@@ -38,8 +38,8 @@
 //! off included: the peel adjacency keeps its via vertices either way, as
 //! the in-memory builder's does, so both write the same artifact bytes.
 
-use crate::config::{BuildConfig, KSelection};
-use crate::hierarchy::{GkVia, PeelEdge, VertexHierarchy};
+use crate::config::BuildConfig;
+use crate::hierarchy::{peel_levels, GkVia, LevelPeel, PeelEdge, VertexHierarchy};
 use crate::index::IsLabelIndex;
 use crate::label::LabelSet;
 use islabel_extmem::diskgraph::{AdjByDegree, AdjRecord, DiskGraph};
@@ -117,67 +117,23 @@ fn build_external(
 ) -> io::Result<IsLabelIndex> {
     let t0 = Instant::now();
     let n = input.universe;
-    let sort_config = SortConfig {
-        memory_budget: em.memory_budget,
-        fan_in: em.sort_fan_in,
+    // Semi-external: ℓ(v) stays in memory, every graph G_i on disk.
+    let mut peel = ExternalPeel {
+        storage,
+        current: input.clone(),
+        owned_current: false,
+        em,
     };
-
-    // Semi-external bookkeeping: ℓ(v), 0 = still present.
-    let mut level_of = vec![0u32; n];
-    let mut present = n;
-    let mut levels: Vec<Vec<VertexId>> = Vec::new();
-    let mut current = input.clone();
-    let mut owned_current = false; // whether `current` is ours to delete
-
-    let mut i: u32 = 1;
-    let k = loop {
-        if present == 0 {
-            break i;
-        }
-        match config.k_selection {
-            KSelection::FixedK(kf) if i == kf => break i,
-            _ if i == config.max_levels => break i,
-            _ => {}
-        }
-        let size_before = present + current.num_edges;
-
-        // ---- Algorithm 2: select L_i, archive ADJ(L_i). ----
-        let li = select_level(storage, &current, i, &mut level_of, &em, sort_config)?;
-        present -= li.len();
-
-        // ---- Algorithm 3: build G_{i+1}. ----
-        let next = build_next_graph(storage, &current, i, &level_of, sort_config)?;
-        if owned_current {
-            current.delete(storage)?;
-        }
-        current = next;
-        owned_current = true;
-        levels.push(li);
-
-        let size_after = present + current.num_edges;
-        if let KSelection::SigmaThreshold(sigma) = config.k_selection {
-            if size_after as f64 > sigma * size_before as f64 {
-                break i + 1;
-            }
-        }
-        i += 1;
-    };
-
-    // Residual graph G_k.
-    let gk_members: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&v| level_of[v as usize] == 0)
-        .collect();
-    for &v in &gk_members {
-        level_of[v as usize] = k;
+    let levels = peel_levels(n, &config, &mut peel)?;
+    let (gk, gk_vias) = materialize_gk(storage, &peel.current, n, config.keep_path_info)?;
+    if peel.owned_current {
+        peel.current.delete(storage)?;
     }
-    let (gk, gk_vias) = materialize_gk(storage, &current, n, config.keep_path_info)?;
-    if owned_current {
-        current.delete(storage)?;
-    }
+    let k = levels.k;
     let t1 = Instant::now();
 
     // ---- Algorithm 4: top-down block nested-loop labeling. ----
-    label_top_down(storage, k, &level_of, &em)?;
+    label_top_down(storage, k, &levels.level_of, &em)?;
     let t2 = Instant::now();
 
     // ---- Assembly: identical structures to the in-memory builder. ----
@@ -214,8 +170,7 @@ fn build_external(
         storage.delete(&label_name(level))?;
     }
 
-    let hierarchy =
-        VertexHierarchy::from_parts(level_of, k, levels, peel_adj, gk, gk_vias, gk_members);
+    let hierarchy = VertexHierarchy::from_parts(levels, peel_adj, gk, gk_vias);
     let graph = input.to_csr(storage)?;
     Ok(IsLabelIndex::from_parts(
         graph,
@@ -264,6 +219,42 @@ fn adj_name(level: u32) -> String {
 
 fn label_name(level: u32) -> String {
     format!("embuild.labels.L{level}")
+}
+
+/// The semi-external backend of the level driver: `G_i` is a disk graph,
+/// and one peel is Algorithm 2 then Algorithm 3.
+struct ExternalPeel<'a> {
+    storage: &'a dyn Storage,
+    current: DiskGraph,
+    /// Whether `current` is ours to delete (`G_1` is the caller's input).
+    owned_current: bool,
+    em: EmConfig,
+}
+
+impl LevelPeel for ExternalPeel<'_> {
+    type Error = io::Error;
+
+    fn num_edges(&self) -> usize {
+        self.current.num_edges
+    }
+
+    fn peel(&mut self, level: u32, level_of: &mut [u32]) -> io::Result<Vec<VertexId>> {
+        let (storage, em) = (self.storage, &self.em);
+        let sort = SortConfig {
+            memory_budget: em.memory_budget,
+            fan_in: em.sort_fan_in,
+        };
+        // ---- Algorithm 2: select L_i, archive ADJ(L_i). ----
+        let li = select_level(storage, &self.current, level, level_of, em, sort)?;
+        // ---- Algorithm 3: build G_{i+1}. ----
+        let next = build_next_graph(storage, &self.current, level, level_of, sort)?;
+        if self.owned_current {
+            self.current.delete(storage)?;
+        }
+        self.current = next;
+        self.owned_current = true;
+        Ok(li)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -642,6 +633,7 @@ fn label_top_down(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::KSelection;
     use islabel_extmem::storage::MemStorage;
     use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, WeightModel};
 
@@ -688,8 +680,6 @@ mod tests {
 
     #[test]
     fn equivalence_is_structural_not_just_behavioral() {
-        use islabel_extmem::storage::MemStorage;
-        use islabel_graph::generators::{erdos_renyi_gnm, WeightModel};
         let g = erdos_renyi_gnm(30, 70, WeightModel::Unit, 11);
         for config in [
             BuildConfig::full(),

@@ -11,11 +11,14 @@
 //!
 //! Construction stops at level `k` (Definition 4): with the σ rule, at the
 //! first level whose graph shrank by less than `1 − σ`; the residual `G_k`
-//! is kept for query-time search.
+//! is kept for query-time search. `peel_levels` is the one place that
+//! decides this, for the undirected, directed (Section 8.2) and external
+//! (Section 6) builders alike, each a `LevelPeel` backend.
 
 use crate::config::{BuildConfig, IsStrategy, KSelection};
 use islabel_graph::adjacency::AdjacencyGraph;
 use islabel_graph::{CsrGraph, VertexId, Weight};
+use std::convert::Infallible;
 
 /// One archived adjacency entry of a peeled vertex: the edge `(v, to)` as it
 /// existed in `G_{ℓ(v)}` at peel time.
@@ -39,12 +42,9 @@ pub(crate) type GkVia = (VertexId, VertexId, VertexId);
 /// The k-level vertex hierarchy `(H_{<k}, G_k)` of Definition 4.
 #[derive(Debug, Clone)]
 pub struct VertexHierarchy {
-    /// `ℓ(v)` for every vertex (1-based; vertices of `G_k` have level `k`).
-    level_of: Vec<u32>,
-    /// Number of levels `k` (so `k − 1` independent sets were peeled).
-    k: u32,
-    /// `levels[i]` is `L_{i+1}`, ascending by vertex id.
-    levels: Vec<Vec<VertexId>>,
+    /// `ℓ`, `k`, the level sets and `G_k`'s vertices, as the level driver
+    /// decided them.
+    pub(crate) levels: Levels,
     /// For each peeled vertex, its adjacency in `G_{ℓ(v)}` at peel time
     /// (`ADJ(L_i)` of Algorithm 2), sorted by neighbor id. Empty for `G_k`
     /// vertices.
@@ -57,172 +57,123 @@ pub struct VertexHierarchy {
     /// via section, which `Sections::validate` checks on open. Empty when
     /// path info is disabled.
     gk_vias: Vec<GkVia>,
-    /// Vertices of `G_k`, ascending.
-    gk_members: Vec<VertexId>,
 }
 
 impl VertexHierarchy {
     /// Builds the hierarchy for `g` under `config`.
     pub fn build(g: &CsrGraph, config: &BuildConfig) -> Self {
         config.validate();
-        let mut work = AdjacencyGraph::from_csr(g);
-        let n = g.num_vertices();
-        let mut level_of = vec![0u32; n];
-        let mut peel_adj: Vec<Box<[PeelEdge]>> = vec![Box::default(); n];
-        let mut levels: Vec<Vec<VertexId>> = Vec::new();
-
-        let mut excluded_at = vec![0u32; n];
-        let mut i: u32 = 1;
-        let k = loop {
-            if work.num_present() == 0 {
-                break i; // G_i is empty: full hierarchy, k = h + 1.
-            }
-            match config.k_selection {
-                KSelection::FixedK(kf) if i == kf => break i,
-                _ if i == config.max_levels => break i,
-                _ => {}
-            }
-
-            let size_before = work.size();
-            let li = select_independent_set(
+        let mut excluded_at = vec![0u32; g.num_vertices()];
+        Self::peel_undirected(g, config, |work, level| {
+            select_independent_set(
                 work.present_vertices().collect(),
                 |v| work.degree(v),
                 |v| work.neighbors(v).map(|(u, _)| u),
                 config.is_strategy,
-                i,
+                level,
                 &mut excluded_at,
-            );
-            debug_assert!(
-                !li.is_empty(),
-                "greedy IS cannot be empty on a non-empty graph"
-            );
-            peel_level(&mut work, &li, i, &mut level_of, &mut peel_adj);
-            levels.push(li);
-            let size_after = work.size();
-
-            if let KSelection::SigmaThreshold(sigma) = config.k_selection {
-                // Definition 4: k is the first i with |G_i| / |G_{i−1}| > σ.
-                // We just built G_{i+1} from G_i, so compare and stop with
-                // k = i + 1 if the shrink was too small.
-                if size_after as f64 > sigma * size_before as f64 {
-                    break i + 1;
-                }
-            }
-            i += 1;
-        };
-
-        Self::finish(work, k, level_of, peel_adj, levels, config.keep_path_info)
+            )
+        })
     }
 
     /// Builds a hierarchy from caller-supplied level sets (each must be an
     /// independent set of the graph remaining at its level). Vertices not
     /// covered by any level form `G_k`. Used by tests to replay the paper's
     /// worked example, whose level sets differ from what greedy selects.
+    /// `forced` holds at least one level, and `k = forced.len() + 1`.
     pub fn build_with_forced_levels(g: &CsrGraph, forced: &[Vec<VertexId>]) -> Self {
-        let mut work = AdjacencyGraph::from_csr(g);
-        let n = g.num_vertices();
-        let mut level_of = vec![0u32; n];
-        let mut peel_adj: Vec<Box<[PeelEdge]>> = vec![Box::default(); n];
-        let mut levels: Vec<Vec<VertexId>> = Vec::new();
-        for (idx, li) in forced.iter().enumerate() {
-            let i = idx as u32 + 1;
-            let mut li = li.clone();
+        let config = BuildConfig::fixed_k(forced.len() as u32 + 1);
+        let h = Self::peel_undirected(g, &config, |work, level| {
+            let mut li = forced[level as usize - 1].clone();
             li.sort_unstable();
-            for pair in li.windows(2) {
+            for (x, &v) in li.iter().enumerate() {
                 assert!(
-                    pair[0] != pair[1],
-                    "duplicate vertex {} in level {i}",
-                    pair[0]
+                    li.get(x + 1) != Some(&v),
+                    "duplicate vertex {v} in level {level}"
                 );
-            }
-            for &v in &li {
                 assert!(
                     work.is_present(v),
-                    "vertex {v} already peeled before level {i}"
+                    "vertex {v} already peeled before level {level}"
                 );
-            }
-            for &v in &li {
                 for (u, _) in work.neighbors(v) {
                     assert!(
                         li.binary_search(&u).is_err(),
-                        "level {i} is not an independent set: edge ({v}, {u})"
+                        "level {level} is not an independent set: edge ({v}, {u})"
                     );
                 }
             }
-            peel_level(&mut work, &li, i, &mut level_of, &mut peel_adj);
-            levels.push(li);
+            li
+        });
+        assert_eq!(
+            h.levels.sets.len(),
+            forced.len(),
+            "the graph is empty before the last forced level"
+        );
+        h
+    }
+
+    /// Runs the level driver over the in-memory undirected backend, `select`
+    /// choosing each `L_i` from `G_i`.
+    fn peel_undirected(
+        g: &CsrGraph,
+        config: &BuildConfig,
+        select: impl FnMut(&AdjacencyGraph, u32) -> Vec<VertexId>,
+    ) -> Self {
+        let mut backend = Undirected {
+            work: AdjacencyGraph::from_csr(g),
+            peel_adj: vec![Box::default(); g.num_vertices()],
+            select,
+        };
+        let Ok(levels) = peel_levels(g.num_vertices(), config, &mut backend);
+        let (gk, mut gk_vias) = backend.work.to_csr_with_vias();
+        if !config.keep_path_info {
+            gk_vias = Vec::new();
         }
-        let k = forced.len() as u32 + 1;
-        Self::finish(work, k, level_of, peel_adj, levels, true)
+        Self::from_parts(levels, backend.peel_adj, gk, gk_vias)
     }
 
     /// Assembles a hierarchy from its parts (the in-memory builder's, the
     /// I/O-efficient pipeline's in [`crate::embuild`] — which must produce
     /// the exact same structure — and the artifact loader's).
     pub(crate) fn from_parts(
-        level_of: Vec<u32>,
-        k: u32,
-        levels: Vec<Vec<VertexId>>,
+        levels: Levels,
         peel_adj: Vec<Box<[PeelEdge]>>,
         gk: CsrGraph,
         gk_vias: Vec<GkVia>,
-        gk_members: Vec<VertexId>,
     ) -> Self {
         Self {
-            level_of,
-            k,
             levels,
             peel_adj,
             gk,
             gk_vias,
-            gk_members,
         }
-    }
-
-    fn finish(
-        work: AdjacencyGraph,
-        k: u32,
-        mut level_of: Vec<u32>,
-        peel_adj: Vec<Box<[PeelEdge]>>,
-        levels: Vec<Vec<VertexId>>,
-        keep_path_info: bool,
-    ) -> Self {
-        let gk_members: Vec<VertexId> = work.present_vertices().collect();
-        for &v in &gk_members {
-            level_of[v as usize] = k;
-        }
-        let (gk, mut gk_vias) = work.to_csr_with_vias();
-        if !keep_path_info {
-            gk_vias = Vec::new();
-        }
-        Self::from_parts(level_of, k, levels, peel_adj, gk, gk_vias, gk_members)
     }
 
     /// Vertex-id universe size.
     pub fn universe(&self) -> usize {
-        self.level_of.len()
+        self.levels.level_of.len()
     }
 
     /// The number of levels `k`.
     pub fn k(&self) -> u32 {
-        self.k
+        self.levels.k
     }
 
     /// Level `ℓ(v)` (1-based; `k` for `G_k` vertices).
     #[inline]
     pub fn level_of(&self, v: VertexId) -> u32 {
-        self.level_of[v as usize]
+        self.levels.level_of[v as usize]
     }
 
     /// Whether `v` survived into the residual graph `G_k`.
     #[inline]
     pub fn is_in_gk(&self, v: VertexId) -> bool {
-        self.level_of[v as usize] == self.k
+        self.levels.level_of[v as usize] == self.levels.k
     }
 
     /// The peeled level sets `L_1 .. L_{k−1}` (each ascending).
     pub fn levels(&self) -> &[Vec<VertexId>] {
-        &self.levels
+        &self.levels.sets
     }
 
     /// `v`'s archived adjacency in `G_{ℓ(v)}` (empty for `G_k` vertices).
@@ -242,12 +193,12 @@ impl VertexHierarchy {
 
     /// Vertices of `G_k`, ascending.
     pub fn gk_members(&self) -> &[VertexId] {
-        &self.gk_members
+        &self.levels.gk_members
     }
 
     /// Number of vertices in `G_k`.
     pub fn num_gk_vertices(&self) -> usize {
-        self.gk_members.len()
+        self.levels.gk_members.len()
     }
 
     /// Number of edges in `G_k`.
@@ -269,6 +220,107 @@ impl VertexHierarchy {
     /// by `(min, max)`.
     pub(crate) fn gk_vias(&self) -> &[GkVia] {
         &self.gk_vias
+    }
+}
+
+/// What Definition 4's level loop decides: `ℓ(v)`, `k`, the level sets and
+/// the vertices of `G_k`.
+#[derive(Debug, Clone)]
+pub(crate) struct Levels {
+    /// `ℓ(v)` for every vertex (1-based; `k` for `G_k` vertices).
+    pub(crate) level_of: Vec<u32>,
+    /// Number of levels `k` (so `k − 1` independent sets were peeled).
+    pub(crate) k: u32,
+    /// `sets[i]` is `L_{i+1}`, ascending by vertex id.
+    pub(crate) sets: Vec<Vec<VertexId>>,
+    /// Vertices of `G_k`, ascending.
+    pub(crate) gk_members: Vec<VertexId>,
+}
+
+/// One hierarchy builder as [`peel_levels`] drives it: the current graph
+/// `G_i` and the step to `G_{i+1}`.
+pub(crate) trait LevelPeel {
+    type Error;
+
+    /// `|E(G_i)|`.
+    fn num_edges(&self) -> usize;
+
+    /// Selects `L_level` (non-empty) from `G_level`, records `level_of[v] =
+    /// level` for each of its vertices (0 marks a vertex still present) and
+    /// builds `G_{level+1}`. Returns `L_level` ascending.
+    fn peel(&mut self, level: u32, level_of: &mut [u32]) -> Result<Vec<VertexId>, Self::Error>;
+}
+
+/// The level loop of Definition 4, for every builder: peels `L_1, L_2, …`
+/// off the `n`-vertex graph `G_1` until `G_i` is empty, `i` reaches
+/// `FixedK` or `max_levels`, or, under the σ rule, a peel leaves
+/// `|G_{i+1}| > σ · |G_i|` (then `k = i + 1`), where `|G| = |V| + |E|`.
+pub(crate) fn peel_levels<P: LevelPeel>(
+    n: usize,
+    config: &BuildConfig,
+    backend: &mut P,
+) -> Result<Levels, P::Error> {
+    let mut level_of = vec![0u32; n];
+    let mut sets: Vec<Vec<VertexId>> = Vec::new();
+    let mut present = n;
+    let mut i: u32 = 1;
+    let k = loop {
+        if present == 0 {
+            break i; // G_i is empty: full hierarchy, k = h + 1.
+        }
+        match config.k_selection {
+            KSelection::FixedK(kf) if i == kf => break i,
+            _ if i == config.max_levels => break i,
+            _ => {}
+        }
+        let size_before = present + backend.num_edges();
+        let li = backend.peel(i, &mut level_of)?;
+        debug_assert!(
+            !li.is_empty(),
+            "level {i} peeled nothing off a non-empty G_{i}"
+        );
+        present -= li.len();
+        sets.push(li);
+        if let KSelection::SigmaThreshold(sigma) = config.k_selection {
+            if (present + backend.num_edges()) as f64 > sigma * size_before as f64 {
+                break i + 1;
+            }
+        }
+        i += 1;
+    };
+    let gk_members: Vec<VertexId> = (0..n as VertexId)
+        .filter(|&v| level_of[v as usize] == 0)
+        .collect();
+    for &v in &gk_members {
+        level_of[v as usize] = k;
+    }
+    Ok(Levels {
+        level_of,
+        k,
+        sets,
+        gk_members,
+    })
+}
+
+/// The in-memory undirected backend: `G_i` as a hash-map adjacency,
+/// repaired by Algorithm 3; `select` chooses `L_i`.
+struct Undirected<S> {
+    work: AdjacencyGraph,
+    peel_adj: Vec<Box<[PeelEdge]>>,
+    select: S,
+}
+
+impl<S: FnMut(&AdjacencyGraph, u32) -> Vec<VertexId>> LevelPeel for Undirected<S> {
+    type Error = Infallible;
+
+    fn num_edges(&self) -> usize {
+        self.work.num_edges()
+    }
+
+    fn peel(&mut self, level: u32, level_of: &mut [u32]) -> Result<Vec<VertexId>, Infallible> {
+        let li = (self.select)(&self.work, level);
+        peel_level(&mut self.work, &li, level, level_of, &mut self.peel_adj);
+        Ok(li)
     }
 }
 
@@ -645,9 +697,10 @@ pub(crate) mod tests {
 
         // Rebuild each level graph by replaying the peel.
         let mut work = AdjacencyGraph::from_csr(&g);
-        for li in h.levels() {
+        let (mut level_of, mut peel_adj) = (vec![0; 60], vec![Box::default(); 60]);
+        for (i, li) in (1..).zip(h.levels()) {
             // Check: distances among present vertices equal those in G.
-            let snapshot = work.to_csr();
+            let snapshot = work.to_csr_with_vias().0;
             let present: Vec<VertexId> = work.present_vertices().collect();
             for (idx, &s) in present.iter().enumerate().step_by(7) {
                 let dist_g = crate::reference::dijkstra_all(&g, s);
@@ -659,14 +712,7 @@ pub(crate) mod tests {
                     );
                 }
             }
-            for &v in li {
-                let adj = work.remove_vertex(v);
-                for (x, &(a, ea)) in adj.iter().enumerate() {
-                    for &(b, eb) in &adj[x + 1..] {
-                        work.upsert_edge_min(a, b, ea.weight + eb.weight, v);
-                    }
-                }
-            }
+            peel_level(&mut work, li, i, &mut level_of, &mut peel_adj);
         }
     }
 
@@ -750,6 +796,92 @@ pub(crate) mod tests {
             descending.sort_by_key(|&v| (std::cmp::Reverse(degree(v)), v));
             assert_eq!(order_by_degree(&present, degree, true), descending);
         }
+    }
+
+    /// A scripted backend: `|E(G_i)|`, then the `(L_i, |E(G_{i+1})|)` peels
+    /// still to come.
+    struct Script<'a>(usize, &'a [(&'a [VertexId], usize)]);
+
+    impl LevelPeel for Script<'_> {
+        type Error = Infallible;
+
+        fn num_edges(&self) -> usize {
+            self.0
+        }
+
+        fn peel(&mut self, level: u32, level_of: &mut [u32]) -> Result<Vec<VertexId>, Infallible> {
+            let ((li, edges), rest) = self.1.split_first().expect("peeled past the script");
+            li.iter().for_each(|&v| level_of[v as usize] = level);
+            *self = Script(*edges, rest);
+            Ok(li.to_vec())
+        }
+    }
+
+    /// Drives `n` vertices and `edges` edges through `steps`, returning `k`,
+    /// `ℓ` and the `G_k` members.
+    fn drive(
+        n: usize,
+        edges: usize,
+        steps: &[(&[VertexId], usize)],
+        config: BuildConfig,
+    ) -> Levels {
+        let Ok(levels) = peel_levels(n, &config, &mut Script(edges, steps));
+        assert_eq!(levels.sets.len() as u32, levels.k - 1);
+        levels
+    }
+
+    #[test]
+    fn sigma_stops_only_when_the_ratio_exceeds_sigma() {
+        // |G_1| = 10 + 10. Peeling {0, 1} leaves |G_2| = 8 + 2 = σ · |G_1|
+        // exactly, which keeps peeling; peeling {2} leaves |G_3| = 7 > 5,
+        // which stops with k = 3.
+        let steps: &[(&[VertexId], usize)] = &[(&[0, 1], 2), (&[2], 0), (&[3], 0)];
+        let l = drive(10, 10, steps, BuildConfig::sigma(0.5));
+        assert_eq!(
+            (l.k, &l.level_of[..]),
+            (3, &[1, 1, 2, 3, 3, 3, 3, 3, 3, 3][..])
+        );
+        assert_eq!(l.gk_members, (3..10).collect::<Vec<_>>());
+        // One more edge left after the first peel: 11 > 10 stops at k = 2.
+        assert_eq!(drive(10, 10, &[(&[0, 1], 3)], BuildConfig::sigma(0.5)).k, 2);
+    }
+
+    #[test]
+    fn fixed_k_and_max_levels_stop_the_driver() {
+        let steps: &[(&[VertexId], usize)] = &[(&[0], 0), (&[1], 0), (&[2], 0), (&[3], 0)];
+        let l = drive(6, 0, steps, BuildConfig::fixed_k(3));
+        assert_eq!((l.k, &l.gk_members[..]), (3, &[2, 3, 4, 5][..]));
+        let capped = BuildConfig {
+            max_levels: 4,
+            ..BuildConfig::full()
+        };
+        let l = drive(6, 0, steps, capped);
+        assert_eq!((l.k, &l.level_of[..]), (4, &[1, 2, 3, 4, 4, 4][..]));
+    }
+
+    #[test]
+    fn an_empty_graph_is_k_one_and_a_full_hierarchy_caps_fixed_k() {
+        for config in [BuildConfig::default(), BuildConfig::fixed_k(4)] {
+            assert_eq!(drive(0, 0, &[], config).k, 1);
+        }
+        // G_4 is empty after three peels, so k = 4 however large FixedK is.
+        let steps: &[(&[VertexId], usize)] = &[(&[0, 2], 1), (&[1], 0), (&[3], 0)];
+        let l = drive(4, 3, steps, BuildConfig::fixed_k(10));
+        assert_eq!((l.k, &l.level_of[..]), (4, &[1, 2, 1, 3][..]));
+        assert!(l.gk_members.is_empty());
+    }
+
+    #[test]
+    fn replaying_greedy_levels_rebuilds_the_same_hierarchy() {
+        let g = erdos_renyi_gnm(300, 800, WeightModel::UniformRange(1, 6), 17);
+        let greedy = VertexHierarchy::build(&g, &BuildConfig::default());
+        assert!(greedy.num_gk_vertices() > 0);
+        let replay = VertexHierarchy::build_with_forced_levels(&g, greedy.levels());
+        assert_eq!(replay.k(), greedy.k());
+        assert_eq!(replay.levels.level_of, greedy.levels.level_of);
+        assert_eq!(replay.peel_adj, greedy.peel_adj);
+        assert_eq!(replay.gk(), greedy.gk());
+        assert_eq!(replay.gk_vias(), greedy.gk_vias());
     }
 
     #[test]

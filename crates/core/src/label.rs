@@ -37,7 +37,7 @@
 //! which makes Equation 1 a linear merge-join — the "simple sequential
 //! scanning" the paper relies on (Section 6.2).
 
-use crate::hierarchy::VertexHierarchy;
+use crate::hierarchy::{Levels, VertexHierarchy};
 use islabel_graph::{Dist, VertexId, Weight};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -278,14 +278,12 @@ const PARALLEL_LEVEL_CUTOFF: usize = 128;
 /// Shared top-down labeling loop (Algorithm 4) over any [`PeelSource`],
 /// level-parallel and deterministic at every thread count.
 pub(crate) fn build_from_peel<P: PeelSource>(
-    n: usize,
-    k: u32,
-    levels: &[Vec<VertexId>],
-    gk_members: &[VertexId],
+    levels: &Levels,
     peel: &P,
     keep_path_info: bool,
     threads: usize,
 ) -> LabelSet {
+    let (n, k, gk_members) = (levels.level_of.len(), levels.k, &levels.gk_members[..]);
     // Transient labels live in flat arenas (see [`ArenaLabels`]): entries
     // are (ancestor, dist, first_hop), each vertex's slice sorted by
     // ancestor.
@@ -298,7 +296,7 @@ pub(crate) fn build_from_peel<P: PeelSource>(
 
     // One scratch per worker for the whole build, lent to each level's
     // threads: a per-level array would be re-filled `k` times.
-    let peeled = &levels[..(k as usize).saturating_sub(1)];
+    let peeled = &levels.sets[..(k as usize).saturating_sub(1)];
     let workers_for = |len: usize| threads.min(len.div_ceil(PARALLEL_LEVEL_CUTOFF)).max(1);
     let max_workers = peeled
         .iter()
@@ -379,15 +377,7 @@ impl LabelSet {
     /// neighbors — a pure function of already-final labels — so the output
     /// is bit-identical across `threads` values.
     pub fn build_with_threads(h: &VertexHierarchy, keep_path_info: bool, threads: usize) -> Self {
-        build_from_peel(
-            h.universe(),
-            h.k(),
-            h.levels(),
-            h.gk_members(),
-            &HierarchyPeel(h),
-            keep_path_info,
-            threads.max(1),
-        )
+        build_from_peel(&h.levels, &HierarchyPeel(h), keep_path_info, threads.max(1))
     }
 
     /// Flattens arena-backed construction labels into the SoA layout.
@@ -532,17 +522,15 @@ pub(crate) mod tests {
     /// vertex at a time, sharing only [`PeelSource`] and the flattening
     /// with [`build_from_peel`].
     pub(crate) fn reference_labels<P: PeelSource>(
-        n: usize,
-        levels: &[Vec<VertexId>],
-        gk_members: &[VertexId],
+        levels: &Levels,
         peel: &P,
         keep_path_info: bool,
     ) -> LabelSet {
-        let mut per_vertex: Vec<Vec<Entry>> = vec![Vec::new(); n];
-        for &v in gk_members {
+        let mut per_vertex: Vec<Vec<Entry>> = vec![Vec::new(); levels.level_of.len()];
+        for &v in &levels.gk_members {
             per_vertex[v as usize] = vec![(v, 0, v)];
         }
-        for li in levels.iter().rev() {
+        for li in levels.sets.iter().rev() {
             for &v in li {
                 let mut acc: FxHashMap<VertexId, (Dist, VertexId)> = FxHashMap::default();
                 acc.insert(v, (0, v));
@@ -588,8 +576,8 @@ pub(crate) mod tests {
         let neighbors: Vec<VertexId> = h.peel_adj(0).iter().map(|e| e.to).collect();
         assert_eq!(neighbors, vec![1, 2]);
 
-        let forward = build_from_peel(4, h.k(), h.levels(), &[], &HierarchyPeel(&h), true, 1);
-        let backward = build_from_peel(4, h.k(), h.levels(), &[], &ReversedPeel(&h), true, 1);
+        let forward = build_from_peel(&h.levels, &HierarchyPeel(&h), true, 1);
+        let backward = build_from_peel(&h.levels, &ReversedPeel(&h), true, 1);
         assert_eq!(forward, backward);
         let label = forward.label(0);
         assert_eq!(label.get_with_hop(3), Some((2, 1)), "tie");
@@ -617,8 +605,7 @@ pub(crate) mod tests {
         let g = grid2d(45, 45, WeightModel::Unit, 13);
         let h = VertexHierarchy::build(&g, &BuildConfig::sigma(0.95));
         let peel = NamingPeel(&h, std::sync::Mutex::default());
-        let n = h.universe();
-        build_from_peel(n, h.k(), h.levels(), h.gk_members(), &peel, false, 3);
+        build_from_peel(&h.levels, &peel, false, 3);
         let caller = std::thread::current().name().unwrap_or("").to_string();
         let mut workers = peel.1.into_inner().expect("no labeling thread panicked");
         workers.retain(|name| *name != caller);
@@ -643,8 +630,7 @@ pub(crate) mod tests {
             for config in [BuildConfig::sigma(0.95), BuildConfig::full()] {
                 let h = VertexHierarchy::build(g, &config);
                 let peel = HierarchyPeel(&h);
-                let expected =
-                    reference_labels(h.universe(), h.levels(), h.gk_members(), &peel, true);
+                let expected = reference_labels(&h.levels, &peel, true);
                 assert!(expected.has_path_info());
                 for threads in [1, 2, 3, 8] {
                     assert_eq!(

@@ -18,7 +18,7 @@
 //! sections were derived from a CSR built the same way.
 
 use crate::config::{BuildConfig, KSelection};
-use crate::hierarchy::{PeelEdge, VertexHierarchy};
+use crate::hierarchy::{Levels, PeelEdge, VertexHierarchy};
 use crate::index::IsLabelIndex;
 use crate::label::LabelSet;
 use crate::persist::wal;
@@ -589,14 +589,17 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
         return Err(bad("graph universe disagrees with header"));
     }
 
-    let level_of = s.levels.to_vec();
-    let mut levels: Vec<Vec<VertexId>> = vec![Vec::new(); s.k.saturating_sub(1) as usize];
-    let mut gk_members = Vec::with_capacity(m);
-    for (v, &l) in level_of.iter().enumerate() {
+    let mut levels = Levels {
+        level_of: s.levels.to_vec(),
+        k: s.k,
+        sets: vec![Vec::new(); s.k.saturating_sub(1) as usize],
+        gk_members: Vec::with_capacity(m),
+    };
+    for (v, &l) in levels.level_of.iter().enumerate() {
         if l == s.k {
-            gk_members.push(v as VertexId);
+            levels.gk_members.push(v as VertexId);
         } else {
-            levels[(l - 1) as usize].push(v as VertexId);
+            levels.sets[(l - 1) as usize].push(v as VertexId);
         }
     }
 
@@ -655,8 +658,7 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
     }
     let labels = LabelSet::from_per_vertex(per_vertex, s.has_hops);
 
-    let hierarchy =
-        VertexHierarchy::from_parts(level_of, s.k, levels, peel_adj, gk, gk_vias, gk_members);
+    let hierarchy = VertexHierarchy::from_parts(levels, peel_adj, gk, gk_vias);
     let config = BuildConfig {
         k_selection: s.k_selection,
         keep_path_info: s.keep_path_info,

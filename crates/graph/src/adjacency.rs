@@ -46,7 +46,6 @@ impl EdgeInfo {
 pub struct AdjacencyGraph {
     adj: Vec<FxHashMap<VertexId, EdgeInfo>>,
     present: Vec<bool>,
-    num_present: usize,
     num_edges: usize,
 }
 
@@ -56,7 +55,6 @@ impl AdjacencyGraph {
         Self {
             adj: vec![FxHashMap::default(); n],
             present: vec![true; n],
-            num_present: n,
             num_edges: 0,
         }
     }
@@ -76,7 +74,6 @@ impl AdjacencyGraph {
         Self {
             adj,
             present: vec![true; n],
-            num_present: n,
             num_edges: g.num_edges(),
         }
     }
@@ -87,23 +84,10 @@ impl AdjacencyGraph {
         self.adj.len()
     }
 
-    /// Number of vertices still present.
-    #[inline]
-    pub fn num_present(&self) -> usize {
-        self.num_present
-    }
-
     /// Number of edges among present vertices.
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.num_edges
-    }
-
-    /// The paper's `|G| = |V| + |E|` over the *current* graph; drives the
-    /// k-selection criterion `|G_{i+1}| / |G_i| > σ`.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.num_present + self.num_edges
     }
 
     /// Whether `v` is still in the graph.
@@ -188,7 +172,6 @@ impl AdjacencyGraph {
         }
         self.num_edges -= out.len();
         self.present[v as usize] = false;
-        self.num_present -= 1;
         out
     }
 
@@ -213,11 +196,6 @@ impl AdjacencyGraph {
         vias.sort_unstable();
         (b.build(), vias)
     }
-
-    /// Freezes into CSR, discarding via annotations.
-    pub fn to_csr(&self) -> CsrGraph {
-        self.to_csr_with_vias().0
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +215,7 @@ mod tests {
     #[test]
     fn from_csr_preserves_structure() {
         let g = path4();
-        assert_eq!(g.num_present(), 4);
+        assert_eq!(g.present_vertices().count(), 4);
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.edge(1, 2), Some(EdgeInfo::original(2)));
@@ -253,7 +231,7 @@ mod tests {
             vec![(0, EdgeInfo::original(1)), (2, EdgeInfo::original(2))]
         );
         assert!(!g.is_present(1));
-        assert_eq!(g.num_present(), 3);
+        assert_eq!(g.present_vertices().count(), 3);
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(0), 0);
         assert_eq!(g.edge(0, 1), None);
@@ -279,14 +257,6 @@ mod tests {
             })
         );
         assert_eq!(g.num_edges(), 4);
-    }
-
-    #[test]
-    fn size_tracks_paper_definition() {
-        let mut g = path4();
-        assert_eq!(g.size(), 4 + 3);
-        g.remove_vertex(3);
-        assert_eq!(g.size(), 3 + 2);
     }
 
     #[test]

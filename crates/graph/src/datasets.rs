@@ -142,7 +142,8 @@ impl Dataset {
 
 /// Dataset scale. The paper runs at millions-to-hundreds-of-millions of
 /// vertices on disk; we default to tens of thousands in memory, which
-/// preserves every trend the evaluation reports (see DESIGN.md).
+/// preserves every trend the evaluation reports (see README's "Reproducing
+/// the paper's tables").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// ~1/10 of [`Scale::Small`]; for unit tests.

@@ -15,6 +15,9 @@
 //! edit that stops pruning, or settles in another order, fails as a count,
 //! not as a noisy timing.
 
+mod common;
+
+use common::TempDir;
 use islabel::core::dense::{
     dense_bi_dijkstra, dense_search, DenseCsr, DenseGk, DenseParents, DensePatch, DenseScratch,
     DenseView, GkIdMap, PatchedDense,
@@ -338,38 +341,9 @@ impl DenseView for Mapped<'_> {
     }
 }
 
-/// A scratch directory of one call, removed on drop: tests run on
-/// parallel threads of one process, so the pid alone is not unique.
-struct TempDir(std::path::PathBuf);
-
-impl std::ops::Deref for TempDir {
-    type Target = std::path::Path;
-
-    fn deref(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-fn tempdir(tag: &str) -> TempDir {
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "islabel-mu-bounded-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    TempDir(dir)
-}
-
 #[test]
 fn mapped_view_from_adversarial_starts() {
-    let dir = tempdir("mapped");
+    let dir = TempDir::new("mu-bounded-mapped");
     for (name, g) in undirected_graphs() {
         // A two-level hierarchy leaves a G_k worth searching.
         let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(2));

@@ -1,18 +1,15 @@
 //! Persistence integration: graph text/binary formats, disk-resident
 //! labels on real files, and the modeled I/O accounting.
 
+mod common;
+
+use common::TempDir;
 use islabel::core::disklabel::{DiskLabelStore, FetchedLabel};
 use islabel::core::{BuildConfig, IsLabelIndex};
 use islabel::extmem::storage::Storage;
 use islabel::extmem::{DirStorage, IoCostModel, MemStorage};
 use islabel::graph::io::{parse_edge_list, read_csr_binary, write_csr_binary, write_edge_list};
 use islabel::{Dataset, Scale};
-
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("islabel-it-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 #[test]
 fn graph_survives_both_serialization_formats() {
@@ -56,11 +53,11 @@ fn index_built_from_reloaded_graph_is_identical() {
 
 #[test]
 fn disk_labels_on_real_files() {
-    let dir = tempdir("labels");
+    let dir = TempDir::new("it-labels");
     let g = Dataset::BtcLike.generate(Scale::Tiny);
     let index = IsLabelIndex::build(&g, BuildConfig::default());
 
-    let storage = DirStorage::new(&dir).unwrap();
+    let storage = DirStorage::new(&*dir).unwrap();
     let store = DiskLabelStore::write(&storage, "labels", index.labels()).unwrap();
 
     // Reopen from disk (fresh offset table) and compare every label.
@@ -86,7 +83,6 @@ fn disk_labels_on_real_files() {
             "({s}, {t})"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -119,8 +115,8 @@ fn mem_and_dir_storage_hold_identical_bytes() {
     let mem = MemStorage::new();
     DiskLabelStore::write(&mem, "l", index.labels()).unwrap();
 
-    let dir = tempdir("parity");
-    let disk = DirStorage::new(&dir).unwrap();
+    let dir = TempDir::new("it-parity");
+    let disk = DirStorage::new(&*dir).unwrap();
     DiskLabelStore::write(&disk, "l", index.labels()).unwrap();
 
     for name in ["l", "l.idx"] {
@@ -130,7 +126,6 @@ fn mem_and_dir_storage_hold_identical_bytes() {
         disk.open(name).unwrap().read_to_end(&mut b).unwrap();
         assert_eq!(a, b, "object {name}");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 use std::io::Read;
@@ -140,7 +135,7 @@ fn typed_persist_roundtrip_including_pending_updates() {
     use islabel::core::persist::{try_load_index_from_path, try_save_index_to_path};
     use islabel::core::Error;
 
-    let dir = tempdir("typed-persist");
+    let dir = TempDir::new("it-typed-persist");
     let path = dir.join("i.islx");
     let g = Dataset::GoogleLike.generate(Scale::Tiny);
     let mut index = IsLabelIndex::build(&g, BuildConfig::default());
@@ -192,7 +187,6 @@ fn typed_persist_roundtrip_including_pending_updates() {
         try_save_index_to_path(&rebuilt, dir.join("no-such-dir").join("x.islx")),
         Err(Error::Persist(_))
     ));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Concurrent saves to one path (rebuild coordinator beside an operator
@@ -205,7 +199,7 @@ fn concurrent_saves_to_one_path_all_succeed() {
 
     const THREADS: usize = 8;
     const SAVES: usize = 5;
-    let dir = tempdir("concurrent-save");
+    let dir = TempDir::new("it-concurrent-save");
     let path = dir.join("shared.islx");
     let g = Dataset::GoogleLike.generate(Scale::Tiny);
     let index = IsLabelIndex::build(&g, BuildConfig::default());
@@ -244,13 +238,12 @@ fn concurrent_saves_to_one_path_all_succeed() {
         );
     }
     // No temp file outlives its save.
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+    let leftovers: Vec<_> = std::fs::read_dir(&*dir)
         .unwrap()
         .map(|e| e.unwrap().file_name())
         .filter(|name| name != "shared.islx")
         .collect();
     assert!(leftovers.is_empty(), "{leftovers:?}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -266,10 +259,9 @@ fn cached_max_label_len_matches_the_labels_on_every_construction_path() {
     let built = IsLabelIndex::try_build(&g, config).unwrap();
     assert!(built.labels().max_label_len() > 1);
 
-    let dir = tempdir("cached-max");
+    let dir = TempDir::new("it-cached-max");
     try_save_index_to_path(&built, dir.join("i.islx")).unwrap();
     let reloaded = try_load_index_from_path(dir.join("i.islx")).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 
     let storage = MemStorage::new();
     let external = build_external_from_csr(&storage, &g, config, EmConfig::default()).unwrap();

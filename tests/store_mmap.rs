@@ -3,6 +3,9 @@
 //! hostile bytes — mutated headers, truncations, random flips — must
 //! yield typed errors or semantically-valid successes, never a panic.
 
+mod common;
+
+use common::TempDir;
 use islabel::core::persist::{
     compact_index_with_wal, load_index_with_wal, try_load_index_from_path,
     try_load_oracle_from_path, try_save_index_to_path,
@@ -16,36 +19,6 @@ use islabel::store::format::{
 use islabel::store::StoreReader;
 use islabel::DistanceOracle;
 
-/// A scratch directory of one call, removed on drop. Tests run on parallel
-/// threads of one process, so the pid alone does not make a name unique:
-/// two tests sharing a directory raced each other's save-then-rename.
-struct TempDir(std::path::PathBuf);
-
-impl std::ops::Deref for TempDir {
-    type Target = std::path::Path;
-
-    fn deref(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-fn tempdir(tag: &str) -> TempDir {
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "islabel-smm-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    TempDir(dir)
-}
-
 /// Deterministic query pairs spread over the vertex universe.
 fn pairs(n: usize, count: u32) -> impl Iterator<Item = (u32, u32)> {
     let n = n as u32;
@@ -56,7 +29,7 @@ fn pairs(n: usize, count: u32) -> impl Iterator<Item = (u32, u32)> {
 fn sample_artifact() -> (IsLabelIndex, Vec<u8>) {
     let g = barabasi_albert(300, 3, WeightModel::UniformRange(1, 9), 7);
     let index = IsLabelIndex::build(&g, BuildConfig::default());
-    let dir = tempdir("sample");
+    let dir = TempDir::new("smm-sample");
     let path = dir.join("sample.islx");
     try_save_index_to_path(&index, &path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
@@ -90,7 +63,7 @@ fn mmap_is_bit_identical_to_heap_across_graphs_and_configs() {
         // benchmark's `query-labels`.
         ("full", BuildConfig::full()),
     ];
-    let dir = tempdir("crosscheck");
+    let dir = TempDir::new("smm-crosscheck");
     for (gname, g) in &graphs {
         for (cname, config) in &configs {
             let heap = IsLabelIndex::build(g, *config);
@@ -161,7 +134,7 @@ fn truncation_at_any_length_is_a_typed_error() {
 #[test]
 fn random_corruption_never_panics_verified_or_not() {
     let (index, good) = sample_artifact();
-    let dir = tempdir("fuzz");
+    let dir = TempDir::new("smm-fuzz");
     let path = dir.join("fuzzed.islx");
     let mut heap = index.session();
     // xorshift64*: deterministic, no external crates.
@@ -204,7 +177,7 @@ fn random_corruption_never_panics_verified_or_not() {
 #[test]
 fn open_verified_catches_payload_corruption_that_open_tolerates() {
     let (_, good) = sample_artifact();
-    let dir = tempdir("verify");
+    let dir = TempDir::new("smm-verify");
     let path = dir.join("flip.islx");
     // Locate the label-distances payload and nudge one value upward: the
     // result is structurally and semantically a valid artifact — only the
@@ -228,7 +201,7 @@ fn open_verified_catches_payload_corruption_that_open_tolerates() {
 fn oracle_loader_prefers_mmap_for_a_pristine_artifact_and_refuses_old_versions() {
     let g = grid2d(12, 12, WeightModel::UniformRange(1, 4), 5);
     let index = IsLabelIndex::build(&g, BuildConfig::default());
-    let dir = tempdir("loader");
+    let dir = TempDir::new("smm-loader");
     let path = dir.join("index.islx");
     try_save_index_to_path(&index, &path).unwrap();
     assert_eq!(
@@ -272,7 +245,7 @@ fn unsort_one_label(bytes: &mut [u8]) {
 #[test]
 fn oracle_loader_validates_once_and_reports_the_first_error() {
     let (index, mut pristine) = sample_artifact();
-    let dir = tempdir("once");
+    let dir = TempDir::new("smm-once");
     let path = dir.join("index.islx");
 
     // A corrupt pristine artifact: the mapped open (no content checksums)
@@ -331,7 +304,7 @@ fn gk_rows_out_of_weight_order_are_refused_by_both_openers() {
         .map(|kind| r.header().section(kind).unwrap().offset as usize);
     drop(r);
 
-    let dir = tempdir("gk-order");
+    let dir = TempDir::new("smm-gk-order");
     let path = dir.join("index.islx");
     for (what, e) in cases {
         let mut bad = good.clone();
@@ -378,7 +351,7 @@ fn gk_vias_out_of_order_are_refused_by_both_openers() {
         ("u > v", [&[t0[1], t0[0], t0[2]], t1].concat()),
         ("u == v", [&[t0[0], t0[0], t0[2]], t1].concat()),
     ];
-    let dir = tempdir("gk-vias");
+    let dir = TempDir::new("smm-gk-vias");
     let path = dir.join("index.islx");
     for (what, triples) in cases {
         let mut bad = good.clone();
@@ -408,7 +381,7 @@ fn gk_vias_out_of_order_are_refused_by_both_openers() {
 fn compact_returns_serving_to_the_mmap_engine() {
     let g = barabasi_albert(250, 3, WeightModel::UniformRange(1, 8), 21);
     let index = IsLabelIndex::build(&g, BuildConfig::default());
-    let dir = tempdir("compact");
+    let dir = TempDir::new("smm-compact");
     let ipath = dir.join("index.islx");
     let wpath = dir.join("index.wal");
     try_save_index_to_path(&index, &ipath).unwrap();

@@ -9,6 +9,9 @@
 //! crash-window (stale epoch), mid-stream seal + resume, plus
 //! property-based encode/decode identity for the record format itself.
 
+mod common;
+
+use common::TempDir;
 use islabel::core::persist::wal::{decode_op, encode_op, scan_wal, WAL_HEADER_LEN};
 use islabel::core::persist::{
     load_index_with_wal, try_load_index_from_path, try_save_index_to_path,
@@ -19,12 +22,6 @@ use islabel::{BuildConfig, CsrGraph, IsLabelIndex};
 use proptest::collection;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("islabel-walcrash-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Builds a small index, saves it pristine, attaches a WAL and streams a
 /// fixed mixed op sequence through it (edge inserts, vertex inserts,
@@ -64,7 +61,7 @@ fn crashed_pair(dir: &Path) -> (PathBuf, PathBuf, Vec<CsrGraph>) {
 
 #[test]
 fn every_byte_truncation_replays_the_longest_valid_prefix() {
-    let dir = tempdir("truncate");
+    let dir = TempDir::new("walcrash-truncate");
     let (index_path, wal_path, expected) = crashed_pair(&dir);
     let wal_bytes = std::fs::read(&wal_path).unwrap();
     let scan = scan_wal(&wal_path).unwrap().unwrap();
@@ -101,12 +98,11 @@ fn every_byte_truncation_replays_the_longest_valid_prefix() {
         assert_eq!(rescan.ops.len(), k, "cut at {cut}");
         assert!(!rescan.truncated_tail, "cut at {cut}");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn byte_flip_corruption_replays_cleanly_or_fails_typed() {
-    let dir = tempdir("flip");
+    let dir = TempDir::new("walcrash-flip");
     let (index_path, wal_path, expected) = crashed_pair(&dir);
     let wal_bytes = std::fs::read(&wal_path).unwrap();
     let scan = scan_wal(&wal_path).unwrap().unwrap();
@@ -149,7 +145,6 @@ fn byte_flip_corruption_replays_cleanly_or_fails_typed() {
             }
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The compaction crash-window: a new artifact was renamed into place but
@@ -157,7 +152,7 @@ fn byte_flip_corruption_replays_cleanly_or_fails_typed() {
 /// discarded (its ops are already folded in), never replayed.
 #[test]
 fn stale_epoch_wal_is_discarded_not_replayed() {
-    let dir = tempdir("epoch");
+    let dir = TempDir::new("walcrash-epoch");
     let (index_path, wal_path, expected) = crashed_pair(&dir);
 
     // Fold everything and atomically replace the artifact — but "crash"
@@ -173,14 +168,13 @@ fn stale_epoch_wal_is_discarded_not_replayed() {
     assert_eq!(recovery.replayed, 0);
     assert!(!recovered.has_updates(), "folded ops must not double-apply");
     assert_eq!(recovered.current_graph(), *expected.last().unwrap());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Saving a non-pristine index seals its op history into the artifact;
 /// recovery must replay only the WAL suffix beyond the sealed prefix.
 #[test]
 fn sealed_prefix_is_not_double_applied_on_recovery() {
-    let dir = tempdir("seal");
+    let dir = TempDir::new("walcrash-seal");
     let index_path = dir.join("i.islx");
     let wal_path = dir.join("i.wal");
     let g = barabasi_albert(150, 3, WeightModel::UniformRange(1, 5), 21);
@@ -201,7 +195,6 @@ fn sealed_prefix_is_not_double_applied_on_recovery() {
     assert_eq!(recovery.replayed, 2, "only the post-checkpoint suffix");
     assert_eq!(recovered.pending_ops(), 4);
     assert_eq!(recovered.current_graph(), want);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Recovery restores the *state*, not only the answers: at every op-count
@@ -211,7 +204,7 @@ fn sealed_prefix_is_not_double_applied_on_recovery() {
 /// extra edge for extra edge.
 #[test]
 fn recovered_and_resealed_overlays_equal_the_live_one_at_every_prefix() {
-    let dir = tempdir("state");
+    let dir = TempDir::new("walcrash-state");
     let (index_path, wal_path, expected) = crashed_pair(&dir);
     let wal_bytes = std::fs::read(&wal_path).unwrap();
     let scan = scan_wal(&wal_path).unwrap().unwrap();
@@ -240,7 +233,6 @@ fn recovered_and_resealed_overlays_equal_the_live_one_at_every_prefix() {
         let resealed = try_load_index_from_path(&sealed_path).unwrap();
         assert_eq!(resealed.overlay(), live.overlay(), "resealed, prefix {k}");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn arb_op() -> impl Strategy<Value = UpdateOp> {
