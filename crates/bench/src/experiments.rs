@@ -1,16 +1,19 @@
 //! One runner per paper table (Section 7) plus ablations of its design
 //! choices; README's "Reproducing the paper's tables" lists the datasets.
-//! Each returns a [`Table`] ready to print; the `table*` binaries are thin
-//! wrappers.
+//! Each takes the dataset [`Scale`] and returns a [`Table`] ready to print;
+//! the `paper` binary runs them.
 //!
 //! Where the paper's numbers depend on its 7200 RPM disk, we report
 //! *modeled* I/O time from counted seeks/bytes (10 ms per seek, 100 MB/s
 //! sequential — the same accounting the paper uses when it attributes
-//! Time (a) to "10ms per disk I/O"), and CPU time measured directly.
+//! Time (a) to "10ms per disk I/O") as a mean in ms. CPU time is measured
+//! per query and printed as the median with its p25–p75 range in µs; a
+//! disk-resident method's query time is the median of per-query modeled
+//! I/O plus measured CPU. Build times are in ms.
 
 use crate::table::Table;
-use crate::timing::{ms, per_query, secs, time};
-use crate::workload::{env_datasets, env_num_queries, QueryWorkload};
+use crate::timing::{median_us, ms, per_query, time};
+use crate::workload::QueryWorkload;
 use islabel_baselines::{build_oracle, BiDijkstraOracle, Engine, PllIndex, VcConfig, VcIndex};
 use islabel_core::disklabel::{DiskLabelStore, FetchedLabel};
 use islabel_core::{
@@ -19,37 +22,49 @@ use islabel_core::{
 use islabel_extmem::storage::{MemStorage, Storage};
 use islabel_extmem::IoCostModel;
 use islabel_graph::algo::stats::{human_bytes, human_count};
-use islabel_graph::{CsrGraph, Dataset, Dist, VertexId};
+use islabel_graph::{CsrGraph, Dataset, Dist, Scale, VertexId};
 use std::time::Duration;
 
-/// Aggregated timings of a disk-label query batch.
-#[derive(Debug, Default, Clone, Copy)]
-struct DiskQueryStats {
+/// Queries per workload: the paper's "1000 randomly generated queries"
+/// (Section 7.2).
+const PAPER_QUERIES: usize = 1000;
+/// Queries per row of ablations A and B, which rebuild the index per row.
+const ABLATION_QUERIES: usize = 200;
+/// Queries of ablation D, enough to split across eight threads.
+const PARALLEL_QUERIES: usize = 2000;
+
+/// One query against disk-resident labels.
+#[derive(Debug)]
+struct DiskQuery {
+    /// Counted label-fetch seeks (0–2 depending on the query type).
+    seeks: u64,
     /// Modeled label-retrieval time (the paper's Time (a)).
-    pub time_a: Duration,
+    time_a: Duration,
     /// Measured CPU time of Equation 1 + the `G_k` search (Time (b)).
-    pub time_b: Duration,
-    /// Number of queries run.
-    pub queries: usize,
-    /// Label fetches performed (0–2 per query depending on type).
-    pub fetches: u64,
+    time_b: Duration,
 }
 
-impl DiskQueryStats {
-    /// Mean total per query.
-    pub fn avg_total(&self) -> Duration {
-        per_query(self.time_a + self.time_b, self.queries)
-    }
+/// Mean label-fetch seeks per query.
+fn seeks(qs: &[DiskQuery]) -> String {
+    format!(
+        "{:.2}",
+        qs.iter().map(|q| q.seeks).sum::<u64>() as f64 / qs.len() as f64
+    )
+}
 
-    /// Mean Time (a) per query.
-    pub fn avg_a(&self) -> Duration {
-        per_query(self.time_a, self.queries)
-    }
+/// Mean modeled Time (a).
+fn time_a(qs: &[DiskQuery]) -> String {
+    ms(per_query(qs.iter().map(|q| q.time_a).sum(), qs.len()))
+}
 
-    /// Mean Time (b) per query.
-    pub fn avg_b(&self) -> Duration {
-        per_query(self.time_b, self.queries)
-    }
+/// Median measured Time (b).
+fn time_b(qs: &[DiskQuery]) -> String {
+    median_us(qs.iter().map(|q| q.time_b))
+}
+
+/// Median per-query total, Time (a) + Time (b).
+fn total(qs: &[DiskQuery]) -> String {
+    median_us(qs.iter().map(|q| q.time_a + q.time_b))
 }
 
 /// Runs a workload against disk-resident labels, splitting Time (a)
@@ -63,26 +78,26 @@ fn run_disk_queries(
     storage: &dyn Storage,
     cost: &IoCostModel,
     workload: &QueryWorkload,
-) -> DiskQueryStats {
-    let mut stats = DiskQueryStats {
-        queries: workload.len(),
-        ..Default::default()
-    };
+) -> Vec<DiskQuery> {
     let io = storage.stats();
     let (mut ls, mut lt) = (FetchedLabel::default(), FetchedLabel::default());
-    for &(s, t) in &workload.pairs {
-        let before = io.snapshot();
-        fetch_or_self(index, store, storage, s, &mut ls);
-        fetch_or_self(index, store, storage, t, &mut lt);
-        let delta = io.snapshot().since(&before);
-        stats.time_a += cost.modeled_time(&delta);
-        stats.fetches += delta.seeks;
-
-        let (answer, dt) = time(|| index.try_distance_from_labels(ls.view(), lt.view()));
-        answer.expect("a pristine index answers from its own stored labels");
-        stats.time_b += dt;
-    }
-    stats
+    workload
+        .pairs
+        .iter()
+        .map(|&(s, t)| {
+            let before = io.snapshot();
+            fetch_or_self(index, store, storage, s, &mut ls);
+            fetch_or_self(index, store, storage, t, &mut lt);
+            let delta = io.snapshot().since(&before);
+            let (answer, time_b) = time(|| index.try_distance_from_labels(ls.view(), lt.view()));
+            answer.expect("a pristine index answers from its own stored labels");
+            DiskQuery {
+                seeks: delta.seeks,
+                time_a: cost.modeled_time(&delta),
+                time_b,
+            }
+        })
+        .collect()
 }
 
 /// Puts `label(v)` into `out`, reading the disk only outside `G_k`.
@@ -104,23 +119,23 @@ fn fetch_or_self(
     }
 }
 
-/// Total wall-clock of answering `pairs` sequentially through one session
-/// of the shared [`DistanceOracle`] trait — every engine is measured over
-/// the identical call path, so rows of a comparison table differ only by
-/// engine, and the session is opened outside the clock, so they measure
-/// queries and not scratch allocation.
-fn oracle_total_time(oracle: &dyn DistanceOracle, pairs: &[(VertexId, VertexId)]) -> Duration {
+/// Median per-query wall-clock of answering `pairs` sequentially through
+/// one session of the shared [`DistanceOracle`] trait — every engine is
+/// measured over the identical call path, so rows of a comparison table
+/// differ only by engine, and the session is opened outside the clock, so
+/// they measure queries and not scratch allocation.
+fn oracle_query_time(oracle: &dyn DistanceOracle, pairs: &[(VertexId, VertexId)]) -> String {
     let mut session = oracle.session();
-    let (_, dt) = time(|| {
-        let mut acc = 0u64;
-        for &(s, t) in pairs {
-            if let Some(d) = session.distance(s, t).expect("workload in range") {
-                acc = acc.wrapping_add(d);
-            }
-        }
-        acc
-    });
-    dt
+    median_us(pairs.iter().map(|&(s, t)| {
+        let (answer, dt) = time(|| session.distance(s, t));
+        answer.expect("workload in range");
+        dt
+    }))
+}
+
+/// Builds an index whose configuration is one of this module's constants.
+fn build(g: &CsrGraph, config: BuildConfig) -> IsLabelIndex {
+    IsLabelIndex::try_build(g, config).expect("the experiments' configs are valid")
 }
 
 /// Builds the index plus its disk-label store on counted in-memory storage.
@@ -128,10 +143,24 @@ fn build_disk_backed(
     g: &CsrGraph,
     config: BuildConfig,
 ) -> (IsLabelIndex, MemStorage, DiskLabelStore) {
-    let index = IsLabelIndex::build(g, config);
+    let index = build(g, config);
     let storage = MemStorage::new();
     let store = DiskLabelStore::write(&storage, "labels", index.labels()).expect("write labels");
     (index, storage, store)
+}
+
+/// All five paper datasets at `scale`, in the paper's table order.
+fn datasets(scale: Scale) -> impl Iterator<Item = (Dataset, CsrGraph)> {
+    Dataset::ALL
+        .into_iter()
+        .map(move |ds| (ds, ds.generate(scale)))
+}
+
+/// The σ = 0.95 rule's k, then Table 6's sweep around it: one below (at
+/// least 2), k itself and one above.
+fn k_sweep(g: &CsrGraph) -> (u32, [u32; 3]) {
+    let auto = build(g, BuildConfig::default()).stats().k;
+    (auto, [auto.saturating_sub(1).max(2), auto, auto + 1])
 }
 
 // ---------------------------------------------------------------------------
@@ -140,12 +169,12 @@ fn build_disk_backed(
 
 /// Table 2: dataset statistics (ours, paper targets in parentheses in the
 /// dataset doc comments).
-pub fn table2() -> Table {
+pub fn table2(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 2 — real datasets (synthetic stand-ins; see README)",
         &["dataset", "|V|", "|E|", "Avg. Deg", "Max Deg", "CSR size"],
     );
-    for (ds, g) in env_datasets() {
+    for (ds, g) in datasets(scale) {
         t.row(vec![
             ds.name().into(),
             human_count(g.num_vertices()),
@@ -163,33 +192,20 @@ pub fn table2() -> Table {
 // ---------------------------------------------------------------------------
 
 /// Table 3 (σ = 0.95) / Table 7 (σ = 0.90): construction results.
-fn construction_table(sigma: f64, with_query_time: bool) -> Table {
-    let headers: Vec<&str> = if with_query_time {
-        vec![
-            "dataset",
-            "k",
-            "|V_Gk|",
-            "|E_Gk|",
-            "Label size",
-            "Indexing time",
-            "Query time",
-        ]
-    } else {
-        vec![
-            "dataset",
-            "k",
-            "|V_Gk|",
-            "|E_Gk|",
-            "Label size",
-            "Indexing time",
-        ]
-    };
-    let mut t = Table::new(
-        format!("Index construction with threshold {sigma}"),
-        &headers,
-    );
-    let nq = env_num_queries();
-    for (ds, g) in env_datasets() {
+fn construction_table(title: &str, scale: Scale, sigma: f64, with_query_time: bool) -> Table {
+    let mut headers = vec![
+        "dataset",
+        "k",
+        "|V_Gk|",
+        "|E_Gk|",
+        "Label size",
+        "Indexing time",
+    ];
+    if with_query_time {
+        headers.push("Query time");
+    }
+    let mut t = Table::new(title, &headers);
+    for (ds, g) in datasets(scale) {
         let (index, storage, store) = build_disk_backed(&g, BuildConfig::sigma(sigma));
         let s = index.stats();
         let mut row = vec![
@@ -198,12 +214,12 @@ fn construction_table(sigma: f64, with_query_time: bool) -> Table {
             human_count(s.gk_vertices),
             human_count(s.gk_edges),
             human_bytes(s.label_bytes),
-            secs(s.build_time),
+            ms(s.build_time),
         ];
         if with_query_time {
-            let workload = QueryWorkload::random(g.num_vertices(), nq, 0x9A);
+            let workload = QueryWorkload::random(g.num_vertices(), PAPER_QUERIES, 0x9A);
             let qs = run_disk_queries(&index, &store, &storage, &IoCostModel::default(), &workload);
-            row.push(ms(qs.avg_total()));
+            row.push(total(&qs));
         }
         t.row(row);
     }
@@ -211,40 +227,45 @@ fn construction_table(sigma: f64, with_query_time: bool) -> Table {
 }
 
 /// Table 3 — σ = 0.95 (the paper's default threshold).
-pub fn table3() -> Table {
-    let mut t = construction_table(0.95, false);
-    t.set_title("Table 3 — index construction results with threshold 0.95");
-    t
+pub fn table3(scale: Scale) -> Table {
+    let title = "Table 3 — index construction results with threshold 0.95";
+    construction_table(title, scale, 0.95, false)
 }
 
 /// Table 7 — σ = 0.90.
-pub fn table7() -> Table {
-    let mut t = construction_table(0.90, true);
-    t.set_title("Table 7 — construction, label size, G_k size and query time, threshold 0.9");
-    t
+pub fn table7(scale: Scale) -> Table {
+    let title = "Table 7 — construction, label size, G_k size and query time, threshold 0.9";
+    construction_table(title, scale, 0.90, true)
 }
 
 // ---------------------------------------------------------------------------
 // Table 4 — query time split, σ = 0.95
 // ---------------------------------------------------------------------------
 
-/// Table 4: average query time with Time (a) / Time (b) split.
-pub fn table4() -> Table {
+/// Table 4: query time with the Time (a) / Time (b) split.
+pub fn table4(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 4 — query time with threshold 0.95 (Time (a) modeled at 10 ms/seek)",
-        &["dataset", "k", "Total query time", "Time (a)", "Time (b)"],
+        &[
+            "dataset",
+            "k",
+            "Total query time",
+            "I/Os",
+            "Time (a)",
+            "Time (b)",
+        ],
     );
-    let nq = env_num_queries();
-    for (ds, g) in env_datasets() {
+    for (ds, g) in datasets(scale) {
         let (index, storage, store) = build_disk_backed(&g, BuildConfig::default());
-        let workload = QueryWorkload::random(g.num_vertices(), nq, 0x4A);
+        let workload = QueryWorkload::random(g.num_vertices(), PAPER_QUERIES, 0x4A);
         let qs = run_disk_queries(&index, &store, &storage, &IoCostModel::default(), &workload);
         t.row(vec![
             ds.name().into(),
             index.stats().k.to_string(),
-            ms(qs.avg_total()),
-            ms(qs.avg_a()),
-            ms(qs.avg_b()),
+            total(&qs),
+            seeks(&qs),
+            time_a(&qs),
+            time_b(&qs),
         ]);
     }
     t
@@ -256,13 +277,13 @@ pub fn table4() -> Table {
 
 /// Table 5: per-type query times on the two datasets the paper shows
 /// (BTC-like and Web-like).
-pub fn table5() -> Table {
+pub fn table5(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 5 — query time for 3 query types (1: both in G_k, 2: one, 3: neither)",
-        &["dataset", "k", "type", "Total", "Time (a)", "Time (b)"],
+        &[
+            "dataset", "k", "type", "Total", "I/Os", "Time (a)", "Time (b)",
+        ],
     );
-    let nq = env_num_queries();
-    let scale = crate::workload::env_scale();
     for ds in [Dataset::BtcLike, Dataset::WebLike] {
         let g = ds.generate(scale);
         let (index, storage, store) = build_disk_backed(&g, BuildConfig::default());
@@ -271,11 +292,12 @@ pub fn table5() -> Table {
             QueryType::OneInGk,
             QueryType::NeitherInGk,
         ] {
-            let Some(workload) = QueryWorkload::of_type(&index, qtype, nq, 0x55) else {
+            let Some(workload) = QueryWorkload::of_type(&index, qtype, PAPER_QUERIES, 0x55) else {
                 t.row(vec![
                     ds.name().into(),
                     index.stats().k.to_string(),
                     qtype.number().to_string(),
+                    "n/a".into(),
                     "n/a".into(),
                     "n/a".into(),
                     "n/a".into(),
@@ -287,9 +309,10 @@ pub fn table5() -> Table {
                 ds.name().into(),
                 index.stats().k.to_string(),
                 qtype.number().to_string(),
-                ms(qs.avg_total()),
-                ms(qs.avg_a()),
-                ms(qs.avg_b()),
+                total(&qs),
+                seeks(&qs),
+                time_a(&qs),
+                time_b(&qs),
             ]);
         }
     }
@@ -302,7 +325,7 @@ pub fn table5() -> Table {
 
 /// Table 6: construction and query time at k − 1, k, k + 1 around the
 /// automatically selected k, for BTC-like and Web-like.
-pub fn table6() -> Table {
+pub fn table6(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 6 — index construction time, label size, G_k size and query time vs k",
         &[
@@ -315,14 +338,11 @@ pub fn table6() -> Table {
             "Query time",
         ],
     );
-    let nq = env_num_queries();
-    let scale = crate::workload::env_scale();
     for ds in [Dataset::BtcLike, Dataset::WebLike] {
         let g = ds.generate(scale);
-        // Auto k from the σ = 0.95 rule.
-        let auto = IsLabelIndex::build(&g, BuildConfig::default()).stats().k;
+        let (auto, ks) = k_sweep(&g);
         let mut last_k = 0;
-        for k in [auto.saturating_sub(1).max(2), auto, auto + 1] {
+        for k in ks {
             let (index, storage, store) = build_disk_backed(&g, BuildConfig::fixed_k(k));
             let s = index.stats();
             // `fixed_k` clamps at a full hierarchy, so two requests can
@@ -331,7 +351,7 @@ pub fn table6() -> Table {
                 continue;
             }
             last_k = s.k;
-            let workload = QueryWorkload::random(g.num_vertices(), nq, 0x66);
+            let workload = QueryWorkload::random(g.num_vertices(), PAPER_QUERIES, 0x66);
             let qs = run_disk_queries(&index, &store, &storage, &IoCostModel::default(), &workload);
             t.row(vec![
                 ds.name().into(),
@@ -339,8 +359,8 @@ pub fn table6() -> Table {
                 human_count(s.gk_vertices),
                 human_count(s.gk_edges),
                 human_bytes(s.label_bytes),
-                secs(s.build_time),
-                ms(qs.avg_total()),
+                ms(s.build_time),
+                total(&qs),
             ]);
         }
     }
@@ -351,48 +371,39 @@ pub fn table6() -> Table {
 // Tables 8 & 9 — comparison with other methods
 // ---------------------------------------------------------------------------
 
-/// Table 8: average query time of IS-LABEL (disk, modeled I/O), IM-ISL
+/// Table 8: query time of IS-LABEL (disk, modeled I/O), IM-ISL
 /// (in-memory IS-LABEL), VC-Index(P2P) (modeled disk-resident search) and
 /// IM-DIJ (in-memory bidirectional Dijkstra).
-pub fn table8() -> Table {
+pub fn table8(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 8 — query time of IS-LABEL, IM-ISL, VC-Index(P2P) and IM-DIJ",
         &["dataset", "IS-LABEL", "IM-ISL", "VC-Index(P2P)", "IM-DIJ"],
     );
-    let nq = env_num_queries();
     let cost = IoCostModel::default();
-    for (ds, g) in env_datasets() {
-        let n = g.num_vertices();
-        let workload = QueryWorkload::random(n, nq, 0x88);
+    for (ds, g) in datasets(scale) {
+        let workload = QueryWorkload::random(g.num_vertices(), PAPER_QUERIES, 0x88);
 
         // IS-LABEL: disk labels, Time (a) modeled + Time (b) measured.
         let (index, storage, store) = build_disk_backed(&g, BuildConfig::default());
         let qs = run_disk_queries(&index, &store, &storage, &cost, &workload);
-        let islabel_avg = qs.avg_total();
-
-        // IM-ISL: everything in memory, through the shared trait.
-        let im_total = oracle_total_time(&index, &workload.pairs);
 
         // VC-Index(P2P): measured CPU + modeled I/O over touched bytes (the
         // original system scans its disk-resident reduced graphs).
         let vc = VcIndex::build(&g, VcConfig::default());
         let mut vc_session = vc.session();
-        let mut vc_total = Duration::ZERO;
-        for &(s, t) in &workload.pairs {
+        let vc_time = median_us(workload.pairs.iter().map(|&(s, t)| {
             // Session form: the timed region measures search work, not the
             // per-call buffer setup of the one-shot convenience.
             let ((_, qcost), dt) = time(|| vc_session.distance_with_cost(s, t).expect("in range"));
-            vc_total += dt;
             let blocks = cost.scan_blocks(qcost.bytes_touched as u64);
-            vc_total += cost.seek_latency * blocks as u32
+            dt + cost.seek_latency * blocks as u32
                 + Duration::from_secs_f64(
                     qcost.bytes_touched as f64 / cost.sequential_bytes_per_sec as f64,
-                );
-        }
+                )
+        }));
 
         // IM-DIJ, state-pooled behind the same trait.
         let bidij = BiDijkstraOracle::new(g.clone());
-        let dij_total = oracle_total_time(&bidij, &workload.pairs);
 
         // Cross-check the methods on a sample (fail loudly on divergence),
         // uniformly through the trait.
@@ -410,26 +421,27 @@ pub fn table8() -> Table {
 
         t.row(vec![
             ds.name().into(),
-            ms(islabel_avg),
-            ms(per_query(im_total, nq)),
-            ms(per_query(vc_total, nq)),
-            ms(per_query(dij_total, nq)),
+            total(&qs),
+            // IM-ISL: everything in memory, through the shared trait.
+            oracle_query_time(&index, &workload.pairs),
+            vc_time,
+            oracle_query_time(&bidij, &workload.pairs),
         ]);
     }
     t
 }
 
 /// Table 9: VC-Index construction time and index size.
-pub fn table9() -> Table {
+pub fn table9(scale: Scale) -> Table {
     let mut t = Table::new(
         "Table 9 — indexing costs for VC-Index",
         &["dataset", "Index construction time", "Index size", "levels"],
     );
-    for (ds, g) in env_datasets() {
+    for (ds, g) in datasets(scale) {
         let vc = VcIndex::build(&g, VcConfig::default());
         t.row(vec![
             ds.name().into(),
-            secs(vc.build_time()),
+            ms(vc.build_time()),
             human_bytes(vc.index_bytes()),
             vc.levels().to_string(),
         ]);
@@ -445,25 +457,24 @@ pub fn table9() -> Table {
 /// through the identical trait call path: build time, index size,
 /// sequential latency and default-parallelism batch throughput. The table
 /// the unified API makes possible — one loop, zero per-engine code.
-pub fn engine_matrix() -> Table {
+pub fn engine_matrix(scale: Scale) -> Table {
     let mut t = Table::new(
         "Engine matrix — every DistanceOracle on BTC-like via build_oracle",
         &[
             "engine",
             "build time",
             "index bytes",
-            "avg query",
+            "query",
             "batch throughput (q/s)",
         ],
     );
-    let g = Dataset::BtcLike.generate(crate::workload::env_scale());
-    let nq = env_num_queries();
-    let workload = QueryWorkload::random(g.num_vertices(), nq, 0xEE);
+    let g = Dataset::BtcLike.generate(scale);
+    let workload = QueryWorkload::random(g.num_vertices(), PAPER_QUERIES, 0xEE);
     let config = BuildConfig::default();
     let mut reference: Option<Vec<Option<Dist>>> = None;
     for engine in Engine::ALL {
         let (oracle, build_dt) = time(|| build_oracle(engine, &g, &config).expect("valid config"));
-        let seq = oracle_total_time(oracle.as_ref(), &workload.pairs);
+        let query = oracle_query_time(oracle.as_ref(), &workload.pairs);
         let (answers, batch_dt) = time(|| {
             oracle
                 .distance_batch(&workload.pairs, BatchOptions::default())
@@ -477,10 +488,10 @@ pub fn engine_matrix() -> Table {
         }
         t.row(vec![
             engine.name().into(),
-            secs(build_dt),
+            ms(build_dt),
             human_bytes(oracle.index_bytes()),
-            ms(per_query(seq, nq)),
-            format!("{:.0}", nq as f64 / batch_dt.as_secs_f64()),
+            query,
+            format!("{:.0}", PAPER_QUERIES as f64 / batch_dt.as_secs_f64()),
         ]);
     }
     t
@@ -492,7 +503,7 @@ pub fn engine_matrix() -> Table {
 
 /// Ablation A: independent-set selection strategy (the paper's greedy
 /// min-degree choice, quantified).
-pub fn ablation_strategy() -> Table {
+pub fn ablation_strategy(scale: Scale) -> Table {
     let mut t = Table::new(
         "Ablation A — independent-set strategy (BTC-like)",
         &[
@@ -504,9 +515,8 @@ pub fn ablation_strategy() -> Table {
             "Query time",
         ],
     );
-    let g = Dataset::BtcLike.generate(crate::workload::env_scale());
-    let nq = env_num_queries().min(200);
-    let workload = QueryWorkload::random(g.num_vertices(), nq, 0xAB);
+    let g = Dataset::BtcLike.generate(scale);
+    let workload = QueryWorkload::random(g.num_vertices(), ABLATION_QUERIES, 0xAB);
     for (name, strategy) in [
         ("min-degree greedy (paper)", IsStrategy::MinDegreeGreedy),
         ("random order", IsStrategy::Random(7)),
@@ -516,16 +526,15 @@ pub fn ablation_strategy() -> Table {
             is_strategy: strategy,
             ..BuildConfig::default()
         };
-        let index = IsLabelIndex::build(&g, config);
+        let index = build(&g, config);
         let s = index.stats();
-        let qt = oracle_total_time(&index, &workload.pairs);
         t.row(vec![
             name.into(),
             s.k.to_string(),
             human_count(s.gk_vertices),
             human_bytes(s.label_bytes),
-            secs(s.build_time),
-            ms(per_query(qt, nq)),
+            ms(s.build_time),
+            oracle_query_time(&index, &workload.pairs),
         ]);
     }
     t
@@ -533,7 +542,7 @@ pub fn ablation_strategy() -> Table {
 
 /// Ablation B: σ sweep — the index-cost / query-cost trade-off curve
 /// (Web-like, the dataset where Table 7 shows the trade-off most clearly).
-pub fn ablation_sigma() -> Table {
+pub fn ablation_sigma(scale: Scale) -> Table {
     let mut t = Table::new(
         "Ablation B — σ sweep (Web-like)",
         &[
@@ -546,21 +555,19 @@ pub fn ablation_sigma() -> Table {
             "Query time",
         ],
     );
-    let g = Dataset::WebLike.generate(crate::workload::env_scale());
-    let nq = env_num_queries().min(200);
-    let workload = QueryWorkload::random(g.num_vertices(), nq, 0xB5);
+    let g = Dataset::WebLike.generate(scale);
+    let workload = QueryWorkload::random(g.num_vertices(), ABLATION_QUERIES, 0xB5);
     for sigma in [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99] {
-        let index = IsLabelIndex::build(&g, BuildConfig::sigma(sigma));
+        let index = build(&g, BuildConfig::sigma(sigma));
         let s = index.stats();
-        let qt = oracle_total_time(&index, &workload.pairs);
         t.row(vec![
             format!("{sigma:.2}"),
             s.k.to_string(),
             human_count(s.gk_vertices),
             human_count(s.gk_edges),
             human_bytes(s.label_bytes),
-            secs(s.build_time),
-            ms(per_query(qt, nq)),
+            ms(s.build_time),
+            oracle_query_time(&index, &workload.pairs),
         ]);
     }
     t
@@ -569,27 +576,26 @@ pub fn ablation_sigma() -> Table {
 /// Ablation D: query throughput scaling with worker threads (the paper's
 /// queries are independent, so a serving deployment parallelizes them
 /// trivially; this measures how far that goes on one machine).
-pub fn ablation_parallel() -> Table {
+pub fn ablation_parallel(scale: Scale) -> Table {
     let mut t = Table::new(
         "Ablation D — parallel query throughput (BTC-like, in-memory)",
         &["threads", "total time", "throughput (q/s)", "speedup"],
     );
-    let g = Dataset::BtcLike.generate(crate::workload::env_scale());
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
-    let nq = env_num_queries().max(2000);
-    let workload = QueryWorkload::random(g.num_vertices(), nq, 0xD4);
+    let g = Dataset::BtcLike.generate(scale);
+    let index = build(&g, BuildConfig::default());
+    let workload = QueryWorkload::random(g.num_vertices(), PARALLEL_QUERIES, 0xD4);
     let mut base = Duration::ZERO;
     for threads in [1usize, 2, 4, 8] {
         let (answers, dt) =
             time(|| index.distance_batch(&workload.pairs, BatchOptions::with_threads(threads)));
-        assert_eq!(answers.map(|a| a.len()), Ok(nq));
+        assert_eq!(answers.map(|a| a.len()), Ok(PARALLEL_QUERIES));
         if threads == 1 {
             base = dt;
         }
         t.row(vec![
             threads.to_string(),
             ms(dt),
-            format!("{:.0}", nq as f64 / dt.as_secs_f64()),
+            format!("{:.0}", PARALLEL_QUERIES as f64 / dt.as_secs_f64()),
             format!("{:.2}x", base.as_secs_f64() / dt.as_secs_f64()),
         ]);
     }
@@ -597,7 +603,8 @@ pub fn ablation_parallel() -> Table {
 }
 
 /// Ablation C: 2-hop labeling (PLL) construction cost vs IS-LABEL across
-/// growing graphs — the Section 3 scalability argument, measured.
+/// growing graphs — the Section 3 scalability argument, measured. The
+/// graph sizes are the curve itself, so they do not follow the scale.
 pub fn ablation_twohop() -> Table {
     let mut t = Table::new(
         "Ablation C — 2-hop (PLL) vs IS-LABEL construction across graph sizes (BA, m = 5)",
@@ -617,12 +624,12 @@ pub fn ablation_twohop() -> Table {
             0xC2,
         );
         let (pll, pll_time) = time(|| PllIndex::build(&g));
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = build(&g, BuildConfig::default());
         t.row(vec![
             human_count(n),
-            secs(pll_time),
+            ms(pll_time),
             human_bytes(pll.index_bytes()),
-            secs(index.stats().build_time),
+            ms(index.stats().build_time),
             human_bytes(index.stats().label_bytes),
         ]);
     }
@@ -632,93 +639,113 @@ pub fn ablation_twohop() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use islabel_baselines::BiDijkstra;
 
-    // These smoke tests run the full experiment plumbing at test speed
-    // (tiny scale, few queries) — they catch integration breakage without
-    // waiting for real benchmark runs.
-
-    fn with_tiny_env<R>(f: impl FnOnce() -> R) -> R {
-        // Tests may run concurrently in one process; the env vars are read
-        // at call time, so serialize access.
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        std::env::set_var("ISLABEL_SCALE", "tiny");
-        std::env::set_var("ISLABEL_QUERIES", "20");
-        let r = f();
-        std::env::remove_var("ISLABEL_SCALE");
-        std::env::remove_var("ISLABEL_QUERIES");
-        r
-    }
+    // These smoke tests run the full experiment plumbing at the tiny scale:
+    // they catch integration breakage without waiting for real runs.
 
     #[test]
     fn table2_through_table9_render() {
-        with_tiny_env(|| {
-            for t in [
-                table2(),
-                table3(),
-                table4(),
-                table5(),
-                table6(),
-                table8(),
-                table9(),
-            ] {
-                let s = t.to_string();
-                assert!(!s.is_empty());
-            }
-            // Table 7 exercises the same path as 3 with queries; keep it in
-            // the same guard to stay serial.
-            let s = table7().to_string();
-            assert!(!s.is_empty());
-        });
+        for t in [
+            table2(Scale::Tiny),
+            table3(Scale::Tiny),
+            table4(Scale::Tiny),
+            table5(Scale::Tiny),
+            table6(Scale::Tiny),
+            table7(Scale::Tiny),
+            table8(Scale::Tiny),
+            table9(Scale::Tiny),
+        ] {
+            let s = t.to_string();
+            assert!(t.num_rows() > 0, "{s}");
+            // A measured per-query time never rounds to zero.
+            assert!(!s.contains("| 0.00 µs"), "{s}");
+        }
     }
 
     #[test]
     fn engine_matrix_renders_all_engines() {
-        with_tiny_env(|| {
-            let s = engine_matrix().to_string();
-            for engine in Engine::ALL {
-                assert!(s.contains(engine.name()), "missing {engine} in:\n{s}");
-            }
-        });
+        let s = engine_matrix(Scale::Tiny).to_string();
+        for engine in Engine::ALL {
+            assert!(s.contains(engine.name()), "missing {engine} in:\n{s}");
+        }
     }
 
+    /// Table 5 / Section 6.2: a query fetches the label of each endpoint
+    /// outside `G_k`, and a fetch is one counted seek — so types 1, 2 and 3
+    /// cost 0, 1 and 2 seeks. BTC-like at `tiny` realises all three.
     #[test]
     fn disk_query_stats_split_time_a_by_type() {
-        with_tiny_env(|| {
-            let g = Dataset::BtcLike.generate(islabel_graph::Scale::Tiny);
-            let (index, storage, store) = build_disk_backed(&g, BuildConfig::default());
-            let cost = IoCostModel::default();
-            // Type 1 (both in G_k): zero fetches -> Time (a) == 0.
-            if let Some(w) = QueryWorkload::of_type(&index, QueryType::BothInGk, 5, 1) {
-                let qs = run_disk_queries(&index, &store, &storage, &cost, &w);
-                assert_eq!(qs.fetches, 0);
-                assert_eq!(qs.time_a, Duration::ZERO);
+        let g = Dataset::BtcLike.generate(Scale::Tiny);
+        let (index, storage, store) = build_disk_backed(&g, BuildConfig::default());
+        let cost = IoCostModel::default();
+        for (qtype, seeks) in [
+            (QueryType::BothInGk, 0),
+            (QueryType::OneInGk, 1),
+            (QueryType::NeitherInGk, 2),
+        ] {
+            let w = QueryWorkload::of_type(&index, qtype, 50, 1).expect("BTC-like realises it");
+            let qs = run_disk_queries(&index, &store, &storage, &cost, &w);
+            assert_eq!(qs.len(), 50);
+            for q in &qs {
+                assert_eq!(q.seeks, seeks, "type {}", qtype.number());
+                assert_eq!(q.time_a.is_zero(), seeks == 0);
             }
-            // Type 3: two fetches per query.
-            if let Some(w) = QueryWorkload::of_type(&index, QueryType::NeitherInGk, 5, 1) {
-                let qs = run_disk_queries(&index, &store, &storage, &cost, &w);
-                assert_eq!(qs.fetches, 10);
-                assert!(qs.time_a >= Duration::from_millis(100)); // 10 seeks * 10 ms
+        }
+    }
+
+    /// Table 6: a larger k peels more levels, so `G_k` never grows and the
+    /// labels, which gain the ancestors of the extra levels, never shrink.
+    #[test]
+    fn table6_larger_k_never_grows_gk_nor_shrinks_labels() {
+        for ds in Dataset::ALL {
+            let g = ds.generate(Scale::Tiny);
+            let (_, ks) = k_sweep(&g);
+            let stats: Vec<_> = ks
+                .iter()
+                .map(|&k| build(&g, BuildConfig::fixed_k(k)).stats().clone())
+                .collect();
+            for w in stats.windows(2) {
+                let (lo, hi) = (&w[0], &w[1]);
+                let at = format!("{} k {} -> {}", ds.name(), lo.k, hi.k);
+                assert!(hi.gk_vertices <= lo.gk_vertices, "{at}");
+                assert!(hi.label_entries >= lo.label_entries, "{at}");
             }
-        });
+        }
+    }
+
+    /// Table 8's claim in deterministic units: over Table 8's workload,
+    /// IS-LABEL's `G_k` search settles fewer vertices than IM-DIJ's search
+    /// of the whole graph, on every stand-in.
+    #[test]
+    fn table8_islabel_settles_fewer_than_im_dij() {
+        for (ds, g) in datasets(Scale::Tiny) {
+            let index = build(&g, BuildConfig::default());
+            let mut bidij = BiDijkstra::new(g.num_vertices());
+            let workload = QueryWorkload::random(g.num_vertices(), PAPER_QUERIES, 0x88);
+            let (mut islabel, mut im_dij) = (0, 0);
+            for &(s, t) in &workload.pairs {
+                islabel += index.query(s, t).expect("in range").settled;
+                im_dij += bidij.distance_with_cost(&g, s, t).1;
+            }
+            assert!(islabel < im_dij, "{}: {islabel} >= {im_dij}", ds.name());
+        }
     }
 
     #[test]
     fn disk_queries_match_in_memory() {
-        with_tiny_env(|| {
-            let g = Dataset::GoogleLike.generate(islabel_graph::Scale::Tiny);
-            let (index, storage, store) = build_disk_backed(&g, BuildConfig::default());
-            let w = QueryWorkload::random(g.num_vertices(), 30, 3);
-            let (mut ls, mut lt) = (FetchedLabel::default(), FetchedLabel::default());
-            for &(s, t) in &w.pairs {
-                fetch_or_self(&index, &store, &storage, s, &mut ls);
-                fetch_or_self(&index, &store, &storage, t, &mut lt);
-                assert_eq!(
-                    index.try_distance_from_labels(ls.view(), lt.view()),
-                    index.try_distance(s, t),
-                    "({s}, {t})"
-                );
-            }
-        });
+        let g = Dataset::GoogleLike.generate(Scale::Tiny);
+        let (index, storage, store) = build_disk_backed(&g, BuildConfig::default());
+        let w = QueryWorkload::random(g.num_vertices(), 30, 3);
+        let (mut ls, mut lt) = (FetchedLabel::default(), FetchedLabel::default());
+        for &(s, t) in &w.pairs {
+            fetch_or_self(&index, &store, &storage, s, &mut ls);
+            fetch_or_self(&index, &store, &storage, t, &mut lt);
+            assert_eq!(
+                index.try_distance_from_labels(ls.view(), lt.view()),
+                index.try_distance(s, t),
+                "({s}, {t})"
+            );
+        }
     }
 }

@@ -7,9 +7,11 @@
 //! (Section 7): one runner per table, shared workload generation, timing
 //! utilities and an ASCII table renderer.
 //!
-//! Binaries (one per paper table, plus ablations):
+//! One binary, `paper [--scale tiny|small|medium|large] [--table NAME]`,
+//! prints every table in the order below at `small` scale by default, or
+//! the one named:
 //!
-//! | binary | reproduces |
+//! | `NAME` | reproduces |
 //! |--------|------------|
 //! | `table2` | Table 2 — dataset statistics |
 //! | `table3` | Table 3 — index construction, σ = 0.95 |
@@ -24,12 +26,8 @@
 //! | `ablation_sigma` | σ sweep ablation |
 //! | `ablation_twohop` | 2-hop (PLL) construction-cost curve |
 //! | `ablation_parallel` | query throughput vs worker threads |
-//! | `run_all` | everything above in sequence |
 //!
-//! Environment knobs: `ISLABEL_SCALE` (`tiny`/`small`/`medium`/`large`,
-//! default `small`) and `ISLABEL_QUERIES` (default 1000).
-//!
-//! These bins reproduce the paper's tables. Performance claims about this
+//! The tables reproduce the paper. Performance claims about this
 //! repository are made with the repo benchmark instead (`BENCHMARK.json`,
 //! `benchmark/`), which borrows [`QueryWorkload`] and
 //! [`timing::percentile_us`] from here
@@ -41,4 +39,4 @@ pub mod timing;
 pub mod workload;
 
 pub use table::Table;
-pub use workload::{env_num_queries, env_scale, QueryWorkload};
+pub use workload::QueryWorkload;

@@ -24,11 +24,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Replaces the title.
-    pub fn set_title(&mut self, title: impl Into<String>) {
-        self.title = title.into();
-    }
-
     /// Number of data rows.
     pub fn num_rows(&self) -> usize {
         self.rows.len()
@@ -38,10 +33,11 @@ impl Table {
 impl std::fmt::Display for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let cols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        // Widths in chars, the unit `{:<w$}` pads in (cells hold `µ`, `–`).
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(cell.chars().count());
             }
         }
         let total: usize = widths.iter().sum::<usize>() + 3 * cols + 1;
@@ -73,10 +69,12 @@ mod tests {
         let mut t = Table::new("Demo", &["name", "value"]);
         t.row(vec!["x".into(), "1".into()]);
         t.row(vec!["longer".into(), "22".into()]);
+        t.row(vec!["µ–".into(), "3".into()]);
         let s = t.to_string();
         assert!(s.contains("| name   | value |"), "{s}");
         assert!(s.contains("| longer | 22    |"), "{s}");
-        assert_eq!(t.num_rows(), 2);
+        assert!(s.contains("| µ–     | 3     |"), "{s}");
+        assert_eq!(t.num_rows(), 3);
     }
 
     #[test]

@@ -9,16 +9,10 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t0.elapsed())
 }
 
-/// Formats a duration as fractional milliseconds, the unit of the paper's
-/// query-time tables.
+/// Formats a duration as fractional milliseconds: build times and the
+/// modeled Time (a).
 pub fn ms(d: Duration) -> String {
     format!("{:.2} ms", d.as_secs_f64() * 1e3)
-}
-
-/// Formats a duration as fractional seconds, the unit of the paper's
-/// indexing-time tables.
-pub fn secs(d: Duration) -> String {
-    format!("{:.2} s", d.as_secs_f64())
 }
 
 /// Nearest-rank percentile of pre-sorted nanosecond latencies, in
@@ -30,6 +24,15 @@ pub fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
     }
     let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
     sorted_ns[idx] as f64 / 1e3
+}
+
+/// Formats per-query times as their median with the p25–p75 range, in
+/// microseconds: `"1.23 µs (1.10–1.40)"`.
+pub fn median_us(samples: impl IntoIterator<Item = Duration>) -> String {
+    let mut ns: Vec<u64> = samples.into_iter().map(|d| d.as_nanos() as u64).collect();
+    ns.sort_unstable();
+    let p = |q| percentile_us(&ns, q);
+    format!("{:.2} µs ({:.2}–{:.2})", p(0.5), p(0.25), p(0.75))
 }
 
 /// Mean duration per item.
@@ -48,7 +51,8 @@ mod tests {
     #[test]
     fn formatting() {
         assert_eq!(ms(Duration::from_micros(1500)), "1.50 ms");
-        assert_eq!(secs(Duration::from_millis(2500)), "2.50 s");
+        let samples = [4, 1, 3, 2, 5].map(Duration::from_micros);
+        assert_eq!(median_us(samples), "3.00 µs (2.00–4.00)");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! type (both/one/neither endpoint in `G_k`).
 
 use islabel_core::{IsLabelIndex, QueryType};
-use islabel_graph::{Dataset, Scale, VertexId};
+use islabel_graph::VertexId;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A list of query pairs.
@@ -81,38 +81,6 @@ impl QueryWorkload {
     }
 }
 
-/// Dataset scale from `ISLABEL_SCALE` (default `small`).
-pub fn env_scale() -> Scale {
-    match std::env::var("ISLABEL_SCALE")
-        .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "tiny" => Scale::Tiny,
-        "medium" => Scale::Medium,
-        "large" => Scale::Large,
-        "small" | "" => Scale::Small,
-        other => panic!("unknown ISLABEL_SCALE '{other}' (tiny|small|medium|large)"),
-    }
-}
-
-/// Query count from `ISLABEL_QUERIES` (default 1000, the paper's count).
-pub fn env_num_queries() -> usize {
-    std::env::var("ISLABEL_QUERIES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000)
-}
-
-/// All five paper datasets at the environment scale.
-pub fn env_datasets() -> Vec<(Dataset, islabel_graph::CsrGraph)> {
-    let scale = env_scale();
-    Dataset::ALL
-        .iter()
-        .map(|&ds| (ds, ds.generate(scale)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +101,7 @@ mod tests {
     #[test]
     fn typed_workloads_respect_membership() {
         let g = barabasi_albert(300, 4, WeightModel::Unit, 3);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert!(index.stats().gk_vertices >= 2, "need a residual graph");
         for qtype in [
             QueryType::BothInGk,
@@ -151,7 +119,7 @@ mod tests {
     fn infeasible_type_returns_none() {
         // Full hierarchy: G_k empty, so BothInGk is unrealizable.
         let g = barabasi_albert(50, 2, WeightModel::Unit, 3);
-        let index = IsLabelIndex::build(&g, BuildConfig::full());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
         assert!(QueryWorkload::of_type(&index, QueryType::BothInGk, 5, 1).is_none());
         assert!(QueryWorkload::of_type(&index, QueryType::NeitherInGk, 5, 1).is_some());
     }

@@ -102,16 +102,6 @@ fn parse_dataset(name: &str) -> Result<Dataset, String> {
     })
 }
 
-fn parse_scale(name: &str) -> Result<Scale, String> {
-    Ok(match name {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        "medium" => Scale::Medium,
-        "large" => Scale::Large,
-        other => return Err(format!("unknown scale '{other}' (tiny|small|medium|large)")),
-    })
-}
-
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
     let p = Path::new(path);
     let file = std::fs::File::open(p).map_err(|e| format!("open {path}: {e}"))?;
@@ -137,7 +127,7 @@ fn gen(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &["scale", "out"])?;
     args.reject_unknown_flags(&[])?;
     let dataset = parse_dataset(args.pos(0, "dataset name")?)?;
-    let scale = parse_scale(args.opt("scale").unwrap_or("small"))?;
+    let scale: Scale = args.opt("scale").unwrap_or("small").parse()?;
     let out = args
         .opt("out")
         .map(str::to_string)

@@ -170,6 +170,21 @@ impl Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses the four named scales (`tiny`, `small`, `medium`, `large`).
+    fn from_str(name: &str) -> Result<Self, String> {
+        Ok(match name {
+            "tiny" => Scale::Tiny,
+            "small" => Scale::Small,
+            "medium" => Scale::Medium,
+            "large" => Scale::Large,
+            other => return Err(format!("unknown scale '{other}' (tiny|small|medium|large)")),
+        })
+    }
+}
+
 /// Union of two graphs over the same vertex universe (min weight on
 /// collisions).
 fn union(a: &CsrGraph, b: &CsrGraph) -> CsrGraph {
@@ -242,6 +257,13 @@ mod tests {
         let wiki = hubbiness(Dataset::WikiTalkLike);
         let google = hubbiness(Dataset::GoogleLike);
         assert!(wiki > google, "wiki {wiki} vs google {google}");
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!("tiny".parse(), Ok(Scale::Tiny));
+        assert_eq!("large".parse(), Ok(Scale::Large));
+        assert!("Tiny".parse::<Scale>().unwrap_err().contains("tiny|small"));
     }
 
     #[test]
