@@ -363,7 +363,8 @@ mod tests {
         // the distance ball, IS-LABEL settles only inside G_k.
         let g = barabasi_albert(1500, 3, WeightModel::Unit, 8);
         let vc = VcIndex::build(&g, VcConfig::default());
-        let is = islabel_core::IsLabelIndex::build(&g, islabel_core::BuildConfig::default());
+        let is = islabel_core::IsLabelIndex::try_build(&g, islabel_core::BuildConfig::default())
+            .unwrap();
         let mut vc_settled = 0usize;
         let mut is_settled = 0usize;
         for i in 0..20u32 {

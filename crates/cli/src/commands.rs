@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use islabel_baselines::{build_oracle, Engine};
+use islabel_core::persist::v3::stored_config;
 use islabel_core::persist::{
     compact_index_with_wal, load_index_with_wal, try_load_index_from_path, try_save_index_to_path,
 };
@@ -16,6 +17,7 @@ use islabel_graph::{CsrGraph, Dataset, Scale, VertexId};
 use islabel_net::{DistanceClient, DistanceServer, NetConfig};
 use islabel_serve::{QueryService, ServeConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::Instant;
 
@@ -60,30 +62,80 @@ EXIT CODES:
         --check` cross-validation mismatch, or a `remote-query` that
         cannot connect or receives a wire error from the server.";
 
+/// Why a command failed.
+#[derive(Debug)]
+pub enum CliError {
+    /// The command could not do its job; the message is what `main`
+    /// prints after `error:`.
+    Failed(String),
+    /// Writing a report line to standard output failed. A closed pipe
+    /// (`islabel stats x.islx --file | head -1`) is the reader's choice,
+    /// not a failure, and `main` exits 0 on it.
+    Stdout(io::Error),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Failed(msg) => f.write_str(msg),
+            CliError::Stdout(e) => write!(f, "write to stdout: {e}"),
+        }
+    }
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Failed(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Failed(msg.to_string())
+    }
+}
+
+/// Where every command writes its report: `writeln!(stdout, …)?` turns a
+/// failed write into [`CliError::Stdout`] instead of the panic `println!`
+/// raises. `main` hands in one locked standard output.
+pub struct Out<'a>(&'a mut dyn Write);
+
+impl<'a> Out<'a> {
+    /// Reports go to `w`.
+    pub fn new(w: &'a mut dyn Write) -> Self {
+        Out(w)
+    }
+
+    /// What `write!` and `writeln!` call.
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+        self.0.write_fmt(args).map_err(CliError::Stdout)
+    }
+}
+
 /// Routes `argv` to a command.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+pub fn dispatch(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
-        println!("{USAGE}");
+        writeln!(stdout, "{USAGE}")?;
         return Ok(());
     };
     match cmd.as_str() {
-        "gen" => gen(rest),
-        "convert" => convert(rest),
-        "build" => build(rest),
-        "query" => query(rest),
-        "bench" => bench(rest),
-        "serve" => serve(rest),
-        "remote-query" => remote_query(rest),
-        "metrics" => metrics(rest),
-        "ingest" => ingest(rest),
-        "recover" => recover(rest),
-        "compact" => compact(rest),
-        "stats" => stats(rest),
+        "gen" => gen(rest, stdout),
+        "convert" => convert(rest, stdout),
+        "build" => build(rest, stdout),
+        "query" => query(rest, stdout),
+        "bench" => bench(rest, stdout),
+        "serve" => serve(rest, stdout),
+        "remote-query" => remote_query(rest, stdout),
+        "metrics" => metrics(rest, stdout),
+        "ingest" => ingest(rest, stdout),
+        "recover" => recover(rest, stdout),
+        "compact" => compact(rest, stdout),
+        "stats" => stats(rest, stdout),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            writeln!(stdout, "{USAGE}")?;
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+        other => Err(format!("unknown command '{other}'\n\n{USAGE}").into()),
     }
 }
 
@@ -123,7 +175,7 @@ fn save_graph(g: &CsrGraph, path: &str) -> Result<(), String> {
     }
 }
 
-fn gen(argv: &[String]) -> Result<(), String> {
+fn gen(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["scale", "out"])?;
     args.reject_unknown_flags(&[])?;
     let dataset = parse_dataset(args.pos(0, "dataset name")?)?;
@@ -135,7 +187,8 @@ fn gen(argv: &[String]) -> Result<(), String> {
     let t0 = Instant::now();
     let g = dataset.generate(scale);
     save_graph(&g, &out)?;
-    println!(
+    writeln!(
+        stdout,
         "{}: {} vertices, {} edges (avg deg {:.2}, max {}) -> {out} in {:.2?}",
         dataset.name(),
         human_count(g.num_vertices()),
@@ -143,11 +196,11 @@ fn gen(argv: &[String]) -> Result<(), String> {
         g.avg_degree(),
         g.max_degree(),
         t0.elapsed()
-    );
+    )?;
     Ok(())
 }
 
-fn convert(argv: &[String]) -> Result<(), String> {
+fn convert(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &[])?;
     args.reject_unknown_flags(&[])?;
     let input = args.pos(0, "input path")?;
@@ -161,15 +214,16 @@ fn convert(argv: &[String]) -> Result<(), String> {
     }
     let g = load_graph(input)?;
     save_graph(&g, output)?;
-    println!(
+    writeln!(
+        stdout,
         "{input} -> {output} ({} vertices, {} edges)",
         g.num_vertices(),
         g.num_edges()
-    );
+    )?;
     Ok(())
 }
 
-fn build(argv: &[String]) -> Result<(), String> {
+fn build(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["sigma", "k", "out", "workdir"])?;
     args.reject_unknown_flags(&["full", "no-paths", "external"])?;
     let graph_path = args.pos(0, "graph path")?;
@@ -198,11 +252,12 @@ fn build(argv: &[String]) -> Result<(), String> {
     config.try_validate().map_err(|e| e.to_string())?;
 
     let g = load_graph(graph_path)?;
-    println!(
+    writeln!(
+        stdout,
         "building over {} vertices / {} edges ...",
         human_count(g.num_vertices()),
         human_count(g.num_edges())
-    );
+    )?;
     let index = if args.flag("external") {
         let workdir = args.opt("workdir").map(str::to_string).unwrap_or_else(|| {
             std::env::temp_dir()
@@ -220,19 +275,24 @@ fn build(argv: &[String]) -> Result<(), String> {
         )
         .map_err(|e| format!("external build: {e}"))?;
         let io = storage.stats().snapshot();
-        println!(
+        writeln!(
+            stdout,
             "external build I/O: {} read, {} written",
             human_bytes(io.bytes_read as usize),
             human_bytes(io.bytes_written as usize)
-        );
+        )?;
         index
     } else {
         IsLabelIndex::try_build(&g, config).map_err(|e| e.to_string())?
     };
-    println!("{}", index.stats());
+    writeln!(stdout, "{}", index.stats())?;
     try_save_index_to_path(&index, &out).map_err(|e| format!("save {out}: {e}"))?;
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-    println!("index written to {out} ({})", human_bytes(bytes as usize));
+    writeln!(
+        stdout,
+        "index written to {out} ({})",
+        human_bytes(bytes as usize)
+    )?;
     Ok(())
 }
 
@@ -254,7 +314,11 @@ impl Loaded {
 
 /// Loads an `.islx` artifact (always the IS-LABEL index) or builds the
 /// selected `--engine` in-process from a graph file.
-fn load_engine(engine_opt: Option<&str>, input: &str) -> Result<Loaded, String> {
+fn load_engine(
+    engine_opt: Option<&str>,
+    input: &str,
+    stdout: &mut Out<'_>,
+) -> Result<Loaded, CliError> {
     let engine = match engine_opt {
         Some(name) => Engine::parse(name).map_err(|e| e.to_string())?,
         None => Engine::IsLabel,
@@ -263,17 +327,19 @@ fn load_engine(engine_opt: Option<&str>, input: &str) -> Result<Loaded, String> 
         if engine != Engine::IsLabel {
             return Err(format!(
                 "--engine {engine} needs a graph input; {input} is a prebuilt IS-LABEL index"
-            ));
+            )
+            .into());
         }
         let index = try_load_index_from_path(input).map_err(|e| format!("load {input}: {e}"))?;
         return Ok(Loaded::Index(Box::new(index)));
     }
     let g = load_graph(input)?;
-    println!(
+    writeln!(
+        stdout,
         "building engine '{engine}' over {} vertices / {} edges ...",
         human_count(g.num_vertices()),
         human_count(g.num_edges())
-    );
+    )?;
     // Keep the concrete index for the default engine so `--path` works on
     // graph inputs too, not only on prebuilt .islx artifacts.
     if engine == Engine::IsLabel {
@@ -285,7 +351,7 @@ fn load_engine(engine_opt: Option<&str>, input: &str) -> Result<Loaded, String> 
     Ok(Loaded::Oracle(oracle))
 }
 
-fn query(argv: &[String]) -> Result<(), String> {
+fn query(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["engine"])?;
     args.reject_unknown_flags(&["path"])?;
     let input = args.pos(0, "index or graph path")?;
@@ -297,45 +363,51 @@ fn query(argv: &[String]) -> Result<(), String> {
         .pos(2, "target vertex")?
         .parse()
         .map_err(|_| "invalid target vertex id")?;
-    let loaded = load_engine(args.opt("engine"), input)?;
+    let loaded = load_engine(args.opt("engine"), input, stdout)?;
     let oracle = loaded.as_oracle();
     let t0 = Instant::now();
     let d = oracle.try_distance(s, t).map_err(|e| e.to_string())?;
     let took = t0.elapsed();
     match d {
-        Some(d) => println!("dist({s}, {t}) = {d}   [{took:.2?}]"),
-        None => println!("dist({s}, {t}) = unreachable   [{took:.2?}]"),
+        Some(d) => writeln!(stdout, "dist({s}, {t}) = {d}   [{took:.2?}]")?,
+        None => writeln!(stdout, "dist({s}, {t}) = unreachable   [{took:.2?}]")?,
     }
     if args.flag("path") {
         match &loaded {
             Loaded::Index(index) => match index.try_shortest_path(s, t) {
                 Ok(Some(p)) => {
                     let verts: Vec<String> = p.vertices.iter().map(|v| v.to_string()).collect();
-                    println!("path ({} edges): {}", p.num_edges(), verts.join(" -> "));
+                    writeln!(
+                        stdout,
+                        "path ({} edges): {}",
+                        p.num_edges(),
+                        verts.join(" -> ")
+                    )?;
                 }
                 Ok(None) => {}
                 Err(QueryError::NoPathInfo) => {
-                    println!("path unavailable (index built with --no-paths)")
+                    writeln!(stdout, "path unavailable (index built with --no-paths)")?
                 }
-                Err(e) => return Err(e.to_string()),
+                Err(e) => return Err(e.to_string().into()),
             },
-            Loaded::Oracle(o) => println!(
+            Loaded::Oracle(o) => writeln!(
+                stdout,
                 "path unavailable (--engine {} answers distances only; build an .islx index)",
                 o.engine_name()
-            ),
+            )?,
         }
     }
     Ok(())
 }
 
-fn bench(argv: &[String]) -> Result<(), String> {
+fn bench(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["queries", "seed", "threads", "engine"])?;
     args.reject_unknown_flags(&[])?;
     let input = args.pos(0, "index or graph path")?;
     let queries: usize = args.opt_parse("queries")?.unwrap_or(1000);
     let seed: u64 = args.opt_parse("seed")?.unwrap_or(42);
     let threads: usize = args.opt_parse("threads")?.unwrap_or(1);
-    let loaded = load_engine(args.opt("engine"), input)?;
+    let loaded = load_engine(args.opt("engine"), input, stdout)?;
     let oracle = loaded.as_oracle();
     let n = oracle.num_vertices();
     if n < 2 {
@@ -360,14 +432,15 @@ fn bench(argv: &[String]) -> Result<(), String> {
         .iter()
         .flatten()
         .fold(0u64, |acc, &d| acc.wrapping_add(d));
-    println!(
+    writeln!(
+        stdout,
         "[{}] {queries} queries in {took:.2?} ({:.1} µs/query, {} threads); \
          {reachable} reachable, checksum {checksum}; index {}",
         oracle.engine_name(),
         took.as_secs_f64() * 1e6 / queries as f64,
         BatchOptions::with_threads(threads).effective_threads(queries),
         human_bytes(oracle.index_bytes())
-    );
+    )?;
     Ok(())
 }
 
@@ -376,7 +449,7 @@ fn bench(argv: &[String]) -> Result<(), String> {
 /// is the one-shot CI mode: small fixed workload, in-memory generated
 /// graph if no input is given, and a correctness cross-check plus a stats
 /// check that fail the command on any mismatch.
-fn serve(argv: &[String]) -> Result<(), String> {
+fn serve(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(
         argv,
         &[
@@ -399,7 +472,7 @@ fn serve(argv: &[String]) -> Result<(), String> {
     // surface in the `metrics` exposition (wire opcode 0x08).
     if let Some(ms) = args.opt_parse::<u64>("slow-query-ms")? {
         islabel_obs::SlowQueryLog::global().set_threshold_ns(ms.saturating_mul(1_000_000));
-        println!("slow-query log armed at {ms} ms");
+        writeln!(stdout, "slow-query log armed at {ms} ms")?;
     }
 
     // The wire server takes no workload: the closed-loop options are
@@ -416,13 +489,14 @@ fn serve(argv: &[String]) -> Result<(), String> {
             if args.opt(opt).is_some() {
                 return Err(format!(
                     "--{opt} applies to the in-process workload mode, not --listen"
-                ));
+                )
+                .into());
             }
         }
     } else {
         for opt in ["admin-token", "wal"] {
             if args.opt(opt).is_some() {
-                return Err(format!("--{opt} applies to the --listen wire server only"));
+                return Err(format!("--{opt} applies to the --listen wire server only").into());
             }
         }
     }
@@ -435,7 +509,7 @@ fn serve(argv: &[String]) -> Result<(), String> {
     }
 
     let loaded = match args.pos(0, "index or graph path") {
-        Ok(path) => load_engine(args.opt("engine"), path)?,
+        Ok(path) => load_engine(args.opt("engine"), path, stdout)?,
         Err(_) if smoke => {
             // One-shot mode needs no artifacts: generate a tiny stand-in
             // graph in memory and build the selected engine over it.
@@ -444,16 +518,17 @@ fn serve(argv: &[String]) -> Result<(), String> {
                 None => Engine::IsLabel,
             };
             let g = Dataset::GoogleLike.generate(Scale::Tiny);
-            println!(
+            writeln!(
+                stdout,
                 "smoke: engine '{engine}' over generated graph ({} vertices, {} edges)",
                 human_count(g.num_vertices()),
                 human_count(g.num_edges())
-            );
+            )?;
             Loaded::Oracle(
                 build_oracle(engine, &g, &BuildConfig::default()).map_err(|e| e.to_string())?,
             )
         }
-        Err(e) => return Err(format!("{e} (or pass --smoke to generate one)")),
+        Err(e) => return Err(format!("{e} (or pass --smoke to generate one)").into()),
     };
     let oracle: std::sync::Arc<dyn DistanceOracle> = match loaded {
         Loaded::Index(index) => std::sync::Arc::new(*index),
@@ -477,6 +552,7 @@ fn serve(argv: &[String]) -> Result<(), String> {
             !args.flag("no-reload"),
             args.opt("admin-token"),
             wal,
+            stdout,
         );
     }
 
@@ -504,14 +580,15 @@ fn serve(argv: &[String]) -> Result<(), String> {
     // Re-emit the service's counters through the process-wide registry so
     // the same exposition the wire server streams is available here.
     service.register_metrics(islabel_obs::Registry::global());
-    println!(
+    writeln!(
+        stdout,
         "serving [{}] on {} shard(s): {} clients x {} requests (batch {})",
         oracle.engine_name(),
         service.num_shards(),
         clients,
         requests,
         batch
-    );
+    )?;
 
     // Cross-check one deterministic batch against the direct query path —
     // in smoke mode this is the assertion CI relies on.
@@ -524,7 +601,8 @@ fn serve(argv: &[String]) -> Result<(), String> {
         if *got != expect {
             return Err(format!(
                 "serve cross-check failed: dist({s}, {t}) served {got:?}, direct {expect:?}"
-            ));
+            )
+            .into());
         }
     }
 
@@ -572,9 +650,13 @@ fn serve(argv: &[String]) -> Result<(), String> {
     let wall = t0.elapsed();
     let stats = service.shutdown();
 
-    println!("\nservice stats");
-    println!("    queries |   chunks |      busy | mean µs/query |  p50 µs |  p99 µs | errors");
-    println!(
+    writeln!(stdout, "\nservice stats")?;
+    writeln!(
+        stdout,
+        "    queries |   chunks |      busy | mean µs/query |  p50 µs |  p99 µs | errors"
+    )?;
+    writeln!(
+        stdout,
         "  {:>9} | {:>8} | {:>9.2?} | {:>13.2} | {:>7.1} | {:>7.1} | {:>6}",
         stats.queries,
         stats.batches,
@@ -583,32 +665,38 @@ fn serve(argv: &[String]) -> Result<(), String> {
         stats.latency.p50().as_secs_f64() * 1e6,
         stats.latency.p99().as_secs_f64() * 1e6,
         stats.errors
-    );
+    )?;
     latencies.sort_unstable();
     let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-    println!("\nclient batch latency (batch of {batch})");
-    println!(
+    writeln!(stdout, "\nclient batch latency (batch of {batch})")?;
+    writeln!(
+        stdout,
         "  p50 {:.2?}   p95 {:.2?}   p99 {:.2?}   max {:.2?}",
         pct(0.50),
         pct(0.95),
         pct(0.99),
         latencies[latencies.len() - 1]
-    );
+    )?;
     let served_queries = stats.queries - pre_workload_queries;
-    println!(
+    writeln!(
+        stdout,
         "\n{} queries in {wall:.2?} -> {:.0} queries/sec from {clients} client(s)",
         served_queries,
         served_queries as f64 / wall.as_secs_f64(),
-    );
+    )?;
     if smoke {
         // Every client asks for `ceil(requests / clients)` queries.
         let asked = (clients * requests.div_ceil(clients)) as u64;
         if served_queries != asked || stats.latency.count() != stats.queries || stats.errors != 0 {
             return Err(format!(
                 "serve stats do not add up: asked {asked}, served {served_queries}: {stats:?}"
-            ));
+            )
+            .into());
         }
-        println!("smoke OK: cross-check passed, every query counted once");
+        writeln!(
+            stdout,
+            "smoke OK: cross-check passed, every query counted once"
+        )?;
     }
     Ok(())
 }
@@ -622,7 +710,8 @@ fn serve_listen(
     allow_reload: bool,
     admin_token: Option<&str>,
     wal: Option<(String, String)>,
-) -> Result<(), String> {
+    stdout: &mut Out<'_>,
+) -> Result<(), CliError> {
     let config = NetConfig {
         allow_reload,
         admin_token: admin_token.map(str::to_string),
@@ -644,9 +733,13 @@ fn serve_listen(
     let server = DistanceServer::bind_with_coordinator(handle, listen, config, coordinator)
         .map_err(|e| format!("bind {listen}: {e}"))?;
     if let Some((index_path, wal_path)) = &wal {
-        println!("wire compaction enabled over {index_path} + {wal_path}");
+        writeln!(
+            stdout,
+            "wire compaction enabled over {index_path} + {wal_path}"
+        )?;
     }
-    println!(
+    writeln!(
+        stdout,
         "listening on {} (reload {}, admin token {}); stop with `islabel remote-query {} --shutdown`",
         server.local_addr(),
         if allow_reload { "enabled" } else { "disabled" },
@@ -656,19 +749,21 @@ fn serve_listen(
             "open"
         },
         server.local_addr()
-    );
+    )?;
     server.wait_for_shutdown_request();
-    println!("shutdown requested; draining connections ...");
+    writeln!(stdout, "shutdown requested; draining connections ...")?;
     let stats = server.shutdown();
-    println!(
+    writeln!(
+        stdout,
         "served {} queries ({} batches, {} errors) over {} connection(s) in {:.2?}",
         stats.queries, stats.batches, stats.errors, stats.connections_total, stats.uptime
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "per-query service time: p50 {:.1} µs, p99 {:.1} µs",
         stats.latency.p50().as_secs_f64() * 1e6,
         stats.latency.p99().as_secs_f64() * 1e6
-    );
+    )?;
     Ok(())
 }
 
@@ -676,7 +771,7 @@ fn serve_listen(
 /// optional `s t` query plus `--ping`, `--stats`, `--reload PATH`,
 /// `--compact` and `--shutdown` admin calls, executed in that order.
 /// `--token` presents the server's admin secret in the hello.
-fn remote_query(argv: &[String]) -> Result<(), String> {
+fn remote_query(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["reload", "token"])?;
     args.reject_unknown_flags(&["ping", "stats", "shutdown", "compact"])?;
     let addr = args.pos(0, "server address (host:port)")?;
@@ -697,7 +792,7 @@ fn remote_query(argv: &[String]) -> Result<(), String> {
     if args.flag("ping") {
         let t0 = Instant::now();
         client.ping().map_err(|e| e.to_string())?;
-        println!("ping: ok   [{:.2?}]", t0.elapsed());
+        writeln!(stdout, "ping: ok   [{:.2?}]", t0.elapsed())?;
     }
     if let Ok(s) = args.pos(1, "source vertex") {
         let s: VertexId = s.parse().map_err(|_| "invalid source vertex id")?;
@@ -709,52 +804,67 @@ fn remote_query(argv: &[String]) -> Result<(), String> {
         let d = client.distance(s, t).map_err(|e| e.to_string())?;
         let took = t0.elapsed();
         match d {
-            Some(d) => println!("dist({s}, {t}) = {d}   [{took:.2?}]"),
-            None => println!("dist({s}, {t}) = unreachable   [{took:.2?}]"),
+            Some(d) => writeln!(stdout, "dist({s}, {t}) = {d}   [{took:.2?}]")?,
+            None => writeln!(stdout, "dist({s}, {t}) = unreachable   [{took:.2?}]")?,
         }
     }
     if let Some(path) = args.opt("reload") {
         let (version, num_vertices) = client.reload(path).map_err(|e| e.to_string())?;
-        println!("reloaded {path}: snapshot generation {version}, {num_vertices} vertices");
+        writeln!(
+            stdout,
+            "reloaded {path}: snapshot generation {version}, {num_vertices} vertices"
+        )?;
     }
     if args.flag("compact") {
         let t0 = Instant::now();
         let (version, num_vertices) = client.compact().map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            stdout,
             "compacted: snapshot generation {version}, {num_vertices} vertices   [{:.2?}]",
             t0.elapsed()
-        );
+        )?;
     }
     if args.flag("stats") {
         let s = client.stats().map_err(|e| e.to_string())?;
-        println!("server stats ({addr})");
-        println!("  engine:       {} ({} vertices)", s.engine, s.num_vertices);
-        println!("  snapshot:     generation {}", s.snapshot_version);
-        println!(
+        writeln!(stdout, "server stats ({addr})")?;
+        writeln!(
+            stdout,
+            "  engine:       {} ({} vertices)",
+            s.engine, s.num_vertices
+        )?;
+        writeln!(stdout, "  snapshot:     generation {}", s.snapshot_version)?;
+        writeln!(
+            stdout,
             "  connections:  {} total, {} active",
             s.connections_total, s.connections_active
-        );
-        println!(
+        )?;
+        writeln!(
+            stdout,
             "  traffic:      {} frames, {} queries, {} batches, {} errors",
             s.frames, s.queries, s.batches, s.errors
-        );
+        )?;
         // Prefer the full histogram tail (µs-precise percentiles derived
         // client-side); fall back to the truncated scalars a pre-histogram
         // server sends.
         match &s.latency {
-            Some(h) => println!(
+            Some(h) => writeln!(
+                stdout,
                 "  latency:      p50 {:.1} µs, p99 {:.1} µs ({} samples)",
                 h.p50().as_secs_f64() * 1e6,
                 h.p99().as_secs_f64() * 1e6,
                 h.count()
-            ),
-            None => println!("  latency:      p50 {} µs, p99 {} µs", s.p50_us, s.p99_us),
+            )?,
+            None => writeln!(
+                stdout,
+                "  latency:      p50 {} µs, p99 {} µs",
+                s.p50_us, s.p99_us
+            )?,
         }
-        println!("  uptime:       {:.1} s", s.uptime_ms as f64 / 1e3);
+        writeln!(stdout, "  uptime:       {:.1} s", s.uptime_ms as f64 / 1e3)?;
     }
     if args.flag("shutdown") {
         client.shutdown_server().map_err(|e| e.to_string())?;
-        println!("shutdown acknowledged");
+        writeln!(stdout, "shutdown acknowledged")?;
     }
     Ok(())
 }
@@ -763,7 +873,7 @@ fn remote_query(argv: &[String]) -> Result<(), String> {
 /// exposition text over the wire `Metrics` opcode and print it verbatim
 /// (so `islabel metrics HOST:PORT > scrape.prom` is a valid scrape).
 /// `--watch` re-fetches every N seconds until interrupted.
-fn metrics(argv: &[String]) -> Result<(), String> {
+fn metrics(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["addr", "watch"])?;
     args.reject_unknown_flags(&[])?;
     let addr = match args.opt("addr") {
@@ -780,7 +890,7 @@ fn metrics(argv: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     loop {
         let text = client.metrics().map_err(|e| e.to_string())?;
-        print!("{text}");
+        write!(stdout, "{text}")?;
         let Some(secs) = watch else {
             return Ok(());
         };
@@ -834,7 +944,7 @@ fn pick_deletable(rng: &mut StdRng, index: &IsLabelIndex) -> Option<VertexId> {
 /// *never* re-saved: durability of the applied ops comes from the log
 /// alone, which is exactly what `recover` (and the CI crash smoke, which
 /// `kill -9`s this command mid-stream) exercises.
-fn ingest(argv: &[String]) -> Result<(), String> {
+fn ingest(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["wal", "ops", "seed", "sleep-ms"])?;
     args.reject_unknown_flags(&[])?;
     let index_path = args.pos(0, "index path (.islx)")?;
@@ -845,11 +955,12 @@ fn ingest(argv: &[String]) -> Result<(), String> {
 
     let (mut index, recovery) = load_index_with_wal(index_path, wal_path)
         .map_err(|e| format!("load {index_path} + {wal_path}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "ingesting into {index_path} ({} vertices, {})",
         human_count(index.num_vertices()),
         describe_recovery(&recovery)
-    );
+    )?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut counts = [0usize; 3]; // edges, vertices, deletions
@@ -890,7 +1001,8 @@ fn ingest(argv: &[String]) -> Result<(), String> {
     }
     let took = t0.elapsed();
     let applied: usize = counts.iter().sum();
-    println!(
+    writeln!(
+        stdout,
         "applied {applied} op(s) ({} edge inserts, {} vertex inserts, {} deletions) \
          in {took:.2?} ({:.0} ops/sec); stale: {}",
         counts[0],
@@ -898,13 +1010,14 @@ fn ingest(argv: &[String]) -> Result<(), String> {
         counts[2],
         applied as f64 / took.as_secs_f64().max(1e-9),
         index.is_stale()
-    );
-    println!(
+    )?;
+    writeln!(
+        stdout,
         "pending ops now {}; durable in {wal_path}",
         index.pending_ops()
-    );
+    )?;
     if let Some(line) = overlay_line(&index) {
-        println!("overlay: {line}");
+        writeln!(stdout, "overlay: {line}")?;
     }
     Ok(())
 }
@@ -938,22 +1051,23 @@ fn overlay_line(index: &IsLabelIndex) -> Option<String> {
 /// there the reference leg is skipped and the last line says so. Any
 /// violation fails the command — the CI crash smoke turns that into a red
 /// build, and requires that the reference leg ran.
-fn recover(argv: &[String]) -> Result<(), String> {
+fn recover(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["wal"])?;
     args.reject_unknown_flags(&["check"])?;
     let index_path = args.pos(0, "index path (.islx)")?;
     let wal_path = args.opt("wal").ok_or("missing --wal <path>")?;
     let (index, recovery) = load_index_with_wal(index_path, wal_path)
         .map_err(|e| format!("load {index_path} + {wal_path}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "recovered {index_path}: {} vertices, {} pending op(s), {}; stale: {}",
         human_count(index.num_vertices()),
         index.pending_ops(),
         describe_recovery(&recovery),
         index.is_stale()
-    );
+    )?;
     if let Some(line) = overlay_line(&index) {
-        println!("overlay: {line}");
+        writeln!(stdout, "overlay: {line}")?;
     }
     if args.flag("check") {
         let g = index.current_graph();
@@ -977,17 +1091,21 @@ fn recover(argv: &[String]) -> Result<(), String> {
                 if !ok {
                     return Err(format!(
                         "recover check failed: dist({s}, {t}) index {served:?} vs reference {exact:?}"
-                    ));
+                    ).into());
                 }
             }
             checked += 1;
         }
         if index.is_stale() {
-            println!("check OK: {checked} pair(s) answered (stale; reference skipped)");
+            writeln!(
+                stdout,
+                "check OK: {checked} pair(s) answered (stale; reference skipped)"
+            )?;
         } else {
-            println!(
+            writeln!(
+                stdout,
                 "check OK: {checked} pair(s) hold against reference Dijkstra (reference leg ran)"
-            );
+            )?;
         }
     }
     Ok(())
@@ -997,7 +1115,7 @@ fn recover(argv: &[String]) -> Result<(), String> {
 /// artifact's sealed ops plus the WAL tail into a fresh pristine index,
 /// persist it atomically, then reset the log (the pipeline the live
 /// `RebuildCoordinator` runs, with nothing to publish).
-fn compact(argv: &[String]) -> Result<(), String> {
+fn compact(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &["wal"])?;
     args.reject_unknown_flags(&[])?;
     let index_path = args.pos(0, "index path (.islx)")?;
@@ -1005,7 +1123,8 @@ fn compact(argv: &[String]) -> Result<(), String> {
     let t0 = Instant::now();
     let info = compact_index_with_wal(index_path, wal_path)
         .map_err(|e| format!("compact {index_path} + {wal_path}: {e}"))?;
-    println!(
+    writeln!(
+        stdout,
         "compacted {index_path}: folded {} op(s) ({} from WAL) into a pristine index of \
          {} vertices / {} edges (epoch {:#x}) in {:.2?}",
         info.folded_ops,
@@ -1014,11 +1133,11 @@ fn compact(argv: &[String]) -> Result<(), String> {
         human_count(info.num_edges),
         info.epoch,
         t0.elapsed()
-    );
+    )?;
     Ok(())
 }
 
-fn stats(argv: &[String]) -> Result<(), String> {
+fn stats(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
     let args = Args::parse(argv, &[])?;
     args.reject_unknown_flags(&["file"])?;
     let path = args.pos(0, "artifact path")?;
@@ -1026,59 +1145,66 @@ fn stats(argv: &[String]) -> Result<(), String> {
         if !path.ends_with(".islx") {
             return Err("--file reports on-disk index artifacts (.islx)".into());
         }
-        return file_stats(path);
+        return file_stats(path, stdout);
     }
     if path.ends_with(".islx") {
         let index = try_load_index_from_path(path).map_err(|e| format!("load {path}: {e}"))?;
         let s = index.stats();
-        println!("index: {path}");
-        println!("  vertices:      {}", human_count(s.num_vertices));
-        println!("  edges:         {}", human_count(s.num_edges));
-        println!("  k:             {}", s.k);
-        println!(
+        writeln!(stdout, "index: {path}")?;
+        writeln!(stdout, "  vertices:      {}", human_count(s.num_vertices))?;
+        writeln!(stdout, "  edges:         {}", human_count(s.num_edges))?;
+        writeln!(stdout, "  k:             {}", s.k)?;
+        writeln!(
+            stdout,
             "  |V_Gk|:        {} ({:.1}%)",
             human_count(s.gk_vertices),
             100.0 * s.gk_vertex_fraction()
-        );
-        println!("  |E_Gk|:        {}", human_count(s.gk_edges));
-        println!(
+        )?;
+        writeln!(stdout, "  |E_Gk|:        {}", human_count(s.gk_edges))?;
+        writeln!(
+            stdout,
             "  label entries: {} (avg {:.1}, max {})",
             human_count(s.label_entries),
             s.avg_label_len,
             s.max_label_len
-        );
-        println!("  label bytes:   {}", human_bytes(s.label_bytes));
-        println!("  path info:     {}", index.labels().has_path_info());
+        )?;
+        writeln!(stdout, "  label bytes:   {}", human_bytes(s.label_bytes))?;
+        writeln!(
+            stdout,
+            "  path info:     {}",
+            index.labels().has_path_info()
+        )?;
         let dense = index.dense_gk();
-        println!(
+        writeln!(
+            stdout,
             "  dense kernel:  {} compact ids, {} adjacency entries, {}",
             human_count(dense.ids().len()),
             human_count(dense.fwd().num_entries()),
             human_bytes(dense.memory_bytes())
-        );
+        )?;
         if let Some(line) = overlay_line(&index) {
-            println!("  overlay:       {line}");
+            writeln!(stdout, "  overlay:       {line}")?;
         }
-        print_search_work(&index);
+        print_search_work(&index, stdout)?;
     } else {
         let g = load_graph(path)?;
-        println!("graph: {path}");
-        println!("  vertices: {}", human_count(g.num_vertices()));
-        println!("  edges:    {}", human_count(g.num_edges()));
-        println!("  avg deg:  {:.2}", g.avg_degree());
-        println!("  max deg:  {}", g.max_degree());
-        println!("  CSR size: {}", human_bytes(g.memory_bytes()));
+        writeln!(stdout, "graph: {path}")?;
+        writeln!(stdout, "  vertices: {}", human_count(g.num_vertices()))?;
+        writeln!(stdout, "  edges:    {}", human_count(g.num_edges()))?;
+        writeln!(stdout, "  avg deg:  {:.2}", g.avg_degree())?;
+        writeln!(stdout, "  max deg:  {}", g.max_degree())?;
+        writeln!(stdout, "  CSR size: {}", human_bytes(g.memory_bytes()))?;
     }
     Ok(())
 }
 
 /// The `stats` line on what a query costs in `G_k`: the per-query means of
 /// the session trace's exact work counts over a fixed random sample.
-fn print_search_work(index: &IsLabelIndex) {
+fn print_search_work(index: &IsLabelIndex, stdout: &mut Out<'_>) -> Result<(), CliError> {
     const SAMPLE: usize = 1000;
     let n = index.num_vertices() as VertexId;
     if n < 2 {
-        return;
+        return Ok(());
     }
     let mut rng = StdRng::seed_from_u64(42);
     let mut session = index.session();
@@ -1088,62 +1214,73 @@ fn print_search_work(index: &IsLabelIndex) {
         let _ = session.distance(s, t);
     }
     let Some(trace) = QuerySession::trace(&session) else {
-        return;
+        return Ok(());
     };
     let per_query = |total: u64| total as f64 / SAMPLE as f64;
-    println!(
+    writeln!(
+        stdout,
         "  search work:   {:.1} settled, {:.1} relaxed, {:.1} pushed per query \
          ({SAMPLE} random pairs)",
         per_query(trace.settled),
         per_query(trace.relaxed),
         per_query(trace.pushed)
-    );
+    )
 }
 
 /// `stats --file`: the on-disk view of an `.islx` artifact — header
 /// facts, per-section byte layout and whether serving it would be
-/// memory-mapped or heap-resident. Anything but a v3 container (an older
+/// memory-mapped or heap-resident. Anything but a v4 container (an older
 /// format version included) is refused by the reader's typed error.
-fn file_stats(path: &str) -> Result<(), String> {
+fn file_stats(path: &str, stdout: &mut Out<'_>) -> Result<(), CliError> {
     let reader = islabel_store::StoreReader::open(std::path::Path::new(path))
         .map_err(|e| format!("open {path}: {e}"))?;
     let h = reader.header();
     let bytes = reader.len();
-    println!("artifact: {path}");
-    println!("  file size:     {}", human_bytes(bytes));
-    println!(
+    writeln!(stdout, "artifact: {path}")?;
+    writeln!(stdout, "  file size:     {}", human_bytes(bytes))?;
+    writeln!(
+        stdout,
         "  format:        v{} (flat sections; mmap-servable)",
         islabel_store::format::FORMAT_VERSION
-    );
-    println!("  epoch:         {}", h.epoch);
-    println!("  k:             {}", h.k);
-    println!("  vertices:      {}", human_count(h.n as usize));
-    println!("  |V_Gk|:        {}", human_count(h.dense_m as usize));
-    println!("  sealed ops:    {}", h.op_count);
-    println!(
+    )?;
+    writeln!(stdout, "  epoch:         {}", h.epoch)?;
+    let config = stored_config(h).map_err(|e| format!("read {path}: {e}"))?;
+    writeln!(stdout, "  build config:  {config}")?;
+    writeln!(stdout, "  k:             {}", h.k)?;
+    writeln!(stdout, "  vertices:      {}", human_count(h.n as usize))?;
+    writeln!(
+        stdout,
+        "  |V_Gk|:        {}",
+        human_count(h.dense_m as usize)
+    )?;
+    writeln!(stdout, "  sealed ops:    {}", h.op_count)?;
+    writeln!(
+        stdout,
         "  residency:     {}",
         match (reader.is_mapped(), h.op_count == 0) {
             (true, true) => "mmap (zero-copy; served in place)",
             (true, false) => "mmap for inspection; serving loads to heap (sealed ops)",
             (false, _) => "heap (mapping unavailable on this platform)",
         }
-    );
-    println!("  sections:      {} of 16 slots", h.sections.len());
+    )?;
+    writeln!(stdout, "  sections:      {} of 16 slots", h.sections.len())?;
     let data_bytes: u64 = h.sections.iter().map(|s| s.len).sum();
     for s in &h.sections {
-        println!(
+        writeln!(
+            stdout,
             "    {:<16} {:>12}   offset {:>10}   checksum 0x{:016x}",
             islabel_store::format::section_kind_name(s.kind),
             human_bytes(s.len as usize),
             s.offset,
             s.checksum
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        stdout,
         "  overhead:      {} header + padding ({} data)",
         human_bytes(bytes.saturating_sub(data_bytes as usize)),
         human_bytes(data_bytes as usize)
-    );
+    )?;
     Ok(())
 }
 
@@ -1159,7 +1296,13 @@ mod tests {
     }
 
     fn run(args: &[&str]) -> Result<(), String> {
-        dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        run_to(args, &mut io::sink())
+    }
+
+    /// [`run`] with the report written to `w`.
+    fn run_to(args: &[&str], w: &mut dyn Write) -> Result<(), String> {
+        let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        dispatch(&argv, &mut Out::new(w)).map_err(|e| e.to_string())
     }
 
     /// Serializes the tests that bind a real TCP listener. Ports are
@@ -1233,8 +1376,13 @@ mod tests {
         let old = tmp("cvi-old.islx");
         run(&["gen", "google", "--scale", "tiny", "-o", &graph]).unwrap();
         run(&["build", &graph, "-o", &index]).unwrap();
-        assert_eq!(std::fs::read(&index).unwrap()[4..8], 3u32.to_le_bytes());
-        run(&["stats", &index, "--file"]).unwrap();
+        assert_eq!(std::fs::read(&index).unwrap()[4..8], 4u32.to_le_bytes());
+        let mut report = Vec::new();
+        run_to(&["stats", &index, "--file"], &mut report).unwrap();
+        let report = String::from_utf8(report).unwrap();
+        let config = "build config:  k sigma 0.95, IS min-degree greedy, max levels 10000, \
+                      path info on";
+        assert!(report.contains(config), "{report}");
 
         // An index is not convertible, in either position.
         for (input, output) in [(&index, &old), (&graph, &old), (&index, &graph)] {
@@ -1245,19 +1393,22 @@ mod tests {
         let err = run(&["stats", &graph, "--file"]).unwrap_err();
         assert!(err.contains(".islx"), "{err}");
 
-        // A pre-v3 artifact is refused by version, naming the remedy.
-        let mut v2 = b"ISLX".to_vec();
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.resize(1024, 0);
-        std::fs::write(&old, v2).unwrap();
-        for args in [
-            vec!["stats", old.as_str(), "--file"],
-            vec!["stats", old.as_str()],
-            vec!["query", old.as_str(), "0", "5"],
-        ] {
-            let err = run(&args).unwrap_err();
-            assert!(err.contains("version 2"), "{err}");
-            assert!(err.contains("islabel build"), "{err}");
+        // An older artifact is refused by version, naming the remedy: the
+        // v2 stream, and a v3 container whose label distances are u64.
+        for version in [2u32, 3] {
+            let mut bytes = b"ISLX".to_vec();
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.resize(1024, 0);
+            std::fs::write(&old, bytes).unwrap();
+            for args in [
+                vec!["stats", old.as_str(), "--file"],
+                vec!["stats", old.as_str()],
+                vec!["query", old.as_str(), "0", "5"],
+            ] {
+                let err = run(&args).unwrap_err();
+                assert!(err.contains(&format!("version {version}")), "{err}");
+                assert!(err.contains("islabel build"), "{err}");
+            }
         }
 
         for f in [&graph, &index, &old] {

@@ -26,8 +26,13 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&argv) {
+    let mut stdout = std::io::stdout().lock();
+    match commands::dispatch(&argv, &mut commands::Out::new(&mut stdout)) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader closed the pipe: it has all the output it wants.
+        Err(commands::CliError::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

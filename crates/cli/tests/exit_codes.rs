@@ -85,7 +85,7 @@ fn recover_check_exit_codes() {
 
 #[test]
 fn pre_v3_artifact_exits_one_naming_version_and_remedy() {
-    for version in [1u32, 2] {
+    for version in [1u32, 2, 3] {
         let old = tmp(&format!("v{version}.islx"));
         let mut bytes = b"ISLX".to_vec();
         bytes.extend_from_slice(&version.to_le_bytes());
@@ -112,4 +112,34 @@ fn remote_query_against_dead_port_exits_one() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("error:"), "stderr was: {err}");
+}
+
+#[test]
+fn closed_stdout_is_not_a_failure() {
+    // `islabel stats x.islx --file | head -1`: the reader going away ends
+    // the report, not the command. The pipe's read end is closed before
+    // the child starts, so its first write fails with a broken pipe.
+    let graph = tmp("pipe.isgb");
+    let index = tmp("pipe.islx");
+    let (graph_s, index_s) = (graph.to_str().unwrap(), index.to_str().unwrap());
+    assert!(
+        islabel(&["gen", "google", "--scale", "tiny", "-o", graph_s])
+            .status
+            .success()
+    );
+    assert!(islabel(&["build", graph_s, "-o", index_s]).status.success());
+    for args in [vec!["stats", index_s, "--file"], vec!["--help"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_islabel"))
+            .args(&args)
+            .stdout(writer)
+            .output()
+            .expect("spawn islabel");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+    std::fs::remove_file(&graph).ok();
+    std::fs::remove_file(&index).ok();
 }

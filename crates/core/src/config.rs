@@ -31,16 +31,21 @@ pub enum IsStrategy {
     MaxDegreeGreedy,
 }
 
-/// Configuration for [`crate::IsLabelIndex::build`].
+/// Configuration for [`crate::IsLabelIndex::try_build`].
 ///
 /// # Weight contract
 ///
 /// Input edge weights are positive `u32`s (the paper's `ω : E → N+`).
-/// During construction, augmenting-edge weights are sums of weights along
-/// real paths and are kept in `u32` as well; graphs whose shortest-path
-/// lengths exceed `u32::MAX` therefore fail construction with an explicit
-/// panic rather than producing wrong distances. Query-time accumulation
-/// always happens in `u64`.
+/// During construction, augmenting-edge weights and label distances are
+/// sums of weights along real paths and are kept in `u32` as well —
+/// labels store them at that width in memory, in the artifact and on
+/// disk. Graphs whose shortest-path lengths exceed `u32::MAX` therefore
+/// fail construction with an explicit panic ("augmenting edge weight
+/// overflows u32" or "label distance overflows u32") rather than
+/// producing wrong distances, and a dynamic insertion that would patch a
+/// label distance past `u32::MAX` is refused as
+/// [`Error::InvalidUpdate`](crate::Error::InvalidUpdate). Query-time
+/// accumulation always happens in `u64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildConfig {
     /// How `k` is selected. Default: `σ = 0.95` (the paper's default).
@@ -130,6 +135,26 @@ impl BuildConfig {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
         }
+    }
+}
+
+/// One line naming every field: `k sigma 0.95, IS min-degree greedy, max
+/// levels 10000, path info on` (`islabel stats --file` prints what an
+/// artifact's header records this way).
+impl std::fmt::Display for BuildConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.k_selection {
+            KSelection::SigmaThreshold(s) => write!(f, "k sigma {s}")?,
+            KSelection::FixedK(k) => write!(f, "k fixed {k}")?,
+            KSelection::Full => write!(f, "k full")?,
+        }
+        match self.is_strategy {
+            IsStrategy::MinDegreeGreedy => write!(f, ", IS min-degree greedy")?,
+            IsStrategy::Random(seed) => write!(f, ", IS random (seed {seed})")?,
+            IsStrategy::MaxDegreeGreedy => write!(f, ", IS max-degree greedy")?,
+        }
+        let paths = if self.keep_path_info { "on" } else { "off" };
+        write!(f, ", max levels {}, path info {paths}", self.max_levels)
     }
 }
 

@@ -174,13 +174,13 @@ impl GkIdMap {
     }
 
     /// The raw forward array (`dense_of[global]`, [`NO_DENSE`] sentinel),
-    /// serialized verbatim as the v3 artifact's `GK_DENSE_OF` section.
+    /// serialized verbatim as the artifact's `GK_DENSE_OF` section.
     pub(crate) fn dense_of_raw(&self) -> &[u32] {
         &self.dense_of
     }
 
     /// The raw reverse array (`global_of[dense]`), serialized verbatim as
-    /// the v3 artifact's `GK_GLOBAL_OF` section.
+    /// the artifact's `GK_GLOBAL_OF` section.
     pub(crate) fn global_of_raw(&self) -> &[VertexId] {
         &self.global_of
     }
@@ -206,7 +206,7 @@ pub(crate) fn row_key(neighbour: u32, weight: Weight) -> u64 {
 /// of every heap CSR, and checked once when an artifact is opened
 /// (`Sections::validate`); the kernel never re-checks it.
 ///
-/// Targets and weights are two arrays side by side, the layout of the v3
+/// Targets and weights are two arrays side by side, the layout of the
 /// artifact's `GK_OFFSETS` / `GK_TARGETS` / `GK_WEIGHTS` sections. `S` is
 /// what holds them: `Vec`s for a built index (the default), or slices
 /// borrowed from a mapped artifact (`DenseCsr<&[u32]>`). So one row view,
@@ -262,7 +262,7 @@ impl DenseCsr {
     }
 
     /// The offsets, targets and weights arrays, serialized verbatim as the
-    /// v3 artifact's `GK_OFFSETS`, `GK_TARGETS` and `GK_WEIGHTS` sections.
+    /// artifact's `GK_OFFSETS`, `GK_TARGETS` and `GK_WEIGHTS` sections.
     pub(crate) fn arrays(&self) -> [&[u32]; 3] {
         [&self.offsets, &self.targets, &self.weights]
     }

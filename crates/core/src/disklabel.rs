@@ -12,15 +12,15 @@
 //! which is how the experiment harness reconstructs the paper's Time (a)
 //! (~10 ms per label on their 7200 RPM disk).
 //!
-//! The at-rest entry layout (`ancestor u32 + distance u64`) is shared with
-//! the label sections of the persistent v3 artifact —
+//! The at-rest entry layout (`ancestor u32 + distance u32`) is shared with
+//! the label sections of the persistent artifact —
 //! [`islabel_store::format`] (`crates/store`) is the single source of
 //! truth for these record sizes.
 
-use crate::label::{LabelSet, LabelView};
+use crate::label::{LabelDist, LabelSet, LabelView};
 use bytes::{Buf, BufMut};
 use islabel_extmem::storage::Storage;
-use islabel_graph::{Dist, VertexId};
+use islabel_graph::VertexId;
 use islabel_store::format::LABEL_ENTRY_BYTES;
 use std::io::{self, Read, Write};
 
@@ -33,7 +33,7 @@ pub struct FetchedLabel {
     /// Ancestor ids, ascending.
     pub ancestors: Vec<VertexId>,
     /// Distances parallel to `ancestors`.
-    pub dists: Vec<Dist>,
+    pub dists: Vec<LabelDist>,
     /// The record bytes of the last fetch.
     raw: Vec<u8>,
 }
@@ -79,9 +79,9 @@ impl DiskLabelStore {
         for v in 0..n as VertexId {
             let label = labels.label(v);
             buf.clear();
-            for (anc, d) in label.iter() {
+            for (&anc, &d) in label.ancestors.iter().zip(label.dists) {
                 buf.put_u32_le(anc);
-                buf.put_u64_le(d);
+                buf.put_u32_le(d);
             }
             w.write_all(&buf)?;
             pos += buf.len() as u64;
@@ -157,7 +157,7 @@ impl DiskLabelStore {
         out.dists.clear();
         for mut entry in out.raw.chunks_exact(LABEL_ENTRY_BYTES) {
             out.ancestors.push(entry.get_u32_le());
-            out.dists.push(entry.get_u64_le());
+            out.dists.push(entry.get_u32_le());
         }
         Ok(out.view())
     }
@@ -170,10 +170,11 @@ mod tests {
     use crate::index::IsLabelIndex;
     use islabel_extmem::storage::MemStorage;
     use islabel_graph::generators::{barabasi_albert, WeightModel};
+    use islabel_graph::Dist;
 
     fn setup() -> (IsLabelIndex, MemStorage, DiskLabelStore) {
         let g = barabasi_albert(200, 3, WeightModel::UniformRange(1, 4), 11);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let storage = MemStorage::new();
         let store = DiskLabelStore::write(&storage, "labels", index.labels()).unwrap();
         (index, storage, store)

@@ -41,12 +41,12 @@
 use crate::config::BuildConfig;
 use crate::hierarchy::{peel_levels, GkVia, LevelPeel, PeelEdge, VertexHierarchy};
 use crate::index::IsLabelIndex;
-use crate::label::LabelSet;
+use crate::label::{LabelDist, LabelSet, LABEL_OVERFLOW};
 use islabel_extmem::diskgraph::{AdjByDegree, AdjRecord, DiskGraph};
 use islabel_extmem::extsort::{external_sort, ExtRecord, RecordReader, RecordWriter, SortConfig};
 use islabel_extmem::storage::Storage;
 use islabel_graph::adjacency::NO_VIA;
-use islabel_graph::{CsrGraph, Dist, FxHashSet, VertexId, Weight};
+use islabel_graph::{CsrGraph, FxHashSet, VertexId, Weight};
 use std::io;
 use std::time::Instant;
 
@@ -148,7 +148,7 @@ fn build_external(
                 .collect();
         }
     }
-    let mut per_vertex: Vec<Vec<(VertexId, Dist, VertexId)>> = vec![Vec::new(); n];
+    let mut per_vertex: Vec<Vec<(VertexId, LabelDist, VertexId)>> = vec![Vec::new(); n];
     for level in 1..k {
         let mut scan = RecordReader::new(storage.open(&label_name(level))?);
         while let Some(rec) = scan.next::<LabelRecord>()? {
@@ -476,7 +476,7 @@ fn materialize_gk(
 struct LabelRecord {
     vertex: VertexId,
     /// `(ancestor, d, first_hop)` ascending by ancestor.
-    entries: Vec<(VertexId, Dist, VertexId)>,
+    entries: Vec<(VertexId, LabelDist, VertexId)>,
 }
 
 impl ExtRecord for LabelRecord {
@@ -492,7 +492,7 @@ impl ExtRecord for LabelRecord {
         out.put_u32_le(self.entries.len() as u32);
         for &(a, d, h) in &self.entries {
             out.put_u32_le(a);
-            out.put_u64_le(d);
+            out.put_u32_le(d);
             out.put_u32_le(h);
         }
     }
@@ -503,20 +503,20 @@ impl ExtRecord for LabelRecord {
         let count = buf.get_u32_le() as usize;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            entries.push((buf.get_u32_le(), buf.get_u64_le(), buf.get_u32_le()));
+            entries.push((buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le()));
         }
         Self { vertex, entries }
     }
 
     fn approx_size(&self) -> usize {
-        8 + self.entries.len() * 16 + 24
+        8 + self.entries.len() * 12 + 24
     }
 }
 
 /// One label candidate of the current block: `(block slot, ancestor,
 /// distance, first hop)`. Sorting puts each `(slot, ancestor)` group's
 /// lexicographic minimum of `(distance, first hop)` first.
-type Candidate = (u32, VertexId, Dist, VertexId);
+type Candidate = (u32, VertexId, LabelDist, VertexId);
 
 /// Sorts `candidates` and keeps the first per `(slot, ancestor)`: the
 /// min-merge with the deterministic tie-break (equal distance keeps the
@@ -577,7 +577,7 @@ fn label_top_down(
                     // to a file) and peeled neighbors that were isolated at
                     // peel time (same situation). For everything else the
                     // BU join below re-derives the same value, a no-op.
-                    candidates.push((slot, u, w as Dist, u));
+                    candidates.push((slot, u, w, u));
                     if level_of[u as usize] != k {
                         join.push((u, slot, w));
                     }
@@ -602,7 +602,8 @@ fn label_top_down(
                         .take_while(|&&(u, _, _)| u == lab.vertex)
                     {
                         for &(anc, d, _) in &lab.entries {
-                            candidates.push((slot, anc, w as Dist + d, lab.vertex));
+                            let d = w.checked_add(d).expect(LABEL_OVERFLOW);
+                            candidates.push((slot, anc, d, lab.vertex));
                         }
                         if candidates.len() >= merge_at {
                             sort_reduce(&mut candidates);
@@ -640,7 +641,7 @@ mod tests {
     fn assert_equivalent(g: &CsrGraph, config: BuildConfig, em: EmConfig, tag: &str) {
         let storage = MemStorage::new();
         let em_index = build_external_from_csr(&storage, g, config, em).unwrap();
-        let im_index = IsLabelIndex::build(g, config);
+        let im_index = IsLabelIndex::try_build(g, config).unwrap();
 
         assert_eq!(
             em_index.labels(),
@@ -693,7 +694,7 @@ mod tests {
             let storage = MemStorage::new();
             let em_index =
                 build_external_from_csr(&storage, &g, config, EmConfig::tiny_for_tests()).unwrap();
-            let im_index = IsLabelIndex::build(&g, config);
+            let im_index = IsLabelIndex::try_build(&g, config).unwrap();
             assert_eq!(em_index.stats().k, im_index.stats().k, "{config:?} k");
             assert_eq!(
                 em_index.hierarchy().levels(),

@@ -53,8 +53,8 @@ pub struct VertexHierarchy {
     /// are isolated in it).
     gk: CsrGraph,
     /// Via vertices of `G_k`'s augmenting edges as `(min, max, via)`
-    /// triples, strictly ascending by `(min, max)` — the order of the v3
-    /// via section, which `Sections::validate` checks on open. Empty when
+    /// triples, strictly ascending by `(min, max)` — the order of the
+    /// artifact's via section, which `Sections::validate` checks on open. Empty when
     /// path info is disabled.
     gk_vias: Vec<GkVia>,
 }

@@ -6,7 +6,7 @@ use crate::dense::{
 };
 use crate::hierarchy::VertexHierarchy;
 use crate::kernel::intersect_min_auto;
-use crate::label::{LabelSet, LabelView};
+use crate::label::{LabelDist, LabelSet, LabelView};
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
 use crate::persist::wal::{scan_wal, WalRecovery, WalWriter, WAL_HEADER_LEN};
 use crate::query::{Meeting, QueryType, SearchOutcome};
@@ -152,7 +152,7 @@ impl IsLabelIndex {
             labeling_time,
             build_time: hierarchy_time + labeling_time,
         };
-        let overlay = Overlay::new(graph.num_vertices());
+        let overlay = Overlay::new(graph.num_vertices(), labels.max_dist());
         let dense =
             DenseGk::undirected(hierarchy.universe(), hierarchy.gk_members(), hierarchy.gk());
         Self {
@@ -431,19 +431,22 @@ impl IsLabelIndex {
     /// against the overlay, then append it to the attached log. An op that
     /// fails the check never reaches the log (replay could not apply it).
     fn admit(&mut self, op: &UpdateOp) -> Result<(), Error> {
-        op.validate(&self.overlay).map_err(Error::InvalidUpdate)?;
+        self.check_op(op).map_err(Error::InvalidUpdate)?;
         if let Some(wal) = self.wal.as_mut() {
             wal.append(op).map_err(Error::Persist)?;
         }
         Ok(())
     }
 
-    /// Applies one recovered op (sealed section or WAL replay) through the
-    /// normal mutation path, first validating it against the current
-    /// overlay so corrupt records fail cleanly instead of panicking. Never
-    /// touches the attached WAL.
-    pub(crate) fn replay_op(&mut self, op: &UpdateOp) -> Result<(), String> {
+    /// What an op must pass before it is logged or replayed: valid against
+    /// the overlay, and no patched label distance past `u32::MAX`.
+    fn check_op(&mut self, op: &UpdateOp) -> Result<(), String> {
         op.validate(&self.overlay)?;
+        Overlay::check_fits(self, op)
+    }
+
+    /// Applies a checked op to the overlay; never touches the attached WAL.
+    pub(crate) fn apply(&mut self, op: &UpdateOp) {
         match op {
             UpdateOp::InsertVertex { edges } => {
                 Overlay::insert_vertex(self, edges);
@@ -451,6 +454,15 @@ impl IsLabelIndex {
             UpdateOp::InsertEdge { a, b, w } => Overlay::insert_edge(self, *a, *b, *w),
             UpdateOp::DeleteVertex { v } => Overlay::delete_vertex(self, *v),
         }
+    }
+
+    /// Applies one recovered op (sealed section or WAL replay) through the
+    /// normal mutation path, first checking it against the current overlay
+    /// so corrupt records fail cleanly instead of panicking. Never touches
+    /// the attached WAL.
+    pub(crate) fn replay_op(&mut self, op: &UpdateOp) -> Result<(), String> {
+        self.check_op(op)?;
+        self.apply(op);
         Ok(())
     }
 
@@ -634,7 +646,8 @@ impl IsLabelIndex {
     /// `RebuildCoordinator` in `islabel-serve` (live).
     pub fn rebuild(&mut self) {
         let g = self.current_graph();
-        *self = Self::build(&g, self.config);
+        *self = Self::try_build(&g, self.config)
+            .expect("the configuration this index was built with validates again");
     }
 }
 
@@ -689,9 +702,9 @@ pub struct IsLabelSession<'a> {
 struct OverlayDense<'a> {
     patch: &'a DensePatch,
     anc_s: Vec<VertexId>,
-    dist_s: Vec<Dist>,
+    dist_s: Vec<LabelDist>,
     anc_t: Vec<VertexId>,
-    dist_t: Vec<Dist>,
+    dist_t: Vec<LabelDist>,
 }
 
 impl IsLabelSession<'_> {
@@ -867,7 +880,7 @@ mod tests {
 
     fn paper_index() -> IsLabelIndex {
         let g = crate::hierarchy::tests::paper_graph();
-        IsLabelIndex::build(&g, BuildConfig::default())
+        IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap()
     }
 
     #[test]
@@ -886,7 +899,7 @@ mod tests {
     fn matches_dijkstra_exhaustively_on_small_graphs() {
         for seed in 0..6u64 {
             let g = erdos_renyi_gnm(40, 70, WeightModel::UniformRange(1, 7), seed);
-            let index = IsLabelIndex::build(&g, BuildConfig::default());
+            let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
             for s in g.vertices() {
                 let truth = dijkstra_all(&g, s);
                 for t in g.vertices() {
@@ -916,7 +929,7 @@ mod tests {
             .map(|i| ((i * 7) % 200, (i * 13 + 5) % 200))
             .collect();
         for config in configs {
-            let index = IsLabelIndex::build(&g, config);
+            let index = IsLabelIndex::try_build(&g, config).unwrap();
             for &(s, t) in &queries {
                 let expect = dijkstra_p2p(&g, s, t);
                 assert_eq!(
@@ -936,7 +949,7 @@ mod tests {
         b.add_edge(1, 2, 1);
         b.add_edge(3, 4, 1);
         let g = b.build();
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert_eq!(index.try_distance(0, 2), Ok(Some(2)));
         assert_eq!(index.try_distance(3, 4), Ok(Some(1)));
         assert_eq!(index.try_distance(0, 3), Ok(None));
@@ -947,7 +960,7 @@ mod tests {
     #[test]
     fn full_hierarchy_answers_by_labels_alone() {
         let g = erdos_renyi_gnm(80, 160, WeightModel::UniformRange(1, 3), 2);
-        let index = IsLabelIndex::build(&g, BuildConfig::full());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
         assert_eq!(index.stats().gk_vertices, 0);
         for (s, t) in [(0u32, 79u32), (1, 50), (10, 60)] {
             let out = index.query(s, t).unwrap();
@@ -960,7 +973,7 @@ mod tests {
     #[test]
     fn query_outcome_diagnostics() {
         let g = barabasi_albert(300, 4, WeightModel::Unit, 3);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert!(index.stats().gk_vertices > 0);
         // Pick one vertex in G_k and one outside for each class.
         let in_gk = index.hierarchy().gk_members()[0];
@@ -986,8 +999,8 @@ mod tests {
         // Table 7's trend: a smaller σ stops earlier => larger G_k, smaller
         // labels.
         let g = barabasi_albert(500, 4, WeightModel::Unit, 21);
-        let strict = IsLabelIndex::build(&g, BuildConfig::sigma(0.95));
-        let loose = IsLabelIndex::build(&g, BuildConfig::sigma(0.60));
+        let strict = IsLabelIndex::try_build(&g, BuildConfig::sigma(0.95)).unwrap();
+        let loose = IsLabelIndex::try_build(&g, BuildConfig::sigma(0.60)).unwrap();
         assert!(loose.stats().k <= strict.stats().k);
         assert!(loose.stats().gk_vertices >= strict.stats().gk_vertices);
         assert!(loose.stats().label_bytes <= strict.stats().label_bytes);
@@ -996,7 +1009,7 @@ mod tests {
     #[test]
     fn stats_are_coherent() {
         let g = erdos_renyi_gnm(120, 360, WeightModel::Unit, 4);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let s = index.stats();
         assert_eq!(s.num_vertices, 120);
         assert_eq!(s.num_edges, 360);
@@ -1064,25 +1077,26 @@ mod tests {
         let g = b.build();
 
         // With path info: unreachable is Ok(None), not an error.
-        let with = IsLabelIndex::build(&g, BuildConfig::default());
+        let with = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert!(with.try_shortest_path(0, 1).unwrap().is_some());
         assert_eq!(with.try_shortest_path(0, 3), Ok(None));
 
         // Without path info: a typed NoPathInfo, not a silent None.
-        let without = IsLabelIndex::build(
+        let without = IsLabelIndex::try_build(
             &g,
             BuildConfig {
                 keep_path_info: false,
                 ..BuildConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(
             without.try_shortest_path(0, 1),
             Err(crate::QueryError::NoPathInfo)
         );
 
         // Dynamic updates also drop path metadata.
-        let mut updated = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut updated = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         updated.try_insert_edge(2, 3, 1).unwrap();
         assert_eq!(
             updated.try_shortest_path(0, 1),
@@ -1093,14 +1107,14 @@ mod tests {
     #[test]
     fn try_distance_from_labels_reports_stale_index() {
         let g = crate::hierarchy::tests::paper_graph();
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let own = |index: &IsLabelIndex, v: VertexId| {
             let l = index.labels().label(v);
             (l.ancestors.to_vec(), l.dists.to_vec())
         };
         let (sa, sd) = own(&index, 7);
         let (ta, td) = own(&index, 4);
-        fn view<'a>(a: &'a [VertexId], d: &'a [Dist]) -> crate::label::LabelView<'a> {
+        fn view<'a>(a: &'a [VertexId], d: &'a [LabelDist]) -> crate::label::LabelView<'a> {
             crate::label::LabelView {
                 ancestors: a,
                 dists: d,
@@ -1138,7 +1152,7 @@ mod tests {
     #[test]
     fn batch_zero_threads_uses_default_parallelism() {
         let g = erdos_renyi_gnm(60, 140, WeightModel::Unit, 12);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let pairs: Vec<(VertexId, VertexId)> =
             (0..40).map(|i| (i % 60, (i * 7 + 3) % 60)).collect();
         let sequential: Vec<Option<Dist>> = pairs
@@ -1155,7 +1169,7 @@ mod tests {
     #[test]
     fn session_matches_try_distance_across_reuse() {
         let g = barabasi_albert(200, 3, WeightModel::UniformRange(1, 4), 17);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let mut session = index.session();
         assert_eq!(QuerySession::engine_name(&session), "islabel");
         for round in 0..3 {
@@ -1178,7 +1192,7 @@ mod tests {
     #[test]
     fn session_serves_updated_index_on_patched_dense_kernel() {
         let g = erdos_renyi_gnm(60, 140, WeightModel::UniformRange(1, 5), 23);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let v = index.try_insert_vertex(&[(0, 2), (10, 1)]).unwrap();
         let mut session = DistanceOracle::session(&index);
         for t in [0u32, 10, 30, v] {
@@ -1220,7 +1234,7 @@ mod tests {
     #[test]
     fn symmetric_queries_agree() {
         let g = erdos_renyi_gnm(100, 220, WeightModel::UniformRange(1, 9), 31);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         for (s, t) in (0..50u32).map(|i| (i, 99 - i)) {
             assert_eq!(
                 index.try_distance(s, t),
@@ -1233,7 +1247,7 @@ mod tests {
     #[test]
     fn parallel_batch_matches_sequential() {
         let g = barabasi_albert(300, 3, WeightModel::UniformRange(1, 4), 8);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let pairs: Vec<(VertexId, VertexId)> = (0..200)
             .map(|i| ((i * 7) % 300, (i * 13 + 5) % 300))
             .collect();
@@ -1257,7 +1271,7 @@ mod tests {
     #[test]
     fn fixed_k_two_means_single_peel() {
         let g = erdos_renyi_gnm(100, 220, WeightModel::Unit, 31);
-        let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(2));
+        let index = IsLabelIndex::try_build(&g, BuildConfig::fixed_k(2)).unwrap();
         assert_eq!(index.stats().k, 2);
         assert_eq!(index.hierarchy().levels().len(), 1);
         match index.config().k_selection {

@@ -76,10 +76,10 @@ mod tests {
     #[test]
     fn auto_matches_reference_on_smoke_shapes() {
         let a_anc: Vec<u32> = (0..97).map(|i| i * 3).collect();
-        let a_dist: Vec<u64> = (0..97).map(|i| (i as u64 * 7) % 31).collect();
+        let a_dist: Vec<u32> = (0..97).map(|i| (i * 7) % 31).collect();
         let b_anc: Vec<u32> = (0..80).map(|i| i * 4 + 2).collect();
-        let b_dist: Vec<u64> = (0..80).map(|i| (i as u64 * 5) % 17).collect();
-        fn view<'a>(anc: &'a [u32], dist: &'a [u64]) -> LabelView<'a> {
+        let b_dist: Vec<u32> = (0..80).map(|i| (i * 5) % 17).collect();
+        fn view<'a>(anc: &'a [u32], dist: &'a [u32]) -> LabelView<'a> {
             LabelView {
                 ancestors: anc,
                 dists: dist,

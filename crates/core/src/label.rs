@@ -44,12 +44,24 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Sentinel first hop for labels built without path info.
 pub const NO_HOP: VertexId = VertexId::MAX;
 
+/// A stored label distance. Labels hold it at 4 bytes wherever they live
+/// (heap, mapped artifact, disk store); Equation 1 widens to [`Dist`] for
+/// the sum, so a query answer is never narrowed. A label distance above
+/// `u32::MAX` fails construction (see the `BuildConfig` weight contract).
+pub type LabelDist = u32;
+
+/// The construction-time failure for a label distance past
+/// [`LabelDist`]: the in-memory and the external builder both panic with
+/// it, as an augmenting-edge overflow does.
+pub(crate) const LABEL_OVERFLOW: &str = "label distance overflows u32: input weights are too \
+     large (shortest-path lengths must fit in u32 during construction)";
+
 /// All vertex labels, flattened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelSet {
     offsets: Vec<usize>,
     ancestors: Vec<VertexId>,
-    dists: Vec<Dist>,
+    dists: Vec<LabelDist>,
     /// Parallel to `ancestors` when path info is kept, empty otherwise. The
     /// first hop of entry `(w, d)` in `label(v)` is the peel-neighbor `u`
     /// of `v` starting the optimal chain (`u = v` for the self entry).
@@ -62,7 +74,7 @@ pub struct LabelView<'a> {
     /// Ancestor ids, ascending.
     pub ancestors: &'a [VertexId],
     /// Chain-length upper bounds, parallel to `ancestors`.
-    pub dists: &'a [Dist],
+    pub dists: &'a [LabelDist],
     /// First hops, parallel to `ancestors` (empty without path info).
     pub first_hops: &'a [VertexId],
 }
@@ -83,7 +95,7 @@ impl<'a> LabelView<'a> {
         self.ancestors
             .iter()
             .copied()
-            .zip(self.dists.iter().copied())
+            .zip(self.dists.iter().map(|&d| Dist::from(d)))
     }
 
     /// Looks up the entry for `ancestor` (binary search).
@@ -91,7 +103,7 @@ impl<'a> LabelView<'a> {
         self.ancestors
             .binary_search(&ancestor)
             .ok()
-            .map(|i| self.dists[i])
+            .map(|i| Dist::from(self.dists[i]))
     }
 
     /// Looks up `(d, first_hop)` for `ancestor`; first hop is [`NO_HOP`]
@@ -103,13 +115,13 @@ impl<'a> LabelView<'a> {
             } else {
                 self.first_hops[i]
             };
-            (self.dists[i], hop)
+            (Dist::from(self.dists[i]), hop)
         })
     }
 }
 
 /// One transient label entry during construction: `(ancestor, dist, hop)`.
-type Entry = (VertexId, Dist, VertexId);
+type Entry = (VertexId, LabelDist, VertexId);
 
 /// One chunk's output of a labeling worker: `(chunk index, per-vertex
 /// lengths, flat entries)` — committed to the arena by the main thread.
@@ -187,14 +199,14 @@ impl ArenaLabels {
 
 /// A slot no vertex has written: no real entry carries [`NO_HOP`] as its
 /// first hop, and every real `(dist, hop)` compares below it.
-const UNSET: (Dist, VertexId) = (Dist::MAX, NO_HOP);
+const UNSET: (LabelDist, VertexId) = (LabelDist::MAX, NO_HOP);
 
 /// One labeling worker's scratch, created once per build: `(dist, first
 /// hop)` per ancestor id plus the ids written for the current vertex.
 /// Between two vertices every slot is [`UNSET`] and `touched` is empty.
 #[derive(Debug)]
 struct ScatterMin {
-    slots: Vec<(Dist, VertexId)>,
+    slots: Vec<(LabelDist, VertexId)>,
     touched: Vec<VertexId>,
 }
 
@@ -208,7 +220,8 @@ impl ScatterMin {
 
     /// Appends `label(v)` to `out`, ancestor-ascending, and returns its
     /// length: the self entry plus, per ancestor of a peel neighbor `u`, the
-    /// lexicographic minimum of `(ω(v, u) + d(u, ancestor), u)`.
+    /// lexicographic minimum of `(ω(v, u) + d(u, ancestor), u)`. Panics
+    /// with [`LABEL_OVERFLOW`] on a sum past [`LabelDist`].
     fn label_vertex<P: PeelSource>(
         &mut self,
         v: VertexId,
@@ -217,13 +230,12 @@ impl ScatterMin {
         out: &mut Vec<Entry>,
     ) -> u32 {
         for (u, w) in peel.peel_neighbors(v) {
-            let shift = w as Dist;
             for &(anc, d, _) in labels.get(u) {
                 let slot = &mut self.slots[anc as usize];
                 if slot.1 == NO_HOP {
                     self.touched.push(anc);
                 }
-                let cand = (shift + d, u);
+                let cand = (w.checked_add(d).expect(LABEL_OVERFLOW), u);
                 if cand < *slot {
                     *slot = cand;
                 }
@@ -339,9 +351,11 @@ pub(crate) fn build_from_peel<P: PeelSource>(
                             .ok()
                     })
                     .collect();
+                // A worker's panic (a label distance past `LabelDist`) is
+                // re-raised here with its own message.
                 handles
                     .into_iter()
-                    .flat_map(|h| h.join().expect("labeling worker panicked"))
+                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                     .collect()
             });
         }
@@ -414,7 +428,7 @@ impl LabelSet {
 
     /// Flattens per-vertex sorted entry lists into the SoA layout.
     pub(crate) fn from_per_vertex(
-        labels: Vec<Vec<(VertexId, Dist, VertexId)>>,
+        labels: Vec<Vec<(VertexId, LabelDist, VertexId)>>,
         keep_path_info: bool,
     ) -> Self {
         let total: usize = labels.iter().map(|l| l.len()).sum();
@@ -482,8 +496,14 @@ impl LabelSet {
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
             + self.ancestors.len() * std::mem::size_of::<VertexId>()
-            + self.dists.len() * std::mem::size_of::<Dist>()
+            + self.dists.len() * std::mem::size_of::<LabelDist>()
             + self.first_hops.len() * std::mem::size_of::<VertexId>()
+    }
+
+    /// Largest label distance, 0 for no labels: the bound the update
+    /// overlay checks an insertion against before it patches anything.
+    pub(crate) fn max_dist(&self) -> LabelDist {
+        self.dists.iter().copied().max().unwrap_or(0)
     }
 
     /// Largest single label (diagnostics; drives worst-case Time (a)).
@@ -532,11 +552,11 @@ pub(crate) mod tests {
         }
         for li in levels.sets.iter().rev() {
             for &v in li {
-                let mut acc: FxHashMap<VertexId, (Dist, VertexId)> = FxHashMap::default();
+                let mut acc: FxHashMap<VertexId, (LabelDist, VertexId)> = FxHashMap::default();
                 acc.insert(v, (0, v));
                 for (u, w) in peel.peel_neighbors(v) {
                     for &(anc, d, _) in &per_vertex[u as usize] {
-                        let cand = (w as Dist + d, u);
+                        let cand = (w + d, u);
                         let cur = acc.entry(anc).or_insert(cand);
                         *cur = (*cur).min(cand);
                     }

@@ -1,6 +1,6 @@
-//! # Zero-copy serving straight off a mapped v3 artifact
+//! # Zero-copy serving straight off a mapped artifact
 //!
-//! [`MmapIndex`] implements [`DistanceOracle`] over the raw bytes of a v3
+//! [`MmapIndex`] implements [`DistanceOracle`] over the raw bytes of an
 //! `.islx` file — no deserialization: labels, the dense `G_k` CSR, and
 //! the id maps are the mapped sections themselves, cast to typed slices
 //! at open (`islabel-store` validates structure — header CRC, section
@@ -32,6 +32,7 @@
 //! open (`docs/adr/0010-weight-ordered-rows.md`). The `store_mmap`
 //! integration suite pins bit-identical results against the heap engine.
 
+use crate::config::BuildConfig;
 use crate::dense::{seeded_search, DenseScratch, NO_DENSE};
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
 use crate::persist::v3::Sections;
@@ -39,11 +40,13 @@ use islabel_graph::{Dist, VertexId, INF};
 use islabel_store::StoreReader;
 use std::path::Path;
 
-/// A distance oracle serving directly from a memory-mapped v3 artifact.
+/// A distance oracle serving directly from a memory-mapped artifact.
 /// See the [module docs](self) for scope and guarantees.
 #[derive(Debug)]
 pub struct MmapIndex {
     reader: StoreReader,
+    /// The build configuration the header records.
+    config: BuildConfig,
     /// The longest label, read once from `label_offsets` at open: what a
     /// session pre-sizes its seed buffers to.
     max_label_len: usize,
@@ -103,9 +106,16 @@ impl MmapIndex {
             .max()
             .unwrap_or(0);
         Ok(Self {
+            config: s.config,
             reader,
             max_label_len,
         })
+    }
+
+    /// The whole build configuration the artifact was built with, as its
+    /// header records it.
+    pub fn config(&self) -> &BuildConfig {
+        &self.config
     }
 
     /// The underlying store (header facts, section table, residency).
@@ -233,7 +243,6 @@ impl QuerySession for MmapSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BuildConfig;
     use crate::index::IsLabelIndex;
     use crate::persist::v3;
     use islabel_graph::generators::{barabasi_albert, WeightModel};
@@ -249,7 +258,7 @@ mod tests {
     #[test]
     fn mmap_matches_heap_engine() {
         let g = barabasi_albert(300, 3, WeightModel::UniformRange(1, 9), 21);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let mapped = mmap_of(&index);
         assert_eq!(mapped.num_vertices(), 300);
         let mut session = mapped.session();
@@ -270,7 +279,7 @@ mod tests {
     #[test]
     fn mmap_refuses_sealed_updates() {
         let g = barabasi_albert(80, 2, WeightModel::Unit, 3);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         index.try_insert_edge(0, 40, 1).unwrap();
         let buf = v3::write_index(&index, Cursor::new(Vec::new()))
             .unwrap()

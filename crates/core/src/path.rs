@@ -186,7 +186,7 @@ mod tests {
         config: BuildConfig,
         pairs: &[(VertexId, VertexId)],
     ) {
-        let index = IsLabelIndex::build(g, config);
+        let index = IsLabelIndex::try_build(g, config).unwrap();
         for &(s, t) in pairs {
             let expect = dijkstra_p2p(g, s, t);
             let path = index.try_shortest_path(s, t).unwrap();
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn paper_example_paths() {
         let g = crate::hierarchy::tests::paper_graph();
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         // dist(h, e) = 3 along h-g-d-e.
         let p = index.try_shortest_path(7, 4).unwrap().unwrap();
         assert_eq!(p.length, 3);
@@ -256,7 +256,7 @@ mod tests {
         b.add_edge(0, 1, 3);
         b.add_edge(2, 3, 4);
         let g = b.build();
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert_eq!(index.try_shortest_path(0, 2), Ok(None));
         assert_eq!(
             index.try_shortest_path(0, 1),
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn trivial_paths() {
         let g = erdos_renyi_gnm(20, 40, WeightModel::Unit, 3);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let p = index.try_shortest_path(5, 5).unwrap().unwrap();
         assert_eq!(p.vertices, vec![5]);
         assert_eq!(p.length, 0);
@@ -284,7 +284,7 @@ mod tests {
             keep_path_info: false,
             ..BuildConfig::default()
         };
-        let index = IsLabelIndex::build(&g, config);
+        let index = IsLabelIndex::try_build(&g, config).unwrap();
         assert_eq!(
             index.try_shortest_path(0, 1),
             Err(crate::QueryError::NoPathInfo)
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn path_disabled_after_updates() {
         let g = erdos_renyi_gnm(30, 80, WeightModel::Unit, 5);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert!(index.try_shortest_path(0, 1).unwrap().is_some());
         index.try_insert_vertex(&[(0, 1)]).unwrap();
         assert_eq!(

@@ -10,7 +10,8 @@
 //! the external pipeline) and reloaded by a query server or the CLI.
 //!
 //! It is the only artifact format. A file carrying the `ISLX` magic and an
-//! older version number (the v1/v2 streams) is refused by version with a
+//! older version number (the v1/v2 streams, the v3 container with `u64`
+//! label distances) is refused by version with a
 //! typed error that says to rebuild with `islabel build`
 //! (`docs/adr/0007-one-format-one-harness.md`); [`v3`]'s
 //! `Sections::validate` is the only artifact validator.
@@ -106,7 +107,7 @@ fn atomic_save(index: &IsLabelIndex, path: &Path) -> io::Result<()> {
 /// Loads the artifact at `path` fully onto the heap: structure and content
 /// checksums verified by [`StoreReader::open`], every stored value by the
 /// semantic scan in [`v3::read_index`], sealed ops replayed. Anything that
-/// is not a v3 artifact — an older version included — is a typed
+/// is not a v4 artifact — an older version included — is a typed
 /// [`Error::Persist`](crate::Error::Persist), as is any I/O failure.
 pub fn try_load_index_from_path(path: impl AsRef<Path>) -> Result<IsLabelIndex, crate::Error> {
     StoreReader::open(path.as_ref())
@@ -204,8 +205,8 @@ mod tests {
     #[test]
     fn pristine_artifacts_mint_distinct_epochs() {
         let g = barabasi_albert(40, 2, WeightModel::Unit, 3);
-        let a = IsLabelIndex::build(&g, BuildConfig::default());
-        let b = IsLabelIndex::build(&g, BuildConfig::default());
+        let a = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        let b = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert_ne!(a.artifact_epoch(), b.artifact_epoch());
         let buf = v3::write_index(&a, io::Cursor::new(Vec::new()))
             .unwrap()
@@ -217,14 +218,14 @@ mod tests {
     #[test]
     fn path_save_is_atomic_and_types_io_errors() {
         let g = barabasi_albert(50, 2, WeightModel::Unit, 1);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         index.try_insert_edge(0, 30, 1).unwrap();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("islabel-atomic-{}.islx", std::process::id()));
 
         // A non-pristine save now goes through and replaces the artifact
         // in place (temp file + rename).
-        let pristine = IsLabelIndex::build(&g, BuildConfig::default());
+        let pristine = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         try_save_index_to_path(&pristine, &path).unwrap();
         try_save_index_to_path(&index, &path).unwrap();
         let loaded = try_load_index_from_path(&path).unwrap();
@@ -255,7 +256,7 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let g = barabasi_albert(80, 2, WeightModel::Unit, 5);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let path =
             std::env::temp_dir().join(format!("islabel-persist-{}.islx", std::process::id()));
         try_save_index_to_path(&index, &path).unwrap();

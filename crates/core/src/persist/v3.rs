@@ -1,5 +1,7 @@
-//! The v3 flat artifact: writing an [`IsLabelIndex`] into the
-//! `islabel-store` section container and loading it back — either fully
+//! The flat artifact (format version 4; the module keeps the name of the
+//! version that introduced the section container): writing an
+//! [`IsLabelIndex`] into the `islabel-store` section container and
+//! loading it back — either fully
 //! into heap structures (this module's [`read_index`]) or zero-copy via
 //! [`crate::mmapindex::MmapIndex`], which shares this module's
 //! `Sections` resolution and semantic validation so the two load paths
@@ -17,13 +19,14 @@
 //! construction is canonical (sorted, deduplicated) and the dense
 //! sections were derived from a CSR built the same way.
 
-use crate::config::{BuildConfig, KSelection};
+use crate::config::{BuildConfig, IsStrategy, KSelection};
 use crate::hierarchy::{Levels, PeelEdge, VertexHierarchy};
 use crate::index::IsLabelIndex;
-use crate::label::LabelSet;
+use crate::label::{LabelDist, LabelSet};
 use crate::persist::wal;
 use islabel_graph::io::{read_csr_binary, write_csr_binary};
 use islabel_graph::{GraphBuilder, VertexId};
+use islabel_store::format::Header;
 use islabel_store::format::{
     FLAG_HAS_HOPS, FLAG_KEEP_PATH_INFO, SECTION_GK_DENSE_OF, SECTION_GK_GLOBAL_OF,
     SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_VIAS, SECTION_GK_WEIGHTS, SECTION_GRAPH,
@@ -57,7 +60,40 @@ fn ksel_decode(tag: u32, bits: u64) -> io::Result<KSelection> {
     }
 }
 
-/// Serializes `index` as a v3 flat artifact. Needs [`Seek`] because the
+fn is_encode(strategy: IsStrategy) -> (u32, u64) {
+    match strategy {
+        IsStrategy::MinDegreeGreedy => (0, 0),
+        IsStrategy::Random(seed) => (1, seed),
+        IsStrategy::MaxDegreeGreedy => (2, 0),
+    }
+}
+
+fn is_decode(tag: u32, seed: u64) -> io::Result<IsStrategy> {
+    match (tag, seed) {
+        (0, 0) => Ok(IsStrategy::MinDegreeGreedy),
+        (1, seed) => Ok(IsStrategy::Random(seed)),
+        (2, 0) => Ok(IsStrategy::MaxDegreeGreedy),
+        (t, _) => Err(bad(&format!("unknown IS-strategy tag {t} or stray seed"))),
+    }
+}
+
+/// The whole [`BuildConfig`] an artifact's header records: what a load
+/// restores and what a compaction rebuilds with. A configuration the
+/// builder would refuse is refused here too.
+pub fn stored_config(h: &Header) -> io::Result<BuildConfig> {
+    let config = BuildConfig {
+        k_selection: ksel_decode(h.ksel_tag, h.ksel_bits)?,
+        is_strategy: is_decode(h.is_tag, h.is_seed)?,
+        keep_path_info: h.flags & FLAG_KEEP_PATH_INFO != 0,
+        max_levels: h.max_levels,
+    };
+    config
+        .try_validate()
+        .map_err(|e| bad(&format!("stored build config: {e}")))?;
+    Ok(config)
+}
+
+/// Serializes `index` as a v4 flat artifact. Needs [`Seek`] because the
 /// header (with section table and checksums) is patched in at the end of
 /// the single forward pass. Returns the writer so path-level callers can
 /// `sync_all` the file.
@@ -68,6 +104,7 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
     let config = index.config();
     let n = h.universe();
     let (ksel_tag, ksel_bits) = ksel_encode(config);
+    let (is_tag, is_seed) = is_encode(config.is_strategy);
     let ops = index.overlay.ops();
     let mut flags = 0u32;
     if config.keep_path_info {
@@ -85,6 +122,9 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
         n: n as u64,
         dense_m: dense.ids().len() as u64,
         op_count: ops.len() as u64,
+        max_levels: config.max_levels,
+        is_tag,
+        is_seed,
     };
     let mut w = StoreWriter::new(out, meta)?;
 
@@ -148,7 +188,7 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
     w.end_section()?;
     w.begin_section(SECTION_LABEL_DISTS)?;
     for v in 0..n as VertexId {
-        w.write_u64s(labels.label(v).dists)?;
+        w.write_u32s(labels.label(v).dists)?;
     }
     w.end_section()?;
     if labels.has_path_info() {
@@ -205,7 +245,7 @@ fn offsets(n: usize, len: impl Fn(VertexId) -> usize) -> impl Iterator<Item = u6
     std::iter::once(0).chain(ends)
 }
 
-/// The resolved, typed views of every v3 section, plus the header facts
+/// The resolved, typed views of every artifact section, plus the header facts
 /// queries need. Produced by [`Sections::resolve`]; semantic validity
 /// (value ranges, monotonicity, cross-section consistency) is checked
 /// once by [`Sections::validate`] — both the heap loader and `MmapIndex`
@@ -216,8 +256,7 @@ pub(crate) struct Sections<'a> {
     pub m: usize,
     pub k: u32,
     pub has_hops: bool,
-    pub keep_path_info: bool,
-    pub k_selection: KSelection,
+    pub config: BuildConfig,
     pub epoch: u64,
     pub op_count: u64,
     pub graph: &'a [u8],
@@ -232,7 +271,7 @@ pub(crate) struct Sections<'a> {
     pub gk_vias: &'a [u32],
     pub label_offsets: &'a [u64],
     pub label_ancestors: &'a [u32],
-    pub label_dists: &'a [u64],
+    pub label_dists: &'a [LabelDist],
     /// Empty when the artifact has no hop section.
     pub label_hops: &'a [u32],
     pub ops: &'a [u8],
@@ -265,8 +304,7 @@ impl<'a> Sections<'a> {
             m,
             k: h.k,
             has_hops: h.flags & FLAG_HAS_HOPS != 0,
-            keep_path_info: h.flags & FLAG_KEEP_PATH_INFO != 0,
-            k_selection: ksel_decode(h.ksel_tag, h.ksel_bits)?,
+            config: stored_config(h)?,
             epoch: h.epoch,
             op_count: h.op_count,
             graph: r
@@ -283,7 +321,7 @@ impl<'a> Sections<'a> {
             gk_vias: need_u32s(r, SECTION_GK_VIAS, "gk vias")?,
             label_offsets: need_u64s(r, SECTION_LABEL_OFFSETS, "label offsets")?,
             label_ancestors: need_u32s(r, SECTION_LABEL_ANCESTORS, "label ancestors")?,
-            label_dists: need_u64s(r, SECTION_LABEL_DISTS, "label dists")?,
+            label_dists: need_u32s(r, SECTION_LABEL_DISTS, "label dists")?,
             label_hops: match (
                 h.flags & FLAG_HAS_HOPS != 0,
                 r.section_u32s(SECTION_LABEL_HOPS)?,
@@ -529,8 +567,7 @@ impl<'a> Sections<'a> {
             m: 0,
             k: 1,
             has_hops: false,
-            keep_path_info: false,
-            k_selection: KSelection::Full,
+            config: BuildConfig::full(),
             epoch: 0,
             op_count: 0,
             graph: &[],
@@ -576,7 +613,7 @@ impl<'a> Sections<'a> {
     }
 }
 
-/// Loads a v3 artifact fully into heap structures, including sealed-op
+/// Loads a v4 artifact fully into heap structures, including sealed-op
 /// replay.
 pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
     let s = Sections::resolve(reader)?;
@@ -641,7 +678,7 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
         .map(|t| (t[0], t[1], t[2]))
         .collect();
 
-    let mut per_vertex: Vec<Vec<(VertexId, u64, VertexId)>> = Vec::with_capacity(n);
+    let mut per_vertex: Vec<Vec<(VertexId, LabelDist, VertexId)>> = Vec::with_capacity(n);
     for w in s.label_offsets.windows(2) {
         let (lo, hi) = (w[0] as usize, w[1] as usize);
         let entries = (lo..hi)
@@ -659,17 +696,12 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
     let labels = LabelSet::from_per_vertex(per_vertex, s.has_hops);
 
     let hierarchy = VertexHierarchy::from_parts(levels, peel_adj, gk, gk_vias);
-    let config = BuildConfig {
-        k_selection: s.k_selection,
-        keep_path_info: s.keep_path_info,
-        ..BuildConfig::default()
-    };
     // Build times are not recorded in the artifact.
     let mut index = IsLabelIndex::from_parts(
         graph,
         hierarchy,
         labels,
-        config,
+        s.config,
         Duration::ZERO,
         Duration::ZERO,
     );
@@ -709,7 +741,7 @@ mod tests {
 
     fn v3_roundtrip(config: BuildConfig) -> (IsLabelIndex, IsLabelIndex) {
         let g = barabasi_albert(200, 3, WeightModel::UniformRange(1, 5), 13);
-        let index = IsLabelIndex::build(&g, config);
+        let index = IsLabelIndex::try_build(&g, config).unwrap();
         let buf = write_index(&index, Cursor::new(Vec::new()))
             .unwrap()
             .into_inner();
@@ -764,7 +796,7 @@ mod tests {
     #[test]
     fn v3_seals_and_replays_dynamic_updates() {
         let g = barabasi_albert(150, 3, WeightModel::Unit, 1);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         index.try_insert_edge(0, 30, 1).unwrap();
         let u = index.try_insert_vertex(&[(0, 2), (30, 1)]).unwrap();
         let victim = index.hierarchy().gk_members()[0];
@@ -790,7 +822,7 @@ mod tests {
     #[test]
     fn v3_semantic_validation_rejects_tampering() {
         let g = barabasi_albert(60, 2, WeightModel::Unit, 5);
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let good = write_index(&index, Cursor::new(Vec::new()))
             .unwrap()
             .into_inner();

@@ -64,7 +64,7 @@ const KIND_DELETE_VERTEX: u8 = 3;
 
 /// IEEE CRC-32 of `data` (the checksum stored in every WAL record). The
 /// one implementation lives in `islabel-store` — the same function
-/// checksums v3 artifact sections, so the two formats cannot drift.
+/// checksums the artifact header, so the two formats cannot drift.
 pub use islabel_store::format::crc32;
 
 /// Process-wide WAL counters, registered lazily on the global metrics

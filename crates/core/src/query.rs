@@ -60,7 +60,8 @@ impl QueryType {
 
 /// Equation 1: `min_{w ∈ X} d(s, w) + d(w, t)` over the label intersection
 /// `X`, as a linear merge-join over the two ancestor-sorted labels. Returns
-/// `(INF, None)` when `X = ∅` (the paper's `∞` case).
+/// `(INF, None)` when `X = ∅` (the paper's `∞` case). Each sum is taken in
+/// [`Dist`]: two stored distances never overflow it, and never reach `INF`.
 pub fn intersect_min(a: LabelView<'_>, b: LabelView<'_>) -> (Dist, Option<VertexId>) {
     let mut best = INF;
     let mut witness = None;
@@ -71,7 +72,7 @@ pub fn intersect_min(a: LabelView<'_>, b: LabelView<'_>) -> (Dist, Option<Vertex
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let sum = a.dists[i].saturating_add(b.dists[j]);
+                let sum = Dist::from(a.dists[i]) + Dist::from(b.dists[j]);
                 if sum < best {
                     best = sum;
                     witness = Some(av);
@@ -139,7 +140,7 @@ pub fn intersect_min_adaptive(a: LabelView<'_>, b: LabelView<'_>) -> (Dist, Opti
         match window.binary_search(&anc) {
             Ok(p) => {
                 let j = lo + p;
-                let sum = short.dists[i].saturating_add(long.dists[j]);
+                let sum = Dist::from(short.dists[i]) + Dist::from(long.dists[j]);
                 if sum < best {
                     best = sum;
                     witness = Some(anc);
@@ -186,8 +187,9 @@ pub struct SearchOutcome {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::label::LabelDist;
 
-    fn view<'a>(ancestors: &'a [VertexId], dists: &'a [Dist]) -> LabelView<'a> {
+    fn view<'a>(ancestors: &'a [VertexId], dists: &'a [LabelDist]) -> LabelView<'a> {
         LabelView {
             ancestors,
             dists,
@@ -213,9 +215,15 @@ pub(crate) mod tests {
 
     #[test]
     fn intersect_min_handles_inf_entries() {
-        // Saturating addition keeps INF absorbing.
-        let (d, _) = intersect_min(view(&[5], &[INF]), view(&[5], &[3]));
-        assert_eq!(d, INF);
+        // A stored distance is never INF: the sum of the two widest entries
+        // is taken in `Dist`, exact and still below INF.
+        let widest = [LabelDist::MAX];
+        let (d, w) = intersect_min(view(&[5], &widest), view(&[5], &widest));
+        assert_eq!(d, 2 * Dist::from(LabelDist::MAX));
+        assert!(d < INF);
+        assert_eq!(w, Some(5));
+        let (a, b) = (view(&[5], &widest), view(&[5], &widest));
+        assert_eq!(intersect_min_adaptive(a, b), (d, Some(5)));
     }
 
     #[test]
@@ -230,14 +238,14 @@ pub(crate) mod tests {
             state ^= state << 17;
             state
         };
-        let mut make = |len: usize, stride: u64| -> (Vec<VertexId>, Vec<Dist>) {
+        let mut make = |len: usize, stride: u64| -> (Vec<VertexId>, Vec<LabelDist>) {
             let mut ancs = Vec::with_capacity(len);
             let mut cur = 0u64;
             for _ in 0..len {
                 cur += 1 + next() % stride;
                 ancs.push(cur as VertexId);
             }
-            let dists = ancs.iter().map(|_| next() % 50).collect();
+            let dists = ancs.iter().map(|_| (next() % 50) as LabelDist).collect();
             (ancs, dists)
         };
         for (la, lb) in [(0, 40), (3, 200), (5, 41), (8, 64), (40, 45), (200, 3)] {
@@ -260,10 +268,10 @@ pub(crate) mod tests {
         // Regression shape: the short entry equals exactly the galloped
         // probe position of the long label (tail[hi] == anc).
         let long_anc: Vec<VertexId> = (0..100).map(|i| i * 2).collect();
-        let long_d: Vec<Dist> = (0..100).map(|i| i as Dist).collect();
+        let long_d: Vec<LabelDist> = (0..100).collect();
         for probe in [2u32, 4, 8, 16, 32, 64, 128, 198] {
             let short_anc = [probe];
-            let short_d = [7u64];
+            let short_d = [7u32];
             let a = view(&short_anc, &short_d);
             let b = view(&long_anc, &long_d);
             let got = intersect_min_adaptive(a, b);

@@ -31,22 +31,23 @@
 //! b.add_edge(0, 1, 5);
 //! let g = b.build();
 //!
-//! let handle = OracleHandle::new(Snapshot::new(IsLabelIndex::build(
+//! let handle = OracleHandle::new(Snapshot::new(IsLabelIndex::try_build(
 //!     &g,
 //!     BuildConfig::default(),
-//! )));
+//! )?));
 //! let reader = handle.load(); // in-flight view
 //! assert_eq!(reader.oracle().try_distance(0, 1), Ok(Some(5)));
 //!
 //! // Rebuild with a different weight and hot-swap it in.
 //! let mut b = GraphBuilder::new(3);
 //! b.add_edge(0, 1, 9);
-//! let retired = handle.swap_oracle(IsLabelIndex::build(&b.build(), BuildConfig::default()));
+//! let retired = handle.swap_oracle(IsLabelIndex::try_build(&b.build(), BuildConfig::default())?);
 //!
 //! // New loads see the new index; the old reader finishes on the old one.
 //! assert_eq!(handle.load().oracle().try_distance(0, 1), Ok(Some(9)));
 //! assert_eq!(reader.oracle().try_distance(0, 1), Ok(Some(5)));
 //! assert_eq!(retired.version(), reader.version());
+//! # Ok::<(), islabel_core::Error>(())
 //! ```
 
 use crate::oracle::{DistanceOracle, QuerySession};
@@ -194,7 +195,7 @@ mod tests {
         for v in 0..3u32 {
             b.add_edge(v, v + 1, weight);
         }
-        IsLabelIndex::build(&b.build(), BuildConfig::default())
+        IsLabelIndex::try_build(&b.build(), BuildConfig::default()).unwrap()
     }
 
     #[test]

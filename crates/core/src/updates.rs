@@ -46,6 +46,14 @@
 //! precede its first write; nothing is ever removed from the
 //! [`DensePatch`] — the view filters tombstoned endpoints.
 //!
+//! **Width**: a patch stores [`LabelDist`]s, as the base labels do. An
+//! insertion is checked before it is logged: when twice the largest label
+//! distance plus twice its weight fits, no patched value can overflow (see
+//! `Overlay::check_fits`); otherwise the op is applied to a copy of the
+//! overlay first, and refused as
+//! [`Error::InvalidUpdate`](crate::Error::InvalidUpdate) if a patched
+//! value would pass `u32::MAX`.
+//!
 //! **Durability**: every mutation is recorded in an ordered op log
 //! ([`UpdateOp`]) inside the overlay. When a write-ahead log is attached
 //! ([`IsLabelIndex::attach_wal`](crate::IsLabelIndex::attach_wal)) each op
@@ -58,7 +66,7 @@
 use crate::dense::{DensePatch, GkIdMap, StampedSlab};
 use crate::hierarchy::VertexHierarchy;
 use crate::index::IsLabelIndex;
-use crate::label::{LabelSet, LabelView};
+use crate::label::{LabelDist, LabelSet, LabelView};
 use islabel_graph::{CsrGraph, Dist, FxHashMap, VertexId, Weight};
 
 /// One dynamic update in application order — the unit of the write-ahead
@@ -146,7 +154,7 @@ impl UpdateOp {
 /// the op log and the counters derived from them — and not the write
 /// path's working memory, so a replayed overlay equals the live one it
 /// reconstructs.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Overlay {
     base_n: usize,
     extra_vertices: usize,
@@ -156,7 +164,11 @@ pub struct Overlay {
     /// Tombstoned vertices in deletion order.
     deleted: Vec<VertexId>,
     /// Extra label entries per vertex, ascending by ancestor, min-merged.
-    label_patches: FxHashMap<VertexId, Vec<(VertexId, Dist)>>,
+    label_patches: FxHashMap<VertexId, Vec<(VertexId, LabelDist)>>,
+    /// Upper bound on every label distance, base and patch: raised as
+    /// patches are written, never lowered (it only gates
+    /// [`Overlay::check_fits`]'s fast path).
+    max_dist: LabelDist,
     /// Entries over all of `label_patches`.
     patch_entries: usize,
     /// Upper bound on the longest patch: raised as patches grow, never
@@ -187,14 +199,25 @@ struct PatchScratch {
     /// The label one `insert_edge` endpoint teaches the other, shifted.
     shifted: Vec<(VertexId, Dist)>,
     /// `(vertex, d(vertex, target))` of the walk in progress.
-    victims: Vec<(VertexId, Dist)>,
-    merged: Vec<(VertexId, Dist)>,
+    victims: Vec<(VertexId, LabelDist)>,
+    merged: Vec<(VertexId, LabelDist)>,
+    /// Set when a patched value did not fit in [`LabelDist`] (and was
+    /// stored saturated): only ever on the copy
+    /// [`Overlay::check_fits`] tries an op on.
+    overflowed: bool,
 }
 
 /// Working memory never tells two overlays apart.
 impl PartialEq for PatchScratch {
     fn eq(&self, _: &Self) -> bool {
         true
+    }
+}
+
+/// A copy starts with empty working memory.
+impl Clone for PatchScratch {
+    fn clone(&self) -> Self {
+        Self::default()
     }
 }
 
@@ -295,10 +318,12 @@ pub struct OverlayStats {
 }
 
 impl Overlay {
-    /// Fresh overlay over a base universe of `base_n` vertices.
-    pub fn new(base_n: usize) -> Self {
+    /// Fresh overlay over a base universe of `base_n` vertices whose
+    /// labels hold distances up to `max_dist`.
+    pub(crate) fn new(base_n: usize, max_dist: LabelDist) -> Self {
         Self {
             base_n,
+            max_dist,
             ..Default::default()
         }
     }
@@ -367,11 +392,11 @@ impl Overlay {
     pub(crate) fn stats(&self) -> OverlayStats {
         use std::mem::size_of;
         let patch_bytes = self.label_patches.capacity()
-            * size_of::<(VertexId, Vec<(VertexId, Dist)>)>()
+            * size_of::<(VertexId, Vec<(VertexId, LabelDist)>)>()
             + self
                 .label_patches
                 .values()
-                .map(|p| p.capacity() * size_of::<(VertexId, Dist)>())
+                .map(|p| p.capacity() * size_of::<(VertexId, LabelDist)>())
                 .sum::<usize>();
         let op_bytes = self.ops.capacity() * size_of::<UpdateOp>()
             + self
@@ -386,8 +411,8 @@ impl Overlay {
                 .sum::<usize>();
         let s = &self.scratch;
         let scratch_bytes = s.walk.as_ref().map_or(0, DescendantWalk::memory_bytes)
-            + (s.shifted.capacity() + s.victims.capacity() + s.merged.capacity())
-                * size_of::<(VertexId, Dist)>();
+            + s.shifted.capacity() * size_of::<(VertexId, Dist)>()
+            + (s.victims.capacity() + s.merged.capacity()) * size_of::<(VertexId, LabelDist)>();
         OverlayStats {
             pending_ops: self.ops.len(),
             inserted_vertices: self.extra_vertices,
@@ -415,7 +440,7 @@ impl Overlay {
         labels: &'a LabelSet,
         v: VertexId,
         ancestors: &'a mut Vec<VertexId>,
-        dists: &'a mut Vec<Dist>,
+        dists: &'a mut Vec<LabelDist>,
     ) -> LabelView<'a> {
         if (v as usize) < self.base_n
             && !self.label_patches.contains_key(&v)
@@ -444,13 +469,14 @@ impl Overlay {
         &self,
         labels: &LabelSet,
         v: VertexId,
-        mut emit: impl FnMut(VertexId, Dist),
+        mut emit: impl FnMut(VertexId, LabelDist),
     ) {
         let base = ((v as usize) < self.base_n).then(|| labels.label(v));
-        let empty: &[(VertexId, Dist)] = &[];
-        let patch: &[(VertexId, Dist)] = self.label_patches.get(&v).map_or(empty, |p| p.as_slice());
+        let empty: &[(VertexId, LabelDist)] = &[];
+        let patch: &[(VertexId, LabelDist)] =
+            self.label_patches.get(&v).map_or(empty, |p| p.as_slice());
         let (mut i, mut j) = (0usize, 0usize);
-        let (banc, bdist): (&[VertexId], &[Dist]) =
+        let (banc, bdist): (&[VertexId], &[LabelDist]) =
             base.map_or((&[], &[]), |b| (b.ancestors, b.dists));
         while i < banc.len() || j < patch.len() {
             let take_base = match (banc.get(i), patch.get(j)) {
@@ -483,6 +509,37 @@ impl Overlay {
                 j += 1;
             }
         }
+    }
+
+    /// Checks that applying `op` writes no label distance past
+    /// [`LabelDist`], and leaves the overlay as it was. A patched value is
+    /// a shift of at most `max_dist` plus a taught entry of at most
+    /// `max_dist` plus twice the op's weight (an `insert_edge` teaches its
+    /// second endpoint the first one's label as just patched), so when
+    /// that sum fits the check costs nothing. Otherwise `op` runs on a copy
+    /// of the overlay, which is then dropped.
+    pub(crate) fn check_fits(index: &mut IsLabelIndex, op: &UpdateOp) -> Result<(), String> {
+        let w = match op {
+            UpdateOp::InsertVertex { edges } => edges.iter().map(|&(_, w)| w).max().unwrap_or(0),
+            UpdateOp::InsertEdge { w, .. } => *w,
+            UpdateOp::DeleteVertex { .. } => return Ok(()),
+        };
+        let bound = 2 * Dist::from(index.overlay.max_dist) + 2 * Dist::from(w);
+        if bound <= Dist::from(LabelDist::MAX) {
+            return Ok(());
+        }
+        let trial = index.overlay.clone();
+        let kept = std::mem::replace(&mut index.overlay, trial);
+        index.apply(op);
+        let overflowed = index.overlay.scratch.overflowed;
+        index.overlay = kept;
+        if overflowed {
+            return Err(format!(
+                "a patched label distance would exceed u32::MAX (largest label distance {})",
+                index.overlay.max_dist
+            ));
+        }
+        Ok(())
     }
 
     /// Materializes the fully updated graph: base edges minus tombstones,
@@ -555,7 +612,7 @@ impl Overlay {
             } else {
                 // "Otherwise ... add (u, ω(u, v)) to label(v)" and patch all
                 // descendants of v with the accumulated distance.
-                Overlay::patch_with_entries(index, v, &[(u, w as Dist)]);
+                Overlay::patch_with_entries(index, v, &[(u, Dist::from(w))]);
             }
         }
         u
@@ -595,7 +652,7 @@ impl Overlay {
                 let mut shifted = std::mem::take(&mut index.overlay.scratch.shifted);
                 shifted.clear();
                 index.overlay.merge_label_into(&index.labels, y, |anc, d| {
-                    shifted.push((anc, d + w as Dist))
+                    shifted.push((anc, Dist::from(d) + Dist::from(w)))
                 });
                 Overlay::patch_with_entries(index, x, &shifted);
                 index.overlay.scratch.shifted = shifted;
@@ -659,7 +716,9 @@ impl Overlay {
 
     /// Patches the peeled vertex `target` and all its descendants with
     /// `entries` (strictly ancestor-ascending; descendants get each
-    /// distance shifted by their label distance to `target`).
+    /// distance shifted by their label distance to `target`). A patched
+    /// value past [`LabelDist`] is stored saturated and sets the scratch's
+    /// `overflowed` flag, which [`Overlay::check_fits`] reads off a copy.
     fn patch_with_entries(
         index: &mut IsLabelIndex,
         target: VertexId,
@@ -672,6 +731,7 @@ impl Overlay {
             walk,
             victims,
             merged,
+            overflowed,
             ..
         } = &mut scratch;
         let walk =
@@ -689,7 +749,9 @@ impl Overlay {
             // d(c, target) as c's effective label has it: target is an
             // ancestor of every descendant by construction of the DAG, and
             // an earlier patch may have brought it closer.
-            let base = index.labels.label(c).get(target);
+            let label = index.labels.label(c);
+            let base = label.ancestors.binary_search(&target).ok();
+            let base = base.map(|i| label.dists[i]);
             let patched = overlay
                 .label_patches
                 .get(&c)
@@ -702,7 +764,9 @@ impl Overlay {
         for &(x, shift) in victims.iter() {
             let patch = overlay.label_patches.entry(x).or_default();
             let before = patch.len();
-            min_merge_shifted(patch, entries, shift, merged);
+            let max = min_merge_shifted(patch, entries, Dist::from(shift), merged);
+            *overflowed |= max > Dist::from(LabelDist::MAX);
+            overlay.max_dist = overlay.max_dist.max(narrow(max));
             overlay.patch_entries += patch.len() - before;
             overlay.max_patch_len = overlay.max_patch_len.max(patch.len());
         }
@@ -710,8 +774,13 @@ impl Overlay {
     }
 }
 
+/// `d` as a stored distance, saturated at [`LabelDist::MAX`].
+fn narrow(d: Dist) -> LabelDist {
+    LabelDist::try_from(d).unwrap_or(LabelDist::MAX)
+}
+
 /// The patch's distance to `ancestor`, if it has one.
-fn patch_entry(patch: &[(VertexId, Dist)], ancestor: VertexId) -> Option<Dist> {
+fn patch_entry(patch: &[(VertexId, LabelDist)], ancestor: VertexId) -> Option<LabelDist> {
     patch
         .binary_search_by_key(&ancestor, |&(a, _)| a)
         .ok()
@@ -720,35 +789,52 @@ fn patch_entry(patch: &[(VertexId, Dist)], ancestor: VertexId) -> Option<Dist> {
 
 /// Min-merges `entries`, each distance raised by `shift`, into `patch` in
 /// one pass — both are strictly ancestor-ascending, and so is the result.
-/// `buf` is the merge's output buffer, reused across calls.
+/// `buf` is the merge's output buffer, reused across calls. Returns the
+/// largest value written, before it is narrowed (saturated) to
+/// [`LabelDist`].
 fn min_merge_shifted(
-    patch: &mut Vec<(VertexId, Dist)>,
+    patch: &mut Vec<(VertexId, LabelDist)>,
     entries: &[(VertexId, Dist)],
     shift: Dist,
-    buf: &mut Vec<(VertexId, Dist)>,
-) {
+    buf: &mut Vec<(VertexId, LabelDist)>,
+) -> Dist {
+    let mut max = 0;
+    let mut raise = |d: Dist| {
+        let d = d + shift;
+        max = max.max(d);
+        narrow(d)
+    };
     if patch.is_empty() {
-        patch.extend(entries.iter().map(|&(a, d)| (a, d + shift)));
-        return;
+        patch.extend(entries.iter().map(|&(a, d)| (a, raise(d))));
+        return max;
     }
     buf.clear();
     let (mut i, mut j) = (0, 0);
     while i < patch.len() && j < entries.len() {
         let (pa, pd) = patch[i];
-        let (ea, ed) = (entries[j].0, entries[j].1 + shift);
-        if pa <= ea {
-            buf.push((pa, if pa == ea { pd.min(ed) } else { pd }));
+        let ea = entries[j].0;
+        if pa < ea {
+            buf.push((pa, pd));
             i += 1;
-            j += usize::from(pa == ea);
+        } else if pa == ea {
+            let ed = entries[j].1 + shift;
+            if ed < Dist::from(pd) {
+                buf.push((pa, raise(entries[j].1)));
+            } else {
+                buf.push((pa, pd));
+            }
+            i += 1;
+            j += 1;
         } else {
-            buf.push((ea, ed));
+            buf.push((ea, raise(entries[j].1)));
             j += 1;
         }
     }
     buf.extend_from_slice(&patch[i..]);
-    buf.extend(entries[j..].iter().map(|&(a, d)| (a, d + shift)));
+    buf.extend(entries[j..].iter().map(|&(a, d)| (a, raise(d))));
     patch.clear();
     patch.extend_from_slice(buf);
+    max
 }
 
 #[cfg(test)]
@@ -877,7 +963,9 @@ mod tests {
             for (v, want) in &self.patches {
                 let got = overlay.label_patches.get(v).map_or(&[][..], Vec::as_slice);
                 assert!(
-                    got.iter().copied().eq(want.iter().map(|(&a, &d)| (a, d))),
+                    got.iter()
+                        .map(|&(a, d)| (a, Dist::from(d)))
+                        .eq(want.iter().map(|(&a, &d)| (a, d))),
                     "{context}: patch of {v} is {got:?}, want {want:?}"
                 );
             }
@@ -1009,8 +1097,8 @@ mod tests {
 
     fn check_against_the_rule_by_definition(config: BuildConfig) {
         for (g, (tag, graph)) in test_graphs().into_iter().enumerate() {
-            let base = IsLabelIndex::build(&graph, config);
-            let mut index = IsLabelIndex::build(&graph, config);
+            let base = IsLabelIndex::try_build(&graph, config).unwrap();
+            let mut index = IsLabelIndex::try_build(&graph, config).unwrap();
             assert!(index.overlay.residual().is_none());
             assert!(index.overlay.scratch.walk.is_none());
             let mut naive = NaiveOverlay::default();
@@ -1038,7 +1126,7 @@ mod tests {
     fn children_csr_is_the_transposed_peel_adjacency() {
         for (_, graph) in test_graphs() {
             for config in [BuildConfig::sigma(0.95), BuildConfig::full()] {
-                let index = IsLabelIndex::build(&graph, config);
+                let index = IsLabelIndex::try_build(&graph, config).unwrap();
                 let n = graph.num_vertices();
                 let mut naive = vec![Vec::new(); n];
                 for x in graph.vertices() {
@@ -1059,7 +1147,7 @@ mod tests {
     #[test]
     fn descendant_walk_is_the_same_across_the_epoch_wrap() {
         let graph = barabasi_albert(160, 3, WeightModel::Unit, 4);
-        let index = IsLabelIndex::build(&graph, BuildConfig::full());
+        let index = IsLabelIndex::try_build(&graph, BuildConfig::full()).unwrap();
         let mut walk = DescendantWalk::build(index.hierarchy(), 160);
         let descendants = |walk: &mut DescendantWalk, root: VertexId| {
             let mut seen = Vec::new();
@@ -1087,7 +1175,7 @@ mod tests {
     #[test]
     fn a_deleted_gk_vertex_stays_filtered_when_its_neighbours_get_new_edges() {
         let g = erdos_renyi_gnm(120, 300, WeightModel::UniformRange(1, 6), 9);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let members = index.hierarchy().gk_members().to_vec();
         assert!(members.len() >= 4);
         let (hub, a, b, c) = (members[0], members[1], members[2], members[3]);
@@ -1149,7 +1237,7 @@ mod tests {
     #[test]
     fn insert_vertex_adjacent_to_gk_is_exact() {
         let g = barabasi_albert(150, 3, WeightModel::Unit, 5);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let gk_a = index.hierarchy().gk_members()[0];
         let gk_b = index.hierarchy().gk_members()[1];
         let u = index.try_insert_vertex(&[(gk_a, 2), (gk_b, 5)]).unwrap();
@@ -1177,7 +1265,7 @@ mod tests {
     #[test]
     fn insert_vertex_adjacent_to_peeled_is_upper_bound() {
         let g = barabasi_albert(150, 3, WeightModel::UniformRange(1, 3), 6);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let peeled: Vec<VertexId> = g
             .vertices()
             .filter(|&v| !index.is_in_gk(v))
@@ -1198,7 +1286,7 @@ mod tests {
     #[test]
     fn insert_edge_between_gk_vertices_is_exact() {
         let g = erdos_renyi_gnm(120, 360, WeightModel::UniformRange(2, 9), 7);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let members = index.hierarchy().gk_members().to_vec();
         assert!(members.len() >= 2);
         let (a, b) = (members[0], *members.last().unwrap());
@@ -1216,7 +1304,7 @@ mod tests {
     #[test]
     fn insert_edge_touching_peeled_vertex_is_upper_bound() {
         let g = barabasi_albert(100, 2, WeightModel::UniformRange(1, 5), 8);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let peeled = g.vertices().find(|&v| !index.is_in_gk(v)).unwrap();
         let far = g.vertices().rev().find(|&v| v != peeled).unwrap();
         index.try_insert_edge(peeled, far, 1).unwrap();
@@ -1229,7 +1317,7 @@ mod tests {
     #[test]
     fn delete_gk_vertex_stays_exact() {
         let g = erdos_renyi_gnm(120, 300, WeightModel::Unit, 9);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let victim = index.hierarchy().gk_members()[0];
         index.try_delete_vertex(victim).unwrap();
         assert!(
@@ -1252,7 +1340,7 @@ mod tests {
     #[test]
     fn delete_peeled_vertex_marks_stale_and_rebuild_recovers() {
         let g = barabasi_albert(100, 2, WeightModel::Unit, 10);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let victim = g.vertices().find(|&v| !index.is_in_gk(v)).unwrap();
         index.try_delete_vertex(victim).unwrap();
         assert!(index.is_stale());
@@ -1276,7 +1364,7 @@ mod tests {
         b.add_edge(0, 1, 1);
         b.add_edge(1, 2, 1);
         b.add_edge(2, 3, 1);
-        let mut index = IsLabelIndex::build(&b.build(), BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&b.build(), BuildConfig::default()).unwrap();
         index.try_delete_vertex(1).unwrap();
         // A second delete is refused and changes nothing, so deleting is
         // idempotent in its effect.
@@ -1310,7 +1398,7 @@ mod tests {
         // Build a chain of inserted vertices hanging off the graph and check
         // distances along it (pure G_k reasoning, hence exact).
         let g = erdos_renyi_gnm(60, 150, WeightModel::Unit, 11);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let anchor = index.hierarchy().gk_members()[0];
         let mut prev = anchor;
         let mut ids = Vec::new();
@@ -1329,10 +1417,10 @@ mod tests {
     #[test]
     fn invalid_updates_are_typed_errors_that_change_nothing() {
         let g = erdos_renyi_gnm(10, 20, WeightModel::Unit, 1);
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         // The same valid history without a log: the state `index` must
         // still be in after every refused call.
-        let mut twin = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut twin = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let wal = std::env::temp_dir().join(format!(
             "islabel-invalid-updates-{}.wal",
             std::process::id()
@@ -1386,7 +1474,7 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 5);
         b.add_edge(1, 2, 5);
-        let mut index = IsLabelIndex::build(&b.build(), BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&b.build(), BuildConfig::default()).unwrap();
         let u = index.try_insert_vertex(&[(0, 1)]).unwrap();
         index.try_insert_edge(u, 2, 1).unwrap();
         index.try_delete_vertex(1).unwrap();

@@ -13,7 +13,7 @@
 //! as the in-memory build.
 //!
 //! The `(neighbor, weight, via)` triple layout is shared with the peel
-//! adjacency and via sections of the persistent v3 artifact —
+//! adjacency and via sections of the persistent artifact —
 //! [`islabel_store::format`] (`crates/store`) is the single source of
 //! truth for these at-rest record sizes.
 

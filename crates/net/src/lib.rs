@@ -45,7 +45,7 @@
 //! for v in 0..3 {
 //!     b.add_edge(v, v + 1, 2);
 //! }
-//! let index = IsLabelIndex::build(&b.build(), BuildConfig::default());
+//! let index = IsLabelIndex::try_build(&b.build(), BuildConfig::default())?;
 //!
 //! let server =
 //!     DistanceServer::start(Arc::new(index), "127.0.0.1:0", NetConfig::default()).unwrap();
@@ -56,6 +56,7 @@
 //!     vec![Some(2), Some(0)]
 //! );
 //! server.shutdown();
+//! # Ok::<(), islabel_core::Error>(())
 //! ```
 
 pub mod client;

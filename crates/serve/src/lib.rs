@@ -47,7 +47,7 @@
 //! for v in 0..3 {
 //!     b.add_edge(v, v + 1, 2);
 //! }
-//! let index = IsLabelIndex::build(&b.build(), BuildConfig::default());
+//! let index = IsLabelIndex::try_build(&b.build(), BuildConfig::default())?;
 //!
 //! let service = QueryService::start(Arc::new(index), ServeConfig::default());
 //! assert_eq!(service.query(0, 3), Ok(Some(6)));
@@ -55,6 +55,7 @@
 //! assert_eq!(ticket.wait(), Ok(vec![Some(2), Some(0), Some(6)]));
 //! let stats = service.shutdown();
 //! assert_eq!(stats.queries, 4);
+//! # Ok::<(), islabel_core::Error>(())
 //! ```
 
 pub mod rebuild;
@@ -405,7 +406,7 @@ mod tests {
     }
 
     fn service_over(g: &CsrGraph, shards: usize) -> QueryService {
-        let index = IsLabelIndex::build(g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(g, BuildConfig::default()).unwrap();
         QueryService::start(Arc::new(index), ServeConfig::with_shards(shards))
     }
 
@@ -485,11 +486,11 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 4);
         b.add_edge(1, 2, 4);
-        let before = IsLabelIndex::build(&b.build(), BuildConfig::default());
+        let before = IsLabelIndex::try_build(&b.build(), BuildConfig::default()).unwrap();
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 1);
         b.add_edge(1, 2, 1);
-        let after = IsLabelIndex::build(&b.build(), BuildConfig::default());
+        let after = IsLabelIndex::try_build(&b.build(), BuildConfig::default()).unwrap();
 
         let service = QueryService::start(Arc::new(before), ServeConfig::with_shards(2));
         assert_eq!(service.query(0, 2), Ok(Some(8)));

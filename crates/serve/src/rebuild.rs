@@ -16,7 +16,7 @@
 //! 3. **Swap** — the coordinator's part: publish through the shared
 //!    [`OracleHandle`]; in-flight queries finish on the snapshot they
 //!    started on. The published oracle is the *memory-mapped* view of the
-//!    just-saved v3 artifact ([`islabel_core::MmapIndex`]) — the rebuild's
+//!    just-saved artifact ([`islabel_core::MmapIndex`]) — the rebuild's
 //!    heap index is dropped and the server serves zero-copy off the
 //!    artifact it owns on disk; if mapping fails for any reason the heap
 //!    index is published instead, so compaction never fails on the swap.
@@ -207,7 +207,7 @@ mod tests {
     use super::*;
     use islabel_core::persist::{self, load_index_with_wal};
     use islabel_core::snapshot::Snapshot;
-    use islabel_core::{BuildConfig, IsLabelIndex, KSelection};
+    use islabel_core::{BuildConfig, IsLabelIndex, IsStrategy, KSelection};
     use islabel_graph::generators::{barabasi_albert, WeightModel};
     use std::path::Path;
 
@@ -312,6 +312,56 @@ mod tests {
         assert_eq!(reloaded.config().k_selection, KSelection::Full);
         assert!(!reloaded.labels().has_path_info());
         assert_eq!(reloaded.hierarchy().num_gk_vertices(), 0);
+    }
+
+    #[test]
+    fn compactions_rebuild_what_a_fresh_build_writes() {
+        // Random(7) selection under a cap of four levels: the header
+        // records both, so offline and live compaction rebuild with them
+        // and write, section for section, what a fresh build of the
+        // updated graph with the same config writes.
+        let dir = tempdir("whole-config");
+        let g = barabasi_albert(300, 3, WeightModel::UniformRange(1, 5), 8);
+        let config = BuildConfig {
+            is_strategy: IsStrategy::Random(7),
+            max_levels: 4,
+            ..BuildConfig::default()
+        };
+        let sections = |path: &Path| -> Vec<(u32, u64, u64)> {
+            let mapped = MmapIndex::open_verified(path).unwrap();
+            assert_eq!(*mapped.config(), config, "{}", path.display());
+            let header = mapped.reader().header();
+            header
+                .sections
+                .iter()
+                .map(|s| (s.kind, s.len, s.checksum))
+                .collect()
+        };
+        for live in [false, true] {
+            let index_path = dir.join(format!("{live}.islx"));
+            let wal_path = dir.join(format!("{live}.wal"));
+            let mut index = IsLabelIndex::try_build(&g, config).unwrap();
+            persist::try_save_index_to_path(&index, &index_path).unwrap();
+            index.attach_wal(&wal_path).unwrap();
+            index.try_insert_edge(4, 90, 2).unwrap();
+            index.try_insert_vertex(&[(7, 1), (200, 3)]).unwrap();
+            let current = index.current_graph();
+            if live {
+                let handle = Arc::new(OracleHandle::new(Snapshot::new(index)));
+                let coordinator = RebuildCoordinator::new(handle, &index_path, &wal_path);
+                assert_eq!(coordinator.compact().unwrap().info.folded_ops, 2);
+            } else {
+                drop(index);
+                let info = persist::compact_index_with_wal(&index_path, &wal_path).unwrap();
+                assert_eq!(info.folded_ops, 2);
+            }
+            let fresh_path = dir.join(format!("{live}-fresh.islx"));
+            let fresh = IsLabelIndex::try_build(&current, config).unwrap();
+            persist::try_save_index_to_path(&fresh, &fresh_path).unwrap();
+            assert_eq!(sections(&index_path), sections(&fresh_path), "live {live}");
+            let reloaded = persist::try_load_index_from_path(&index_path).unwrap();
+            assert_eq!(*reloaded.config(), config);
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The v3 `.islx` flat artifact format: constants, header/section-table
+//! The v4 `.islx` flat artifact format: constants, header/section-table
 //! codec, and the structural validate-on-open checks.
 //!
-//! A v3 artifact is one file laid out for zero-copy serving:
+//! A v4 artifact is one file laid out for zero-copy serving:
 //!
 //! ```text
-//! [ header 72 B | section table 16 × 32 B | section | pad | section | … ]
+//! [ header 88 B | section table 16 × 32 B | section | pad | section | … ]
 //! ```
 //!
 //! Every section is a homogeneous little-endian array (`u32` or `u64`
@@ -28,12 +28,14 @@ use std::io;
 pub const MAGIC: [u8; 4] = *b"ISLX";
 
 /// The flat, mmap-servable artifact format version — the only one read.
-/// Versions 1 and 2 were streamed, heap-deserialized layouts; a file
-/// carrying either is refused as [`FormatError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 3;
+/// Versions 1 and 2 were streamed, heap-deserialized layouts; version 3
+/// stored label distances as `u64` and only part of the build
+/// configuration. A file carrying any of them is refused as
+/// [`FormatError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Fixed header bytes before the section table.
-pub const HEADER_BYTES: usize = 72;
+pub const HEADER_BYTES: usize = 88;
 /// Bytes per section-table entry.
 pub const TABLE_ENTRY_BYTES: usize = 32;
 /// Section-table slots reserved in every artifact (unused slots are
@@ -74,7 +76,7 @@ pub const SECTION_GK_VIAS: u32 = 10;
 pub const SECTION_LABEL_OFFSETS: u32 = 11;
 /// Label ancestors, `E × u32`, ascending within each vertex's range.
 pub const SECTION_LABEL_ANCESTORS: u32 = 12;
-/// Label distances, `E × u64`, parallel to the ancestors.
+/// Label distances, `E × u32`, parallel to the ancestors.
 pub const SECTION_LABEL_DISTS: u32 = 13;
 /// Label first hops, `E × u32`; present only when path info is kept.
 pub const SECTION_LABEL_HOPS: u32 = 14;
@@ -112,15 +114,15 @@ pub fn section_kind_name(kind: u32) -> &'static str {
 pub const FLAG_KEEP_PATH_INFO: u32 = 1 << 0;
 /// Header flag bit: the `SECTION_LABEL_HOPS` section is present.
 pub const FLAG_HAS_HOPS: u32 = 1 << 1;
-/// All flag bits a v3 reader understands; unknown bits fail validation.
+/// All flag bits a v4 reader understands; unknown bits fail validation.
 const FLAG_MASK: u32 = FLAG_KEEP_PATH_INFO | FLAG_HAS_HOPS;
 
 // Shared at-rest record layouts. These are the single source of truth for
 // every crate that serializes the same records (the disk-resident label
 // store in islabel-core::disklabel, the external-memory adjacency records
-// in islabel-extmem, and the v3 sections here).
-/// Bytes of one at-rest label entry: ancestor `u32` + distance `u64`.
-pub const LABEL_ENTRY_BYTES: usize = 12;
+// in islabel-extmem, and the artifact sections here).
+/// Bytes of one at-rest label entry: ancestor `u32` + distance `u32`.
+pub const LABEL_ENTRY_BYTES: usize = 8;
 /// Bytes of one at-rest offset-table slot (`u64`).
 pub const LABEL_OFFSET_BYTES: usize = 8;
 /// Bytes of one `(vertex, weight, via)` adjacency triple (`3 × u32`):
@@ -128,7 +130,7 @@ pub const LABEL_OFFSET_BYTES: usize = 8;
 /// adjacency records all share it.
 pub const EDGE_TRIPLE_BYTES: usize = 12;
 
-/// Why a byte region is not a valid v3 artifact. Every decode failure is
+/// Why a byte region is not a valid v4 artifact. Every decode failure is
 /// one of these — opening corrupt input never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormatError {
@@ -201,7 +203,7 @@ impl From<FormatError> for io::Error {
 
 // CRC-32 (IEEE 802.3), table computed at compile time. This is the one
 // checksum implementation in the workspace: the WAL in islabel-core
-// re-exports it, and every v3 section checksum uses it.
+// re-exports it, and the artifact header checksum uses it.
 const fn crc_entry(mut c: u32) -> u32 {
     let mut k = 0;
     while k < 8 {
@@ -278,7 +280,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // one core. Not cryptographic; it detects corruption, not adversaries,
 // exactly like the CRC it replaces. The definition below (little-endian
 // words, zero-padded tail block, length folded into the finalizer) is
-// frozen: it is part of the v3 artifact format.
+// frozen: it is part of the artifact format.
 const CK64_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 const CK64_SEEDS: [u64; 4] = [
     0x243F_6A88_85A3_08D3,
@@ -414,7 +416,7 @@ pub struct SectionEntry {
     pub checksum: u64,
 }
 
-/// The decoded fixed header + section table of a v3 artifact.
+/// The decoded fixed header + section table of a v4 artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
     /// Artifact-lineage epoch pairing the artifact with its WAL.
@@ -433,6 +435,13 @@ pub struct Header {
     pub dense_m: u64,
     /// Sealed dynamic-update records in [`SECTION_OPS`]; 0 = pristine.
     pub op_count: u64,
+    /// The build's level cap.
+    pub max_levels: u32,
+    /// Independent-set strategy tag (0 min-degree greedy, 1 random,
+    /// 2 max-degree greedy).
+    pub is_tag: u32,
+    /// The random strategy's seed; 0 for the others.
+    pub is_seed: u64,
     /// Declared sections, in table order (offset-ascending).
     pub sections: Vec<SectionEntry>,
 }
@@ -479,7 +488,10 @@ impl Header {
         put_u64(&mut out, self.dense_m);
         put_u64(&mut out, self.op_count);
         put_u32(&mut out, 0); // header crc, patched below
+        put_u32(&mut out, self.max_levels);
+        put_u32(&mut out, self.is_tag);
         put_u32(&mut out, 0); // reserved
+        put_u64(&mut out, self.is_seed);
         for s in self.sections.iter().take(MAX_SECTIONS) {
             put_u32(&mut out, s.kind);
             put_u32(&mut out, 0); // reserved
@@ -543,6 +555,9 @@ impl Header {
             n: get_u64(data, 40).unwrap_or(0),
             dense_m: get_u64(data, 48).unwrap_or(0),
             op_count: get_u64(data, 56).unwrap_or(0),
+            max_levels: get_u32(data, 68).unwrap_or(0),
+            is_tag: get_u32(data, 72).unwrap_or(0),
+            is_seed: get_u64(data, 80).unwrap_or(0),
             sections: Self::decode_table(data, section_count, file_len)?,
         };
         Ok(header)
@@ -688,6 +703,9 @@ mod tests {
             n: 100,
             dense_m: 10,
             op_count: 0,
+            max_levels: 4,
+            is_tag: 1,
+            is_seed: 7,
             sections: vec![
                 SectionEntry {
                     kind: SECTION_LEVELS,

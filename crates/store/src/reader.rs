@@ -1,4 +1,4 @@
-//! Validating, zero-copy v3 artifact reader.
+//! Validating, zero-copy v4 artifact reader.
 //!
 //! [`StoreReader::open`] maps the file and runs the full validate-on-open
 //! pass — magic, version, header checksum, every section's offset /
@@ -19,7 +19,7 @@ use std::path::Path;
 use crate::format::{validate_sections, FormatError, Header};
 use crate::mmap::{cast_u32s, cast_u64s, MappedFile};
 
-/// An open, fully validated v3 artifact.
+/// An open, fully validated v4 artifact.
 #[derive(Debug)]
 pub struct StoreReader {
     map: MappedFile,
@@ -171,6 +171,9 @@ mod tests {
             n: 4,
             dense_m: 1,
             op_count: 0,
+            max_levels: 10_000,
+            is_tag: 0,
+            is_seed: 0,
         };
         let mut w = StoreWriter::new(Cursor::new(Vec::new()), meta).unwrap();
         w.begin_section(SECTION_LEVELS).unwrap();
@@ -243,6 +246,9 @@ mod tests {
             n: 0,
             dense_m: 0,
             op_count: 0,
+            max_levels: 10_000,
+            is_tag: 0,
+            is_seed: 0,
         };
         let mut w = StoreWriter::new(Cursor::new(Vec::new()), meta).unwrap();
         w.begin_section(SECTION_LEVELS).unwrap();

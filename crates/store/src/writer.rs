@@ -1,4 +1,4 @@
-//! Streaming v3 artifact writer.
+//! Streaming v4 artifact writer.
 //!
 //! [`StoreWriter`] writes sections one at a time in a single forward
 //! pass, checksumming as it goes, then seeks back once at the end to
@@ -30,9 +30,15 @@ pub struct ArtifactMeta {
     pub dense_m: u64,
     /// Sealed dynamic-update records in the ops section.
     pub op_count: u64,
+    /// The build's level cap.
+    pub max_levels: u32,
+    /// Independent-set strategy tag.
+    pub is_tag: u32,
+    /// The random strategy's seed; 0 for the others.
+    pub is_seed: u64,
 }
 
-/// Writes a v3 `.islx` artifact section by section.
+/// Writes a v4 `.islx` artifact section by section.
 ///
 /// ```text
 /// let mut w = StoreWriter::new(file, meta)?;
@@ -161,6 +167,9 @@ impl<W: Write + Seek> StoreWriter<W> {
             n: self.meta.n,
             dense_m: self.meta.dense_m,
             op_count: self.meta.op_count,
+            max_levels: self.meta.max_levels,
+            is_tag: self.meta.is_tag,
+            is_seed: self.meta.is_seed,
             sections: self.sections,
         };
         self.out.seek(SeekFrom::Start(0))?;
@@ -187,6 +196,9 @@ mod tests {
             n: 5,
             dense_m: 2,
             op_count: 0,
+            max_levels: 10_000,
+            is_tag: 0,
+            is_seed: 0,
         };
         let mut w = StoreWriter::new(Cursor::new(Vec::new()), meta).unwrap();
         w.begin_section(SECTION_LEVELS).unwrap();
@@ -224,6 +236,9 @@ mod tests {
             n: 0,
             dense_m: 0,
             op_count: 0,
+            max_levels: 10_000,
+            is_tag: 0,
+            is_seed: 0,
         };
         let mut w = StoreWriter::new(Cursor::new(Vec::new()), meta.clone()).unwrap();
         assert!(w.write_bytes(b"x").is_err()); // no section open

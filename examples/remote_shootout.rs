@@ -22,7 +22,7 @@ fn main() {
         g.num_edges()
     );
     let t0 = Instant::now();
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).expect("a valid config");
     println!("index built in {:.2?}", t0.elapsed());
 
     // 2. Serve: bind a loopback port (0 = OS-assigned) and expose the

@@ -89,7 +89,7 @@ fn sessions_answer_queries_without_allocating() {
         .collect();
 
     // --- IS-LABEL: the tentpole claim. ---
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     assert!(
         index.hierarchy().num_gk_vertices() > 0,
         "audit needs a non-trivial G_k"
@@ -158,7 +158,7 @@ fn sessions_answer_queries_without_allocating() {
     // borrows the DensePatch the overlay maintains and pre-sizes every
     // buffer for the patched universe, so queries against an index
     // carrying inserts, new vertices, and tombstones allocate nothing.
-    let mut updated = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut updated = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     for i in 0..30u32 {
         let a = (i * 37 + 1) % 1800;
         let b = (i * 53 + 400) % 1800;
@@ -196,7 +196,7 @@ fn sessions_answer_queries_without_allocating() {
     // vertices with extra edges, the same count.
     let mut opens = [0u64; 2];
     for (slot, pending) in [50u32, 500].into_iter().enumerate() {
-        let mut grown = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut grown = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let members = grown.hierarchy().gk_members().to_vec();
         for i in 0..pending {
             match i % 5 {
@@ -310,7 +310,7 @@ fn sessions_answer_queries_without_allocating() {
     let count = audited(|| {
         for v in pairs.iter().flat_map(|&(s, t)| [s, t]) {
             let label = store.fetch(&storage, v, &mut buf).unwrap();
-            checksum = checksum.wrapping_add(label.dists[label.len() - 1]);
+            checksum = checksum.wrapping_add(u64::from(label.dists[label.len() - 1]));
         }
     });
     assert_eq!(count, 0, "DiskLabelStore::fetch allocated {count} times");

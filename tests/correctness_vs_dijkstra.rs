@@ -11,7 +11,7 @@ use islabel::graph::generators::{
 use islabel::{CsrGraph, Dataset, Scale, VertexId};
 
 fn check(g: &CsrGraph, config: BuildConfig, queries: usize, tag: &str) {
-    let index = IsLabelIndex::build(g, config);
+    let index = IsLabelIndex::try_build(g, config).unwrap();
     let n = g.num_vertices();
     for i in 0..queries {
         let s = ((i * 2654435761) % n) as VertexId;
@@ -84,7 +84,7 @@ fn disconnected_forests() {
         }
     }
     let g = b.build();
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     for s in (0..120u32).step_by(7) {
         for t in (0..120u32).step_by(11) {
             assert_eq!(
@@ -102,7 +102,7 @@ fn all_methods_agree_on_shared_workload() {
     // identical answers — the cross-validation behind Table 8.
     let g = Dataset::SkitterLike.generate(Scale::Tiny);
     let n = g.num_vertices();
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let vc = VcIndex::build(&g, VcConfig::default());
     let pll = PllIndex::build(&g);
     let mut bidij = BiDijkstra::new(n);
@@ -130,7 +130,7 @@ fn heavyweight_weights_work_within_contract() {
         b.add_edge(v, v + 1, w);
     }
     let g = b.build();
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     assert_eq!(index.try_distance(0, 39), Ok(Some(39 * w as u64)));
 }
 
@@ -146,5 +146,51 @@ fn overflowing_weights_fail_loudly_not_silently() {
         b.add_edge(v, v + 1, u32::MAX);
     }
     let g = b.build();
-    let _ = IsLabelIndex::build(&g, BuildConfig::default());
+    let _ = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+}
+
+#[test]
+fn label_distance_past_u32_fails_loudly_not_silently() {
+    // Labels store u32 distances. Here no augmenting edge ever forms (every
+    // peeled vertex has one neighbour left), so only the label check can
+    // catch the overflow: peeling 0 and the leaves 3, 4, 5, then 1, gives
+    // label(0) the entry (2, 6 000 000 000). Both builders must refuse it
+    // with the weight contract's message, under the full hierarchy and the
+    // default σ rule.
+    let mut b = islabel::GraphBuilder::new(6);
+    b.add_edge(0, 1, 3_000_000_000);
+    b.add_edge(1, 2, 3_000_000_000);
+    for leaf in 3..6 {
+        b.add_edge(2, leaf, 1);
+    }
+    let g = b.build();
+    let message = |built: std::thread::Result<()>| {
+        let payload = built.expect_err("an out-of-contract label must not build");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    };
+    for config in [BuildConfig::full(), BuildConfig::default()] {
+        let in_memory = std::panic::catch_unwind(|| {
+            let _ = IsLabelIndex::try_build(&g, config);
+        });
+        let external = std::panic::catch_unwind(|| {
+            let storage = islabel::extmem::MemStorage::new();
+            let _ = islabel::core::embuild::build_external_from_csr(
+                &storage,
+                &g,
+                config,
+                islabel::core::embuild::EmConfig::default(),
+            );
+        });
+        for (builder, built) in [("in-memory", in_memory), ("external", external)] {
+            let msg = message(built);
+            assert!(
+                msg.contains("label distance overflows u32"),
+                "{builder} {config:?}: {msg}"
+            );
+        }
+    }
 }

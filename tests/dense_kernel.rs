@@ -37,7 +37,7 @@ fn dense_kernel_matches_reference_across_graphs_and_configs() {
             BuildConfig::fixed_k(3),
             BuildConfig::sigma(0.5),
         ] {
-            let index = IsLabelIndex::build(&g, config);
+            let index = IsLabelIndex::try_build(&g, config).unwrap();
             let mut session = index.session();
             for (s, t) in query_pairs(g.num_vertices() as u32, 120) {
                 if s == t {
@@ -88,7 +88,7 @@ fn dense_kernel_drivable_from_public_parts() {
     // The substrate accessors are enough to drive the dense kernel by hand
     // (what benches do): seeds mapped through GkIdMap, outcome globalized.
     let g = erdos_renyi_gnm(300, 800, WeightModel::UniformRange(1, 7), 23);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let dense = index.dense_gk();
     assert_eq!(dense.ids().len(), index.hierarchy().num_gk_vertices());
     let mut scratch = DenseScratch::new(dense.ids().len());
@@ -163,7 +163,7 @@ fn overlay_session_keeps_the_lazy_update_contract() {
     // upper-bound semantics; rebuild() returns to the pristine view
     // (exact).
     let g = barabasi_albert(250, 3, WeightModel::UniformRange(1, 4), 31);
-    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let gk_anchor = index.hierarchy().gk_members()[0];
     let peeled = g.vertices().find(|&v| !index.is_in_gk(v)).unwrap();
     let u = index
@@ -226,7 +226,7 @@ fn assert_tracing_is_invisible<S: QuerySession + ?Sized, A: PartialEq + std::fmt
 #[test]
 fn answers_do_not_depend_on_phase_tracing() {
     let g = barabasi_albert(250, 3, WeightModel::UniformRange(1, 4), 31);
-    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let outcome = |session: &mut islabel::core::IsLabelSession<'_>, s, t| {
         session.search_outcome(s, t).unwrap()
     };

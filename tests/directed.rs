@@ -120,7 +120,7 @@ fn undirected_graph_as_digraph_agrees_with_undirected_index() {
     }
     let dg = b.build();
     let di = DiIsLabelIndex::try_build(&dg, BuildConfig::default()).unwrap();
-    let ui = islabel::IsLabelIndex::build(&ug, BuildConfig::default());
+    let ui = islabel::IsLabelIndex::try_build(&ug, BuildConfig::default()).unwrap();
     for i in 0..100u32 {
         let (s, t) = ((i * 7) % 150, (i * 11 + 5) % 150);
         assert_eq!(di.try_distance(s, t), ui.try_distance(s, t), "({s}, {t})");

@@ -17,7 +17,7 @@ fn equivalent_on_every_paper_dataset() {
         let storage = MemStorage::new();
         let em = build_external_from_csr(&storage, &g, BuildConfig::default(), EmConfig::default())
             .unwrap();
-        let im = IsLabelIndex::build(&g, BuildConfig::default());
+        let im = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert_eq!(em.labels(), im.labels(), "{}: labels", ds.name());
         assert_eq!(
             em.hierarchy().gk(),
@@ -42,7 +42,7 @@ fn equivalent_on_real_filesystem() {
     let g = Dataset::GoogleLike.generate(Scale::Tiny);
     let em =
         build_external_from_csr(&storage, &g, BuildConfig::default(), EmConfig::default()).unwrap();
-    let im = IsLabelIndex::build(&g, BuildConfig::default());
+    let im = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     assert_eq!(em.labels(), im.labels());
     // All temp files cleaned off the real filesystem too.
     let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
@@ -63,7 +63,7 @@ fn equivalent_under_pathological_memory_pressure() {
         EmConfig::tiny_for_tests(),
     )
     .unwrap();
-    let im = IsLabelIndex::build(&g, BuildConfig::default());
+    let im = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     assert_eq!(em.labels(), im.labels());
     assert_eq!(em.hierarchy().levels(), im.hierarchy().levels());
 

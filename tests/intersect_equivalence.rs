@@ -6,13 +6,13 @@
 //! minimum *and* same witness (first ancestor achieving it, in ascending
 //! order). The shapes are adversarial: empty and length-1 labels,
 //! all-match and no-match pairs, lengths straddling 4 and 8, skew ratios
-//! on both sides of `GALLOP_CROSSOVER`, and distances at and near `INF`
-//! where the sums must saturate exactly like `Dist::saturating_add`.
+//! on both sides of `GALLOP_CROSSOVER`, and stored distances at and near
+//! `LabelDist::MAX`, whose sums only fit once widened to `Dist`.
 
 use islabel::core::kernel::intersect_min_auto;
-use islabel::core::label::LabelView;
+use islabel::core::label::{LabelDist, LabelView};
 use islabel::core::query::intersect_min;
-use islabel::graph::{Dist, VertexId, INF};
+use islabel::graph::VertexId;
 use proptest::prelude::*;
 
 /// One label pair as owned parallel arrays (ancestors strictly
@@ -20,9 +20,9 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 struct LabelPair {
     aa: Vec<VertexId>,
-    ad: Vec<Dist>,
+    ad: Vec<LabelDist>,
     ba: Vec<VertexId>,
-    bd: Vec<Dist>,
+    bd: Vec<LabelDist>,
 }
 
 impl LabelPair {
@@ -42,16 +42,16 @@ impl LabelPair {
     }
 }
 
-/// Distances that exercise the saturating-add corners: small values,
-/// `INF` itself, and values close enough to `INF` that `d(s)+d(t)`
-/// overflows u64 and must saturate.
-fn arb_dist() -> impl Strategy<Value = Dist> {
+/// Distances that exercise the widening corners: small values, the
+/// widest stored distance itself, and values close enough to it that
+/// `d(s)+d(t)` overflows the stored width and only fits in `Dist`.
+fn arb_dist() -> impl Strategy<Value = LabelDist> {
     prop_oneof![
-        0u64..5_000,
-        0u64..5_000,
-        0u64..5_000,
-        Just(INF),
-        (INF - 5_000)..INF,
+        0u32..5_000,
+        0u32..5_000,
+        0u32..5_000,
+        Just(LabelDist::MAX),
+        (LabelDist::MAX - 5_000)..LabelDist::MAX,
     ]
 }
 
@@ -97,7 +97,7 @@ fn assert_matches_reference(p: &LabelPair) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Free-form shapes: arbitrary overlap, gaps, and INF-adjacent sums.
+    /// Free-form shapes: arbitrary overlap, gaps, and widest-value sums.
     #[test]
     fn kernel_matches_reference_on_arbitrary_pairs(p in arb_pair(72)) {
         assert_matches_reference(&p);
@@ -131,19 +131,19 @@ proptest! {
 
 /// Deterministic boundary shapes: identical ancestor sets (all-match)
 /// and disjoint sets (no-match) at every length that straddles 4, 8 and
-/// their multiples, under small, saturating and one-sided-INF distances.
+/// their multiples, under small, widest and one-sided-widest distances.
 #[test]
 fn chunk_boundary_lengths_all_match_and_no_match() {
     const LENS: [usize; 14] = [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33];
-    // Three dist regimes: small, saturating, and mixed (INF on one side).
+    // Three dist regimes: small, widest, and mixed (widest on one side).
     for regime in 0..3 {
         for len in LENS {
-            let dist = |side: u64, i: usize| -> Dist {
+            let dist = |side: u32, i: usize| -> LabelDist {
                 match regime {
-                    0 => (i as u64 * 7 + side * 3) % 1_000,
-                    1 => INF - (i as u64 % 3),
-                    _ if side == 0 && i.is_multiple_of(2) => INF,
-                    _ => i as u64,
+                    0 => (i as u32 * 7 + side * 3) % 1_000,
+                    1 => LabelDist::MAX - (i as u32 % 3),
+                    _ if side == 0 && i.is_multiple_of(2) => LabelDist::MAX,
+                    _ => i as u32,
                 }
             };
             // All-match: identical ancestor streams.
@@ -177,9 +177,9 @@ fn tie_break_picks_first_witness() {
         // Every entry sums to the same total: all-way tie.
         let p = LabelPair {
             aa: ids.clone(),
-            ad: (0..len as u64).collect(),
+            ad: (0..len as u32).collect(),
             ba: ids.clone(),
-            bd: (0..len as u64).map(|i| 100 - i).collect(),
+            bd: (0..len as u32).map(|i| 100 - i).collect(),
         };
         let (a, b) = p.views();
         let want = intersect_min(a, b);

@@ -317,7 +317,7 @@ fn patched_tail_is_read_past_the_cut() {
     });
 }
 
-/// The split `G_k` sections of a mapped v3 artifact, as the kernel's view.
+/// The split `G_k` sections of a mapped artifact, as the kernel's view.
 struct Mapped<'a> {
     offsets: &'a [u32],
     targets: &'a [u32],
@@ -346,7 +346,7 @@ fn mapped_view_from_adversarial_starts() {
     let dir = TempDir::new("mu-bounded-mapped");
     for (name, g) in undirected_graphs() {
         // A two-level hierarchy leaves a G_k worth searching.
-        let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(2));
+        let index = IsLabelIndex::try_build(&g, BuildConfig::fixed_k(2)).unwrap();
         let path = dir.join(format!("{name}.islx"));
         try_save_index_to_path(&index, &path).unwrap();
         let mapped = MmapIndex::open(&path).unwrap();
@@ -394,14 +394,14 @@ fn search_work_counts_are_pinned() {
     // shrink µ sooner). With the relaxation bound taken out of the kernel
     // altogether, `pushed` reads 85 604 on Web-like and 406 893 on BA.
     let web = Dataset::WebLike.generate(Scale::Small);
-    let index = IsLabelIndex::build(&web, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&web, BuildConfig::default()).unwrap();
     assert_eq!(
         work_totals(index.session(), web.num_vertices() as u32, 500),
         WEB_TOTALS
     );
 
     let ba = barabasi_albert(3_000, 4, WeightModel::UniformRange(1, 5), 17);
-    let mut index = IsLabelIndex::build(&ba, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&ba, BuildConfig::default()).unwrap();
     assert_eq!(work_totals(index.session(), 3_000, 500), BA_TOTALS);
 
     // The same index carrying updates: the patched view. Edges and
@@ -424,7 +424,7 @@ fn search_work_counts_are_pinned() {
     assert_eq!(work_totals(index.session(), 3_010, 500), PATCHED_BA_TOTALS);
 
     let grid = grid2d(60, 60, WeightModel::UniformRange(1, 10), 7);
-    let index = IsLabelIndex::build(&grid, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&grid, BuildConfig::default()).unwrap();
     assert_eq!(work_totals(index.session(), 3_600, 300), GRID_TOTALS);
 
     let mut arcs = DigraphBuilder::new(3_000);

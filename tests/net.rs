@@ -185,7 +185,7 @@ fn line_index(weight: u32) -> IsLabelIndex {
     let mut b = GraphBuilder::new(3);
     b.add_edge(0, 1, weight);
     b.add_edge(1, 2, weight);
-    IsLabelIndex::build(&b.build(), BuildConfig::default())
+    IsLabelIndex::try_build(&b.build(), BuildConfig::default()).unwrap()
 }
 
 /// The end-to-end Reload contract: an admin connection hot-swaps the
@@ -238,7 +238,7 @@ fn wire_reload_swaps_while_in_flight_queries_finish_on_their_generation() {
     assert_eq!(stats.snapshot_version, 1);
     assert_eq!(
         stats.engine, "islabel-mmap",
-        "a reloaded pristine v3 artifact is served zero-copy off the mapped file"
+        "a reloaded pristine artifact is served zero-copy off the mapped file"
     );
 
     server.shutdown();
@@ -554,7 +554,7 @@ fn oversized_outbound_requests_are_rejected_client_side() {
 #[test]
 fn wire_stats_report_latency_percentiles() {
     let g = erdos_renyi_gnm(150, 400, WeightModel::UniformRange(1, 6), 0x33);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let server =
         DistanceServer::start(Arc::new(index), "127.0.0.1:0", NetConfig::default()).unwrap();
     let mut client = DistanceClient::connect(server.local_addr()).unwrap();
@@ -582,7 +582,7 @@ fn wire_stats_report_latency_percentiles() {
 #[test]
 fn wire_stats_carry_full_histogram_buckets() {
     let g = erdos_renyi_gnm(120, 300, WeightModel::UniformRange(1, 6), 0x44);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let server =
         DistanceServer::start(Arc::new(index), "127.0.0.1:0", NetConfig::default()).unwrap();
     let mut client = DistanceClient::connect(server.local_addr()).unwrap();
@@ -605,7 +605,7 @@ fn wire_stats_carry_full_histogram_buckets() {
 #[test]
 fn metrics_opcode_round_trips_and_is_refused_while_draining() {
     let g = erdos_renyi_gnm(100, 260, WeightModel::UniformRange(1, 5), 0x55);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let server =
         DistanceServer::start(Arc::new(index), "127.0.0.1:0", NetConfig::default()).unwrap();
     let mut client = DistanceClient::connect(server.local_addr()).unwrap();
@@ -745,7 +745,8 @@ fn reply_is_not_held_behind_a_half_arrived_next_frame() {
 #[test]
 fn pipelined_burst_is_answered_in_order_with_coalesced_writes() {
     let g = erdos_renyi_gnm(120, 300, WeightModel::UniformRange(1, 6), 0x66);
-    let oracle: SharedOracle = Arc::new(IsLabelIndex::build(&g, BuildConfig::default()));
+    let oracle: SharedOracle =
+        Arc::new(IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap());
     let pairs = pair_mix(120, 64);
     let truth: Vec<Option<Dist>> = {
         let mut session = oracle.session();

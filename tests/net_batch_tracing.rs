@@ -21,7 +21,7 @@ fn traced_total(client: &mut DistanceClient) -> u64 {
 #[test]
 fn every_pair_of_a_remote_batch_reaches_the_phase_trace() {
     let g = erdos_renyi_gnm(100, 260, WeightModel::UniformRange(1, 5), 0x56);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let server =
         DistanceServer::start(Arc::new(index), "127.0.0.1:0", NetConfig::default()).unwrap();
     let mut client = DistanceClient::connect(server.local_addr()).unwrap();

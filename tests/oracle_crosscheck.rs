@@ -19,7 +19,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 const QUERIES: usize = 128;
 
 fn crosscheck(name: &str, g: &CsrGraph, config: BuildConfig, seed: u64) {
-    let index = IsLabelIndex::build(g, config);
+    let index = IsLabelIndex::try_build(g, config).unwrap();
     let pll = PllIndex::build(g);
     let mut bidij = BiDijkstra::new(g.num_vertices());
 

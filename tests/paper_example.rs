@@ -95,7 +95,7 @@ fn figure2_labels() {
 
 #[test]
 fn example4_queries_through_public_api() {
-    let index = IsLabelIndex::build(&paper_graph(), BuildConfig::default());
+    let index = IsLabelIndex::try_build(&paper_graph(), BuildConfig::default()).unwrap();
     // dist(h, e) = 3 despite d(h, e) = 4 in the label.
     assert_eq!(index.try_distance(7, 4), Ok(Some(3)));
     // dist(a, g): label(a) ∩ label(g) = {g}; 3 + 0 = 3.
@@ -129,12 +129,12 @@ fn example6_bidijkstra_query_on_k2() {
     // dist(c, i) = 3 via the label-seeded bidirectional search on G_2.
     // Through the public API with a fixed k = 2 the greedy IS picks its own
     // L1, but the answer must be identical.
-    let index = IsLabelIndex::build(&paper_graph(), BuildConfig::fixed_k(2));
+    let index = IsLabelIndex::try_build(&paper_graph(), BuildConfig::fixed_k(2)).unwrap();
     assert_eq!(index.stats().k, 2);
     assert_eq!(index.try_distance(2, 8), Ok(Some(3)));
 
     // And all pairwise answers at k = 2 equal the full-hierarchy answers.
-    let full = IsLabelIndex::build(&paper_graph(), BuildConfig::full());
+    let full = IsLabelIndex::try_build(&paper_graph(), BuildConfig::full()).unwrap();
     for s in 0..9u32 {
         for t in 0..9u32 {
             assert_eq!(
@@ -149,7 +149,7 @@ fn example6_bidijkstra_query_on_k2() {
 #[test]
 fn all_pairs_match_dijkstra_on_paper_graph() {
     let g = paper_graph();
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     for s in 0..9u32 {
         let truth = islabel::core::reference::dijkstra_all(&g, s);
         for t in 0..9u32 {

@@ -8,7 +8,7 @@ use islabel::graph::generators::{barabasi_albert, grid2d, WeightModel};
 use islabel::{CsrGraph, Dataset, Scale, VertexId};
 
 fn check_paths(g: &CsrGraph, config: BuildConfig, queries: usize, tag: &str) {
-    let index = IsLabelIndex::build(g, config);
+    let index = IsLabelIndex::try_build(g, config).unwrap();
     let n = g.num_vertices();
     for i in 0..queries {
         let s = ((i * 2654435761) % n) as VertexId;
@@ -60,7 +60,7 @@ fn paths_with_every_k_policy() {
 #[test]
 fn path_endpoints_and_self_paths() {
     let g = barabasi_albert(100, 2, WeightModel::Unit, 5);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     for v in (0..100u32).step_by(13) {
         let p = index.try_shortest_path(v, v).unwrap().unwrap();
         assert_eq!(p.vertices, vec![v]);
@@ -72,7 +72,7 @@ fn path_endpoints_and_self_paths() {
 fn path_hop_counts_match_bfs_on_unweighted_graphs() {
     // On a unit-weight graph, path length == hop count == BFS distance.
     let g = barabasi_albert(300, 3, WeightModel::Unit, 21);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let bfs = islabel::graph::algo::bfs_distances(&g, 17);
     for t in (0..300u32).step_by(29) {
         let p = index.try_shortest_path(17, t).unwrap().unwrap();
@@ -112,7 +112,7 @@ fn paths_meeting_inside_gk() {
     // than by Equation 1, so reconstruction walks the search's parent
     // chains on both sides of the meeting vertex instead of label hops.
     for (tag, g) in wide_gk_graphs() {
-        let index = IsLabelIndex::build(&g, BuildConfig::fixed_k(2));
+        let index = IsLabelIndex::try_build(&g, BuildConfig::fixed_k(2)).unwrap();
         let by_search = pairs(g.num_vertices(), 120)
             .filter(|&(s, t)| index.query(s, t).unwrap().answered_by_search)
             .count();
@@ -137,7 +137,7 @@ fn path_vertex_sequences_are_pinned() {
         (&ba, BuildConfig::fixed_k(2)),
         (&ba, BuildConfig::default()),
     ] {
-        let index = IsLabelIndex::build(g, config);
+        let index = IsLabelIndex::try_build(g, config).unwrap();
         for (s, t) in pairs(g.num_vertices(), 150) {
             let path = index.try_shortest_path(s, t).unwrap().expect("connected");
             path.vertices.iter().for_each(|&v| mix(v as u64));

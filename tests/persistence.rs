@@ -35,8 +35,8 @@ fn index_built_from_reloaded_graph_is_identical() {
     write_csr_binary(&g, &mut bin).unwrap();
     let g2 = read_csr_binary(&mut &bin[..]).unwrap();
 
-    let a = IsLabelIndex::build(&g, BuildConfig::default());
-    let b = IsLabelIndex::build(&g2, BuildConfig::default());
+    let a = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+    let b = IsLabelIndex::try_build(&g2, BuildConfig::default()).unwrap();
     assert_eq!(
         a.labels(),
         b.labels(),
@@ -55,7 +55,7 @@ fn index_built_from_reloaded_graph_is_identical() {
 fn disk_labels_on_real_files() {
     let dir = TempDir::new("it-labels");
     let g = Dataset::BtcLike.generate(Scale::Tiny);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
 
     let storage = DirStorage::new(&*dir).unwrap();
     let store = DiskLabelStore::write(&storage, "labels", index.labels()).unwrap();
@@ -88,7 +88,7 @@ fn disk_labels_on_real_files() {
 #[test]
 fn io_accounting_feeds_cost_model() {
     let g = Dataset::GoogleLike.generate(Scale::Tiny);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let storage = MemStorage::new();
     let store = DiskLabelStore::write(&storage, "labels", index.labels()).unwrap();
 
@@ -110,7 +110,7 @@ fn io_accounting_feeds_cost_model() {
 #[test]
 fn mem_and_dir_storage_hold_identical_bytes() {
     let g = Dataset::SkitterLike.generate(Scale::Tiny);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
 
     let mem = MemStorage::new();
     DiskLabelStore::write(&mem, "l", index.labels()).unwrap();
@@ -138,7 +138,7 @@ fn typed_persist_roundtrip_including_pending_updates() {
     let dir = TempDir::new("it-typed-persist");
     let path = dir.join("i.islx");
     let g = Dataset::GoogleLike.generate(Scale::Tiny);
-    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
 
     // Pristine index: save + load roundtrips and answers identically.
     try_save_index_to_path(&index, &path).unwrap();
@@ -202,7 +202,7 @@ fn concurrent_saves_to_one_path_all_succeed() {
     let dir = TempDir::new("it-concurrent-save");
     let path = dir.join("shared.islx");
     let g = Dataset::GoogleLike.generate(Scale::Tiny);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
 
     let barrier = std::sync::Barrier::new(THREADS);
     let results: Vec<Result<(), islabel::core::Error>> = std::thread::scope(|scope| {

@@ -50,7 +50,7 @@ proptest! {
 
     #[test]
     fn index_matches_dijkstra(g in arb_graph(40, 120), config in arb_config(), qseed in 0u32..1000) {
-        let index = IsLabelIndex::build(&g, config);
+        let index = IsLabelIndex::try_build(&g, config).unwrap();
         let n = g.num_vertices() as u32;
         for i in 0..12u32 {
             let s = (qseed.wrapping_add(i * 7919)) % n;
@@ -109,11 +109,11 @@ proptest! {
 
     #[test]
     fn intersect_equals_naive(
-        a in proptest::collection::btree_map(0u32..60, 1u64..50, 0..20),
-        b in proptest::collection::btree_map(0u32..60, 1u64..50, 0..20),
+        a in proptest::collection::btree_map(0u32..60, 1u32..50, 0..20),
+        b in proptest::collection::btree_map(0u32..60, 1u32..50, 0..20),
     ) {
-        let (aa, ad): (Vec<u32>, Vec<u64>) = a.iter().map(|(&k, &v)| (k, v)).unzip();
-        let (ba, bd): (Vec<u32>, Vec<u64>) = b.iter().map(|(&k, &v)| (k, v)).unzip();
+        let (aa, ad): (Vec<u32>, Vec<u32>) = a.iter().map(|(&k, &v)| (k, v)).unzip();
+        let (ba, bd): (Vec<u32>, Vec<u32>) = b.iter().map(|(&k, &v)| (k, v)).unzip();
         let va = islabel::core::label::LabelView { ancestors: &aa, dists: &ad, first_hops: &[] };
         let vb = islabel::core::label::LabelView { ancestors: &ba, dists: &bd, first_hops: &[] };
         let (got, witness) = islabel::core::query::intersect_min(va, vb);
@@ -121,13 +121,13 @@ proptest! {
         let mut naive = INF;
         for (k, v) in &a {
             if let Some(w) = b.get(k) {
-                naive = naive.min(v + w);
+                naive = naive.min(u64::from(v + w));
             }
         }
         prop_assert_eq!(got, naive);
         if got < INF {
             let w = witness.unwrap();
-            prop_assert_eq!(a[&w] + b[&w], got);
+            prop_assert_eq!(u64::from(a[&w] + b[&w]), got);
         } else {
             prop_assert!(witness.is_none());
         }
@@ -135,7 +135,7 @@ proptest! {
 
     #[test]
     fn paths_are_valid(g in arb_graph(30, 80), qseed in 0u32..500) {
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let n = g.num_vertices() as u32;
         for i in 0..8u32 {
             let s = (qseed + i * 97) % n;
@@ -190,7 +190,7 @@ proptest! {
 
     #[test]
     fn persisted_index_answers_identically(g in arb_graph(30, 80), qseed in 0u32..500) {
-        let index = IsLabelIndex::build(&g, BuildConfig::default());
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let buf = islabel::core::persist::v3::write_index(&index, std::io::Cursor::new(Vec::new()))
             .unwrap()
             .into_inner();
@@ -215,7 +215,7 @@ proptest! {
         // peeled vertices, so staleness never triggers); every reported
         // distance must be >= the true distance on the updated graph, and
         // a rebuild must restore exactness.
-        let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         for (i, &(a, b, w)) in ops.iter().enumerate() {
             let n = index.num_vertices() as u32;
             let (a, b) = (a % n, b % n);

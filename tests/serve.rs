@@ -159,7 +159,7 @@ fn line_index(weight: u32) -> IsLabelIndex {
     let mut b = GraphBuilder::new(3);
     b.add_edge(0, 1, weight);
     b.add_edge(1, 2, weight);
-    IsLabelIndex::build(&b.build(), BuildConfig::default())
+    IsLabelIndex::try_build(&b.build(), BuildConfig::default()).unwrap()
 }
 
 /// The hot-swap contract, deterministically: a call already answering
@@ -215,7 +215,7 @@ fn answers_stay_generation_coherent_under_swap_storm() {
     let truth1: Vec<Option<Dist>> = pairs.iter().map(|&(s, t)| dijkstra_p2p(&g, s, t)).collect();
 
     let make = |tripled: bool| -> IsLabelIndex {
-        IsLabelIndex::build(if tripled { &g3 } else { &g }, BuildConfig::default())
+        IsLabelIndex::try_build(if tripled { &g3 } else { &g }, BuildConfig::default()).unwrap()
     };
     let service = QueryService::start(Arc::new(make(false)), ServeConfig::with_shards(3));
     std::thread::scope(|scope| {
@@ -267,7 +267,7 @@ fn batches_stay_generation_coherent_under_swap_storm() {
     assert_ne!(truth1, truth3);
 
     let make = |tripled: bool| -> IsLabelIndex {
-        IsLabelIndex::build(if tripled { &g3 } else { &g }, BuildConfig::default())
+        IsLabelIndex::try_build(if tripled { &g3 } else { &g }, BuildConfig::default()).unwrap()
     };
     let service = QueryService::start(Arc::new(make(false)), ServeConfig::with_shards(3));
     let storm_over = AtomicBool::new(false);

@@ -1,4 +1,4 @@
-//! Integration suite for the v3 mmap store: the zero-copy engine must be
+//! Integration suite for the mmap store: the zero-copy engine must be
 //! bit-identical to the heap engine on pristine artifacts, and opening
 //! hostile bytes — mutated headers, truncations, random flips — must
 //! yield typed errors or semantically-valid successes, never a panic.
@@ -28,7 +28,7 @@ fn pairs(n: usize, count: u32) -> impl Iterator<Item = (u32, u32)> {
 /// A small pristine artifact reused by every corruption test.
 fn sample_artifact() -> (IsLabelIndex, Vec<u8>) {
     let g = barabasi_albert(300, 3, WeightModel::UniformRange(1, 9), 7);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let dir = TempDir::new("smm-sample");
     let path = dir.join("sample.islx");
     try_save_index_to_path(&index, &path).unwrap();
@@ -66,13 +66,13 @@ fn mmap_is_bit_identical_to_heap_across_graphs_and_configs() {
     let dir = TempDir::new("smm-crosscheck");
     for (gname, g) in &graphs {
         for (cname, config) in &configs {
-            let heap = IsLabelIndex::build(g, *config);
+            let heap = IsLabelIndex::try_build(g, *config).unwrap();
             let path = dir.join(format!("{gname}-{cname}.islx"));
             try_save_index_to_path(&heap, &path).unwrap();
             let mapped = MmapIndex::open_verified(&path).unwrap();
             assert_eq!(mapped.engine_name(), "islabel-mmap");
             assert_eq!(mapped.num_vertices(), heap.num_vertices());
-            // The heap reload of the same v3 bytes is the third witness.
+            // The heap reload of the same bytes is the third witness.
             let reloaded = try_load_index_from_path(&path).unwrap();
             let mut ms = mapped.session();
             let mut hs = heap.session();
@@ -200,7 +200,7 @@ fn open_verified_catches_payload_corruption_that_open_tolerates() {
 #[test]
 fn oracle_loader_prefers_mmap_for_a_pristine_artifact_and_refuses_old_versions() {
     let g = grid2d(12, 12, WeightModel::UniformRange(1, 4), 5);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let dir = TempDir::new("smm-loader");
     let path = dir.join("index.islx");
     try_save_index_to_path(&index, &path).unwrap();
@@ -380,7 +380,7 @@ fn gk_vias_out_of_order_are_refused_by_both_openers() {
 #[test]
 fn compact_returns_serving_to_the_mmap_engine() {
     let g = barabasi_albert(250, 3, WeightModel::UniformRange(1, 8), 21);
-    let index = IsLabelIndex::build(&g, BuildConfig::default());
+    let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let dir = TempDir::new("smm-compact");
     let ipath = dir.join("index.islx");
     let wpath = dir.join("index.wal");

@@ -1,8 +1,11 @@
 //! Dynamic-update integration tests (Section 8.3): long interleaved update
 //! sequences, the upper-bound contract, and rebuild reconciliation.
 
+mod common;
+
+use common::TempDir;
 use islabel::core::reference::dijkstra_p2p;
-use islabel::core::{BuildConfig, IsLabelIndex};
+use islabel::core::{BuildConfig, Error, IsLabelIndex};
 use islabel::graph::generators::{barabasi_albert, WeightModel};
 use islabel::VertexId;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -13,7 +16,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 #[test]
 fn long_update_sequence_upper_bound_then_exact() {
     let g = barabasi_albert(300, 3, WeightModel::UniformRange(1, 5), 17);
-    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let mut rng = StdRng::seed_from_u64(5);
 
     // 30 mixed updates: vertex inserts (attached anywhere), edge inserts,
@@ -112,7 +115,7 @@ fn growth_only_workload_stays_connected_and_exact_for_gk_chains() {
     // queries among the new vertices go exclusively through G_k and remain
     // exact without any rebuild.
     let g = barabasi_albert(200, 3, WeightModel::Unit, 3);
-    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let anchor = index.hierarchy().gk_members()[0];
     let mut ids = vec![anchor];
     for i in 0..15 {
@@ -135,7 +138,7 @@ fn growth_only_workload_stays_connected_and_exact_for_gk_chains() {
 #[test]
 fn stale_flag_reports_and_clears() {
     let g = barabasi_albert(120, 2, WeightModel::Unit, 9);
-    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let peeled = (0..120u32).find(|&v| !index.is_in_gk(v)).unwrap();
     let other = if peeled == 0 { 1 } else { 0 };
     assert!(!index.is_stale());
@@ -145,4 +148,64 @@ fn stale_flag_reports_and_clears() {
     assert!(!index.is_stale());
     // The deleted vertex stays deleted (isolated) through the rebuild.
     assert_eq!(index.try_distance(peeled, other), Ok(None));
+}
+
+/// Label patches store u32 distances, as the base labels do: an insertion
+/// whose patched entry would pass `u32::MAX` is refused before it is
+/// logged, and one whose entries fit is applied, however heavy its edge.
+#[test]
+fn insertions_past_the_label_width_are_refused_unlogged() {
+    let dir = TempDir::new("updates-width");
+    let wal_path = dir.join("i.wal");
+    let g = barabasi_albert(200, 2, WeightModel::UniformRange(1, 5), 3);
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+    index.attach_wal(&wal_path).unwrap();
+    // Two peeled endpoints, `a` a descendant of `b`, and `b`'s label holds
+    // an ancestor at distance ≥ 1: an edge at `u32::MAX` teaches `a` that
+    // ancestor past the width, and a new vertex hung off `b` at `u32::MAX`
+    // is taught to `a` past it.
+    let peeled = |v: VertexId| !index.is_in_gk(v);
+    let (a, b) = (0..200)
+        .filter(|&c| peeled(c))
+        .find_map(|c| {
+            let label = index.labels().label(c);
+            let mut up = label.ancestors.iter().copied();
+            up.find(|&x| x != c && peeled(x) && index.labels().label(x).len() > 1)
+                .map(|x| (c, x))
+        })
+        .expect("a peeled vertex with a peeled ancestor");
+    let top = index.hierarchy().gk_members()[0];
+    index.try_insert_vertex(&[(top, 2)]).unwrap();
+    let (stats, ops) = (index.overlay_stats(), index.pending_ops());
+    let wal_len = std::fs::metadata(&wal_path).unwrap().len();
+
+    let refused = index.try_insert_edge(a, b, u32::MAX);
+    assert!(
+        matches!(refused, Err(Error::InvalidUpdate(_))),
+        "{refused:?}"
+    );
+    let refused = index.try_insert_vertex(&[(a, 1), (b, u32::MAX)]);
+    assert!(
+        matches!(refused, Err(Error::InvalidUpdate(_))),
+        "{refused:?}"
+    );
+    assert_eq!(index.overlay_stats(), stats);
+    assert_eq!(index.pending_ops(), ops);
+    assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), wal_len);
+
+    // 3 · 10⁹ plus the short labels here still fits: applied and logged,
+    // and the useless edge changes no answer.
+    index.try_insert_edge(a, b, 3_000_000_000).unwrap();
+    assert_eq!(index.pending_ops(), ops + 1);
+    assert!(std::fs::metadata(&wal_path).unwrap().len() > wal_len);
+    let current = index.current_graph();
+    for s in [a, b, 0, 17] {
+        for t in [a, b, 5, 150] {
+            assert_eq!(
+                index.try_distance(s, t).unwrap(),
+                dijkstra_p2p(&current, s, t),
+                "({s}, {t})"
+            );
+        }
+    }
 }

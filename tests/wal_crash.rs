@@ -32,7 +32,7 @@ fn crashed_pair(dir: &Path) -> (PathBuf, PathBuf, Vec<CsrGraph>) {
     let index_path = dir.join("i.islx");
     let wal_path = dir.join("i.wal");
     let g = barabasi_albert(150, 3, WeightModel::UniformRange(1, 5), 9);
-    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     try_save_index_to_path(&index, &index_path).unwrap();
     index.attach_wal(&wal_path).unwrap();
 
@@ -158,7 +158,7 @@ fn stale_epoch_wal_is_discarded_not_replayed() {
     // Fold everything and atomically replace the artifact — but "crash"
     // before touching the WAL, leaving the old log beside the new index.
     let (old, _) = load_index_with_wal(&index_path, &wal_path).unwrap();
-    let folded = IsLabelIndex::build(&old.current_graph(), BuildConfig::default());
+    let folded = IsLabelIndex::try_build(&old.current_graph(), BuildConfig::default()).unwrap();
     drop(old); // release the WAL writer before recovery re-opens the log
     try_save_index_to_path(&folded, &index_path).unwrap();
 
@@ -178,7 +178,7 @@ fn sealed_prefix_is_not_double_applied_on_recovery() {
     let index_path = dir.join("i.islx");
     let wal_path = dir.join("i.wal");
     let g = barabasi_albert(150, 3, WeightModel::UniformRange(1, 5), 21);
-    let mut index = IsLabelIndex::build(&g, BuildConfig::default());
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     try_save_index_to_path(&index, &index_path).unwrap();
     index.attach_wal(&wal_path).unwrap();
 
