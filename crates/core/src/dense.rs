@@ -21,6 +21,9 @@
 //! * [`IndexedHeap`] is a 4-ary min-heap with a stamped position index and
 //!   true decrease-key: at most one live entry per vertex, so no pop ever
 //!   wades through stale entries, and heap capacity is bounded by `|G_k|`.
+//!   An entry is one `u64`, `(key − base) << 32 | vertex` over a per-heap
+//!   `base`, so a sift compares integers and reads 32 bytes per level
+//!   (`docs/adr/0017-one-word-heap-entries.md`).
 //! * [`DenseScratch`] bundles the per-search state; a session allocates it
 //!   once and every later query runs **allocation-free** (asserted by the
 //!   `alloc_free` integration test).
@@ -645,6 +648,17 @@ impl<T: Copy + Default> StampedSlab<T> {
 /// inserts or sifts the existing entry up, so the heap never exceeds
 /// `|G_k|` slots and `pop` never revisits stale state.
 ///
+/// One word per entry: a slot is `(key − base) << 32 | vertex`, so a
+/// single `u64` compare orders by `(key, vertex)` and a node's four
+/// children fill 32 bytes. `base` is a per-heap offset that
+/// [`clear`](IndexedHeap::clear) sets to 0. A key whose offset from
+/// `base` does not fit in 32 bits moves `base` to the smaller of that key
+/// and the queued minimum, shifting every entry; it panics if the queued
+/// keys would then span more than `u32::MAX`. A Dijkstra search with
+/// `u32` weights and `u32` seeds never queues a wider span
+/// (`docs/adr/0017-one-word-heap-entries.md`), so on every search in this
+/// workspace the shift is at most a rare cold path and never a panic.
+///
 /// 4-ary layout: children of slot `i` are `4i + 1 ..= 4i + 4`. A wider node
 /// trades deeper sift-downs for fewer cache-missing levels, the standard
 /// choice for Dijkstra workloads.
@@ -655,8 +669,10 @@ impl<T: Copy + Default> StampedSlab<T> {
 /// [`IndexedHeap::new`] instead.
 #[derive(Debug)]
 pub struct IndexedHeap {
-    /// Heap-ordered `(key, vertex)` pairs.
-    slots: Vec<(Dist, u32)>,
+    /// Heap-ordered entries, each `(key − base) << 32 | vertex`.
+    slots: Vec<u64>,
+    /// The key an entry's upper half counts from.
+    base: Dist,
     /// `pos.get(v)` is `v`'s slot index while `v` is queued this epoch.
     pos: StampedSlab<u32>,
 }
@@ -668,6 +684,7 @@ impl IndexedHeap {
     pub fn new(n: usize) -> Self {
         Self {
             slots: Vec::with_capacity(n),
+            base: 0,
             pos: StampedSlab::new(n),
         }
     }
@@ -686,6 +703,7 @@ impl IndexedHeap {
     #[inline]
     pub fn clear(&mut self) {
         self.slots.clear();
+        self.base = 0;
         self.pos.reset();
     }
 
@@ -693,7 +711,7 @@ impl IndexedHeap {
     /// read of Algorithm 1's cutoff, with no stale-entry cleanup needed.
     #[inline]
     pub fn peek_key(&self) -> Dist {
-        self.slots.first().map_or(INF, |&(k, _)| k)
+        self.slots.first().map_or(INF, |&e| self.key_of(e))
     }
 
     /// The minimum `(key, vertex)` without popping — what the search
@@ -701,7 +719,7 @@ impl IndexedHeap {
     /// current row is relaxed.
     #[inline]
     pub fn peek(&self) -> Option<(Dist, u32)> {
-        self.slots.first().copied()
+        self.slots.first().map(|&e| (self.key_of(e), e as u32))
     }
 
     /// Pops the minimum `(key, vertex)`.
@@ -710,55 +728,100 @@ impl IndexedHeap {
         let last = self.slots.pop().expect("non-empty");
         if !self.slots.is_empty() {
             self.slots[0] = last;
-            self.pos.set(last.1, 0);
             self.sift_down(0);
         }
         // Leave `top`'s position stamped-but-dangling: `contains` is only
         // meaningful for queued vertices, and the search never re-pushes a
         // settled vertex (its tentative distance is already final).
-        Some(top)
+        Some((self.key_of(top), top as u32))
     }
 
     /// Inserts `v` with `key`, or lowers `v`'s existing key if `key`
     /// improves it; returns whether the heap changed. A `key` at or above
     /// the queued one is ignored (the caller's relaxation test should make
     /// that unreachable for Dijkstra, but the heap stays safe regardless).
+    ///
+    /// # Panics
+    ///
+    /// If the queued keys and `key` would span more than `u32::MAX`.
     pub fn push_or_decrease(&mut self, v: u32, key: Dist) -> bool {
         match self.pos.get(v) {
             Some(slot)
-                if (slot as usize) < self.slots.len() && self.slots[slot as usize].1 == v =>
+                if (slot as usize) < self.slots.len() && self.slots[slot as usize] as u32 == v =>
             {
-                if key < self.slots[slot as usize].0 {
-                    self.slots[slot as usize].0 = key;
-                    self.sift_up(slot as usize);
-                    true
-                } else {
-                    false
+                let slot = slot as usize;
+                if key >= self.key_of(self.slots[slot]) {
+                    return false;
                 }
+                self.slots[slot] = self.pack(key, v, slot);
+                self.sift_up(slot);
             }
             _ => {
-                let slot = self.slots.len();
-                self.slots.push((key, v));
-                self.pos.set(v, slot as u32);
-                self.sift_up(slot);
-                true
+                let packed = self.pack(key, v, usize::MAX);
+                self.slots.push(packed);
+                self.sift_up(self.slots.len() - 1);
             }
         }
+        true
+    }
+
+    /// The absolute key of a packed entry.
+    #[inline]
+    fn key_of(&self, entry: u64) -> Dist {
+        self.base + (entry >> 32)
+    }
+
+    /// Packs `(key, v)` for slot `replacing` (`usize::MAX` for a new
+    /// slot), rebasing first when `key − base` does not fit in the upper
+    /// 32 bits (including `key < base`, which wraps).
+    #[inline]
+    fn pack(&mut self, key: Dist, v: u32, replacing: usize) -> u64 {
+        let mut offset = key.wrapping_sub(self.base);
+        if offset > u64::from(u32::MAX) {
+            offset = self.rebase(key, replacing);
+        }
+        offset << 32 | u64::from(v)
+    }
+
+    /// Moves `base` to `min(key, queued minimum)` and shifts every queued
+    /// entry by the difference, which preserves the heap order; returns
+    /// `key`'s new offset. The entry in slot `replacing`, about to be
+    /// overwritten by `key`, does not count toward the span.
+    #[cold]
+    #[inline(never)]
+    fn rebase(&mut self, key: Dist, replacing: usize) -> u64 {
+        let new_base = key.min(self.peek_key());
+        let top = (self.slots.iter().enumerate())
+            .filter(|&(i, _)| i != replacing)
+            .map(|(_, &e)| self.key_of(e))
+            .fold(key, Dist::max);
+        assert!(
+            top - new_base <= u64::from(u32::MAX),
+            "IndexedHeap: queued keys {new_base}..={top} span more than u32::MAX"
+        );
+        let old_base = self.base;
+        for e in &mut self.slots {
+            let k = old_base + (*e >> 32);
+            *e = (k - new_base) << 32 | (*e & u64::from(u32::MAX));
+        }
+        self.base = new_base;
+        key - new_base
     }
 
     fn sift_up(&mut self, mut i: usize) {
         let entry = self.slots[i];
         while i > 0 {
             let parent = (i - 1) / 4;
-            if self.slots[parent] <= entry {
+            let p = self.slots[parent];
+            if p <= entry {
                 break;
             }
-            self.slots[i] = self.slots[parent];
-            self.pos.set(self.slots[i].1, i as u32);
+            self.slots[i] = p;
+            self.pos.set(p as u32, i as u32);
             i = parent;
         }
         self.slots[i] = entry;
-        self.pos.set(entry.1, i as u32);
+        self.pos.set(entry as u32, i as u32);
     }
 
     fn sift_down(&mut self, mut i: usize) {
@@ -776,15 +839,16 @@ impl IndexedHeap {
                     best = c;
                 }
             }
-            if entry <= self.slots[best] {
+            let b = self.slots[best];
+            if entry <= b {
                 break;
             }
-            self.slots[i] = self.slots[best];
-            self.pos.set(self.slots[i].1, i as u32);
+            self.slots[i] = b;
+            self.pos.set(b as u32, i as u32);
             i = best;
         }
         self.slots[i] = entry;
-        self.pos.set(entry.1, i as u32);
+        self.pos.set(entry as u32, i as u32);
     }
 }
 
@@ -1299,6 +1363,93 @@ mod tests {
     }
 
     #[test]
+    fn indexed_heap_rebases_across_u32_boundaries() {
+        // A Dijkstra-shaped stream: every key lies within 2^31 above the
+        // last pop, so keys climb past 2^32 several times and each climb
+        // rebases. Checked pop by pop against the lazy-deletion model,
+        // decrease-keys after a rebase included.
+        let n = 4096u32;
+        let mut heap = IndexedHeap::new(n as usize);
+        let mut model: BinaryHeap<Reverse<(Dist, u32)>> = BinaryHeap::new();
+        let mut best = vec![INF; n as usize];
+        let mut settled = vec![false; n as usize];
+        let mut state = 0x0bad_5eed_1234_5678u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut floor, mut rebases, mut late_decreases) = (0 as Dist, 0, 0);
+        let mut base = heap.base;
+        for step in 0..6000 {
+            if heap.len() < 32 && next() % 3 != 0 {
+                let v = (next() % n as u64) as u32;
+                if settled[v as usize] {
+                    continue;
+                }
+                let key = floor + next() % (1 << 31);
+                let improves = key < best[v as usize];
+                if improves && best[v as usize] != INF && heap.base != 0 {
+                    late_decreases += 1;
+                }
+                assert_eq!(heap.push_or_decrease(v, key), improves, "step {step}");
+                if improves {
+                    best[v as usize] = key;
+                    model.push(Reverse((key, v)));
+                }
+            } else {
+                let expect = model.pop().map(|Reverse(e)| e);
+                assert_eq!(heap.pop(), expect, "step {step}");
+                if let Some((k, v)) = expect {
+                    settled[v as usize] = true;
+                    floor = k;
+                }
+            }
+            // Drop the model's stale tops, so its top is the live minimum.
+            while let Some(&Reverse((k, v))) = model.peek() {
+                if !settled[v as usize] && k == best[v as usize] {
+                    break;
+                }
+                model.pop();
+            }
+            assert_eq!(heap.peek(), model.peek().map(|r| r.0), "step {step}");
+            if heap.base != base {
+                base = heap.base;
+                rebases += 1;
+            }
+        }
+        assert!(floor > 4 << 32, "keys reached only {floor}");
+        assert!(rebases >= 4, "{rebases} rebases");
+        assert!(late_decreases > 0);
+        heap.clear();
+        assert_eq!(heap.base, 0);
+        assert_eq!(heap.peek_key(), INF);
+    }
+
+    #[test]
+    fn indexed_heap_holds_a_span_of_exactly_u32_max() {
+        let mut h = IndexedHeap::new(4);
+        let lo = 5u64 << 32;
+        h.push_or_decrease(0, lo + u64::from(u32::MAX));
+        h.push_or_decrease(1, lo);
+        h.push_or_decrease(2, lo + 7);
+        // Lowering the top entry below the rest does not count its old key.
+        h.push_or_decrease(0, lo - u64::from(u32::MAX) + 7);
+        assert_eq!(h.pop(), Some((lo - u64::from(u32::MAX) + 7, 0)));
+        assert_eq!(h.pop(), Some((lo, 1)));
+        assert_eq!(h.pop(), Some((lo + 7, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "span more than u32::MAX")]
+    fn indexed_heap_refuses_a_span_wider_than_u32_max() {
+        let mut h = IndexedHeap::new(4);
+        h.push_or_decrease(0, 10);
+        h.push_or_decrease(1, 10 + (1 << 32));
+    }
+
+    #[test]
     fn dense_csr_compacts_gk() {
         // Global graph over 6 vertices; members {1, 3, 5} form a path
         // 1 - 3 - 5.
@@ -1360,6 +1511,54 @@ mod tests {
             let expect = crate::reference::dijkstra_p2p(&g, s, t).unwrap_or(INF);
             assert_eq!(out.dist, expect, "({s}, {t})");
         }
+    }
+
+    #[test]
+    fn dense_search_distances_past_u32_max() {
+        // Weights near 2^31: three hops pass u32::MAX, so the frontiers'
+        // keys rebase their heaps mid-search. Pristine, then with a fifth
+        // of the edges moved into a patch's unordered tail.
+        use islabel_graph::generators::{grid2d, WeightModel};
+        let heavy = WeightModel::UniformRange((1 << 31) - 4096, 1 << 31);
+        let full = grid2d(10, 10, heavy, 5);
+        let n = full.num_vertices();
+        let members: Vec<VertexId> = full.vertices().collect();
+        let mut base = islabel_graph::GraphBuilder::new(n);
+        let mut moved = Vec::new();
+        for u in full.vertices() {
+            for (v, w) in full.edges(u).filter(|&(v, _)| u < v) {
+                if (u + v) % 5 == 0 {
+                    moved.push((u, v, w));
+                } else {
+                    base.add_edge(u, v, w);
+                }
+            }
+        }
+        let pristine = DenseGk::undirected(n, &members, &full);
+        let split = DenseGk::undirected(n, &members, &base.build());
+        let mut patch = DensePatch::new(n, 0);
+        for &(u, v, w) in &moved {
+            patch.push_edge(u, v, w);
+            patch.push_edge(v, u, w);
+        }
+        let patched = PatchedDense {
+            base: split.fwd(),
+            patch: &patch,
+        };
+        assert!(!moved.is_empty());
+        let mut scratch = DenseScratch::new(n);
+        let mut past_u32 = 0;
+        for (s, t) in [(0u32, 99u32), (9, 90), (3, 77), (45, 46), (12, 12), (98, 1)] {
+            let expect = crate::reference::dijkstra_p2p(&full, s, t).unwrap_or(INF);
+            past_u32 += usize::from(expect > Dist::from(u32::MAX));
+            let (fs, rs) = ([(s, 0)], [(t, 0)]);
+            let (f, r) = (pristine.fwd(), pristine.rev());
+            let out = dense_bi_dijkstra(f, r, &fs, &rs, INF, None, &mut scratch);
+            assert_eq!(out.dist, expect, "pristine ({s}, {t})");
+            let out = dense_bi_dijkstra(&patched, &patched, &fs, &rs, INF, None, &mut scratch);
+            assert_eq!(out.dist, expect, "patched ({s}, {t})");
+        }
+        assert!(past_u32 >= 4, "{past_u32} pairs past u32::MAX");
     }
 
     #[test]

@@ -451,39 +451,11 @@ fn build_directional_labels(levels: &Levels, peel: &[Box<[(VertexId, Weight)]>])
     crate::label::build_from_peel(levels, &DirectionalPeel(peel), false, threads)
 }
 
-/// Reference directed Dijkstra (ground truth for tests and baselines).
-pub fn di_dijkstra_p2p(g: &CsrDigraph, s: VertexId, t: VertexId) -> Option<Dist> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    if s == t {
-        return Some(0);
-    }
-    let mut dist = vec![INF; g.num_vertices()];
-    let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
-    dist[s as usize] = 0;
-    heap.push(Reverse((0, s)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if v == t {
-            return Some(d);
-        }
-        if d > dist[v as usize] {
-            continue;
-        }
-        for (u, w) in g.out_edges(v) {
-            let nd = d + w as Dist;
-            if nd < dist[u as usize] {
-                dist[u as usize] = nd;
-                heap.push(Reverse((nd, u)));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::KSelection;
+    use crate::reference::di_dijkstra_p2p;
     use islabel_graph::DigraphBuilder;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 

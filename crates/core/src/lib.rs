@@ -43,7 +43,8 @@
 //!   ([`dense::dense_search`]), which every distance and path query of
 //!   every engine runs: compact `G_k` ids ([`GkIdMap`]),
 //!   generation-stamped flat arrays ([`StampedSlab`]) and an indexed 4-ary
-//!   heap with decrease-key ([`IndexedHeap`]); updated indexes stay on it
+//!   heap with decrease-key whose entries are one `u64` each
+//!   ([`IndexedHeap`]); updated indexes stay on it
 //!   through a view of the [`DensePatch`] their overlay maintains
 //!   ([`updates`]). Its oracle is [`mod@reference`] Dijkstra.
 //! * [`kernel`] — Equation 1's one production entry point

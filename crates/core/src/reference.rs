@@ -2,13 +2,15 @@
 //!
 //! These functions implement the paper's *definitions* as literally as
 //! possible — the Definition 3 marking procedure, the exact `LABEL(·)` of
-//! Definition 2, and textbook Dijkstra — so the optimized hierarchy/label/
-//! query code can be checked against them in tests and property tests. They
-//! are exported (not `cfg(test)`) because the integration and property
-//! suites in `tests/` rely on them; do not use them in production paths.
+//! Definition 2, and textbook Dijkstra, undirected and directed — so the
+//! optimized hierarchy/label/query code can be checked against them in
+//! tests and property tests. They are exported (not `cfg(test)`) because
+//! the integration and property suites in `tests/` rely on them; do not
+//! use them in production paths, and keep test oracles here rather than
+//! beside the code they check.
 
 use crate::hierarchy::VertexHierarchy;
-use islabel_graph::{CsrGraph, Dist, FxHashMap, FxHashSet, VertexId, INF};
+use islabel_graph::{CsrDigraph, CsrGraph, Dist, FxHashMap, FxHashSet, VertexId, Weight, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -102,10 +104,27 @@ pub fn dijkstra_all(g: &CsrGraph, source: VertexId) -> Vec<Dist> {
 
 /// Point-to-point Dijkstra distance (early exit when `t` settles).
 pub fn dijkstra_p2p(g: &CsrGraph, s: VertexId, t: VertexId) -> Option<Dist> {
+    p2p(g.num_vertices(), s, t, |v| g.edges(v))
+}
+
+/// Directed point-to-point Dijkstra distance along out-arcs (early exit
+/// when `t` settles).
+pub fn di_dijkstra_p2p(g: &CsrDigraph, s: VertexId, t: VertexId) -> Option<Dist> {
+    p2p(g.num_vertices(), s, t, |v| g.out_edges(v))
+}
+
+/// Textbook lazy-deletion Dijkstra from `s` to `t` over `n` vertices,
+/// `arcs(v)` listing `v`'s out-arcs.
+fn p2p<I: Iterator<Item = (VertexId, Weight)>>(
+    n: usize,
+    s: VertexId,
+    t: VertexId,
+    arcs: impl Fn(VertexId) -> I,
+) -> Option<Dist> {
     if s == t {
         return Some(0);
     }
-    let mut dist = vec![INF; g.num_vertices()];
+    let mut dist = vec![INF; n];
     let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
     dist[s as usize] = 0;
     heap.push(Reverse((0, s)));
@@ -116,7 +135,7 @@ pub fn dijkstra_p2p(g: &CsrGraph, s: VertexId, t: VertexId) -> Option<Dist> {
         if d > dist[v as usize] {
             continue;
         }
-        for (u, w) in g.edges(v) {
+        for (u, w) in arcs(v) {
             let nd = d + w as Dist;
             if nd < dist[u as usize] {
                 dist[u as usize] = nd;

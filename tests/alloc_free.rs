@@ -19,6 +19,9 @@
 //! The whole audit runs as **one** `#[test]` so no concurrent test thread
 //! can allocate while the counter is armed.
 
+mod common;
+
+use common::TempDir;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -276,7 +279,8 @@ fn sessions_answer_queries_without_allocating() {
     // later one of no larger payload allocates nothing, syncs included.
     use islabel::core::persist::wal::WalWriter;
     use islabel::core::UpdateOp;
-    let path = std::env::temp_dir().join(format!("islabel-alloc-free-{}.wal", std::process::id()));
+    let dir = TempDir::new("alloc-free");
+    let path = dir.join("audit.wal");
     let mut wal = WalWriter::create(&path, 7, 4).unwrap();
     let ops = [
         UpdateOp::InsertVertex {
@@ -292,7 +296,6 @@ fn sessions_answer_queries_without_allocating() {
         }
     });
     drop(wal);
-    std::fs::remove_file(&path).ok();
     assert_eq!(
         count, 0,
         "WalWriter::append allocated {count} times over 30 ops"

@@ -7,7 +7,7 @@
 use islabel::core::dense::{dense_bi_dijkstra, globalize_outcome, DenseScratch};
 use islabel::core::label::LabelView;
 use islabel::core::query::intersect_min;
-use islabel::core::reference::dijkstra_p2p;
+use islabel::core::reference::{di_dijkstra_p2p, dijkstra_p2p};
 use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
 use islabel::prelude::*;
 
@@ -78,7 +78,7 @@ fn dense_kernel_matches_reference_on_directed_graphs() {
     let index = DiIsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     let mut session = index.session();
     for (s, t) in query_pairs(300, 150) {
-        let expect = islabel::core::directed::di_dijkstra_p2p(&g, s, t);
+        let expect = di_dijkstra_p2p(&g, s, t);
         assert_eq!(session.distance(s, t).unwrap(), expect, "({s}, {t})");
     }
 }

@@ -2,7 +2,7 @@
 //! directed Dijkstra, reachability semantics, and structural properties of
 //! the in/out labels.
 
-use islabel::core::directed::di_dijkstra_p2p;
+use islabel::core::reference::di_dijkstra_p2p;
 use islabel::core::{BuildConfig, DiIsLabelIndex, IsStrategy};
 use islabel::{CsrDigraph, DigraphBuilder, VertexId};
 use rand::{rngs::StdRng, Rng, SeedableRng};

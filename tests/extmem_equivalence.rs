@@ -3,6 +3,9 @@
 //! labels, hierarchy, residual graph — as the in-memory builder, on both
 //! storage backends.
 
+mod common;
+
+use common::TempDir;
 use islabel::core::embuild::{build_external_from_csr, EmConfig};
 use islabel::core::{BuildConfig, IsLabelIndex};
 use islabel::extmem::storage::Storage;
@@ -37,17 +40,16 @@ fn equivalent_on_every_paper_dataset() {
 
 #[test]
 fn equivalent_on_real_filesystem() {
-    let dir = std::env::temp_dir().join(format!("islabel-embuild-{}", std::process::id()));
-    let storage = DirStorage::new(&dir).unwrap();
+    let dir = TempDir::new("embuild");
+    let storage = DirStorage::new(dir.to_path_buf()).unwrap();
     let g = Dataset::GoogleLike.generate(Scale::Tiny);
     let em =
         build_external_from_csr(&storage, &g, BuildConfig::default(), EmConfig::default()).unwrap();
     let im = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
     assert_eq!(em.labels(), im.labels());
     // All temp files cleaned off the real filesystem too.
-    let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    let leftovers: Vec<_> = std::fs::read_dir(&*dir).unwrap().collect();
     assert!(leftovers.is_empty(), "leftover files: {leftovers:?}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -22,10 +22,9 @@ use islabel::core::dense::{
     dense_bi_dijkstra, dense_search, DenseCsr, DenseGk, DenseParents, DensePatch, DenseScratch,
     DenseView, GkIdMap, PatchedDense,
 };
-use islabel::core::directed::di_dijkstra_p2p;
 use islabel::core::persist::try_save_index_to_path;
 use islabel::core::query::Meeting;
-use islabel::core::reference::dijkstra_p2p;
+use islabel::core::reference::{di_dijkstra_p2p, dijkstra_p2p};
 use islabel::core::MmapIndex;
 use islabel::graph::datasets::{Dataset, Scale};
 use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};

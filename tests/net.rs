@@ -5,6 +5,9 @@
 //! malformed frames error without dropping the connection; typed query
 //! errors round-trip the wire.
 
+mod common;
+
+use common::TempDir;
 use islabel::core::persist::try_save_index_to_path;
 use islabel::graph::generators::{erdos_renyi_gnm, WeightModel};
 use islabel::net::protocol::{self, Request, Response, WireError};
@@ -194,8 +197,8 @@ fn line_index(weight: u32) -> IsLabelIndex {
 /// and the same connection's next query sees the new generation.
 #[test]
 fn wire_reload_swaps_while_in_flight_queries_finish_on_their_generation() {
-    let artifact =
-        std::env::temp_dir().join(format!("islabel-net-reload-{}.islx", std::process::id()));
+    let dir = TempDir::new("net-reload");
+    let artifact = dir.join("reload.islx");
     try_save_index_to_path(&line_index(1), &artifact).unwrap(); // dist(0,2) = 2
 
     let gate = Arc::new(Gate::new());
@@ -242,7 +245,6 @@ fn wire_reload_swaps_while_in_flight_queries_finish_on_their_generation() {
     );
 
     server.shutdown();
-    std::fs::remove_file(&artifact).ok();
 }
 
 /// Regression: an *idle* connection used to hold its snapshot pin until

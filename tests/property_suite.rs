@@ -184,7 +184,7 @@ proptest! {
         for i in 0..10u32 {
             let s = (qseed + i * 13) % n as u32;
             let t = (qseed * 7 + i * 29) % n as u32;
-            prop_assert_eq!(index.try_distance(s, t), Ok(islabel::core::directed::di_dijkstra_p2p(&g, s, t)));
+            prop_assert_eq!(index.try_distance(s, t), Ok(islabel::core::reference::di_dijkstra_p2p(&g, s, t)));
         }
     }
 
