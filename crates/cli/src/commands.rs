@@ -1257,10 +1257,10 @@ fn file_stats(path: &str, stdout: &mut Out<'_>) -> Result<(), CliError> {
     writeln!(
         stdout,
         "  residency:     {}",
-        match (reader.is_mapped(), h.op_count == 0) {
-            (true, true) => "mmap (zero-copy; served in place)",
-            (true, false) => "mmap for inspection; serving loads to heap (sealed ops)",
-            (false, _) => "heap (mapping unavailable on this platform)",
+        if reader.is_mapped() {
+            "mmap (zero-copy; served in place, sealed ops replayed into the overlay)"
+        } else {
+            "heap (mapping unavailable on this platform)"
         }
     )?;
     writeln!(stdout, "  sections:      {} of 16 slots", h.sections.len())?;

@@ -121,13 +121,14 @@ pub trait DenseView {
 ///
 /// Because `G_k` members are enumerated in ascending global order, dense
 /// ids preserve the relative order of global ids — so the kernel's
-/// `(key, vertex)` tie-breaking is the same in either id space.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GkIdMap {
+/// `(key, vertex)` tie-breaking is the same in either id space. `S` holds
+/// the two arrays, as it does for [`DenseCsr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GkIdMap<S = Vec<u32>> {
     /// `dense_of[global]` is the compact id, or [`NO_DENSE`].
-    dense_of: Vec<u32>,
+    pub(crate) dense_of: S,
     /// `global_of[dense]` is the original vertex id.
-    global_of: Vec<VertexId>,
+    pub(crate) global_of: S,
 }
 
 impl GkIdMap {
@@ -144,48 +145,56 @@ impl GkIdMap {
             global_of: members.to_vec(),
         }
     }
+}
 
+impl<S: AsRef<[u32]>> GkIdMap<S> {
     /// Compact id of `v`, or `None` when `v` is not a `G_k` vertex. This is
     /// simultaneously the `G_k` membership test the seed filter uses.
     #[inline]
     pub fn dense(&self, v: VertexId) -> Option<u32> {
-        let d = self.dense_of[v as usize];
+        let d = self.dense_of.as_ref()[v as usize];
         (d != NO_DENSE).then_some(d)
     }
 
     /// Global id of compact id `d`.
     #[inline]
     pub fn global(&self, d: u32) -> VertexId {
-        self.global_of[d as usize]
+        self.global_of.as_ref()[d as usize]
     }
 
     /// Number of `G_k` vertices (the compact id range).
     #[inline]
     pub fn len(&self) -> usize {
-        self.global_of.len()
+        self.global_of.as_ref().len()
     }
 
     /// Whether `G_k` is empty.
     pub fn is_empty(&self) -> bool {
-        self.global_of.is_empty()
+        self.global_of.as_ref().is_empty()
     }
 
     /// Resident bytes of both direction arrays.
     pub fn memory_bytes(&self) -> usize {
-        self.dense_of.len() * std::mem::size_of::<u32>()
-            + self.global_of.len() * std::mem::size_of::<VertexId>()
+        (self.dense_of.as_ref().len() + self.len()) * std::mem::size_of::<u32>()
     }
 
     /// The raw forward array (`dense_of[global]`, [`NO_DENSE`] sentinel),
-    /// serialized verbatim as the artifact's `GK_DENSE_OF` section.
+    /// the artifact's `GK_DENSE_OF` section.
     pub(crate) fn dense_of_raw(&self) -> &[u32] {
-        &self.dense_of
+        self.dense_of.as_ref()
     }
 
-    /// The raw reverse array (`global_of[dense]`), serialized verbatim as
-    /// the artifact's `GK_GLOBAL_OF` section.
+    /// The raw reverse array (`global_of[dense]`, ascending), the
+    /// artifact's `GK_GLOBAL_OF` section.
     pub(crate) fn global_of_raw(&self) -> &[VertexId] {
-        &self.global_of
+        self.global_of.as_ref()
+    }
+
+    fn view(&self) -> GkIdMap<&[u32]> {
+        GkIdMap {
+            dense_of: self.dense_of.as_ref(),
+            global_of: self.global_of.as_ref(),
+        }
     }
 }
 
@@ -215,11 +224,11 @@ pub(crate) fn row_key(neighbour: u32, weight: Weight) -> u64 {
 /// borrowed from a mapped artifact (`DenseCsr<&[u32]>`). So one row view,
 /// and one [`DenseView`] impl, serves both, and the writer saves the
 /// arrays verbatim.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DenseCsr<S = Vec<u32>> {
-    offsets: S,
-    targets: S,
-    weights: S,
+    pub(crate) offsets: S,
+    pub(crate) targets: S,
+    pub(crate) weights: S,
 }
 
 impl DenseCsr {
@@ -263,29 +272,6 @@ impl DenseCsr {
             })
         })
     }
-
-    /// The offsets, targets and weights arrays, serialized verbatim as the
-    /// artifact's `GK_OFFSETS`, `GK_TARGETS` and `GK_WEIGHTS` sections.
-    pub(crate) fn arrays(&self) -> [&[u32]; 3] {
-        [&self.offsets, &self.targets, &self.weights]
-    }
-}
-
-impl<'a> DenseCsr<&'a [u32]> {
-    /// Borrows a mapped artifact's `G_k` sections. The caller has run
-    /// `Sections::validate`, which checks every bound and the row order
-    /// this view's readers rely on.
-    pub(crate) fn from_sections(
-        offsets: &'a [u32],
-        targets: &'a [u32],
-        weights: &'a [u32],
-    ) -> Self {
-        Self {
-            offsets,
-            targets,
-            weights,
-        }
-    }
 }
 
 impl<S: AsRef<[u32]>> DenseCsr<S> {
@@ -316,6 +302,25 @@ impl<S: AsRef<[u32]>> DenseCsr<S> {
     /// Resident bytes of the CSR arrays.
     pub fn memory_bytes(&self) -> usize {
         (self.offsets.as_ref().len() + 2 * self.num_entries()) * std::mem::size_of::<u32>()
+    }
+
+    /// The offsets, targets and weights arrays: the artifact's
+    /// `GK_OFFSETS`, `GK_TARGETS` and `GK_WEIGHTS` sections, verbatim.
+    pub(crate) fn arrays(&self) -> [&[u32]; 3] {
+        [
+            self.offsets.as_ref(),
+            self.targets.as_ref(),
+            self.weights.as_ref(),
+        ]
+    }
+
+    fn view(&self) -> DenseCsr<&[u32]> {
+        let [offsets, targets, weights] = self.arrays();
+        DenseCsr {
+            offsets,
+            targets,
+            weights,
+        }
     }
 }
 
@@ -467,14 +472,14 @@ impl DensePatch {
 /// patch's extra adjacency in push order (the tail, read in full), with
 /// tombstoned endpoints filtered from both.
 #[derive(Debug, Clone, Copy)]
-pub struct PatchedDense<'a> {
+pub struct PatchedDense<'a, S = Vec<u32>> {
     /// The pristine base adjacency (dense ids `0..base_len`).
-    pub base: &'a DenseCsr,
+    pub base: &'a DenseCsr<S>,
     /// The dynamic-update deltas.
     pub patch: &'a DensePatch,
 }
 
-impl DenseView for PatchedDense<'_> {
+impl<S: AsRef<[u32]>> DenseView for PatchedDense<'_, S> {
     fn num_vertices(&self) -> usize {
         self.patch.num_vertices()
     }
@@ -511,13 +516,13 @@ impl DenseView for PatchedDense<'_> {
 
 /// The dense search substrate of one index: the compact id map plus the
 /// remapped residual adjacency (and, for directed indexes, its transpose).
-#[derive(Debug, Clone)]
-pub struct DenseGk {
-    ids: GkIdMap,
-    fwd: DenseCsr,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseGk<S = Vec<u32>> {
+    pub(crate) ids: GkIdMap<S>,
+    pub(crate) fwd: DenseCsr<S>,
     /// Transposed arcs for the reverse frontier; `None` for undirected
     /// graphs (the forward CSR is symmetric).
-    rev: Option<DenseCsr>,
+    pub(crate) rev: Option<DenseCsr<S>>,
 }
 
 impl DenseGk {
@@ -540,22 +545,24 @@ impl DenseGk {
             rev: Some(rev),
         }
     }
+}
 
+impl<S: AsRef<[u32]>> DenseGk<S> {
     /// The compact id map.
     #[inline]
-    pub fn ids(&self) -> &GkIdMap {
+    pub fn ids(&self) -> &GkIdMap<S> {
         &self.ids
     }
 
     /// Forward adjacency over compact ids.
     #[inline]
-    pub fn fwd(&self) -> &DenseCsr {
+    pub fn fwd(&self) -> &DenseCsr<S> {
         &self.fwd
     }
 
     /// Reverse adjacency (the forward CSR itself when undirected).
     #[inline]
-    pub fn rev(&self) -> &DenseCsr {
+    pub fn rev(&self) -> &DenseCsr<S> {
         self.rev.as_ref().unwrap_or(&self.fwd)
     }
 
@@ -564,6 +571,15 @@ impl DenseGk {
         self.ids.memory_bytes()
             + self.fwd.memory_bytes()
             + self.rev.as_ref().map_or(0, DenseCsr::memory_bytes)
+    }
+
+    /// The arrays borrowed as plain slices.
+    pub fn view(&self) -> DenseGk<&[u32]> {
+        DenseGk {
+            ids: self.ids.view(),
+            fwd: self.fwd.view(),
+            rev: self.rev.as_ref().map(DenseCsr::view),
+        }
     }
 }
 
@@ -1225,7 +1241,10 @@ pub fn seeded_search<G: DenseView, P: ParentSink>(
 }
 
 /// Maps a dense search outcome's meeting vertex back to global ids.
-pub fn globalize_outcome(outcome: SearchOutcome, ids: &GkIdMap) -> SearchOutcome {
+pub fn globalize_outcome<S: AsRef<[u32]>>(
+    outcome: SearchOutcome,
+    ids: &GkIdMap<S>,
+) -> SearchOutcome {
     SearchOutcome {
         meeting: match outcome.meeting {
             Meeting::Search(d) => Meeting::Search(ids.global(d)),
@@ -1480,8 +1499,7 @@ mod tests {
         assert_eq!(csr.row(1), (&[][..], &[][..]));
         assert_eq!(csr.num_entries(), 5);
         // A borrowed view of the same arrays is the same rows.
-        let [offsets, targets, weights] = csr.arrays();
-        let mapped = DenseCsr::from_sections(offsets, targets, weights);
+        let mapped = csr.view();
         for d in 0..3 {
             assert_eq!(mapped.row(d), csr.row(d));
         }

@@ -26,7 +26,7 @@
 
 use crate::config::{BuildConfig, IsStrategy};
 use crate::dense::{seeded_search, DenseCsr, DenseGk, DenseScratch, GkIdMap};
-use crate::hierarchy::{peel_levels, select_independent_set, LevelPeel, Levels};
+use crate::hierarchy::{peel_levels, select_independent_set, LevelPeel, Levels, PeelCsr, PeelRows};
 use crate::label::LabelSet;
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
 use crate::stats::IndexStats;
@@ -37,18 +37,22 @@ use std::time::Instant;
 /// A sorted list of `(endpoint, weight)` arcs.
 type ArcList = Vec<(VertexId, Weight)>;
 
+/// One direction's peel-time arc lists, in the CSR the undirected peel
+/// adjacency uses.
+type ArcCsr = PeelCsr<Vec<u64>, ArcList>;
+
 /// The directed backend of the level driver: `G_i` as a mutable directed
 /// adjacency (the analogue of `AdjacencyGraph`) plus the peel-time arcs.
 /// `L_i` is selected on the undirected skeleton, and peeling `v` joins its
 /// in-arcs with its out-arcs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DiAdjacency {
     out: Vec<FxHashMap<VertexId, Weight>>,
     inn: Vec<FxHashMap<VertexId, Weight>>,
     present: Vec<bool>,
     num_arcs: usize,
-    peel_out: Vec<Box<[(VertexId, Weight)]>>,
-    peel_in: Vec<Box<[(VertexId, Weight)]>>,
+    peel_out: PeelRows<(VertexId, Weight)>,
+    peel_in: PeelRows<(VertexId, Weight)>,
     excluded_at: Vec<u32>,
     strategy: IsStrategy,
 }
@@ -69,8 +73,8 @@ impl DiAdjacency {
             inn,
             present: vec![true; n],
             num_arcs: g.num_arcs(),
-            peel_out: vec![Box::default(); n],
-            peel_in: vec![Box::default(); n],
+            peel_out: PeelRows::new(n),
+            peel_in: PeelRows::new(n),
             excluded_at: vec![0; n],
             strategy,
         }
@@ -158,8 +162,8 @@ impl LevelPeel for DiAdjacency {
                     }
                 }
             }
-            self.peel_out[v as usize] = out_adj.into_boxed_slice();
-            self.peel_in[v as usize] = in_adj.into_boxed_slice();
+            self.peel_out.set(v, out_adj);
+            self.peel_in.set(v, in_adj);
         }
         Ok(li)
     }
@@ -187,9 +191,9 @@ impl LevelPeel for DiAdjacency {
 pub struct DiIsLabelIndex {
     levels: Levels,
     /// Peel-time outgoing arcs `v → to` (targets at strictly higher levels).
-    peel_out: Vec<Box<[(VertexId, Weight)]>>,
+    peel_out: ArcCsr,
     /// Peel-time incoming arcs `from → v`.
-    peel_in: Vec<Box<[(VertexId, Weight)]>>,
+    peel_in: ArcCsr,
     /// Compact-id forward/transposed residual adjacency (see
     /// [`crate::dense`]); the session hot path searches this.
     dense: DenseGk,
@@ -224,8 +228,9 @@ impl DiIsLabelIndex {
 
         // Top-down labeling in both directions (Algorithm 4 applied to the
         // out- and in-peel adjacency respectively).
-        let out_labels = build_directional_labels(&levels, &work.peel_out);
-        let in_labels = build_directional_labels(&levels, &work.peel_in);
+        let (peel_out, peel_in) = (work.peel_out.into_csr(), work.peel_in.into_csr());
+        let out_labels = build_directional_labels(&levels, &peel_out);
+        let in_labels = build_directional_labels(&levels, &peel_in);
         let t2 = Instant::now();
 
         let label_entries = out_labels.num_entries() + in_labels.num_entries();
@@ -251,8 +256,8 @@ impl DiIsLabelIndex {
 
         Ok(Self {
             levels,
-            peel_out: work.peel_out,
-            peel_in: work.peel_in,
+            peel_out,
+            peel_in,
             dense,
             out_labels,
             in_labels,
@@ -288,12 +293,12 @@ impl DiIsLabelIndex {
 
     /// Peel-time outgoing arcs of `v` (empty for residual vertices).
     pub fn peel_out(&self, v: VertexId) -> &[(VertexId, Weight)] {
-        &self.peel_out[v as usize]
+        self.peel_out.view().row(v)
     }
 
     /// Peel-time incoming arcs of `v` (empty for residual vertices).
     pub fn peel_in(&self, v: VertexId) -> &[(VertexId, Weight)] {
-        &self.peel_in[v as usize]
+        self.peel_in.view().row(v)
     }
 
     /// Whether `v` survived into the residual graph.
@@ -435,20 +440,20 @@ impl DistanceOracle for DiIsLabelIndex {
 /// One direction's peel-arc lists as a [`crate::label::PeelSource`], so the
 /// directed index shares the level-parallel scatter-min labeling loop with
 /// the undirected one.
-struct DirectionalPeel<'a>(&'a [Box<[(VertexId, Weight)]>]);
+struct DirectionalPeel<'a>(PeelCsr<&'a [u64], &'a [(VertexId, Weight)]>);
 
 impl crate::label::PeelSource for DirectionalPeel<'_> {
     fn peel_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.0[v as usize].iter().copied()
+        self.0.row(v).iter().copied()
     }
 }
 
 /// Top-down labeling along one direction's peel adjacency (the shared
 /// Algorithm 4 loop; first hops are discarded — directed queries return
 /// distances only).
-fn build_directional_labels(levels: &Levels, peel: &[Box<[(VertexId, Weight)]>]) -> LabelSet {
+fn build_directional_labels(levels: &Levels, peel: &ArcCsr) -> LabelSet {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    crate::label::build_from_peel(levels, &DirectionalPeel(peel), false, threads)
+    crate::label::build_from_peel(levels, &DirectionalPeel(peel.view()), false, threads)
 }
 
 #[cfg(test)]
@@ -618,7 +623,7 @@ mod tests {
             ] {
                 let expected = crate::label::tests::reference_labels(
                     &index.levels,
-                    &DirectionalPeel(peel),
+                    &DirectionalPeel(peel.view()),
                     false,
                 );
                 assert_eq!(built, &expected, "{:?}", config.k_selection);

@@ -17,7 +17,7 @@
 //! [`islabel_store::format`] (`crates/store`) is the single source of
 //! truth for these record sizes.
 
-use crate::label::{LabelDist, LabelSet, LabelView};
+use crate::label::{LabelDist, LabelView, Labels};
 use bytes::{Buf, BufMut};
 use islabel_extmem::storage::Storage;
 use islabel_graph::VertexId;
@@ -69,7 +69,7 @@ impl std::fmt::Debug for DiskLabelStore {
 impl DiskLabelStore {
     /// Serializes a label set to storage as `{name}` (data) and
     /// `{name}.idx` (offset table).
-    pub fn write(storage: &dyn Storage, name: &str, labels: &LabelSet) -> io::Result<Self> {
+    pub fn write(storage: &dyn Storage, name: &str, labels: Labels<'_>) -> io::Result<Self> {
         let n = labels.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut w = storage.create(name)?;
@@ -260,8 +260,8 @@ mod tests {
     #[test]
     fn empty_labels_roundtrip() {
         let storage = MemStorage::new();
-        let ls = LabelSet::from_per_vertex(vec![], false);
-        let store = DiskLabelStore::write(&storage, "empty", &ls).unwrap();
+        let ls = crate::label::LabelSet::from_per_vertex(vec![], false);
+        let store = DiskLabelStore::write(&storage, "empty", ls.view()).unwrap();
         assert_eq!(store.num_vertices(), 0);
         assert_eq!(store.data_bytes(), 0);
     }

@@ -39,7 +39,7 @@
 //! the in-memory builder's does, so both write the same artifact bytes.
 
 use crate::config::BuildConfig;
-use crate::hierarchy::{peel_levels, GkVia, LevelPeel, PeelEdge, VertexHierarchy};
+use crate::hierarchy::{peel_levels, GkVia, LevelPeel, PeelRows, VertexHierarchy};
 use crate::index::IsLabelIndex;
 use crate::label::{LabelDist, LabelSet, LABEL_OVERFLOW};
 use islabel_extmem::diskgraph::{AdjByDegree, AdjRecord, DiskGraph};
@@ -137,15 +137,11 @@ fn build_external(
     let t2 = Instant::now();
 
     // ---- Assembly: identical structures to the in-memory builder. ----
-    let mut peel_adj: Vec<Box<[PeelEdge]>> = vec![Box::default(); n];
+    let mut peel_adj = PeelRows::new(n);
     for level in 1..k {
         let mut scan = RecordReader::new(storage.open(&adj_name(level))?);
         while let Some(rec) = scan.next::<AdjRecord>()? {
-            peel_adj[rec.vertex as usize] = rec
-                .edges
-                .iter()
-                .map(|&(to, weight, via)| PeelEdge { to, weight, via })
-                .collect();
+            peel_adj.set(rec.vertex, rec.edges.iter().map(|&(t, w, via)| [t, w, via]));
         }
     }
     let mut per_vertex: Vec<Vec<(VertexId, LabelDist, VertexId)>> = vec![Vec::new(); n];
@@ -170,7 +166,13 @@ fn build_external(
         storage.delete(&label_name(level))?;
     }
 
-    let hierarchy = VertexHierarchy::from_parts(levels, peel_adj, gk, gk_vias);
+    let peel = peel_adj.into_csr();
+    let hierarchy = VertexHierarchy {
+        levels,
+        peel,
+        gk,
+        gk_vias,
+    };
     let graph = input.to_csr(storage)?;
     Ok(IsLabelIndex::from_parts(
         graph,
@@ -441,7 +443,7 @@ fn build_next_graph(
 // Residual graph materialization
 // ---------------------------------------------------------------------------
 
-/// Loads `G_k` and its via annotations as `(min, max, via)` triples. The
+/// Loads `G_k` and its via annotations as `[min, max, via]` triples. The
 /// scan visits vertices ascending and each row by ascending target, so the
 /// triples come out strictly ascending by `(min, max)`: the order
 /// [`VertexHierarchy`] keeps them in.
@@ -459,7 +461,7 @@ fn materialize_gk(
             if rec.vertex < t {
                 b.add_edge(rec.vertex, t, w);
                 if keep_path_info && via != NO_VIA {
-                    vias.push((rec.vertex, t, via));
+                    vias.push([rec.vertex, t, via]);
                 }
             }
         }
@@ -649,14 +651,9 @@ mod tests {
             "{tag}: labels diverge"
         );
         assert_eq!(
-            em_index.hierarchy().levels(),
-            im_index.hierarchy().levels(),
-            "{tag}: level sets diverge"
-        );
-        assert_eq!(
-            em_index.hierarchy().gk(),
-            im_index.hierarchy().gk(),
-            "{tag}: G_k diverges"
+            em_index.hierarchy(),
+            im_index.hierarchy(),
+            "{tag}: hierarchies diverge"
         );
         assert_eq!(em_index.stats().k, im_index.stats().k, "{tag}: k diverges");
         // All temp files cleaned up.
@@ -696,30 +693,12 @@ mod tests {
                 build_external_from_csr(&storage, &g, config, EmConfig::tiny_for_tests()).unwrap();
             let im_index = IsLabelIndex::try_build(&g, config).unwrap();
             assert_eq!(em_index.stats().k, im_index.stats().k, "{config:?} k");
+            // Levels, peel adjacency, `G_k` and its vias, array for array.
             assert_eq!(
-                em_index.hierarchy().levels(),
-                im_index.hierarchy().levels(),
-                "{config:?} levels"
+                em_index.hierarchy(),
+                im_index.hierarchy(),
+                "{config:?} hierarchy"
             );
-            for v in 0..30u32 {
-                assert_eq!(
-                    em_index.hierarchy().peel_adj(v),
-                    im_index.hierarchy().peel_adj(v),
-                    "{config:?} peel_adj({v})"
-                );
-            }
-            assert_eq!(
-                em_index.hierarchy().gk(),
-                im_index.hierarchy().gk(),
-                "{config:?} gk"
-            );
-            for (u, v, _) in im_index.hierarchy().gk().edge_list() {
-                assert_eq!(
-                    em_index.hierarchy().gk_via(u, v),
-                    im_index.hierarchy().gk_via(u, v),
-                    "{config:?} gk_via({u}, {v})"
-                );
-            }
             for v in 0..30u32 {
                 let em_l: Vec<_> = em_index.labels().label(v).iter().collect();
                 let im_l: Vec<_> = im_index.labels().label(v).iter().collect();

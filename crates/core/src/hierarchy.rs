@@ -16,6 +16,7 @@
 //! (Section 6) builders alike, each a `LevelPeel` backend.
 
 use crate::config::{BuildConfig, IsStrategy, KSelection};
+use crate::dense::DenseGk;
 use islabel_graph::adjacency::AdjacencyGraph;
 use islabel_graph::{CsrGraph, VertexId, Weight};
 use std::convert::Infallible;
@@ -35,11 +36,88 @@ pub struct PeelEdge {
     pub via: VertexId,
 }
 
-/// One `G_k` via annotation: `(min, max, via)` for the augmenting edge
+/// One `G_k` via annotation: `[min, max, via]` for the augmenting edge
 /// between `min < max` created by peeling `via`.
-pub(crate) type GkVia = (VertexId, VertexId, VertexId);
+pub(crate) type GkVia = [VertexId; 3];
 
-/// The k-level vertex hierarchy `(H_{<k}, G_k)` of Definition 4.
+/// Per-vertex lists in one CSR: row `v` is `entries[offsets[v]..offsets[v +
+/// 1]]`. It holds the undirected hierarchy's peel adjacency (`[to, weight,
+/// via]` triples, the artifact's `PEEL_OFFSETS` / `PEEL_EDGES` sections)
+/// and the directed index's out- and in-arc lists. `O` and `E` hold the two
+/// arrays: `Vec`s after a build (the default), slices borrowed from an
+/// index's storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PeelCsr<O = Vec<u64>, E = Vec<[VertexId; 3]>> {
+    pub(crate) offsets: O,
+    pub(crate) entries: E,
+}
+
+/// Rows a builder sets in any vertex order (peeling goes level by
+/// level): one arena and a span per vertex, laid out in vertex order once,
+/// by [`PeelRows::into_csr`].
+#[derive(Debug)]
+pub(crate) struct PeelRows<T> {
+    arena: Vec<T>,
+    spans: Vec<(usize, usize)>,
+}
+
+impl<T: Copy> PeelRows<T> {
+    /// `n` empty rows.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            arena: Vec::new(),
+            spans: vec![(0, 0); n],
+        }
+    }
+
+    /// Sets vertex `v`'s row.
+    pub(crate) fn set(&mut self, v: VertexId, row: impl IntoIterator<Item = T>) {
+        let start = self.arena.len();
+        self.arena.extend(row);
+        self.spans[v as usize] = (start, self.arena.len());
+    }
+
+    /// The rows as one CSR in vertex order.
+    pub(crate) fn into_csr(self) -> PeelCsr<Vec<u64>, Vec<T>> {
+        let mut offsets = Vec::with_capacity(self.spans.len() + 1);
+        let mut entries = Vec::with_capacity(self.arena.len());
+        offsets.push(0);
+        for &(lo, hi) in &self.spans {
+            entries.extend_from_slice(&self.arena[lo..hi]);
+            offsets.push(entries.len() as u64);
+        }
+        PeelCsr { offsets, entries }
+    }
+}
+
+impl<T> PeelCsr<Vec<u64>, Vec<T>> {
+    /// Both arrays borrowed as plain slices.
+    pub(crate) fn view(&self) -> PeelCsr<&[u64], &[T]> {
+        PeelCsr {
+            offsets: &self.offsets,
+            entries: &self.entries,
+        }
+    }
+}
+
+impl<'a, T> PeelCsr<&'a [u64], &'a [T]> {
+    /// Row `v`.
+    #[inline]
+    pub(crate) fn row(&self, v: VertexId) -> &'a [T] {
+        let lo = self.offsets[v as usize] as usize;
+        &self.entries[lo..self.offsets[v as usize + 1] as usize]
+    }
+}
+
+/// A peel row's triples as [`PeelEdge`]s.
+fn peel_edges(row: &[[VertexId; 3]]) -> impl ExactSizeIterator<Item = PeelEdge> + Clone + '_ {
+    row.iter()
+        .map(|&[to, weight, via]| PeelEdge { to, weight, via })
+}
+
+/// The k-level vertex hierarchy `(H_{<k}, G_k)` of Definition 4, as the
+/// builder produces it. An index keeps its arrays (see [`HierarchyView`])
+/// and `G_k` only in compact form.
 #[derive(Debug, Clone)]
 pub struct VertexHierarchy {
     /// `ℓ`, `k`, the level sets and `G_k`'s vertices, as the level driver
@@ -48,15 +126,15 @@ pub struct VertexHierarchy {
     /// For each peeled vertex, its adjacency in `G_{ℓ(v)}` at peel time
     /// (`ADJ(L_i)` of Algorithm 2), sorted by neighbor id. Empty for `G_k`
     /// vertices.
-    peel_adj: Vec<Box<[PeelEdge]>>,
+    pub(crate) peel: PeelCsr,
     /// The residual graph `G_k` over the full id universe (peeled vertices
     /// are isolated in it).
-    gk: CsrGraph,
-    /// Via vertices of `G_k`'s augmenting edges as `(min, max, via)`
+    pub(crate) gk: CsrGraph,
+    /// Via vertices of `G_k`'s augmenting edges as `[min, max, via]`
     /// triples, strictly ascending by `(min, max)` — the order of the
-    /// artifact's via section, which `Sections::validate` checks on open. Empty when
-    /// path info is disabled.
-    gk_vias: Vec<GkVia>,
+    /// artifact's via section, which `Sections::validate` checks on open.
+    /// Empty when path info is disabled.
+    pub(crate) gk_vias: Vec<GkVia>,
 }
 
 impl VertexHierarchy {
@@ -121,7 +199,7 @@ impl VertexHierarchy {
     ) -> Self {
         let mut backend = Undirected {
             work: AdjacencyGraph::from_csr(g),
-            peel_adj: vec![Box::default(); g.num_vertices()],
+            peel_adj: PeelRows::new(g.num_vertices()),
             select,
         };
         let Ok(levels) = peel_levels(g.num_vertices(), config, &mut backend);
@@ -129,21 +207,11 @@ impl VertexHierarchy {
         if !config.keep_path_info {
             gk_vias = Vec::new();
         }
-        Self::from_parts(levels, backend.peel_adj, gk, gk_vias)
-    }
-
-    /// Assembles a hierarchy from its parts (the in-memory builder's, the
-    /// I/O-efficient pipeline's in [`crate::embuild`] — which must produce
-    /// the exact same structure — and the artifact loader's).
-    pub(crate) fn from_parts(
-        levels: Levels,
-        peel_adj: Vec<Box<[PeelEdge]>>,
-        gk: CsrGraph,
-        gk_vias: Vec<GkVia>,
-    ) -> Self {
+        let gk_vias = gk_vias.into_iter().map(|(u, v, via)| [u, v, via]).collect();
+        let peel = backend.peel_adj.into_csr();
         Self {
             levels,
-            peel_adj,
+            peel,
             gk,
             gk_vias,
         }
@@ -168,7 +236,7 @@ impl VertexHierarchy {
     /// Whether `v` survived into the residual graph `G_k`.
     #[inline]
     pub fn is_in_gk(&self, v: VertexId) -> bool {
-        self.levels.level_of[v as usize] == self.levels.k
+        self.level_of(v) == self.levels.k
     }
 
     /// The peeled level sets `L_1 .. L_{k−1}` (each ascending).
@@ -181,8 +249,8 @@ impl VertexHierarchy {
     /// strictly higher level — these are exactly the candidate first hops of
     /// `v`'s ancestor chains.
     #[inline]
-    pub fn peel_adj(&self, v: VertexId) -> &[PeelEdge] {
-        &self.peel_adj[v as usize]
+    pub fn peel_adj(&self, v: VertexId) -> impl ExactSizeIterator<Item = PeelEdge> + Clone + '_ {
+        peel_edges(self.peel.view().row(v))
     }
 
     /// The residual graph `G_k` (over the full universe; peeled vertices are
@@ -208,18 +276,83 @@ impl VertexHierarchy {
 
     /// Via vertex of the `G_k` edge `(u, v)` if it is an augmenting edge.
     pub fn gk_via(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
-        let key = if u < v { (u, v) } else { (v, u) };
-        let i = self
-            .gk_vias
-            .binary_search_by_key(&key, |&(a, b, _)| (a, b))
-            .ok()?;
-        Some(self.gk_vias[i].2)
+        via_of(&self.gk_vias, u, v)
+    }
+}
+
+/// The via of `(u, v)` in a via table strictly ascending by `(min, max)`.
+fn via_of(vias: &[GkVia], u: VertexId, v: VertexId) -> Option<VertexId> {
+    let key = if u < v { (u, v) } else { (v, u) };
+    let i = vias.binary_search_by_key(&key, |&[a, b, _]| (a, b)).ok()?;
+    Some(vias[i][2])
+}
+
+/// An index's hierarchy as plain slices over its storage: levels, peel
+/// adjacency, `G_k` in compact form and its via table — the artifact's
+/// sections, read where they lie.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HierarchyView<'a> {
+    pub(crate) level_of: &'a [u32],
+    pub(crate) k: u32,
+    pub(crate) peel: PeelCsr<&'a [u64], &'a [[VertexId; 3]]>,
+    pub(crate) gk: DenseGk<&'a [u32]>,
+    pub(crate) gk_vias: &'a [GkVia],
+}
+
+impl<'a> HierarchyView<'a> {
+    /// Vertex-id universe size.
+    pub fn universe(&self) -> usize {
+        self.level_of.len()
     }
 
-    /// Every `G_k` via annotation as `(min, max, via)`, strictly ascending
-    /// by `(min, max)`.
-    pub(crate) fn gk_vias(&self) -> &[GkVia] {
-        &self.gk_vias
+    /// The number of levels `k`.
+    pub fn k(&self) -> u32 {
+        self.k
+    }
+
+    /// Whether `v` survived into the residual graph `G_k`.
+    #[inline]
+    pub fn is_in_gk(&self, v: VertexId) -> bool {
+        self.level_of[v as usize] == self.k
+    }
+
+    /// The peeled level sets `L_1 .. L_{k−1}` (each ascending), gathered
+    /// from the level table.
+    pub fn levels(&self) -> Vec<Vec<VertexId>> {
+        let mut sets = vec![Vec::new(); self.k.saturating_sub(1) as usize];
+        for (v, &l) in (0..).zip(self.level_of) {
+            if l < self.k {
+                sets[l as usize - 1].push(v);
+            }
+        }
+        sets
+    }
+
+    /// `v`'s archived adjacency in `G_{ℓ(v)}`; see
+    /// [`VertexHierarchy::peel_adj`].
+    #[inline]
+    pub fn peel_adj(&self, v: VertexId) -> impl ExactSizeIterator<Item = PeelEdge> + Clone + 'a {
+        peel_edges(self.peel.row(v))
+    }
+
+    /// Vertices of `G_k`, ascending.
+    pub fn gk_members(&self) -> &'a [VertexId] {
+        self.gk.ids.global_of
+    }
+
+    /// Number of vertices in `G_k`.
+    pub fn num_gk_vertices(&self) -> usize {
+        self.gk.ids().len()
+    }
+
+    /// Number of edges in `G_k`.
+    pub fn num_gk_edges(&self) -> usize {
+        self.gk.fwd().num_entries() / 2
+    }
+
+    /// Via vertex of the `G_k` edge `(u, v)` if it is an augmenting edge.
+    pub fn gk_via(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
+        via_of(self.gk_vias, u, v)
     }
 }
 
@@ -306,7 +439,7 @@ pub(crate) fn peel_levels<P: LevelPeel>(
 /// repaired by Algorithm 3; `select` chooses `L_i`.
 struct Undirected<S> {
     work: AdjacencyGraph,
-    peel_adj: Vec<Box<[PeelEdge]>>,
+    peel_adj: PeelRows<[VertexId; 3]>,
     select: S,
 }
 
@@ -423,7 +556,7 @@ fn peel_level(
     li: &[VertexId],
     level: u32,
     level_of: &mut [u32],
-    peel_adj: &mut [Box<[PeelEdge]>],
+    peel_adj: &mut PeelRows<[VertexId; 3]>,
 ) {
     for &v in li {
         let adj = work.remove_vertex(v);
@@ -442,14 +575,7 @@ fn peel_level(
                 work.upsert_edge_min(a, b, w, v);
             }
         }
-        peel_adj[v as usize] = adj
-            .into_iter()
-            .map(|(to, e)| PeelEdge {
-                to,
-                weight: e.weight,
-                via: e.via,
-            })
-            .collect();
+        peel_adj.set(v, adj.into_iter().map(|(to, e)| [to, e.weight, e.via]));
     }
 }
 
@@ -528,7 +654,7 @@ pub(crate) mod tests {
         assert_eq!(h.num_gk_vertices(), 0); // full hierarchy: G_6 is empty
 
         // ADJ(L1): f's peel adjacency is e (w=3, original) and h (w=1).
-        let f = h.peel_adj(5);
+        let f: Vec<_> = h.peel_adj(5).collect();
         assert_eq!(f.len(), 2);
         assert_eq!(
             f[0],
@@ -549,7 +675,7 @@ pub(crate) mod tests {
 
         // In G2, h's adjacency must contain the augmenting edge (h, e) of
         // weight 4 created by peeling f (paper: "Edge (e, h) is also added").
-        let hh = h.peel_adj(7);
+        let hh: Vec<_> = h.peel_adj(7).collect();
         assert_eq!(hh.len(), 2);
         assert_eq!(
             hh[0],
@@ -570,7 +696,7 @@ pub(crate) mod tests {
 
         // In G3, e's adjacency is a (w=1, the original edge survives because
         // 1 < the 2-hop repair of weight 2) and g (w=2, augmenting via d).
-        let e = h.peel_adj(4);
+        let e: Vec<_> = h.peel_adj(4).collect();
         assert_eq!(e.len(), 2);
         assert_eq!(
             e[0],
@@ -590,7 +716,7 @@ pub(crate) mod tests {
         );
 
         // G4 is the single edge (a, g) of weight 3 via e.
-        let a = h.peel_adj(0);
+        let a: Vec<_> = h.peel_adj(0).collect();
         assert_eq!(a.len(), 1);
         assert_eq!(
             a[0],
@@ -602,7 +728,7 @@ pub(crate) mod tests {
         );
 
         // G5 = {g} with no edges.
-        assert!(h.peel_adj(6).is_empty());
+        assert_eq!(h.peel_adj(6).len(), 0);
 
         check_independence(&h).unwrap();
     }
@@ -697,7 +823,7 @@ pub(crate) mod tests {
 
         // Rebuild each level graph by replaying the peel.
         let mut work = AdjacencyGraph::from_csr(&g);
-        let (mut level_of, mut peel_adj) = (vec![0; 60], vec![Box::default(); 60]);
+        let (mut level_of, mut peel_adj) = (vec![0; 60], PeelRows::new(60));
         for (i, li) in (1..).zip(h.levels()) {
             // Check: distances among present vertices equal those in G.
             let snapshot = work.to_csr_with_vias().0;
@@ -879,9 +1005,9 @@ pub(crate) mod tests {
         let replay = VertexHierarchy::build_with_forced_levels(&g, greedy.levels());
         assert_eq!(replay.k(), greedy.k());
         assert_eq!(replay.levels.level_of, greedy.levels.level_of);
-        assert_eq!(replay.peel_adj, greedy.peel_adj);
+        assert_eq!(replay.peel, greedy.peel);
         assert_eq!(replay.gk(), greedy.gk());
-        assert_eq!(replay.gk_vias(), greedy.gk_vias());
+        assert_eq!(replay.gk_vias, greedy.gk_vias);
     }
 
     #[test]

@@ -1,20 +1,30 @@
 //! The public IS-LABEL index for undirected graphs.
+//!
+//! An index is the artifact's section arrays (ADR-0018): level table, peel
+//! adjacency, compact `G_k`, via table and labels. A build holds them in
+//! owned `Vec`s; a load holds the mapped artifact and reads them where they
+//! lie. Everything else — sessions, updates, path queries, the writer —
+//! reads both through one borrowed view of plain slices (`Sections`),
+//! taken once per session or operation.
 
 use crate::config::BuildConfig;
 use crate::dense::{
     globalize_outcome, seeded_search, DenseGk, DensePatch, DenseScratch, ParentSink, PatchedDense,
 };
-use crate::hierarchy::VertexHierarchy;
+use crate::hierarchy::{GkVia, HierarchyView, PeelCsr, VertexHierarchy};
 use crate::kernel::intersect_min_auto;
-use crate::label::{LabelDist, LabelSet, LabelView};
+use crate::label::{LabelDist, LabelSet, LabelView, Labels};
 use crate::oracle::{check_vertex, DistanceOracle, Error, QueryError, QuerySession};
+use crate::persist::v3::{Mapped, Sections};
 use crate::persist::wal::{scan_wal, WalRecovery, WalWriter, WAL_HEADER_LEN};
 use crate::query::{Meeting, QueryType, SearchOutcome};
 use crate::stats::IndexStats;
 use crate::trace::QueryTrace;
 use crate::updates::{Overlay, OverlayStats, UpdateOp};
 use islabel_graph::{CsrGraph, Dist, VertexId, Weight, INF};
+use islabel_store::StoreReader;
 use std::path::Path;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Default `fsync` batching for an attached write-ahead log: sync every
@@ -57,12 +67,13 @@ pub struct QueryOutcome {
 
 /// The IS-LABEL index (paper Sections 4–6).
 ///
-/// Build once with [`IsLabelIndex::try_build`], then answer point-to-point
-/// distance queries with [`try_distance`](IsLabelIndex::try_distance) (or
-/// a held [`session`](IsLabelIndex::session)) and shortest-path queries
-/// with [`try_shortest_path`](IsLabelIndex::try_shortest_path). The index
-/// also supports the lazy dynamic updates of Section 8.3 (see the `updates`
-/// methods and their caveats).
+/// Build once with [`IsLabelIndex::try_build`] (or open a saved artifact in
+/// place with [`IsLabelIndex::open`]), then answer point-to-point distance
+/// queries with [`try_distance`](IsLabelIndex::try_distance) (or a held
+/// [`session`](IsLabelIndex::session)) and shortest-path queries with
+/// [`try_shortest_path`](IsLabelIndex::try_shortest_path). The index also
+/// supports the lazy dynamic updates of Section 8.3 (see the `updates`
+/// methods and their caveats), built or mapped alike.
 ///
 /// # Examples
 ///
@@ -82,12 +93,10 @@ pub struct QueryOutcome {
 /// ```
 #[derive(Debug)]
 pub struct IsLabelIndex {
-    pub(crate) graph: CsrGraph,
-    pub(crate) hierarchy: VertexHierarchy,
-    pub(crate) labels: LabelSet,
-    /// Compact-id search substrate (see [`crate::dense`]), built once per
-    /// index; the session hot path runs on it.
-    pub(crate) dense: DenseGk,
+    storage: Storage,
+    /// The base graph: the builder's input, or the artifact's graph
+    /// section parsed on first use (no query reads it).
+    graph: OnceLock<CsrGraph>,
     config: BuildConfig,
     stats: IndexStats,
     pub(crate) overlay: Overlay,
@@ -97,6 +106,44 @@ pub struct IsLabelIndex {
     /// Attached write-ahead log, if any: every mutation is appended here
     /// *before* it is applied (see [`IsLabelIndex::attach_wal`]).
     wal: Option<WalWriter>,
+}
+
+/// Where an index's arrays live.
+#[derive(Debug)]
+pub(crate) enum Storage {
+    /// A build's arrays.
+    Owned(Arrays),
+    /// A validated artifact, read in place.
+    Mapped(Mapped),
+}
+
+/// A build's arrays, each the content of one artifact section.
+#[derive(Debug)]
+pub(crate) struct Arrays {
+    level_of: Vec<u32>,
+    k: u32,
+    peel: PeelCsr,
+    dense: DenseGk,
+    gk_vias: Vec<GkVia>,
+    labels: LabelSet,
+}
+
+impl Storage {
+    fn sections(&self) -> Sections<'_> {
+        match self {
+            Storage::Owned(a) => Sections {
+                hierarchy: HierarchyView {
+                    level_of: &a.level_of,
+                    k: a.k,
+                    peel: a.peel.view(),
+                    gk: a.dense.view(),
+                    gk_vias: &a.gk_vias,
+                },
+                labels: a.labels.view(),
+            },
+            Storage::Mapped(m) => m.sections(),
+        }
+    }
 }
 
 impl IsLabelIndex {
@@ -126,10 +173,10 @@ impl IsLabelIndex {
         Ok(index)
     }
 
-    /// Assembles an index from its parts (the in-memory builder's, the
-    /// external-memory pipeline's — identical hierarchy and labels through
-    /// disk-based algorithms — and the artifact loader's), with the two
-    /// phase times of its build.
+    /// Assembles an index from a builder's parts (the in-memory builder's
+    /// and the external-memory pipeline's — identical hierarchy and labels
+    /// through disk-based algorithms), with the two phase times of its
+    /// build. `G_k` is kept in compact form only.
     pub(crate) fn from_parts(
         graph: CsrGraph,
         hierarchy: VertexHierarchy,
@@ -138,9 +185,41 @@ impl IsLabelIndex {
         hierarchy_time: Duration,
         labeling_time: Duration,
     ) -> Self {
+        let dense =
+            DenseGk::undirected(hierarchy.universe(), hierarchy.gk_members(), hierarchy.gk());
+        let arrays = Arrays {
+            level_of: hierarchy.levels.level_of,
+            k: hierarchy.levels.k,
+            peel: hierarchy.peel,
+            dense,
+            gk_vias: hierarchy.gk_vias,
+            labels,
+        };
+        let num_edges = graph.num_edges();
+        let storage = Storage::Owned(arrays);
+        let mut index = Self::from_storage(storage, num_edges, config, mint_epoch());
+        index.graph = OnceLock::from(graph);
+        index.stats.hierarchy_time = hierarchy_time;
+        index.stats.labeling_time = labeling_time;
+        index.stats.build_time = hierarchy_time + labeling_time;
+        index
+    }
+
+    /// A pristine index over `storage`, whose base graph has `num_edges`
+    /// edges. Over a mapped artifact (see
+    /// [`crate::persist::v3::read_index`]) no array is copied, and the base
+    /// graph is parsed only if something asks for it.
+    pub(crate) fn from_storage(
+        storage: Storage,
+        num_edges: usize,
+        config: BuildConfig,
+        epoch: u64,
+    ) -> Self {
+        let Sections { hierarchy, labels } = storage.sections();
+        let n = hierarchy.universe();
         let stats = IndexStats {
-            num_vertices: graph.num_vertices(),
-            num_edges: graph.num_edges(),
+            num_vertices: n,
+            num_edges,
             k: hierarchy.k(),
             gk_vertices: hierarchy.num_gk_vertices(),
             gk_edges: hierarchy.num_gk_edges(),
@@ -148,24 +227,46 @@ impl IsLabelIndex {
             label_bytes: labels.memory_bytes(),
             avg_label_len: labels.avg_label_len(),
             max_label_len: labels.max_label_len(),
-            hierarchy_time,
-            labeling_time,
-            build_time: hierarchy_time + labeling_time,
+            hierarchy_time: Duration::ZERO,
+            labeling_time: Duration::ZERO,
+            build_time: Duration::ZERO,
         };
-        let overlay = Overlay::new(graph.num_vertices(), labels.max_dist());
-        let dense =
-            DenseGk::undirected(hierarchy.universe(), hierarchy.gk_members(), hierarchy.gk());
+        let overlay = Overlay::new(n, labels.max_dist());
         Self {
-            graph,
-            hierarchy,
-            labels,
-            dense,
+            storage,
+            graph: OnceLock::new(),
             config,
             stats,
             overlay,
-            artifact_epoch: mint_epoch(),
+            artifact_epoch: epoch,
             wal: None,
         }
+    }
+
+    /// The index's arrays as plain slices, wherever they live.
+    pub(crate) fn sections(&self) -> Sections<'_> {
+        self.storage.sections()
+    }
+
+    /// The arrays and the overlay borrowed apart, so an update reads the
+    /// one while it writes the other.
+    fn split(&mut self) -> (Sections<'_>, &mut Overlay) {
+        (self.storage.sections(), &mut self.overlay)
+    }
+
+    /// The artifact an opened index reads its arrays from (header facts,
+    /// section table, residency); `None` for a build.
+    pub fn reader(&self) -> Option<&StoreReader> {
+        match &self.storage {
+            Storage::Mapped(m) => Some(m.reader()),
+            Storage::Owned(_) => None,
+        }
+    }
+
+    /// Whether the arrays are a kernel mapping of an artifact file (not a
+    /// build's, nor an in-memory image's).
+    pub fn is_mapped(&self) -> bool {
+        self.reader().is_some_and(StoreReader::is_mapped)
     }
 
     /// Number of vertices the index currently answers for (including
@@ -175,26 +276,31 @@ impl IsLabelIndex {
     }
 
     /// The base graph the index was built over (without dynamic updates).
+    /// A loaded index parses the artifact's graph section on the first
+    /// call; `Sections::validate` checked it at open.
     pub fn base_graph(&self) -> &CsrGraph {
-        &self.graph
+        self.graph.get_or_init(|| match &self.storage {
+            Storage::Mapped(m) => m.base_graph(),
+            Storage::Owned(_) => unreachable!("a build sets its base graph"),
+        })
     }
 
-    /// The vertex hierarchy.
-    pub fn hierarchy(&self) -> &VertexHierarchy {
-        &self.hierarchy
+    /// The vertex hierarchy: levels, peel adjacency and `G_k`.
+    pub fn hierarchy(&self) -> HierarchyView<'_> {
+        self.sections().hierarchy
     }
 
     /// The label set.
-    pub fn labels(&self) -> &LabelSet {
-        &self.labels
+    pub fn labels(&self) -> Labels<'_> {
+        self.sections().labels
     }
 
-    /// The dense search substrate: compact `G_k` ids plus the remapped
-    /// residual adjacency (see [`crate::dense`]). Sessions run the
-    /// bidirectional search on this; benches and the conformance suite use
-    /// it to drive the dense kernel directly.
-    pub fn dense_gk(&self) -> &DenseGk {
-        &self.dense
+    /// The dense search substrate: compact `G_k` ids plus the
+    /// weight-ordered residual adjacency (see [`crate::dense`]). Sessions
+    /// run the bidirectional search on this; benches and the conformance
+    /// suite use it to drive the dense kernel directly.
+    pub fn dense_gk(&self) -> DenseGk<&[u32]> {
+        self.sections().hierarchy.gk
     }
 
     /// Build configuration used.
@@ -211,7 +317,7 @@ impl IsLabelIndex {
     /// dynamically inserted vertices live in `G_k` by construction
     /// (Section 8.3).
     pub fn is_in_gk(&self, v: VertexId) -> bool {
-        self.overlay.effective_in_gk(&self.hierarchy, v)
+        self.overlay.effective_in_gk(self.hierarchy(), v)
     }
 
     /// Table 5 classification of a query.
@@ -243,9 +349,9 @@ impl IsLabelIndex {
             None
         } else {
             let (mut anc_s, mut dist_s, mut anc_t, mut dist_t) = Default::default();
-            let overlay = &self.overlay;
-            let ls = overlay.effective_label_into(&self.labels, s, &mut anc_s, &mut dist_s);
-            let lt = overlay.effective_label_into(&self.labels, t, &mut anc_t, &mut dist_t);
+            let (overlay, labels) = (&self.overlay, self.labels());
+            let ls = overlay.effective_label_into(labels, s, &mut anc_s, &mut dist_s);
+            let lt = overlay.effective_label_into(labels, t, &mut anc_t, &mut dist_t);
             let (mu0, _) = intersect_min_auto(ls, lt);
             (mu0 < INF).then_some(mu0)
         };
@@ -277,8 +383,8 @@ impl IsLabelIndex {
         for &a in ls.ancestors.iter().chain(lt.ancestors) {
             self.check_vertex(a)?;
         }
-        let mut scratch = DenseScratch::new(self.dense.ids().len());
-        let out = self.search_once(ls, lt, &mut scratch);
+        let gk = self.dense_gk();
+        let out = search_once(gk, ls, lt, &mut DenseScratch::new(gk.ids().len()));
         Ok((out.dist < INF).then_some(out.dist))
     }
 
@@ -296,7 +402,8 @@ impl IsLabelIndex {
     ) -> Result<Option<crate::path::Path>, QueryError> {
         self.check_vertex(s)?;
         self.check_vertex(t)?;
-        if !self.labels.has_path_info() || !self.overlay.is_pristine() {
+        let Sections { hierarchy, labels } = self.sections();
+        if !labels.has_path_info() || !self.overlay.is_pristine() {
             return Err(QueryError::NoPathInfo);
         }
         if s == t {
@@ -307,40 +414,18 @@ impl IsLabelIndex {
                 length: 0,
             }));
         }
-        let mut scratch = DenseScratch::with_parents(self.dense.ids().len());
-        let out = self.search_once(self.labels.label(s), self.labels.label(t), &mut scratch);
-        Ok(crate::path::reconstruct(
-            self,
-            s,
-            t,
-            &out,
-            scratch.parents(),
-        ))
+        let gk = hierarchy.gk;
+        let mut scratch = DenseScratch::with_parents(gk.ids().len());
+        let out = search_once(gk, labels.label(s), labels.label(t), &mut scratch);
+        let path = crate::path::reconstruct(hierarchy, labels, s, t, &out, scratch.parents());
+        debug_assert!(path
+            .as_ref()
+            .is_none_or(|p| p.validate_against(self.base_graph()).is_ok()));
+        Ok(path)
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<(), QueryError> {
         check_vertex(v, self.overlay.universe())
-    }
-
-    /// One untraced search over the pristine substrate with seed buffers
-    /// allocated for just this call; the meeting vertex is still compact.
-    fn search_once<P: ParentSink>(
-        &self,
-        ls: LabelView<'_>,
-        lt: LabelView<'_>,
-        scratch: &mut DenseScratch<P>,
-    ) -> SearchOutcome {
-        seeded_search(
-            ls,
-            lt,
-            |a| self.dense.ids().dense(a),
-            self.dense.fwd(),
-            self.dense.rev(),
-            &mut Vec::with_capacity(ls.len()),
-            &mut Vec::with_capacity(lt.len()),
-            scratch,
-            &mut QueryTrace::disabled(),
-        )
     }
 
     /// Opens a per-thread [`IsLabelSession`] with reusable search scratch;
@@ -361,6 +446,7 @@ impl IsLabelIndex {
         // The longest label is read from the stats every constructor and
         // loader fills, not rescanned: opening stays O(|G_k|), not O(n).
         let label_cap = self.stats.max_label_len + self.overlay.max_patch_len();
+        let sections = self.sections();
         let overlay = self.overlay.residual().map(|patch| OverlayDense {
             patch,
             anc_s: Vec::with_capacity(label_cap),
@@ -370,9 +456,12 @@ impl IsLabelIndex {
         });
         let scratch_len = overlay
             .as_ref()
-            .map_or(self.dense.ids().len(), |od| od.patch.num_vertices());
+            .map_or(sections.hierarchy.gk.ids().len(), |od| {
+                od.patch.num_vertices()
+            });
         IsLabelSession {
             index: self,
+            sections,
             scratch: DenseScratch::new(scratch_len),
             fseeds: Vec::with_capacity(label_cap),
             rseeds: Vec::with_capacity(label_cap),
@@ -402,7 +491,8 @@ impl IsLabelIndex {
         self.admit(&UpdateOp::InsertVertex {
             edges: edges.to_vec(),
         })?;
-        Ok(Overlay::insert_vertex(self, edges))
+        let (s, overlay) = self.split();
+        Ok(overlay.insert_vertex(s, edges))
     }
 
     /// Inserts an edge between two existing vertices; refuses a deleted or
@@ -410,7 +500,8 @@ impl IsLabelIndex {
     /// as [`IsLabelIndex::try_insert_vertex`]).
     pub fn try_insert_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<(), Error> {
         self.admit(&UpdateOp::InsertEdge { a: u, b: v, w })?;
-        Overlay::insert_edge(self, u, v, w);
+        let (s, overlay) = self.split();
+        overlay.insert_edge(s, u, v, w);
         Ok(())
     }
 
@@ -423,7 +514,8 @@ impl IsLabelIndex {
     /// contract as [`IsLabelIndex::try_insert_vertex`].
     pub fn try_delete_vertex(&mut self, v: VertexId) -> Result<(), Error> {
         self.admit(&UpdateOp::DeleteVertex { v })?;
-        Overlay::delete_vertex(self, v);
+        let (s, overlay) = self.split();
+        overlay.delete_vertex(s, v);
         Ok(())
     }
 
@@ -440,20 +532,9 @@ impl IsLabelIndex {
 
     /// What an op must pass before it is logged or replayed: valid against
     /// the overlay, and no patched label distance past `u32::MAX`.
-    fn check_op(&mut self, op: &UpdateOp) -> Result<(), String> {
+    fn check_op(&self, op: &UpdateOp) -> Result<(), String> {
         op.validate(&self.overlay)?;
-        Overlay::check_fits(self, op)
-    }
-
-    /// Applies a checked op to the overlay; never touches the attached WAL.
-    pub(crate) fn apply(&mut self, op: &UpdateOp) {
-        match op {
-            UpdateOp::InsertVertex { edges } => {
-                Overlay::insert_vertex(self, edges);
-            }
-            UpdateOp::InsertEdge { a, b, w } => Overlay::insert_edge(self, *a, *b, *w),
-            UpdateOp::DeleteVertex { v } => Overlay::delete_vertex(self, *v),
-        }
+        self.overlay.check_fits(self.sections(), op)
     }
 
     /// Applies one recovered op (sealed section or WAL replay) through the
@@ -462,7 +543,8 @@ impl IsLabelIndex {
     /// the attached WAL.
     pub(crate) fn replay_op(&mut self, op: &UpdateOp) -> Result<(), String> {
         self.check_op(op)?;
-        self.apply(op);
+        let (s, overlay) = self.split();
+        overlay.apply(s, op);
         Ok(())
     }
 
@@ -471,10 +553,6 @@ impl IsLabelIndex {
     /// [`crate::persist::wal`]).
     pub fn artifact_epoch(&self) -> u64 {
         self.artifact_epoch
-    }
-
-    pub(crate) fn set_artifact_epoch(&mut self, epoch: u64) {
-        self.artifact_epoch = epoch;
     }
 
     /// Number of pending dynamic updates (the overlay op log length).
@@ -632,7 +710,7 @@ impl IsLabelIndex {
     /// Materializes the current graph (base plus all dynamic updates);
     /// deleted vertices become isolated.
     pub fn current_graph(&self) -> CsrGraph {
-        self.overlay.materialize(&self.graph)
+        self.overlay.materialize(self.base_graph())
     }
 
     /// Rebuilds the index from the current graph, restoring exactness and
@@ -652,8 +730,13 @@ impl IsLabelIndex {
 }
 
 impl DistanceOracle for IsLabelIndex {
+    /// `islabel-mmap` over an artifact's sections, `islabel` over a
+    /// build's.
     fn engine_name(&self) -> &'static str {
-        "islabel"
+        match self.storage {
+            Storage::Owned(_) => "islabel",
+            Storage::Mapped(_) => "islabel-mmap",
+        }
     }
 
     fn num_vertices(&self) -> usize {
@@ -661,11 +744,10 @@ impl DistanceOracle for IsLabelIndex {
     }
 
     /// Labels plus the dense `G_k` search substrate — everything the
-    /// session hot path reads. (The full-universe residual graph is also
-    /// resident, for path reconstruction's via lookups, but it is not on
-    /// the query path.)
+    /// session hot path reads, wherever it lives.
     fn index_bytes(&self) -> usize {
-        self.labels.memory_bytes() + self.dense.memory_bytes()
+        let Sections { hierarchy, labels } = self.sections();
+        labels.memory_bytes() + hierarchy.gk.memory_bytes()
     }
 
     fn try_distance(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
@@ -677,12 +759,35 @@ impl DistanceOracle for IsLabelIndex {
     }
 }
 
-/// Reusable query state for one [`IsLabelIndex`]: the dense-kernel search
-/// workspace plus the two compact-id seed buffers (see
-/// [`QuerySession`]). Obtained from [`IsLabelIndex::session`].
+/// One untraced search over the pristine substrate with seed buffers
+/// allocated for just this call; the meeting vertex is still compact.
+fn search_once<P: ParentSink>(
+    gk: DenseGk<&[u32]>,
+    ls: LabelView<'_>,
+    lt: LabelView<'_>,
+    scratch: &mut DenseScratch<P>,
+) -> SearchOutcome {
+    seeded_search(
+        ls,
+        lt,
+        |a| gk.ids().dense(a),
+        gk.fwd(),
+        gk.rev(),
+        &mut Vec::with_capacity(ls.len()),
+        &mut Vec::with_capacity(lt.len()),
+        scratch,
+        &mut QueryTrace::disabled(),
+    )
+}
+
+/// Reusable query state for one [`IsLabelIndex`], built or mapped: the
+/// index's arrays as resolved at open, the dense-kernel search workspace
+/// plus the two compact-id seed buffers (see [`QuerySession`]). Obtained
+/// from [`IsLabelIndex::session`].
 #[derive(Debug)]
 pub struct IsLabelSession<'a> {
     index: &'a IsLabelIndex,
+    sections: Sections<'a>,
     scratch: DenseScratch,
     fseeds: Vec<(u32, Dist)>,
     rseeds: Vec<(u32, Dist)>,
@@ -769,19 +874,19 @@ impl IsLabelSession<'_> {
             return Ok(self.globalize_patched(outcome));
         }
         let outcome = self.run_dense(s, t);
-        Ok(globalize_outcome(outcome, self.index.dense.ids()))
+        Ok(globalize_outcome(outcome, self.sections.hierarchy.gk.ids()))
     }
 
     /// The pristine fast path (`s != t`, bounds checked): seed translation
     /// plus the dense kernel, meeting still compact.
     fn run_dense(&mut self, s: VertexId, t: VertexId) -> crate::query::SearchOutcome {
-        let index = self.index;
+        let (labels, gk) = (&self.sections.labels, &self.sections.hierarchy.gk);
         seeded_search(
-            index.labels.label(s),
-            index.labels.label(t),
-            |a| index.dense.ids().dense(a),
-            index.dense.fwd(),
-            index.dense.rev(),
+            labels.label(s),
+            labels.label(t),
+            |a| gk.ids().dense(a),
+            gk.fwd(),
+            gk.rev(),
             &mut self.fseeds,
             &mut self.rseeds,
             &mut self.scratch,
@@ -795,22 +900,17 @@ impl IsLabelSession<'_> {
     /// the base mapping monotonically (tail ids after all base ids), so
     /// ties still break by global id.
     fn run_dense_patched(&mut self, s: VertexId, t: VertexId) -> crate::query::SearchOutcome {
-        let index = self.index;
+        let overlay = &self.index.overlay;
+        let (labels, gk) = (self.sections.labels, &self.sections.hierarchy.gk);
         let od = self
             .overlay
             .as_mut()
             .expect("patched path requires overlay");
-        let ls =
-            index
-                .overlay
-                .effective_label_into(&index.labels, s, &mut od.anc_s, &mut od.dist_s);
-        let lt =
-            index
-                .overlay
-                .effective_label_into(&index.labels, t, &mut od.anc_t, &mut od.dist_t);
-        let ids = index.dense.ids();
+        let ls = overlay.effective_label_into(labels, s, &mut od.anc_s, &mut od.dist_s);
+        let lt = overlay.effective_label_into(labels, t, &mut od.anc_t, &mut od.dist_t);
+        let ids = gk.ids();
         let view = PatchedDense {
-            base: index.dense.fwd(),
+            base: gk.fwd(),
             patch: od.patch,
         };
         // Inserted vertices (global id >= base_n) live on the dense tail;
@@ -818,7 +918,7 @@ impl IsLabelSession<'_> {
         seeded_search(
             ls,
             lt,
-            |a| index.overlay.dense_id(ids, a),
+            |a| overlay.dense_id(ids, a),
             &view,
             &view,
             &mut self.fseeds,
@@ -835,9 +935,9 @@ impl IsLabelSession<'_> {
         &self,
         outcome: crate::query::SearchOutcome,
     ) -> crate::query::SearchOutcome {
-        let ids = self.index.dense.ids();
+        let ids = self.sections.hierarchy.gk.ids();
         let m = ids.len();
-        let base_n = self.index.graph.num_vertices();
+        let base_n = self.sections.hierarchy.universe();
         crate::query::SearchOutcome {
             meeting: match outcome.meeting {
                 Meeting::Search(d) if (d as usize) >= m => {
@@ -853,7 +953,7 @@ impl IsLabelSession<'_> {
 
 impl QuerySession for IsLabelSession<'_> {
     fn engine_name(&self) -> &'static str {
-        "islabel"
+        self.index.engine_name()
     }
 
     fn distance(&mut self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {

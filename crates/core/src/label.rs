@@ -56,17 +56,25 @@ pub type LabelDist = u32;
 pub(crate) const LABEL_OVERFLOW: &str = "label distance overflows u32: input weights are too \
      large (shortest-path lengths must fit in u32 during construction)";
 
-/// All vertex labels, flattened.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LabelSet {
-    offsets: Vec<usize>,
-    ancestors: Vec<VertexId>,
-    dists: Vec<LabelDist>,
+/// All vertex labels, flattened: the artifact's four label sections.
+///
+/// `O` holds the offsets and `A` the entry arrays — `Vec`s after a build
+/// (the default), slices borrowed from an index's storage ([`Labels`]) —
+/// so one set of readers serves both, as [`crate::dense::DenseCsr`]'s do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelSet<O = Vec<u64>, A = Vec<VertexId>> {
+    /// `offsets[v]..offsets[v + 1]` indexes `v`'s entries.
+    pub(crate) offsets: O,
+    pub(crate) ancestors: A,
+    pub(crate) dists: A,
     /// Parallel to `ancestors` when path info is kept, empty otherwise. The
     /// first hop of entry `(w, d)` in `label(v)` is the peel-neighbor `u`
     /// of `v` starting the optimal chain (`u = v` for the self entry).
-    first_hops: Vec<VertexId>,
+    pub(crate) first_hops: A,
 }
+
+/// The labels of an index as plain slices (see [`LabelSet`]).
+pub type Labels<'a> = LabelSet<&'a [u64], &'a [VertexId]>;
 
 /// Borrowed view of one vertex's label.
 #[derive(Debug, Clone, Copy)]
@@ -141,7 +149,7 @@ struct HierarchyPeel<'a>(&'a VertexHierarchy);
 
 impl PeelSource for HierarchyPeel<'_> {
     fn peel_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.0.peel_adj(v).iter().map(|e| (e.to, e.weight))
+        self.0.peel.view().row(v).iter().map(|&[to, w, _]| (to, w))
     }
 }
 
@@ -396,34 +404,11 @@ impl LabelSet {
 
     /// Flattens arena-backed construction labels into the SoA layout.
     fn from_arena(labels: &ArenaLabels, n: usize, keep_path_info: bool) -> Self {
-        let total = labels.total_entries();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut ancestors = Vec::with_capacity(total);
-        let mut dists = Vec::with_capacity(total);
-        let mut first_hops = if keep_path_info {
-            Vec::with_capacity(total)
-        } else {
-            Vec::new()
-        };
-        offsets.push(0);
-        for v in 0..n as VertexId {
-            let l = labels.get(v);
-            debug_assert!(l.windows(2).all(|w| w[0].0 < w[1].0), "label not sorted");
-            for &(anc, d, hop) in l {
-                ancestors.push(anc);
-                dists.push(d);
-                if keep_path_info {
-                    first_hops.push(hop);
-                }
-            }
-            offsets.push(ancestors.len());
-        }
-        Self {
-            offsets,
-            ancestors,
-            dists,
-            first_hops,
-        }
+        Self::from_rows(
+            (0..n as VertexId).map(|v| labels.get(v)),
+            labels.total_entries(),
+            keep_path_info,
+        )
     }
 
     /// Flattens per-vertex sorted entry lists into the SoA layout.
@@ -431,17 +416,23 @@ impl LabelSet {
         labels: Vec<Vec<(VertexId, LabelDist, VertexId)>>,
         keep_path_info: bool,
     ) -> Self {
-        let total: usize = labels.iter().map(|l| l.len()).sum();
-        let mut offsets = Vec::with_capacity(labels.len() + 1);
+        let total = labels.iter().map(Vec::len).sum();
+        Self::from_rows(labels.iter().map(Vec::as_slice), total, keep_path_info)
+    }
+
+    /// The SoA layout of `rows`, one ancestor-sorted row per vertex and
+    /// `total` entries in all.
+    fn from_rows<'r>(
+        rows: impl ExactSizeIterator<Item = &'r [Entry]>,
+        total: usize,
+        keep_path_info: bool,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
         let mut ancestors = Vec::with_capacity(total);
         let mut dists = Vec::with_capacity(total);
-        let mut first_hops = if keep_path_info {
-            Vec::with_capacity(total)
-        } else {
-            Vec::new()
-        };
+        let mut first_hops = Vec::with_capacity(if keep_path_info { total } else { 0 });
         offsets.push(0);
-        for l in &labels {
+        for l in rows {
             debug_assert!(l.windows(2).all(|w| w[0].0 < w[1].0), "label not sorted");
             for &(anc, d, hop) in l {
                 ancestors.push(anc);
@@ -450,7 +441,7 @@ impl LabelSet {
                     first_hops.push(hop);
                 }
             }
-            offsets.push(ancestors.len());
+            offsets.push(ancestors.len() as u64);
         }
         Self {
             offsets,
@@ -460,16 +451,29 @@ impl LabelSet {
         }
     }
 
-    /// Number of vertices covered.
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// The label of `v`.
     #[inline]
     pub fn label(&self, v: VertexId) -> LabelView<'_> {
-        let lo = self.offsets[v as usize];
-        let hi = self.offsets[v as usize + 1];
+        self.view().label(v)
+    }
+
+    /// The four arrays borrowed as plain slices.
+    pub fn view(&self) -> Labels<'_> {
+        LabelSet {
+            offsets: &self.offsets,
+            ancestors: &self.ancestors,
+            dists: &self.dists,
+            first_hops: &self.first_hops,
+        }
+    }
+}
+
+impl<'a> Labels<'a> {
+    /// The label of `v`, borrowed for as long as the arrays are.
+    #[inline]
+    pub fn label(&self, v: VertexId) -> LabelView<'a> {
+        let lo = self.offsets[v as usize] as usize;
+        let hi = self.offsets[v as usize + 1] as usize;
         LabelView {
             ancestors: &self.ancestors[lo..hi],
             dists: &self.dists[lo..hi],
@@ -480,38 +484,44 @@ impl LabelSet {
             },
         }
     }
+}
+
+impl<O: AsRef<[u64]>, A: AsRef<[VertexId]>> LabelSet<O, A> {
+    /// Number of vertices covered.
+    pub fn num_vertices(&self) -> usize {
+        self.offsets.as_ref().len() - 1
+    }
 
     /// Whether first hops were recorded.
     pub fn has_path_info(&self) -> bool {
-        !self.first_hops.is_empty()
+        !self.first_hops.as_ref().is_empty()
     }
 
     /// Total number of label entries across all vertices.
     pub fn num_entries(&self) -> usize {
-        self.ancestors.len()
+        self.ancestors.as_ref().len()
     }
 
     /// Resident bytes of the label arrays — the paper's "label size" column
     /// (Tables 3, 6, 7).
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.ancestors.len() * std::mem::size_of::<VertexId>()
-            + self.dists.len() * std::mem::size_of::<LabelDist>()
-            + self.first_hops.len() * std::mem::size_of::<VertexId>()
+        std::mem::size_of_val(self.offsets.as_ref())
+            + std::mem::size_of_val(self.ancestors.as_ref())
+            + std::mem::size_of_val(self.dists.as_ref())
+            + std::mem::size_of_val(self.first_hops.as_ref())
     }
 
     /// Largest label distance, 0 for no labels: the bound the update
     /// overlay checks an insertion against before it patches anything.
     pub(crate) fn max_dist(&self) -> LabelDist {
-        self.dists.iter().copied().max().unwrap_or(0)
+        self.dists.as_ref().iter().copied().max().unwrap_or(0)
     }
 
     /// Largest single label (diagnostics; drives worst-case Time (a)).
     pub fn max_label_len(&self) -> usize {
-        (0..self.num_vertices() as VertexId)
-            .map(|v| self.label(v).len())
-            .max()
-            .unwrap_or(0)
+        let offsets = self.offsets.as_ref();
+        let lens = offsets.windows(2).map(|w| (w[1] - w[0]) as usize);
+        lens.max().unwrap_or(0)
     }
 
     /// Mean entries per vertex.
@@ -575,7 +585,8 @@ pub(crate) mod tests {
 
     impl PeelSource for ReversedPeel<'_> {
         fn peel_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-            self.0.peel_adj(v).iter().rev().map(|e| (e.to, e.weight))
+            let row = self.0.peel.view().row(v);
+            row.iter().rev().map(|&[to, w, _]| (to, w))
         }
     }
 
@@ -593,7 +604,7 @@ pub(crate) mod tests {
             &b.build(),
             &[vec![0], vec![1], vec![2], vec![3]],
         );
-        let neighbors: Vec<VertexId> = h.peel_adj(0).iter().map(|e| e.to).collect();
+        let neighbors: Vec<VertexId> = h.peel_adj(0).map(|e| e.to).collect();
         assert_eq!(neighbors, vec![1, 2]);
 
         let forward = build_from_peel(&h.levels, &HierarchyPeel(&h), true, 1);
@@ -616,7 +627,7 @@ pub(crate) mod tests {
             if !seen.contains(&name) {
                 seen.push(name);
             }
-            self.0.peel_adj(v).iter().map(|e| (e.to, e.weight))
+            self.0.peel_adj(v).map(|e| (e.to, e.weight))
         }
     }
 
@@ -788,7 +799,7 @@ pub(crate) mod tests {
                     assert_eq!(hop, v, "self entry of {v}");
                 } else {
                     assert!(
-                        h.peel_adj(v).iter().any(|e| e.to == hop),
+                        h.peel_adj(v).any(|e| e.to == hop),
                         "first hop {hop} of entry {i} of label({v}) is not a peel neighbor"
                     );
                 }

@@ -94,7 +94,6 @@ pub mod hierarchy;
 pub mod index;
 pub mod kernel;
 pub mod label;
-pub mod mmapindex;
 pub mod oracle;
 pub mod path;
 pub mod persist;
@@ -112,10 +111,10 @@ pub use dense::{
 };
 pub use directed::{DiIsLabelIndex, DiIsLabelSession};
 pub use index::{IsLabelIndex, IsLabelSession, DEFAULT_WAL_SYNC_EVERY};
-pub use mmapindex::MmapIndex;
 pub use oracle::{BatchOptions, DistanceOracle, Error, QueryError, QuerySession};
 pub use path::Path;
 pub use persist::wal::{WalRecovery, WalScan, WalWriter};
+pub use persist::MmapIndex;
 pub use persist::{compact_index_with_wal, load_index_with_wal, CompactInfo};
 pub use query::QueryType;
 pub use snapshot::{OracleHandle, SharedOracle, Snapshot};

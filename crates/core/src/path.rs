@@ -19,8 +19,8 @@
 //! in debug builds and in the test suite).
 
 use crate::dense::DenseParents;
-use crate::hierarchy::VertexHierarchy;
-use crate::index::IsLabelIndex;
+use crate::hierarchy::HierarchyView;
+use crate::label::Labels;
 use crate::query::{Meeting, SearchOutcome};
 use islabel_graph::adjacency::NO_VIA;
 use islabel_graph::{CsrGraph, Dist, VertexId};
@@ -67,33 +67,34 @@ impl Path {
 }
 
 /// Reconstructs the path realizing `out.dist` from the meeting of a search
-/// that recorded `parents` (both in compact ids, as the kernel left them).
+/// that recorded `parents` (both in compact ids, as the kernel left them),
+/// over a pristine index's hierarchy and labels.
 pub(crate) fn reconstruct(
-    index: &IsLabelIndex,
+    h: HierarchyView<'_>,
+    labels: Labels<'_>,
     s: VertexId,
     t: VertexId,
     out: &SearchOutcome,
     parents: &DenseParents,
 ) -> Option<Path> {
-    let h = &index.hierarchy;
     let mut vertices = match out.meeting {
         Meeting::None => return None,
         Meeting::Labels(w) => {
             // Optimal path goes s → w → t entirely through label chains.
-            let mut out = label_path(index, s, w)?;
-            let back = label_path(index, t, w)?;
+            let mut out = label_path(h, labels, s, w)?;
+            let back = label_path(h, labels, t, w)?;
             append_reversed(&mut out, back);
             out
         }
         Meeting::Search(m) => {
             // s →(label)→ seed_f →(G_k)→ m →(G_k)→ seed_r →(label)→ t.
-            let ids = index.dense_gk().ids();
+            let ids = h.gk.ids();
             let global = |chain: Vec<u32>| -> Vec<VertexId> {
                 chain.into_iter().map(|d| ids.global(d)).collect()
             };
             let fchain = global(parents.chain(true, m)?);
             let rchain = global(parents.chain(false, m)?);
-            let mut out = label_path(index, s, fchain[0])?;
+            let mut out = label_path(h, labels, s, fchain[0])?;
             for w in fchain.windows(2) {
                 expand_gk_edge(h, w[0], w[1], &mut out);
             }
@@ -101,7 +102,7 @@ pub(crate) fn reconstruct(
             for w in rchain.windows(2).rev() {
                 expand_gk_edge(h, w[1], w[0], &mut out);
             }
-            let back = label_path(index, t, rchain[0])?;
+            let back = label_path(h, labels, t, rchain[0])?;
             append_reversed(&mut out, back);
             out
         }
@@ -114,22 +115,25 @@ pub(crate) fn reconstruct(
     };
     debug_assert_eq!(path.vertices.first(), Some(&s));
     debug_assert_eq!(path.vertices.last(), Some(&t));
-    debug_assert!(path.validate_against(&index.graph).is_ok());
     Some(path)
 }
 
 /// Follows first hops from `v` to its ancestor `w`, expanding every step;
 /// returns the full vertex sequence `v .. w`.
-fn label_path(index: &IsLabelIndex, v: VertexId, w: VertexId) -> Option<Vec<VertexId>> {
-    let h = &index.hierarchy;
+fn label_path(
+    h: HierarchyView<'_>,
+    labels: Labels<'_>,
+    v: VertexId,
+    w: VertexId,
+) -> Option<Vec<VertexId>> {
     let mut out = vec![v];
     let mut cur = v;
     while cur != w {
-        let (_, hop) = index.labels.label(cur).get_with_hop(w)?;
+        let (_, hop) = labels.label(cur).get_with_hop(w)?;
         if hop == crate::label::NO_HOP || hop == cur {
             return None; // no path metadata (shouldn't happen on pristine indexes)
         }
-        let edge = h.peel_adj(cur).iter().find(|e| e.to == hop)?;
+        let edge = h.peel_adj(cur).find(|e| e.to == hop)?;
         expand_edge(h, cur, hop, edge.via, &mut out);
         cur = hop;
     }
@@ -138,7 +142,7 @@ fn label_path(index: &IsLabelIndex, v: VertexId, w: VertexId) -> Option<Vec<Vert
 
 /// Appends the interior and far endpoint of the `G_k` edge `(a, b)` to
 /// `out` (which must currently end with `a`).
-fn expand_gk_edge(h: &VertexHierarchy, a: VertexId, b: VertexId, out: &mut Vec<VertexId>) {
+fn expand_gk_edge(h: HierarchyView<'_>, a: VertexId, b: VertexId, out: &mut Vec<VertexId>) {
     let via = h.gk_via(a, b).unwrap_or(NO_VIA);
     expand_edge(h, a, b, via, out);
 }
@@ -146,7 +150,7 @@ fn expand_gk_edge(h: &VertexHierarchy, a: VertexId, b: VertexId, out: &mut Vec<V
 /// Recursively expands the (possibly augmenting) edge `(a, b)`; `out` ends
 /// with `a` on entry and with `b` on exit.
 fn expand_edge(
-    h: &VertexHierarchy,
+    h: HierarchyView<'_>,
     a: VertexId,
     b: VertexId,
     via: VertexId,
@@ -160,7 +164,7 @@ fn expand_edge(
     // themselves be augmenting edges of strictly lower levels, so the
     // recursion terminates.
     let via_of = |end: VertexId| {
-        let edge = h.peel_adj(via).iter().find(|e| e.to == end);
+        let edge = h.peel_adj(via).find(|e| e.to == end);
         edge.expect("via vertex must list both endpoints").via
     };
     expand_edge(h, a, via, via_of(a), out);
@@ -178,6 +182,7 @@ fn append_reversed(out: &mut Vec<VertexId>, tail: Vec<VertexId>) {
 mod tests {
     use super::*;
     use crate::config::BuildConfig;
+    use crate::index::IsLabelIndex;
     use crate::reference::dijkstra_p2p;
     use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
 

@@ -1,13 +1,24 @@
-//! Whole-index serialization.
+//! Whole-index serialization, and serving straight off the artifact.
 //!
 //! The paper's index is explicitly disk-based ("construct a disk-based
 //! index", Section 2): build once, persist, then serve queries from the
 //! stored artifact. An `.islx` artifact is the flat section container of
 //! [`v3`] / `islabel-store` — everything a query needs (base graph, level
 //! numbers, peel adjacency and via annotations for path expansion, the
-//! dense `G_k`, the labels) as 8-byte-aligned sections a server can map
-//! and serve in place — so an index can be built offline (including by
-//! the external pipeline) and reloaded by a query server or the CLI.
+//! dense `G_k`, the labels) as 8-byte-aligned sections — so an index can be
+//! built offline (including by the external pipeline) and opened by a
+//! query server or the CLI.
+//!
+//! Every load opens the index *over* the artifact ([`MmapIndex`]): its
+//! arrays are the mapped sections, read in place, and a built index holds
+//! the same arrays in `Vec`s (`docs/adr/0018-one-engine-over-the-sections.md`).
+//! Opening is therefore one O(index) validation scan with no allocation
+//! proportional to the labels; the mapping is prefaulted (`MAP_POPULATE`)
+//! so that scan runs at memory speed. A served artifact is replaced by
+//! renaming a new file over its path, never by writing into it: an open
+//! index keeps its mapping — its generation — until it is dropped, and
+//! truncating a mapped file in place is unsupported (the next read would
+//! fault with `SIGBUS`).
 //!
 //! It is the only artifact format. A file carrying the `ISLX` magic and an
 //! older version number (the v1/v2 streams, the v3 container with `u64`
@@ -25,6 +36,7 @@
 //! never destroys the previous artifact.
 
 use crate::index::IsLabelIndex;
+use crate::oracle::Error;
 use islabel_store::StoreReader;
 use std::io;
 use std::path::Path;
@@ -33,26 +45,50 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub mod v3;
 pub mod wal;
 
-/// Loads the artifact at `path` as a serving oracle, preferring the
-/// zero-copy engine: a pristine artifact is memory-mapped and served in
-/// place ([`crate::MmapIndex`]); one with sealed dynamic updates — the
-/// mapped engine's one refusal that is not an error in the file — is
-/// materialized by the heap engine instead. Any other open error is
-/// returned as is. Both engines are bit-identical on queries, so callers
-/// only observe the difference in
+/// An [`IsLabelIndex`] opened in place over an artifact's sections: the
+/// built index in every respect — session, paths, updates, WAL replay,
+/// writer, answers — but where its arrays live, which only
 /// [`DistanceOracle::engine_name`](crate::DistanceOracle::engine_name)
-/// and load time.
+/// tells (`islabel-mmap`, against a build's `islabel`).
+pub type MmapIndex = IsLabelIndex;
+
+impl IsLabelIndex {
+    /// Maps and opens `path`: structural checks (header CRC, section
+    /// bounds and alignment), then `Sections::validate` — every stored
+    /// value range-checked, every cross-array invariant verified, which is
+    /// what makes reading the raw bytes sound — then the sealed ops. Any
+    /// defect is a typed error. Section *content checksums* are not
+    /// recomputed here: that second O(file) pass attributes corruption
+    /// rather than containing it, and belongs to the writers
+    /// ([`open_verified`](Self::open_verified) before a hot swap, loads
+    /// for recovery and tooling), not to every serving open.
+    pub fn open(path: &Path) -> Result<Self, Error> {
+        Ok(v3::read_index(StoreReader::open_unverified(path)?)?)
+    }
+
+    /// [`open`](Self::open) plus content-checksum verification of every
+    /// section. The rebuild coordinator uses this before publishing a
+    /// freshly written artifact, so a corrupt file can never be swapped
+    /// into serving.
+    pub fn open_verified(path: &Path) -> Result<Self, Error> {
+        Ok(v3::read_index(StoreReader::open(path)?)?)
+    }
+
+    /// Same as [`open_verified`](Self::open_verified) over an in-memory
+    /// image, held in an aligned heap buffer.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, Error> {
+        Ok(v3::read_index(StoreReader::from_bytes(bytes)?)?)
+    }
+}
+
+/// Opens the artifact at `path` as a serving oracle: the index over its
+/// sections, mapped in place ([`crate::MmapIndex::open`]), sealed ops
+/// replayed. Any open error — a defect in the file, an older format, an
+/// inapplicable sealed op — is returned as is.
 pub fn try_load_oracle_from_path(
     path: impl AsRef<Path>,
 ) -> Result<crate::SharedOracle, crate::Error> {
-    let path = path.as_ref();
-    match crate::MmapIndex::open(path) {
-        Ok(mapped) => Ok(std::sync::Arc::new(mapped)),
-        Err(crate::Error::Persist(e)) if e.kind() == io::ErrorKind::Unsupported => {
-            Ok(std::sync::Arc::new(try_load_index_from_path(path)?))
-        }
-        Err(e) => Err(e),
-    }
+    Ok(std::sync::Arc::new(IsLabelIndex::open(path.as_ref())?))
 }
 
 /// Saves to a file path, atomically: the artifact is written to a sibling
@@ -60,7 +96,7 @@ pub fn try_load_oracle_from_path(
 /// mid-save never destroys an existing artifact at `path`. Pending dynamic
 /// updates are sealed into the artifact's op section and the loader
 /// reconstructs the exact overlay (see the module docs). I/O failures
-/// surface as [`Error::Persist`](crate::Error::Persist).
+/// surface as [`Error::Persist`].
 pub fn try_save_index_to_path(
     index: &IsLabelIndex,
     path: impl AsRef<Path>,
@@ -104,15 +140,14 @@ fn atomic_save(index: &IsLabelIndex, path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Loads the artifact at `path` fully onto the heap: structure and content
-/// checksums verified by [`StoreReader::open`], every stored value by the
-/// semantic scan in [`v3::read_index`], sealed ops replayed. Anything that
-/// is not a v4 artifact — an older version included — is a typed
-/// [`Error::Persist`](crate::Error::Persist), as is any I/O failure.
+/// Opens the artifact at `path` for tooling and recovery: structure and
+/// content checksums verified by `StoreReader::open`, every stored value
+/// by `Sections::validate`, sealed ops replayed — the index over the
+/// mapped sections ([`crate::MmapIndex::open_verified`]). Anything that is
+/// not a v4 artifact — an older version included — is a typed
+/// [`Error::Persist`], as is any I/O failure.
 pub fn try_load_index_from_path(path: impl AsRef<Path>) -> Result<IsLabelIndex, crate::Error> {
-    StoreReader::open(path.as_ref())
-        .and_then(|reader| v3::read_index(&reader))
-        .map_err(crate::Error::Persist)
+    IsLabelIndex::open_verified(path.as_ref())
 }
 
 /// Loads the artifact at `index_path` and attaches (recovering if needed)
@@ -200,7 +235,53 @@ pub fn compact_and_publish(
 mod tests {
     use super::*;
     use crate::config::BuildConfig;
+    use crate::oracle::DistanceOracle;
     use islabel_graph::generators::{barabasi_albert, WeightModel};
+
+    fn mmap_of(index: &IsLabelIndex) -> MmapIndex {
+        let buf = v3::write_index(index, io::Cursor::new(Vec::new()))
+            .unwrap()
+            .into_inner();
+        MmapIndex::from_bytes(buf).unwrap()
+    }
+
+    #[test]
+    fn mmap_matches_heap_engine() {
+        let g = barabasi_albert(300, 3, WeightModel::UniformRange(1, 9), 21);
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        let mapped = mmap_of(&index);
+        assert_eq!(mapped.num_vertices(), 300);
+        let mut session = mapped.session();
+        let mut heap_session = index.session();
+        for i in 0..200u32 {
+            let (s, t) = ((i * 7) % 300, (i * 13 + 5) % 300);
+            assert_eq!(
+                session.distance(s, t),
+                heap_session.distance(s, t),
+                "({s}, {t})"
+            );
+        }
+        // Out-of-range vertices are typed errors, and s == t is free.
+        assert!(session.distance(300, 0).is_err());
+        assert_eq!(session.distance(17, 17), Ok(Some(0)));
+    }
+
+    #[test]
+    fn mmap_serves_sealed_updates() {
+        let g = barabasi_albert(80, 2, WeightModel::Unit, 3);
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        index.try_insert_edge(0, 40, 1).unwrap();
+        let u = index.try_insert_vertex(&[(3, 2), (40, 1)]).unwrap();
+        let mapped = mmap_of(&index);
+        assert_eq!(mapped.engine_name(), "islabel-mmap");
+        assert_eq!(mapped.overlay(), index.overlay());
+        let (mut ms, mut hs) = (mapped.session(), index.session());
+        for s in 0..=u {
+            for t in [0, 7, 40, u] {
+                assert_eq!(ms.distance(s, t), hs.distance(s, t), "({s}, {t})");
+            }
+        }
+    }
 
     #[test]
     fn pristine_artifacts_mint_distinct_epochs() {
@@ -211,7 +292,7 @@ mod tests {
         let buf = v3::write_index(&a, io::Cursor::new(Vec::new()))
             .unwrap()
             .into_inner();
-        let loaded = v3::read_index(&StoreReader::from_bytes(buf).unwrap()).unwrap();
+        let loaded = IsLabelIndex::from_bytes(buf).unwrap();
         assert_eq!(loaded.artifact_epoch(), a.artifact_epoch());
     }
 

@@ -1,43 +1,41 @@
 //! The flat artifact (format version 4; the module keeps the name of the
-//! version that introduced the section container): writing an
-//! [`IsLabelIndex`] into the `islabel-store` section container and
-//! loading it back — either fully
-//! into heap structures (this module's [`read_index`]) or zero-copy via
-//! [`crate::mmapindex::MmapIndex`], which shares this module's
-//! `Sections` resolution and semantic validation so the two load paths
-//! cannot drift in what they accept.
+//! version that introduced the section container): an [`IsLabelIndex`]'s
+//! arrays written into the `islabel-store` section container, and an
+//! artifact opened as an index over its own sections.
 //!
-//! Every array is its own 8-byte-aligned section (see
-//! `islabel_store::format` for the layout constants), which is what makes
-//! mmap-and-serve possible. The residual graph `G_k` is stored
-//! *only* in compact (dense-id) form, as the in-memory
-//! [`crate::dense::DenseCsr`]'s three arrays written verbatim: every row
+//! Every array of an index is one 8-byte-aligned section, verbatim (see
+//! `islabel_store::format` for the layout constants): the level table, the
+//! peel adjacency as offsets plus `[to, weight, via]` triples, `G_k` as the
+//! compact [`crate::dense::DenseCsr`]'s three arrays plus both id maps, the
+//! via table and the four label arrays. So a load copies nothing:
+//! [`read_index`] runs `Sections::validate` — the one validator — once,
+//! and the index then reads the mapping in place
+//! (`docs/adr/0018-one-engine-over-the-sections.md`). Every `G_k` row is
 //! in ascending `(weight, neighbour)` order, which `Sections::validate`
-//! checks, so an artifact written before rows were ordered is refused
-//! with "rebuild with islabel build". The heap loader reconstructs the
-//! full-universe CSR through [`GraphBuilder`], which is exact because CSR
-//! construction is canonical (sorted, deduplicated) and the dense
-//! sections were derived from a CSR built the same way.
+//! checks, so an artifact written before rows were ordered is refused with
+//! "rebuild with islabel build".
 
 use crate::config::{BuildConfig, IsStrategy, KSelection};
-use crate::hierarchy::{Levels, PeelEdge, VertexHierarchy};
-use crate::index::IsLabelIndex;
-use crate::label::{LabelDist, LabelSet};
+use crate::dense::{row_key, DenseCsr, DenseGk, GkIdMap, NO_DENSE};
+use crate::hierarchy::{HierarchyView, PeelCsr};
+use crate::index::{IsLabelIndex, Storage};
+use crate::label::Labels;
 use crate::persist::wal;
-use islabel_graph::io::{read_csr_binary, write_csr_binary};
-use islabel_graph::{GraphBuilder, VertexId};
-use islabel_store::format::Header;
+use crate::updates::UpdateOp;
+use islabel_graph::io::{check_csr_binary, read_csr_binary, write_csr_binary};
+use islabel_graph::CsrGraph;
 use islabel_store::format::{
-    FLAG_HAS_HOPS, FLAG_KEEP_PATH_INFO, SECTION_GK_DENSE_OF, SECTION_GK_GLOBAL_OF,
-    SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_VIAS, SECTION_GK_WEIGHTS, SECTION_GRAPH,
-    SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS, SECTION_LABEL_HOPS, SECTION_LABEL_OFFSETS,
-    SECTION_LEVELS, SECTION_OPS, SECTION_PEEL_EDGES, SECTION_PEEL_OFFSETS,
+    section_kind_name, Header, FLAG_HAS_HOPS, FLAG_KEEP_PATH_INFO, SECTION_GK_DENSE_OF,
+    SECTION_GK_GLOBAL_OF, SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_VIAS,
+    SECTION_GK_WEIGHTS, SECTION_GRAPH, SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS,
+    SECTION_LABEL_HOPS, SECTION_LABEL_OFFSETS, SECTION_LEVELS, SECTION_OPS, SECTION_PEEL_EDGES,
+    SECTION_PEEL_OFFSETS,
 };
+use islabel_store::mmap::{cast_u32s, cast_u64s};
 use islabel_store::{ArtifactMeta, StoreReader, StoreWriter};
 use std::io::{self, Seek, Write};
-use std::time::Duration;
-
-use crate::dense::{row_key, DenseCsr, DenseView, NO_DENSE};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
@@ -93,16 +91,16 @@ pub fn stored_config(h: &Header) -> io::Result<BuildConfig> {
     Ok(config)
 }
 
-/// Serializes `index` as a v4 flat artifact. Needs [`Seek`] because the
-/// header (with section table and checksums) is patched in at the end of
-/// the single forward pass. Returns the writer so path-level callers can
-/// `sync_all` the file.
+/// Serializes `index` as a v4 flat artifact: each of its arrays verbatim,
+/// then its pending ops. Needs [`Seek`] because the header (with section
+/// table and checksums) is patched in at the end of the single forward
+/// pass. Returns the writer so path-level callers can `sync_all` the file.
 pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<W> {
-    let h = index.hierarchy();
-    let labels = index.labels();
-    let dense = index.dense_gk();
+    let Sections {
+        hierarchy: h,
+        labels,
+    } = index.sections();
     let config = index.config();
-    let n = h.universe();
     let (ksel_tag, ksel_bits) = ksel_encode(config);
     let (is_tag, is_seed) = is_encode(config.is_strategy);
     let ops = index.overlay.ops();
@@ -119,8 +117,8 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
         k: h.k(),
         ksel_tag,
         ksel_bits,
-        n: n as u64,
-        dense_m: dense.ids().len() as u64,
+        n: h.universe() as u64,
+        dense_m: h.num_gk_vertices() as u64,
         op_count: ops.len() as u64,
         max_levels: config.max_levels,
         is_tag,
@@ -136,67 +134,31 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
     w.end_section()?;
     drop(graph_block);
 
-    // Hierarchy levels.
-    w.begin_section(SECTION_LEVELS)?;
-    buffered((0..n as VertexId).map(|v| h.level_of(v)), |b| {
-        w.write_u32s(b)
-    })?;
-    w.end_section()?;
-
-    // Peel adjacency: an entry-index offset table, then the flat triples.
-    w.begin_section(SECTION_PEEL_OFFSETS)?;
-    buffered(offsets(n, |v| h.peel_adj(v).len()), |b| w.write_u64s(b))?;
-    w.end_section()?;
-    w.begin_section(SECTION_PEEL_EDGES)?;
-    let peel = (0..n as VertexId).flat_map(|v| h.peel_adj(v));
-    let peel = peel.flat_map(|e| [e.to, e.weight, e.via]);
-    buffered(peel, |b| w.write_u32s(b))?;
-    w.end_section()?;
-
-    // Dense G_k: the compact CSR, whose three arrays are the sections'
-    // layout and row order, written verbatim; then both id maps.
-    for (kind, array) in [SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_WEIGHTS]
-        .into_iter()
-        .zip(dense.fwd().arrays())
-    {
+    let [gk_offsets, gk_targets, gk_weights] = h.gk.fwd().arrays();
+    let u32s = |w: &mut StoreWriter<W>, kind: u32, array: &[u32]| {
         w.begin_section(kind)?;
         w.write_u32s(array)?;
-        w.end_section()?;
-    }
-    w.begin_section(SECTION_GK_DENSE_OF)?;
-    w.write_u32s(dense.ids().dense_of_raw())?;
-    w.end_section()?;
-    w.begin_section(SECTION_GK_GLOBAL_OF)?;
-    w.write_u32s(dense.ids().global_of_raw())?;
-    w.end_section()?;
-
-    // Via annotations, global ids (path expansion only): the hierarchy's
-    // ascending triples, verbatim.
-    w.begin_section(SECTION_GK_VIAS)?;
-    let vias = h.gk_vias().iter().flat_map(|&(u, v, via)| [u, v, via]);
-    buffered(vias, |b| w.write_u32s(b))?;
-    w.end_section()?;
-
-    // Labels, struct-of-arrays.
-    w.begin_section(SECTION_LABEL_OFFSETS)?;
-    buffered(offsets(n, |v| labels.label(v).len()), |b| w.write_u64s(b))?;
-    w.end_section()?;
-    w.begin_section(SECTION_LABEL_ANCESTORS)?;
-    for v in 0..n as VertexId {
-        w.write_u32s(labels.label(v).ancestors)?;
-    }
-    w.end_section()?;
-    w.begin_section(SECTION_LABEL_DISTS)?;
-    for v in 0..n as VertexId {
-        w.write_u32s(labels.label(v).dists)?;
-    }
-    w.end_section()?;
+        w.end_section()
+    };
+    let u64s = |w: &mut StoreWriter<W>, kind: u32, array: &[u64]| {
+        w.begin_section(kind)?;
+        w.write_u64s(array)?;
+        w.end_section()
+    };
+    u32s(&mut w, SECTION_LEVELS, h.level_of)?;
+    u64s(&mut w, SECTION_PEEL_OFFSETS, h.peel.offsets)?;
+    u32s(&mut w, SECTION_PEEL_EDGES, h.peel.entries.as_flattened())?;
+    u32s(&mut w, SECTION_GK_OFFSETS, gk_offsets)?;
+    u32s(&mut w, SECTION_GK_TARGETS, gk_targets)?;
+    u32s(&mut w, SECTION_GK_WEIGHTS, gk_weights)?;
+    u32s(&mut w, SECTION_GK_DENSE_OF, h.gk.ids().dense_of_raw())?;
+    u32s(&mut w, SECTION_GK_GLOBAL_OF, h.gk.ids().global_of_raw())?;
+    u32s(&mut w, SECTION_GK_VIAS, h.gk_vias.as_flattened())?;
+    u64s(&mut w, SECTION_LABEL_OFFSETS, labels.offsets)?;
+    u32s(&mut w, SECTION_LABEL_ANCESTORS, labels.ancestors)?;
+    u32s(&mut w, SECTION_LABEL_DISTS, labels.dists)?;
     if labels.has_path_info() {
-        w.begin_section(SECTION_LABEL_HOPS)?;
-        for v in 0..n as VertexId {
-            w.write_u32s(labels.label(v).first_hops)?;
-        }
-        w.end_section()?;
+        u32s(&mut w, SECTION_LABEL_HOPS, labels.first_hops)?;
     }
 
     // Sealed dynamic updates (WAL payload format, length-framed).
@@ -218,222 +180,136 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
 
     w.finish()
 }
-
-/// Feeds `values` to `sink` in chunks of 4096.
-fn buffered<T>(
-    values: impl IntoIterator<Item = T>,
-    mut sink: impl FnMut(&[T]) -> io::Result<()>,
-) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(4096);
-    for x in values {
-        buf.push(x);
-        if buf.len() == 4096 {
-            sink(&buf)?;
-            buf.clear();
-        }
-    }
-    sink(&buf)
-}
-
-/// The entry-index offset table of `n` consecutive runs, run `v` holding
-/// `len(v)` entries: `0`, then every prefix sum.
-fn offsets(n: usize, len: impl Fn(VertexId) -> usize) -> impl Iterator<Item = u64> {
-    let ends = (0..n as VertexId).scan(0u64, move |total, v| {
-        *total += len(v) as u64;
-        Some(*total)
-    });
-    std::iter::once(0).chain(ends)
-}
-
-/// The resolved, typed views of every artifact section, plus the header facts
-/// queries need. Produced by [`Sections::resolve`]; semantic validity
-/// (value ranges, monotonicity, cross-section consistency) is checked
-/// once by [`Sections::validate`] — both the heap loader and `MmapIndex`
-/// run it, so the two paths accept exactly the same artifacts.
-#[derive(Debug)]
+/// An index's arrays as plain slices — a build's `Vec`s or a mapped
+/// artifact's sections, the same layout either way. Sessions, updates,
+/// path queries and the writer all read an index through this one view,
+/// taken once per session or operation. Sound to query only once
+/// [`validate`](Self::validate) has accepted the arrays, which a build
+/// establishes by construction and [`read_index`] checks at open.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Sections<'a> {
-    pub n: usize,
-    pub m: usize,
-    pub k: u32,
-    pub has_hops: bool,
-    pub config: BuildConfig,
-    pub epoch: u64,
-    pub op_count: u64,
-    pub graph: &'a [u8],
-    pub levels: &'a [u32],
-    pub peel_offsets: &'a [u64],
-    pub peel_edges: &'a [u32],
-    pub gk_offsets: &'a [u32],
-    pub gk_targets: &'a [u32],
-    pub gk_weights: &'a [u32],
-    pub dense_of: &'a [u32],
-    pub global_of: &'a [u32],
-    pub gk_vias: &'a [u32],
-    pub label_offsets: &'a [u64],
-    pub label_ancestors: &'a [u32],
-    pub label_dists: &'a [LabelDist],
-    /// Empty when the artifact has no hop section.
-    pub label_hops: &'a [u32],
-    pub ops: &'a [u8],
+    pub hierarchy: HierarchyView<'a>,
+    pub labels: Labels<'a>,
 }
 
-fn need_u32s<'a>(r: &'a StoreReader, kind: u32, what: &str) -> io::Result<&'a [u32]> {
-    r.section_u32s(kind)?
-        .ok_or_else(|| bad(&format!("missing section: {what}")))
-}
-
-fn need_u64s<'a>(r: &'a StoreReader, kind: u32, what: &str) -> io::Result<&'a [u64]> {
-    r.section_u64s(kind)?
-        .ok_or_else(|| bad(&format!("missing section: {what}")))
-}
-
-impl<'a> Sections<'a> {
-    /// Resolves every section to a typed slice and cross-checks all the
-    /// O(1) length facts (array sizes against `n`, `m`, and each other).
-    /// Cheap enough to re-run per session; the O(index) value scans live
-    /// in [`validate`](Self::validate).
-    pub(crate) fn resolve(r: &'a StoreReader) -> io::Result<Sections<'a>> {
-        let h = r.header();
-        let n = usize::try_from(h.n).map_err(|_| bad("vertex count overflows usize"))?;
-        let m = usize::try_from(h.dense_m).map_err(|_| bad("G_k size overflows usize"))?;
-        if n > u32::MAX as usize || m > n {
-            return Err(bad("vertex counts out of range"));
-        }
-        let s = Sections {
-            n,
-            m,
-            k: h.k,
-            has_hops: h.flags & FLAG_HAS_HOPS != 0,
-            config: stored_config(h)?,
-            epoch: h.epoch,
-            op_count: h.op_count,
-            graph: r
-                .section_bytes(SECTION_GRAPH)
-                .ok_or_else(|| bad("missing section: graph"))?,
-            levels: need_u32s(r, SECTION_LEVELS, "levels")?,
-            peel_offsets: need_u64s(r, SECTION_PEEL_OFFSETS, "peel offsets")?,
-            peel_edges: need_u32s(r, SECTION_PEEL_EDGES, "peel edges")?,
-            gk_offsets: need_u32s(r, SECTION_GK_OFFSETS, "gk offsets")?,
-            gk_targets: need_u32s(r, SECTION_GK_TARGETS, "gk targets")?,
-            gk_weights: need_u32s(r, SECTION_GK_WEIGHTS, "gk weights")?,
-            dense_of: need_u32s(r, SECTION_GK_DENSE_OF, "gk dense ids")?,
-            global_of: need_u32s(r, SECTION_GK_GLOBAL_OF, "gk global ids")?,
-            gk_vias: need_u32s(r, SECTION_GK_VIAS, "gk vias")?,
-            label_offsets: need_u64s(r, SECTION_LABEL_OFFSETS, "label offsets")?,
-            label_ancestors: need_u32s(r, SECTION_LABEL_ANCESTORS, "label ancestors")?,
-            label_dists: need_u32s(r, SECTION_LABEL_DISTS, "label dists")?,
-            label_hops: match (
-                h.flags & FLAG_HAS_HOPS != 0,
-                r.section_u32s(SECTION_LABEL_HOPS)?,
-            ) {
-                (true, Some(hops)) => hops,
-                (true, None) => return Err(bad("missing section: label hops")),
-                (false, Some(_)) => return Err(bad("hop section without the hops flag")),
-                (false, None) => &[],
-            },
-            ops: r.section_bytes(SECTION_OPS).unwrap_or(&[]),
-        };
-
-        // Length cross-checks (O(1) each).
-        if s.levels.len() != n {
-            return Err(bad("level table size mismatch"));
-        }
-        if s.peel_offsets.len() != n + 1 {
-            return Err(bad("peel offset table size mismatch"));
-        }
-        if s.peel_offsets.first() != Some(&0)
-            || s.peel_offsets.last().copied().unwrap_or(0) as u128 * 3 != s.peel_edges.len() as u128
-        {
-            return Err(bad("peel offsets inconsistent with edge array"));
-        }
-        if s.gk_offsets.len() != m + 1 {
-            return Err(bad("gk offset table size mismatch"));
-        }
-        if s.gk_offsets.first() != Some(&0)
-            || s.gk_offsets.last().copied().unwrap_or(0) as usize != s.gk_targets.len()
-            || s.gk_targets.len() != s.gk_weights.len()
-        {
-            return Err(bad("gk offsets inconsistent with adjacency arrays"));
-        }
-        if s.dense_of.len() != n || s.global_of.len() != m {
-            return Err(bad("gk id map size mismatch"));
-        }
-        if !s.gk_vias.len().is_multiple_of(3) {
-            return Err(bad("via table length not a multiple of 3"));
-        }
-        if s.label_offsets.len() != n + 1 {
-            return Err(bad("label offset table size mismatch"));
-        }
-        let label_total = s.label_offsets.last().copied().unwrap_or(0);
-        if s.label_offsets.first() != Some(&0)
-            || label_total as u128 != s.label_ancestors.len() as u128
-            || s.label_ancestors.len() != s.label_dists.len()
-            || (s.has_hops && s.label_hops.len() != s.label_ancestors.len())
-        {
-            return Err(bad("label offsets inconsistent with entry arrays"));
-        }
-        Ok(s)
-    }
-
-    /// The O(index) semantic scans: every stored value is range-checked
-    /// and every cross-array invariant verified, so queries over these
-    /// slices can never index out of bounds. Run once at open.
+impl Sections<'_> {
+    /// Every length fact and every stored value, range-checked and
+    /// cross-checked, with the artifact's base-graph `graph` block: after
+    /// it, no query, update or path over these slices can index out of
+    /// bounds. The one validator of an artifact, run once at open.
     ///
-    /// The scan groups (peel graph / G_k arrays / id maps / labels) are
-    /// independent, so for large artifacts they run on scoped threads —
-    /// validate-on-open sits on the hot-reload path and its latency is
-    /// the price of every swap. Error precedence matches the sequential
-    /// order regardless of which thread finishes first.
-    pub(crate) fn validate(&self) -> io::Result<()> {
+    /// The value scans (peel graph / G_k arrays / id maps / labels / base
+    /// graph) are independent, so for large artifacts they run on scoped
+    /// threads — validate-on-open sits on the hot-reload path and its
+    /// latency is the price of every swap. Error precedence matches the
+    /// sequential order regardless of which thread finishes first. Returns
+    /// the base graph's edge count.
+    pub(crate) fn validate(&self, graph: &[u8]) -> io::Result<usize> {
         /// Entry count (summed over the big arrays) above which the
         /// scans fan out to threads; below it thread spawn overhead
         /// would exceed the scan itself.
         const PARALLEL_VALIDATE_ENTRIES: usize = 1 << 18;
-        let work =
-            self.n + self.peel_edges.len() + self.gk_targets.len() + self.label_ancestors.len();
+        self.validate_lengths()?;
+        let h = &self.hierarchy;
+        let n = h.universe();
+        let edges = AtomicUsize::new(0);
+        let graph_check = || match check_csr_binary(graph) {
+            Ok((gn, e)) if gn == n => {
+                // ordering: Relaxed — read after the scope joins this thread.
+                edges.store(e, Ordering::Relaxed);
+                Ok(())
+            }
+            Ok(_) => Err(bad("graph universe disagrees with header")),
+            Err(e) => Err(bad(&format!("graph section: {e}"))),
+        };
+        let quarter = (n / 4).max(1);
+        let cut = |i: usize| (i * quarter).min(n);
+        let groups: [&(dyn Fn() -> io::Result<()> + Sync); 8] = [
+            &|| self.validate_levels_and_peel(),
+            &|| self.validate_gk_and_vias(),
+            &|| self.validate_id_maps(),
+            // Labels dominate (one entry per (vertex, ancestor) pair), so
+            // that group is itself chunked by vertex range.
+            &|| self.validate_labels(0, cut(1)),
+            &|| self.validate_labels(cut(1), cut(2)),
+            &|| self.validate_labels(cut(2), cut(3)),
+            &|| self.validate_labels(cut(3), n),
+            &graph_check,
+        ];
+        let work = n + h.peel.entries.len() + h.gk.fwd().num_entries() + self.labels.num_entries();
         if work < PARALLEL_VALIDATE_ENTRIES {
-            self.validate_levels_and_peel()?;
-            self.validate_gk_and_vias()?;
-            self.validate_id_maps()?;
-            return self.validate_labels(0, self.n);
+            groups.iter().try_for_each(|group| group())?;
+        } else {
+            std::thread::scope(|scope| {
+                let handles = groups.map(|group| scope.spawn(group));
+                handles.into_iter().try_for_each(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| Err(bad("validation worker panicked")))
+                })
+            })?;
         }
-        // Labels dominate (one entry per (vertex, ancestor) pair), so
-        // that group is itself chunked by vertex range.
-        let quarter = (self.n / 4).max(1);
-        std::thread::scope(|scope| {
-            let handles = [
-                scope.spawn(|| self.validate_levels_and_peel()),
-                scope.spawn(|| self.validate_gk_and_vias()),
-                scope.spawn(|| self.validate_id_maps()),
-                scope.spawn(|| self.validate_labels(0, quarter.min(self.n))),
-                scope
-                    .spawn(|| self.validate_labels(quarter.min(self.n), (2 * quarter).min(self.n))),
-                scope.spawn(|| {
-                    self.validate_labels((2 * quarter).min(self.n), (3 * quarter).min(self.n))
-                }),
-                scope.spawn(|| self.validate_labels((3 * quarter).min(self.n), self.n)),
-            ];
-            handles.into_iter().try_for_each(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(bad("validation worker panicked")))
-            })
-        })
+        // ordering: Relaxed — every writer has been joined.
+        Ok(edges.load(Ordering::Relaxed))
+    }
+
+    /// The O(1) length facts: array sizes against `n`, `m` and each other.
+    fn validate_lengths(&self) -> io::Result<()> {
+        /// Whether `offsets` frames `rows` rows over `entries` entries.
+        fn frames<T: Copy + Into<u64>>(offsets: &[T], rows: usize, entries: usize) -> bool {
+            offsets.len() == rows + 1
+                && offsets.first().map(|&o| o.into()) == Some(0)
+                && offsets.last().map(|&o| o.into()) == Some(entries as u64)
+        }
+        let h = &self.hierarchy;
+        let (n, m) = (h.universe(), h.num_gk_vertices());
+        let [gk_offsets, gk_targets, gk_weights] = h.gk.fwd().arrays();
+        let Labels {
+            offsets,
+            ancestors,
+            dists,
+            first_hops: hops,
+        } = self.labels;
+        let facts = [
+            (
+                frames(h.peel.offsets, n, h.peel.entries.len()),
+                "peel offsets inconsistent with edge array",
+            ),
+            (
+                frames(gk_offsets, m, gk_targets.len()) && gk_weights.len() == gk_targets.len(),
+                "gk offsets inconsistent with adjacency arrays",
+            ),
+            (
+                h.gk.ids().dense_of_raw().len() == n,
+                "gk id map size mismatch",
+            ),
+            (
+                frames(offsets, n, ancestors.len())
+                    && dists.len() == ancestors.len()
+                    && (hops.is_empty() || hops.len() == ancestors.len()),
+                "label offsets inconsistent with entry arrays",
+            ),
+        ];
+        match facts.into_iter().find(|&(holds, _)| !holds) {
+            Some((_, what)) => Err(bad(what)),
+            None => Ok(()),
+        }
     }
 
     fn validate_levels_and_peel(&self) -> io::Result<()> {
-        let n = self.n;
+        let h = &self.hierarchy;
+        let n = h.universe();
         let nv = n as u32;
-        if self.levels.iter().any(|&l| l == 0 || l > self.k) {
+        if h.level_of.iter().any(|&l| l == 0 || l > h.k) {
             return Err(bad("level number out of range"));
         }
-        if !self.peel_offsets.windows(2).all(|w| w[0] <= w[1]) {
+        let PeelCsr { offsets, entries } = h.peel;
+        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
             return Err(bad("peel offsets not monotone"));
         }
-        if self.peel_offsets.windows(2).any(|w| w[1] - w[0] > n as u64) {
+        if offsets.windows(2).any(|w| w[1] - w[0] > n as u64) {
             return Err(bad("peel adjacency larger than the vertex universe"));
         }
-        for t in self.peel_edges.chunks_exact(3) {
-            let (to, weight, via) = (t[0], t[1], t[2]);
+        for &[to, weight, via] in entries {
             if to >= nv || weight == 0 || (via != islabel_graph::adjacency::NO_VIA && via >= nv) {
                 return Err(bad("peel edge out of range"));
             }
@@ -442,21 +318,23 @@ impl<'a> Sections<'a> {
     }
 
     fn validate_gk_and_vias(&self) -> io::Result<()> {
-        let m = self.m;
-        let nv = self.n as u32;
-        if !self.gk_offsets.windows(2).all(|w| w[0] <= w[1]) {
+        let h = &self.hierarchy;
+        let m = h.num_gk_vertices();
+        let nv = h.universe() as u32;
+        let gk = h.gk.fwd();
+        let [gk_offsets, gk_targets, gk_weights] = gk.arrays();
+        if !gk_offsets.windows(2).all(|w| w[0] <= w[1]) {
             return Err(bad("gk offsets not monotone"));
         }
-        if self.gk_targets.iter().any(|&t| t as usize >= m) {
+        if gk_targets.iter().any(|&t| t as usize >= m) {
             return Err(bad("gk target out of range"));
         }
-        if self.gk_weights.contains(&0) {
+        if gk_weights.contains(&0) {
             return Err(bad("gk edge weight zero"));
         }
         // The search cuts a row at the first entry µ rejects, so a row out
         // of order would skip a shorter edge: refused here, never
         // re-checked by the kernel.
-        let gk = self.gk();
         for d in 0..m as u32 {
             let (targets, weights) = gk.row(d);
             let keys = targets.iter().zip(weights).map(|(&t, &w)| row_key(t, w));
@@ -464,15 +342,13 @@ impl<'a> Sections<'a> {
                 return Err(bad("gk row not weight-ordered; rebuild with islabel build"));
             }
         }
-        for t in self.gk_vias.chunks_exact(3) {
-            if t[0] >= nv || t[1] >= nv || t[2] >= nv {
-                return Err(bad("via annotation out of range"));
-            }
+        if h.gk_vias.iter().flatten().any(|&x| x >= nv) {
+            return Err(bad("via annotation out of range"));
         }
         // `gk_via` binary-searches the triples as loaded, so they must be
         // strictly ascending by `(u, v)` with `u < v`: refused here, never
         // re-checked by the lookup.
-        let pairs = self.gk_vias.chunks_exact(3).map(|t| (t[0], t[1]));
+        let pairs = h.gk_vias.iter().map(|&[u, v, _]| (u, v));
         if !pairs.clone().all(|(u, v)| u < v) || !pairs.is_sorted_by(|a, b| a < b) {
             return Err(bad(
                 "gk via table not strictly ascending by (u, v) with u < v",
@@ -483,25 +359,26 @@ impl<'a> Sections<'a> {
 
     /// The id maps must be mutually inverse bijections between the m
     /// dense ids and an ascending subset of the universe, and dense
-    /// membership must agree with the level table (level == k) — the
-    /// heap loader reconstructs membership from levels while the mmap
-    /// engine reads `dense_of`, so this is what keeps them identical.
+    /// membership must agree with the level table (level == k): `G_k`
+    /// membership is read from either, so this is what keeps them one.
     fn validate_id_maps(&self) -> io::Result<()> {
-        let m = self.m;
-        let nv = self.n as u32;
-        if !self.global_of.windows(2).all(|w| w[0] < w[1]) {
+        let h = &self.hierarchy;
+        let m = h.num_gk_vertices();
+        let nv = h.universe() as u32;
+        let (dense_of, global_of) = (h.gk.ids().dense_of_raw(), h.gk.ids().global_of_raw());
+        if !global_of.windows(2).all(|w| w[0] < w[1]) {
             return Err(bad("gk global ids not ascending"));
         }
-        if self.global_of.last().is_some_and(|&g| g >= nv) {
+        if global_of.last().is_some_and(|&g| g >= nv) {
             return Err(bad("gk global id out of range"));
         }
-        for (d, &g) in self.global_of.iter().enumerate() {
-            if self.dense_of.get(g as usize) != Some(&(d as u32)) {
+        for (d, &g) in global_of.iter().enumerate() {
+            if dense_of.get(g as usize) != Some(&(d as u32)) {
                 return Err(bad("gk id maps not inverse"));
             }
         }
         let mut members = 0usize;
-        for (v, &d) in self.dense_of.iter().enumerate() {
+        for (&d, &level) in dense_of.iter().zip(h.level_of) {
             let in_gk = d != NO_DENSE;
             if in_gk {
                 members += 1;
@@ -509,7 +386,7 @@ impl<'a> Sections<'a> {
                     return Err(bad("gk dense id out of range"));
                 }
             }
-            if in_gk != (self.levels.get(v).copied() == Some(self.k)) {
+            if in_gk != (level == h.k) {
                 return Err(bad("gk membership disagrees with level table"));
             }
         }
@@ -523,13 +400,14 @@ impl<'a> Sections<'a> {
     /// the shared boundary offset pair, so every adjacent pair of
     /// `label_offsets` is covered by exactly one chunk's monotone
     /// check. A locally-monotone chunk of a globally non-monotone
-    /// table could still point past the entry arrays (resolve only
-    /// pins the final offset), so the end offset is bounds-checked
+    /// table could still point past the entry arrays (the length check
+    /// only pins the final offset), so the end offset is bounds-checked
     /// here before any slicing.
     fn validate_labels(&self, lo: usize, hi: usize) -> io::Result<()> {
-        let n = self.n;
+        let n = self.hierarchy.universe();
         let nv = n as u32;
-        let Some(offs) = self.label_offsets.get(lo..=hi) else {
+        let (label_offsets, ancestors) = (self.labels.offsets, self.labels.ancestors);
+        let Some(offs) = label_offsets.get(lo..=hi) else {
             return Ok(());
         };
         if !offs.windows(2).all(|w| w[0] <= w[1]) {
@@ -540,178 +418,178 @@ impl<'a> Sections<'a> {
         }
         let first = offs.first().copied().unwrap_or(0);
         let last = offs.last().copied().unwrap_or(0);
-        if first > last || last > self.label_ancestors.len() as u64 {
+        if first > last || last > ancestors.len() as u64 {
             return Err(bad("label offsets not monotone"));
         }
-        if self.label_ancestors[first as usize..last as usize]
+        if ancestors[first as usize..last as usize]
             .iter()
             .any(|&a| a >= nv)
         {
             return Err(bad("label ancestor out of range"));
         }
         for w in offs.windows(2) {
-            let entries = &self.label_ancestors[w[0] as usize..w[1] as usize];
+            let entries = &ancestors[w[0] as usize..w[1] as usize];
             if !entries.windows(2).all(|e| e[0] < e[1]) {
                 return Err(bad("label entries not sorted"));
             }
         }
         Ok(())
     }
+}
 
-    /// The zero-universe sections — every slice empty, every query
-    /// rejected by the bounds check. Used as the unreachable fallback in
-    /// `MmapIndex::sections` so re-resolution never needs to panic.
-    pub(crate) fn empty() -> Sections<'static> {
-        Sections {
-            n: 0,
-            m: 0,
-            k: 1,
-            has_hops: false,
-            config: BuildConfig::full(),
-            epoch: 0,
-            op_count: 0,
-            graph: &[],
-            levels: &[],
-            peel_offsets: &[],
-            peel_edges: &[],
-            gk_offsets: &[],
-            gk_targets: &[],
-            gk_weights: &[],
-            dense_of: &[],
-            global_of: &[],
-            gk_vias: &[],
-            label_offsets: &[],
-            label_ancestors: &[],
-            label_dists: &[],
-            label_hops: &[],
-            ops: &[],
+/// An artifact as an index's storage: the reader, and where each section
+/// lies in it, found once at open so a view is slicing, not a lookup.
+#[derive(Debug)]
+pub(crate) struct Mapped {
+    reader: StoreReader,
+    /// Byte range of each section, by kind; empty when it is absent.
+    ranges: [Range<usize>; 16],
+}
+
+impl Mapped {
+    /// The sections of `reader`, every required one present.
+    fn new(reader: StoreReader) -> io::Result<Self> {
+        let h = reader.header();
+        let mut ranges: [Range<usize>; 16] = Default::default();
+        for s in &h.sections {
+            if let Some(r) = ranges.get_mut(s.kind as usize) {
+                *r = s.offset as usize..(s.offset + s.len) as usize;
+            }
+        }
+        let hops = h.section(SECTION_LABEL_HOPS).is_some();
+        match (h.flags & FLAG_HAS_HOPS != 0, hops) {
+            (true, false) => return Err(bad("missing section: label_hops")),
+            (false, true) => return Err(bad("hop section without the hops flag")),
+            _ => {}
+        }
+        // Every kind from the graph to the label distances is required.
+        for kind in SECTION_GRAPH..=SECTION_LABEL_DISTS {
+            if h.section(kind).is_none() {
+                return Err(bad(&format!(
+                    "missing section: {}",
+                    section_kind_name(kind)
+                )));
+            }
+        }
+        Ok(Self { reader, ranges })
+    }
+
+    /// The store underneath (header facts, residency).
+    pub(crate) fn reader(&self) -> &StoreReader {
+        &self.reader
+    }
+
+    fn bytes(&self, kind: u32) -> &[u8] {
+        &self.reader.bytes()[self.ranges[kind as usize].clone()]
+    }
+
+    fn u32s(&self, kind: u32) -> io::Result<&[u32]> {
+        cast_u32s(self.bytes(kind)).ok_or_else(|| bad_size(kind))
+    }
+
+    fn u64s(&self, kind: u32) -> io::Result<&[u64]> {
+        cast_u64s(self.bytes(kind)).ok_or_else(|| bad_size(kind))
+    }
+
+    fn triples(&self, kind: u32) -> io::Result<&[[u32; 3]]> {
+        match self.u32s(kind)?.as_chunks() {
+            (triples, []) => Ok(triples),
+            _ => Err(bad_size(kind)),
         }
     }
 
-    /// The `G_k` sections as the kernel's row view. Sound to query only
-    /// after [`validate`](Self::validate).
-    #[inline]
-    pub(crate) fn gk(&self) -> DenseCsr<&'a [u32]> {
-        DenseCsr::from_sections(self.gk_offsets, self.gk_targets, self.gk_weights)
-    }
-
-    /// One vertex's label as a [`crate::label::LabelView`] over the
-    /// mapped slices. `v` must be `< n` (callers bounds-check first).
-    #[inline]
-    pub(crate) fn label_view(&self, v: VertexId) -> crate::label::LabelView<'a> {
-        let lo = self.label_offsets[v as usize] as usize;
-        let hi = self.label_offsets[v as usize + 1] as usize;
-        crate::label::LabelView {
-            ancestors: &self.label_ancestors[lo..hi],
-            dists: &self.label_dists[lo..hi],
-            first_hops: if self.label_hops.is_empty() {
-                &[]
-            } else {
-                &self.label_hops[lo..hi]
+    /// The sections as typed slices; fails only on a section whose length
+    /// is not a whole number of its elements.
+    fn try_sections(&self) -> io::Result<Sections<'_>> {
+        Ok(Sections {
+            hierarchy: HierarchyView {
+                level_of: self.u32s(SECTION_LEVELS)?,
+                k: self.reader.header().k,
+                peel: PeelCsr {
+                    offsets: self.u64s(SECTION_PEEL_OFFSETS)?,
+                    entries: self.triples(SECTION_PEEL_EDGES)?,
+                },
+                gk: DenseGk {
+                    ids: GkIdMap {
+                        dense_of: self.u32s(SECTION_GK_DENSE_OF)?,
+                        global_of: self.u32s(SECTION_GK_GLOBAL_OF)?,
+                    },
+                    fwd: DenseCsr {
+                        offsets: self.u32s(SECTION_GK_OFFSETS)?,
+                        targets: self.u32s(SECTION_GK_TARGETS)?,
+                        weights: self.u32s(SECTION_GK_WEIGHTS)?,
+                    },
+                    rev: None,
+                },
+                gk_vias: self.triples(SECTION_GK_VIAS)?,
             },
-        }
+            labels: Labels {
+                offsets: self.u64s(SECTION_LABEL_OFFSETS)?,
+                ancestors: self.u32s(SECTION_LABEL_ANCESTORS)?,
+                dists: self.u32s(SECTION_LABEL_DISTS)?,
+                first_hops: self.u32s(SECTION_LABEL_HOPS)?,
+            },
+        })
+    }
+
+    /// The sections as typed slices: slicing at the ranges found at open
+    /// and one cast per array, which [`read_index`] has seen succeed.
+    pub(crate) fn sections(&self) -> Sections<'_> {
+        self.try_sections()
+            .expect("section sizes were checked when the artifact was opened")
+    }
+
+    /// The base graph, parsed from its section.
+    pub(crate) fn base_graph(&self) -> CsrGraph {
+        read_csr_binary(&mut self.bytes(SECTION_GRAPH))
+            .expect("the graph section was validated when the artifact was opened")
     }
 }
 
-/// Loads a v4 artifact fully into heap structures, including sealed-op
-/// replay.
-pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
-    let s = Sections::resolve(reader)?;
-    s.validate()?;
-    let n = s.n;
-    let m = s.m;
+fn bad_size(kind: u32) -> io::Error {
+    bad(&format!(
+        "section {}: length not a whole number of elements",
+        section_kind_name(kind)
+    ))
+}
 
-    let graph = read_csr_binary(&mut &s.graph[..])?;
-    if graph.num_vertices() != n {
-        return Err(bad("graph universe disagrees with header"));
+/// Opens a v4 artifact as an index over its sections, in place: header
+/// facts checked, `Sections::validate` run once, sealed ops replayed
+/// into the overlay. Nothing proportional to the index is copied.
+pub fn read_index(reader: StoreReader) -> io::Result<IsLabelIndex> {
+    let h = reader.header().clone();
+    let config = stored_config(&h)?;
+    let n = usize::try_from(h.n).map_err(|_| bad("vertex count overflows usize"))?;
+    let m = usize::try_from(h.dense_m).map_err(|_| bad("G_k size overflows usize"))?;
+    if n > u32::MAX as usize || m > n {
+        return Err(bad("vertex counts out of range"));
     }
-
-    let mut levels = Levels {
-        level_of: s.levels.to_vec(),
-        k: s.k,
-        sets: vec![Vec::new(); s.k.saturating_sub(1) as usize],
-        gk_members: Vec::with_capacity(m),
-    };
-    for (v, &l) in levels.level_of.iter().enumerate() {
-        if l == s.k {
-            levels.gk_members.push(v as VertexId);
-        } else {
-            levels.sets[(l - 1) as usize].push(v as VertexId);
-        }
+    let mapped = Mapped::new(reader)?;
+    let s = mapped.try_sections()?;
+    if s.hierarchy.universe() != n {
+        return Err(bad("level table size mismatch"));
     }
-
-    let mut peel_adj: Vec<Box<[PeelEdge]>> = Vec::with_capacity(n);
-    for w in s.peel_offsets.windows(2) {
-        let adj: Vec<PeelEdge> = s.peel_edges[w[0] as usize * 3..w[1] as usize * 3]
-            .chunks_exact(3)
-            .map(|t| PeelEdge {
-                to: t[0],
-                weight: t[1],
-                via: t[2],
-            })
-            .collect();
-        peel_adj.push(adj.into_boxed_slice());
+    if s.hierarchy.num_gk_vertices() != m {
+        return Err(bad("gk id map size mismatch"));
     }
-
-    // Reconstruct the full-universe residual CSR from the dense sections.
-    // CSR construction is canonical (sorted, min-deduplicated), so this is
-    // bit-identical to the graph the dense sections were derived from.
-    let mut b = GraphBuilder::new(n);
-    b.reserve(s.gk_targets.len() / 2);
-    let dense = s.gk();
-    let mut row = Vec::new();
-    for d in 0..m as u32 {
-        // Each row back in neighbour order, so the builder sorts a sorted
-        // edge list.
-        row.clear();
-        row.extend(dense.edges_of(d).filter(|&(t, _)| t > d));
-        row.sort_unstable();
-        for &(t, w) in &row {
-            b.add_edge(s.global_of[d as usize], s.global_of[t as usize], w);
-        }
-    }
-    let gk = b.build();
-
-    let gk_vias = s
-        .gk_vias
-        .chunks_exact(3)
-        .map(|t| (t[0], t[1], t[2]))
-        .collect();
-
-    let mut per_vertex: Vec<Vec<(VertexId, LabelDist, VertexId)>> = Vec::with_capacity(n);
-    for w in s.label_offsets.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        let entries = (lo..hi)
-            .map(|e| {
-                let hop = if s.has_hops {
-                    s.label_hops[e]
-                } else {
-                    crate::label::NO_HOP
-                };
-                (s.label_ancestors[e], s.label_dists[e], hop)
-            })
-            .collect();
-        per_vertex.push(entries);
-    }
-    let labels = LabelSet::from_per_vertex(per_vertex, s.has_hops);
-
-    let hierarchy = VertexHierarchy::from_parts(levels, peel_adj, gk, gk_vias);
-    // Build times are not recorded in the artifact.
-    let mut index = IsLabelIndex::from_parts(
-        graph,
-        hierarchy,
-        labels,
-        s.config,
-        Duration::ZERO,
-        Duration::ZERO,
-    );
-    index.set_artifact_epoch(s.epoch);
-
+    let num_edges = s.validate(mapped.bytes(SECTION_GRAPH))?;
+    let ops = sealed_ops(mapped.bytes(SECTION_OPS), h.op_count)?;
+    let mut index = IsLabelIndex::from_storage(Storage::Mapped(mapped), num_edges, config, h.epoch);
     // Replay the sealed op log through the normal mutation path: every
     // record is validated against the overlay state it applies to, so a
     // corrupt op section fails cleanly instead of building a wrong overlay.
-    let mut bytes = s.ops;
-    for i in 0..s.op_count {
+    for (i, op) in ops.iter().enumerate() {
+        index
+            .replay_op(op)
+            .map_err(|e| bad(&format!("sealed op {i} inapplicable: {e}")))?;
+    }
+    Ok(index)
+}
+
+/// Decodes the `count` length-framed records of an ops section.
+fn sealed_ops(mut bytes: &[u8], count: u64) -> io::Result<Vec<UpdateOp>> {
+    let mut ops = Vec::new();
+    for i in 0..count {
         if bytes.len() < 4 {
             return Err(bad(&format!("sealed op {i} truncated")));
         }
@@ -721,16 +599,13 @@ pub fn read_index(reader: &StoreReader) -> io::Result<IsLabelIndex> {
             return Err(bad(&format!("sealed op {i} implausibly large")));
         }
         let (payload, rest) = rest.split_at(len);
-        let op = wal::decode_op(payload).map_err(|e| bad(&format!("sealed op {i}: {e}")))?;
-        index
-            .replay_op(&op)
-            .map_err(|e| bad(&format!("sealed op {i} inapplicable: {e}")))?;
+        ops.push(wal::decode_op(payload).map_err(|e| bad(&format!("sealed op {i}: {e}")))?);
         bytes = rest;
     }
     if !bytes.is_empty() {
         return Err(bad("trailing bytes after the sealed op log"));
     }
-    Ok(index)
+    Ok(ops)
 }
 
 #[cfg(test)]
@@ -745,20 +620,18 @@ mod tests {
         let buf = write_index(&index, Cursor::new(Vec::new()))
             .unwrap()
             .into_inner();
-        let reader = StoreReader::from_bytes(buf).unwrap();
-        let loaded = read_index(&reader).unwrap();
+        let loaded = read_index(StoreReader::from_bytes(buf).unwrap()).unwrap();
         (index, loaded)
     }
 
     #[test]
     fn v3_roundtrip_preserves_everything_queryable() {
         let (index, loaded) = v3_roundtrip(BuildConfig::default());
+        // The loaded index reads the very arrays the built one holds.
         assert_eq!(loaded.labels(), index.labels());
-        assert_eq!(loaded.hierarchy().gk(), index.hierarchy().gk());
-        assert_eq!(loaded.hierarchy().levels(), index.hierarchy().levels());
-        assert_eq!(loaded.dense_gk().fwd(), index.dense_gk().fwd());
-        assert_eq!(loaded.dense_gk().ids(), index.dense_gk().ids());
+        assert_eq!(loaded.hierarchy(), index.hierarchy());
         assert_eq!(loaded.artifact_epoch(), index.artifact_epoch());
+        assert_eq!(loaded.base_graph(), index.base_graph());
         assert_eq!(loaded.config().k_selection, index.config().k_selection);
         for i in 0..60u32 {
             let (s, t) = ((i * 7) % 200, (i * 11 + 3) % 200);
@@ -807,8 +680,9 @@ mod tests {
             .into_inner();
         let reader = StoreReader::from_bytes(buf).unwrap();
         assert_eq!(reader.header().op_count, 3);
-        let loaded = read_index(&reader).unwrap();
+        let loaded = read_index(reader).unwrap();
         assert!(loaded.has_updates());
+        assert_eq!(loaded.overlay(), index.overlay());
         assert_eq!(loaded.num_vertices(), index.num_vertices());
         assert_eq!(loaded.artifact_epoch(), index.artifact_epoch());
         assert_eq!(loaded.is_stale(), index.is_stale());
@@ -827,47 +701,24 @@ mod tests {
             .unwrap()
             .into_inner();
 
-        // Re-checksum a section after tampering so only semantic (not
-        // structural) validation can catch it: swap the first two label
-        // ancestors of some vertex with at least 2 entries.
-        let reader = StoreReader::from_bytes(good.clone()).unwrap();
-        let s = Sections::resolve(&reader).unwrap();
-        let target = s
-            .label_offsets
-            .windows(2)
-            .position(|w| w[1] - w[0] >= 2)
-            .expect("some label has 2+ entries");
-        let lo = s.label_offsets[target] as usize;
-        let sec = *reader.header().section(SECTION_LABEL_ANCESTORS).unwrap();
-        drop(reader);
-
+        // Duplicate an entry of some label with at least 2 (so it is not
+        // strictly sorted), then reseal every checksum and the header crc:
+        // structure validates, and only semantic validation can object.
+        let offsets = index.labels().offsets;
+        let target = offsets.windows(2).position(|w| w[1] - w[0] >= 2);
+        let lo = offsets[target.expect("some label has 2+ entries")] as usize;
         let mut bad_bytes = good;
-        let base = sec.offset as usize + lo * 4;
-        bad_bytes.copy_within(base..base + 4, base + 4); // duplicate entry => not strictly sorted
-                                                         // Patch the section checksum and the header crc so structure
-                                                         // validates and only semantic validation can object.
-        let body = &bad_bytes[sec.offset as usize..(sec.offset + sec.len) as usize];
-        let new_sum = islabel_store::format::checksum64(body);
-        assert_ne!(new_sum, sec.checksum); // tampering changed the body
-                                           // Rewrite the table entry checksum in place.
-        let table_at = (0..islabel_store::format::MAX_SECTIONS)
-            .map(|i| {
-                islabel_store::format::HEADER_BYTES + i * islabel_store::format::TABLE_ENTRY_BYTES
-            })
-            .find(|&at| {
-                u32::from_le_bytes(bad_bytes[at..at + 4].try_into().unwrap())
-                    == SECTION_LABEL_ANCESTORS
-            })
-            .unwrap();
-        bad_bytes[table_at + 24..table_at + 32].copy_from_slice(&new_sum.to_le_bytes());
-        // Recompute the header crc.
-        let mut head: Vec<u8> = bad_bytes[..islabel_store::format::DATA_START].to_vec();
-        head[64..68].fill(0);
-        let hcrc = islabel_store::format::crc32(&head);
-        bad_bytes[64..68].copy_from_slice(&hcrc.to_le_bytes());
+        let mut header = Header::decode(&bad_bytes, bad_bytes.len() as u64).unwrap();
+        let at = header.section(SECTION_LABEL_ANCESTORS).unwrap().offset as usize + lo * 4;
+        bad_bytes.copy_within(at..at + 4, at + 4);
+        for s in &mut header.sections {
+            let body = &bad_bytes[s.offset as usize..(s.offset + s.len) as usize];
+            s.checksum = islabel_store::format::checksum64(body);
+        }
+        bad_bytes[..islabel_store::format::DATA_START].copy_from_slice(&header.encode());
 
         let reader = StoreReader::from_bytes(bad_bytes).unwrap(); // structure OK
-        let err = read_index(&reader).unwrap_err();
+        let err = read_index(reader).unwrap_err();
         assert!(err.to_string().contains("not sorted"), "{err}");
     }
 }

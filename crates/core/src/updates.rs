@@ -64,9 +64,9 @@
 //! and reloads losslessly (see [`crate::persist::wal`]).
 
 use crate::dense::{DensePatch, GkIdMap, StampedSlab};
-use crate::hierarchy::VertexHierarchy;
-use crate::index::IsLabelIndex;
-use crate::label::{LabelDist, LabelSet, LabelView};
+use crate::hierarchy::HierarchyView;
+use crate::label::{LabelDist, LabelView, Labels};
+use crate::persist::v3::Sections;
 use islabel_graph::{CsrGraph, Dist, FxHashMap, VertexId, Weight};
 
 /// One dynamic update in application order — the unit of the write-ahead
@@ -76,12 +76,12 @@ use islabel_graph::{CsrGraph, Dist, FxHashMap, VertexId, Weight};
 /// (the patching algorithms are deterministic).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateOp {
-    /// [`IsLabelIndex::try_insert_vertex`] with the given adjacency.
+    /// [`IsLabelIndex::try_insert_vertex`](crate::IsLabelIndex::try_insert_vertex) with the given adjacency.
     InsertVertex {
         /// `(neighbor, weight)` pairs of the new vertex.
         edges: Vec<(VertexId, Weight)>,
     },
-    /// [`IsLabelIndex::try_insert_edge`].
+    /// [`IsLabelIndex::try_insert_edge`](crate::IsLabelIndex::try_insert_edge).
     InsertEdge {
         /// One endpoint.
         a: VertexId,
@@ -90,7 +90,7 @@ pub enum UpdateOp {
         /// Positive edge weight.
         w: Weight,
     },
-    /// [`IsLabelIndex::try_delete_vertex`].
+    /// [`IsLabelIndex::try_delete_vertex`](crate::IsLabelIndex::try_delete_vertex).
     DeleteVertex {
         /// The tombstoned vertex.
         v: VertexId,
@@ -236,7 +236,7 @@ struct DescendantWalk {
 impl DescendantWalk {
     /// Transposes `peel_adj` over the `n` base vertices in two counting
     /// passes.
-    fn build(h: &VertexHierarchy, n: usize) -> Self {
+    fn build(h: HierarchyView<'_>, n: usize) -> Self {
         let mut offsets = vec![0u32; n + 1];
         for x in 0..n as VertexId {
             for e in h.peel_adj(x) {
@@ -292,7 +292,7 @@ impl DescendantWalk {
     }
 }
 
-/// The overlay's shape ([`IsLabelIndex::overlay_stats`]): counters the
+/// The overlay's shape ([`IsLabelIndex::overlay_stats`](crate::IsLabelIndex::overlay_stats)): counters the
 /// mutation path maintains, so reading them costs nothing, and `bytes`,
 /// which is summed over capacities on call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -357,7 +357,7 @@ impl Overlay {
     }
 
     /// Effective `G_k` membership: inserted vertices always live in `G_k`.
-    pub fn effective_in_gk(&self, h: &VertexHierarchy, v: VertexId) -> bool {
+    pub fn effective_in_gk(&self, h: HierarchyView<'_>, v: VertexId) -> bool {
         if (v as usize) >= self.base_n {
             true
         } else {
@@ -374,7 +374,7 @@ impl Overlay {
     /// through `ids`, inserted vertices on the tail in id order, `None` for
     /// a peeled vertex.
     #[inline]
-    pub(crate) fn dense_id(&self, ids: &GkIdMap, v: VertexId) -> Option<u32> {
+    pub(crate) fn dense_id(&self, ids: &GkIdMap<&[u32]>, v: VertexId) -> Option<u32> {
         if (v as usize) < self.base_n {
             ids.dense(v)
         } else {
@@ -388,7 +388,7 @@ impl Overlay {
         self.max_patch_len
     }
 
-    /// See [`IsLabelIndex::overlay_stats`].
+    /// See [`IsLabelIndex::overlay_stats`](crate::IsLabelIndex::overlay_stats).
     pub(crate) fn stats(&self) -> OverlayStats {
         use std::mem::size_of;
         let patch_bytes = self.label_patches.capacity()
@@ -437,7 +437,7 @@ impl Overlay {
     /// `max_label_len + max_patch_len` for zero steady-state allocations).
     pub(crate) fn effective_label_into<'a>(
         &self,
-        labels: &'a LabelSet,
+        labels: Labels<'a>,
         v: VertexId,
         ancestors: &'a mut Vec<VertexId>,
         dists: &'a mut Vec<LabelDist>,
@@ -467,7 +467,7 @@ impl Overlay {
     #[inline]
     fn merge_label_into(
         &self,
-        labels: &LabelSet,
+        labels: Labels<'_>,
         v: VertexId,
         mut emit: impl FnMut(VertexId, LabelDist),
     ) {
@@ -518,28 +518,36 @@ impl Overlay {
     /// second endpoint the first one's label as just patched), so when
     /// that sum fits the check costs nothing. Otherwise `op` runs on a copy
     /// of the overlay, which is then dropped.
-    pub(crate) fn check_fits(index: &mut IsLabelIndex, op: &UpdateOp) -> Result<(), String> {
+    pub(crate) fn check_fits(&self, s: Sections<'_>, op: &UpdateOp) -> Result<(), String> {
         let w = match op {
             UpdateOp::InsertVertex { edges } => edges.iter().map(|&(_, w)| w).max().unwrap_or(0),
             UpdateOp::InsertEdge { w, .. } => *w,
             UpdateOp::DeleteVertex { .. } => return Ok(()),
         };
-        let bound = 2 * Dist::from(index.overlay.max_dist) + 2 * Dist::from(w);
+        let bound = 2 * Dist::from(self.max_dist) + 2 * Dist::from(w);
         if bound <= Dist::from(LabelDist::MAX) {
             return Ok(());
         }
-        let trial = index.overlay.clone();
-        let kept = std::mem::replace(&mut index.overlay, trial);
-        index.apply(op);
-        let overflowed = index.overlay.scratch.overflowed;
-        index.overlay = kept;
-        if overflowed {
+        let mut trial = self.clone();
+        trial.apply(s, op);
+        if trial.scratch.overflowed {
             return Err(format!(
                 "a patched label distance would exceed u32::MAX (largest label distance {})",
-                index.overlay.max_dist
+                self.max_dist
             ));
         }
         Ok(())
+    }
+
+    /// Applies a checked op; never touches a WAL.
+    pub(crate) fn apply(&mut self, s: Sections<'_>, op: &UpdateOp) {
+        match op {
+            UpdateOp::InsertVertex { edges } => {
+                self.insert_vertex(s, edges);
+            }
+            UpdateOp::InsertEdge { a, b, w } => self.insert_edge(s, *a, *b, *w),
+            UpdateOp::DeleteVertex { v } => self.delete_vertex(s, *v),
+        }
     }
 
     /// Materializes the fully updated graph: base edges minus tombstones,
@@ -561,86 +569,70 @@ impl Overlay {
     }
 
     // -----------------------------------------------------------------
-    // Mutations, written as associated functions taking the whole index
-    // so they can borrow hierarchy/labels immutably beside the overlay.
+    // Mutations: each reads the index's arrays through `s` and writes
+    // only the overlay.
     // -----------------------------------------------------------------
 
     /// Logs `op` as applied and returns the residual delta for it to
     /// update, creating the delta if this is the first mutation.
-    fn begin_op(index: &mut IsLabelIndex, op: UpdateOp) -> &mut DensePatch {
-        index.overlay.ops.push(op);
-        let base_len = index.dense.ids().len();
-        index
-            .overlay
-            .residual
+    fn begin_op(&mut self, s: Sections<'_>, op: UpdateOp) -> &mut DensePatch {
+        self.ops.push(op);
+        let base_len = s.hierarchy.num_gk_vertices();
+        self.residual
             .get_or_insert_with(|| DensePatch::new(base_len, 0))
     }
 
-    /// Implements [`IsLabelIndex::try_insert_vertex`].
+    /// Implements [`IsLabelIndex::try_insert_vertex`](crate::IsLabelIndex::try_insert_vertex).
     pub(crate) fn insert_vertex(
-        index: &mut IsLabelIndex,
+        &mut self,
+        s: Sections<'_>,
         edges: &[(VertexId, Weight)],
     ) -> VertexId {
-        let u = index.overlay.universe() as VertexId;
+        let u = self.universe() as VertexId;
         for &(v, w) in edges {
-            assert!(
-                (v as usize) < index.overlay.universe(),
-                "neighbor {v} out of range"
-            );
-            assert!(!index.overlay.is_deleted(v), "neighbor {v} is deleted");
+            assert!((v as usize) < self.universe(), "neighbor {v} out of range");
+            assert!(!self.is_deleted(v), "neighbor {v} is deleted");
             assert!(w > 0, "weights must be positive");
         }
-        Overlay::begin_op(
-            index,
+        self.begin_op(
+            s,
             UpdateOp::InsertVertex {
                 edges: edges.to_vec(),
             },
         )
         .push_vertex();
-        let overlay = &mut index.overlay;
-        overlay.extra_vertices += 1;
+        self.extra_vertices += 1;
         // The new vertex lives in G_k with a self-only label.
-        overlay.label_patches.insert(u, vec![(u, 0)]);
-        overlay.patch_entries += 1;
-        overlay.max_patch_len = overlay.max_patch_len.max(1);
+        self.label_patches.insert(u, vec![(u, 0)]);
+        self.patch_entries += 1;
+        self.max_patch_len = self.max_patch_len.max(1);
 
         for &(v, w) in edges {
-            index.overlay.inserted_edges.push((u, v, w));
-            if index.overlay.effective_in_gk(&index.hierarchy, v) {
+            self.inserted_edges.push((u, v, w));
+            if self.effective_in_gk(s.hierarchy, v) {
                 // "If v is in G_k, then we simply add the edge (u, v)."
-                Overlay::push_residual_edge(index, u, v, w);
+                self.push_residual_edge(s, u, v, w);
             } else {
                 // "Otherwise ... add (u, ω(u, v)) to label(v)" and patch all
                 // descendants of v with the accumulated distance.
-                Overlay::patch_with_entries(index, v, &[(u, Dist::from(w))]);
+                self.patch_with_entries(s, v, &[(u, Dist::from(w))]);
             }
         }
         u
     }
 
-    /// Implements [`IsLabelIndex::try_insert_edge`].
-    pub(crate) fn insert_edge(index: &mut IsLabelIndex, a: VertexId, b: VertexId, w: Weight) {
-        assert!(
-            (a as usize) < index.overlay.universe(),
-            "vertex {a} out of range"
-        );
-        assert!(
-            (b as usize) < index.overlay.universe(),
-            "vertex {b} out of range"
-        );
-        assert!(a != b, "self-loops are not allowed");
-        assert!(
-            !index.overlay.is_deleted(a) && !index.overlay.is_deleted(b),
-            "endpoint deleted"
-        );
-        assert!(w > 0, "weights must be positive");
-        Overlay::begin_op(index, UpdateOp::InsertEdge { a, b, w });
-        index.overlay.inserted_edges.push((a, b, w));
+    /// Implements [`IsLabelIndex::try_insert_edge`](crate::IsLabelIndex::try_insert_edge).
+    pub(crate) fn insert_edge(&mut self, s: Sections<'_>, a: VertexId, b: VertexId, w: Weight) {
+        let live = |v: VertexId| (v as usize) < self.universe() && !self.is_deleted(v);
+        assert!(live(a) && live(b), "endpoint out of range or deleted");
+        assert!(a != b && w > 0, "self-loop or zero weight");
+        self.begin_op(s, UpdateOp::InsertEdge { a, b, w });
+        self.inserted_edges.push((a, b, w));
 
-        let a_gk = index.overlay.effective_in_gk(&index.hierarchy, a);
-        let b_gk = index.overlay.effective_in_gk(&index.hierarchy, b);
+        let a_gk = self.effective_in_gk(s.hierarchy, a);
+        let b_gk = self.effective_in_gk(s.hierarchy, b);
         if a_gk && b_gk {
-            Overlay::push_residual_edge(index, a, b, w);
+            self.push_residual_edge(s, a, b, w);
             return;
         }
         // For each non-G_k endpoint x, teach x (and its descendants) the
@@ -649,69 +641,64 @@ impl Overlay {
         // endpoint is taught the first one's label as just patched.
         for (x, x_gk, y) in [(a, a_gk, b), (b, b_gk, a)] {
             if !x_gk {
-                let mut shifted = std::mem::take(&mut index.overlay.scratch.shifted);
+                let mut shifted = std::mem::take(&mut self.scratch.shifted);
                 shifted.clear();
-                index.overlay.merge_label_into(&index.labels, y, |anc, d| {
+                self.merge_label_into(s.labels, y, |anc, d| {
                     shifted.push((anc, Dist::from(d) + Dist::from(w)))
                 });
-                Overlay::patch_with_entries(index, x, &shifted);
-                index.overlay.scratch.shifted = shifted;
+                self.patch_with_entries(s, x, &shifted);
+                self.scratch.shifted = shifted;
             }
         }
     }
 
-    /// Implements [`IsLabelIndex::try_delete_vertex`].
-    pub(crate) fn delete_vertex(index: &mut IsLabelIndex, v: VertexId) {
-        assert!(
-            (v as usize) < index.overlay.universe(),
-            "vertex {v} out of range"
-        );
-        if index.overlay.is_deleted(v) {
+    /// Implements [`IsLabelIndex::try_delete_vertex`](crate::IsLabelIndex::try_delete_vertex).
+    pub(crate) fn delete_vertex(&mut self, s: Sections<'_>, v: VertexId) {
+        assert!((v as usize) < self.universe(), "vertex {v} out of range");
+        if self.is_deleted(v) {
             return;
         }
-        let dense = index.overlay.dense_id(index.dense.ids(), v);
-        let residual = Overlay::begin_op(index, UpdateOp::DeleteVertex { v });
+        let dense = self.dense_id(s.hierarchy.gk.ids(), v);
+        let residual = self.begin_op(s, UpdateOp::DeleteVertex { v });
         if let Some(d) = dense {
             // Its own list and its neighbours' entries for it stay where
             // they are: the patched view skips both.
             residual.mark_dead(d);
         }
-        let overlay = &mut index.overlay;
         let word = (v / 64) as usize;
-        if overlay.dead.len() <= word {
-            overlay.dead.resize(word + 1, 0);
+        if self.dead.len() <= word {
+            self.dead.resize(word + 1, 0);
         }
-        overlay.dead[word] |= 1u64 << (v % 64);
-        overlay.deleted.push(v);
-        if let Some(patch) = overlay.label_patches.remove(&v) {
-            overlay.patch_entries -= patch.len();
+        self.dead[word] |= 1u64 << (v % 64);
+        self.deleted.push(v);
+        if let Some(patch) = self.label_patches.remove(&v) {
+            self.patch_entries -= patch.len();
         }
         if dense.is_none() {
             // A peeled vertex: augmenting edges and label entries may still
             // represent paths through v; only a rebuild can reconcile them
             // (paper: "rebuild the index periodically").
-            overlay.stale = true;
+            self.stale = true;
         }
     }
 
     /// Adds the inserted edge `(a, b)` between two effective `G_k`
     /// vertices to the residual delta, both directions.
-    fn push_residual_edge(index: &mut IsLabelIndex, a: VertexId, b: VertexId, w: Weight) {
-        let overlay = &mut index.overlay;
-        let ids = index.dense.ids();
-        let da = overlay
+    fn push_residual_edge(&mut self, s: Sections<'_>, a: VertexId, b: VertexId, w: Weight) {
+        let ids = s.hierarchy.gk.ids();
+        let da = self
             .dense_id(ids, a)
             .expect("an effective G_k vertex has a dense id");
-        let db = overlay
+        let db = self
             .dense_id(ids, b)
             .expect("an effective G_k vertex has a dense id");
-        let residual = overlay
+        let residual = self
             .residual
             .as_mut()
             .expect("every mutation begins by creating the residual delta");
         residual.push_edge(da, db, w);
         residual.push_edge(db, da, w);
-        overlay.residual_edges += 1;
+        self.residual_edges += 1;
     }
 
     /// Patches the peeled vertex `target` and all its descendants with
@@ -720,13 +707,13 @@ impl Overlay {
     /// value past [`LabelDist`] is stored saturated and sets the scratch's
     /// `overflowed` flag, which [`Overlay::check_fits`] reads off a copy.
     fn patch_with_entries(
-        index: &mut IsLabelIndex,
+        &mut self,
+        s: Sections<'_>,
         target: VertexId,
         entries: &[(VertexId, Dist)],
     ) {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let overlay = &mut index.overlay;
-        let mut scratch = std::mem::take(&mut overlay.scratch);
+        let mut scratch = std::mem::take(&mut self.scratch);
         let PatchScratch {
             walk,
             victims,
@@ -734,8 +721,7 @@ impl Overlay {
             overflowed,
             ..
         } = &mut scratch;
-        let walk =
-            walk.get_or_insert_with(|| DescendantWalk::build(&index.hierarchy, overlay.base_n));
+        let walk = walk.get_or_insert_with(|| DescendantWalk::build(s.hierarchy, self.base_n));
 
         // Collect (vertex, shift) pairs first so all label reads happen
         // before any patch write. Deleted vertices are walked through but
@@ -743,16 +729,16 @@ impl Overlay {
         victims.clear();
         victims.push((target, 0));
         walk.for_each_descendant(target, |c| {
-            if overlay.is_deleted(c) {
+            if self.is_deleted(c) {
                 return;
             }
             // d(c, target) as c's effective label has it: target is an
             // ancestor of every descendant by construction of the DAG, and
             // an earlier patch may have brought it closer.
-            let label = index.labels.label(c);
+            let label = s.labels.label(c);
             let base = label.ancestors.binary_search(&target).ok();
             let base = base.map(|i| label.dists[i]);
-            let patched = overlay
+            let patched = self
                 .label_patches
                 .get(&c)
                 .and_then(|p| patch_entry(p, target));
@@ -762,15 +748,15 @@ impl Overlay {
         });
 
         for &(x, shift) in victims.iter() {
-            let patch = overlay.label_patches.entry(x).or_default();
+            let patch = self.label_patches.entry(x).or_default();
             let before = patch.len();
             let max = min_merge_shifted(patch, entries, Dist::from(shift), merged);
             *overflowed |= max > Dist::from(LabelDist::MAX);
-            overlay.max_dist = overlay.max_dist.max(narrow(max));
-            overlay.patch_entries += patch.len() - before;
-            overlay.max_patch_len = overlay.max_patch_len.max(patch.len());
+            self.max_dist = self.max_dist.max(narrow(max));
+            self.patch_entries += patch.len() - before;
+            self.max_patch_len = self.max_patch_len.max(patch.len());
         }
-        overlay.scratch = scratch;
+        self.scratch = scratch;
     }
 }
 
@@ -989,7 +975,8 @@ mod tests {
                 );
             }
 
-            let ids = index.dense.ids();
+            let gk = index.dense_gk();
+            let ids = gk.ids();
             let global = |d: u32| match (d as usize).checked_sub(ids.len()) {
                 Some(j) => (overlay.base_n + j) as VertexId,
                 None => ids.global(d),

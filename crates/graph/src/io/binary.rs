@@ -61,9 +61,24 @@ pub fn write_csr_binary<W: Write>(g: &CsrGraph, writer: &mut W) -> io::Result<()
 
 /// Deserializes a graph previously written by [`write_csr_binary`].
 pub fn read_csr_binary<R: Read>(reader: &mut R) -> io::Result<CsrGraph> {
-    let mut header = [0u8; 24];
-    reader.read_exact(&mut header)?;
-    let mut h = &header[..];
+    let mut block = Vec::new();
+    reader.read_to_end(&mut block)?;
+    let (n, _) = check_csr_binary(&block)?;
+    let m2 = (block.len() - 24 - (n + 1) * 8) / 8;
+    let mut b = &block[24..];
+    let offsets = (0..=n).map(|_| b.get_u64_le() as usize).collect();
+    let neighbors: Vec<VertexId> = (0..m2).map(|_| b.get_u32_le()).collect();
+    let weights: Vec<Weight> = (0..m2).map(|_| b.get_u32_le()).collect();
+    Ok(CsrGraph::from_parts(offsets, neighbors, weights))
+}
+
+/// Checks a whole [`write_csr_binary`] block in place — header, length,
+/// offsets, neighbour range, weights — without building the graph; the
+/// checks [`read_csr_binary`] relies on. Returns `(|V|, |E|)`.
+pub fn check_csr_binary(block: &[u8]) -> io::Result<(usize, usize)> {
+    let mut h = block
+        .get(..24)
+        .ok_or_else(|| bad_data("truncated header"))?;
     let mut magic = [0u8; 4];
     h.copy_to_slice(&mut magic);
     if &magic != MAGIC {
@@ -73,46 +88,45 @@ pub fn read_csr_binary<R: Read>(reader: &mut R) -> io::Result<CsrGraph> {
     if version != VERSION {
         return Err(bad_data(&format!("unsupported version {version}")));
     }
-    let n = h.get_u64_le() as usize;
-    let m2 = h.get_u64_le() as usize;
-
-    let mut body = Vec::new();
-    reader.read_to_end(&mut body)?;
-    let expected = (n + 1) * 8 + m2 * 4 + m2 * 4;
-    if body.len() != expected {
+    let (n, m2) = (h.get_u64_le(), h.get_u64_le());
+    let body = (block.len() - 24) as u64;
+    let expected = n
+        .checked_add(1)
+        .and_then(|n1| n1.checked_mul(8))
+        .and_then(|o| m2.checked_mul(8).and_then(|a| a.checked_add(o)));
+    if expected != Some(body) {
         return Err(bad_data(&format!(
-            "expected {expected} body bytes, found {}",
-            body.len()
+            "expected {expected:?} body bytes, found {body}"
         )));
     }
-    let mut b = &body[..];
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(b.get_u64_le() as usize);
-    }
-    let mut neighbors: Vec<VertexId> = Vec::with_capacity(m2);
-    for _ in 0..m2 {
-        neighbors.push(b.get_u32_le());
-    }
-    let mut weights: Vec<Weight> = Vec::with_capacity(m2);
-    for _ in 0..m2 {
-        weights.push(b.get_u32_le());
-    }
-
-    // Structural validation.
-    if offsets.first() != Some(&0) || offsets.last() != Some(&m2) {
+    let (n, m2) = (n as usize, m2 as usize);
+    let (offsets, arrays) = block[24..].split_at((n + 1) * 8);
+    let (neighbors, weights) = arrays.split_at(m2 * 4);
+    // Whole-array folds over fixed-size chunks, no early exit: each pass
+    // runs at memory speed.
+    let offsets = offsets.as_chunks().0.iter().map(|&c| u64::from_le_bytes(c));
+    let (first, last, monotone) = offsets.fold((None, 0, true), |(first, last, ok), o| {
+        (first.or(Some(o)), o, ok & (o >= last))
+    });
+    if first != Some(0) || last != m2 as u64 {
         return Err(bad_data("offset bounds corrupt"));
     }
-    if !offsets.windows(2).all(|w| w[0] <= w[1]) {
+    if !monotone {
         return Err(bad_data("offsets not monotone"));
     }
-    if neighbors.iter().any(|&v| v as usize >= n) {
+    let u32s = |b: &[u8], ok: &dyn Fn(u32) -> bool| {
+        b.as_chunks()
+            .0
+            .iter()
+            .fold(true, |all, &c| all & ok(u32::from_le_bytes(c)))
+    };
+    if !u32s(neighbors, &|v| (v as usize) < n) {
         return Err(bad_data("neighbor id out of range"));
     }
-    if weights.contains(&0) {
+    if !u32s(weights, &|w| w != 0) {
         return Err(bad_data("zero edge weight"));
     }
-    Ok(CsrGraph::from_parts(offsets, neighbors, weights))
+    Ok((n, m2 / 2))
 }
 
 fn bad_data(msg: &str) -> io::Error {

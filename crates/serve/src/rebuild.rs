@@ -15,11 +15,13 @@
 //!    (temp file + rename) *before* anything else changes.
 //! 3. **Swap** — the coordinator's part: publish through the shared
 //!    [`OracleHandle`]; in-flight queries finish on the snapshot they
-//!    started on. The published oracle is the *memory-mapped* view of the
-//!    just-saved artifact ([`islabel_core::MmapIndex`]) — the rebuild's
-//!    heap index is dropped and the server serves zero-copy off the
-//!    artifact it owns on disk; if mapping fails for any reason the heap
-//!    index is published instead, so compaction never fails on the swap.
+//!    started on. The published oracle is the just-saved artifact opened
+//!    in place ([`islabel_core::MmapIndex`]) — the rebuild's own arrays
+//!    are dropped and the server reads the artifact it owns on disk; if
+//!    the open fails for any reason the rebuilt index is published
+//!    instead, so compaction never fails on the swap. The old artifact is
+//!    renamed over, never written into, so snapshots still on it keep
+//!    their mapping until they are released.
 //! 4. **WAL reset** — only now truncate the log, rewriting it with the
 //!    rebuilt artifact's fresh epoch.
 //!
@@ -167,12 +169,12 @@ impl RebuildCoordinator {
             .spawn(move || -> Result<CompactStats, String> {
                 let mut version = 0;
                 let info = compact_and_publish(&index_path, &wal_path, |saved, rebuilt| {
-                    // Serve zero-copy off the artifact just persisted: map
-                    // it and drop the rebuild's heap copy. The verified
-                    // open recomputes every section checksum, so a corrupt
-                    // write can never be published. Any failure falls back
-                    // to the heap index — both engines answer identically,
-                    // so this choice is unobservable to queries.
+                    // Serve off the artifact just persisted: map it and drop
+                    // the rebuild's own arrays. The verified open
+                    // recomputes every section checksum, so a corrupt write
+                    // can never be published. Any failure falls back to the
+                    // rebuilt index — the same arrays in owned memory, so
+                    // this choice is unobservable to queries.
                     let published: SharedOracle = match MmapIndex::open_verified(saved) {
                         Ok(mapped) => Arc::new(mapped),
                         Err(_) => Arc::new(rebuilt),
@@ -330,7 +332,7 @@ mod tests {
         let sections = |path: &Path| -> Vec<(u32, u64, u64)> {
             let mapped = MmapIndex::open_verified(path).unwrap();
             assert_eq!(*mapped.config(), config, "{}", path.display());
-            let header = mapped.reader().header();
+            let header = mapped.reader().expect("an opened index").header();
             header
                 .sections
                 .iter()

@@ -35,9 +35,9 @@ pub const MAGIC: [u8; 4] = *b"ISLX";
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Fixed header bytes before the section table.
-pub const HEADER_BYTES: usize = 88;
+const HEADER_BYTES: usize = 88;
 /// Bytes per section-table entry.
-pub const TABLE_ENTRY_BYTES: usize = 32;
+const TABLE_ENTRY_BYTES: usize = 32;
 /// Section-table slots reserved in every artifact (unused slots are
 /// zeroed). Bounding the table keeps the header region fixed-size so the
 /// first section offset never moves.
@@ -637,12 +637,6 @@ impl Header {
     /// The table entry for `kind`, if the artifact has that section.
     pub fn section(&self, kind: u32) -> Option<&SectionEntry> {
         self.sections.iter().find(|s| s.kind == kind)
-    }
-
-    /// Whether the artifact carries no sealed dynamic updates (and is
-    /// therefore directly mmap-servable).
-    pub fn is_pristine(&self) -> bool {
-        self.op_count == 0
     }
 }
 

@@ -115,6 +115,11 @@ impl StoreReader {
         self.map.is_mapped()
     }
 
+    /// The whole artifact, header included.
+    pub fn bytes(&self) -> &[u8] {
+        self.map.bytes()
+    }
+
     /// The raw bytes of section `kind`, or `None` if the artifact does
     /// not carry that section.
     pub fn section_bytes(&self, kind: u32) -> Option<&[u8]> {

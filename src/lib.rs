@@ -17,8 +17,8 @@
 //!   TCP [`DistanceServer`], and a blocking [`DistanceClient`] /
 //!   [`ClientPool`].
 //! * [`store`] — the on-disk v4 `.islx` artifact: flat sectioned format,
-//!   streaming writer, and the validating zero-copy mapped reader that
-//!   [`MmapIndex`] serves from.
+//!   streaming writer, and the validating zero-copy mapped reader an
+//!   opened [`IsLabelIndex`] ([`MmapIndex`]) reads its arrays from.
 //!
 //! The most common entry points are re-exported at the top level:
 //!

@@ -236,7 +236,7 @@ fn answers_do_not_depend_on_phase_tracing() {
         .unwrap()
         .into_inner();
     let mapped = MmapIndex::from_bytes(image).unwrap();
-    assert_tracing_is_invisible("mmap", &mut *mapped.session(), 250, |session, s, t| {
+    assert_tracing_is_invisible("mmap", &mut mapped.session(), 250, |session, s, t| {
         session.distance(s, t).unwrap()
     });
 

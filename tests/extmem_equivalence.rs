@@ -22,12 +22,7 @@ fn equivalent_on_every_paper_dataset() {
             .unwrap();
         let im = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         assert_eq!(em.labels(), im.labels(), "{}: labels", ds.name());
-        assert_eq!(
-            em.hierarchy().gk(),
-            im.hierarchy().gk(),
-            "{}: G_k",
-            ds.name()
-        );
+        assert_eq!(em.dense_gk(), im.dense_gk(), "{}: G_k", ds.name());
         assert_eq!(em.stats().k, im.stats().k, "{}: k", ds.name());
         assert_eq!(
             em.stats().label_bytes,

@@ -22,6 +22,7 @@ use islabel::core::dense::{
     dense_bi_dijkstra, dense_search, DenseCsr, DenseGk, DenseParents, DensePatch, DenseScratch,
     DenseView, GkIdMap, PatchedDense,
 };
+use islabel::core::hierarchy::VertexHierarchy;
 use islabel::core::persist::try_save_index_to_path;
 use islabel::core::query::Meeting;
 use islabel::core::reference::{di_dijkstra_p2p, dijkstra_p2p};
@@ -31,6 +32,7 @@ use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, Weigh
 use islabel::graph::GraphBuilder;
 use islabel::prelude::*;
 use islabel::store::format::{SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_WEIGHTS};
+use islabel::store::StoreReader;
 
 type Seeds = Vec<(u32, Dist)>;
 
@@ -349,16 +351,20 @@ fn mapped_view_from_adversarial_starts() {
         let path = dir.join(format!("{name}.islx"));
         try_save_index_to_path(&index, &path).unwrap();
         let mapped = MmapIndex::open(&path).unwrap();
-        let section = |kind| mapped.reader().section_u32s(kind).unwrap().unwrap();
+        let reader = StoreReader::open(&path).unwrap();
+        let section = |kind| reader.section_u32s(kind).unwrap().unwrap();
         let view = Mapped {
             offsets: section(SECTION_GK_OFFSETS),
             targets: section(SECTION_GK_TARGETS),
             weights: section(SECTION_GK_WEIGHTS),
         };
-        let ids = index.dense_gk().ids();
+        let dense = index.dense_gk();
+        let ids = dense.ids();
         assert_eq!(view.num_vertices(), ids.len());
         assert!(ids.len() > 50, "{name}: G_k of {}", ids.len());
-        let gk = index.hierarchy().gk();
+        // The builder's full-universe `G_k`, which the index does not keep.
+        let hierarchy = VertexHierarchy::build(&g, &BuildConfig::fixed_k(2));
+        let gk = hierarchy.gk();
         check_view(&format!("mapped {name}"), &view, &view, &|a, b| {
             dijkstra_p2p(gk, ids.global(a), ids.global(b))
         });

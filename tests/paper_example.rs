@@ -55,7 +55,7 @@ fn figure1_hierarchy_structure() {
         assert_eq!(h.level_of(v), l, "ℓ(vertex {v})");
     }
     // "G4 consists of a single edge (a, g) of weight 3."
-    let a_adj = h.peel_adj(0);
+    let a_adj: Vec<_> = h.peel_adj(0).collect();
     assert_eq!(a_adj.len(), 1);
     assert_eq!((a_adj[0].to, a_adj[0].weight), (6, 3));
 }

@@ -195,7 +195,7 @@ proptest! {
             .unwrap()
             .into_inner();
         let reader = islabel::store::StoreReader::from_bytes(buf).unwrap();
-        let loaded = islabel::core::persist::v3::read_index(&reader).unwrap();
+        let loaded = islabel::core::persist::v3::read_index(reader).unwrap();
         let n = g.num_vertices() as u32;
         for i in 0..10u32 {
             let s = (qseed + i * 11) % n;

@@ -1,5 +1,5 @@
-//! Integration suite for the mmap store: the zero-copy engine must be
-//! bit-identical to the heap engine on pristine artifacts, and opening
+//! Integration suite for the mmap store: an index opened over an artifact
+//! must be bit-identical to the one built in memory, and opening
 //! hostile bytes — mutated headers, truncations, random flips — must
 //! yield typed errors or semantically-valid successes, never a panic.
 
@@ -10,7 +10,7 @@ use islabel::core::persist::{
     compact_index_with_wal, load_index_with_wal, try_load_index_from_path,
     try_load_oracle_from_path, try_save_index_to_path,
 };
-use islabel::core::{BuildConfig, IsLabelIndex, MmapIndex};
+use islabel::core::{BuildConfig, IsLabelIndex, MmapIndex, UpdateOp};
 use islabel::graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
 use islabel::store::format::{
     checksum64, Header, DATA_START, SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_VIAS,
@@ -72,15 +72,16 @@ fn mmap_is_bit_identical_to_heap_across_graphs_and_configs() {
             let mapped = MmapIndex::open_verified(&path).unwrap();
             assert_eq!(mapped.engine_name(), "islabel-mmap");
             assert_eq!(mapped.num_vertices(), heap.num_vertices());
-            // The heap reload of the same bytes is the third witness.
-            let reloaded = try_load_index_from_path(&path).unwrap();
-            let mut ms = mapped.session();
-            let mut hs = heap.session();
-            let mut rs = reloaded.session();
+            // The mapped sections are the built arrays, value for value.
+            assert_eq!(mapped.hierarchy(), heap.hierarchy());
+            assert_eq!(mapped.labels(), heap.labels());
+            let (mut ms, mut hs) = (mapped.session(), heap.session());
             for (s, t) in pairs(g.num_vertices(), 400) {
-                let want = hs.distance(s, t);
-                assert_eq!(ms.distance(s, t), want, "{gname}/{cname} mmap {s}->{t}");
-                assert_eq!(rs.distance(s, t), want, "{gname}/{cname} reload {s}->{t}");
+                assert_eq!(
+                    ms.distance(s, t),
+                    hs.distance(s, t),
+                    "{gname}/{cname} {s}->{t}"
+                );
             }
         }
     }
@@ -249,28 +250,30 @@ fn oracle_loader_validates_once_and_reports_the_first_error() {
     let path = dir.join("index.islx");
 
     // A corrupt pristine artifact: the mapped open (no content checksums)
-    // finds the unsorted label, and that error is the one returned — a
-    // second, heap open would have reported the checksum instead.
+    // finds the unsorted label, and that error is the one returned.
     unsort_one_label(&mut pristine);
     std::fs::write(&path, &pristine).unwrap();
     let err = try_load_oracle_from_path(&path).err().unwrap().to_string();
     assert!(err.contains("not sorted"), "{err}");
 
-    // A sealed artifact is served by the heap engine ...
+    // A sealed artifact opens mapped too, and answers as the index it was
+    // saved from ...
     let mut updated = index;
     updated.try_insert_edge(0, 150, 1).unwrap();
+    let u = updated.try_insert_vertex(&[(3, 2), (150, 4)]).unwrap();
     try_save_index_to_path(&updated, &path).unwrap();
-    assert_eq!(
-        try_load_oracle_from_path(&path).unwrap().engine_name(),
-        "islabel"
-    );
-    // ... and refused by the mapped engine before the semantic scan runs:
-    // the same defect in a sealed file is never reached.
+    let oracle = try_load_oracle_from_path(&path).unwrap();
+    assert_eq!(oracle.engine_name(), "islabel-mmap");
+    let (mut os, mut us) = (oracle.session(), updated.session());
+    for (s, t) in pairs(updated.num_vertices(), 200).chain([(u, 0), (7, u)]) {
+        assert_eq!(os.distance(s, t), us.distance(s, t), "{s}->{t}");
+    }
+    // ... and the same defect in a sealed file is found by the same scan.
     let mut sealed = std::fs::read(&path).unwrap();
     unsort_one_label(&mut sealed);
     std::fs::write(&path, &sealed).unwrap();
     let err = MmapIndex::open(&path).unwrap_err().to_string();
-    assert!(err.contains("sealed dynamic updates"), "{err}");
+    assert!(err.contains("not sorted"), "{err}");
     assert!(try_load_oracle_from_path(&path).is_err());
 }
 
@@ -392,28 +395,130 @@ fn compact_returns_serving_to_the_mmap_engine() {
         "islabel-mmap"
     );
 
-    // Stream durable updates; the sealed artifact now needs the heap.
+    // Stream durable updates and seal them: mmap still serves, with the
+    // answers of the live index the ops were applied to.
     let (mut live, _) = load_index_with_wal(&ipath, &wpath).unwrap();
     for i in 0..20u32 {
         live.try_insert_edge(i, (i * 3 + 40) % 250, 2).unwrap();
     }
     try_save_index_to_path(&live, &ipath).unwrap(); // seals the pending ops
-    drop(live);
-    assert_eq!(
-        try_load_oracle_from_path(&ipath).unwrap().engine_name(),
-        "islabel"
-    );
+    let sealed = try_load_oracle_from_path(&ipath).unwrap();
+    assert_eq!(sealed.engine_name(), "islabel-mmap");
+    let (mut ss, mut ls) = (sealed.session(), live.session());
+    for (s, t) in pairs(250, 200) {
+        assert_eq!(ss.distance(s, t), ls.distance(s, t));
+    }
+    drop((ss, ls));
+    drop(live); // releases the WAL before the compaction resets it
 
     // Compaction folds the ops into a fresh pristine artifact: mmap again,
-    // and the answers match a from-scratch heap rebuild of the same graph.
+    // and the answers match a from-scratch build of the same graph.
     let info = compact_index_with_wal(&ipath, &wpath).unwrap();
     assert_eq!(info.folded_ops, 20);
     let oracle = try_load_oracle_from_path(&ipath).unwrap();
     assert_eq!(oracle.engine_name(), "islabel-mmap");
-    let reference = try_load_index_from_path(&ipath).unwrap();
+    let reference = IsLabelIndex::try_build(
+        &try_load_index_from_path(&ipath).unwrap().current_graph(),
+        BuildConfig::default(),
+    )
+    .unwrap();
     let mut os = oracle.session();
     let mut rs = reference.session();
     for (s, t) in pairs(250, 200) {
         assert_eq!(os.distance(s, t), rs.distance(s, t));
     }
+}
+
+#[test]
+fn wal_recovery_serves_off_the_mapping() {
+    // A replica restarted over a non-empty log: the artifact is mapped,
+    // the log replayed into the overlay on top of it, and from then on it
+    // answers — distances, paths, further updates — as an index built in
+    // memory and fed the same ops.
+    let g = barabasi_albert(240, 3, WeightModel::UniformRange(1, 6), 17);
+    let dir = TempDir::new("smm-wal-mapped");
+    let (ipath, wpath) = (dir.join("index.islx"), dir.join("index.wal"));
+    let mut owned = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+    try_save_index_to_path(&owned, &ipath).unwrap();
+    let logged = [
+        UpdateOp::InsertEdge { a: 1, b: 200, w: 3 },
+        UpdateOp::InsertVertex {
+            edges: vec![(5, 2), (90, 1)],
+        },
+        UpdateOp::DeleteVertex {
+            v: owned.hierarchy().gk_members()[0],
+        },
+    ];
+    let apply = |x: &mut IsLabelIndex, op: &UpdateOp| match op {
+        UpdateOp::InsertVertex { edges } => x.try_insert_vertex(edges).map(drop),
+        &UpdateOp::InsertEdge { a, b, w } => x.try_insert_edge(a, b, w),
+        &UpdateOp::DeleteVertex { v } => x.try_delete_vertex(v),
+    };
+    {
+        let (mut writer, _) = load_index_with_wal(&ipath, &wpath).unwrap();
+        for op in &logged {
+            apply(&mut writer, op).unwrap();
+        }
+    }
+    for op in &logged {
+        apply(&mut owned, op).unwrap();
+    }
+    let (mut mapped, recovery) = load_index_with_wal(&ipath, &wpath).unwrap();
+    assert_eq!(recovery.replayed, 3);
+    assert!(mapped.is_mapped());
+    assert_eq!(mapped.engine_name(), "islabel-mmap");
+    let check = |mapped: &IsLabelIndex, owned: &IsLabelIndex| {
+        assert_eq!(mapped.overlay(), owned.overlay());
+        let (mut ms, mut os) = (mapped.session(), owned.session());
+        for (s, t) in pairs(owned.num_vertices(), 300) {
+            assert_eq!(ms.distance(s, t), os.distance(s, t), "{s}->{t}");
+            assert_eq!(
+                mapped.try_shortest_path(s, t),
+                owned.try_shortest_path(s, t),
+                "path {s}->{t}"
+            );
+        }
+    };
+    check(&mapped, &owned);
+    let u = mapped.try_insert_vertex(&[(10, 1), (240, 2)]).unwrap();
+    assert_eq!(owned.try_insert_vertex(&[(10, 1), (240, 2)]).unwrap(), u);
+    for x in [&mut mapped, &mut owned] {
+        x.try_insert_edge(u, 33, 1).unwrap();
+        x.try_delete_vertex(12).unwrap();
+    }
+    check(&mapped, &owned);
+}
+
+#[test]
+fn a_renamed_over_artifact_leaves_open_indexes_on_their_generation() {
+    // The one supported way to replace a served artifact is to rename a
+    // new file over its path: an index opened before keeps its mapping,
+    // so it answers from its own generation, bit for bit, after the
+    // compaction publishes the next one.
+    let g = grid2d(14, 14, WeightModel::UniformRange(1, 5), 9);
+    let built = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+    let dir = TempDir::new("smm-rename");
+    let (ipath, wpath) = (dir.join("index.islx"), dir.join("index.wal"));
+    try_save_index_to_path(&built, &ipath).unwrap();
+    let answers = |x: &IsLabelIndex| -> Vec<_> {
+        pairs(196, 300).map(|(s, t)| x.try_distance(s, t)).collect()
+    };
+    let old = MmapIndex::open(&ipath).unwrap();
+    let before = answers(&old);
+
+    let (mut live, _) = load_index_with_wal(&ipath, &wpath).unwrap();
+    for v in 0..10u32 {
+        live.try_insert_edge(v, 195 - v, 1).unwrap();
+    }
+    drop(live);
+    let info = compact_index_with_wal(&ipath, &wpath).unwrap();
+    let new = MmapIndex::open(&ipath).unwrap();
+    assert_eq!(new.artifact_epoch(), info.epoch);
+    assert_ne!(old.artifact_epoch(), info.epoch);
+    assert_eq!(answers(&old), before);
+    assert_ne!(
+        answers(&new),
+        before,
+        "the next generation answers differently"
+    );
 }
