@@ -1029,7 +1029,7 @@ fn overlay_line(index: &IsLabelIndex) -> Option<String> {
     index.has_updates().then(|| {
         format!(
             "{} ops, {} inserted, {} deleted, {} patched labels / {} entries (max {}), \
-             {} extra edges, {:.2} MiB",
+             {} extra edges, {} slow fit checks, {:.2} MiB",
             o.pending_ops,
             o.inserted_vertices,
             o.tombstones,
@@ -1037,6 +1037,7 @@ fn overlay_line(index: &IsLabelIndex) -> Option<String> {
             o.patch_entries,
             o.max_patch_len,
             o.extra_edges,
+            o.slow_fit_checks,
             o.bytes as f64 / (1024.0 * 1024.0)
         )
     })

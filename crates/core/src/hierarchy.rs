@@ -9,6 +9,12 @@
 //! is what confines the repair to a self-join on each peeled vertex's
 //! neighborhood — the property the whole I/O-efficient design leans on.
 //!
+//! In memory, `G_i` is a [`SortedAdjacency`]: one row per vertex sorted by
+//! neighbour, so the repair for a peeled vertex `v` is a merge of `N(v)`
+//! against each neighbour's row — sequential reads, not hash probes; almost
+//! every candidate only confirms an edge that is already there
+//! (`docs/adr/0019-sorted-row-peel.md`).
+//!
 //! Construction stops at level `k` (Definition 4): with the σ rule, at the
 //! first level whose graph shrank by less than `1 − σ`; the residual `G_k`
 //! is kept for query-time search. `peel_levels` is the one place that
@@ -17,7 +23,7 @@
 
 use crate::config::{BuildConfig, IsStrategy, KSelection};
 use crate::dense::DenseGk;
-use islabel_graph::adjacency::AdjacencyGraph;
+use islabel_graph::adjacency::SortedAdjacency;
 use islabel_graph::{CsrGraph, VertexId, Weight};
 use std::convert::Infallible;
 
@@ -146,7 +152,7 @@ impl VertexHierarchy {
             select_independent_set(
                 work.present_vertices().collect(),
                 |v| work.degree(v),
-                |v| work.neighbors(v).map(|(u, _)| u),
+                |v| work.neighbors(v),
                 config.is_strategy,
                 level,
                 &mut excluded_at,
@@ -173,7 +179,7 @@ impl VertexHierarchy {
                     work.is_present(v),
                     "vertex {v} already peeled before level {level}"
                 );
-                for (u, _) in work.neighbors(v) {
+                for u in work.neighbors(v) {
                     assert!(
                         li.binary_search(&u).is_err(),
                         "level {level} is not an independent set: edge ({v}, {u})"
@@ -195,10 +201,10 @@ impl VertexHierarchy {
     fn peel_undirected(
         g: &CsrGraph,
         config: &BuildConfig,
-        select: impl FnMut(&AdjacencyGraph, u32) -> Vec<VertexId>,
+        select: impl FnMut(&SortedAdjacency, u32) -> Vec<VertexId>,
     ) -> Self {
         let mut backend = Undirected {
-            work: AdjacencyGraph::from_csr(g),
+            work: SortedAdjacency::from_csr(g),
             peel_adj: PeelRows::new(g.num_vertices()),
             select,
         };
@@ -207,7 +213,6 @@ impl VertexHierarchy {
         if !config.keep_path_info {
             gk_vias = Vec::new();
         }
-        let gk_vias = gk_vias.into_iter().map(|(u, v, via)| [u, v, via]).collect();
         let peel = backend.peel_adj.into_csr();
         Self {
             levels,
@@ -435,15 +440,15 @@ pub(crate) fn peel_levels<P: LevelPeel>(
     })
 }
 
-/// The in-memory undirected backend: `G_i` as a hash-map adjacency,
-/// repaired by Algorithm 3; `select` chooses `L_i`.
+/// The in-memory undirected backend: `G_i` as sorted rows, repaired by
+/// Algorithm 3; `select` chooses `L_i`.
 struct Undirected<S> {
-    work: AdjacencyGraph,
+    work: SortedAdjacency,
     peel_adj: PeelRows<[VertexId; 3]>,
     select: S,
 }
 
-impl<S: FnMut(&AdjacencyGraph, u32) -> Vec<VertexId>> LevelPeel for Undirected<S> {
+impl<S: FnMut(&SortedAdjacency, u32) -> Vec<VertexId>> LevelPeel for Undirected<S> {
     type Error = Infallible;
 
     fn num_edges(&self) -> usize {
@@ -550,32 +555,20 @@ fn order_by_degree(
 /// Vertices are processed in ascending id order; on equal augmented weight
 /// the earlier edge (or the pre-existing edge) wins, which makes via
 /// annotations deterministic and lets the external-memory pipeline
-/// reproduce them exactly.
+/// reproduce them exactly. Augmenting weights are real path lengths and
+/// must stay within the `Weight` type; graphs whose shortest paths exceed
+/// `u32::MAX` are out of contract (see the `BuildConfig` docs) and fail
+/// loudly in [`SortedAdjacency::peel_vertex`] rather than wrapping.
 fn peel_level(
-    work: &mut AdjacencyGraph,
+    work: &mut SortedAdjacency,
     li: &[VertexId],
     level: u32,
     level_of: &mut [u32],
     peel_adj: &mut PeelRows<[VertexId; 3]>,
 ) {
     for &v in li {
-        let adj = work.remove_vertex(v);
+        peel_adj.set(v, work.peel_vertex(v).iter().copied());
         level_of[v as usize] = level;
-        // Self-join on the neighborhood: each pair (a, b) of v's neighbors
-        // gets the 2-hop repair edge through v. Augmenting weights are real
-        // path lengths and must stay within the `Weight` type; graphs whose
-        // shortest paths exceed u32::MAX are out of contract (see the
-        // `BuildConfig` docs) and fail loudly here rather than wrapping.
-        for (x, &(a, ea)) in adj.iter().enumerate() {
-            for &(b, eb) in &adj[x + 1..] {
-                let w = ea.weight.checked_add(eb.weight).expect(
-                    "augmenting edge weight overflows u32: input weights are too large \
-                     (shortest-path lengths must fit in u32 during construction)",
-                );
-                work.upsert_edge_min(a, b, w, v);
-            }
-        }
-        peel_adj.set(v, adj.into_iter().map(|(to, e)| [to, e.weight, e.via]));
     }
 }
 
@@ -822,7 +815,7 @@ pub(crate) mod tests {
         let h = VertexHierarchy::build(&g, &BuildConfig::full());
 
         // Rebuild each level graph by replaying the peel.
-        let mut work = AdjacencyGraph::from_csr(&g);
+        let mut work = SortedAdjacency::from_csr(&g);
         let (mut level_of, mut peel_adj) = (vec![0; 60], PeelRows::new(60));
         for (i, li) in (1..).zip(h.levels()) {
             // Check: distances among present vertices equal those in G.
@@ -840,6 +833,134 @@ pub(crate) mod tests {
             }
             peel_level(&mut work, li, i, &mut level_of, &mut peel_adj);
         }
+    }
+
+    /// Algorithm 3 as the paper states it, over ordered maps: peeling `v`
+    /// visits every pair `a < b` of its neighbours and inserts `(a, b)` at
+    /// `ω(a,v) + ω(v,b)` via `v`, or lowers it to that sum when strictly
+    /// shorter.
+    struct ModelPeel {
+        adj: Vec<std::collections::BTreeMap<VertexId, (Weight, VertexId)>>,
+    }
+
+    impl ModelPeel {
+        fn new(g: &CsrGraph) -> Self {
+            let adj = g
+                .vertices()
+                .map(|v| g.edges(v).map(|(u, w)| (u, (w, NO_VIA))).collect())
+                .collect();
+            Self { adj }
+        }
+
+        fn row(&self, v: VertexId) -> Vec<[VertexId; 3]> {
+            let row = self.adj[v as usize].iter();
+            row.map(|(&to, &(w, via))| [to, w, via]).collect()
+        }
+
+        fn num_edges(&self) -> usize {
+            self.adj.iter().map(|m| m.len()).sum::<usize>() / 2
+        }
+
+        fn peel(&mut self, v: VertexId) -> Vec<[VertexId; 3]> {
+            let row = self.row(v);
+            self.adj[v as usize].clear();
+            for &[a, ..] in &row {
+                self.adj[a as usize].remove(&v);
+            }
+            for (x, &[a, wa, _]) in row.iter().enumerate() {
+                for &[b, wb, _] in &row[x + 1..] {
+                    let w = wa + wb;
+                    if self.adj[a as usize].get(&b).is_none_or(|&(old, _)| w < old) {
+                        self.adj[a as usize].insert(b, (w, v));
+                        self.adj[b as usize].insert(a, (w, v));
+                    }
+                }
+            }
+            row
+        }
+    }
+
+    /// Replays `levels` on the sorted rows and on the model, comparing the
+    /// returned peel rows vertex by vertex and every row, degree and the
+    /// edge count level by level, then `G_k` and its vias. Returns the
+    /// model's `G_k` and vias, and how many repairs met a neighbour row more
+    /// than four times longer than the peeled vertex's (the rows' gallop
+    /// branch).
+    fn assert_peel_matches_model(
+        g: &CsrGraph,
+        levels: &[Vec<VertexId>],
+    ) -> (CsrGraph, Vec<GkVia>, usize) {
+        let mut work = SortedAdjacency::from_csr(g);
+        let mut model = ModelPeel::new(g);
+        let mut long_rows = 0;
+        for (i, li) in (1..).zip(levels) {
+            for &v in li {
+                let degree = model.adj[v as usize].len();
+                long_rows += model.adj[v as usize]
+                    .keys()
+                    .filter(|&&a| model.adj[a as usize].len() > 4 * degree)
+                    .count();
+                assert_eq!(work.peel_vertex(v), model.peel(v), "peel row of {v}");
+            }
+            assert_eq!(work.num_edges(), model.num_edges(), "|E(G_{})|", i + 1);
+            for u in g.vertices() {
+                let row: Vec<_> = work.row(u).collect();
+                assert_eq!(row, model.row(u), "row {u} of G_{}", i + 1);
+                assert_eq!(work.degree(u), row.len(), "degree of {u} in G_{}", i + 1);
+            }
+        }
+        let mut b = GraphBuilder::new(g.num_vertices());
+        let mut vias = Vec::new();
+        for v in g.vertices() {
+            for [to, w, via] in model.row(v) {
+                b.add_edge(v, to, w);
+                if v < to && via != NO_VIA {
+                    vias.push([v, to, via]);
+                }
+            }
+        }
+        let gk = b.build();
+        assert_eq!(work.to_csr_with_vias(), (gk.clone(), vias.clone()), "G_k");
+        (gk, vias, long_rows)
+    }
+
+    #[test]
+    fn sorted_row_peel_matches_the_pairwise_model_level_by_level() {
+        use islabel_graph::generators::{barabasi_albert, grid2d};
+        // Weights in 1..=2 make equal candidates common, so the rule that
+        // a tie keeps the earlier via decides many edges.
+        let ties = WeightModel::UniformRange(1, 2);
+        let graphs = [
+            (
+                "ER",
+                erdos_renyi_gnm(300, 1200, WeightModel::UniformRange(1, 9), 21),
+            ),
+            ("ER ties", erdos_renyi_gnm(250, 900, ties, 22)),
+            (
+                "BA",
+                barabasi_albert(400, 3, WeightModel::UniformRange(1, 5), 23),
+            ),
+            ("BA ties", barabasi_albert(300, 4, ties, 24)),
+            ("grid", grid2d(15, 17, WeightModel::UniformRange(1, 10), 25)),
+            ("grid ties", grid2d(12, 12, ties, 26)),
+        ];
+        let mut long_rows = 0;
+        for (name, g) in &graphs {
+            for config in [BuildConfig::default(), BuildConfig::full()] {
+                let h = VertexHierarchy::build(g, &config);
+                let (gk, vias, long) = assert_peel_matches_model(g, h.levels());
+                assert_eq!((h.gk(), &h.gk_vias), (&gk, &vias), "{name}");
+                long_rows += long;
+            }
+        }
+        assert!(long_rows > 0, "no repair took the gallop branch");
+        // Forced levels: the paper's worked example, stopped at k = 4 (G_4
+        // is {a, g} and the edge (a, g) via e).
+        let forced = [vec![2, 5, 8], vec![1, 3, 7], vec![4]];
+        let h = VertexHierarchy::build_with_forced_levels(&paper_graph(), &forced);
+        let (gk, vias, _) = assert_peel_matches_model(&paper_graph(), &forced);
+        assert_eq!((h.gk(), &h.gk_vias), (&gk, &vias));
+        assert_eq!(vias, vec![[0, 6, 4]]);
     }
 
     #[test]

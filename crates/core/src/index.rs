@@ -532,9 +532,10 @@ impl IsLabelIndex {
 
     /// What an op must pass before it is logged or replayed: valid against
     /// the overlay, and no patched label distance past `u32::MAX`.
-    fn check_op(&self, op: &UpdateOp) -> Result<(), String> {
+    fn check_op(&mut self, op: &UpdateOp) -> Result<(), String> {
         op.validate(&self.overlay)?;
-        self.overlay.check_fits(self.sections(), op)
+        let (s, overlay) = self.split();
+        overlay.check_fits(s, op)
     }
 
     /// Applies one recovered op (sealed section or WAL replay) through the

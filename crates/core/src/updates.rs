@@ -205,6 +205,9 @@ struct PatchScratch {
     /// stored saturated): only ever on the copy
     /// [`Overlay::check_fits`] tries an op on.
     overflowed: bool,
+    /// Ops [`Overlay::check_fits`] had to try on a copy: a count of work
+    /// done, not state, so it never tells two overlays apart either.
+    slow_fit_checks: usize,
 }
 
 /// Working memory never tells two overlays apart.
@@ -313,6 +316,9 @@ pub struct OverlayStats {
     /// Inserted `G_k`-to-`G_k` edges, those at since-deleted vertices
     /// included.
     pub extra_edges: usize,
+    /// Insertions whose quick bound check failed, so each was first tried
+    /// on a copy of the overlay (refused ones included).
+    pub slow_fit_checks: usize,
     /// Heap bytes the overlay holds, working memory included.
     pub bytes: usize,
 }
@@ -421,6 +427,7 @@ impl Overlay {
             patch_entries: self.patch_entries,
             max_patch_len: self.max_patch_len,
             extra_edges: self.residual_edges,
+            slow_fit_checks: s.slow_fit_checks,
             bytes: self.dead.capacity() * size_of::<u64>()
                 + self.deleted.capacity() * size_of::<VertexId>()
                 + patch_bytes
@@ -517,8 +524,9 @@ impl Overlay {
     /// `max_dist` plus twice the op's weight (an `insert_edge` teaches its
     /// second endpoint the first one's label as just patched), so when
     /// that sum fits the check costs nothing. Otherwise `op` runs on a copy
-    /// of the overlay, which is then dropped.
-    pub(crate) fn check_fits(&self, s: Sections<'_>, op: &UpdateOp) -> Result<(), String> {
+    /// of the overlay, which is then dropped, and the slow path is counted
+    /// ([`OverlayStats::slow_fit_checks`]).
+    pub(crate) fn check_fits(&mut self, s: Sections<'_>, op: &UpdateOp) -> Result<(), String> {
         let w = match op {
             UpdateOp::InsertVertex { edges } => edges.iter().map(|&(_, w)| w).max().unwrap_or(0),
             UpdateOp::InsertEdge { w, .. } => *w,
@@ -528,6 +536,7 @@ impl Overlay {
         if bound <= Dist::from(LabelDist::MAX) {
             return Ok(());
         }
+        self.scratch.slow_fit_checks += 1;
         let mut trial = self.clone();
         trial.apply(s, op);
         if trial.scratch.overflowed {

@@ -10,8 +10,9 @@
 //! * Compact identifier and weight types ([`VertexId`], [`Weight`], [`Dist`]).
 //! * An immutable CSR graph for query-time workloads ([`CsrGraph`]) and a
 //!   directed variant ([`CsrDigraph`]).
-//! * A mutable hash-adjacency graph used while peeling independent sets
-//!   ([`AdjacencyGraph`]).
+//! * The mutable graph of hierarchy construction as sorted rows, which
+//!   peels a vertex and merges its augmenting edges into its neighbours'
+//!   rows ([`SortedAdjacency`]).
 //! * Deterministic random-graph generators ([`generators`]) and the five
 //!   synthetic stand-ins for the paper's datasets ([`datasets`]).
 //! * Text and binary graph I/O ([`io`]).
@@ -34,7 +35,7 @@ pub mod hash;
 pub mod ids;
 pub mod io;
 
-pub use adjacency::AdjacencyGraph;
+pub use adjacency::SortedAdjacency;
 pub use builder::{DigraphBuilder, GraphBuilder};
 pub use csr::CsrGraph;
 pub use datasets::{Dataset, Scale};

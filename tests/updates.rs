@@ -5,7 +5,7 @@ mod common;
 
 use common::TempDir;
 use islabel::core::reference::dijkstra_p2p;
-use islabel::core::{BuildConfig, Error, IsLabelIndex};
+use islabel::core::{BuildConfig, Error, IsLabelIndex, OverlayStats};
 use islabel::graph::generators::{barabasi_albert, WeightModel};
 use islabel::VertexId;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -150,6 +150,42 @@ fn stale_flag_reports_and_clears() {
     assert_eq!(index.try_distance(peeled, other), Ok(None));
 }
 
+/// An insertion whose quick bound check fails — twice the largest label
+/// distance plus twice its weight past `u32::MAX` — is first applied to a
+/// copy of the overlay; `overlay_stats` counts each such check, accepted or
+/// refused, and no other op.
+#[test]
+fn heavy_insertions_are_counted_as_slow_fit_checks() {
+    let g = barabasi_albert(200, 2, WeightModel::UniformRange(1, 5), 3);
+    let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+    let slow = |index: &IsLabelIndex| index.overlay_stats().slow_fit_checks;
+    index.try_insert_edge(0, 1, 7).unwrap();
+    index.try_insert_vertex(&[(2, 3), (3, 4)]).unwrap();
+    index.try_delete_vertex(4).unwrap();
+    assert_eq!(slow(&index), 0);
+
+    // 2 · (u32::MAX / 2) is u32::MAX − 1, and every label distance is at
+    // least 1 away from the self entry: past the quick bound, yet the
+    // patched values fit, so both ops are applied.
+    let heavy = u32::MAX / 2;
+    index.try_insert_edge(5, 6, heavy).unwrap();
+    assert_eq!(slow(&index), 1);
+    index.try_insert_vertex(&[(7, heavy - 1), (8, 2)]).unwrap();
+    assert_eq!(slow(&index), 2);
+    // The trial is paid whatever its outcome (refusals: see below).
+    index.try_insert_edge(5, 9, u32::MAX).unwrap();
+    assert_eq!(slow(&index), 3);
+    index.try_insert_edge(10, 11, 1).unwrap();
+    assert_eq!(slow(&index), 3);
+    let current = index.current_graph();
+    for (s, t) in [(5, 6), (0, 1), (7, 8), (10, 11), (12, 150)] {
+        assert_eq!(
+            index.try_distance(s, t).unwrap(),
+            dijkstra_p2p(&current, s, t)
+        );
+    }
+}
+
 /// Label patches store u32 distances, as the base labels do: an insertion
 /// whose patched entry would pass `u32::MAX` is refused before it is
 /// logged, and one whose entries fit is applied, however heavy its edge.
@@ -189,7 +225,13 @@ fn insertions_past_the_label_width_are_refused_unlogged() {
         matches!(refused, Err(Error::InvalidUpdate(_))),
         "{refused:?}"
     );
-    assert_eq!(index.overlay_stats(), stats);
+    // Both refusals were tried on a copy of the overlay (and counted);
+    // nothing else moved.
+    let tried = OverlayStats {
+        slow_fit_checks: stats.slow_fit_checks + 2,
+        ..stats
+    };
+    assert_eq!(index.overlay_stats(), tried);
     assert_eq!(index.pending_ops(), ops);
     assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), wal_len);
 
