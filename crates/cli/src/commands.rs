@@ -1170,11 +1170,7 @@ fn stats(argv: &[String], stdout: &mut Out<'_>) -> Result<(), CliError> {
             s.max_label_len
         )?;
         writeln!(stdout, "  label bytes:   {}", human_bytes(s.label_bytes))?;
-        writeln!(
-            stdout,
-            "  path info:     {}",
-            index.labels().has_path_info()
-        )?;
+        writeln!(stdout, "  path info:     {}", index.config().keep_path_info)?;
         let dense = index.dense_gk();
         writeln!(
             stdout,
@@ -1230,7 +1226,7 @@ fn print_search_work(index: &IsLabelIndex, stdout: &mut Out<'_>) -> Result<(), C
 
 /// `stats --file`: the on-disk view of an `.islx` artifact — header
 /// facts, per-section byte layout and whether serving it would be
-/// memory-mapped or heap-resident. Anything but a v4 container (an older
+/// memory-mapped or heap-resident. Anything but a v5 container (an older
 /// format version included) is refused by the reader's typed error.
 fn file_stats(path: &str, stdout: &mut Out<'_>) -> Result<(), CliError> {
     let reader = islabel_store::StoreReader::open(std::path::Path::new(path))
@@ -1377,7 +1373,7 @@ mod tests {
         let old = tmp("cvi-old.islx");
         run(&["gen", "google", "--scale", "tiny", "-o", &graph]).unwrap();
         run(&["build", &graph, "-o", &index]).unwrap();
-        assert_eq!(std::fs::read(&index).unwrap()[4..8], 4u32.to_le_bytes());
+        assert_eq!(std::fs::read(&index).unwrap()[4..8], 5u32.to_le_bytes());
         let mut report = Vec::new();
         run_to(&["stats", &index, "--file"], &mut report).unwrap();
         let report = String::from_utf8(report).unwrap();
@@ -1395,8 +1391,9 @@ mod tests {
         assert!(err.contains(".islx"), "{err}");
 
         // An older artifact is refused by version, naming the remedy: the
-        // v2 stream, and a v3 container whose label distances are u64.
-        for version in [2u32, 3] {
+        // v2 stream, a v3 container whose label distances are u64, and a
+        // v4 container that stores a first hop per label entry.
+        for version in [2u32, 3, 4] {
             let mut bytes = b"ISLX".to_vec();
             bytes.extend_from_slice(&version.to_le_bytes());
             bytes.resize(1024, 0);

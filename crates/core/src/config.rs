@@ -52,10 +52,14 @@ pub struct BuildConfig {
     pub k_selection: KSelection,
     /// Independent-set strategy. Default: greedy min-degree.
     pub is_strategy: IsStrategy,
-    /// Record the per-edge via vertices and per-entry first hops needed to
-    /// answer shortest-*path* (not just distance) queries (Section 8.1).
-    /// Costs one extra `u32` per label entry and per augmenting edge.
-    /// Default: `true`.
+    /// Keep the `G_k` edges' via vertices and answer shortest-*path* (not
+    /// just distance) queries (Section 8.1); without it a path query is
+    /// [`QueryError::NoPathInfo`](crate::QueryError::NoPathInfo). Costs
+    /// one `[u, v, via]` triple per augmenting `G_k` edge and nothing per
+    /// label entry: unlike the paper, which stores a first hop in every
+    /// entry, a path query derives each hop from the peel row and the
+    /// labels (`docs/adr/0020-derived-first-hops.md`), so the labels are
+    /// the same bytes either way. Default: `true`.
     pub keep_path_info: bool,
     /// Hard cap on the number of levels, as a safety net against
     /// pathological inputs. Default: 10 000 (never reached in practice —

@@ -449,11 +449,10 @@ impl crate::label::PeelSource for DirectionalPeel<'_> {
 }
 
 /// Top-down labeling along one direction's peel adjacency (the shared
-/// Algorithm 4 loop; first hops are discarded — directed queries return
-/// distances only).
+/// Algorithm 4 loop; directed queries return distances only).
 fn build_directional_labels(levels: &Levels, peel: &ArcCsr) -> LabelSet {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    crate::label::build_from_peel(levels, &DirectionalPeel(peel.view()), false, threads)
+    crate::label::build_from_peel(levels, &DirectionalPeel(peel.view()), threads)
 }
 
 #[cfg(test)]
@@ -621,10 +620,9 @@ mod tests {
                 (&index.out_labels, &index.peel_out),
                 (&index.in_labels, &index.peel_in),
             ] {
-                let expected = crate::label::tests::reference_labels(
+                let (expected, _) = crate::label::tests::reference_labels(
                     &index.levels,
                     &DirectionalPeel(peel.view()),
-                    false,
                 );
                 assert_eq!(built, &expected, "{:?}", config.k_selection);
             }

@@ -45,7 +45,6 @@ impl FetchedLabel {
         LabelView {
             ancestors: &self.ancestors,
             dists: &self.dists,
-            first_hops: &[],
         }
     }
 }
@@ -260,7 +259,7 @@ mod tests {
     #[test]
     fn empty_labels_roundtrip() {
         let storage = MemStorage::new();
-        let ls = crate::label::LabelSet::from_per_vertex(vec![], false);
+        let ls = crate::label::LabelSet::from_per_vertex(vec![]);
         let store = DiskLabelStore::write(&storage, "empty", ls.view()).unwrap();
         assert_eq!(store.num_vertices(), 0);
         assert_eq!(store.data_bytes(), 0);

@@ -28,11 +28,11 @@
 //! * IS selection visits vertices in `(degree, id)` order;
 //! * augmenting-edge collisions keep the minimum weight, then the existing
 //!   edge, then the smallest via vertex;
-//! * label merges keep the minimum distance, then the smallest first hop:
-//!   Algorithm 4 sorts each block's candidates by `(slot, ancestor,
-//!   distance, first hop)` and keeps the first per `(slot, ancestor)` —
-//!   the lexicographic minimum of `(distance, first hop)` that the
-//!   in-memory scatter-min keeps too.
+//! * label merges keep the minimum distance: Algorithm 4 sorts each
+//!   block's candidates by `(slot, ancestor, distance)` and keeps the
+//!   first per `(slot, ancestor)` — the minimum the in-memory scatter-min
+//!   keeps too. No first hop is carried: a path query derives it from the
+//!   peel row and the labels (`docs/adr/0020-derived-first-hops.md`).
 //!
 //! That holds for every [`BuildConfig`] the pipeline accepts, path info
 //! off included: the peel adjacency keeps its via vertices either way, as
@@ -144,7 +144,7 @@ fn build_external(
             peel_adj.set(rec.vertex, rec.edges.iter().map(|&(t, w, via)| [t, w, via]));
         }
     }
-    let mut per_vertex: Vec<Vec<(VertexId, LabelDist, VertexId)>> = vec![Vec::new(); n];
+    let mut per_vertex: Vec<Vec<(VertexId, LabelDist)>> = vec![Vec::new(); n];
     for level in 1..k {
         let mut scan = RecordReader::new(storage.open(&label_name(level))?);
         while let Some(rec) = scan.next::<LabelRecord>()? {
@@ -155,10 +155,10 @@ fn build_external(
     // appear in the label files.
     for (v, label) in per_vertex.iter_mut().enumerate() {
         if label.is_empty() {
-            label.push((v as VertexId, 0, v as VertexId));
+            label.push((v as VertexId, 0));
         }
     }
-    let labels = LabelSet::from_per_vertex(per_vertex, config.keep_path_info);
+    let labels = LabelSet::from_per_vertex(per_vertex);
 
     // Temp cleanup.
     for level in 1..k {
@@ -477,8 +477,8 @@ fn materialize_gk(
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LabelRecord {
     vertex: VertexId,
-    /// `(ancestor, d, first_hop)` ascending by ancestor.
-    entries: Vec<(VertexId, LabelDist, VertexId)>,
+    /// `(ancestor, d)` ascending by ancestor.
+    entries: Vec<(VertexId, LabelDist)>,
 }
 
 impl ExtRecord for LabelRecord {
@@ -492,10 +492,9 @@ impl ExtRecord for LabelRecord {
         use bytes::BufMut;
         out.put_u32_le(self.vertex);
         out.put_u32_le(self.entries.len() as u32);
-        for &(a, d, h) in &self.entries {
+        for &(a, d) in &self.entries {
             out.put_u32_le(a);
             out.put_u32_le(d);
-            out.put_u32_le(h);
         }
     }
 
@@ -505,28 +504,27 @@ impl ExtRecord for LabelRecord {
         let count = buf.get_u32_le() as usize;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            entries.push((buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le()));
+            entries.push((buf.get_u32_le(), buf.get_u32_le()));
         }
         Self { vertex, entries }
     }
 
     fn approx_size(&self) -> usize {
-        8 + self.entries.len() * 12 + 24
+        8 + self.entries.len() * 8 + 24
     }
 }
 
 /// One label candidate of the current block: `(block slot, ancestor,
-/// distance, first hop)`. Sorting puts each `(slot, ancestor)` group's
-/// lexicographic minimum of `(distance, first hop)` first.
-type Candidate = (u32, VertexId, LabelDist, VertexId);
+/// distance)`. Sorting puts each `(slot, ancestor)` group's minimum
+/// distance first.
+type Candidate = (u32, VertexId, LabelDist);
 
 /// Sorts `candidates` and keeps the first per `(slot, ancestor)`: the
-/// min-merge with the deterministic tie-break (equal distance keeps the
-/// smaller first hop) shared with the in-memory Algorithm 4, whose
-/// scatter-min keeps the same lexicographic minimum.
+/// min-merge shared with the in-memory Algorithm 4, whose scatter-min
+/// keeps the same minimum.
 fn sort_reduce(candidates: &mut Vec<Candidate>) {
     candidates.sort_unstable();
-    candidates.dedup_by_key(|&mut (slot, anc, _, _)| (slot, anc));
+    candidates.dedup_by_key(|&mut (slot, anc, _)| (slot, anc));
 }
 
 /// Labels level `k−1` down to `1`, writing the `labels.L{i}` files.
@@ -571,7 +569,7 @@ fn label_top_down(
                     break;
                 };
                 let slot = block.len() as u32;
-                candidates.push((slot, rec.vertex, 0, rec.vertex));
+                candidates.push((slot, rec.vertex, 0));
                 for &(u, w, _) in &rec.edges {
                     debug_assert!(level_of[u as usize] > i);
                     // Fold u's self entry inline: this covers G_k neighbors
@@ -579,7 +577,7 @@ fn label_top_down(
                     // to a file) and peeled neighbors that were isolated at
                     // peel time (same situation). For everything else the
                     // BU join below re-derives the same value, a no-op.
-                    candidates.push((slot, u, w, u));
+                    candidates.push((slot, u, w));
                     if level_of[u as usize] != k {
                         join.push((u, slot, w));
                     }
@@ -603,9 +601,9 @@ fn label_top_down(
                         .iter()
                         .take_while(|&&(u, _, _)| u == lab.vertex)
                     {
-                        for &(anc, d, _) in &lab.entries {
+                        for &(anc, d) in &lab.entries {
                             let d = w.checked_add(d).expect(LABEL_OVERFLOW);
-                            candidates.push((slot, anc, d, lab.vertex));
+                            candidates.push((slot, anc, d));
                         }
                         if candidates.len() >= merge_at {
                             sort_reduce(&mut candidates);
@@ -624,7 +622,7 @@ fn label_top_down(
                 out.vertex = vertex;
                 out.entries.clear();
                 out.entries
-                    .extend(label.iter().map(|&(_, anc, d, hop)| (anc, d, hop)));
+                    .extend(label.iter().map(|&(_, anc, d)| (anc, d)));
                 writer.write(&out)?;
             }
         }
@@ -703,11 +701,6 @@ mod tests {
                 let em_l: Vec<_> = em_index.labels().label(v).iter().collect();
                 let im_l: Vec<_> = im_index.labels().label(v).iter().collect();
                 assert_eq!(em_l, im_l, "{config:?} label({v}) dists");
-                assert_eq!(
-                    em_index.labels().label(v).first_hops,
-                    im_index.labels().label(v).first_hops,
-                    "{config:?} label({v}) hops"
-                );
             }
         }
     }

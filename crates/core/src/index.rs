@@ -402,8 +402,7 @@ impl IsLabelIndex {
     ) -> Result<Option<crate::path::Path>, QueryError> {
         self.check_vertex(s)?;
         self.check_vertex(t)?;
-        let Sections { hierarchy, labels } = self.sections();
-        if !labels.has_path_info() || !self.overlay.is_pristine() {
+        if !self.config().keep_path_info || !self.overlay.is_pristine() {
             return Err(QueryError::NoPathInfo);
         }
         if s == t {
@@ -414,6 +413,7 @@ impl IsLabelIndex {
                 length: 0,
             }));
         }
+        let Sections { hierarchy, labels } = self.sections();
         let gk = hierarchy.gk;
         let mut scratch = DenseScratch::with_parents(gk.ids().len());
         let out = search_once(gk, labels.label(s), labels.label(t), &mut scratch);
@@ -1133,7 +1133,6 @@ mod tests {
         let view = LabelView {
             ancestors: &[100],
             dists: &[0],
-            first_hops: &[],
         };
         assert_eq!(index.try_distance_from_labels(view, view), Err(oob));
     }
@@ -1219,7 +1218,6 @@ mod tests {
             crate::label::LabelView {
                 ancestors: a,
                 dists: d,
-                first_hops: &[],
             }
         }
         assert_eq!(

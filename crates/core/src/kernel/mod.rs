@@ -83,7 +83,6 @@ mod tests {
             LabelView {
                 ancestors: anc,
                 dists: dist,
-                first_hops: anc,
             }
         }
         let (a, b) = (view(&a_anc, &a_dist), view(&b_anc, &b_dist));

@@ -26,23 +26,22 @@
 //! * The per-vertex min-merge is a **scatter-min**: each worker owns a
 //!   dense slot array indexed by ancestor id and walks every peel
 //!   neighbor's final label once — one add and one compare per input
-//!   entry. An entry is the lexicographic minimum of `(distance, first
-//!   hop)` over the peel neighbors (equal distance keeps the smaller first
-//!   hop), so the result does not depend on the order neighbors are
-//!   visited in. Labels leave ancestor-ascending because the touched ids
-//!   are sorted, and exactly the touched slots are reset, so between two
-//!   vertices every slot is unset (`docs/adr/0005-scatter-min-labeling.md`).
+//!   entry. An entry is the minimum distance over the peel neighbors, so
+//!   the result does not depend on the order neighbors are visited in.
+//!   Labels leave ancestor-ascending because the touched ids are sorted,
+//!   and exactly the touched slots are reset, so between two vertices
+//!   every slot is unset (`docs/adr/0005-scatter-min-labeling.md`).
 //!
 //! Storage is struct-of-arrays, each vertex's entries sorted by ancestor id,
 //! which makes Equation 1 a linear merge-join — the "simple sequential
-//! scanning" the paper relies on (Section 6.2).
+//! scanning" the paper relies on (Section 6.2). An entry is `(ancestor,
+//! distance)` only, 8 bytes: the paper's Section 8.1 first hop is a
+//! function of the peel row and these labels, so a path query derives it
+//! ([`crate::path`], `docs/adr/0020-derived-first-hops.md`).
 
 use crate::hierarchy::{Levels, VertexHierarchy};
 use islabel_graph::{Dist, VertexId, Weight};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Sentinel first hop for labels built without path info.
-pub const NO_HOP: VertexId = VertexId::MAX;
 
 /// A stored label distance. Labels hold it at 4 bytes wherever they live
 /// (heap, mapped artifact, disk store); Equation 1 widens to [`Dist`] for
@@ -56,7 +55,7 @@ pub type LabelDist = u32;
 pub(crate) const LABEL_OVERFLOW: &str = "label distance overflows u32: input weights are too \
      large (shortest-path lengths must fit in u32 during construction)";
 
-/// All vertex labels, flattened: the artifact's four label sections.
+/// All vertex labels, flattened: the artifact's three label sections.
 ///
 /// `O` holds the offsets and `A` the entry arrays — `Vec`s after a build
 /// (the default), slices borrowed from an index's storage ([`Labels`]) —
@@ -67,10 +66,6 @@ pub struct LabelSet<O = Vec<u64>, A = Vec<VertexId>> {
     pub(crate) offsets: O,
     pub(crate) ancestors: A,
     pub(crate) dists: A,
-    /// Parallel to `ancestors` when path info is kept, empty otherwise. The
-    /// first hop of entry `(w, d)` in `label(v)` is the peel-neighbor `u`
-    /// of `v` starting the optimal chain (`u = v` for the self entry).
-    pub(crate) first_hops: A,
 }
 
 /// The labels of an index as plain slices (see [`LabelSet`]).
@@ -83,8 +78,6 @@ pub struct LabelView<'a> {
     pub ancestors: &'a [VertexId],
     /// Chain-length upper bounds, parallel to `ancestors`.
     pub dists: &'a [LabelDist],
-    /// First hops, parallel to `ancestors` (empty without path info).
-    pub first_hops: &'a [VertexId],
 }
 
 impl<'a> LabelView<'a> {
@@ -113,23 +106,10 @@ impl<'a> LabelView<'a> {
             .ok()
             .map(|i| Dist::from(self.dists[i]))
     }
-
-    /// Looks up `(d, first_hop)` for `ancestor`; first hop is [`NO_HOP`]
-    /// when path info was disabled.
-    pub fn get_with_hop(&self, ancestor: VertexId) -> Option<(Dist, VertexId)> {
-        self.ancestors.binary_search(&ancestor).ok().map(|i| {
-            let hop = if self.first_hops.is_empty() {
-                NO_HOP
-            } else {
-                self.first_hops[i]
-            };
-            (Dist::from(self.dists[i]), hop)
-        })
-    }
 }
 
-/// One transient label entry during construction: `(ancestor, dist, hop)`.
-type Entry = (VertexId, LabelDist, VertexId);
+/// One transient label entry during construction: `(ancestor, dist)`.
+type Entry = (VertexId, LabelDist);
 
 /// One chunk's output of a labeling worker: `(chunk index, per-vertex
 /// lengths, flat entries)` — committed to the arena by the main thread.
@@ -205,16 +185,17 @@ impl ArenaLabels {
     }
 }
 
-/// A slot no vertex has written: no real entry carries [`NO_HOP`] as its
-/// first hop, and every real `(dist, hop)` compares below it.
-const UNSET: (LabelDist, VertexId) = (LabelDist::MAX, NO_HOP);
+/// A slot no vertex has written. Every real distance is at most it, and
+/// one may equal it: `touched`, not the slot, says which slots hold an
+/// entry.
+const UNSET: LabelDist = LabelDist::MAX;
 
-/// One labeling worker's scratch, created once per build: `(dist, first
-/// hop)` per ancestor id plus the ids written for the current vertex.
-/// Between two vertices every slot is [`UNSET`] and `touched` is empty.
+/// One labeling worker's scratch, created once per build: one distance
+/// per ancestor id plus the ids written for the current vertex. Between
+/// two vertices every slot is [`UNSET`] and `touched` is empty.
 #[derive(Debug)]
 struct ScatterMin {
-    slots: Vec<(LabelDist, VertexId)>,
+    slots: Vec<LabelDist>,
     touched: Vec<VertexId>,
 }
 
@@ -228,8 +209,8 @@ impl ScatterMin {
 
     /// Appends `label(v)` to `out`, ancestor-ascending, and returns its
     /// length: the self entry plus, per ancestor of a peel neighbor `u`, the
-    /// lexicographic minimum of `(ω(v, u) + d(u, ancestor), u)`. Panics
-    /// with [`LABEL_OVERFLOW`] on a sum past [`LabelDist`].
+    /// minimum of `ω(v, u) + d(u, ancestor)`. Panics with
+    /// [`LABEL_OVERFLOW`] on a sum past [`LabelDist`].
     fn label_vertex<P: PeelSource>(
         &mut self,
         v: VertexId,
@@ -238,26 +219,25 @@ impl ScatterMin {
         out: &mut Vec<Entry>,
     ) -> u32 {
         for (u, w) in peel.peel_neighbors(v) {
-            for &(anc, d, _) in labels.get(u) {
+            for &(anc, d) in labels.get(u) {
                 let slot = &mut self.slots[anc as usize];
-                if slot.1 == NO_HOP {
+                if *slot == UNSET {
                     self.touched.push(anc);
                 }
-                let cand = (w.checked_add(d).expect(LABEL_OVERFLOW), u);
-                if cand < *slot {
-                    *slot = cand;
-                }
+                *slot = (*slot).min(w.checked_add(d).expect(LABEL_OVERFLOW));
             }
         }
         // No neighbor label contains `v`: ancestors of a strictly
         // higher-level neighbor all sit above `v`'s level.
         debug_assert_eq!(self.slots[v as usize], UNSET);
-        self.slots[v as usize] = (0, v);
+        self.slots[v as usize] = 0;
         self.touched.push(v);
         self.touched.sort_unstable();
+        // A slot holding exactly `LabelDist::MAX` still reads as unset, so
+        // its next candidate listed it a second time.
+        self.touched.dedup();
         for &anc in &self.touched {
-            let (d, hop) = std::mem::replace(&mut self.slots[anc as usize], UNSET);
-            out.push((anc, d, hop));
+            out.push((anc, std::mem::replace(&mut self.slots[anc as usize], UNSET)));
         }
         let len = self.touched.len() as u32;
         self.touched.clear();
@@ -300,17 +280,15 @@ const PARALLEL_LEVEL_CUTOFF: usize = 128;
 pub(crate) fn build_from_peel<P: PeelSource>(
     levels: &Levels,
     peel: &P,
-    keep_path_info: bool,
     threads: usize,
 ) -> LabelSet {
     let (n, k, gk_members) = (levels.level_of.len(), levels.k, &levels.gk_members[..]);
     // Transient labels live in flat arenas (see [`ArenaLabels`]): entries
-    // are (ancestor, dist, first_hop), each vertex's slice sorted by
-    // ancestor.
+    // are (ancestor, dist), each vertex's slice sorted by ancestor.
     let mut labels = ArenaLabels::new(n);
 
     // Initialization: G_k vertices have only the self entry.
-    let self_entries: Vec<Entry> = gk_members.iter().map(|&v| (v, 0, v)).collect();
+    let self_entries: Vec<Entry> = gk_members.iter().map(|&v| (v, 0)).collect();
     labels.commit(gk_members, &vec![1u32; gk_members.len()], &self_entries);
     drop(self_entries);
 
@@ -380,66 +358,57 @@ pub(crate) fn build_from_peel<P: PeelSource>(
         );
     }
 
-    LabelSet::from_arena(&labels, n, keep_path_info)
+    LabelSet::from_arena(&labels, n)
 }
 
 impl LabelSet {
     /// Runs top-down labeling (Algorithm 4) over a hierarchy, parallelized
     /// level-by-level over [`std::thread::available_parallelism`] workers.
     /// Labels are deterministic — identical at any worker count (see
-    /// [`LabelSet::build_with_threads`]).
-    pub fn build(h: &VertexHierarchy, keep_path_info: bool) -> Self {
+    /// [`LabelSet::build_with_threads`]). The labels are the same whatever
+    /// `keep_path_info` says: no first hop is stored, a path query derives
+    /// it (`docs/adr/0020-derived-first-hops.md`). The flag stays in the
+    /// signature because the frozen `benchmark/` harness passes it.
+    pub fn build(h: &VertexHierarchy, _keep_path_info: bool) -> Self {
         let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self::build_with_threads(h, keep_path_info, threads)
+        Self::build_with_threads(h, threads)
     }
 
     /// [`LabelSet::build`] with an explicit worker count (`0` and `1` both
     /// run single-threaded). Every vertex's label is the per-ancestor
-    /// lexicographic minimum of `(distance, first hop)` over its peel
-    /// neighbors — a pure function of already-final labels — so the output
-    /// is bit-identical across `threads` values.
-    pub fn build_with_threads(h: &VertexHierarchy, keep_path_info: bool, threads: usize) -> Self {
-        build_from_peel(&h.levels, &HierarchyPeel(h), keep_path_info, threads.max(1))
+    /// minimum distance over its peel neighbors — a pure function of
+    /// already-final labels — so the output is bit-identical across
+    /// `threads` values.
+    pub fn build_with_threads(h: &VertexHierarchy, threads: usize) -> Self {
+        build_from_peel(&h.levels, &HierarchyPeel(h), threads.max(1))
     }
 
     /// Flattens arena-backed construction labels into the SoA layout.
-    fn from_arena(labels: &ArenaLabels, n: usize, keep_path_info: bool) -> Self {
+    fn from_arena(labels: &ArenaLabels, n: usize) -> Self {
         Self::from_rows(
             (0..n as VertexId).map(|v| labels.get(v)),
             labels.total_entries(),
-            keep_path_info,
         )
     }
 
     /// Flattens per-vertex sorted entry lists into the SoA layout.
-    pub(crate) fn from_per_vertex(
-        labels: Vec<Vec<(VertexId, LabelDist, VertexId)>>,
-        keep_path_info: bool,
-    ) -> Self {
+    pub(crate) fn from_per_vertex(labels: Vec<Vec<(VertexId, LabelDist)>>) -> Self {
         let total = labels.iter().map(Vec::len).sum();
-        Self::from_rows(labels.iter().map(Vec::as_slice), total, keep_path_info)
+        Self::from_rows(labels.iter().map(Vec::as_slice), total)
     }
 
     /// The SoA layout of `rows`, one ancestor-sorted row per vertex and
     /// `total` entries in all.
-    fn from_rows<'r>(
-        rows: impl ExactSizeIterator<Item = &'r [Entry]>,
-        total: usize,
-        keep_path_info: bool,
-    ) -> Self {
+    fn from_rows<'r>(rows: impl ExactSizeIterator<Item = &'r [Entry]>, total: usize) -> Self {
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         let mut ancestors = Vec::with_capacity(total);
         let mut dists = Vec::with_capacity(total);
-        let mut first_hops = Vec::with_capacity(if keep_path_info { total } else { 0 });
         offsets.push(0);
         for l in rows {
             debug_assert!(l.windows(2).all(|w| w[0].0 < w[1].0), "label not sorted");
-            for &(anc, d, hop) in l {
+            for &(anc, d) in l {
                 ancestors.push(anc);
                 dists.push(d);
-                if keep_path_info {
-                    first_hops.push(hop);
-                }
             }
             offsets.push(ancestors.len() as u64);
         }
@@ -447,7 +416,6 @@ impl LabelSet {
             offsets,
             ancestors,
             dists,
-            first_hops,
         }
     }
 
@@ -457,13 +425,12 @@ impl LabelSet {
         self.view().label(v)
     }
 
-    /// The four arrays borrowed as plain slices.
+    /// The three arrays borrowed as plain slices.
     pub fn view(&self) -> Labels<'_> {
         LabelSet {
             offsets: &self.offsets,
             ancestors: &self.ancestors,
             dists: &self.dists,
-            first_hops: &self.first_hops,
         }
     }
 }
@@ -477,11 +444,6 @@ impl<'a> Labels<'a> {
         LabelView {
             ancestors: &self.ancestors[lo..hi],
             dists: &self.dists[lo..hi],
-            first_hops: if self.first_hops.is_empty() {
-                &[]
-            } else {
-                &self.first_hops[lo..hi]
-            },
         }
     }
 }
@@ -490,11 +452,6 @@ impl<O: AsRef<[u64]>, A: AsRef<[VertexId]>> LabelSet<O, A> {
     /// Number of vertices covered.
     pub fn num_vertices(&self) -> usize {
         self.offsets.as_ref().len() - 1
-    }
-
-    /// Whether first hops were recorded.
-    pub fn has_path_info(&self) -> bool {
-        !self.first_hops.as_ref().is_empty()
     }
 
     /// Total number of label entries across all vertices.
@@ -508,7 +465,6 @@ impl<O: AsRef<[u64]>, A: AsRef<[VertexId]>> LabelSet<O, A> {
         std::mem::size_of_val(self.offsets.as_ref())
             + std::mem::size_of_val(self.ancestors.as_ref())
             + std::mem::size_of_val(self.dists.as_ref())
-            + std::mem::size_of_val(self.first_hops.as_ref())
     }
 
     /// Largest label distance, 0 for no labels: the bound the update
@@ -549,14 +505,15 @@ pub(crate) mod tests {
 
     /// Second implementation of Algorithm 4 with first hops: a top-down
     /// hash-map min-merge under the lexicographic `(dist, hop)` rule, one
-    /// vertex at a time, sharing only [`PeelSource`] and the flattening
-    /// with [`build_from_peel`].
+    /// vertex at a time, sharing only [`PeelSource`] with
+    /// [`build_from_peel`]. Returns the labels and, per vertex, the first
+    /// hop of each entry (the vertex itself for its self entry).
     pub(crate) fn reference_labels<P: PeelSource>(
         levels: &Levels,
         peel: &P,
-        keep_path_info: bool,
-    ) -> LabelSet {
-        let mut per_vertex: Vec<Vec<Entry>> = vec![Vec::new(); levels.level_of.len()];
+    ) -> (LabelSet, Vec<Vec<VertexId>>) {
+        let n = levels.level_of.len();
+        let mut per_vertex: Vec<Vec<(VertexId, LabelDist, VertexId)>> = vec![Vec::new(); n];
         for &v in &levels.gk_members {
             per_vertex[v as usize] = vec![(v, 0, v)];
         }
@@ -571,16 +528,41 @@ pub(crate) mod tests {
                         *cur = (*cur).min(cand);
                     }
                 }
-                let mut label: Vec<Entry> = acc.into_iter().map(|(a, (d, h))| (a, d, h)).collect();
+                let mut label: Vec<_> = acc.into_iter().map(|(a, (d, h))| (a, d, h)).collect();
                 label.sort_unstable();
                 per_vertex[v as usize] = label;
             }
         }
-        LabelSet::from_per_vertex(per_vertex, keep_path_info)
+        let hops = per_vertex
+            .iter()
+            .map(|l| l.iter().map(|&(_, _, hop)| hop).collect())
+            .collect();
+        let rows = per_vertex
+            .into_iter()
+            .map(|l| l.into_iter().map(|(a, d, _)| (a, d)).collect())
+            .collect();
+        (LabelSet::from_per_vertex(rows), hops)
+    }
+
+    /// The first hop a path query derives for every entry of every label,
+    /// the vertex itself for its self entry: what [`reference_labels`]
+    /// records.
+    fn derived_hops(h: &VertexHierarchy, ls: &LabelSet) -> Vec<Vec<VertexId>> {
+        let (peel, lv) = (h.peel.view(), ls.view());
+        let hop = |v: VertexId, w: VertexId| {
+            if w == v {
+                return v;
+            }
+            let edge = crate::path::first_hop(peel, lv, v, w).expect("entry has a hop");
+            edge.to
+        };
+        (0..h.universe() as VertexId)
+            .map(|v| ls.label(v).ancestors.iter().map(|&w| hop(v, w)).collect())
+            .collect()
     }
 
     /// A hierarchy's peel lists walked backwards: the visiting order must
-    /// not decide a first hop.
+    /// not decide a label.
     struct ReversedPeel<'a>(&'a VertexHierarchy);
 
     impl PeelSource for ReversedPeel<'_> {
@@ -607,14 +589,18 @@ pub(crate) mod tests {
         let neighbors: Vec<VertexId> = h.peel_adj(0).map(|e| e.to).collect();
         assert_eq!(neighbors, vec![1, 2]);
 
-        let forward = build_from_peel(&h.levels, &HierarchyPeel(&h), true, 1);
-        let backward = build_from_peel(&h.levels, &ReversedPeel(&h), true, 1);
+        let forward = build_from_peel(&h.levels, &HierarchyPeel(&h), 1);
+        let backward = build_from_peel(&h.levels, &ReversedPeel(&h), 1);
         assert_eq!(forward, backward);
-        let label = forward.label(0);
-        assert_eq!(label.get_with_hop(3), Some((2, 1)), "tie");
-        assert_eq!(label.get_with_hop(2), Some((1, 2)), "closer");
-        assert_eq!(label.get_with_hop(1), Some((1, 1)));
-        assert_eq!(label.get_with_hop(0), Some((0, 0)));
+        assert_eq!(
+            label_pairs(&forward, 0),
+            vec![(0, 0), (1, 1), (2, 1), (3, 2)]
+        );
+        let (peel, lv) = (h.peel.view(), forward.view());
+        let hop = |w| crate::path::first_hop(peel, lv, 0, w).map(|e| e.to);
+        assert_eq!(hop(3), Some(1), "tie");
+        assert_eq!(hop(2), Some(2), "closer");
+        assert_eq!(hop(1), Some(1));
     }
 
     /// Records the name of every thread that walks a peel list.
@@ -636,7 +622,7 @@ pub(crate) mod tests {
         let g = grid2d(45, 45, WeightModel::Unit, 13);
         let h = VertexHierarchy::build(&g, &BuildConfig::sigma(0.95));
         let peel = NamingPeel(&h, std::sync::Mutex::default());
-        build_from_peel(&h.levels, &peel, false, 3);
+        build_from_peel(&h.levels, &peel, 3);
         let caller = std::thread::current().name().unwrap_or("").to_string();
         let mut workers = peel.1.into_inner().expect("no labeling thread panicked");
         workers.retain(|name| *name != caller);
@@ -660,16 +646,12 @@ pub(crate) mod tests {
         for (name, g) in &graphs {
             for config in [BuildConfig::sigma(0.95), BuildConfig::full()] {
                 let h = VertexHierarchy::build(g, &config);
-                let peel = HierarchyPeel(&h);
-                let expected = reference_labels(&h.levels, &peel, true);
-                assert!(expected.has_path_info());
+                let (expected, hops) = reference_labels(&h.levels, &HierarchyPeel(&h));
                 for threads in [1, 2, 3, 8] {
-                    assert_eq!(
-                        LabelSet::build_with_threads(&h, true, threads),
-                        expected,
-                        "{name} {:?} threads {threads}",
-                        config.k_selection
-                    );
+                    let ls = LabelSet::build_with_threads(&h, threads);
+                    let tag = format!("{name} {:?} threads {threads}", config.k_selection);
+                    assert_eq!(ls, expected, "{tag}");
+                    assert_eq!(derived_hops(&h, &ls), hops, "{tag} first hops");
                 }
             }
         }
@@ -792,11 +774,12 @@ pub(crate) mod tests {
         let g = paper_graph();
         let h = paper_hierarchy();
         let ls = LabelSet::build(&h, true);
+        let hops = derived_hops(&h, &ls);
         for v in g.vertices() {
             let lv = ls.label(v);
-            for (i, (&anc, &hop)) in lv.ancestors.iter().zip(lv.first_hops.iter()).enumerate() {
+            for (i, (&anc, &hop)) in lv.ancestors.iter().zip(&hops[v as usize]).enumerate() {
                 if anc == v {
-                    assert_eq!(hop, v, "self entry of {v}");
+                    assert_eq!(lv.dists[i], 0, "self entry of {v}");
                 } else {
                     assert!(
                         h.peel_adj(v).any(|e| e.to == hop),
@@ -810,7 +793,7 @@ pub(crate) mod tests {
     #[test]
     fn parallel_build_is_deterministic_across_thread_counts() {
         // The level-parallel sorted merge must produce bit-identical labels
-        // (entries, distances, and first hops) at every worker count.
+        // (entries and distances) at every worker count.
         for seed in [3u64, 19] {
             let g = islabel_graph::generators::barabasi_albert(
                 600,
@@ -819,9 +802,9 @@ pub(crate) mod tests {
                 seed,
             );
             let h = VertexHierarchy::build(&g, &BuildConfig::sigma(0.95));
-            let single = LabelSet::build_with_threads(&h, true, 1);
+            let single = LabelSet::build_with_threads(&h, 1);
             for threads in [2, 3, 8] {
-                let multi = LabelSet::build_with_threads(&h, true, threads);
+                let multi = LabelSet::build_with_threads(&h, threads);
                 assert_eq!(single, multi, "threads {threads} seed {seed}");
             }
         }
@@ -830,10 +813,13 @@ pub(crate) mod tests {
     #[test]
     fn memory_accounting_is_consistent() {
         let h = paper_hierarchy();
-        let with_hops = LabelSet::build(&h, true);
+        let with_paths = LabelSet::build(&h, true);
         let without = LabelSet::build(&h, false);
-        assert_eq!(with_hops.num_entries(), without.num_entries());
-        assert!(with_hops.memory_bytes() > without.memory_bytes());
+        // No first hop is stored: 8 bytes an entry plus the offsets,
+        // whatever the path flag says.
+        assert_eq!(with_paths, without);
+        let entries = without.num_entries();
+        assert_eq!(without.memory_bytes(), 8 * entries + 8 * (9 + 1));
         assert_eq!(without.num_vertices(), 9);
         assert!(without.max_label_len() >= 5);
         assert!(without.avg_label_len() > 1.0);

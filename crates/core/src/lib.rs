@@ -104,6 +104,9 @@ pub mod stats;
 pub mod trace;
 pub mod updates;
 
+#[cfg(test)]
+mod testdir;
+
 pub use config::{BuildConfig, IsStrategy, KSelection};
 pub use dense::{
     DenseCsr, DenseGk, DensePatch, DenseScratch, DenseView, GkIdMap, IndexedHeap, PatchedDense,

@@ -9,17 +9,31 @@
 //!   may themselves be augmenting edges of lower levels — both are archived
 //!   in `v`'s peel adjacency, exactly as the paper prescribes ("(u, v) and
 //!   (v, w) are edges in G_{i−1}, which in turn can be augmenting edges").
-//! * **Label entries**: the entry `(w, d)` in `label(v)` stores the *first
-//!   hop* `u` of the optimal level-increasing chain; the remainder of the
-//!   chain is read from `label(u)`, recursively ("we recursively form
-//!   queries until the intermediate vertex in a label entry is φ").
+//! * **Label entries**: the entry `(w, d)` in `label(v)` is reached through
+//!   the *first hop* `u` of the optimal level-increasing chain; the
+//!   remainder of the chain is read from `label(u)`, recursively ("we
+//!   recursively form queries until the intermediate vertex in a label
+//!   entry is φ").
+//!
+//! **Departure from the paper.** Section 8.1 stores that first hop in every
+//! label entry. This index does not: a label entry is `(w, d)` only, and
+//! `first_hop` derives the hop when a path needs it, as the lexicographic
+//! minimum of `(ω(v, u) + d(u, w), u)` over `v`'s peel row. Algorithm 4
+//! keeps `d(v, w)` as the minimum of those very sums, and a tie goes to
+//! the smaller neighbour, the rule the stored hop was chosen by, so the
+//! derived hop is the one that would have been stored and every path is
+//! the same vertex sequence. A first hop is a function of the peel row and
+//! the labels, so it is derived, never stored: a third of every label byte
+//! goes, and distance queries, which never read a hop, pay nothing for
+//! paths (`docs/adr/0020-derived-first-hops.md`). One step costs a binary
+//! search of `w` in each peel neighbour's label.
 //!
 //! The reconstructed path is a real path of `G`: every consecutive pair is
 //! an original edge, and the weights sum to the reported distance (asserted
 //! in debug builds and in the test suite).
 
 use crate::dense::DenseParents;
-use crate::hierarchy::HierarchyView;
+use crate::hierarchy::{HierarchyView, PeelCsr, PeelEdge};
 use crate::label::Labels;
 use crate::query::{Meeting, SearchOutcome};
 use islabel_graph::adjacency::NO_VIA;
@@ -118,6 +132,31 @@ pub(crate) fn reconstruct(
     Some(path)
 }
 
+/// The first hop of the entry for ancestor `w != v` in `label(v)`: the
+/// edge of `v`'s peel row to the neighbour `u` that minimizes
+/// `(ω(v, u) + d(u, w), u)` among the neighbours whose label holds `w`.
+/// Algorithm 4 keeps `d(v, w)` by exactly that minimum, so this is the
+/// hop Section 8.1 would have stored. `None` when no neighbour's label
+/// holds `w`, that is when `w` is not an ancestor of `v`.
+pub(crate) fn first_hop(
+    peel: PeelCsr<&[u64], &[[VertexId; 3]]>,
+    labels: Labels<'_>,
+    v: VertexId,
+    w: VertexId,
+) -> Option<PeelEdge> {
+    let mut best: Option<(Dist, PeelEdge)> = None;
+    for &[to, weight, via] in peel.row(v) {
+        let Some(d) = labels.label(to).get(w) else {
+            continue;
+        };
+        let len = Dist::from(weight) + d;
+        if best.is_none_or(|(b, e)| (len, to) < (b, e.to)) {
+            best = Some((len, PeelEdge { to, weight, via }));
+        }
+    }
+    best.map(|(_, edge)| edge)
+}
+
 /// Follows first hops from `v` to its ancestor `w`, expanding every step;
 /// returns the full vertex sequence `v .. w`.
 fn label_path(
@@ -128,16 +167,17 @@ fn label_path(
 ) -> Option<Vec<VertexId>> {
     let mut out = vec![v];
     let mut cur = v;
-    while cur != w {
-        let (_, hop) = labels.label(cur).get_with_hop(w)?;
-        if hop == crate::label::NO_HOP || hop == cur {
-            return None; // no path metadata (shouldn't happen on pristine indexes)
+    // Every hop climbs at least one level, so a chain has fewer than `k`
+    // steps; the bound keeps a corrupt artifact from looping.
+    for _ in 0..h.k {
+        if cur == w {
+            return Some(out);
         }
-        let edge = h.peel_adj(cur).find(|e| e.to == hop)?;
-        expand_edge(h, cur, hop, edge.via, &mut out);
-        cur = hop;
+        let edge = first_hop(h.peel, labels, cur, w)?;
+        expand_edge(h, cur, edge.to, edge.via, &mut out);
+        cur = edge.to;
     }
-    Some(out)
+    None
 }
 
 /// Appends the interior and far endpoint of the `G_k` edge `(a, b)` to
@@ -205,6 +245,63 @@ mod tests {
                         .unwrap_or_else(|e| panic!("({s}, {t}): {e}"));
                 }
                 (e, p) => panic!("({s}, {t}): expected {e:?}, got {p:?}"),
+            }
+        }
+    }
+
+    /// The first hop of `label(v)`'s entry for `w`, recomputed literally:
+    /// every peel neighbour `u` whose label holds `w` (found by a linear
+    /// scan) offers `(ω(v, u) + d(u, w), u)`, and the ordered set's first
+    /// element is the lexicographic minimum.
+    fn literal_first_hop(
+        h: HierarchyView<'_>,
+        labels: Labels<'_>,
+        v: VertexId,
+        w: VertexId,
+    ) -> VertexId {
+        let mut offers = std::collections::BTreeSet::new();
+        for e in h.peel_adj(v) {
+            if let Some((_, d)) = labels.label(e.to).iter().find(|&(a, _)| a == w) {
+                offers.insert((Dist::from(e.weight) + d, e.to));
+            }
+        }
+        let &(len, hop) = offers.first().expect("an ancestor has a hop");
+        assert_eq!(
+            len,
+            labels.label(v).get(w).unwrap(),
+            "d({v}, {w}) is that minimum"
+        );
+        hop
+    }
+
+    #[test]
+    fn derived_first_hops_are_the_literal_minimum_over_the_peel_row() {
+        // Weights 1..=2 make equal-length chains common, so the tie rule
+        // (the smaller neighbour) decides many hops.
+        let weights = WeightModel::UniformRange(1, 2);
+        let graphs = [
+            ("er", erdos_renyi_gnm(300, 700, weights, 21)),
+            ("ba", barabasi_albert(300, 3, weights, 22)),
+            ("grid", grid2d(16, 16, weights, 23)),
+        ];
+        for (name, g) in &graphs {
+            for config in [
+                BuildConfig::default(),
+                BuildConfig::full(),
+                BuildConfig::fixed_k(2),
+            ] {
+                let index = IsLabelIndex::try_build(g, config).unwrap();
+                let crate::persist::v3::Sections { hierarchy, labels } = index.sections();
+                let mut checked = 0usize;
+                for v in 0..g.num_vertices() as VertexId {
+                    for &w in labels.label(v).ancestors.iter().filter(|&&w| w != v) {
+                        let derived = first_hop(hierarchy.peel, labels, v, w).map(|e| e.to);
+                        let literal = literal_first_hop(hierarchy, labels, v, w);
+                        assert_eq!(derived, Some(literal), "{name} {config}: label({v}) at {w}");
+                        checked += 1;
+                    }
+                }
+                assert!(checked > 0, "{name} {config}: no entry past the self entry");
             }
         }
     }

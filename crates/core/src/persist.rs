@@ -22,7 +22,8 @@
 //!
 //! It is the only artifact format. A file carrying the `ISLX` magic and an
 //! older version number (the v1/v2 streams, the v3 container with `u64`
-//! label distances) is refused by version with a
+//! label distances, the v4 container with a stored first hop per label
+//! entry) is refused by version with a
 //! typed error that says to rebuild with `islabel build`
 //! (`docs/adr/0007-one-format-one-harness.md`); [`v3`]'s
 //! `Sections::validate` is the only artifact validator.
@@ -144,7 +145,7 @@ fn atomic_save(index: &IsLabelIndex, path: &Path) -> io::Result<()> {
 /// content checksums verified by `StoreReader::open`, every stored value
 /// by `Sections::validate`, sealed ops replayed — the index over the
 /// mapped sections ([`crate::MmapIndex::open_verified`]). Anything that is
-/// not a v4 artifact — an older version included — is a typed
+/// not a v5 artifact — an older version included — is a typed
 /// [`Error::Persist`], as is any I/O failure.
 pub fn try_load_index_from_path(path: impl AsRef<Path>) -> Result<IsLabelIndex, crate::Error> {
     IsLabelIndex::open_verified(path.as_ref())
@@ -301,8 +302,8 @@ mod tests {
         let g = barabasi_albert(50, 2, WeightModel::Unit, 1);
         let mut index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         index.try_insert_edge(0, 30, 1).unwrap();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("islabel-atomic-{}.islx", std::process::id()));
+        let dir = crate::testdir::TestDir::new("atomic");
+        let path = dir.join("index.islx");
 
         // A non-pristine save now goes through and replaces the artifact
         // in place (temp file + rename).
@@ -315,34 +316,27 @@ mod tests {
 
         // An unwritable destination is a typed error, leaves the existing
         // artifact untouched, and leaves no temp file behind.
-        let bad_dest = dir.join("islabel-no-such-dir").join("x.islx");
+        let bad_dest = dir.join("no-such-dir").join("x.islx");
         assert!(matches!(
             try_save_index_to_path(&index, &bad_dest),
             Err(crate::Error::Persist(_))
         ));
         assert!(try_load_index_from_path(&path).is_ok());
-        let strays = std::fs::read_dir(&dir)
+        let names: Vec<_> = std::fs::read_dir(&*dir)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.file_name()
-                    .to_string_lossy()
-                    .starts_with(&format!("islabel-atomic-{}.islx.tmp", std::process::id()))
-            })
-            .count();
-        assert_eq!(strays, 0, "temp file leaked");
-        std::fs::remove_file(&path).ok();
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["index.islx"], "temp file leaked");
     }
 
     #[test]
     fn file_roundtrip() {
         let g = barabasi_albert(80, 2, WeightModel::Unit, 5);
         let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
-        let path =
-            std::env::temp_dir().join(format!("islabel-persist-{}.islx", std::process::id()));
+        let dir = crate::testdir::TestDir::new("persist");
+        let path = dir.join("index.islx");
         try_save_index_to_path(&index, &path).unwrap();
         let loaded = try_load_index_from_path(&path).unwrap();
         assert_eq!(loaded.labels(), index.labels());
-        std::fs::remove_file(&path).ok();
     }
 }

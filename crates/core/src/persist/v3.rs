@@ -1,4 +1,4 @@
-//! The flat artifact (format version 4; the module keeps the name of the
+//! The flat artifact (format version 5; the module keeps the name of the
 //! version that introduced the section container): an [`IsLabelIndex`]'s
 //! arrays written into the `islabel-store` section container, and an
 //! artifact opened as an index over its own sections.
@@ -7,7 +7,7 @@
 //! `islabel_store::format` for the layout constants): the level table, the
 //! peel adjacency as offsets plus `[to, weight, via]` triples, `G_k` as the
 //! compact [`crate::dense::DenseCsr`]'s three arrays plus both id maps, the
-//! via table and the four label arrays. So a load copies nothing:
+//! via table and the three label arrays. So a load copies nothing:
 //! [`read_index`] runs `Sections::validate` — the one validator — once,
 //! and the index then reads the mapping in place
 //! (`docs/adr/0018-one-engine-over-the-sections.md`). Every `G_k` row is
@@ -25,11 +25,10 @@ use crate::updates::UpdateOp;
 use islabel_graph::io::{check_csr_binary, read_csr_binary, write_csr_binary};
 use islabel_graph::CsrGraph;
 use islabel_store::format::{
-    section_kind_name, Header, FLAG_HAS_HOPS, FLAG_KEEP_PATH_INFO, SECTION_GK_DENSE_OF,
-    SECTION_GK_GLOBAL_OF, SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_VIAS,
-    SECTION_GK_WEIGHTS, SECTION_GRAPH, SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS,
-    SECTION_LABEL_HOPS, SECTION_LABEL_OFFSETS, SECTION_LEVELS, SECTION_OPS, SECTION_PEEL_EDGES,
-    SECTION_PEEL_OFFSETS,
+    section_kind_name, Header, FLAG_KEEP_PATH_INFO, SECTION_GK_DENSE_OF, SECTION_GK_GLOBAL_OF,
+    SECTION_GK_OFFSETS, SECTION_GK_TARGETS, SECTION_GK_VIAS, SECTION_GK_WEIGHTS, SECTION_GRAPH,
+    SECTION_LABEL_ANCESTORS, SECTION_LABEL_DISTS, SECTION_LABEL_OFFSETS, SECTION_LEVELS,
+    SECTION_OPS, SECTION_PEEL_EDGES, SECTION_PEEL_OFFSETS,
 };
 use islabel_store::mmap::{cast_u32s, cast_u64s};
 use islabel_store::{ArtifactMeta, StoreReader, StoreWriter};
@@ -91,7 +90,7 @@ pub fn stored_config(h: &Header) -> io::Result<BuildConfig> {
     Ok(config)
 }
 
-/// Serializes `index` as a v4 flat artifact: each of its arrays verbatim,
+/// Serializes `index` as a v5 flat artifact: each of its arrays verbatim,
 /// then its pending ops. Needs [`Seek`] because the header (with section
 /// table and checksums) is patched in at the end of the single forward
 /// pass. Returns the writer so path-level callers can `sync_all` the file.
@@ -107,9 +106,6 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
     let mut flags = 0u32;
     if config.keep_path_info {
         flags |= FLAG_KEEP_PATH_INFO;
-    }
-    if labels.has_path_info() {
-        flags |= FLAG_HAS_HOPS;
     }
     let meta = ArtifactMeta {
         epoch: index.artifact_epoch(),
@@ -157,9 +153,6 @@ pub fn write_index<W: Write + Seek>(index: &IsLabelIndex, out: W) -> io::Result<
     u64s(&mut w, SECTION_LABEL_OFFSETS, labels.offsets)?;
     u32s(&mut w, SECTION_LABEL_ANCESTORS, labels.ancestors)?;
     u32s(&mut w, SECTION_LABEL_DISTS, labels.dists)?;
-    if labels.has_path_info() {
-        u32s(&mut w, SECTION_LABEL_HOPS, labels.first_hops)?;
-    }
 
     // Sealed dynamic updates (WAL payload format, length-framed).
     w.begin_section(SECTION_OPS)?;
@@ -267,7 +260,6 @@ impl Sections<'_> {
             offsets,
             ancestors,
             dists,
-            first_hops: hops,
         } = self.labels;
         let facts = [
             (
@@ -283,9 +275,7 @@ impl Sections<'_> {
                 "gk id map size mismatch",
             ),
             (
-                frames(offsets, n, ancestors.len())
-                    && dists.len() == ancestors.len()
-                    && (hops.is_empty() || hops.len() == ancestors.len()),
+                frames(offsets, n, ancestors.len()) && dists.len() == ancestors.len(),
                 "label offsets inconsistent with entry arrays",
             ),
         ];
@@ -456,12 +446,6 @@ impl Mapped {
                 *r = s.offset as usize..(s.offset + s.len) as usize;
             }
         }
-        let hops = h.section(SECTION_LABEL_HOPS).is_some();
-        match (h.flags & FLAG_HAS_HOPS != 0, hops) {
-            (true, false) => return Err(bad("missing section: label_hops")),
-            (false, true) => return Err(bad("hop section without the hops flag")),
-            _ => {}
-        }
         // Every kind from the graph to the label distances is required.
         for kind in SECTION_GRAPH..=SECTION_LABEL_DISTS {
             if h.section(kind).is_none() {
@@ -527,7 +511,6 @@ impl Mapped {
                 offsets: self.u64s(SECTION_LABEL_OFFSETS)?,
                 ancestors: self.u32s(SECTION_LABEL_ANCESTORS)?,
                 dists: self.u32s(SECTION_LABEL_DISTS)?,
-                first_hops: self.u32s(SECTION_LABEL_HOPS)?,
             },
         })
     }
@@ -553,7 +536,7 @@ fn bad_size(kind: u32) -> io::Error {
     ))
 }
 
-/// Opens a v4 artifact as an index over its sections, in place: header
+/// Opens a v5 artifact as an index over its sections, in place: header
 /// facts checked, `Sections::validate` run once, sealed ops replayed
 /// into the overlay. Nothing proportional to the index is copied.
 pub fn read_index(reader: StoreReader) -> io::Result<IsLabelIndex> {
@@ -656,7 +639,11 @@ mod tests {
         };
         let (index, loaded) = v3_roundtrip(config);
         assert_eq!(loaded.labels(), index.labels());
-        assert!(!loaded.labels().has_path_info());
+        assert!(!loaded.config().keep_path_info);
+        assert_eq!(
+            loaded.try_shortest_path(0, 1),
+            Err(crate::QueryError::NoPathInfo)
+        );
 
         let (index, loaded) = v3_roundtrip(BuildConfig::full());
         assert_eq!(loaded.stats().gk_vertices, 0);
@@ -691,6 +678,26 @@ mod tests {
             assert_eq!(loaded.try_distance(s, t), index.try_distance(s, t));
         }
         assert_eq!(loaded.try_distance(u, 30), index.try_distance(u, 30));
+    }
+
+    #[test]
+    fn v4_artifacts_are_refused_with_the_rebuild_message() {
+        // A v4 file is a v5 layout plus a first-hop section: the version
+        // field alone refuses it, before any section is read.
+        let g = barabasi_albert(40, 2, WeightModel::Unit, 2);
+        let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        let mut bytes = write_index(&index, Cursor::new(Vec::new()))
+            .unwrap()
+            .into_inner();
+        bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+        let err = crate::persist::MmapIndex::from_bytes(bytes)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("version 4"), "{err}");
+        assert!(
+            err.contains("rebuild the index from its graph with `islabel build`"),
+            "{err}"
+        );
     }
 
     #[test]

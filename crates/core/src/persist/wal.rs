@@ -448,8 +448,8 @@ mod tests {
 
     #[test]
     fn writer_and_scanner_roundtrip_with_torn_tail() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("islabel-waltest-{}.wal", std::process::id()));
+        let dir = crate::testdir::TestDir::new("wal");
+        let path = dir.join("test.wal");
         let ops = vec![
             UpdateOp::InsertEdge { a: 1, b: 2, w: 3 },
             UpdateOp::InsertVertex {
@@ -492,6 +492,5 @@ mod tests {
         // Garbage with the wrong magic is a typed refusal.
         std::fs::write(&path, vec![0xAB; 64]).unwrap();
         assert!(scan_wal(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -190,11 +190,7 @@ pub(crate) mod tests {
     use crate::label::LabelDist;
 
     fn view<'a>(ancestors: &'a [VertexId], dists: &'a [LabelDist]) -> LabelView<'a> {
-        LabelView {
-            ancestors,
-            dists,
-            first_hops: &[],
-        }
+        LabelView { ancestors, dists }
     }
 
     #[test]

@@ -461,11 +461,7 @@ impl Overlay {
             ancestors.push(anc);
             dists.push(d);
         });
-        LabelView {
-            ancestors,
-            dists,
-            first_hops: &[],
-        }
+        LabelView { ancestors, dists }
     }
 
     /// Merges `v`'s base entries (if any) with its patches, min per
@@ -1417,11 +1413,8 @@ mod tests {
         // The same valid history without a log: the state `index` must
         // still be in after every refused call.
         let mut twin = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
-        let wal = std::env::temp_dir().join(format!(
-            "islabel-invalid-updates-{}.wal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&wal);
+        let dir = crate::testdir::TestDir::new("invalid-updates");
+        let wal = dir.join("index.wal");
         index.attach_wal(&wal).unwrap();
         let wal_len = || std::fs::metadata(&wal).unwrap().len();
         for ix in [&mut index, &mut twin] {
@@ -1462,7 +1455,6 @@ mod tests {
         // The log is live: the next valid op is appended as usual.
         index.try_insert_edge(0, 2, 1).unwrap();
         assert!(wal_len() > logged);
-        std::fs::remove_file(&wal).unwrap();
     }
 
     #[test]

@@ -312,7 +312,7 @@ mod tests {
 
         let reloaded = persist::try_load_index_from_path(&index_path).unwrap();
         assert_eq!(reloaded.config().k_selection, KSelection::Full);
-        assert!(!reloaded.labels().has_path_info());
+        assert!(!reloaded.config().keep_path_info);
         assert_eq!(reloaded.hierarchy().num_gk_vertices(), 0);
     }
 

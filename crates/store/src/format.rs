@@ -1,7 +1,7 @@
-//! The v4 `.islx` flat artifact format: constants, header/section-table
+//! The v5 `.islx` flat artifact format: constants, header/section-table
 //! codec, and the structural validate-on-open checks.
 //!
-//! A v4 artifact is one file laid out for zero-copy serving:
+//! A v5 artifact is one file laid out for zero-copy serving:
 //!
 //! ```text
 //! [ header 88 B | section table 16 × 32 B | section | pad | section | … ]
@@ -30,9 +30,10 @@ pub const MAGIC: [u8; 4] = *b"ISLX";
 /// The flat, mmap-servable artifact format version — the only one read.
 /// Versions 1 and 2 were streamed, heap-deserialized layouts; version 3
 /// stored label distances as `u64` and only part of the build
-/// configuration. A file carrying any of them is refused as
-/// [`FormatError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 4;
+/// configuration; version 4 stored a first hop beside every label entry
+/// (section kind 14 and header flag bit 1, both reserved since). A file
+/// carrying any of them is refused as [`FormatError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Fixed header bytes before the section table.
 const HEADER_BYTES: usize = 88;
@@ -78,8 +79,10 @@ pub const SECTION_LABEL_OFFSETS: u32 = 11;
 pub const SECTION_LABEL_ANCESTORS: u32 = 12;
 /// Label distances, `E × u32`, parallel to the ancestors.
 pub const SECTION_LABEL_DISTS: u32 = 13;
-/// Label first hops, `E × u32`; present only when path info is kept.
-pub const SECTION_LABEL_HOPS: u32 = 14;
+/// Reserved: version 4's label first hops, `E × u32`. A v5 artifact
+/// never carries it (a path query derives each hop) and the table
+/// decoder refuses it, so the number is never reused.
+const SECTION_LABEL_HOPS: u32 = 14;
 /// Sealed dynamic-update ops, WAL payload format framed as
 /// `len u32 + payload` per record; record count is in the header.
 pub const SECTION_OPS: u32 = 15;
@@ -104,18 +107,17 @@ pub fn section_kind_name(kind: u32) -> &'static str {
         SECTION_LABEL_OFFSETS => "label_offsets",
         SECTION_LABEL_ANCESTORS => "label_ancestors",
         SECTION_LABEL_DISTS => "label_dists",
-        SECTION_LABEL_HOPS => "label_hops",
+        SECTION_LABEL_HOPS => "label_hops (reserved)",
         SECTION_OPS => "ops",
         _ => "unknown",
     }
 }
 
-/// Header flag bit: labels carry first-hop path info.
+/// Header flag bit: the index answers path queries (the build config's
+/// `keep_path_info`). Bit 1 is reserved: version 4's hop-section flag.
 pub const FLAG_KEEP_PATH_INFO: u32 = 1 << 0;
-/// Header flag bit: the `SECTION_LABEL_HOPS` section is present.
-pub const FLAG_HAS_HOPS: u32 = 1 << 1;
-/// All flag bits a v4 reader understands; unknown bits fail validation.
-const FLAG_MASK: u32 = FLAG_KEEP_PATH_INFO | FLAG_HAS_HOPS;
+/// All flag bits a v5 reader understands; unknown bits fail validation.
+const FLAG_MASK: u32 = FLAG_KEEP_PATH_INFO;
 
 // Shared at-rest record layouts. These are the single source of truth for
 // every crate that serializes the same records (the disk-resident label
@@ -130,7 +132,7 @@ pub const LABEL_OFFSET_BYTES: usize = 8;
 /// adjacency records all share it.
 pub const EDGE_TRIPLE_BYTES: usize = 12;
 
-/// Why a byte region is not a valid v4 artifact. Every decode failure is
+/// Why a byte region is not a valid v5 artifact. Every decode failure is
 /// one of these — opening corrupt input never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormatError {
@@ -416,7 +418,7 @@ pub struct SectionEntry {
     pub checksum: u64,
 }
 
-/// The decoded fixed header + section table of a v4 artifact.
+/// The decoded fixed header + section table of a v5 artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
     /// Artifact-lineage epoch pairing the artifact with its WAL.
@@ -591,6 +593,12 @@ impl Header {
                     reason: "unknown section kind",
                 });
             }
+            if kind == SECTION_LABEL_HOPS {
+                return Err(FormatError::Section {
+                    kind,
+                    reason: "reserved section kind",
+                });
+            }
             let seen_slot = seen.get_mut(kind as usize);
             match seen_slot {
                 Some(s) if !*s => *s = true,
@@ -690,7 +698,7 @@ mod tests {
     fn sample_header() -> Header {
         Header {
             epoch: 7,
-            flags: FLAG_KEEP_PATH_INFO | FLAG_HAS_HOPS,
+            flags: FLAG_KEEP_PATH_INFO,
             k: 4,
             ksel_tag: 0,
             ksel_bits: 0.875f64.to_bits(),
@@ -782,6 +790,17 @@ mod tests {
         assert!(matches!(
             Header::decode(&buf, buf.len() as u64),
             Err(FormatError::Section { .. })
+        ));
+
+        let mut h = sample_header();
+        h.sections[1].kind = SECTION_LABEL_HOPS; // version 4's first hops
+        let buf = encode_file(&h);
+        assert!(matches!(
+            Header::decode(&buf, buf.len() as u64),
+            Err(FormatError::Section {
+                kind: SECTION_LABEL_HOPS,
+                reason: "reserved section kind",
+            })
         ));
 
         let mut h = sample_header();

@@ -1,6 +1,6 @@
 //! # islabel-store — memory-mapped, zero-copy index artifacts
 //!
-//! The v4 flat `.islx` container: a fixed header + section table followed
+//! The v5 flat `.islx` container: a fixed header + section table followed
 //! by 8-byte-aligned little-endian sections, designed so a server opens
 //! an index by mapping the file and validating it — O(1) in index size —
 //! instead of deserializing every label into heap `Vec`s.

@@ -1,4 +1,4 @@
-//! Validating, zero-copy v4 artifact reader.
+//! Validating, zero-copy v5 artifact reader.
 //!
 //! [`StoreReader::open`] maps the file and runs the full validate-on-open
 //! pass — magic, version, header checksum, every section's offset /
@@ -19,7 +19,7 @@ use std::path::Path;
 use crate::format::{validate_sections, FormatError, Header};
 use crate::mmap::{cast_u32s, cast_u64s, MappedFile};
 
-/// An open, fully validated v4 artifact.
+/// An open, fully validated v5 artifact.
 #[derive(Debug)]
 pub struct StoreReader {
     map: MappedFile,

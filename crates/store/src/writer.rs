@@ -1,4 +1,4 @@
-//! Streaming v4 artifact writer.
+//! Streaming v5 artifact writer.
 //!
 //! [`StoreWriter`] writes sections one at a time in a single forward
 //! pass, checksumming as it goes, then seeks back once at the end to
@@ -38,7 +38,7 @@ pub struct ArtifactMeta {
     pub is_seed: u64,
 }
 
-/// Writes a v4 `.islx` artifact section by section.
+/// Writes a v5 `.islx` artifact section by section.
 ///
 /// ```text
 /// let mut w = StoreWriter::new(file, meta)?;

@@ -16,7 +16,7 @@
 //! * [`net`] — the network boundary: a binary wire protocol, a pipelining
 //!   TCP [`DistanceServer`], and a blocking [`DistanceClient`] /
 //!   [`ClientPool`].
-//! * [`store`] — the on-disk v4 `.islx` artifact: flat sectioned format,
+//! * [`store`] — the on-disk v5 `.islx` artifact: flat sectioned format,
 //!   streaming writer, and the validating zero-copy mapped reader an
 //!   opened [`IsLabelIndex`] ([`MmapIndex`]) reads its arrays from.
 //!

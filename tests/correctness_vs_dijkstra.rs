@@ -194,3 +194,41 @@ fn label_distance_past_u32_fails_loudly_not_silently() {
         }
     }
 }
+
+#[test]
+fn label_distance_of_exactly_u32_max_builds_and_answers() {
+    // The shape above with weights that sum to exactly u32::MAX: label(0)
+    // gets the entry (2, u32::MAX), the largest distance a label holds. A
+    // labeling slot that read u32::MAX as "unset" would drop that entry.
+    // Both builders must keep it and answer the distance and the path.
+    let w01 = 2_000_000_000u32;
+    let mut b = islabel::GraphBuilder::new(6);
+    b.add_edge(0, 1, w01);
+    b.add_edge(1, 2, u32::MAX - w01);
+    for leaf in 3..6 {
+        b.add_edge(2, leaf, 1);
+    }
+    let g = b.build();
+    let max = u64::from(u32::MAX);
+    for config in [BuildConfig::full(), BuildConfig::default()] {
+        let storage = islabel::extmem::MemStorage::new();
+        let external = islabel::core::embuild::build_external_from_csr(
+            &storage,
+            &g,
+            config,
+            islabel::core::embuild::EmConfig::default(),
+        )
+        .unwrap();
+        let in_memory = IsLabelIndex::try_build(&g, config).unwrap();
+        assert_eq!(external.labels(), in_memory.labels(), "{config:?}");
+        for (builder, index) in [("in-memory", &in_memory), ("external", &external)] {
+            let tag = format!("{builder} {config:?}");
+            assert_eq!(index.labels().label(0).get(2), Some(max), "{tag}");
+            assert_eq!(index.try_distance(0, 2), Ok(Some(max)), "{tag}");
+            assert_eq!(index.try_distance(0, 5), Ok(Some(max + 1)), "{tag}");
+            let path = index.try_shortest_path(0, 2).unwrap().expect(&tag);
+            assert_eq!(path.vertices, vec![0, 1, 2], "{tag}");
+            assert_eq!(path.length, max, "{tag}");
+        }
+    }
+}

@@ -31,12 +31,10 @@ impl LabelPair {
             LabelView {
                 ancestors: &self.aa,
                 dists: &self.ad,
-                first_hops: &[],
             },
             LabelView {
                 ancestors: &self.ba,
                 dists: &self.bd,
-                first_hops: &[],
             },
         )
     }

@@ -114,8 +114,8 @@ proptest! {
     ) {
         let (aa, ad): (Vec<u32>, Vec<u32>) = a.iter().map(|(&k, &v)| (k, v)).unzip();
         let (ba, bd): (Vec<u32>, Vec<u32>) = b.iter().map(|(&k, &v)| (k, v)).unzip();
-        let va = islabel::core::label::LabelView { ancestors: &aa, dists: &ad, first_hops: &[] };
-        let vb = islabel::core::label::LabelView { ancestors: &ba, dists: &bd, first_hops: &[] };
+        let va = islabel::core::label::LabelView { ancestors: &aa, dists: &ad };
+        let vb = islabel::core::label::LabelView { ancestors: &ba, dists: &bd };
         let (got, witness) = islabel::core::query::intersect_min(va, vb);
 
         let mut naive = INF;
