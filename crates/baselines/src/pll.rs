@@ -12,20 +12,24 @@
 //! Construction: process vertices in descending-degree order; from each
 //! landmark run a Dijkstra that *prunes* any vertex whose distance is
 //! already covered by previously assigned labels. Every vertex ends up with
-//! a label of `(landmark rank, distance)` pairs; a query is a merge-join of
+//! a label of `(landmark, distance)` pairs; a query is a merge-join of
 //! two labels — structurally the same Equation 1 evaluation IS-LABEL uses,
 //! with total correctness instead of max-level-vertex correctness.
+//!
+//! The loop is the one a label-only IS-LABEL index runs over its core
+//! ([`islabel_core::label::pruned_labels`]), here with the whole graph as
+//! the core, and the query is IS-LABEL's Equation 1 kernel.
 
+use islabel_core::kernel::intersect_min_auto;
+use islabel_core::label::{pruned_labels, LabelSet};
 use islabel_core::oracle::{DistanceOracle, QueryError, QuerySession};
 use islabel_graph::{CsrGraph, Dist, VertexId, INF};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// A pruned-landmark 2-hop index.
 pub struct PllIndex {
-    /// Per vertex: `(landmark rank, dist)` ascending by rank.
-    labels: Vec<Vec<(u32, Dist)>>,
+    /// Per vertex: `(landmark, dist)` ascending by landmark id.
+    labels: LabelSet,
     build_time: Duration,
 }
 
@@ -36,76 +40,12 @@ impl std::fmt::Debug for PllIndex {
 }
 
 impl PllIndex {
-    /// Builds the index (descending-degree landmark order).
+    /// Builds the index (descending-degree landmark order, ties by id —
+    /// the standard effective ordering for scale-free graphs).
     pub fn build(g: &CsrGraph) -> Self {
         let t0 = Instant::now();
-        let n = g.num_vertices();
-        // Landmark order: by descending degree, ties by id — the standard
-        // effective ordering for scale-free graphs.
-        let mut order: Vec<VertexId> = g.vertices().collect();
-        order.sort_by_key(|&v| (Reverse(g.degree(v)), v));
-
-        let mut labels: Vec<Vec<(u32, Dist)>> = vec![Vec::new(); n];
-        let mut dist = vec![INF; n];
-        let mut touched: Vec<VertexId> = Vec::new();
-        let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
-
-        // Scratch array of the current landmark's label for O(1) lookups
-        // during the pruning query.
-        let mut lm_dist = vec![INF; n.max(1)];
-
-        for (rank, &landmark) in order.iter().enumerate() {
-            let rank = rank as u32;
-            // Load landmark's own label into the scratch table.
-            for &(r, d) in &labels[landmark as usize] {
-                lm_dist[r as usize] = d;
-            }
-
-            dist[landmark as usize] = 0;
-            touched.push(landmark);
-            heap.push(Reverse((0, landmark)));
-            while let Some(Reverse((d, v))) = heap.pop() {
-                if d > dist[v as usize] {
-                    continue;
-                }
-                // Prune: can existing labels already certify dist(landmark,
-                // v) <= d? (Merge via the scratch table.)
-                let mut covered = false;
-                for &(r, dv) in &labels[v as usize] {
-                    let dl = lm_dist[r as usize];
-                    if dl != INF && dl + dv <= d {
-                        covered = true;
-                        break;
-                    }
-                }
-                if covered {
-                    continue;
-                }
-                labels[v as usize].push((rank, d));
-                for (u, w) in g.edges(v) {
-                    let nd = d + w as Dist;
-                    if nd < dist[u as usize] {
-                        if dist[u as usize] == INF {
-                            touched.push(u);
-                        }
-                        dist[u as usize] = nd;
-                        heap.push(Reverse((nd, u)));
-                    }
-                }
-            }
-
-            for &(r, _) in &labels[landmark as usize] {
-                lm_dist[r as usize] = INF;
-            }
-            for &v in &touched {
-                dist[v as usize] = INF;
-            }
-            touched.clear();
-            heap.clear();
-        }
-        // Labels are produced in ascending rank order already (each landmark
-        // appends its own rank once); assert in debug builds.
-        debug_assert!(labels.iter().all(|l| l.windows(2).all(|w| w[0].0 < w[1].0)));
+        let all: Vec<VertexId> = g.vertices().collect();
+        let labels = pruned_labels(g, &all);
         Self {
             labels,
             build_time: t0.elapsed(),
@@ -119,50 +59,33 @@ impl PllIndex {
 
     /// Number of vertices indexed.
     pub fn num_vertices(&self) -> usize {
-        self.labels.len()
+        self.labels.num_vertices()
     }
 
     /// Total label entries.
     pub fn num_entries(&self) -> usize {
-        self.labels.iter().map(|l| l.len()).sum()
+        self.labels.num_entries()
     }
 
     /// Mean entries per vertex.
     pub fn avg_label_len(&self) -> f64 {
-        if self.labels.is_empty() {
-            0.0
-        } else {
-            self.num_entries() as f64 / self.labels.len() as f64
-        }
+        self.labels.avg_label_len()
     }
 
     /// Index size in bytes.
     pub fn index_bytes(&self) -> usize {
-        self.num_entries() * 12 + self.labels.len() * std::mem::size_of::<Vec<(u32, Dist)>>()
+        self.labels.memory_bytes()
     }
 
     /// Exact point-to-point distance by label merge-join; `Ok(None)` means
     /// unreachable.
     pub fn try_distance(&self, s: VertexId, t: VertexId) -> Result<Option<Dist>, QueryError> {
-        islabel_core::oracle::check_vertex(s, self.labels.len())?;
-        islabel_core::oracle::check_vertex(t, self.labels.len())?;
+        islabel_core::oracle::check_vertex(s, self.num_vertices())?;
+        islabel_core::oracle::check_vertex(t, self.num_vertices())?;
         if s == t {
             return Ok(Some(0));
         }
-        let (a, b) = (&self.labels[s as usize], &self.labels[t as usize]);
-        let mut best = INF;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    best = best.min(a[i].1 + b[j].1);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        let (best, _) = intersect_min_auto(self.labels.label(s), self.labels.label(t));
         Ok((best < INF).then_some(best))
     }
 }

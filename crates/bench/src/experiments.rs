@@ -100,7 +100,8 @@ fn run_disk_queries(
         .collect()
 }
 
-/// Puts `label(v)` into `out`, reading the disk only outside `G_k`.
+/// Puts `label(v)` into `out`, reading the disk only outside the searched
+/// `G_k` (a label-only index's core labels are on disk too).
 fn fetch_or_self(
     index: &IsLabelIndex,
     store: &DiskLabelStore,

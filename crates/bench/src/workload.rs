@@ -34,8 +34,10 @@ impl QueryWorkload {
     }
 
     /// `count` random pairs of a specific Table 5 query type, sampled with
-    /// rejection against the index's `G_k` membership. Returns `None` when
-    /// the type is unrealizable (e.g. `G_k` has fewer than 2 vertices).
+    /// rejection against the index's searched `G_k`
+    /// ([`IsLabelIndex::is_in_gk`]). Returns `None` when the type is
+    /// unrealizable (e.g. `G_k` has fewer than 2 vertices, or the index is
+    /// label-only and searches none).
     pub fn of_type(
         index: &IsLabelIndex,
         qtype: QueryType,
@@ -43,8 +45,8 @@ impl QueryWorkload {
         seed: u64,
     ) -> Option<Self> {
         let n = index.num_vertices();
-        let gk: Vec<VertexId> = index.hierarchy().gk_members().to_vec();
-        let non_gk: Vec<VertexId> = (0..n as VertexId).filter(|&v| !index.is_in_gk(v)).collect();
+        let (gk, non_gk): (Vec<VertexId>, Vec<VertexId>) =
+            (0..n as VertexId).partition(|&v| index.is_in_gk(v));
         let feasible = match qtype {
             QueryType::BothInGk => gk.len() >= 2,
             QueryType::OneInGk => !gk.is_empty() && !non_gk.is_empty(),
@@ -117,10 +119,13 @@ mod tests {
 
     #[test]
     fn infeasible_type_returns_none() {
-        // Full hierarchy: G_k empty, so BothInGk is unrealizable.
-        let g = barabasi_albert(50, 2, WeightModel::Unit, 3);
+        // A label-only index keeps a core G_k but searches none of it, so
+        // every query is NeitherInGk and BothInGk is unrealizable.
+        let g = barabasi_albert(300, 4, WeightModel::Unit, 3);
         let index = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
+        assert!(index.hierarchy().num_gk_vertices() >= 2, "the core is kept");
         assert!(QueryWorkload::of_type(&index, QueryType::BothInGk, 5, 1).is_none());
+        assert!(QueryWorkload::of_type(&index, QueryType::OneInGk, 5, 1).is_none());
         assert!(QueryWorkload::of_type(&index, QueryType::NeitherInGk, 5, 1).is_some());
     }
 }

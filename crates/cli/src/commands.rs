@@ -929,10 +929,11 @@ fn pick_live(rng: &mut StdRng, index: &IsLabelIndex) -> Option<VertexId> {
         .find(|&v| !index.is_vertex_deleted(v))
 }
 
-/// Picks a live vertex whose deletion stays exact — a `G_k` member or an
-/// inserted vertex ([`IsLabelIndex::is_in_gk`]). Deleting a peeled vertex
-/// would mark the index stale, and a stale index promises nothing
-/// `recover --check` could hold it to.
+/// Picks a live vertex whose deletion stays exact — a searched `G_k`
+/// member or an inserted vertex ([`IsLabelIndex::is_in_gk`]). Deleting a
+/// peeled vertex, or a label-only index's core vertex, would mark the
+/// index stale, and a stale index promises nothing `recover --check`
+/// could hold it to.
 fn pick_deletable(rng: &mut StdRng, index: &IsLabelIndex) -> Option<VertexId> {
     (0..64).find_map(|_| pick_live(rng, index).filter(|&v| index.is_in_gk(v)))
 }

@@ -12,8 +12,16 @@ pub enum KSelection {
     /// the natural height if the graph empties first. Used by the Table 6
     /// sweep around the automatically selected `k`.
     FixedK(u32),
-    /// Peel until the graph is empty (`k = h + 1`, `G_k = ∅`): every query
-    /// is answered by Equation 1 alone. Section 4's un-truncated hierarchy.
+    /// A label-only index: every query is answered by Equation 1 alone,
+    /// with no search (Section 4's Theorem 2). The peel stops where the
+    /// default σ rule ([`DEFAULT_SIGMA`]) would, and the residual core
+    /// `G_k` is labelled by one pruned Dijkstra in descending (degree, id)
+    /// order, a 2-hop cover of it, which Algorithm 4 then carries down the
+    /// peeled levels in place of each core vertex's self entry
+    /// (`docs/adr/0021-degree-ranked-core.md`). On a graph the σ rule
+    /// peels to nothing the core is empty, as in the un-truncated
+    /// hierarchy. The directed index, which has no core labeling, peels
+    /// until `G_k` is empty.
     Full,
 }
 
@@ -67,10 +75,14 @@ pub struct BuildConfig {
     pub max_levels: u32,
 }
 
+/// The paper's default σ, which also decides where a
+/// [`KSelection::Full`] peel stops.
+pub const DEFAULT_SIGMA: f64 = 0.95;
+
 impl Default for BuildConfig {
     fn default() -> Self {
         Self {
-            k_selection: KSelection::SigmaThreshold(0.95),
+            k_selection: KSelection::SigmaThreshold(DEFAULT_SIGMA),
             is_strategy: IsStrategy::MinDegreeGreedy,
             keep_path_info: true,
             max_levels: 10_000,
@@ -100,7 +112,8 @@ impl BuildConfig {
         }
     }
 
-    /// Full hierarchy (`G_k` empty; label-only queries).
+    /// A label-only index ([`KSelection::Full`]): the σ core labelled by a
+    /// pruned Dijkstra, Equation 1 alone at query time.
     pub fn full() -> Self {
         Self {
             k_selection: KSelection::Full,

@@ -149,10 +149,12 @@ impl GkIdMap {
 
 impl<S: AsRef<[u32]>> GkIdMap<S> {
     /// Compact id of `v`, or `None` when `v` is not a `G_k` vertex. This is
-    /// simultaneously the `G_k` membership test the seed filter uses.
+    /// simultaneously the `G_k` membership test the seed filter uses. The
+    /// empty map of a label-only index's searched view
+    /// ([`crate::hierarchy::HierarchyView::searched`]) maps no vertex.
     #[inline]
     pub fn dense(&self, v: VertexId) -> Option<u32> {
-        let d = self.dense_of.as_ref()[v as usize];
+        let d = *self.dense_of.as_ref().get(v as usize)?;
         (d != NO_DENSE).then_some(d)
     }
 
@@ -543,6 +545,25 @@ impl DenseGk {
             ids,
             fwd,
             rev: Some(rev),
+        }
+    }
+}
+
+impl DenseGk<&[u32]> {
+    /// No vertex and no row: what a label-only index searches.
+    pub(crate) fn empty() -> Self {
+        let csr = DenseCsr {
+            offsets: &[][..],
+            targets: &[],
+            weights: &[],
+        };
+        Self {
+            ids: GkIdMap {
+                dense_of: &[],
+                global_of: &[],
+            },
+            fwd: csr,
+            rev: None,
         }
     }
 }

@@ -121,6 +121,10 @@ impl DiAdjacency {
 impl LevelPeel for DiAdjacency {
     type Error = Infallible;
 
+    // No in/out core labeling here: a full directed hierarchy peels `G_k`
+    // empty, and Equation 1 alone answers.
+    const FULL_PEELS_TO_CORE: bool = false;
+
     fn num_edges(&self) -> usize {
         self.num_arcs
     }
@@ -452,7 +456,7 @@ impl crate::label::PeelSource for DirectionalPeel<'_> {
 /// Algorithm 4 loop; directed queries return distances only).
 fn build_directional_labels(levels: &Levels, peel: &ArcCsr) -> LabelSet {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    crate::label::build_from_peel(levels, &DirectionalPeel(peel.view()), threads)
+    crate::label::build_from_peel(levels, &DirectionalPeel(peel.view()), None, threads)
 }
 
 #[cfg(test)]
@@ -623,6 +627,7 @@ mod tests {
                 let (expected, _) = crate::label::tests::reference_labels(
                     &index.levels,
                     &DirectionalPeel(peel.view()),
+                    None,
                 );
                 assert_eq!(built, &expected, "{:?}", config.k_selection);
             }

@@ -16,7 +16,11 @@
 //!   vertices.
 //! * **Algorithm 4** (top-down labeling): per level, a block nested-loop
 //!   join between that level's labels (blocked by the memory budget) and
-//!   the final labels of all higher levels.
+//!   the final labels of all higher levels. A label-only index
+//!   ([`crate::KSelection::Full`]) first labels its core `G_k` in memory
+//!   with the in-memory builder's [`pruned_labels`] — the core is the
+//!   residual graph, which by the paper's premise fits — and writes those
+//!   labels as the top level's file, so the join carries them down.
 //!
 //! The pipeline is **semi-external** in the standard sense: per-vertex level
 //! numbers (4 bytes/vertex) stay in memory, while everything edge- and
@@ -38,10 +42,10 @@
 //! off included: the peel adjacency keeps its via vertices either way, as
 //! the in-memory builder's does, so both write the same artifact bytes.
 
-use crate::config::BuildConfig;
+use crate::config::{BuildConfig, KSelection};
 use crate::hierarchy::{peel_levels, GkVia, LevelPeel, PeelRows, VertexHierarchy};
 use crate::index::IsLabelIndex;
-use crate::label::{LabelDist, LabelSet, LABEL_OVERFLOW};
+use crate::label::{pruned_labels, LabelDist, LabelSet, LABEL_OVERFLOW};
 use islabel_extmem::diskgraph::{AdjByDegree, AdjRecord, DiskGraph};
 use islabel_extmem::extsort::{external_sort, ExtRecord, RecordReader, RecordWriter, SortConfig};
 use islabel_extmem::storage::Storage;
@@ -130,10 +134,34 @@ fn build_external(
         peel.current.delete(storage)?;
     }
     let k = levels.k;
+    let label_only = config.k_selection == KSelection::Full;
     let t1 = Instant::now();
 
-    // ---- Algorithm 4: top-down block nested-loop labeling. ----
-    label_top_down(storage, k, &levels.level_of, &em)?;
+    // ---- The core's pruned labels, then Algorithm 4: top-down block
+    // nested-loop labeling. ----
+    // The last level whose labels are on file: the core's in a label-only
+    // index, the last peeled level's otherwise.
+    let top = if label_only {
+        let core = pruned_labels(&gk, &levels.gk_members);
+        let mut writer = RecordWriter::new(storage.create(&label_name(k))?);
+        for &v in &levels.gk_members {
+            let label = core.label(v);
+            writer.write(&LabelRecord {
+                vertex: v,
+                entries: label
+                    .ancestors
+                    .iter()
+                    .copied()
+                    .zip(label.dists.iter().copied())
+                    .collect(),
+            })?;
+        }
+        writer.finish()?;
+        k
+    } else {
+        k - 1
+    };
+    label_top_down(storage, k, top, &levels.level_of, &em)?;
     let t2 = Instant::now();
 
     // ---- Assembly: identical structures to the in-memory builder. ----
@@ -145,14 +173,14 @@ fn build_external(
         }
     }
     let mut per_vertex: Vec<Vec<(VertexId, LabelDist)>> = vec![Vec::new(); n];
-    for level in 1..k {
+    for level in 1..=top {
         let mut scan = RecordReader::new(storage.open(&label_name(level))?);
         while let Some(rec) = scan.next::<LabelRecord>()? {
             per_vertex[rec.vertex as usize] = rec.entries;
         }
     }
-    // Self-only labels: G_k members and peeled-but-isolated vertices never
-    // appear in the label files.
+    // Self-only labels: G_k members outside a label-only index and
+    // peeled-but-isolated vertices never appear in the label files.
     for (v, label) in per_vertex.iter_mut().enumerate() {
         if label.is_empty() {
             label.push((v as VertexId, 0));
@@ -163,6 +191,8 @@ fn build_external(
     // Temp cleanup.
     for level in 1..k {
         storage.delete(&adj_name(level))?;
+    }
+    for level in 1..=top {
         storage.delete(&label_name(level))?;
     }
 
@@ -172,6 +202,7 @@ fn build_external(
         peel,
         gk,
         gk_vias,
+        label_only,
     };
     let graph = input.to_csr(storage)?;
     Ok(IsLabelIndex::from_parts(
@@ -527,13 +558,15 @@ fn sort_reduce(candidates: &mut Vec<Candidate>) {
     candidates.dedup_by_key(|&mut (slot, anc, _)| (slot, anc));
 }
 
-/// Labels level `k−1` down to `1`, writing the `labels.L{i}` files.
+/// Labels level `k−1` down to `1`, writing the `labels.L{i}` files; the
+/// labels of levels up to `top` are on file (`top = k` when `G_k`'s pruned
+/// labels are, `k − 1` otherwise).
 ///
 /// The join works off each vertex's *direct* (peel-adjacency) entries, which
 /// is exactly what Corollary 1 licenses: `label(v)` is the min-merge of
 /// `ω(v, u) + label(u)` over the direct neighbors `u`. Neighbors living in
-/// `G_k` contribute their trivial self-only labels inline, so no label file
-/// is materialized for `G_k`.
+/// `G_k` contribute their self-only labels inline when `G_k` has no label
+/// file.
 ///
 /// A block's candidates collect in one buffer that [`sort_reduce`] merges.
 /// Whenever the buffer grows by `em.memory_budget` bytes past its last
@@ -542,6 +575,7 @@ fn sort_reduce(candidates: &mut Vec<Candidate>) {
 fn label_top_down(
     storage: &dyn Storage,
     k: u32,
+    top: u32,
     level_of: &[u32],
     em: &EmConfig,
 ) -> io::Result<()> {
@@ -573,12 +607,12 @@ fn label_top_down(
                 for &(u, w, _) in &rec.edges {
                     debug_assert!(level_of[u as usize] > i);
                     // Fold u's self entry inline: this covers G_k neighbors
-                    // (whose labels are trivially {(u, 0)} and never written
-                    // to a file) and peeled neighbors that were isolated at
-                    // peel time (same situation). For everything else the
-                    // BU join below re-derives the same value, a no-op.
+                    // without a label file (their labels are {(u, 0)}) and
+                    // peeled neighbors that were isolated at peel time
+                    // (same situation). For everything else the BU join
+                    // below re-derives the same value, a no-op.
                     candidates.push((slot, u, w));
-                    if level_of[u as usize] != k {
+                    if level_of[u as usize] <= top {
                         join.push((u, slot, w));
                     }
                 }
@@ -591,9 +625,9 @@ fn label_top_down(
             join.sort_unstable();
             let mut merge_at = candidates.len() + budget_entries;
 
-            // Scan BU — the final labels of all higher peeled levels — once
+            // Scan BU — the final labels of all higher levels on file — once
             // per block (the paper's block nested loop).
-            for j in (i + 1)..k {
+            for j in (i + 1)..=top {
                 let mut bu = RecordReader::new(storage.open(&label_name(j))?);
                 while let Some(lab) = bu.next::<LabelRecord>()? {
                     let from = join.partition_point(|&(u, _, _)| u < lab.vertex);

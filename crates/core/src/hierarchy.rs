@@ -17,11 +17,13 @@
 //!
 //! Construction stops at level `k` (Definition 4): with the σ rule, at the
 //! first level whose graph shrank by less than `1 − σ`; the residual `G_k`
-//! is kept for query-time search. `peel_levels` is the one place that
+//! is kept for query-time search, or, in a label-only index
+//! ([`KSelection::Full`]), labelled as a whole by a pruned Dijkstra
+//! ([`crate::label::pruned_labels`]). `peel_levels` is the one place that
 //! decides this, for the undirected, directed (Section 8.2) and external
 //! (Section 6) builders alike, each a `LevelPeel` backend.
 
-use crate::config::{BuildConfig, IsStrategy, KSelection};
+use crate::config::{BuildConfig, IsStrategy, KSelection, DEFAULT_SIGMA};
 use crate::dense::DenseGk;
 use islabel_graph::adjacency::SortedAdjacency;
 use islabel_graph::{CsrGraph, VertexId, Weight};
@@ -141,6 +143,9 @@ pub struct VertexHierarchy {
     /// artifact's via section, which `Sections::validate` checks on open.
     /// Empty when path info is disabled.
     pub(crate) gk_vias: Vec<GkVia>,
+    /// Whether Algorithm 4 starts from `G_k`'s pruned labels rather than
+    /// its self entries: a label-only index ([`KSelection::Full`]).
+    pub(crate) label_only: bool,
 }
 
 impl VertexHierarchy {
@@ -219,6 +224,7 @@ impl VertexHierarchy {
             peel,
             gk,
             gk_vias,
+            label_only: config.k_selection == KSelection::Full,
         }
     }
 
@@ -283,6 +289,12 @@ impl VertexHierarchy {
     pub fn gk_via(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
         via_of(&self.gk_vias, u, v)
     }
+
+    /// Whether `G_k` is labelled by a pruned Dijkstra and never searched
+    /// (a [`KSelection::Full`] build).
+    pub fn is_label_only(&self) -> bool {
+        self.label_only
+    }
 }
 
 /// The via of `(u, v)` in a via table strictly ascending by `(min, max)`.
@@ -302,6 +314,9 @@ pub struct HierarchyView<'a> {
     pub(crate) peel: PeelCsr<&'a [u64], &'a [[VertexId; 3]]>,
     pub(crate) gk: DenseGk<&'a [u32]>,
     pub(crate) gk_vias: &'a [GkVia],
+    /// A label-only index: `G_k`'s labels are a 2-hop cover of it, so no
+    /// query searches it ([`HierarchyView::searched`] is empty).
+    pub(crate) label_only: bool,
 }
 
 impl<'a> HierarchyView<'a> {
@@ -319,6 +334,30 @@ impl<'a> HierarchyView<'a> {
     #[inline]
     pub fn is_in_gk(&self, v: VertexId) -> bool {
         self.level_of[v as usize] == self.k
+    }
+
+    /// Whether `G_k` is labelled by a pruned Dijkstra and never searched
+    /// (a [`KSelection::Full`] index).
+    pub fn is_label_only(&self) -> bool {
+        self.label_only
+    }
+
+    /// What a query searches: `G_k`, or nothing in a label-only index,
+    /// whose core rows only path queries read.
+    #[inline]
+    pub fn searched(&self) -> DenseGk<&'a [u32]> {
+        if self.label_only {
+            DenseGk::empty()
+        } else {
+            self.gk
+        }
+    }
+
+    /// Whether a query searches `v`: a `G_k` vertex of an index that is not
+    /// label-only.
+    #[inline]
+    pub fn is_searched(&self, v: VertexId) -> bool {
+        !self.label_only && self.is_in_gk(v)
     }
 
     /// The peeled level sets `L_1 .. L_{k−1}` (each ascending), gathered
@@ -380,6 +419,12 @@ pub(crate) struct Levels {
 pub(crate) trait LevelPeel {
     type Error;
 
+    /// Whether a [`KSelection::Full`] peel stops at the default σ rule's
+    /// core, which the builder then labels by a pruned Dijkstra; a builder
+    /// without that labeling (the directed one) peels until `G_k` is
+    /// empty.
+    const FULL_PEELS_TO_CORE: bool = true;
+
     /// `|E(G_i)|`.
     fn num_edges(&self) -> usize;
 
@@ -393,6 +438,10 @@ pub(crate) trait LevelPeel {
 /// off the `n`-vertex graph `G_1` until `G_i` is empty, `i` reaches
 /// `FixedK` or `max_levels`, or, under the σ rule, a peel leaves
 /// `|G_{i+1}| > σ · |G_i|` (then `k = i + 1`), where `|G| = |V| + |E|`.
+/// A [`KSelection::Full`] peel stops by the default σ rule where the
+/// backend labels the core ([`LevelPeel::FULL_PEELS_TO_CORE`]): past it
+/// the IS order peels a scale-free core a few vertices a level, and the
+/// pruned labeling ranks that core better.
 pub(crate) fn peel_levels<P: LevelPeel>(
     n: usize,
     config: &BuildConfig,
@@ -419,7 +468,12 @@ pub(crate) fn peel_levels<P: LevelPeel>(
         );
         present -= li.len();
         sets.push(li);
-        if let KSelection::SigmaThreshold(sigma) = config.k_selection {
+        let sigma = match config.k_selection {
+            KSelection::SigmaThreshold(sigma) => Some(sigma),
+            KSelection::Full if P::FULL_PEELS_TO_CORE => Some(DEFAULT_SIGMA),
+            KSelection::Full | KSelection::FixedK(_) => None,
+        };
+        if let Some(sigma) = sigma {
             if (present + backend.num_edges()) as f64 > sigma * size_before as f64 {
                 break i + 1;
             }
@@ -732,10 +786,14 @@ pub(crate) mod tests {
         // still satisfy every hierarchy invariant.
         let h = VertexHierarchy::build(&paper_graph(), &BuildConfig::full());
         check_independence(&h).unwrap();
-        assert_eq!(h.num_gk_vertices(), 0);
-        // Every vertex has a level, and level sets partition the vertices.
+        // A label-only build stops where the default σ rule does.
+        let sigma = VertexHierarchy::build(&paper_graph(), &BuildConfig::default());
+        assert_eq!(h.levels(), sigma.levels());
+        assert_eq!(h.gk_members(), sigma.gk_members());
+        assert!(h.is_label_only() && !sigma.is_label_only());
+        // Level sets and G_k partition the vertices.
         let total: usize = h.levels().iter().map(|l| l.len()).sum();
-        assert_eq!(total, 9);
+        assert_eq!(total + h.num_gk_vertices(), 9);
     }
 
     #[test]
@@ -784,11 +842,17 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn full_hierarchy_empties_graph() {
+    fn full_hierarchy_peels_to_the_sigma_core() {
+        // The same levels and core as the default σ rule, the same G_k
+        // edges and vias; only the labeling differs.
         let g = erdos_renyi_gnm(300, 900, WeightModel::UniformRange(1, 5), 7);
         let h = VertexHierarchy::build(&g, &BuildConfig::full());
-        assert_eq!(h.num_gk_vertices(), 0);
-        assert_eq!(h.num_gk_edges(), 0);
+        let sigma = VertexHierarchy::build(&g, &BuildConfig::default());
+        assert!(h.num_gk_vertices() > 0);
+        assert_eq!(h.k(), sigma.k());
+        assert_eq!(h.levels.level_of, sigma.levels.level_of);
+        assert_eq!((h.gk(), &h.gk_vias), (sigma.gk(), &sigma.gk_vias));
+        assert!(h.is_label_only());
         check_independence(&h).unwrap();
     }
 
@@ -978,7 +1042,7 @@ pub(crate) mod tests {
             let h = VertexHierarchy::build(&g, &cfg);
             check_independence(&h).unwrap();
             let peeled: usize = h.levels().iter().map(|l| l.len()).sum();
-            assert_eq!(peeled, 150, "{strategy:?}");
+            assert_eq!(peeled + h.num_gk_vertices(), 150, "{strategy:?}");
         }
     }
 

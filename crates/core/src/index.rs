@@ -126,6 +126,7 @@ pub(crate) struct Arrays {
     dense: DenseGk,
     gk_vias: Vec<GkVia>,
     labels: LabelSet,
+    label_only: bool,
 }
 
 impl Storage {
@@ -138,6 +139,7 @@ impl Storage {
                     peel: a.peel.view(),
                     gk: a.dense.view(),
                     gk_vias: &a.gk_vias,
+                    label_only: a.label_only,
                 },
                 labels: a.labels.view(),
             },
@@ -194,6 +196,7 @@ impl IsLabelIndex {
             dense,
             gk_vias: hierarchy.gk_vias,
             labels,
+            label_only: hierarchy.label_only,
         };
         let num_edges = graph.num_edges();
         let storage = Storage::Owned(arrays);
@@ -298,9 +301,12 @@ impl IsLabelIndex {
     /// The dense search substrate: compact `G_k` ids plus the
     /// weight-ordered residual adjacency (see [`crate::dense`]). Sessions
     /// run the bidirectional search on this; benches and the conformance
-    /// suite use it to drive the dense kernel directly.
+    /// suite use it to drive the dense kernel directly. Empty in a
+    /// label-only index, which searches nothing
+    /// ([`HierarchyView::searched`]); its core rows serve path queries
+    /// only.
     pub fn dense_gk(&self) -> DenseGk<&[u32]> {
-        self.sections().hierarchy.gk
+        self.sections().hierarchy.searched()
     }
 
     /// Build configuration used.
@@ -313,9 +319,10 @@ impl IsLabelIndex {
         &self.stats
     }
 
-    /// Whether `v` is (effectively) a vertex of the residual graph `G_k`;
-    /// dynamically inserted vertices live in `G_k` by construction
-    /// (Section 8.3).
+    /// Whether `v` is (effectively) a vertex of the residual graph `G_k`
+    /// that queries search; dynamically inserted vertices live in `G_k` by
+    /// construction (Section 8.3). A label-only index searches no base
+    /// vertex, so only its inserted vertices count.
     pub fn is_in_gk(&self, v: VertexId) -> bool {
         self.overlay.effective_in_gk(self.hierarchy(), v)
     }
@@ -414,7 +421,7 @@ impl IsLabelIndex {
             }));
         }
         let Sections { hierarchy, labels } = self.sections();
-        let gk = hierarchy.gk;
+        let gk = hierarchy.searched();
         let mut scratch = DenseScratch::with_parents(gk.ids().len());
         let out = search_once(gk, labels.label(s), labels.label(t), &mut scratch);
         let path = crate::path::reconstruct(hierarchy, labels, s, t, &out, scratch.parents());
@@ -446,7 +453,9 @@ impl IsLabelIndex {
         // The longest label is read from the stats every constructor and
         // loader fills, not rescanned: opening stays O(|G_k|), not O(n).
         let label_cap = self.stats.max_label_len + self.overlay.max_patch_len();
-        let sections = self.sections();
+        let mut sections = self.sections();
+        // A session reads `G_k` only to search it.
+        sections.hierarchy.gk = sections.hierarchy.searched();
         let overlay = self.overlay.residual().map(|patch| OverlayDense {
             patch,
             anc_s: Vec::with_capacity(label_cap),
@@ -788,6 +797,8 @@ fn search_once<P: ParentSink>(
 #[derive(Debug)]
 pub struct IsLabelSession<'a> {
     index: &'a IsLabelIndex,
+    /// The index's arrays, with `G_k` as the session searches it: empty in
+    /// a label-only index ([`HierarchyView::searched`]).
     sections: Sections<'a>,
     scratch: DenseScratch,
     fseeds: Vec<(u32, Dist)>,
@@ -1060,14 +1071,176 @@ mod tests {
 
     #[test]
     fn full_hierarchy_answers_by_labels_alone() {
+        // A label-only index keeps its core G_k but searches none of it:
+        // the searched view is empty, and every query meets on labels.
         let g = erdos_renyi_gnm(80, 160, WeightModel::UniformRange(1, 3), 2);
         let index = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
-        assert_eq!(index.stats().gk_vertices, 0);
+        assert!(index.stats().gk_vertices > 0, "the core is kept");
+        assert!(index.hierarchy().is_label_only());
+        assert_eq!(index.dense_gk().ids().len(), 0, "nothing is searched");
+        assert!(index
+            .hierarchy()
+            .gk_members()
+            .iter()
+            .all(|&v| !index.is_in_gk(v)));
         for (s, t) in [(0u32, 79u32), (1, 50), (10, 60)] {
             let out = index.query(s, t).unwrap();
-            assert_eq!(out.settled, 0, "no search may run with empty G_k");
+            assert_eq!(out.settled, 0, "no search may run in a label-only index");
             assert!(!out.answered_by_search);
             assert_eq!(out.distance, dijkstra_p2p(&g, s, t));
+        }
+    }
+
+    #[test]
+    fn full_hierarchy_matches_reference_on_every_pair() {
+        let w = WeightModel::UniformRange(1, 4);
+        let graphs = [
+            ("er", erdos_renyi_gnm(90, 260, w, 41)),
+            ("ba", barabasi_albert(90, 3, w, 42)),
+            ("grid", islabel_graph::generators::grid2d(9, 10, w, 43)),
+        ];
+        for (name, g) in &graphs {
+            let index = IsLabelIndex::try_build(g, BuildConfig::full()).unwrap();
+            assert!(index.stats().gk_vertices > 1, "{name}: needs a core");
+            let mut session = index.session();
+            for s in g.vertices() {
+                let truth = dijkstra_all(g, s);
+                for t in g.vertices() {
+                    let expect = (truth[t as usize] < INF).then_some(truth[t as usize]);
+                    assert_eq!(session.distance(s, t), Ok(expect), "{name} ({s}, {t})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deleting_a_core_vertex_of_a_label_only_index_makes_it_stale() {
+        let g = barabasi_albert(120, 3, WeightModel::UniformRange(1, 4), 44);
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
+        let core = index.hierarchy().gk_members()[0];
+        index.try_insert_edge(0, 119, 2).unwrap();
+        assert!(!index.is_stale(), "an insertion keeps the index fresh");
+        index.try_delete_vertex(core).unwrap();
+        assert!(index.is_stale(), "a hub entry may route through {core}");
+        // Every later op still applies.
+        let v = index.try_insert_vertex(&[(1, 3)]).unwrap();
+        index.try_insert_edge(v, 2, 1).unwrap();
+        index.try_delete_vertex(v).unwrap();
+        assert_eq!(index.try_distance(core, 5), Ok(None));
+
+        // The same deletion in a σ index is exact.
+        let mut sigma = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
+        sigma.try_delete_vertex(core).unwrap();
+        assert!(!sigma.is_stale());
+    }
+
+    #[test]
+    fn label_only_updates_keep_the_upper_bound_contract() {
+        // Insertions anywhere and deletions of inserted vertices keep the
+        // index fresh, and every answer a real path of the updated graph;
+        // a core deletion makes it stale; a rebuild is exact again.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let w = WeightModel::UniformRange(1, 5);
+        let graphs = [
+            ("er", erdos_renyi_gnm(100, 300, w, 51)),
+            ("ba", barabasi_albert(100, 3, w, 52)),
+            ("grid", islabel_graph::generators::grid2d(10, 10, w, 53)),
+        ];
+        for (name, g) in &graphs {
+            let mut rng = StdRng::seed_from_u64(54);
+            let mut index = IsLabelIndex::try_build(g, BuildConfig::full()).unwrap();
+            assert!(index.stats().gk_vertices > 0, "{name}: needs a core");
+            let mut inserted = Vec::new();
+            for _ in 0..40 {
+                let n = index.num_vertices() as VertexId;
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let w = rng.gen_range(1..=6);
+                if index.is_vertex_deleted(a) || index.is_vertex_deleted(b) {
+                    continue;
+                }
+                match rng.gen_range(0..10) {
+                    0..=5 if a != b => index.try_insert_edge(a, b, w).unwrap(),
+                    0..=7 => inserted.push(index.try_insert_vertex(&[(a, w), (b, w + 1)]).unwrap()),
+                    _ if !inserted.is_empty() => {
+                        let v = inserted.swap_remove(rng.gen_range(0..inserted.len()));
+                        index.try_delete_vertex(v).unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            assert!(!index.is_stale(), "{name}");
+            let current = index.current_graph();
+            let mut session = index.session();
+            for s in (0..current.num_vertices() as VertexId).step_by(3) {
+                let truth = dijkstra_all(&current, s);
+                for t in current.vertices() {
+                    let want = (truth[t as usize] < INF).then_some(truth[t as usize]);
+                    match (session.distance(s, t).unwrap(), want) {
+                        (Some(got), Some(want)) => assert!(got >= want, "{name} ({s}, {t})"),
+                        (Some(_), None) => panic!("{name} ({s}, {t}): a distance for no path"),
+                        (None, _) => {}
+                    }
+                }
+            }
+            let core = index.hierarchy().gk_members()[0];
+            index.try_delete_vertex(core).unwrap();
+            assert!(index.is_stale(), "{name}");
+            let current = index.current_graph();
+            index.rebuild();
+            for s in (0..current.num_vertices() as VertexId).step_by(5) {
+                for t in (0..current.num_vertices() as VertexId).step_by(3) {
+                    let want = dijkstra_p2p(&current, s, t);
+                    assert_eq!(index.try_distance(s, t), Ok(want), "{name} ({s}, {t})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_640_op_update_mix_applies_to_a_label_only_index() {
+        // The 70 / 20 / 10 mix over live endpoints, deletions drawn from
+        // the core and from inserted vertices: every op applies.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let g = barabasi_albert(400, 3, WeightModel::UniformRange(1, 5), 45);
+        let mut index = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
+        let mut deletable = index.hierarchy().gk_members().to_vec();
+        assert!(!deletable.is_empty());
+        let mut alive = vec![true; g.num_vertices()];
+        let mut rng = StdRng::seed_from_u64(42);
+        let live = |rng: &mut StdRng, alive: &[bool]| loop {
+            let v = rng.gen_range(0..alive.len());
+            if alive[v] {
+                return v as VertexId;
+            }
+        };
+        let mut deletions = 0;
+        for _ in 0..640 {
+            let roll = rng.gen_range(0..100u32);
+            let w: Weight = rng.gen_range(1..=10);
+            if roll < 70 || (roll >= 90 && deletable.is_empty()) {
+                let a = live(&mut rng, &alive);
+                let mut b = live(&mut rng, &alive);
+                while b == a {
+                    b = live(&mut rng, &alive);
+                }
+                index.try_insert_edge(a, b, w).unwrap();
+            } else if roll < 90 {
+                let a = live(&mut rng, &alive);
+                let v = index.try_insert_vertex(&[(a, w)]).unwrap();
+                deletable.push(v);
+                alive.push(true);
+            } else {
+                let v = deletable.swap_remove(rng.gen_range(0..deletable.len()));
+                alive[v as usize] = false;
+                index.try_delete_vertex(v).unwrap();
+                deletions += 1;
+            }
+        }
+        assert_eq!(index.pending_ops(), 640);
+        assert!(deletions > 0);
+        let mut session = index.session();
+        for s in (0..index.num_vertices() as VertexId).step_by(37) {
+            session.distance(s, 7).unwrap();
         }
     }
 
@@ -1305,13 +1478,14 @@ mod tests {
 
     #[test]
     fn full_hierarchy_seeds_the_patched_tail() {
-        // A full hierarchy has an empty `G_k`, so the session skips the
-        // seed scan. Inserted vertices join `G_k` on the patched tail:
+        // A label-only index searches nothing, so the session skips the
+        // seed scan. Inserted vertices join the searched view on the
+        // patched tail, which holds them alone, never the core's rows:
         // `v2 → v1 → a` is found only by seeding that tail, so the skip
         // must test the searched view, not the base `|G_k|`.
         let g = erdos_renyi_gnm(60, 140, WeightModel::UniformRange(1, 5), 23);
         let mut index = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
-        assert_eq!(index.hierarchy().num_gk_vertices(), 0);
+        assert_eq!(index.dense_gk().ids().len(), 0);
         let (a, w1, w2) = (7, 3, 4);
         let v1 = index.try_insert_vertex(&[(a, w1)]).unwrap();
         let v2 = index.try_insert_vertex(&[(v1, w2)]).unwrap();

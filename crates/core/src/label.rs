@@ -32,6 +32,13 @@
 //!   and exactly the touched slots are reset, so between two vertices
 //!   every slot is unset (`docs/adr/0005-scatter-min-labeling.md`).
 //!
+//! A label-only index ([`crate::KSelection::Full`]) starts Algorithm 4 from
+//! `G_k`'s own labels instead of self entries: [`pruned_labels`], one
+//! pruned Dijkstra per core vertex in descending (degree, id) order, the
+//! pruned landmark labeling of Akiba, Iwata and Yoshida (SIGMOD 2013), run
+//! over the core alone. Its labels are a 2-hop cover of `G_k`, so Equation
+//! 1 is exact with no search (`docs/adr/0021-degree-ranked-core.md`).
+//!
 //! Storage is struct-of-arrays, each vertex's entries sorted by ancestor id,
 //! which makes Equation 1 a linear merge-join — the "simple sequential
 //! scanning" the paper relies on (Section 6.2). An entry is `(ancestor,
@@ -40,7 +47,9 @@
 //! ([`crate::path`], `docs/adr/0020-derived-first-hops.md`).
 
 use crate::hierarchy::{Levels, VertexHierarchy};
-use islabel_graph::{Dist, VertexId, Weight};
+use islabel_graph::{CsrGraph, Dist, VertexId, Weight, INF};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A stored label distance. Labels hold it at 4 bytes wherever they live
@@ -275,11 +284,90 @@ impl ScatterMin {
 /// the per-level spawn cost dominates the merge work.
 const PARALLEL_LEVEL_CUTOFF: usize = 128;
 
+/// The pruned labels of the vertices `members` of `g`, whose edges stay
+/// among them: one Dijkstra per member `hub` in descending (degree, id)
+/// order. A vertex `v` it settles at `d` gets the entry `(hub, d)` and is
+/// expanded, unless the labels made so far already answer `(hub, v)`
+/// within `d`, which prunes it. The labels are the canonical 2-hop
+/// cover of that order: every pair's distance is the minimum of
+/// `L(s)[h] + L(t)[h]` over common hubs `h`, and which equal-key vertex a
+/// heap pops first decides nothing. A vertex outside `members` gets an
+/// empty label. Panics on a distance past [`LabelDist`], as the other
+/// label builders do.
+///
+/// The one pruned-labeling loop: a label-only index runs it over its core
+/// `G_k`, the PLL baseline over the whole graph.
+pub fn pruned_labels(g: &CsrGraph, members: &[VertexId]) -> LabelSet {
+    let n = g.num_vertices();
+    let mut order = members.to_vec();
+    order.sort_unstable_by_key(|&v| (Reverse(g.degree(v)), v));
+    // Entries as (hub rank, distance), appended in rank order.
+    let mut ranked: Vec<Vec<(u32, LabelDist)>> = vec![Vec::new(); n];
+    // The current hub's label by rank, for an O(|L(v)|) pruning test.
+    let mut hub_dist = vec![INF; order.len()];
+    let mut dist = vec![INF; n];
+    let mut touched: Vec<VertexId> = Vec::new();
+    let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
+    for (rank, &hub) in (0u32..).zip(&order) {
+        for &(r, d) in &ranked[hub as usize] {
+            hub_dist[r as usize] = Dist::from(d);
+        }
+        dist[hub as usize] = 0;
+        touched.push(hub);
+        heap.push(Reverse((0, hub)));
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if d > dist[v as usize] {
+                continue;
+            }
+            let covered = ranked[v as usize]
+                .iter()
+                .any(|&(r, dv)| hub_dist[r as usize].saturating_add(Dist::from(dv)) <= d);
+            if covered {
+                continue;
+            }
+            let stored = LabelDist::try_from(d).expect(LABEL_OVERFLOW);
+            ranked[v as usize].push((rank, stored));
+            for (u, w) in g.edges(v) {
+                let nd = d + Dist::from(w);
+                if nd < dist[u as usize] {
+                    if dist[u as usize] == INF {
+                        touched.push(u);
+                    }
+                    dist[u as usize] = nd;
+                    heap.push(Reverse((nd, u)));
+                }
+            }
+        }
+        for &(r, _) in &ranked[hub as usize] {
+            hub_dist[r as usize] = INF;
+        }
+        for &v in &touched {
+            dist[v as usize] = INF;
+        }
+        touched.clear();
+    }
+    let rows = ranked
+        .into_iter()
+        .map(|label| {
+            let mut row: Vec<Entry> = label
+                .into_iter()
+                .map(|(r, d)| (order[r as usize], d))
+                .collect();
+            row.sort_unstable();
+            row
+        })
+        .collect();
+    LabelSet::from_per_vertex(rows)
+}
+
 /// Shared top-down labeling loop (Algorithm 4) over any [`PeelSource`],
-/// level-parallel and deterministic at every thread count.
+/// level-parallel and deterministic at every thread count. `G_k`'s
+/// vertices start from their `core` labels when given (a label-only
+/// index), and from their self entries otherwise.
 pub(crate) fn build_from_peel<P: PeelSource>(
     levels: &Levels,
     peel: &P,
+    core: Option<&LabelSet>,
     threads: usize,
 ) -> LabelSet {
     let (n, k, gk_members) = (levels.level_of.len(), levels.k, &levels.gk_members[..]);
@@ -287,10 +375,23 @@ pub(crate) fn build_from_peel<P: PeelSource>(
     // are (ancestor, dist), each vertex's slice sorted by ancestor.
     let mut labels = ArenaLabels::new(n);
 
-    // Initialization: G_k vertices have only the self entry.
-    let self_entries: Vec<Entry> = gk_members.iter().map(|&v| (v, 0)).collect();
-    labels.commit(gk_members, &vec![1u32; gk_members.len()], &self_entries);
-    drop(self_entries);
+    // Initialization: the labels of G_k vertices, final from the start.
+    let (lens, first): (Vec<u32>, Vec<Entry>) = match core {
+        Some(core) => {
+            let rows = gk_members.iter().map(|&v| core.label(v));
+            let lens = rows.clone().map(|l| l.len() as u32).collect();
+            let flat = rows
+                .flat_map(|l| l.ancestors.iter().copied().zip(l.dists.iter().copied()))
+                .collect();
+            (lens, flat)
+        }
+        None => (
+            vec![1; gk_members.len()],
+            gk_members.iter().map(|&v| (v, 0)).collect(),
+        ),
+    };
+    labels.commit(gk_members, &lens, &first);
+    drop(first);
 
     // One scratch per worker for the whole build, lent to each level's
     // threads: a per-level array would be re-filled `k` times.
@@ -364,6 +465,8 @@ pub(crate) fn build_from_peel<P: PeelSource>(
 impl LabelSet {
     /// Runs top-down labeling (Algorithm 4) over a hierarchy, parallelized
     /// level-by-level over [`std::thread::available_parallelism`] workers.
+    /// A label-only hierarchy ([`VertexHierarchy::is_label_only`]) has its
+    /// core labelled first, by [`pruned_labels`] over `G_k`.
     /// Labels are deterministic — identical at any worker count (see
     /// [`LabelSet::build_with_threads`]). The labels are the same whatever
     /// `keep_path_info` says: no first hop is stored, a path query derives
@@ -380,7 +483,8 @@ impl LabelSet {
     /// already-final labels — so the output is bit-identical across
     /// `threads` values.
     pub fn build_with_threads(h: &VertexHierarchy, threads: usize) -> Self {
-        build_from_peel(&h.levels, &HierarchyPeel(h), threads.max(1))
+        let core = h.label_only.then(|| pruned_labels(&h.gk, h.gk_members()));
+        build_from_peel(&h.levels, &HierarchyPeel(h), core.as_ref(), threads.max(1))
     }
 
     /// Flattens arena-backed construction labels into the SoA layout.
@@ -498,6 +602,7 @@ pub(crate) mod tests {
     use crate::reference;
     use islabel_graph::generators::{barabasi_albert, erdos_renyi_gnm, grid2d, WeightModel};
     use islabel_graph::{FxHashMap, GraphBuilder};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn label_pairs(ls: &LabelSet, v: VertexId) -> Vec<(VertexId, Dist)> {
         ls.label(v).iter().collect()
@@ -506,16 +611,26 @@ pub(crate) mod tests {
     /// Second implementation of Algorithm 4 with first hops: a top-down
     /// hash-map min-merge under the lexicographic `(dist, hop)` rule, one
     /// vertex at a time, sharing only [`PeelSource`] with
-    /// [`build_from_peel`]. Returns the labels and, per vertex, the first
-    /// hop of each entry (the vertex itself for its self entry).
+    /// [`build_from_peel`], from `G_k`'s `core` labels when given. Returns
+    /// the labels and, per vertex, the first hop of each entry (the vertex
+    /// itself for its self entry and for every entry of a `G_k` vertex,
+    /// which has no peel row).
     pub(crate) fn reference_labels<P: PeelSource>(
         levels: &Levels,
         peel: &P,
+        core: Option<&LabelSet>,
     ) -> (LabelSet, Vec<Vec<VertexId>>) {
         let n = levels.level_of.len();
         let mut per_vertex: Vec<Vec<(VertexId, LabelDist, VertexId)>> = vec![Vec::new(); n];
         for &v in &levels.gk_members {
-            per_vertex[v as usize] = vec![(v, 0, v)];
+            per_vertex[v as usize] = match core {
+                Some(core) => {
+                    let l = core.label(v);
+                    let entries = l.ancestors.iter().zip(l.dists);
+                    entries.map(|(&a, &d)| (a, d, v)).collect()
+                }
+                None => vec![(v, 0, v)],
+            };
         }
         for li in levels.sets.iter().rev() {
             for &v in li {
@@ -545,12 +660,12 @@ pub(crate) mod tests {
     }
 
     /// The first hop a path query derives for every entry of every label,
-    /// the vertex itself for its self entry: what [`reference_labels`]
-    /// records.
+    /// the vertex itself for its self entry and for a `G_k` vertex's
+    /// entries: what [`reference_labels`] records.
     fn derived_hops(h: &VertexHierarchy, ls: &LabelSet) -> Vec<Vec<VertexId>> {
         let (peel, lv) = (h.peel.view(), ls.view());
         let hop = |v: VertexId, w: VertexId| {
-            if w == v {
+            if w == v || h.is_in_gk(v) {
                 return v;
             }
             let edge = crate::path::first_hop(peel, lv, v, w).expect("entry has a hop");
@@ -589,8 +704,8 @@ pub(crate) mod tests {
         let neighbors: Vec<VertexId> = h.peel_adj(0).map(|e| e.to).collect();
         assert_eq!(neighbors, vec![1, 2]);
 
-        let forward = build_from_peel(&h.levels, &HierarchyPeel(&h), 1);
-        let backward = build_from_peel(&h.levels, &ReversedPeel(&h), 1);
+        let forward = build_from_peel(&h.levels, &HierarchyPeel(&h), None, 1);
+        let backward = build_from_peel(&h.levels, &ReversedPeel(&h), None, 1);
         assert_eq!(forward, backward);
         assert_eq!(
             label_pairs(&forward, 0),
@@ -622,7 +737,7 @@ pub(crate) mod tests {
         let g = grid2d(45, 45, WeightModel::Unit, 13);
         let h = VertexHierarchy::build(&g, &BuildConfig::sigma(0.95));
         let peel = NamingPeel(&h, std::sync::Mutex::default());
-        build_from_peel(&h.levels, &peel, 3);
+        build_from_peel(&h.levels, &peel, None, 3);
         let caller = std::thread::current().name().unwrap_or("").to_string();
         let mut workers = peel.1.into_inner().expect("no labeling thread panicked");
         workers.retain(|name| *name != caller);
@@ -646,13 +761,105 @@ pub(crate) mod tests {
         for (name, g) in &graphs {
             for config in [BuildConfig::sigma(0.95), BuildConfig::full()] {
                 let h = VertexHierarchy::build(g, &config);
-                let (expected, hops) = reference_labels(&h.levels, &HierarchyPeel(&h));
+                let core = h.label_only.then(|| pruned_labels(&h.gk, h.gk_members()));
+                let (expected, hops) =
+                    reference_labels(&h.levels, &HierarchyPeel(&h), core.as_ref());
                 for threads in [1, 2, 3, 8] {
                     let ls = LabelSet::build_with_threads(&h, threads);
                     let tag = format!("{name} {:?} threads {threads}", config.k_selection);
                     assert_eq!(ls, expected, "{tag}");
                     assert_eq!(derived_hops(&h, &ls), hops, "{tag} first hops");
                 }
+            }
+        }
+    }
+
+    /// The pruned Dijkstra over `G_k` written out with ordered maps: hubs
+    /// in descending (degree in `G_k`, id) order, each a plain Dijkstra
+    /// with a `BTreeSet` frontier that gives `v` the entry `(hub, d)`
+    /// unless the labels made so far answer `(hub, v)` within `d`, and
+    /// expands `v` only then.
+    fn literal_pruned_core(h: &VertexHierarchy) -> BTreeMap<VertexId, BTreeMap<VertexId, Dist>> {
+        let gk = h.gk();
+        let mut order = h.gk_members().to_vec();
+        order.sort_by_key(|&v| (std::cmp::Reverse(gk.degree(v)), v));
+        let mut labels: BTreeMap<VertexId, BTreeMap<VertexId, Dist>> =
+            order.iter().map(|&v| (v, BTreeMap::new())).collect();
+        for &hub in &order {
+            let mut best = BTreeMap::from([(hub, 0)]);
+            let mut frontier = BTreeSet::from([(0, hub)]);
+            while let Some((d, v)) = frontier.pop_first() {
+                let answered = labels[&hub]
+                    .iter()
+                    .filter_map(|(a, da)| Some(da + labels[&v].get(a)?))
+                    .min();
+                if answered.is_some_and(|q| q <= d) {
+                    continue;
+                }
+                labels.get_mut(&v).unwrap().insert(hub, d);
+                for (u, w) in gk.edges(v) {
+                    let nd = d + Dist::from(w);
+                    if best.get(&u).is_none_or(|&b| nd < b) {
+                        if let Some(b) = best.insert(u, nd) {
+                            frontier.remove(&(b, u));
+                        }
+                        frontier.insert((nd, u));
+                    }
+                }
+            }
+        }
+        labels
+    }
+
+    #[test]
+    fn core_labels_are_the_literal_pruned_dijkstra_over_gk() {
+        let graphs = [
+            (
+                "er",
+                erdos_renyi_gnm(300, 900, WeightModel::UniformRange(1, 4), 31),
+            ),
+            (
+                "ba",
+                barabasi_albert(300, 3, WeightModel::UniformRange(1, 3), 32),
+            ),
+            ("grid", grid2d(12, 12, WeightModel::UniformRange(1, 2), 33)),
+            ("ba unit", barabasi_albert(400, 2, WeightModel::Unit, 34)),
+        ];
+        for (name, g) in &graphs {
+            let h = VertexHierarchy::build(g, &BuildConfig::full());
+            assert!(h.is_label_only());
+            assert!(h.num_gk_edges() > 0, "{name}: the core needs edges");
+            let literal = literal_pruned_core(&h);
+            // Algorithm 4 leaves the core's labels as the pruned Dijkstra
+            // made them, at any worker count.
+            for threads in [1, 3] {
+                let ls = LabelSet::build_with_threads(&h, threads);
+                for (&v, expected) in &literal {
+                    let got: BTreeMap<VertexId, Dist> = ls.label(v).iter().collect();
+                    assert_eq!(&got, expected, "{name}: label({v}), threads {threads}");
+                }
+            }
+            // Pruning dropped something: not every hub reaches every vertex.
+            let entries: usize = literal.values().map(BTreeMap::len).sum();
+            let m = literal.len();
+            assert!(
+                entries < m * (m + 1) / 2,
+                "{name}: {entries} entries over {m}"
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_labels_cover_every_pair_of_the_core() {
+        // 2-hop cover: Equation 1 over two core labels is the distance.
+        let g = barabasi_albert(250, 3, WeightModel::UniformRange(1, 5), 35);
+        let h = VertexHierarchy::build(&g, &BuildConfig::full());
+        let core = pruned_labels(&h.gk, h.gk_members());
+        for &s in h.gk_members() {
+            let truth = reference::dijkstra_all(&g, s);
+            for &t in h.gk_members() {
+                let (d, _) = crate::query::intersect_min(core.label(s), core.label(t));
+                assert_eq!(d, truth[t as usize], "({s}, {t})");
             }
         }
     }

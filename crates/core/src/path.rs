@@ -28,16 +28,25 @@
 //! paths (`docs/adr/0020-derived-first-hops.md`). One step costs a binary
 //! search of `w` in each peel neighbour's label.
 //!
+//! **A label-only index's core.** There a label entry may name a hub of the
+//! core `G_k`, whose vertices have no peel row: the chain climbs to a core
+//! vertex `a`, and then runs a shortest `a`–`w` path of `G_k`. `core_hop`
+//! takes each of its steps over `a`'s core row, as the lexicographic
+//! minimum of `(ω(a, u) + dist(u, w), u)`, with `dist` from Equation 1 over
+//! the two pruned labels — a neighbour's label can lack `w` when a higher
+//! hub covers the pair (`docs/adr/0021-degree-ranked-core.md`).
+//!
 //! The reconstructed path is a real path of `G`: every consecutive pair is
 //! an original edge, and the weights sum to the reported distance (asserted
 //! in debug builds and in the test suite).
 
 use crate::dense::DenseParents;
 use crate::hierarchy::{HierarchyView, PeelCsr, PeelEdge};
+use crate::kernel::intersect_min_auto;
 use crate::label::Labels;
 use crate::query::{Meeting, SearchOutcome};
 use islabel_graph::adjacency::NO_VIA;
-use islabel_graph::{CsrGraph, Dist, VertexId};
+use islabel_graph::{CsrGraph, Dist, VertexId, INF};
 
 /// A reconstructed shortest path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,8 +166,38 @@ pub(crate) fn first_hop(
     best.map(|(_, edge)| edge)
 }
 
+/// The step from the core vertex `v` toward the core vertex `w != v` on a
+/// shortest path of `G_k` (a label-only index): the neighbour `u` of `v`'s
+/// core row that minimizes `(ω(v, u) + dist(u, w), u)`, `dist` being
+/// Equation 1 over the two pruned labels, which cover every core pair.
+/// `None` when no neighbour reaches `w`.
+fn core_hop(
+    h: HierarchyView<'_>,
+    labels: Labels<'_>,
+    v: VertexId,
+    w: VertexId,
+) -> Option<VertexId> {
+    let ids = h.gk.ids();
+    let (targets, weights) = h.gk.fwd().row(ids.dense(v)?);
+    let to_w = labels.label(w);
+    let mut best: Option<(Dist, VertexId)> = None;
+    for (&du, &weight) in targets.iter().zip(weights) {
+        let u = ids.global(du);
+        let (d, _) = intersect_min_auto(labels.label(u), to_w);
+        if d == INF {
+            continue;
+        }
+        let offer = (Dist::from(weight) + d, u);
+        if best.is_none_or(|b| offer < b) {
+            best = Some(offer);
+        }
+    }
+    best.map(|(_, u)| u)
+}
+
 /// Follows first hops from `v` to its ancestor `w`, expanding every step;
-/// returns the full vertex sequence `v .. w`.
+/// returns the full vertex sequence `v .. w`. Past the peeled levels, a
+/// label-only index's chain continues inside the core by [`core_hop`].
 fn label_path(
     h: HierarchyView<'_>,
     labels: Labels<'_>,
@@ -167,15 +206,23 @@ fn label_path(
 ) -> Option<Vec<VertexId>> {
     let mut out = vec![v];
     let mut cur = v;
-    // Every hop climbs at least one level, so a chain has fewer than `k`
-    // steps; the bound keeps a corrupt artifact from looping.
-    for _ in 0..h.k {
+    // Every peel hop climbs at least one level and every core hop brings
+    // `w` strictly closer along a shortest path of `G_k`, so a chain has
+    // fewer than `k + |G_k|` steps; the bound keeps a corrupt artifact
+    // from looping.
+    for _ in 0..h.k as usize + h.num_gk_vertices() {
         if cur == w {
             return Some(out);
         }
-        let edge = first_hop(h.peel, labels, cur, w)?;
-        expand_edge(h, cur, edge.to, edge.via, &mut out);
-        cur = edge.to;
+        if h.is_in_gk(cur) {
+            let next = core_hop(h, labels, cur, w)?;
+            expand_gk_edge(h, cur, next, &mut out);
+            cur = next;
+        } else {
+            let edge = first_hop(h.peel, labels, cur, w)?;
+            expand_edge(h, cur, edge.to, edge.via, &mut out);
+            cur = edge.to;
+        }
     }
     None
 }
@@ -293,7 +340,10 @@ mod tests {
                 let index = IsLabelIndex::try_build(g, config).unwrap();
                 let crate::persist::v3::Sections { hierarchy, labels } = index.sections();
                 let mut checked = 0usize;
-                for v in 0..g.num_vertices() as VertexId {
+                // A label-only index's core vertices have no peel row:
+                // their steps are core hops, which the path tests cover.
+                let peeled = (0..g.num_vertices() as VertexId).filter(|&v| !hierarchy.is_in_gk(v));
+                for v in peeled {
                     for &w in labels.label(v).ancestors.iter().filter(|&&w| w != v) {
                         let derived = first_hop(hierarchy.peel, labels, v, w).map(|e| e.to);
                         let literal = literal_first_hop(hierarchy, labels, v, w);

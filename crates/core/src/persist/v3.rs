@@ -434,6 +434,9 @@ pub(crate) struct Mapped {
     reader: StoreReader,
     /// Byte range of each section, by kind; empty when it is absent.
     ranges: [Range<usize>; 16],
+    /// The header records a [`KSelection::Full`] build: Equation 1 alone
+    /// answers, and `G_k` is never searched.
+    label_only: bool,
 }
 
 impl Mapped {
@@ -455,7 +458,12 @@ impl Mapped {
                 )));
             }
         }
-        Ok(Self { reader, ranges })
+        let label_only = matches!(ksel_decode(h.ksel_tag, h.ksel_bits), Ok(KSelection::Full));
+        Ok(Self {
+            reader,
+            ranges,
+            label_only,
+        })
     }
 
     /// The store underneath (header facts, residency).
@@ -506,6 +514,7 @@ impl Mapped {
                     rev: None,
                 },
                 gk_vias: self.triples(SECTION_GK_VIAS)?,
+                label_only: self.label_only,
             },
             labels: Labels {
                 offsets: self.u64s(SECTION_LABEL_OFFSETS)?,
@@ -645,11 +654,19 @@ mod tests {
             Err(crate::QueryError::NoPathInfo)
         );
 
+        // A label-only artifact keeps its core and loads label-only.
         let (index, loaded) = v3_roundtrip(BuildConfig::full());
-        assert_eq!(loaded.stats().gk_vertices, 0);
+        assert!(loaded.stats().gk_vertices > 0);
+        assert_eq!(loaded.hierarchy(), index.hierarchy());
+        assert!(loaded.hierarchy().is_label_only());
+        assert_eq!(loaded.dense_gk().ids().len(), 0);
         for i in 0..30u32 {
             let (s, t) = ((i * 13) % 200, (i * 29 + 1) % 200);
             assert_eq!(loaded.try_distance(s, t), index.try_distance(s, t));
+            assert_eq!(
+                loaded.try_shortest_path(s, t),
+                index.try_shortest_path(s, t)
+            );
         }
     }
 

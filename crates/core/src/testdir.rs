@@ -1,6 +1,9 @@
-//! A fresh scratch directory per call, for the crate's unit tests that
-//! touch the file system: no two calls share one, in one process or
-//! across processes, and it goes with everything in it when dropped.
+//! A fresh scratch directory per call, for the unit tests that touch the
+//! file system: no two calls share one, in one process or across
+//! processes, and it goes with everything in it when dropped. The crates
+//! whose unit tests write files (`islabel-core`, `islabel-store`,
+//! `islabel-extmem`, `islabel-serve`) each include this one file as their
+//! `testdir` module.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,14 +12,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) struct TestDir(PathBuf);
 
 impl TestDir {
-    /// Creates `islabel-core-<tag>-<pid>-<n>` under the system temp
-    /// directory, skipping any name a crashed earlier run left behind.
+    /// Creates `<crate>-<tag>-<pid>-<n>` under the system temp directory,
+    /// skipping any name a crashed earlier run left behind.
     pub(crate) fn new(tag: &str) -> Self {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         loop {
             // ordering: Relaxed — only uniqueness of the number matters.
             let n = NEXT.fetch_add(1, Ordering::Relaxed);
-            let name = format!("islabel-core-{tag}-{}-{n}", std::process::id());
+            let name = format!(
+                "{}-{tag}-{}-{n}",
+                env!("CARGO_PKG_NAME"),
+                std::process::id()
+            );
             let dir = std::env::temp_dir().join(name);
             match std::fs::create_dir(&dir) {
                 Ok(()) => return Self(dir),

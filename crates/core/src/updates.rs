@@ -22,6 +22,12 @@
 //!   marks the index stale ([`Overlay::stale`]): surviving augmenting edges
 //!   and label entries may still represent paths through the deleted vertex,
 //!   so distances can err in either direction until `rebuild()`.
+//! * **A label-only index** ([`crate::KSelection::Full`]) searches none of
+//!   its base vertices, so the overlay treats its core `G_k` as peeled: an
+//!   update at a core vertex patches labels, and deleting one marks the
+//!   index stale, since a core label's hub entries may route through it
+//!   (`docs/adr/0021-degree-ranked-core.md`). Its searched view is the
+//!   inserted tail alone.
 //! * Queries naming a deleted endpoint return `None`; deleted ancestors are
 //!   filtered out of every label at query time.
 //!
@@ -224,26 +230,22 @@ impl Clone for PatchScratch {
     }
 }
 
-/// The reverse peel DAG — `children(u)` are the vertices whose peel
-/// adjacency lists `u`, ascending — in CSR form, with the stamped visited
-/// array of the walk over it. The vertices reachable from `u` are exactly
-/// those whose label contains `u` (Definition 3 read backwards).
+/// One reverse adjacency in CSR form: `row(u)` lists, ascending, the
+/// vertices that name `u` as a parent.
 #[derive(Debug)]
-struct DescendantWalk {
+struct Children {
     offsets: Vec<u32>,
     list: Vec<VertexId>,
-    seen: StampedSlab<()>,
-    stack: Vec<VertexId>,
 }
 
-impl DescendantWalk {
-    /// Transposes `peel_adj` over the `n` base vertices in two counting
+impl Children {
+    /// Transposes `parents` over the `n` base vertices in two counting
     /// passes.
-    fn build(h: HierarchyView<'_>, n: usize) -> Self {
+    fn transpose<I: Iterator<Item = VertexId>>(n: usize, parents: impl Fn(VertexId) -> I) -> Self {
         let mut offsets = vec![0u32; n + 1];
         for x in 0..n as VertexId {
-            for e in h.peel_adj(x) {
-                offsets[e.to as usize + 1] += 1;
+            for u in parents(x) {
+                offsets[u as usize + 1] += 1;
             }
         }
         for u in 0..n {
@@ -252,15 +254,60 @@ impl DescendantWalk {
         let mut next = offsets[..n].to_vec();
         let mut list = vec![0; offsets[n] as usize];
         for x in 0..n as VertexId {
-            for e in h.peel_adj(x) {
-                let slot = &mut next[e.to as usize];
+            for u in parents(x) {
+                let slot = &mut next[u as usize];
                 list[*slot as usize] = x;
                 *slot += 1;
             }
         }
+        Self { offsets, list }
+    }
+
+    #[inline]
+    fn row(&self, u: VertexId) -> &[VertexId] {
+        let (lo, hi) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
+        &self.list[lo as usize..hi as usize]
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.list.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// Who holds whom in a label, as a walk: the reverse peel DAG (`peel.row(u)`
+/// are the vertices whose peel adjacency lists `u`) and, in a label-only
+/// index, the core's hubs (`hubs.row(u)` are the `G_k` vertices whose
+/// pruned label holds `u`), with the stamped visited array of the walk over
+/// them. The vertices whose label contains `u` are exactly those the peel
+/// DAG reaches from `u` and from its hub children: Definition 3 read
+/// backwards, and Algorithm 4 carrying each core label down whole. A hub
+/// child's own hub children need not hold `u` — pruned labels are not
+/// transitive — so the walk takes hub edges from the root only.
+#[derive(Debug)]
+struct DescendantWalk {
+    peel: Children,
+    hubs: Children,
+    seen: StampedSlab<()>,
+    stack: Vec<VertexId>,
+}
+
+impl DescendantWalk {
+    /// Transposes the peel rows and the `G_k` labels of the `n` base
+    /// vertices (a self entry names no parent).
+    fn build(s: Sections<'_>, n: usize) -> Self {
+        let (h, labels) = (s.hierarchy, s.labels);
+        let peel = Children::transpose(n, |x| h.peel_adj(x).map(|e| e.to));
+        let hubs = Children::transpose(n, |x| {
+            let label = if h.is_in_gk(x) {
+                labels.label(x).ancestors
+            } else {
+                &[]
+            };
+            label.iter().copied().filter(move |&a| a != x)
+        });
         Self {
-            offsets,
-            list,
+            peel,
+            hubs,
             seen: StampedSlab::new(n),
             stack: Vec::new(),
         }
@@ -269,17 +316,21 @@ impl DescendantWalk {
     /// Hands every proper descendant of `root` to `visit`, each once.
     fn for_each_descendant(&mut self, root: VertexId, mut visit: impl FnMut(VertexId)) {
         let Self {
-            offsets,
-            list,
+            peel,
+            hubs,
             seen,
             stack,
         } = self;
         seen.reset();
         seen.set(root, ());
         stack.push(root);
+        for &c in hubs.row(root) {
+            seen.set(c, ());
+            stack.push(c);
+            visit(c);
+        }
         while let Some(x) = stack.pop() {
-            let (lo, hi) = (offsets[x as usize], offsets[x as usize + 1]);
-            for &c in &list[lo as usize..hi as usize] {
+            for &c in peel.row(x) {
                 if !seen.contains(c) {
                     seen.set(c, ());
                     stack.push(c);
@@ -290,8 +341,9 @@ impl DescendantWalk {
     }
 
     fn memory_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.list.capacity() + self.seen.len() + self.stack.capacity())
-            * std::mem::size_of::<u32>()
+        self.peel.memory_bytes()
+            + self.hubs.memory_bytes()
+            + (self.seen.len() + self.stack.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -362,12 +414,13 @@ impl Overlay {
             .is_some_and(|word| (word >> (v % 64)) & 1 == 1)
     }
 
-    /// Effective `G_k` membership: inserted vertices always live in `G_k`.
+    /// Effective membership of the searched `G_k`: inserted vertices always
+    /// live in it; a label-only index searches no base vertex.
     pub fn effective_in_gk(&self, h: HierarchyView<'_>, v: VertexId) -> bool {
         if (v as usize) >= self.base_n {
             true
         } else {
-            h.is_in_gk(v)
+            h.is_searched(v)
         }
     }
 
@@ -376,9 +429,9 @@ impl Overlay {
         self.residual.as_ref()
     }
 
-    /// Compact id of `v` in the patched dense universe: base `G_k` members
-    /// through `ids`, inserted vertices on the tail in id order, `None` for
-    /// a peeled vertex.
+    /// Compact id of `v` in the patched dense universe: searched base `G_k`
+    /// members through `ids` (the searched view's), inserted vertices on
+    /// the tail in id order, `None` for any other vertex.
     #[inline]
     pub(crate) fn dense_id(&self, ids: &GkIdMap<&[u32]>, v: VertexId) -> Option<u32> {
         if (v as usize) < self.base_n {
@@ -582,7 +635,7 @@ impl Overlay {
     /// update, creating the delta if this is the first mutation.
     fn begin_op(&mut self, s: Sections<'_>, op: UpdateOp) -> &mut DensePatch {
         self.ops.push(op);
-        let base_len = s.hierarchy.num_gk_vertices();
+        let base_len = s.hierarchy.searched().ids().len();
         self.residual
             .get_or_insert_with(|| DensePatch::new(base_len, 0))
     }
@@ -663,7 +716,7 @@ impl Overlay {
         if self.is_deleted(v) {
             return;
         }
-        let dense = self.dense_id(s.hierarchy.gk.ids(), v);
+        let dense = self.dense_id(s.hierarchy.searched().ids(), v);
         let residual = self.begin_op(s, UpdateOp::DeleteVertex { v });
         if let Some(d) = dense {
             // Its own list and its neighbours' entries for it stay where
@@ -680,9 +733,10 @@ impl Overlay {
             self.patch_entries -= patch.len();
         }
         if dense.is_none() {
-            // A peeled vertex: augmenting edges and label entries may still
-            // represent paths through v; only a rebuild can reconcile them
-            // (paper: "rebuild the index periodically").
+            // A peeled vertex, or a label-only index's core vertex:
+            // augmenting edges and label entries may still represent paths
+            // through v; only a rebuild can reconcile them (paper: "rebuild
+            // the index periodically").
             self.stale = true;
         }
     }
@@ -690,7 +744,8 @@ impl Overlay {
     /// Adds the inserted edge `(a, b)` between two effective `G_k`
     /// vertices to the residual delta, both directions.
     fn push_residual_edge(&mut self, s: Sections<'_>, a: VertexId, b: VertexId, w: Weight) {
-        let ids = s.hierarchy.gk.ids();
+        let searched = s.hierarchy.searched();
+        let ids = searched.ids();
         let da = self
             .dense_id(ids, a)
             .expect("an effective G_k vertex has a dense id");
@@ -706,7 +761,8 @@ impl Overlay {
         self.residual_edges += 1;
     }
 
-    /// Patches the peeled vertex `target` and all its descendants with
+    /// Patches the vertex `target`, which no query searches, and all its
+    /// descendants with
     /// `entries` (strictly ancestor-ascending; descendants get each
     /// distance shifted by their label distance to `target`). A patched
     /// value past [`LabelDist`] is stored saturated and sets the scratch's
@@ -726,7 +782,7 @@ impl Overlay {
             overflowed,
             ..
         } = &mut scratch;
-        let walk = walk.get_or_insert_with(|| DescendantWalk::build(s.hierarchy, self.base_n));
+        let walk = walk.get_or_insert_with(|| DescendantWalk::build(s, self.base_n));
 
         // Collect (vertex, shift) pairs first so all label reads happen
         // before any patch write. Deleted vertices are walked through but
@@ -856,8 +912,10 @@ mod tests {
     }
 
     impl NaiveOverlay {
+        /// Whether a query searches `v` (a label-only index searches no
+        /// base vertex).
         fn in_gk(&self, base: &IsLabelIndex, v: VertexId) -> bool {
-            v as usize >= base.base_graph().num_vertices() || base.hierarchy().is_in_gk(v)
+            v as usize >= base.base_graph().num_vertices() || base.hierarchy().is_searched(v)
         }
 
         /// `v`'s label as a query would see it.
@@ -1116,21 +1174,38 @@ mod tests {
 
     #[test]
     fn children_csr_is_the_transposed_peel_adjacency() {
+        // And the hub CSR the transposed core labels: empty in an index
+        // with a search, whose `G_k` labels are self entries.
         for (_, graph) in test_graphs() {
             for config in [BuildConfig::sigma(0.95), BuildConfig::full()] {
                 let index = IsLabelIndex::try_build(&graph, config).unwrap();
                 let n = graph.num_vertices();
                 let mut naive = vec![Vec::new(); n];
+                let mut naive_hubs = vec![Vec::new(); n];
                 for x in graph.vertices() {
                     for e in index.hierarchy().peel_adj(x) {
                         naive[e.to as usize].push(x);
                     }
+                    if index.hierarchy().is_in_gk(x) {
+                        for &hub in index.labels().label(x).ancestors {
+                            if hub != x {
+                                naive_hubs[hub as usize].push(x);
+                            }
+                        }
+                    }
                 }
-                let walk = DescendantWalk::build(index.hierarchy(), n);
-                assert_eq!(walk.offsets.len(), n + 1);
-                for (u, children) in naive.iter().enumerate() {
-                    let (lo, hi) = (walk.offsets[u] as usize, walk.offsets[u + 1] as usize);
-                    assert_eq!(&walk.list[lo..hi], children, "children of {u}");
+                let with_hubs = naive_hubs.iter().any(|c| !c.is_empty());
+                assert_eq!(
+                    with_hubs,
+                    config == BuildConfig::full() && index.stats().gk_edges > 0,
+                    "{config}"
+                );
+                let walk = DescendantWalk::build(index.sections(), n);
+                assert_eq!(walk.peel.offsets.len(), n + 1);
+                for (u, (children, hubs)) in naive.iter().zip(&naive_hubs).enumerate() {
+                    let u = u as VertexId;
+                    assert_eq!(walk.peel.row(u), children, "children of {u}");
+                    assert_eq!(walk.hubs.row(u), hubs, "hub children of {u}");
                 }
             }
         }
@@ -1140,7 +1215,7 @@ mod tests {
     fn descendant_walk_is_the_same_across_the_epoch_wrap() {
         let graph = barabasi_albert(160, 3, WeightModel::Unit, 4);
         let index = IsLabelIndex::try_build(&graph, BuildConfig::full()).unwrap();
-        let mut walk = DescendantWalk::build(index.hierarchy(), 160);
+        let mut walk = DescendantWalk::build(index.sections(), 160);
         let descendants = |walk: &mut DescendantWalk, root: VertexId| {
             let mut seen = Vec::new();
             walk.for_each_descendant(root, |c| seen.push(c));

@@ -27,6 +27,10 @@ pub mod extsort;
 pub mod iostats;
 pub mod storage;
 
+#[cfg(test)]
+#[path = "../../core/src/testdir.rs"]
+mod testdir;
+
 pub use diskgraph::{AdjRecord, DiskGraph};
 pub use extsort::{external_sort, ExtRecord, RecordReader, RecordWriter};
 pub use iostats::{IoCostModel, IoSnapshot, IoStats};

@@ -365,9 +365,8 @@ mod tests {
 
     #[test]
     fn dir_storage_contract() {
-        let dir = std::env::temp_dir().join(format!("islabel-extmem-test-{}", std::process::id()));
-        exercise(&DirStorage::new(&dir).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::testdir::TestDir::new("dir-storage");
+        exercise(&DirStorage::new(&*dir).unwrap());
     }
 
     #[test]
@@ -398,8 +397,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "flat")]
     fn dir_storage_rejects_traversal() {
-        let dir = std::env::temp_dir().join(format!("islabel-extmem-trav-{}", std::process::id()));
-        let s = DirStorage::new(&dir).unwrap();
+        let dir = crate::testdir::TestDir::new("traversal");
+        let s = DirStorage::new(&*dir).unwrap();
         let _ = s.exists("../evil");
     }
 

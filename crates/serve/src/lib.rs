@@ -60,6 +60,10 @@
 
 pub mod rebuild;
 
+#[cfg(test)]
+#[path = "../../core/src/testdir.rs"]
+mod testdir;
+
 pub use rebuild::{CompactError, CompactStats, RebuildCoordinator};
 
 use islabel_core::snapshot::{OracleHandle, SharedOracle, Snapshot};

@@ -207,44 +207,16 @@ impl std::fmt::Debug for RebuildCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TestDir;
     use islabel_core::persist::{self, load_index_with_wal};
     use islabel_core::snapshot::Snapshot;
     use islabel_core::{BuildConfig, IsLabelIndex, IsStrategy, KSelection};
     use islabel_graph::generators::{barabasi_albert, WeightModel};
     use std::path::Path;
 
-    /// A scratch directory unique per call, removed on drop.
-    struct TempDir(PathBuf);
-
-    impl std::ops::Deref for TempDir {
-        type Target = Path;
-
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
-
-    fn tempdir(tag: &str) -> TempDir {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        // ordering: Relaxed — only the counter's uniqueness matters.
-        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "islabel-rebuild-{tag}-{}-{seq}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-
     #[test]
     fn compact_folds_wal_swaps_and_resets_log() {
-        let dir = tempdir("fold");
+        let dir = TestDir::new("fold");
         let index_path = dir.join("i.islx");
         let wal_path = dir.join("i.wal");
         let g = barabasi_albert(150, 3, WeightModel::Unit, 9);
@@ -291,7 +263,7 @@ mod tests {
         // A full hierarchy without path info, as `islabel build --full
         // --no-paths` writes it: the rebuild must not fall back to the
         // default σ rule or bring path info back.
-        let dir = tempdir("config");
+        let dir = TestDir::new("config");
         let index_path = dir.join("i.islx");
         let wal_path = dir.join("i.wal");
         let g = barabasi_albert(150, 3, WeightModel::UniformRange(1, 5), 2);
@@ -313,7 +285,8 @@ mod tests {
         let reloaded = persist::try_load_index_from_path(&index_path).unwrap();
         assert_eq!(reloaded.config().k_selection, KSelection::Full);
         assert!(!reloaded.config().keep_path_info);
-        assert_eq!(reloaded.hierarchy().num_gk_vertices(), 0);
+        assert!(reloaded.hierarchy().is_label_only());
+        assert_eq!(reloaded.dense_gk().ids().len(), 0);
     }
 
     #[test]
@@ -322,7 +295,7 @@ mod tests {
         // records both, so offline and live compaction rebuild with them
         // and write, section for section, what a fresh build of the
         // updated graph with the same config writes.
-        let dir = tempdir("whole-config");
+        let dir = TestDir::new("whole-config");
         let g = barabasi_albert(300, 3, WeightModel::UniformRange(1, 5), 8);
         let config = BuildConfig {
             is_strategy: IsStrategy::Random(7),
@@ -368,7 +341,7 @@ mod tests {
 
     #[test]
     fn second_concurrent_compact_reports_busy() {
-        let dir = tempdir("busy");
+        let dir = TestDir::new("busy");
         let index_path = dir.join("i.islx");
         let wal_path = dir.join("i.wal");
         let g = barabasi_albert(80, 2, WeightModel::Unit, 4);
@@ -390,7 +363,7 @@ mod tests {
 
     #[test]
     fn failed_compact_leaves_serving_state_untouched() {
-        let dir = tempdir("fail");
+        let dir = TestDir::new("fail");
         let g = barabasi_albert(80, 2, WeightModel::Unit, 4);
         let index = IsLabelIndex::try_build(&g, BuildConfig::default()).unwrap();
         let handle = Arc::new(OracleHandle::new(Snapshot::new(index)));

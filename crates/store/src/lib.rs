@@ -31,6 +31,10 @@ pub mod mmap;
 pub mod reader;
 pub mod writer;
 
+#[cfg(test)]
+#[path = "../../core/src/testdir.rs"]
+mod testdir;
+
 pub use format::{FormatError, Header, SectionEntry};
 pub use mmap::MappedFile;
 pub use reader::StoreReader;

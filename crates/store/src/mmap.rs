@@ -316,7 +316,8 @@ mod tests {
 
     #[test]
     fn open_maps_a_real_file() {
-        let path = std::env::temp_dir().join(format!("islabel-mmap-test-{}", std::process::id()));
+        let dir = crate::testdir::TestDir::new("mmap");
+        let path = dir.join("words");
         let data: Vec<u8> = (0..4096u32).flat_map(|v| v.to_le_bytes()).collect();
         std::fs::write(&path, &data).unwrap();
         let m = MappedFile::open(&path).unwrap();
@@ -328,18 +329,16 @@ mod tests {
         let words = cast_u32s(m.bytes()).unwrap();
         assert_eq!(words[0], 0);
         assert_eq!(words[4095], 4095);
-        drop(m);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn empty_file_is_fine() {
-        let path = std::env::temp_dir().join(format!("islabel-mmap-empty-{}", std::process::id()));
+        let dir = crate::testdir::TestDir::new("mmap-empty");
+        let path = dir.join("empty");
         std::fs::write(&path, b"").unwrap();
         let m = MappedFile::open(&path).unwrap();
         assert!(m.is_empty());
         assert_eq!(m.bytes(), b"");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

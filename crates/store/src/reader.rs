@@ -212,8 +212,8 @@ mod tests {
     #[test]
     fn file_roundtrip_is_mapped() {
         let buf = tiny_artifact();
-        let path =
-            std::env::temp_dir().join(format!("islabel-store-test-{}.islx", std::process::id()));
+        let dir = crate::testdir::TestDir::new("reader");
+        let path = dir.join("a.islx");
         std::fs::write(&path, &buf).unwrap();
         let r = StoreReader::open(&path).unwrap();
         #[cfg(unix)]
@@ -223,7 +223,6 @@ mod tests {
             Some(&[1u32, 1, 2, 1][..])
         );
         drop(r);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -137,9 +137,9 @@ fn sessions_answer_queries_without_allocating() {
     );
     drop(mapped_session);
 
-    // --- A full hierarchy: `G_k` is empty and Equation 1 is the query. ---
+    // --- A label-only index: nothing is searched, Equation 1 is the query. ---
     let full = IsLabelIndex::try_build(&g, BuildConfig::full()).unwrap();
-    assert_eq!(full.hierarchy().num_gk_vertices(), 0);
+    assert_eq!(full.dense_gk().ids().len(), 0);
     let mut full_session = full.session();
     let count = audited(|| {
         for &(s, t) in &pairs {
